@@ -45,8 +45,6 @@ from .proposals import (
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
 from .solvers import solve_beta, solve_gamma_pair, solve_gamma_single
 
-RESIDUAL_LIMIT = 1e-8
-
 
 class ConfigError(ValueError):
     """Invalid experiment config; message carries the offending field path."""
@@ -278,7 +276,7 @@ def cmd_run(cfg, args) -> int:
     run_json = {
         "name": cfg["name"],
         "config": {"b_grid": b_grid, "n_paths": n_paths, "seed": seed,
-                   "workers": workers, "max_steps": max_steps,
+                   "max_steps": max_steps,
                    "variant": prop.variant, "size": len(prop)},
         "rows": rows,
         "report": rep.as_dict() if rep is not None else None,

@@ -7,54 +7,67 @@ average likelihood ratio over *all* mixture components,
 
     estimate = |Theta| / sum_theta exp(theta . S_T - T Lambda(theta)),
 
-computed in log space via logsumexp.  Reference exits and truncated paths
-contribute zero, so the estimate stays unbiased for the wrong-exit
-probability (up to truncation, which is counted and must be zero for a
-clean run).
+computed in log space.  Reference exits and truncated paths contribute
+zero, so the estimate stays unbiased for the wrong-exit probability (up to
+truncation, which is counted and must be zero for a clean run).
 
-Reproducibility: every path owns a counter-based Philox stream keyed by
-(seed, path_index), so results are bit-identical for a fixed seed no matter
-how paths are distributed over workers.
+Paths are simulated in batches of ``BATCH`` that advance in lockstep: a
+``(B, d)`` state moves forward in chunks of k steps, each chunk one
+``(k, B, d)`` block checked by the rule's vectorised stop test.  A path
+leaves the batch at its first stop.  The weights of a batch's wrong exits
+come from vectorised logsumexps over blocks of at most ``CHUNK_VALUES``
+log weights, which also caps the sampled blocks.
+
+Reproducibility: batch i draws from one counter-based Philox stream keyed by
+(seed, i).  The batch size does not depend on the worker count and workers
+take whole batches, so results are bit-identical for a fixed seed no matter
+how many workers run them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import math
+import os
+import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .models import CgfModel
 from .proposals import MixtureProposal
-from .regions import ExitOutcome
 
 __all__ = [
     "RunConfig",
-    "PathResult",
     "EstimatorRun",
+    "BatchResult",
+    "batch_rng",
     "default_max_steps",
-    "simulate_path",
-    "path_estimate",
+    "simulate_batch",
     "estimate_wrong_exit",
     "plain_mc",
     "decay_scan",
 ]
 
 MIN_DRIFT_SCALE = 1e-3
+BATCH = 256  # paths per random stream, fixed so results ignore workers
+CHUNK_VALUES = 1 << 14  # float64 values per sampled block or weight block
 
 
-def _mixture_estimate(n_comp: int, logw: np.ndarray) -> float:
-    """|Theta| / sum exp(logw) via log |Theta| - logsumexp(logw); stable for
-    log weights anywhere in +-1e4 (values beyond float range degrade to 0
-    or inf rather than raising)."""
-    m = float(logw.max())
-    log_est = math.log(n_comp) - (m + math.log(float(np.exp(logw - m).sum())))
-    if log_est >= 709.0:
-        return math.inf
-    return math.exp(log_est)
+def _mixture_estimate(n_comp: int, logw: np.ndarray) -> np.ndarray:
+    """Row-wise |Theta| / sum_j exp(logw[:, j]) via log |Theta| -
+    logsumexp, computed in place in ``logw``.  Stable for log weights
+    anywhere in +-1e4: a log estimate >= 709 reads inf and a tiny one
+    underflows to 0, rather than raising."""
+    top = logw.max(axis=1)
+    logw -= top[:, None]
+    np.exp(logw, out=logw)
+    log_est = math.log(n_comp) - (top + np.log(logw.sum(axis=1)))
+    return np.where(log_est >= 709.0, math.inf,
+                    np.exp(np.minimum(log_est, 709.0)))
 
 
 @dataclass
@@ -79,20 +92,10 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-
-@dataclass
-class PathResult:
-    """One estimator realization with its per-component log weights."""
-
-    component_index: int
-    outcome: ExitOutcome
-    log_weights: np.ndarray
-    estimate: float
-
-    @property
-    def truncated(self) -> bool:
-        return self.outcome.truncated
+        cpus = os.cpu_count() or 1
+        if self.workers > cpus:
+            raise ValueError(
+                f"workers={self.workers} exceeds os.cpu_count()={cpus}")
 
 
 @dataclass
@@ -127,40 +130,6 @@ class EstimatorRun:
         return out
 
 
-def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """Counter-based stream for one path; never shared across paths."""
-    key = np.array([seed, path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-class PathStreams:
-    """Reusable Philox generator re-keyed per path index.
-
-    Re-keying a shared bit generator produces streams identical to fresh
-    ``path_rng(seed, i)`` generators at a fraction of the construction cost.
-    """
-
-    def __init__(self, seed: int):
-        self._seed = seed
-        self._bg = np.random.Philox(key=0)
-        self._gen = np.random.Generator(self._bg)
-        self._zeros = np.zeros(4, dtype=np.uint64)
-
-    def get(self, path_index: int) -> np.random.Generator:
-        self._bg.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": self._zeros,
-                "key": np.array([self._seed, path_index], dtype=np.uint64),
-            },
-            "buffer": self._zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._gen
-
-
 def default_max_steps(model: CgfModel, thetas: np.ndarray, b: float) -> int:
     """Step cap: 50 b over the smallest per-coordinate drift magnitude among
     the mixture components; truncation is surfaced, never silent."""
@@ -172,89 +141,86 @@ def default_max_steps(model: CgfModel, thetas: np.ndarray, b: float) -> int:
     return max(64, int(math.ceil(50.0 * b / scale)))
 
 
-def _run_walk(sampler, d: int, rule, b: float, max_steps: int,
-              rng: np.random.Generator, block_hint: int) -> ExitOutcome:
-    start = np.zeros(d)
-    done = 0
-    block = block_hint if block_hint > 0 else 64
-    while done < max_steps:
-        k = min(block, max_steps - done)
-        states = sampler(rng, k)
-        np.cumsum(states, axis=0, out=states)
-        if done:
-            states += start
-        idx, region = rule.first_hit(states, b)
-        if idx >= 0:
-            return ExitOutcome(region, done + idx + 1, states[idx])
-        start = states[-1]
-        done += k
-        block = min(block * 2, 8192)
-    return ExitOutcome(None, done, start, truncated=True)
+def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+    """Counter-based stream of one batch; never shared across batches."""
+    key = np.array([seed, batch_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def simulate_path(model: CgfModel, theta: np.ndarray, rule, b: float,
-                  max_steps: int, rng: np.random.Generator,
-                  block_hint: int = 0) -> ExitOutcome:
-    """Run one walk under the tilted law until a region classifies.
+class BatchResult(NamedTuple):
+    """Per-path outcomes of one batch, in path order."""
 
-    Increments are drawn in blocks and classified vectorially; the exact
-    first-passage step is recovered inside the block.
+    values: np.ndarray  # estimator realizations
+    states: np.ndarray  # (n, d) states at the stop, or at the cap
+    steps: np.ndarray  # steps taken
+    exit_sets: np.ndarray  # (n, d) member masks; all False when truncated
+    truncated: np.ndarray  # stopped by the step cap
+
+
+def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
+                   lambdas: np.ndarray, rng: np.random.Generator,
+                   n: int) -> BatchResult:
+    """Run n paths in lockstep, each under a component drawn uniformly from
+    ``thetas``, until each stops or reaches ``max_steps``.
+
+    ``draw(rng, comp, k)`` returns the next k increments of the paths with
+    components ``comp`` as a (k, len(comp), d) block.  A chunk holds at most
+    ``CHUNK_VALUES`` values, so k grows as paths leave the batch.
     """
-    sampler = model.tilted_sampler(theta)
-    return _run_walk(sampler, model.dim, rule, b, max_steps, rng, block_hint)
+    n_comp, d = thetas.shape
+    comp = rng.integers(n_comp, size=n)
+    states = np.zeros((n, d))
+    steps = np.full(n, max_steps)
+    exit_sets = np.zeros((n, d), dtype=bool)
+    live = np.arange(n)
+    t = 0
+    while live.size and t < max_steps:
+        k = min(max_steps - t, max(1, CHUNK_VALUES // (live.size * d)))
+        block = draw(rng, comp[live], k)
+        block[0] += states[live]
+        np.cumsum(block, axis=0, out=block)
+        first, sets = rule.exits(block, b)
+        done = first >= 0
+        cols = np.arange(live.size)
+        states[live] = block[np.where(done, first, k - 1), cols]
+        steps[live[done]] = t + first[done] + 1
+        exit_sets[live[done]] = sets[done]
+        live = live[~done]
+        t += k
+    truncated = np.zeros(n, dtype=bool)
+    truncated[live] = True
+
+    values = np.zeros(n)
+    rare = np.flatnonzero(rule.rare_mask(exit_sets) & ~truncated)
+    rows = max(1, CHUNK_VALUES // n_comp)
+    for lo in range(0, rare.size, rows):
+        idx = rare[lo:lo + rows]
+        logw = states[idx] @ thetas.T
+        logw -= steps[idx, None] * lambdas
+        values[idx] = _mixture_estimate(n_comp, logw)
+    return BatchResult(values, states, steps, exit_sets, truncated)
 
 
-def _block_hint(max_steps: int) -> int:
-    return int(min(2048, max(16, max_steps // 32)))
-
-
-def path_estimate(model: CgfModel, proposal: MixtureProposal, rule,
-                  b: float, max_steps: int, rng: np.random.Generator,
-                  block_hint: int = 0) -> PathResult:
-    """Draw a component, simulate, and evaluate one estimator realization."""
-    n_comp = len(proposal)
-    j = int(rng.integers(n_comp))
-    outcome = simulate_path(model, proposal.thetas[j], rule, b, max_steps,
-                            rng, block_hint)
-    if outcome.wrong:
-        logw = proposal.thetas @ outcome.terminal_state \
-            - outcome.steps * proposal.lambdas
-        est = _mixture_estimate(n_comp, logw)
-    else:
-        logw = np.zeros(0)
-        est = 0.0
-    return PathResult(j, outcome, logw, est)
-
-
-def _simulate_range(model, proposal, rule, b, max_steps, seed, lo, hi,
-                    block_hint):
-    d = model.dim
-    thetas = proposal.thetas
-    lambdas = proposal.lambdas
-    n_comp = thetas.shape[0]
-    samplers = [model.tilted_sampler(thetas[j]) for j in range(n_comp)]
-    streams = PathStreams(seed)
-    values = np.empty(hi - lo)
-    tally: Dict[str, int] = {}
+def _simulate_batches(model, proposal, rule, b, max_steps, seed, n_paths,
+                      lo, hi):
+    """Batches lo..hi-1 of an n_paths run: values, exit tally, truncations."""
+    draw = model.batch_sampler(proposal.thetas)
+    values = []
+    tally: Counter = Counter()
     truncated = 0
     for i in range(lo, hi):
-        rng = streams.get(i)
-        j = int(rng.integers(n_comp))
-        outcome = _run_walk(samplers[j], d, rule, b, max_steps, rng,
-                            block_hint)
-        if outcome.truncated:
-            values[i - lo] = 0.0
-            truncated += 1
-            continue
-        region = outcome.region
-        if region.rare:
-            logw = thetas @ outcome.terminal_state - outcome.steps * lambdas
-            values[i - lo] = _mixture_estimate(n_comp, logw)
-        else:
-            values[i - lo] = 0.0
-        key = region.key
-        tally[key] = tally.get(key, 0) + 1
-    return values, tally, truncated
+        n = min(BATCH, n_paths - i * BATCH)
+        res = simulate_batch(draw, rule, b, max_steps, proposal.thetas,
+                             proposal.lambdas, batch_rng(seed, i), n)
+        values.append(res.values)
+        truncated += int(res.truncated.sum())
+        # decode the exit sets to tally keys once per distinct set; the keys
+        # are interned, so tallies kept from many runs share their strings
+        sets, counts = np.unique(res.exit_sets[~res.truncated], axis=0,
+                                 return_counts=True)
+        for mask, c in zip(sets, counts):
+            tally[sys.intern(rule.region(mask).key)] += int(c)
+    return np.concatenate(values), tally, truncated
 
 
 def estimate_wrong_exit(model: CgfModel, proposal: MixtureProposal, rule,
@@ -266,33 +232,25 @@ def estimate_wrong_exit(model: CgfModel, proposal: MixtureProposal, rule,
     max_steps = config.max_steps
     if max_steps is None:
         max_steps = default_max_steps(model, proposal.thetas, config.b)
-    hint = _block_hint(max_steps)
     n = config.n_paths
-    if config.workers == 1:
-        chunks = [(0, n)]
-        outs = [
-            _simulate_range(model, proposal, rule, config.b, max_steps,
-                            config.seed, 0, n, hint)
-        ]
+    n_batches = -(-n // BATCH)
+    bounds = np.linspace(0, n_batches, config.workers + 1).astype(int)
+    ranges = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])
+              if lo < hi]
+    args = (model, proposal, rule, config.b, max_steps, config.seed, n)
+    if len(ranges) == 1:
+        outs = [_simulate_batches(*args, *ranges[0])]
     else:
-        w = config.workers
-        bounds = np.linspace(0, n, w + 1).astype(int)
-        chunks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(w)]
-        with ProcessPoolExecutor(max_workers=w) as pool:
-            futures = [
-                pool.submit(_simulate_range, model, proposal, rule, config.b,
-                            max_steps, config.seed, lo, hi, hint)
-                for lo, hi in chunks
-            ]
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+            futures = [pool.submit(_simulate_batches, *args, lo, hi)
+                       for lo, hi in ranges]
             outs = [f.result() for f in futures]
-    # merge in path-index order so the statistics are worker-count invariant
+    # merge in batch order so the statistics are worker-count invariant
     values = np.concatenate([o[0] for o in outs])
-    tally: Dict[str, int] = {}
-    truncated = 0
-    for _, t, tr in outs:
-        truncated += tr
-        for k, v in t.items():
-            tally[k] = tally.get(k, 0) + v
+    tally: Counter = Counter()
+    for _, t, _ in outs:
+        tally.update(t)
+    truncated = sum(o[2] for o in outs)
     return _finalize(values, tally, truncated, config, time.perf_counter() - t0)
 
 
@@ -312,7 +270,7 @@ def _finalize(values, tally, truncated, config, wall) -> EstimatorRun:
         second_moment=second,
         std_error=se,
         relative_error=rel,
-        exit_tally=tally,
+        exit_tally=dict(sorted(tally.items())),
         truncation_count=truncated,
         b=config.b,
         seed=config.seed,

@@ -176,7 +176,36 @@ def siegmund_root(component: ScalarFamily) -> float:
 # Multivariate models
 # ---------------------------------------------------------------------------
 
-class MvNormalModel:
+class _TiltedSampling:
+    """Tilted sampling shared by the models: each model supplies
+    ``batch_sampler``, and single-tilt sampling is its one-component case."""
+
+    def sample(self, theta, rng: np.random.Generator, size: Optional[int] = None):
+        """Draws from the tilted law mu_theta."""
+        theta = _check_dim(theta, self.dim)
+        draw = self.tilted_sampler(theta)
+        out = draw(rng, 1 if size is None else size)
+        return out[0] if size is None else out
+
+    def tilted_sampler(self, theta):
+        """Closure drawing (k, d) blocks from the tilted law; the tilt
+        parameters are resolved once, outside the sampling loop."""
+        draw = self.batch_sampler(np.asarray(theta, dtype=float)[None])
+        one = np.zeros(1, dtype=np.intp)
+
+        def draw_one(rng: np.random.Generator, k: int) -> np.ndarray:
+            return draw(rng, one, k)[:, 0]
+
+        return draw_one
+
+    def _tilts(self, thetas) -> np.ndarray:
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        if not all(self.in_domain(th) for th in thetas):
+            raise TiltDomainError("tilt outside domain")
+        return thetas
+
+
+class MvNormalModel(_TiltedSampling):
     """Multivariate normal increments N(mean, cov), cov strictly PD."""
 
     def __init__(self, mean, cov):
@@ -216,24 +245,19 @@ class MvNormalModel:
         theta = _check_dim(theta, self.dim)
         return self.mean + self.cov @ theta
 
-    def sample(self, theta, rng: np.random.Generator, size: Optional[int] = None):
-        """Draws from the tilted law N(mean + cov theta, cov)."""
-        theta = _check_dim(theta, self.dim)
-        draw = self.tilted_sampler(theta)
-        out = draw(rng, 1 if size is None else size)
-        return out[0] if size is None else out
-
-    def tilted_sampler(self, theta):
-        """Closure drawing (k, d) blocks from the tilted law; the tilt
-        parameters are resolved once, outside the sampling loop."""
-        if not self.in_domain(theta):
-            raise TiltDomainError("tilt outside domain")
-        loc = self.mean + self.cov @ theta
+    def batch_sampler(self, thetas):
+        """Closure drawing (k, n, d) blocks for n paths, path i under the
+        tilt ``thetas[comp[i]]``: N(mean + cov theta, cov) increments."""
+        loc = self.mean + self._tilts(thetas) @ self.cov.T
         chol_t = np.ascontiguousarray(self._chol.T)
         d = self.dim
 
-        def draw(rng: np.random.Generator, k: int) -> np.ndarray:
-            return loc + rng.standard_normal((k, d)) @ chol_t
+        def draw(rng: np.random.Generator, comp: np.ndarray,
+                 k: int) -> np.ndarray:
+            out = rng.standard_normal((k * comp.size, d)) @ chol_t
+            out = out.reshape(k, comp.size, d)
+            out += loc[comp]
+            return out
 
         return draw
 
@@ -264,7 +288,7 @@ class MvNormalModel:
         return f"MvNormalModel(dim={self.dim})"
 
 
-class IndependentModel:
+class IndependentModel(_TiltedSampling):
     """Independent scalar coordinates; Lambda(theta) = sum_k Lambda_k(theta_k)."""
 
     def __init__(self, components: Sequence[ScalarFamily]):
@@ -295,53 +319,35 @@ class IndependentModel:
             raise TiltDomainError("tilt outside domain")
         return np.array([c.cgf_prime(t) for c, t in zip(self.components, theta)])
 
-    def sample(self, theta, rng: np.random.Generator, size: Optional[int] = None):
-        theta = _check_dim(theta, self.dim)
-        draw = self.tilted_sampler(theta)
-        out = draw(rng, 1 if size is None else size)
-        return out[0] if size is None else out
-
-    def tilted_sampler(self, theta):
-        """Closure drawing (k, d) blocks under the tilt; columns of the same
-        family are drawn in one batched call."""
-        theta = np.asarray(theta, dtype=float)
-        if not self.in_domain(theta):
-            raise TiltDomainError("tilt outside domain")
+    def batch_sampler(self, thetas):
+        """Closure drawing (k, n, d) blocks for n paths, path i under the
+        tilt ``thetas[comp[i]]``.  Every coordinate is loc + scale * Z with Z
+        standard normal or standard exponential; columns of one family are
+        drawn in one call."""
+        thetas = self._tilts(thetas)
         d = self.dim
-        norm_cols = [k for k, c in enumerate(self.components)
-                     if isinstance(c, Normal)]
-        exp_cols = [k for k in range(d) if k not in norm_cols]
-        plans = []
-        if norm_cols:
-            loc = np.array([self.components[k].mu
-                            + self.components[k].sigma2 * theta[k]
-                            for k in norm_cols])
-            scale = np.array([math.sqrt(self.components[k].sigma2)
-                              for k in norm_cols])
-            plans.append(("normal", np.array(norm_cols), loc, scale))
-        if exp_cols:
-            scale = np.array([1.0 / (self.components[k].rate - theta[k])
-                              for k in exp_cols])
-            shift = np.array([self.components[k].shift for k in exp_cols])
-            plans.append(("exp", np.array(exp_cols), scale, shift))
-
-        if len(plans) == 1:
-            kind, cols, a, b = plans[0]
-            if kind == "normal":
-                def draw(rng, k):
-                    return a + b * rng.standard_normal((k, d))
+        normal = np.array([isinstance(c, Normal) for c in self.components])
+        loc = np.empty_like(thetas)
+        scale = np.empty_like(thetas)
+        for k, c in enumerate(self.components):
+            if normal[k]:
+                loc[:, k] = c.mu + c.sigma2 * thetas[:, k]
+                scale[:, k] = math.sqrt(c.sigma2)
             else:
-                def draw(rng, k):
-                    return rng.exponential(a, (k, d)) + b
-            return draw
+                loc[:, k] = c.shift
+                scale[:, k] = 1.0 / (c.rate - thetas[:, k])
+        norm_cols = np.flatnonzero(normal)
+        exp_cols = np.flatnonzero(~normal)
 
-        def draw(rng: np.random.Generator, k: int) -> np.ndarray:
-            out = np.empty((k, d))
-            for kind, cols, a, b in plans:
-                if kind == "normal":
-                    out[:, cols] = a + b * rng.standard_normal((k, cols.size))
-                else:
-                    out[:, cols] = rng.exponential(a, (k, cols.size)) + b
+        def draw(rng: np.random.Generator, comp: np.ndarray,
+                 k: int) -> np.ndarray:
+            n = comp.size
+            out = np.empty((k, n, d))
+            out[..., norm_cols] = rng.standard_normal((k, n, norm_cols.size))
+            out[..., exp_cols] = rng.standard_exponential(
+                (k, n, exp_cols.size))
+            out *= scale[comp]
+            out += loc[comp]
             return out
 
         return draw

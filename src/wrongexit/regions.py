@@ -12,7 +12,12 @@ rules are supported:
   Reference region: A = {1, ..., m}.
 * ``SumIntersectionRule(L)``: stop once the sum of the L smallest absolute
   coordinates exceeds b; the exit is rare when at least L coordinates are
-  positive, with A the positive set.
+  positive, with A the positive set.  Reference region: A empty.
+
+Each rule states its stopping test once, over states of any leading shape.
+The engine applies it to ``(k, B, d)`` blocks of B paths over k steps and
+keeps the exit sets as boolean member masks; ``first_hit`` and
+``classify`` are the one-path cases of the same test.
 
 Each rule also evaluates the support value
 
@@ -33,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "Region",
-    "ExitOutcome",
     "SiegmundRule",
     "GapRule",
     "SumIntersectionRule",
@@ -63,27 +67,6 @@ class Region:
         return f"Rare({set(self.members) or '{}'})" if self.rare else "Reference"
 
 
-REFERENCE = Region(rare=False)
-
-
-@dataclass
-class ExitOutcome:
-    """Terminal record of one simulated path.
-
-    ``region`` is None exactly when the path was truncated at the step cap
-    before stopping; truncation is data, not an error.
-    """
-
-    region: Optional[Region]
-    steps: int
-    terminal_state: np.ndarray
-    truncated: bool = False
-
-    @property
-    def wrong(self) -> bool:
-        return self.region is not None and self.region.rare
-
-
 def rearrangement_min(theta, L: int) -> float:
     """min over 1 <= l <= L of (1/l) * sum of the (d - L + l) smallest |theta|.
 
@@ -109,7 +92,52 @@ def rearrangement_min(theta, L: int) -> float:
     return float(best)
 
 
-class SiegmundRule:
+class _StoppingRule:
+    """One stopping definition per rule, vectorised over leading axes.
+
+    A rule supplies ``_stopped`` (the stop test of states ``(..., d)``),
+    ``_exit_set`` (the member mask of the region a stopped state lies in)
+    and ``_reference_set`` (the member mask of the reference region).
+    ``exits`` applies them to a ``(k, B, d)`` block of B paths over k steps;
+    ``first_hit`` and ``classify`` are its one-path cases.
+    """
+
+    def exits(self, states: np.ndarray, b: float):
+        """First stopping row of each path in a ``(k, B, d)`` block, or -1,
+        and the boolean ``(B, d)`` member mask of the region entered there
+        (all False for a path that does not stop in the block)."""
+        hit = self._stopped(states, b)
+        first = hit.argmax(axis=0)
+        cols = np.arange(states.shape[1])
+        done = hit[first, cols]
+        sets = self._exit_set(states[first, cols], b)
+        sets &= done[:, None]
+        return np.where(done, first, -1), sets
+
+    def region(self, mask) -> Region:
+        """Decode an exit-set mask into its region label."""
+        return Region(rare=bool(self.rare_mask(mask[None])[0]),
+                      members=tuple(int(k) for k in np.flatnonzero(mask)))
+
+    def rare_mask(self, sets: np.ndarray) -> np.ndarray:
+        """Rows of a ``(n, d)`` exit-set array that are rare regions."""
+        return (sets != self._reference_set(sets.shape[1])).any(axis=1)
+
+    def first_hit(self, states: np.ndarray, b: float):
+        """First stopped row in a (n, d) block of states, or (-1, None)."""
+        idx, sets = self.exits(np.asarray(states, dtype=float)[:, None], b)
+        if idx[0] < 0:
+            return -1, None
+        return int(idx[0]), self.region(sets[0])
+
+    def classify(self, x, b: float) -> Optional[Region]:
+        return self.first_hit(np.asarray(x, dtype=float)[None], b)[1]
+
+    def _reference_set(self, d: int) -> np.ndarray:
+        return np.zeros(d, dtype=bool)
+
+
+class SiegmundRule(_StoppingRule):
     """Two-sided exit rule with lower barrier -b ell and upper barrier b u."""
 
     kind = "siegmund"
@@ -120,27 +148,11 @@ class SiegmundRule:
         self.ell = float(ell)
         self.u = float(u)
 
-    def classify(self, x, b: float) -> Optional[Region]:
-        x = np.asarray(x, dtype=float)
-        above = x > b * self.u
-        below = x < -b * self.ell
-        if not np.all(above | below):
-            return None
-        if not above.any():
-            return REFERENCE
-        return Region(rare=True, members=tuple(np.flatnonzero(above)))
+    def _stopped(self, x, b):
+        return ((x > b * self.u) | (x < -b * self.ell)).all(axis=-1)
 
-    def first_hit(self, states: np.ndarray, b: float):
-        """First stopped row in a (n, d) block of states, or (-1, None)."""
-        above = states > b * self.u
-        stopped = (above | (states < -b * self.ell)).all(axis=1)
-        i = int(stopped.argmax())
-        if not stopped[i]:
-            return -1, None
-        row = above[i]
-        if not row.any():
-            return i, REFERENCE
-        return i, Region(rare=True, members=tuple(np.flatnonzero(row)))
+    def _exit_set(self, x, b):
+        return x > b * self.u
 
     def support_value(self, theta, region: Region) -> float:
         if not region.rare:
@@ -156,7 +168,7 @@ class SiegmundRule:
         return f"SiegmundRule(ell={self.ell}, u={self.u})"
 
 
-class GapRule:
+class GapRule(_StoppingRule):
     """Stop when the top m coordinates exceed all others by more than b."""
 
     kind = "gap"
@@ -166,34 +178,23 @@ class GapRule:
             raise ValueError("m must be at least 1")
         self.m = int(m)
 
-    def reference_region(self) -> Region:
-        return Region(rare=False, members=tuple(range(self.m)))
-
-    def classify(self, x, b: float) -> Optional[Region]:
-        x = np.asarray(x, dtype=float)
-        d = x.size
+    def _stopped(self, x, b):
+        d = x.shape[-1]
         if not 1 <= self.m <= d - 1:
             raise ValueError("m must satisfy 1 <= m <= d-1")
-        part = np.partition(x, (d - self.m - 1, d - self.m))
-        gap = part[d - self.m] - part[d - self.m - 1]
-        if gap <= b:
-            return None
-        # ties in selecting the top-m set are broken by lowest index; a tie
-        # exactly at gap == b does not stop (regions are open)
-        order = np.argsort(-x, kind="stable")
-        top = np.sort(order[: self.m])
-        if np.array_equal(top, np.arange(self.m)):
-            return self.reference_region()
-        return Region(rare=True, members=tuple(top))
+        part = np.partition(x, (d - self.m - 1, d - self.m), axis=-1)
+        # a tie exactly at gap == b does not stop (regions are open)
+        return part[..., d - self.m] - part[..., d - self.m - 1] > b
 
-    def first_hit(self, states: np.ndarray, b: float):
-        d = states.shape[1]
-        part = np.partition(states, (d - self.m - 1, d - self.m), axis=1)
-        stopped = part[:, d - self.m] - part[:, d - self.m - 1] > b
-        i = int(stopped.argmax())
-        if not stopped[i]:
-            return -1, None
-        return i, self.classify(states[i], b)
+    def _exit_set(self, x, b):
+        # in a stopped state the top m lie more than b above the rest, so
+        # the m-th largest value bounds them and any ties fall inside
+        d = x.shape[-1]
+        mth = np.partition(x, d - self.m, axis=-1)[..., d - self.m, None]
+        return x >= mth
+
+    def _reference_set(self, d):
+        return np.arange(d) < self.m
 
     def support_value(self, theta, region: Region) -> float:
         if not region.rare:
@@ -211,7 +212,7 @@ class GapRule:
         return f"GapRule(m={self.m})"
 
 
-class SumIntersectionRule:
+class SumIntersectionRule(_StoppingRule):
     """Stop when the sum of the L smallest |coordinates| exceeds b."""
 
     kind = "sum_intersection"
@@ -221,26 +222,16 @@ class SumIntersectionRule:
             raise ValueError("L must be at least 1")
         self.L = int(L)
 
-    def classify(self, x, b: float) -> Optional[Region]:
-        x = np.asarray(x, dtype=float)
-        if self.L > x.size:
+    def _stopped(self, x, b):
+        if self.L > x.shape[-1]:
             raise ValueError("L exceeds dimension")
-        a = np.abs(x)
-        small = np.partition(a, self.L - 1)[: self.L].sum()
-        if small <= b:
-            return None
-        positive = np.flatnonzero(x > 0)
-        if positive.size < self.L:
-            return REFERENCE
-        return Region(rare=True, members=tuple(positive))
+        small = np.partition(np.abs(x), self.L - 1, axis=-1)[..., : self.L]
+        return small.sum(axis=-1) > b
 
-    def first_hit(self, states: np.ndarray, b: float):
-        a = np.partition(np.abs(states), self.L - 1, axis=1)
-        stopped = a[:, : self.L].sum(axis=1) > b
-        i = int(stopped.argmax())
-        if not stopped[i]:
-            return -1, None
-        return i, self.classify(states[i], b)
+    def _exit_set(self, x, b):
+        # the reference region (fewer than L positive coordinates) has A empty
+        positive = x > 0
+        return positive & (positive.sum(axis=-1) >= self.L)[..., None]
 
     def support_value(self, theta, region: Region) -> float:
         if not region.rare:

@@ -124,8 +124,7 @@ class VBound:
 
 def validate_drifts(rule, model: CgfModel) -> None:
     """Reject models whose drift signs do not match the stopping rule."""
-    mean = np.asarray(model.mean if isinstance(model, IndependentModel)
-                      else model.mean)
+    mean = np.asarray(model.mean)
     if isinstance(rule, GapRule):
         if not (np.all(mean[: rule.m] > 0) and np.all(mean[rule.m:] < 0)):
             raise ValueError(

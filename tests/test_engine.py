@@ -1,9 +1,11 @@
 """Estimator correctness: determinism, unbiasedness, and bookkeeping."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from wrongexit import (
     IndependentModel,
@@ -16,17 +18,15 @@ from wrongexit import (
     exchangeable_mvnormal,
 )
 from wrongexit.engine import (
-    EstimatorRun,
+    BATCH,
     RunConfig,
     _mixture_estimate,
+    batch_rng,
     decay_scan,
     default_max_steps,
     estimate_wrong_exit,
-    path_estimate,
-    path_rng,
     plain_mc,
-    simulate_path,
-    PathStreams,
+    simulate_batch,
 )
 from wrongexit.proposals import (
     MixtureProposal,
@@ -43,6 +43,50 @@ def siegmund_d2():
     return IndependentModel([Normal(-0.5, 1.0)] * 2)
 
 
+def single_component(prop, j=0):
+    return MixtureProposal(prop.thetas[j:j + 1], prop.lambdas[j:j + 1],
+                           [prop.provenance[j]], prop.problem, "one")
+
+
+def recording_draw(model, thetas, calls):
+    """The model's batched sampler, logging every (comp, block) it returns."""
+    draw = model.batch_sampler(thetas)
+
+    def rec(rng, comp, k):
+        out = draw(rng, comp, k)
+        calls.append((comp.copy(), out.copy()))
+        return out
+
+    return rec
+
+
+def per_path_reference(calls, rule, b, thetas, lambdas):
+    """Walk each path one step at a time through the increments the batch
+    core drew, stopping at the first row ``rule.classify`` labels, and weight
+    wrong exits with scipy's logsumexp: (values, steps, regions)."""
+    comp = calls[0][0]
+    n = comp.size
+    states = np.zeros((n, thetas.shape[1]))
+    steps = np.zeros(n, dtype=int)
+    regions = [None] * n
+    for live_comp, block in calls:
+        live = [i for i in range(n) if regions[i] is None]
+        assert np.array_equal(live_comp, comp[live])
+        for col, i in enumerate(live):
+            for x in block[:, col]:
+                states[i] += x
+                steps[i] += 1
+                regions[i] = rule.classify(states[i], b)
+                if regions[i] is not None:
+                    break
+    values = np.zeros(n)
+    for i, region in enumerate(regions):
+        if region is not None and region.rare:
+            logw = thetas @ states[i] - steps[i] * lambdas
+            values[i] = math.exp(math.log(len(thetas)) - logsumexp(logw))
+    return values, steps, regions
+
+
 class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -54,55 +98,67 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(b=1.0, n_paths=10, seed=0, workers=0)
 
+    def test_workers_above_cpu_count_rejected(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        RunConfig(b=1.0, n_paths=10, seed=0, workers=2)
+        with pytest.raises(ValueError, match="workers=3"):
+            RunConfig(b=1.0, n_paths=10, seed=0, workers=3)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        with pytest.raises(ValueError, match="workers"):
+            RunConfig(b=1.0, n_paths=10, seed=0, workers=2)
+
 
 class TestStreams:
-    def test_shared_stream_matches_fresh_generator(self):
-        streams = PathStreams(99)
-        for i in (0, 1, 17, 2**40):
-            a = streams.get(i).standard_normal(8)
-            b = path_rng(99, i).standard_normal(8)
-            np.testing.assert_array_equal(a, b)
+    def test_batch_streams_are_keyed_by_seed_and_index(self):
+        draws = {(s, i): batch_rng(s, i).standard_normal(4)
+                 for s in (0, 1) for i in (0, 1, 2**40)}
+        np.testing.assert_array_equal(draws[(1, 2**40)],
+                                      batch_rng(1, 2**40).standard_normal(4))
+        assert len({v.tobytes() for v in draws.values()}) == len(draws)
 
 
 class TestSimulatePath:
     def test_truncation_when_regions_unreachable(self):
-        model = siegmund_d2()
-        out = simulate_path(model, np.zeros(2), RULE11, 50.0, 1,
-                            path_rng(0, 0))
-        assert out.truncated and out.region is None and out.steps == 1
-        assert not out.wrong
+        run = plain_mc(siegmund_d2(), RULE11,
+                       RunConfig(b=50.0, n_paths=300, seed=0, max_steps=1))
+        assert run.truncation_count == 300
+        assert run.exit_tally == {} and run.mean == 0.0
+        # a truncated path has no exit set, which the gap rule must not
+        # read as a rare region (its reference set is not empty)
+        gmodel = MvNormalModel(np.array([0.5, 0.5, -0.5, -0.5]), np.eye(4))
+        gprop, _ = build_gap("t0", gmodel, 2)
+        run = estimate_wrong_exit(gmodel, gprop, GapRule(2),
+                                  RunConfig(b=50.0, n_paths=300, seed=0,
+                                            max_steps=1))
+        assert run.truncation_count == 300 and run.mean == 0.0
 
     def test_strong_negative_drift_exits_reference(self):
         model = IndependentModel([Normal(-2.0, 0.25)])
-        wrongs = 0
-        for i in range(200):
-            out = simulate_path(model, np.zeros(1), SiegmundRule(1, 1), 5.0,
-                                10_000, path_rng(1, i))
-            assert not out.truncated
-            wrongs += out.wrong
-        assert wrongs == 0
+        run = plain_mc(model, SiegmundRule(1, 1),
+                       RunConfig(b=5.0, n_paths=200, seed=1,
+                                 max_steps=10_000))
+        assert run.truncation_count == 0
+        assert run.exit_tally == {"reference": 200}
+        assert run.mean == 0.0
 
     def test_tally_concentrates_under_singleton_tilt(self):
         comp = ShiftedExponential(2.0, -LOG2)
         model = IndependentModel([comp] * 5)
         prop, _ = build_siegmund("theta0", model, 1.0, 1.0)
-        b = 20.0
-        ms = default_max_steps(model, prop.thetas, b)
-        hits = {}
-        for i in range(500):
-            out = simulate_path(model, prop.thetas[0], RULE11, b, ms,
-                                path_rng(7, i))
-            key = out.region.key if out.region else "trunc"
-            hits[key] = hits.get(key, 0) + 1
-        assert hits.get("A=0", 0) >= 0.95 * 500
+        assert prop.thetas[0].argmax() == 0
+        run = estimate_wrong_exit(model, single_component(prop), RULE11,
+                                  RunConfig(b=20.0, n_paths=500, seed=7))
+        assert run.exit_tally.get("A=0", 0) >= 0.95 * 500
 
     def test_terminal_state_is_classified_region(self):
         model = exchangeable_mvnormal(3, -0.5, 0.2)
         rule = SumIntersectionRule(2)
-        for i in range(50):
-            out = simulate_path(model, np.zeros(3), rule, 2.0, 10_000,
-                                path_rng(3, i))
-            assert rule.classify(out.terminal_state, 2.0) == out.region
+        thetas = np.zeros((1, 3))
+        res = simulate_batch(model.batch_sampler(thetas), rule, 2.0, 10_000,
+                             thetas, np.zeros(1), batch_rng(3, 0), 50)
+        assert not res.truncated.any()
+        for state, mask in zip(res.states, res.exit_sets):
+            assert rule.classify(state, 2.0) == rule.region(mask)
 
 
 class TestEstimator:
@@ -118,22 +174,41 @@ class TestEstimator:
         assert a.exit_tally == b.exit_tally
 
     def test_mixture_of_one_equivalence(self):
+        # the batch core agrees path by path with a one-step-at-a-time
+        # reference walking the same increments, for a one-component
+        # mixture and a three-component one whose third tilt has
+        # Lambda < 0, so the weights depend on the steps; the tight cap
+        # makes some paths truncate
         model = siegmund_d2()
-        prop, _ = build_siegmund("theta0", model, 1.0, 1.0)
-        single = MixtureProposal(prop.thetas[:1], prop.lambdas[:1],
-                                 ["beta[{0}]"], prop.problem, "one")
-        cfg = RunConfig(b=4.0, n_paths=2000, seed=5)
-        run = estimate_wrong_exit(model, single, RULE11, cfg)
-        ms = default_max_steps(model, single.thetas, 4.0)
-        from wrongexit.engine import _block_hint
-        vals = []
-        for i in range(2000):
-            res = path_estimate(model, single, RULE11, 4.0, ms,
-                                path_rng(5, i), block_hint=_block_hint(ms))
-            vals.append(res.estimate)
-        assert run.mean == np.mean(vals)
+        prop, _ = build_siegmund("theta1", model, 1.0, 1.0)
+        thetas = np.vstack([prop.thetas, [0.5, 0.5]])
+        three = MixtureProposal(thetas, [model.cgf(t) for t in thetas],
+                                ["e0", "e1", "mid"], prop.problem, "three")
+        assert three.lambdas[2] < 0
+        b, cap = 4.0, 12
+        for mix in (single_component(prop), three):
+            calls = []
+            draw = recording_draw(model, mix.thetas, calls)
+            res = simulate_batch(draw, RULE11, b, cap, mix.thetas,
+                                 mix.lambdas, batch_rng(5, 0), BATCH)
+            values, steps, regions = per_path_reference(
+                calls, RULE11, b, mix.thetas, mix.lambdas)
+            np.testing.assert_allclose(res.values, values, rtol=1e-12,
+                                       atol=0.0)
+            np.testing.assert_array_equal(res.steps, steps)
+            assert [None if t else RULE11.region(m) for m, t in
+                    zip(res.exit_sets, res.truncated)] == regions
+            assert res.truncated.any() and (values > 0).any()
+            assert any(r is not None and not r.rare for r in regions)
+            # the estimator is the mean over batches of the same core
+            run = estimate_wrong_exit(model, mix, RULE11,
+                                      RunConfig(b=b, n_paths=BATCH, seed=5,
+                                                max_steps=cap))
+            assert run.mean == np.mean(res.values)
+            assert run.truncation_count == int(res.truncated.sum())
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         model = exchangeable_mvnormal(3, -0.5, 0.2)
         prop, _ = build_siegmund("theta1", model, 1.0, 1.0)
         runs = [
@@ -146,6 +221,18 @@ class TestEstimator:
             assert r.mean == runs[0].mean
             assert r.second_moment == runs[0].second_moment
             assert r.exit_tally == runs[0].exit_tally
+
+    def test_fewer_batches_than_workers(self, monkeypatch):
+        # one batch and three workers: two workers get no batch
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        model = siegmund_d2()
+        prop, _ = build_siegmund("theta1", model, 1.0, 1.0)
+        runs = [estimate_wrong_exit(model, prop, RULE11,
+                                    RunConfig(b=3.0, n_paths=BATCH // 2,
+                                              seed=4, workers=w))
+                for w in (1, 3)]
+        one, three = (r.to_json_dict() for r in runs)
+        assert one == three and one["n"] == BATCH // 2
 
     def test_chunk_reordering_stability(self):
         # pairwise summation keeps the moments stable to 1e-12 under
@@ -162,12 +249,13 @@ class TestEstimator:
         model = siegmund_d2()
         prop, _ = build_siegmund("theta0", model, 1.0, 1.0)
         ms = default_max_steps(model, prop.thetas, 3.0)
-        for i in range(300):
-            res = path_estimate(model, prop, RULE11, 3.0, ms, path_rng(2, i))
-            if res.outcome.wrong:
-                assert res.estimate > 0
-            else:
-                assert res.estimate == 0.0
+        res = simulate_batch(model.batch_sampler(prop.thetas), RULE11, 3.0,
+                             ms, prop.thetas, prop.lambdas, batch_rng(2, 0),
+                             300)
+        rare = RULE11.rare_mask(res.exit_sets)
+        assert rare.any() and not rare.all()
+        assert (res.values[rare] > 0).all()
+        assert (res.values[~rare] == 0.0).all()
 
     def test_tally_conservation(self):
         model = siegmund_d2()
@@ -217,13 +305,19 @@ class TestNumerics:
     def test_log_space_safety(self):
         # |theta . S_T| up to 1e4 never raises; the astronomically large
         # realization degrades to inf, the tiny one underflows to 0
-        est = _mixture_estimate(3, np.array([-1.0e4, -9.9e3, -1.01e4]))
-        assert est == math.inf
-        est = _mixture_estimate(2, np.array([9.9e3, 1.0e4]))
-        assert est >= 0.0
-        assert math.isfinite(_mixture_estimate(1, np.array([0.0])))
-        est = _mixture_estimate(2, np.array([-600.0, -580.0]))
-        assert math.isfinite(est) and est > 0
+        logw = np.array([[-1.0e4, -9.9e3, -1.01e4],
+                         [9.9e3, 1.0e4, 9.95e3],
+                         [0.0, 0.0, 0.0],
+                         [-600.0, -580.0, -590.0],
+                         [-708.0, -800.0, -900.0]])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            est = _mixture_estimate(3, logw)
+        assert est[0] == math.inf
+        assert est[1] == 0.0
+        assert est[2] == pytest.approx(1.0, rel=1e-15)
+        assert math.isfinite(est[3]) and est[3] > 0
+        # log 3 + 708 >= 709: the log estimate reads inf
+        assert est[4] == math.inf
 
     def test_default_max_steps_scales_with_b(self):
         model = siegmund_d2()

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from itertools import combinations
 from scipy.optimize import linprog
 
@@ -103,6 +105,74 @@ class TestClassify:
                 else:
                     assert idx == stops[0]
                     assert region == per_row[idx]
+
+
+def oracle_exit(rule, x, b):
+    """Stop test and exit set of one state by plain sorting, written apart
+    from the package: (stopped, sorted members of A)."""
+    d = len(x)
+    if isinstance(rule, SiegmundRule):
+        stop = all(v > b * rule.u or v < -b * rule.ell for v in x)
+        return stop, [k for k in range(d) if x[k] > b * rule.u]
+    if isinstance(rule, GapRule):
+        desc = sorted(x, reverse=True)
+        stop = desc[rule.m - 1] - desc[rule.m] > b
+        # ties inside the top-m set break by the lowest index
+        return stop, sorted(sorted(range(d), key=lambda k: (-x[k], k))
+                            [: rule.m])
+    stop = sum(sorted(abs(v) for v in x)[: rule.L]) > b
+    positive = [k for k in range(d) if x[k] > 0]
+    return stop, positive if len(positive) >= rule.L else []
+
+
+@st.composite
+def blocks(draw):
+    """A rule, b and a (k, B, d) block on an integer grid, so that ties and
+    equalities at the threshold occur often and every sum is exact.  Path 0
+    is held at the origin before the last row, so it can stop only there;
+    path 1 is often held far out from the first row, so it stops there."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(2, 6))
+    rule = draw(st.sampled_from([
+        SiegmundRule(1.0, 1.0), SiegmundRule(0.5, 2.0),
+        GapRule(1), GapRule(d - 1), GapRule(max(1, d // 2)),
+        SumIntersectionRule(1), SumIntersectionRule(d),
+        SumIntersectionRule(max(1, d // 2))]))
+    b = float(draw(st.integers(1, 4)))
+    block = draw(arrays(np.float64, (k, n, d),
+                        elements=st.integers(-8, 8).map(float)))
+    block[:-1, 0] = 0.0
+    if draw(st.booleans()):
+        block[:, 1] = draw(arrays(np.float64, d,
+                                  elements=st.sampled_from([-40.0, 40.0])))
+    return rule, b, block
+
+
+class TestExits:
+    @settings(max_examples=300, deadline=None)
+    @given(blocks())
+    def test_exits_match_sorting_oracle(self, case):
+        rule, b, block = case
+        first, sets = rule.exits(block, b)
+        k, n, d = block.shape
+        for j in range(n):
+            rows = [oracle_exit(rule, list(block[i, j]), b) for i in range(k)]
+            stops = [i for i, (stop, _) in enumerate(rows) if stop]
+            if not stops:
+                assert first[j] == -1 and not sets[j].any()
+                continue
+            assert first[j] == stops[0]
+            assert list(np.flatnonzero(sets[j])) == rows[stops[0]][1]
+
+    def test_exits_on_first_and_last_row(self):
+        rule = SiegmundRule(1.0, 1.0)
+        block = np.zeros((3, 2, 2))
+        block[:, 0] = [5.0, -5.0]  # stops on the first row, A = {0}
+        block[2, 1] = [-5.0, 5.0]  # stops on the last row, A = {1}
+        first, sets = rule.exits(block, 2.0)
+        assert list(first) == [0, 2]
+        assert sets.tolist() == [[True, False], [False, True]]
 
 
 class TestSupportValue:
