@@ -24,6 +24,7 @@ from .solvers import (
     VBound,
     homogeneous_profile,
     rate_function,
+    siegmund_profile,
     solve_beta,
     solve_gamma_pair,
     solve_gamma_single,

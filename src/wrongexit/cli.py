@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import os
 from pathlib import Path
 import sys
 import time
@@ -33,6 +34,7 @@ from .models import (
     MvNormalModel,
     Normal,
     ShiftedExponential,
+    exchangeable_mvnormal,
 )
 from .proposals import (
     EfficiencyReport,
@@ -248,17 +250,26 @@ def cmd_check(cfg, args) -> int:
     return 0 if rep.holds else 1
 
 
+def _workers(args, spec: dict, path: str) -> int:
+    """``--workers`` if given, else the config's value; 1..os.cpu_count()."""
+    w = int(spec.get("workers", 1) if args.workers is None else args.workers)
+    if not 1 <= w <= (os.cpu_count() or 1):
+        raise ConfigError(f"{path}.workers: {w} is outside 1..os.cpu_count()"
+                          f" = {os.cpu_count() or 1}")
+    return w
+
+
 def cmd_run(cfg, args) -> int:
-    model = build_model(cfg["model"])
-    rule = build_rule(_need(cfg, "problem", "config"))
-    prop, rep = build_proposal(model, rule, cfg.get("proposal", {}))
     run_spec = _need(cfg, "run", "config")
     seed = int(args.seed if args.seed is not None else
                _need(run_spec, "seed", "run"))
-    workers = int(args.workers or run_spec.get("workers", 1))
+    workers = _workers(args, run_spec, "run")
     b_grid = [float(b) for b in _need(run_spec, "b_grid", "run")]
     n_paths = int(_need(run_spec, "n_paths", "run"))
     max_steps = run_spec.get("max_steps")
+    model = build_model(cfg["model"])
+    rule = build_rule(_need(cfg, "problem", "config"))
+    prop, rep = build_proposal(model, rule, cfg.get("proposal", {}))
 
     t0 = time.perf_counter()
     rows = decay_scan(model, prop, rule, b_grid, n_paths, seed,
@@ -297,14 +308,14 @@ def cmd_run(cfg, args) -> int:
 
 
 def cmd_oracle(cfg, args) -> int:
-    model = build_model(cfg["model"])
-    rule = build_rule(_need(cfg, "problem", "config"))
-    prop, _ = build_proposal(model, rule, cfg.get("proposal", {}))
     osp = _need(cfg, "oracle", "config")
     b = float(_need(osp, "b", "oracle"))
     seed = int(args.seed if args.seed is not None else
                _need(osp, "seed", "oracle"))
-    workers = int(args.workers or osp.get("workers", 1))
+    workers = _workers(args, osp, "oracle")
+    model = build_model(cfg["model"])
+    rule = build_rule(_need(cfg, "problem", "config"))
+    prop, _ = build_proposal(model, rule, cfg.get("proposal", {}))
     mix_cfg = RunConfig(b=b, n_paths=int(_need(osp, "n_mixture", "oracle")),
                         seed=seed, workers=workers)
     plain_cfg = RunConfig(b=b, n_paths=int(_need(osp, "n_plain", "oracle")),
@@ -341,8 +352,7 @@ def cmd_table(cfg, args) -> int:
         rule = SiegmundRule(ell, u)
         best = {"H1": None, "H2": None, "direct": None}
         for rho in rhos:
-            cov = (1 - rho) * np.eye(d) + rho * np.ones((d, d))
-            model = MvNormalModel(np.full(d, -0.5), cov)
+            model = exchangeable_mvnormal(d, -0.5, rho)
             r = solve_beta([0], rule, model).value
             s = solve_gamma_pair(0, 1, rule, model).value
             uz = solve_gamma_single(0, rule, model).value
@@ -402,8 +412,7 @@ def _sweep_siegmund_rho(spec, out):
         w.writerow(["rho", "r", "h1_bound", "h2_bound", "h1_holds",
                     "h2_holds"])
         for rho in rhos:
-            cov = (1 - rho) * np.eye(d) + rho * np.ones((d, d))
-            model = MvNormalModel(np.full(d, -0.5), cov)
+            model = exchangeable_mvnormal(d, -0.5, rho)
             r = solve_beta([0], rule, model).value
             h1 = u / (1 + rho) + u / 2
             h2 = 2 * u / (1 + rho)
@@ -442,8 +451,7 @@ def _sweep_si_rho(spec, out):
         w = csv.writer(fh)
         w.writerow(["rho", "r_A", "z_A", "s_B", "hsi_holds"])
         for rho in rhos:
-            cov = (1 - rho) * np.eye(d) + rho * np.ones((d, d))
-            model = MvNormalModel(np.full(d, -0.5), cov)
+            model = exchangeable_mvnormal(d, -0.5, rho)
             r = solve_beta(list(range(L)), rule, model).value
             z = solve_si_z(list(range(L)), rule, model).value
             s = solve_si_s(list(range(L + 1)), rule, model).value

@@ -35,6 +35,7 @@ from .models import CgfModel, IndependentModel, MvNormalModel
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
 from .solvers import (
     SolverError,
+    siegmund_profile,
     solve_beta,
     solve_gamma_pair,
     solve_gamma_single,
@@ -302,6 +303,8 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
         pair_items = list(pair_table.items())
 
     rhs = 2 * r_min
+    warning = ("sufficient condition failed: estimates remain unbiased but "
+               "asymptotic efficiency is unproven")
     if variant == "theta1":
         condition = "H1"
         lhs = math.inf
@@ -337,21 +340,17 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
             for (k, kp), sol in pair_items:
                 thetas.append(sol.tilt)
                 labels.append(f"gamma_pair[{k},{kp}]")
-    else:
+    elif symmetric:
         condition = "direct"
-        try:
-            rep = check_direct_siegmund_homogeneous(model, ell, u)
-            lhs, margins = rep.lhs, rep.margins
-        except ValueError:
-            lhs, margins = -math.inf, {}
+        rep = check_direct_siegmund_homogeneous(model, ell, u)
+        lhs, margins = rep.lhs, rep.margins
+    else:
+        condition, lhs, margins = "direct", -math.inf, {}
+        warning = "direct condition not checked: model is not exchangeable"
 
     holds = lhs >= rhs - 1e-12
-    warning = None if holds else (
-        "sufficient condition failed: estimates remain unbiased but "
-        "asymptotic efficiency is unproven"
-    )
     rep = EfficiencyReport(condition, holds, float(lhs), float(rhs), r_min,
-                           _clip_margins(margins), warning)
+                           _clip_margins(margins), None if holds else warning)
     lam = [model.cgf(t) for t in thetas]
     prop = MixtureProposal(thetas, lam, labels, problem, variant)
     return prop, rep
@@ -365,18 +364,15 @@ def check_direct_siegmund_homogeneous(model: CgfModel, ell: float, u: float
     rule = SiegmundRule(ell, u)
     validate_drifts(rule, model)
     d = model.dim
-    if not _is_exchangeable(model):
-        raise ValueError("direct check requires an exchangeable model")
-    beta1 = solve_beta([0], rule, model)
-    r = beta1.value
+    v_plus, v_minus, rates = siegmund_profile(model, ell, u)
+    beta = lambda a: np.where(np.arange(d) < a, v_plus[a], v_minus[a])
+    beta1, r = beta(1), rates[1]
     rhs = 2 * r
     lhs = math.inf
     margins = {}
     for m in range(2, d + 1):
         A = list(range(m))
-        beta_a = solve_beta(A, rule, model)
-        witness = beta_a.tilt + beta1.tilt
-        vb = v_lower_bound(A, beta1.tilt, witness, rule, model)
+        vb = v_lower_bound(A, beta1, beta(m) + beta1, rule, model)
         val = vb.lower_bound if vb.feasible else -math.inf
         lhs = min(lhs, val)
         margins[f"m={m}"] = val - rhs

@@ -14,7 +14,8 @@ carry |Lambda(tilt - gamma)| <= 1e-10 and a KKT certificate.
 
 Solver stack, cheapest applicable path first:
 
-1. closed forms (Siegmund roots, two-index gap tilts, symmetric
+1. closed forms (Siegmund roots, the Siegmund tilts of every region size of
+   an exchangeable model in one pass, two-index gap tilts, symmetric
    sum-intersection tilts);
 2. symmetry reduction: when the model and the index set are invariant under
    a coordinate-permutation group, the program collapses to one unknown per
@@ -66,6 +67,7 @@ __all__ = [
     "v_lower_bound",
     "rate_function",
     "homogeneous_profile",
+    "siegmund_profile",
     "validate_drifts",
 ]
 
@@ -214,15 +216,17 @@ def _qclp_active_set(c, quad, signs, eq=None, rng_seed=0):
     Active-set iteration: pin sign-violating coordinates at zero, release
     pinned coordinates with negative multipliers, re-solve the subproblem in
     closed form.  Restarts from perturbed initial active sets guard against
-    cycling.
+    cycling; their masks are drawn only once the first start has cycled.
     """
     n = c.size
-    rng = np.random.default_rng(rng_seed)
-    starts = [np.zeros(n, dtype=bool)]
-    for _ in range(ACTIVE_SET_RESTARTS):
-        starts.append(rng.random(n) < 0.3)
 
-    for pinned0 in starts:
+    def starts():
+        yield np.zeros(n, dtype=bool)
+        rng = np.random.default_rng(rng_seed)
+        for _ in range(ACTIVE_SET_RESTARTS):
+            yield rng.random(n) < 0.3
+
+    for pinned0 in starts():
         pinned = pinned0.copy()
         seen = set()
         for _ in range(ACTIVE_SET_MAX_ITER):
@@ -521,6 +525,37 @@ def homogeneous_profile(component, d: int, ell: float, u: float):
         v_plus[a], v_minus[a], r[a] = _homogeneous_size(component, d, ell,
                                                         u, a)
     return v_plus, v_minus, r
+
+
+def siegmund_profile(model: CgfModel, ell: float, u: float):
+    """The arrays of ``homogeneous_profile`` for any exchangeable model.
+
+    Normal models solve the two-orbit program of ``_subsolve`` (v+ on A, v-
+    off A) in closed form for every a together; where v- comes out positive,
+    or a = d, it is pinned at 0, leaving the root v+ = -2 mu a / s11.
+    """
+    if isinstance(model, IndependentModel) and model.is_iid():
+        return homogeneous_profile(model.components[0], model.dim, ell, u)
+    ex = isinstance(model, MvNormalModel) and model.exchangeable_parameters()
+    if not ex:
+        raise ValueError("the size profile requires an exchangeable model")
+    mu, s2, rho = ex
+    a = np.arange(1.0, model.dim + 1)
+    n = model.dim - a
+    # orbit-reduced covariance [[s11, s12], [s12, s22]] of the split (A, A^c)
+    s11, s22 = s2 * a * (1 - rho + rho * a), s2 * n * (1 - rho + rho * n)
+    s12 = s2 * rho * a * n
+    det = s11 * s22 - s12 * s12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        form = lambda x, y: (s22 * x * x - 2 * s12 * x * y + s11 * y * y) / det
+        s = np.sqrt(form(mu * a, mu * n) / form(u * a, -ell * n))
+        w1, w2 = (s * u - mu) * a, -(s * ell + mu) * n
+        vp, vm = (s22 * w1 - s12 * w2) / det, (s11 * w2 - s12 * w1) / det
+    free = vm <= 0.0  # False where v- > 0, and at a = d (det = 0, nan)
+    vp, vm = np.where(free, vp, -2.0 * mu * a / s11), np.where(free, vm, 0.0)
+    r = u * a * vp - ell * n * vm
+    vm[-1] = -math.inf
+    return tuple(np.concatenate([[0.0], x]) for x in (vp, vm, r))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,33 @@ class TestCommands:
         r1 = json.loads((out1 / "tiny_run.json").read_text())
         r2 = json.loads((out2 / "tiny_run.json").read_text())
         assert r1["rows"][0]["p_hat"] != r2["rows"][0]["p_hat"]
+
+
+class TestWorkersOption:
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @pytest.mark.parametrize("workers", ["0", "3"])
+    def test_bad_workers_is_config_error(self, tmp_path, monkeypatch,
+                                         capsys, command, workers):
+        import wrongexit.cli as cli
+        import wrongexit.engine as engine
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --workers was checked")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(cli, "build_proposal", no_work)
+        cfg = dict(TINY_SIEGMUND)
+        cfg["oracle"] = {"b": 3.0, "n_mixture": 400, "n_plain": 4000,
+                         "seed": 2}
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        args = [command, "--config", path, "--out", str(out),
+                "--workers", workers]
+        assert main(args) == 2
+        section = "run" if command == "run" else "oracle"
+        assert f"{section}.workers: {workers}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweeps:

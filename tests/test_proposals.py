@@ -13,7 +13,9 @@ from wrongexit import (
     ShiftedExponential,
     SiegmundRule,
     exchangeable_mvnormal,
+    siegmund_profile,
     solve_beta,
+    v_lower_bound,
 )
 from wrongexit.proposals import (
     MixtureProposal,
@@ -29,6 +31,24 @@ LOG2 = math.log(2.0)
 
 def tilt_rows(prop):
     return {tuple(np.round(t, 10)) for t in prop.thetas}
+
+
+def direct_reference(model, ell, u):
+    """The direct check one size at a time: solve_beta and v_lower_bound for
+    A = {0..m-1}, m = 2..d.  Returns (betas by size, lhs, rhs, margins)."""
+    rule = SiegmundRule(ell, u)
+    d = model.dim
+    betas = [None] + [solve_beta(list(range(a)), rule, model)
+                      for a in range(1, d + 1)]
+    beta1 = betas[1].tilt
+    rhs = 2 * betas[1].value
+    vals = {}
+    for m in range(2, d + 1):
+        vb = v_lower_bound(list(range(m)), beta1, betas[m].tilt + beta1,
+                           rule, model)
+        vals[f"m={m}"] = vb.lower_bound if vb.feasible else -math.inf
+    lhs = min(vals.values())
+    return betas, lhs, rhs, {k: v - rhs for k, v in vals.items()}
 
 
 class TestSiegmundBuilders:
@@ -115,6 +135,65 @@ class TestSiegmundBuilders:
         model = IndependentModel([Normal(-0.5, 1.0), Normal(-0.9, 2.0)])
         with pytest.raises(ValueError):
             check_direct_siegmund_homogeneous(model, 1.0, 1.0)
+
+    def test_direct_check_matches_per_size_reference(self):
+        branches = set()
+        for d in (2, 3, 7, 20):
+            for rho in (-0.9 / (d - 1), 0.0, 0.85):
+                model = exchangeable_mvnormal(d, -0.5, rho)
+                for u in (0.2, 1.0, 3.0):
+                    for ell in (0.5, 1.0, 4.0):
+                        case = (d, rho, u, ell)
+                        betas, lhs, rhs, margins = direct_reference(
+                            model, ell, u)
+                        rep = check_direct_siegmund_homogeneous(model, ell, u)
+                        assert rep.holds == (lhs >= rhs - 1e-12), case
+                        assert rep.lhs == pytest.approx(lhs, abs=1e-9), case
+                        assert rep.rhs == pytest.approx(rhs, abs=1e-9), case
+                        assert rep.margins.keys() == margins.keys(), case
+                        for key, ref in margins.items():
+                            got = rep.margins[key]
+                            assert np.isneginf(got) == np.isneginf(ref), case
+                            if math.isfinite(ref):
+                                assert got == pytest.approx(ref, abs=1e-9)
+                        vp, vm, r = siegmund_profile(model, ell, u)
+                        for a in range(1, d + 1):
+                            tilt = np.where(np.arange(d) < a, vp[a], vm[a])
+                            np.testing.assert_allclose(
+                                tilt, betas[a].tilt, rtol=0, atol=1e-9)
+                            assert r[a] == pytest.approx(betas[a].value,
+                                                         abs=1e-9)
+                            if a < d:
+                                branches.add("pinned" if vm[a] == 0.0
+                                             else "free")
+        assert branches == {"pinned", "free"}
+
+    def test_direct_check_iid_matches_per_size_reference(self):
+        model = IndependentModel([ShiftedExponential(2.0, -LOG2)] * 6)
+        for ell, u in [(1.0, 1.0), (1.0, 0.2), (4.0, 3.0), (0.5, 1.0)]:
+            _, lhs, rhs, margins = direct_reference(model, ell, u)
+            rep = check_direct_siegmund_homogeneous(model, ell, u)
+            assert (rep.lhs, rep.rhs, rep.margins) == (lhs, rhs, margins)
+            assert rep.holds == (lhs >= rhs - 1e-12)
+
+    def test_theta0_on_non_exchangeable_model_is_not_checked(self):
+        model = IndependentModel([Normal(-0.5, 1.0), Normal(-0.9, 2.0)])
+        _, rep = build_siegmund("theta0", model, 1.0, 1.0)
+        assert rep.condition == "direct" and not rep.holds
+        assert "not checked" in rep.warning
+        assert "not exchangeable" in rep.warning
+
+    def test_theta0_propagates_direct_check_errors(self, monkeypatch):
+        import wrongexit.proposals as proposals
+
+        def broken(model, ell, u):
+            raise ValueError("broken direct check")
+
+        monkeypatch.setattr(proposals, "check_direct_siegmund_homogeneous",
+                            broken)
+        model = exchangeable_mvnormal(4, -0.5, 0.2)
+        with pytest.raises(ValueError, match="broken direct check"):
+            build_siegmund("theta0", model, 1.0, 1.0)
 
     def test_direct_boundary_u1(self):
         for rho, expect in [(0.50, True), (0.51, False)]:
