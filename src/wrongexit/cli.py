@@ -48,6 +48,10 @@ from .regions import GapRule, SiegmundRule, SumIntersectionRule
 from .solvers import solve_beta, solve_gamma_pair, solve_gamma_single
 
 
+# sum-intersection audit records kept in a ``solve`` manifest
+SOLUTION_CAP = 500
+
+
 class ConfigError(ValueError):
     """Invalid experiment config; message carries the offending field path."""
 
@@ -188,8 +192,10 @@ def cmd_solve(cfg, args) -> int:
     model = build_model(cfg["model"])
     rule = build_rule(_need(cfg, "problem", "config"))
     prop, rep = build_proposal(model, rule, cfg.get("proposal", {}))
-    solutions = _solution_table(model, rule)
+    solutions, total = _solution_table(model, rule)
     man = prop.to_manifest(rep, solutions)
+    man["solutions_total"] = total
+    man["solutions_truncated"] = total > len(solutions)
     out = _out_dir(cfg, args) / f"{cfg['name']}_proposal.json"
     _dump_json(man, out)
     _log(f"wrote {out} ({len(prop)} components)")
@@ -200,7 +206,8 @@ def cmd_solve(cfg, args) -> int:
 
 
 def _solution_table(model, rule):
-    """Audit records for the candidate-region tilts."""
+    """Audit records for the candidate-region tilts, and the number of
+    candidate regions; sum-intersection records stop at SOLUTION_CAP."""
     recs = []
     if isinstance(rule, SiegmundRule):
         sets = [[k] for k in range(model.dim)]
@@ -211,9 +218,9 @@ def _solution_table(model, rule):
     else:
         from itertools import combinations
         sets = [list(A) for A in combinations(range(model.dim), rule.L)]
-        if len(sets) > 500:
-            sets = sets[:500]
-    seen = {}
+    total = len(sets)
+    if isinstance(rule, SumIntersectionRule):
+        sets = sets[:SOLUTION_CAP]
     for A in sets:
         sol = solve_beta(A, rule, model)
         recs.append({
@@ -223,7 +230,7 @@ def _solution_table(model, rule):
             "beta": sol.tilt.tolist(),
             "residual": sol.residual,
         })
-    return recs
+    return recs, total
 
 
 def cmd_check(cfg, args) -> int:
@@ -353,14 +360,14 @@ def cmd_table(cfg, args) -> int:
         best = {"H1": None, "H2": None, "direct": None}
         for rho in rhos:
             model = exchangeable_mvnormal(d, -0.5, rho)
-            r = solve_beta([0], rule, model).value
+            rep = check_direct_siegmund_homogeneous(model, ell, u)
+            r = rep.r_star
             s = solve_gamma_pair(0, 1, rule, model).value
             uz = solve_gamma_single(0, rule, model).value
             if uz + s >= 2 * r - 1e-12:
                 best["H1"] = rho
             if 2 * s >= 2 * r - 1e-12:
                 best["H2"] = rho
-            rep = check_direct_siegmund_homogeneous(model, ell, u)
             if rep.holds:
                 best["direct"] = rho
         rows.append({"u": u, **best})

@@ -20,6 +20,13 @@ two-barrier models, certified by the feasible witness beta^A + beta^{j}.
 A failed condition leaves the proposal usable (estimates stay unbiased);
 efficiency is then unproven, not disproven, and the report carries a
 warning instead.
+
+Orbit solves: the model's symmetry blocks ([m] and the rest for the gap
+rule, all of range(d) for an exchangeable model, else one per coordinate)
+split each program's index patterns into orbits.  Each builder solves one
+canonical pattern per orbit, moves its tilt onto the other patterns, and
+checks its condition over one pattern per orbit; without symmetry, each
+distinct program is still solved once.
 """
 
 from __future__ import annotations
@@ -200,63 +207,110 @@ def _set_label(A) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Symmetry detection and pattern expansion
+# Orbit solves and the shared report tail
 # ---------------------------------------------------------------------------
 
-def _is_exchangeable(model: CgfModel) -> bool:
-    if isinstance(model, MvNormalModel):
-        return model.exchangeable_parameters() is not None
-    return model.is_iid()
+FAILED = ("sufficient condition failed: estimates remain unbiased but "
+          "asymptotic efficiency is unproven")
 
 
-def _per_side_symmetric(model: CgfModel, m: int) -> bool:
-    """Invariance under permutations fixing the split {[m], rest}."""
+def _symmetry_cuts(model: CgfModel, m: int = 0) -> list:
+    """Bounds 0 = c_0 < ... < c_n = d of the coordinate blocks the model is
+    invariant under permuting within: [m] and the rest (all of range(d)
+    when m = 0) if it is, else one block per coordinate."""
     d = model.dim
+    cuts = [0, m, d] if m else [0, d]
+    spans = list(zip(cuts, cuts[1:]))
     if isinstance(model, IndependentModel):
-        head, tail = model.components[:m], model.components[m:]
-        return all(c == head[0] for c in head) and all(c == tail[0] for c in tail)
-    mean, cov = model.mean, model.cov
-    for grp in (range(m), range(m, d)):
-        g = list(grp)
-        if np.ptp(mean[g]) > 1e-12:
-            return False
-        if np.ptp(np.diag(cov)[g]) > 1e-12:
-            return False
-    for ga in (list(range(m)), list(range(m, d))):
-        for gb in (list(range(m)), list(range(m, d))):
-            block = cov[np.ix_(ga, gb)]
-            if ga == gb:
-                off = block[~np.eye(len(ga), dtype=bool)]
-                if off.size and np.ptp(off) > 1e-12:
-                    return False
-            elif np.ptp(block) > 1e-12:
-                return False
-    return True
+        comps = model.components
+        ok = all(c == comps[a] for a, b in spans for c in comps[a:b])
+    else:
+        mean, cov = model.mean, model.cov
+        ok = all(
+            MvNormalModel(mean[a:b], cov[a:b, a:b]).exchangeable_parameters()
+            is not None for a, b in spans
+        ) and all(np.ptp(cov[a:b, c:e]) <= 1e-12
+                  for (a, b), (c, e) in combinations(spans, 2))
+    return cuts if ok else list(range(d + 1))
+
+
+class _Orbits:
+    """Solve cache over the model's symmetry blocks.
+
+    A program is named by a key and an index pattern.  Permuting coordinates
+    within blocks carries one pattern's program onto another's, so a
+    pattern is canonicalised (the i-th index that falls in a block goes to
+    that block's i-th coordinate) and each canonical pattern is solved once.
+    A representative's tilt is constant on each block's unused coordinates;
+    that fill is kept with it, so moving the tilt onto a pattern copies only
+    the pattern's entries.
+    """
+
+    def __init__(self, model: CgfModel, m: int = 0):
+        cuts = _symmetry_cuts(model, m)
+        self.symmetric = len(cuts) < model.dim + 1
+        self._spans = list(zip(cuts, cuts[1:]))
+        sizes = np.diff(cuts)
+        self._start = np.repeat(cuts[:-1], sizes)
+        self._end = np.repeat(cuts[1:], sizes)
+        self._cache: dict = {}
+
+    def heads(self, n: int) -> list:
+        """The first n coordinates of each block: patterns over them meet
+        every orbit of patterns with at most n indices in each block."""
+        return [j for a, b in self._spans for j in range(a, min(a + n, b))]
+
+    def solve(self, key: str, patterns, program):
+        """Values (n,) and tilts (n, d) of program ``key`` on n index
+        patterns; ``program(canonical pattern)`` returns a TiltSolution."""
+        idx = np.array(patterns, dtype=np.intp).reshape(len(patterns), -1)
+        start = self._start[idx]
+        canon = start.copy()  # block start + rank among the block's indices
+        for i in range(1, idx.shape[1]):
+            canon[:, i] += (start[:, :i] == start[:, i:i + 1]).sum(axis=1)
+        reps, inv = np.unique(canon, axis=0, return_inverse=True)
+        hits = []
+        for rep in map(tuple, reps.tolist()):
+            hit = self._cache.get((key, rep))
+            if hit is None:
+                sol = program(rep)
+                d = self._start.size
+                fill = self._start + np.bincount(self._start[list(rep)],
+                                                 minlength=d)[self._start]
+                fill = np.where(fill < self._end, fill, np.arange(d))
+                hit = (sol.value, sol.tilt[fill], sol.tilt[list(rep)])
+                self._cache[(key, rep)] = hit
+            hits.append(hit)
+        inv = inv.reshape(-1)
+        tilts = np.array([h[1] for h in hits])[inv]
+        tilts[np.arange(idx.shape[0])[:, None], idx] = \
+            np.array([h[2] for h in hits])[inv]
+        return np.array([h[0] for h in hits])[inv], tilts
+
+
+def _finish(model, thetas, labels, problem, variant, condition, lhs, rhs,
+            r_star, margins, warning=FAILED):
+    """The report (with ``warning`` when the condition fails) and the
+    proposal over the stacked tilt blocks, with their CGF values."""
+    holds = lhs >= rhs - 1e-12
+    rep = EfficiencyReport(condition, holds, lhs, rhs, r_star,
+                           _clip_margins(margins), None if holds else warning)
+    thetas = np.concatenate(thetas)
+    prop = MixtureProposal(thetas, [model.cgf(t) for t in thetas], labels,
+                           problem, variant)
+    return prop, rep
+
+
+def _clip_margins(margins: dict, cap: int = 200) -> dict:
+    if len(margins) <= cap:
+        return margins
+    worst = sorted(margins.items(), key=lambda kv: kv[1])[:cap]
+    return dict(worst)
 
 
 # ---------------------------------------------------------------------------
 # Multidimensional two-barrier (Siegmund) proposals
 # ---------------------------------------------------------------------------
-
-def _siegmund_singletons(model, rule):
-    """(tilts (d,d), rates (d,), residual) for beta^{k}, k = 0..d-1."""
-    d = model.dim
-    if _is_exchangeable(model) and d > 1:
-        sol = solve_beta([0], rule, model)
-        v_plus, v_minus = sol.tilt[0], sol.tilt[1]
-        tilts = np.full((d, d), v_minus)
-        np.fill_diagonal(tilts, v_plus)
-        return tilts, np.full(d, sol.value), sol.residual
-    tilts = np.zeros((d, d))
-    rates = np.zeros(d)
-    resid = 0.0
-    for k in range(d):
-        sol = solve_beta([k], rule, model)
-        tilts[k] = sol.tilt
-        rates[k] = sol.value
-        resid = max(resid, sol.residual)
-    return tilts, rates, resid
-
 
 def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
                    ) -> Tuple[MixtureProposal, EfficiencyReport]:
@@ -273,87 +327,54 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
     validate_drifts(rule, model)
     d = model.dim
     problem = {"kind": "siegmund", "ell": ell, "u": u, "d": d}
-
-    beta_tilts, rates, resid = _siegmund_singletons(model, rule)
-    r_min = float(rates.min())
-    thetas = [beta_tilts[k] for k in range(d)]
-    labels = [f"beta[{_set_label([k])}]" for k in range(d)]
+    orb = _Orbits(model)
+    singletons = [(k,) for k in range(d)]
+    rates, betas = orb.solve("beta", singletons,
+                             lambda q: solve_beta(q, rule, model))
+    r_min = rates.min()
+    rhs = 2 * r_min
+    thetas = [betas]
+    labels = [f"beta[{_set_label(A)}]" for A in singletons]
 
     if d == 1:
         # classical one-dimensional exit problem: the single tilt is optimal
-        prop = MixtureProposal(thetas, [model.cgf(t) for t in thetas],
-                               labels, problem, variant)
-        rep = EfficiencyReport("H1", True, math.inf, 2 * r_min, r_min,
-                               {"d=1": math.inf})
-        return prop, rep
+        return _finish(model, thetas, labels, problem, variant, "H1",
+                       math.inf, rhs, r_min, {"d=1": math.inf})
 
-    symmetric = _is_exchangeable(model)
-    z_vals = np.array([model.marginal_root(k) for k in range(d)])
-
-    # pair values s_{k,k'}; one representative suffices under exchangeability
-    if symmetric:
-        pair_sol = solve_gamma_pair(0, 1, rule, model)
-        s_of = lambda k, kp: pair_sol.value
-        pair_items = [((0, 1), pair_sol)]
-    else:
-        pair_table = {}
-        for k, kp in combinations(range(d), 2):
-            pair_table[(k, kp)] = solve_gamma_pair(k, kp, rule, model)
-        s_of = lambda k, kp: pair_table[tuple(sorted((k, kp)))].value
-        pair_items = list(pair_table.items())
-
-    rhs = 2 * r_min
-    warning = ("sufficient condition failed: estimates remain unbiased but "
-               "asymptotic efficiency is unproven")
+    warning = FAILED
+    lhs, margins = math.inf, {}
+    rep_pairs = list(combinations(orb.heads(2), 2))
+    pair_prog = lambda q: solve_gamma_pair(*q, rule, model)
     if variant == "theta1":
         condition = "H1"
-        lhs = math.inf
-        margins = {}
-        pairs = [(0, 1)] if symmetric else combinations(range(d), 2)
-        for k, kp in pairs:
+        s = orb.solve("pair", rep_pairs, pair_prog)[0]
+        z, gammas = orb.solve("single", singletons,
+                              lambda q: solve_gamma_single(q[0], rule, model))
+        for (k, kp), s_kk in zip(rep_pairs, s):
             for a, b in ((k, kp), (kp, k)):
-                val = u * z_vals[a] + s_of(a, b)
+                val = z[a] + s_kk
                 lhs = min(lhs, val)
                 margins[f"z[{a}]+s[{a},{b}]"] = val - rhs
-        for k in range(d):
-            sol = solve_gamma_single(k, rule, model)
-            thetas.append(sol.tilt)
-            labels.append(f"gamma[{k}]")
+        thetas.append(gammas)
+        labels += [f"gamma[{k}]" for k in range(d)]
     elif variant == "theta2":
         condition = "H2"
-        lhs = math.inf
-        margins = {}
-        items = pair_items if not symmetric else [((0, 1), pair_items[0][1])]
-        for (k, kp), sol in items:
-            val = 2 * sol.value
-            lhs = min(lhs, val)
-            margins[f"2s[{k},{kp}]"] = val - rhs
-        if symmetric:
-            rep_tilt = pair_items[0][1].tilt
-            for k, kp in combinations(range(d), 2):
-                th = np.zeros(d)
-                th[k] = rep_tilt[0]
-                th[kp] = rep_tilt[1]
-                thetas.append(th)
-                labels.append(f"gamma_pair[{k},{kp}]")
-        else:
-            for (k, kp), sol in pair_items:
-                thetas.append(sol.tilt)
-                labels.append(f"gamma_pair[{k},{kp}]")
-    elif symmetric:
+        s = orb.solve("pair", rep_pairs, pair_prog)[0]
+        for (k, kp), s_kk in zip(rep_pairs, s):
+            lhs = min(lhs, 2 * s_kk)
+            margins[f"2s[{k},{kp}]"] = 2 * s_kk - rhs
+        pairs = list(combinations(range(d), 2))
+        thetas.append(orb.solve("pair", pairs, pair_prog)[1])
+        labels += [f"gamma_pair[{k},{kp}]" for k, kp in pairs]
+    elif orb.symmetric:
         condition = "direct"
         rep = check_direct_siegmund_homogeneous(model, ell, u)
         lhs, margins = rep.lhs, rep.margins
     else:
-        condition, lhs, margins = "direct", -math.inf, {}
+        condition, lhs = "direct", -math.inf
         warning = "direct condition not checked: model is not exchangeable"
-
-    holds = lhs >= rhs - 1e-12
-    rep = EfficiencyReport(condition, holds, float(lhs), float(rhs), r_min,
-                           _clip_margins(margins), None if holds else warning)
-    lam = [model.cgf(t) for t in thetas]
-    prop = MixtureProposal(thetas, lam, labels, problem, variant)
-    return prop, rep
+    return _finish(model, thetas, labels, problem, variant, condition, lhs,
+                   rhs, r_min, margins, warning)
 
 
 def check_direct_siegmund_homogeneous(model: CgfModel, ell: float, u: float
@@ -386,39 +407,18 @@ def check_direct_siegmund_homogeneous(model: CgfModel, ell: float, u: float
 # Gap-rule proposals
 # ---------------------------------------------------------------------------
 
-def _gap_swap_sets(d, m):
-    for l in range(m):
-        for lp in range(m, d):
-            yield l, lp, tuple(sorted(set(range(m)) - {l} | {lp}))
+def _swap_set(m, l, lp):
+    """The single-swap region [m] \\ {l} u {lp}."""
+    return sorted(set(range(m)) - {l} | {lp})
 
 
-def _gap_betas(model, rule, m):
-    """beta^A for all single-swap sets; one solve under side symmetry."""
-    d = model.dim
-    if _per_side_symmetric(model, m):
-        l0, lp0 = 0, m
-        sol = solve_beta(sorted(set(range(m)) - {l0} | {lp0}), rule, model)
-        # orbit values: on [m] \ {l}, on {l}, on {l'}, elsewhere
-        v_keep = sol.tilt[1] if m > 1 else 0.0
-        v_out = sol.tilt[l0]
-        v_in = sol.tilt[lp0]
-        v_rest = sol.tilt[m + 1] if d - m > 1 else 0.0
-        out = []
-        for l, lp, A in _gap_swap_sets(d, m):
-            th = np.empty(d)
-            th[:m] = v_keep
-            th[m:] = v_rest
-            th[l] = v_out
-            th[lp] = v_in
-            out.append((l, lp, A, th, sol.value))
-        return out, sol.residual
-    out = []
-    resid = 0.0
-    for l, lp, A in _gap_swap_sets(d, m):
-        sol = solve_beta(A, rule, model)
-        out.append((l, lp, A, sol.tilt, sol.value))
-        resid = max(resid, sol.residual)
-    return out, resid
+def _gap_patterns(cols, m, n):
+    """Patterns (l_1..l_n, l'_1..l'_n) over ``cols``: increasing l_i in [m]
+    and increasing l'_i outside [m]."""
+    inside = [j for j in cols if j < m]
+    outside = [j for j in cols if j >= m]
+    return [ls + lps for ls in combinations(inside, n)
+            for lps in combinations(outside, n)]
 
 
 def build_gap(variant: str, model: CgfModel, m: int, quad_cap: int = 250000
@@ -437,47 +437,21 @@ def build_gap(variant: str, model: CgfModel, m: int, quad_cap: int = 250000
     rule = GapRule(m)
     validate_drifts(rule, model)
     problem = {"kind": "gap", "m": m, "d": d}
-    symmetric = _per_side_symmetric(model, m)
+    orb = _Orbits(model, m)
+    beta_prog = lambda q: solve_beta(_swap_set(m, *q), rule, model)
+    pair_prog = lambda q: solve_gap_pair(*q, rule, model)
+    quad_prog = lambda q: solve_gap_quad(*q, rule, model)
 
-    betas, resid = _gap_betas(model, rule, m)
-    r_min = min(v for *_, v in betas)
+    swaps = _gap_patterns(range(d), m, 1)
+    rates, betas = orb.solve("beta", swaps, beta_prog)
+    r_min = rates.min()
     rhs = 2 * r_min
-    thetas = [th for _, _, _, th, _ in betas]
-    labels = [f"beta[{_set_label(A)}]" for _, _, A, _, _ in betas]
+    thetas = [betas]
+    labels = [f"beta[{_set_label(_swap_set(m, *s))}]" for s in swaps]
 
-    def pair_value(l, lp):
-        return solve_gap_pair(l, lp, rule, model)
-
-    def quad_value(l1, l2, lp1, lp2):
-        return solve_gap_quad(l1, l2, lp1, lp2, rule, model)
-
-    margins = {}
-    if variant == "t1":
-        condition = "H1'"
-        if symmetric:
-            zt = pair_value(0, m).value
-            st = quad_value(0, 1, m, m + 1).value
-            lhs = zt + st
-            margins["z~[0,%d]+s~[0,1,%d,%d]" % (m, m, m + 1)] = lhs - rhs
-        else:
-            z_table = {(l, lp): pair_value(l, lp).value
-                       for l in range(m) for lp in range(m, d)}
-            lhs = math.inf
-            for l1, l2 in combinations(range(m), 2):
-                for lp1, lp2 in combinations(range(m, d), 2):
-                    st = quad_value(l1, l2, lp1, lp2).value
-                    for a, b in ((l1, lp1), (l2, lp2)):
-                        val = z_table[(a, b)] + st
-                        if val < lhs:
-                            lhs = val
-                            margins = {f"z~[{a},{b}]+s~[{l1},{l2},{lp1},{lp2}]":
-                                       val - rhs}
-        for l in range(m):
-            for lp in range(m, d):
-                sol = pair_value(l, lp)
-                thetas.append(sol.tilt)
-                labels.append(f"gap_pair[{l},{lp}]")
-    elif variant == "t2":
+    warning = FAILED
+    lhs, margins = -math.inf, {}
+    if variant == "t2":
         condition = "H2'"
         n_quads = math.comb(m, 2) * math.comb(d - m, 2)
         if n_quads + m * (d - m) > quad_cap:
@@ -485,82 +459,46 @@ def build_gap(variant: str, model: CgfModel, m: int, quad_cap: int = 250000
                 f"gap variant t2 needs {n_quads} four-index tilts, above the "
                 f"cap {quad_cap}"
             )
-        if symmetric:
-            sol = quad_value(0, 1, m, m + 1)
-            lhs = 2 * sol.value
-            margins["2s~[0,1,%d,%d]" % (m, m + 1)] = lhs - rhs
-            v_lo = sol.tilt[0]
-            v_hi = sol.tilt[m]
-            for l1, l2 in combinations(range(m), 2):
-                for lp1, lp2 in combinations(range(m, d), 2):
-                    th = np.zeros(d)
-                    th[[l1, l2]] = v_lo
-                    th[[lp1, lp2]] = v_hi
-                    thetas.append(th)
-                    labels.append(f"gap_quad[{l1},{l2},{lp1},{lp2}]")
-        else:
-            lhs = math.inf
-            for l1, l2 in combinations(range(m), 2):
-                for lp1, lp2 in combinations(range(m, d), 2):
-                    sol = quad_value(l1, l2, lp1, lp2)
-                    thetas.append(sol.tilt)
-                    labels.append(f"gap_quad[{l1},{l2},{lp1},{lp2}]")
-                    val = 2 * sol.value
-                    if val < lhs:
-                        lhs = val
-                        margins = {f"2s~[{l1},{l2},{lp1},{lp2}]": val - rhs}
+        quads = _gap_patterns(range(d), m, 2)
+        s, tilts = orb.solve("quad", quads, quad_prog)
+        i = int(np.argmin(s))
+        lhs = 2 * s[i]
+        margins["2s~[%d,%d,%d,%d]" % quads[i]] = lhs - rhs
+        thetas.append(tilts)
+        labels += ["gap_quad[%d,%d,%d,%d]" % q for q in quads]
     else:
-        # t0 is covered by (H1') when the swap tilts already coincide with
-        # the two-index tilts, so that Theta~0 = Theta~1
         condition = "H1'"
-        if symmetric:
-            zt = pair_value(0, m)
-            same = np.max(np.abs(zt.tilt - betas[0][3])) <= 1e-9
-            if same:
-                st = quad_value(0, 1, m, m + 1)
-                lhs = zt.value + st.value
-                margins["z~+s~"] = lhs - rhs
-            else:
-                lhs = -math.inf
-                margins["theta0 != theta1"] = -math.inf
+        heads = orb.heads(2)
+        n_rep = (math.comb(sum(j < m for j in heads), 2)
+                 * math.comb(sum(j >= m for j in heads), 2))
+        reps = _gap_patterns(orb.heads(1), m, 1)
+        if variant == "t0" and np.max(np.abs(
+                orb.solve("pair", reps, pair_prog)[1]
+                - orb.solve("beta", reps, beta_prog)[1])) > 1e-9:
+            # (H1') covers t0 only when Theta~0 = Theta~1
+            margins["theta0 != theta1"] = -math.inf
+            warning = ("(H1') not checked: the swap tilts differ from the "
+                       "two-index tilts, so theta0 != theta1")
+        elif variant == "t0" and n_rep > 20000:
+            margins["check skipped"] = -math.inf
+            warning = (f"(H1') not checked: {n_rep} four-index programs, "
+                       "above the cap 20000")
         else:
-            n_quads = math.comb(m, 2) * math.comb(d - m, 2)
-            same = True
-            z_table = {}
-            for l, lp, A, th, _ in betas:
-                zt = pair_value(l, lp)
-                z_table[(l, lp)] = zt.value
-                if np.max(np.abs(zt.tilt - th)) > 1e-9:
-                    same = False
-                    break
-            if not same or n_quads > 20000:
-                lhs = -math.inf
-                margins["theta0 != theta1" if not same else "check skipped"] \
-                    = -math.inf
-            else:
-                lhs = math.inf
-                for l1, l2 in combinations(range(m), 2):
-                    for lp1, lp2 in combinations(range(m, d), 2):
-                        st = quad_value(l1, l2, lp1, lp2).value
-                        for a, b in ((l1, lp1), (l2, lp2)):
-                            val = z_table[(a, b)] + st
-                            if val < lhs:
-                                lhs = val
-                                margins = {
-                                    f"z~[{a},{b}]+s~[{l1},{l2},{lp1},{lp2}]":
-                                    val - rhs
-                                }
-
-    holds = lhs >= rhs - 1e-12
-    warning = None if holds else (
-        "sufficient condition failed: estimates remain unbiased but "
-        "asymptotic efficiency is unproven"
-    )
-    rep = EfficiencyReport(condition, holds, float(lhs), float(rhs),
-                           float(r_min), _clip_margins(margins), warning)
-    lam = [model.cgf(t) for t in thetas]
-    prop = MixtureProposal(thetas, lam, labels, problem, variant)
-    return prop, rep
+            quads = _gap_patterns(heads, m, 2)
+            q = np.array(quads)
+            s = orb.solve("quad", quads, quad_prog)[0]
+            vals = np.stack([orb.solve("pair", q[:, j::2], pair_prog)[0] + s
+                             for j in (0, 1)], axis=1).ravel()
+            i = int(np.argmin(vals))
+            q4, j = quads[i // 2], i % 2
+            lhs = vals[i]
+            margins["z~[%d,%d]+s~[%d,%d,%d,%d]" % (q4[j], q4[j + 2], *q4)] \
+                = lhs - rhs
+        if variant == "t1":
+            thetas.append(orb.solve("pair", swaps, pair_prog)[1])
+            labels += ["gap_pair[%d,%d]" % s for s in swaps]
+    return _finish(model, thetas, labels, problem, variant, condition, lhs,
+                   rhs, r_min, margins, warning)
 
 
 # ---------------------------------------------------------------------------
@@ -585,72 +523,27 @@ def build_sum_intersection(model: CgfModel, L: int,
             f"the cap {component_cap}"
         )
     problem = {"kind": "sum_intersection", "L": L, "d": d}
-    symmetric = _is_exchangeable(model)
+    orb = _Orbits(model)
+    z_prog = lambda q: solve_si_z(q, rule, model)
 
     subsets = list(combinations(range(d), L))
-    thetas = []
-    labels = []
-    if symmetric:
-        rep_A = tuple(range(L))
-        beta = solve_beta(rep_A, rule, model)
-        p, q = beta.tilt[0], beta.tilt[L] if d > L else 0.0
-        z_sol = solve_si_z(rep_A, rule, model)
-        s_sol = solve_si_s(tuple(range(L + 1)), rule, model)
-        r_min = beta.value
-        lhs = z_sol.value + s_sol.value
-        margins = {f"z[{_set_label(rep_A)}]+s[{_set_label(range(L + 1))}]":
-                   lhs - 2 * r_min}
-        for A in subsets:
-            th = np.full(d, q)
-            th[list(A)] = p
-            thetas.append(th)
-            labels.append(f"beta[{_set_label(A)}]")
-        for A in subsets:
-            th = np.zeros(d)
-            th[list(A)] = z_sol.tilt[list(rep_A)]
-            thetas.append(th)
-            labels.append(f"si_z[{_set_label(A)}]")
-    else:
-        r_min = math.inf
-        z_table = {}
-        for A in subsets:
-            beta = solve_beta(A, rule, model)
-            r_min = min(r_min, beta.value)
-            thetas.append(beta.tilt)
-            labels.append(f"beta[{_set_label(A)}]")
-        for A in subsets:
-            z = solve_si_z(A, rule, model)
-            z_table[A] = z.value
-            thetas.append(z.tilt)
-            labels.append(f"si_z[{_set_label(A)}]")
-        lhs = math.inf
-        margins = {}
-        for A in subsets:
-            for k in range(d):
-                if k in A:
-                    continue
-                B = tuple(sorted(A + (k,)))
-                val = z_table[A] + solve_si_s(B, rule, model).value
-                if val < lhs:
-                    lhs = val
-                    margins = {f"z[{_set_label(A)}]+s[{_set_label(B)}]":
-                               val - 2 * r_min}
-
+    rates, betas = orb.solve("beta", subsets,
+                             lambda q: solve_beta(q, rule, model))
+    r_min = rates.min()
     rhs = 2 * r_min
-    holds = lhs >= rhs - 1e-12
-    warning = None if holds else (
-        "sufficient condition failed: estimates remain unbiased but "
-        "asymptotic efficiency is unproven"
-    )
-    rep = EfficiencyReport("H-SI", holds, float(lhs), float(rhs),
-                           float(r_min), _clip_margins(margins), warning)
-    lam = [model.cgf(t) for t in thetas]
-    prop = MixtureProposal(thetas, lam, labels, problem, "si")
-    return prop, rep
+    thetas = [betas, orb.solve("z", subsets, z_prog)[1]]
+    labels = ([f"beta[{_set_label(A)}]" for A in subsets]
+              + [f"si_z[{_set_label(A)}]" for A in subsets])
 
-
-def _clip_margins(margins: dict, cap: int = 200) -> dict:
-    if len(margins) <= cap:
-        return margins
-    worst = sorted(margins.items(), key=lambda kv: kv[1])[:cap]
-    return dict(worst)
+    heads = orb.heads(L + 1)
+    reps = [(A, tuple(sorted(A + (k,)))) for A in combinations(heads, L)
+            for k in heads if k not in A]
+    vals = (orb.solve("z", [A for A, _ in reps], z_prog)[0]
+            + orb.solve("s", [B for _, B in reps],
+                        lambda q: solve_si_s(q, rule, model))[0])
+    i = int(np.argmin(vals))
+    lhs = vals[i]
+    A, B = reps[i]
+    margins = {f"z[{_set_label(A)}]+s[{_set_label(B)}]": lhs - rhs}
+    return _finish(model, thetas, labels, problem, "si", "H-SI", lhs, rhs,
+                   r_min, margins)

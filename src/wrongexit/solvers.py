@@ -1034,20 +1034,20 @@ def _si_box_search(model, A):
     sub = _restrict_model(model, A)
 
     if isinstance(sub, IndependentModel):
-        def psi(t):
-            tot = 0.0
-            for comp in sub.components:
-                m = comp.prime_inverse(0.0)  # unconstrained minimizer
-                tot += comp.cgf(max(t, m))
-            return tot
+        floors = [c.prime_inverse(0.0) for c in sub.components]
+
+        def box_min(t):
+            th = np.maximum(t, floors)
+            return sum(c.cgf(x) for c, x in zip(sub.components, th)), th
     else:
         if L > 12:
             raise SolverError("box search limited to |A| <= 12 for general "
                               "covariance")
         mean, cov = sub.mean, sub.cov
 
-        def psi(t):
-            best = math.inf
+        def box_min(t):
+            # the minimum over the box's 2^L active sets of bound coordinates
+            best, best_th = math.inf, None
             for rbits in range(2 ** L):
                 bound = np.array([(rbits >> i) & 1 for i in range(L)], bool)
                 th = np.full(L, t)
@@ -1063,40 +1063,19 @@ def _si_box_search(model, A):
                 grad = mean + cov @ th
                 if np.any(grad[bound] < -1e-10):
                     continue
-                best = min(best, float(mean @ th + 0.5 * th @ cov @ th))
-            return best
+                val = float(mean @ th + 0.5 * th @ cov @ th)
+                if val < best:
+                    best, best_th = val, th
+            return best, best_th
 
+    psi = lambda t: box_min(t)[0]
     hi = 1.0
     for _ in range(200):
         if psi(hi) > 0:
             break
         hi *= 2
     t_star = refine_root(psi, 0.0, hi)
-    # recover the witness at the boundary
-    if isinstance(sub, IndependentModel):
-        th_a = np.array([max(t_star, c.prime_inverse(0.0)) for c in sub.components])
-    else:
-        th_a = None
-        best = math.inf
-        mean, cov = sub.mean, sub.cov
-        for rbits in range(2 ** L):
-            bound = np.array([(rbits >> i) & 1 for i in range(L)], bool)
-            th = np.full(L, t_star)
-            free = ~bound
-            if free.any():
-                rhs = -(mean[free] + cov[np.ix_(free, bound)] @ th[bound])
-                try:
-                    th[free] = np.linalg.solve(cov[np.ix_(free, free)], rhs)
-                except np.linalg.LinAlgError:
-                    continue
-                if np.any(th[free] < t_star - 1e-12):
-                    continue
-            grad = mean + cov @ th
-            if np.any(grad[bound] < -1e-10):
-                continue
-            val = float(mean @ th + 0.5 * th @ cov @ th)
-            if val < best:
-                best, th_a = val, th.copy()
+    th_a = box_min(t_star)[1]  # the witness at the boundary
     th_full = np.zeros(model.dim)
     th_full[A] = th_a
     return t_star, th_full

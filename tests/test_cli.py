@@ -76,6 +76,25 @@ class TestCommands:
         assert man["report"]["condition"] == "H1"
         assert all(rec["residual"] <= 1e-8 for rec in man["solutions"])
 
+    def test_solve_records_solution_truncation(self, tmp_path, monkeypatch):
+        from wrongexit import cli
+
+        cfg = write_cfg(tmp_path, {
+            "name": "si",
+            "model": {"family": "mvnormal", "dim": 4, "mean": -0.5,
+                      "rho": 0.1},
+            "problem": {"kind": "sum_intersection", "L": 2},
+            "proposal": {"variant": "si"},
+        })
+        out = tmp_path / "o"
+        for cap, kept in ((cli.SOLUTION_CAP, 6), (4, 4)):
+            monkeypatch.setattr(cli, "SOLUTION_CAP", cap)
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+            man = json.loads((out / "si_proposal.json").read_text())
+            assert len(man["solutions"]) == kept
+            assert man["solutions_total"] == 6
+            assert man["solutions_truncated"] is (kept < 6)
+
     def test_run_consumes_manifest_verbatim(self, tmp_path):
         cfg_path = write_cfg(tmp_path, TINY_SIEGMUND)
         out = tmp_path / "o"

@@ -1,5 +1,6 @@
 """Mixture assembly, condition boundaries, and manifest round-trips."""
 
+from itertools import combinations
 import json
 import math
 
@@ -17,6 +18,7 @@ from wrongexit import (
     solve_beta,
     v_lower_bound,
 )
+import wrongexit.proposals as proposals
 from wrongexit.proposals import (
     MixtureProposal,
     build_gap,
@@ -31,6 +33,23 @@ LOG2 = math.log(2.0)
 
 def tilt_rows(prop):
     return {tuple(np.round(t, 10)) for t in prop.thetas}
+
+
+def per_side_normal(d, m, rho):
+    mean = np.array([0.5] * m + [-0.5] * (d - m))
+    return MvNormalModel(mean, (1 - rho) * np.eye(d) + rho * np.ones((d, d)))
+
+
+def random_normal(d, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d)) * 0.2
+    return MvNormalModel(-0.5 - 0.1 * np.arange(d), a @ a.T + np.eye(d))
+
+
+def symmetry_off(monkeypatch):
+    """Make every model look asymmetric: one block per coordinate."""
+    monkeypatch.setattr(proposals, "_symmetry_cuts",
+                        lambda model, m=0: list(range(model.dim + 1)))
 
 
 def direct_reference(model, ell, u):
@@ -259,6 +278,22 @@ class TestGapBuilders:
         assert not rule_checks[0.065][1] and rule_checks[0.08][1]
         assert rule_checks[14.0][1] and not rule_checks[14.4][1]
 
+    def test_t0_names_why_h1p_was_not_checked(self, monkeypatch):
+        model = IndependentModel([Normal(0.5, 1.0)] * 4
+                                 + [Normal(-0.5, 2.0)] * 4)
+        _, rep = build_gap("t0", model, 4)
+        assert not rep.holds and rep.lhs == -math.inf
+        assert rep.margins == {"theta0 != theta1": -math.inf}
+        assert rep.warning.startswith("(H1') not checked")
+        assert "theta0 != theta1" in rep.warning
+        # without symmetry, 190 * 190 representative quads exceed the cap
+        symmetry_off(monkeypatch)
+        _, rep = build_gap("t0", per_side_normal(40, 20, 0.1), 20)
+        assert not rep.holds
+        assert rep.margins == {"check skipped": -math.inf}
+        assert rep.warning == ("(H1') not checked: 36100 four-index "
+                               "programs, above the cap 20000")
+
     def test_gap_m_bounds(self):
         model = self.exchangeable_gap_model(6, 2)
         with pytest.raises(ValueError):
@@ -297,6 +332,79 @@ class TestSumIntersectionBuilder:
         assert math.comb(4, 2) <= len(prop) <= 2 * math.comb(4, 2)
         assert math.isfinite(rep.lhs)
         assert np.all(prop.lambdas <= 1e-8)
+
+
+class TestOrbitSolves:
+    def test_symmetry_cuts(self):
+        cuts = proposals._symmetry_cuts
+        assert cuts(exchangeable_mvnormal(5, -0.5, 0.3)) == [0, 5]
+        assert cuts(per_side_normal(6, 3, 0.1), 3) == [0, 3, 6]
+        assert cuts(per_side_normal(6, 3, 0.1)) == list(range(7))
+        per_side = IndependentModel([Normal(0.5, 1.0)] * 3
+                                    + [Normal(-0.5, 2.0)] * 2)
+        assert cuts(per_side, 3) == [0, 3, 5]
+        assert cuts(per_side, 2) == list(range(6))
+        assert cuts(random_normal(4, 1)) == list(range(5))
+
+    def test_m0_accepts_exactly_the_exchangeable_models(self):
+        def exchangeable(model):
+            if isinstance(model, MvNormalModel):
+                return model.exchangeable_parameters() is not None
+            return model.is_iid()
+
+        base = exchangeable_mvnormal(4, -0.5, 0.2)
+        models = [base, random_normal(4, 2),
+                  IndependentModel([Normal(-0.5, 1.0)] * 3),
+                  IndependentModel([Normal(-0.5, 1.0), Normal(-0.5, 2.0)])]
+        for eps in (1e-13, 1e-9):
+            models.append(MvNormalModel(base.mean + [0, 0, 0, eps], base.cov))
+            cov = base.cov.copy()
+            cov[0, 1] = cov[1, 0] = cov[0, 1] + eps
+            models.append(MvNormalModel(base.mean, cov))
+        got = [len(proposals._symmetry_cuts(mod)) == 2 for mod in models]
+        assert got == [exchangeable(mod) for mod in models]
+        assert got.count(True) == 4
+
+    def test_symmetry_off_equivalence(self, monkeypatch):
+        sieg = exchangeable_mvnormal(5, -0.5, 0.3)
+        gap = IndependentModel([Normal(0.5, 1.0)] * 3
+                               + [Normal(-0.5, 2.0)] * 3)
+        builds = [(build_siegmund, (v, sieg, 1.0, 1.0))
+                  for v in ("theta0", "theta1", "theta2")]
+        builds += [(build_gap, (v, gap, 3)) for v in ("t0", "t1", "t2")]
+        builds.append((build_sum_intersection,
+                       (exchangeable_mvnormal(5, -0.5, 0.1), 2)))
+        reduced = [build(*args) for build, args in builds]
+        symmetry_off(monkeypatch)
+        for (build, args), (p1, r1) in zip(builds, reduced):
+            p2, r2 = build(*args)
+            assert p1.provenance == p2.provenance, args[0]
+            # the sum-intersection beta maximises a function that is flat at
+            # its optimum, so permuted solves fix the tilt to ~sqrt(eps)
+            tol = 1e-7 if build is build_sum_intersection else 1e-9
+            np.testing.assert_allclose(p1.thetas, p2.thetas, rtol=0,
+                                       atol=tol)
+            np.testing.assert_allclose(p1.lambdas, p2.lambdas, rtol=0,
+                                       atol=1e-9)
+            if args[0] == "theta0":
+                # the direct check needs exchangeability
+                assert "not checked" in r2.warning
+                continue
+            assert r1.holds == r2.holds, args[0]
+            assert r1.lhs == pytest.approx(r2.lhs, abs=1e-9)
+            assert r1.rhs == pytest.approx(r2.rhs, abs=1e-9)
+
+    def test_one_solve_per_si_s_program(self, monkeypatch):
+        calls = []
+        solve = proposals.solve_si_s
+
+        def counted(B, rule, model):
+            calls.append(tuple(B))
+            return solve(B, rule, model)
+
+        monkeypatch.setattr(proposals, "solve_si_s", counted)
+        build_sum_intersection(random_normal(5, 3), 2)
+        assert sorted(calls) == list(combinations(range(5), 3))
 
 
 class TestMixtureProposal:
