@@ -34,6 +34,7 @@ from .solvers import (
     solve_si_z,
     v_bound_program,
     v_lower_bound,
+    v_lower_bounds,
 )
 
 __version__ = "0.1.0"

@@ -43,6 +43,7 @@ from .proposals import (
     build_siegmund,
     build_sum_intersection,
     check_direct_siegmund_homogeneous,
+    problem_record,
 )
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
 from .solvers import solve_beta, solve_gamma_pair, solve_gamma_single
@@ -136,8 +137,17 @@ def build_proposal(model, rule, prop_spec: dict, path: str = "proposal"):
     if manifest_path:
         with open(manifest_path) as fh:
             man = json.load(fh)
-        prop = MixtureProposal.from_manifest(man)
-        prop.check_lambdas(model)
+        have = man.get("problem", {})
+        for key, want in problem_record(rule, model.dim).items():
+            if have.get(key) != want:
+                raise ConfigError(
+                    f"{path}.manifest: solved for {key} = {have.get(key)!r},"
+                    f" but the config has {key} = {want!r}")
+        try:
+            prop = MixtureProposal.from_manifest(man)
+            prop.check_lambdas(model)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.manifest: {exc}") from exc
         rep = None
         if "report" in man:
             rep = EfficiencyReport(**man["report"])
@@ -145,8 +155,8 @@ def build_proposal(model, rule, prop_spec: dict, path: str = "proposal"):
     variant = prop_spec.get("variant", "plain")
     if variant == "plain":
         prop = MixtureProposal(np.zeros((1, model.dim)), np.zeros(1),
-                               ["plain[0]"], {"kind": rule.kind,
-                                              "d": model.dim}, "plain")
+                               ["plain[0]"], problem_record(rule, model.dim),
+                               "plain")
         return prop, None
     if isinstance(rule, SiegmundRule):
         return build_siegmund(variant, model, rule.ell, rule.u)
@@ -349,11 +359,13 @@ def cmd_table(cfg, args) -> int:
     spec = cfg.get("table", {})
     d = int(spec.get("d", 50))
     ell = float(spec.get("ell", 1.0))
+    if not ell > 0:
+        raise ConfigError(f"table.ell: {ell} is not positive")
     u_values = [float(x) for x in spec.get("u_values", [3, 2, 1, 0.5, 1 / 3])]
-    grid = spec.get("rho_grid", {"start": 0.0, "stop": 0.90, "step": 0.01})
-    n_steps = int(round((grid["stop"] - grid["start"]) / grid["step"]))
-    rhos = [round(grid["start"] + i * grid["step"], 10)
-            for i in range(n_steps + 1)]
+    for i, u in enumerate(u_values):
+        if not u > 0:
+            raise ConfigError(f"table.u_values[{i}]: {u} is not positive")
+    rhos = _rho_grid(spec, d, "table")
     rows = []
     for u in u_values:
         rule = SiegmundRule(ell, u)
@@ -399,12 +411,32 @@ def cmd_sweep(cfg, args) -> int:
     return 0
 
 
-def _float_grid(spec, key, default):
+def _float_grid(spec, key, default, path):
+    """A list of floats, or start + i step for i = 0..round((stop - start)
+    / step) rounded to 10 digits."""
     g = spec.get(key, default)
     if isinstance(g, dict):
-        n = int(round((g["stop"] - g["start"]) / g["step"]))
-        return [round(g["start"] + i * g["step"], 10) for i in range(n + 1)]
+        start, stop, step = (_need(g, k, f"{path}.{key}")
+                             for k in ("start", "stop", "step"))
+        if not step > 0:
+            raise ConfigError(f"{path}.{key}.step: {step} is not positive")
+        n = int(round((stop - start) / step))
+        return [round(start + i * step, 10) for i in range(n + 1)]
     return [float(x) for x in g]
+
+
+def _rho_grid(spec, d, path):
+    """The ``rho_grid`` of a table or sweep in dimension d >= 2 (default
+    0, 0.01, ..., 0.9); every rho must lie in (-1/(d-1), 1)."""
+    if d < 2:
+        raise ConfigError(f"{path}.d: {d} is below 2")
+    rhos = _float_grid(spec, "rho_grid",
+                       {"start": 0.0, "stop": 0.90, "step": 0.01}, path)
+    for rho in rhos:
+        if not -1.0 / (d - 1) < rho < 1.0:
+            raise ConfigError(f"{path}.rho_grid: rho = {rho} is outside "
+                              f"(-1/(d-1), 1) = ({-1.0 / (d - 1):g}, 1)")
+    return rhos
 
 
 def _sweep_siegmund_rho(spec, out):
@@ -412,8 +444,7 @@ def _sweep_siegmund_rho(spec, out):
     ell = float(spec.get("ell", 1.0))
     u = float(spec.get("u", 1.0))
     rule = SiegmundRule(ell, u)
-    rhos = _float_grid(spec, "rho_grid",
-                       {"start": 0.0, "stop": 0.90, "step": 0.01})
+    rhos = _rho_grid(spec, d, "sweep")
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["rho", "r", "h1_bound", "h2_bound", "h1_holds",
@@ -431,7 +462,8 @@ def _sweep_gap_v(spec, out):
     d = int(spec.get("d", 50))
     m = int(spec.get("m", 25))
     rule = GapRule(m)
-    vs = _float_grid(spec, "v_grid", np.geomspace(0.05, 20.0, 61).tolist())
+    vs = _float_grid(spec, "v_grid", np.geomspace(0.05, 20.0, 61).tolist(),
+                     "sweep")
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["v", "min_r_A", "h1p_bound", "h2p_bound", "h1p_holds",
@@ -451,8 +483,7 @@ def _sweep_si_rho(spec, out):
     d = int(spec.get("d", 50))
     L = int(spec.get("L", 2))
     rule = SumIntersectionRule(L)
-    rhos = _float_grid(spec, "rho_grid",
-                       {"start": 0.0, "stop": 0.90, "step": 0.01})
+    rhos = _rho_grid(spec, d, "sweep")
     from .solvers import solve_si_s, solve_si_z
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -55,6 +55,16 @@ def _check_dim(theta: np.ndarray, dim: int) -> np.ndarray:
     return theta
 
 
+def _check_rows(thetas, dim: int) -> np.ndarray:
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != dim:
+        raise ValueError(f"tilts have shape {thetas.shape}, expected "
+                         f"(n, {dim})")
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("tilt has non-finite entries")
+    return thetas
+
+
 # ---------------------------------------------------------------------------
 # Scalar components
 # ---------------------------------------------------------------------------
@@ -241,6 +251,12 @@ class MvNormalModel(_TiltedSampling):
         theta = _check_dim(theta, self.dim)
         return float(self.mean @ theta + 0.5 * theta @ (self.cov @ theta))
 
+    def cgf_rows(self, thetas) -> np.ndarray:
+        """Lambda of each row of an (n, d) tilt array."""
+        thetas = _check_rows(thetas, self.dim)
+        quad = np.einsum("ij,ij->i", thetas @ self.cov, thetas)
+        return thetas @ self.mean + 0.5 * quad
+
     def cgf_grad(self, theta) -> np.ndarray:
         theta = _check_dim(theta, self.dim)
         return self.mean + self.cov @ theta
@@ -312,6 +328,25 @@ class IndependentModel(_TiltedSampling):
     def cgf(self, theta) -> float:
         theta = _check_dim(theta, self.dim)
         return sum(c.cgf(t) for c, t in zip(self.components, theta))
+
+    def cgf_rows(self, thetas) -> np.ndarray:
+        """Lambda of each row of an (n, d) tilt array; +inf on a row
+        outside the domain.  Column k is mu t + sigma2 t^2 / 2 for a normal
+        component and log(rate / (rate - t)) + shift t for an exponential
+        one."""
+        thetas = _check_rows(thetas, self.dim)
+        normal = np.array([isinstance(c, Normal) for c in self.components])
+        lin = np.array([c.mu if n else c.shift
+                        for c, n in zip(self.components, normal)])
+        par = np.array([c.sigma2 if n else c.rate
+                        for c, n in zip(self.components, normal)])
+        outside = ~normal & (thetas >= par)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(normal, 0.5 * par * thetas * thetas,
+                             np.log(par / (par - thetas)))
+        terms += lin * thetas
+        terms[outside] = math.inf
+        return terms.sum(axis=1)
 
     def cgf_grad(self, theta) -> np.ndarray:
         theta = _check_dim(theta, self.dim)

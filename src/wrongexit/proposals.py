@@ -50,7 +50,7 @@ from .solvers import (
     solve_gap_quad,
     solve_si_s,
     solve_si_z,
-    v_lower_bound,
+    v_lower_bounds,
     validate_drifts,
 )
 
@@ -61,6 +61,7 @@ __all__ = [
     "check_direct_siegmund_homogeneous",
     "build_gap",
     "build_sum_intersection",
+    "problem_record",
 ]
 
 DEDUP_TOL = 1e-12
@@ -75,7 +76,7 @@ class EfficiencyReport:
     ``rhs`` = 2 r_C the required level, ``r_star`` the certified decay rate
     (meaningful as r_* only when ``holds``).  ``margins`` maps the checked
     index combinations to lhs_item - rhs; only the binding entries are kept
-    when the table is huge.
+    when the table is huge, and ``margins_dropped`` counts the others.
     """
 
     condition: str
@@ -85,6 +86,7 @@ class EfficiencyReport:
     r_star: float
     margins: dict = field(default_factory=dict)
     warning: Optional[str] = None
+    margins_dropped: int = 0
 
     def __post_init__(self):
         self.holds = bool(self.holds)
@@ -101,6 +103,7 @@ class EfficiencyReport:
             "r_star": float(self.r_star),
             "margins": {k: float(v) for k, v in self.margins.items()},
             "warning": self.warning,
+            "margins_dropped": int(self.margins_dropped),
         }
 
 
@@ -202,6 +205,15 @@ def _dedup(thetas, lambdas, provenance):
     return keep_t, keep_l, keep_p
 
 
+def problem_record(rule, d: int) -> dict:
+    """The ``problem`` entry of a proposal for ``rule`` in dimension d: the
+    rule's kind and parameters and d."""
+    names = {"siegmund": ("ell", "u"), "gap": ("m",),
+             "sum_intersection": ("L",)}[rule.kind]
+    return {"kind": rule.kind, **{k: getattr(rule, k) for k in names},
+            "d": d}
+
+
 def _set_label(A) -> str:
     return "{" + ",".join(map(str, sorted(A))) + "}"
 
@@ -289,23 +301,26 @@ class _Orbits:
 
 
 def _finish(model, thetas, labels, problem, variant, condition, lhs, rhs,
-            r_star, margins, warning=FAILED):
+            r_star, margins, warning=FAILED, dropped=0):
     """The report (with ``warning`` when the condition fails) and the
-    proposal over the stacked tilt blocks, with their CGF values."""
+    proposal over the stacked tilt blocks, with their CGF values;
+    ``dropped`` counts margins clipped before ``margins`` was formed."""
     holds = lhs >= rhs - 1e-12
-    rep = EfficiencyReport(condition, holds, lhs, rhs, r_star,
-                           _clip_margins(margins), None if holds else warning)
+    kept, n_clipped = _clip_margins(margins)
+    rep = EfficiencyReport(condition, holds, lhs, rhs, r_star, kept,
+                           None if holds else warning, dropped + n_clipped)
     thetas = np.concatenate(thetas)
     prop = MixtureProposal(thetas, [model.cgf(t) for t in thetas], labels,
                            problem, variant)
     return prop, rep
 
 
-def _clip_margins(margins: dict, cap: int = 200) -> dict:
+def _clip_margins(margins: dict, cap: int = 200) -> Tuple[dict, int]:
+    """The ``cap`` smallest margins and the number of margins dropped."""
     if len(margins) <= cap:
-        return margins
+        return margins, 0
     worst = sorted(margins.items(), key=lambda kv: kv[1])[:cap]
-    return dict(worst)
+    return dict(worst), len(margins) - cap
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +341,7 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
     rule = SiegmundRule(ell, u)
     validate_drifts(rule, model)
     d = model.dim
-    problem = {"kind": "siegmund", "ell": ell, "u": u, "d": d}
+    problem = problem_record(rule, d)
     orb = _Orbits(model)
     singletons = [(k,) for k in range(d)]
     rates, betas = orb.solve("beta", singletons,
@@ -341,7 +356,7 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
         return _finish(model, thetas, labels, problem, variant, "H1",
                        math.inf, rhs, r_min, {"d=1": math.inf})
 
-    warning = FAILED
+    warning, dropped = FAILED, 0
     lhs, margins = math.inf, {}
     rep_pairs = list(combinations(orb.heads(2), 2))
     pair_prog = lambda q: solve_gamma_pair(*q, rule, model)
@@ -369,38 +384,37 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
     elif orb.symmetric:
         condition = "direct"
         rep = check_direct_siegmund_homogeneous(model, ell, u)
-        lhs, margins = rep.lhs, rep.margins
+        lhs, margins, dropped = rep.lhs, rep.margins, rep.margins_dropped
     else:
         condition, lhs = "direct", -math.inf
         warning = "direct condition not checked: model is not exchangeable"
     return _finish(model, thetas, labels, problem, variant, condition, lhs,
-                   rhs, r_min, margins, warning)
+                   rhs, r_min, margins, warning, dropped)
 
 
 def check_direct_siegmund_homogeneous(model: CgfModel, ell: float, u: float
                                       ) -> EfficiencyReport:
     """Direct condition v_A(beta^{0}) >= 2 min_k r_{k} for homogeneous
-    models, reduced to A = {0..m-1}, m = 2..d, and certified through the
-    feasible witness beta^A + beta^{0} of the shifted program."""
+    models, reduced to A = {0..m-1}, m = 2..d, and certified for all sizes
+    in one ``v_lower_bounds`` pass through the feasible witnesses
+    beta^A + beta^{0} of the shifted programs."""
     rule = SiegmundRule(ell, u)
     validate_drifts(rule, model)
     d = model.dim
     v_plus, v_minus, rates = siegmund_profile(model, ell, u)
-    beta = lambda a: np.where(np.arange(d) < a, v_plus[a], v_minus[a])
-    beta1, r = beta(1), rates[1]
+    sets = np.arange(d) < np.arange(1, d + 1)[:, None]  # row a-1: |A| = a
+    betas = np.where(sets, v_plus[1:, None], v_minus[1:, None])
+    vals = v_lower_bounds(sets[1:], betas[0], betas[1:] + betas[0], rule,
+                          model)
+    r = rates[1]
     rhs = 2 * r
-    lhs = math.inf
-    margins = {}
-    for m in range(2, d + 1):
-        A = list(range(m))
-        vb = v_lower_bound(A, beta1, beta(m) + beta1, rule, model)
-        val = vb.lower_bound if vb.feasible else -math.inf
-        lhs = min(lhs, val)
-        margins[f"m={m}"] = val - rhs
+    lhs = vals.min(initial=math.inf)
+    margins, dropped = _clip_margins(dict(zip(
+        (f"m={m}" for m in range(2, d + 1)), (vals - rhs).tolist())))
     holds = lhs >= rhs - 1e-12
     warning = None if holds else "direct condition failed for some region size"
     return EfficiencyReport("direct", holds, float(lhs), float(rhs),
-                            float(r), _clip_margins(margins), warning)
+                            float(r), margins, warning, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +450,7 @@ def build_gap(variant: str, model: CgfModel, m: int, quad_cap: int = 250000
         raise ValueError("gap rule needs 2 <= m <= d-2")
     rule = GapRule(m)
     validate_drifts(rule, model)
-    problem = {"kind": "gap", "m": m, "d": d}
+    problem = problem_record(rule, d)
     orb = _Orbits(model, m)
     beta_prog = lambda q: solve_beta(_swap_set(m, *q), rule, model)
     pair_prog = lambda q: solve_gap_pair(*q, rule, model)
@@ -522,7 +536,7 @@ def build_sum_intersection(model: CgfModel, L: int,
             f"sum-intersection proposal needs {needed} components, above "
             f"the cap {component_cap}"
         )
-    problem = {"kind": "sum_intersection", "L": L, "d": d}
+    problem = problem_record(rule, d)
     orb = _Orbits(model)
     z_prog = lambda q: solve_si_z(q, rule, model)
 

@@ -30,6 +30,12 @@ Solver stack, cheapest applicable path first:
 
 Paths agree to ~1e-9 wherever more than one applies; the test suite checks
 this on small instances.
+
+Lower bounds on v_A(gamma) are certified by weak duality: a witness
+feasible for the shifted program bounds it by its support value.
+``v_lower_bound`` certifies one region; ``v_lower_bounds`` certifies a
+stack of Siegmund regions at one gamma in one vectorised pass, which is how
+the direct condition is checked for every region size at once.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .models import CgfModel, IndependentModel, MvNormalModel, siegmund_root
 from .regions import (
+    SIGN_TOL,
     GapRule,
     Region,
     SiegmundRule,
@@ -65,6 +72,7 @@ __all__ = [
     "solve_si_s",
     "v_bound_program",
     "v_lower_bound",
+    "v_lower_bounds",
     "rate_function",
     "homogeneous_profile",
     "siegmund_profile",
@@ -1106,6 +1114,38 @@ def v_lower_bound(A, gamma, witness, rule, model: CgfModel) -> VBound:
         feasible = False
         bound = -math.inf
     return VBound(region, gamma, float(bound), witness, feasible)
+
+
+def v_lower_bounds(sets, gamma, witnesses, rule: SiegmundRule,
+                   model: CgfModel) -> np.ndarray:
+    """``v_lower_bound`` for a stack of Siegmund regions at one gamma.
+
+    Row i certifies v_{A_i}(gamma) >= support_value(witnesses[i], A_i) for
+    the region with member mask ``sets[i]``.  Each row must be a rare
+    region, and Lambda(gamma) <= 0 is checked once; the CGFs of the shifted
+    witnesses and their support values are evaluated for all rows at once.
+    Returns the bounds, -inf on each row whose witness is infeasible or
+    breaks the sign pattern of its region.
+    """
+    if not isinstance(rule, SiegmundRule):
+        raise ValueError("batched certificates cover the Siegmund rule only")
+    sets = np.asarray(sets, dtype=bool)
+    witnesses = np.asarray(witnesses, dtype=float)
+    if sets.ndim != 2 or sets.shape != witnesses.shape:
+        raise ValueError(f"region masks {sets.shape} and witnesses "
+                         f"{witnesses.shape} are not (n, d) arrays of one "
+                         "shape")
+    if not rule.rare_mask(sets).all():
+        raise ValueError("Siegmund rare regions have nonempty A")
+    gamma = np.asarray(gamma, dtype=float)
+    if model.cgf(gamma) > CGF_TOL:
+        raise ValueError("gamma must satisfy Lambda(gamma) <= 0")
+    feasible = model.cgf_rows(witnesses - gamma) <= CGF_TOL
+    signed = ~np.where(sets, witnesses < -SIGN_TOL,
+                       witnesses > SIGN_TOL).any(axis=1)
+    bound = (rule.u * np.where(sets, witnesses, 0.0).sum(axis=1)
+             - rule.ell * np.where(sets, 0.0, witnesses).sum(axis=1))
+    return np.where(feasible & signed, bound, -math.inf)
 
 
 def rate_function(x, model: MvNormalModel) -> float:

@@ -107,6 +107,61 @@ class TestCommands:
         run = json.loads((out / "tiny2_run.json").read_text())
         assert len(run["rows"]) == 2
 
+    def solved_manifest(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, TINY_SIEGMUND)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
+        return out / "tiny_proposal.json"
+
+    def run_on_manifest(self, tmp_path, manifest, **changes):
+        cfg = {**TINY_SIEGMUND, "name": "on_manifest",
+               "proposal": {"manifest": str(manifest)}, **changes}
+        path = write_cfg(tmp_path, cfg, "on_manifest.json")
+        return main(["run", "--config", path, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("problem, field", [
+        ({"kind": "siegmund", "ell": 1.0, "u": 3.0}, "u"),
+        ({"kind": "siegmund", "ell": 2.0, "u": 1.0}, "ell"),
+        ({"kind": "sum_intersection", "L": 2}, "kind"),
+    ])
+    def test_manifest_for_another_problem_is_config_error(
+            self, tmp_path, capsys, problem, field):
+        manifest = self.solved_manifest(tmp_path)
+        assert self.run_on_manifest(tmp_path, manifest,
+                                    problem=problem) == 2
+        err = capsys.readouterr().err
+        assert f"proposal.manifest: solved for {field} = " in err
+
+    def test_manifest_for_another_dimension_is_config_error(self, tmp_path,
+                                                             capsys):
+        manifest = self.solved_manifest(tmp_path)
+        model = {"family": "mvnormal", "dim": 3, "mean": -0.5}
+        assert self.run_on_manifest(tmp_path, manifest, model=model) == 2
+        assert "proposal.manifest: solved for d = 2" in capsys.readouterr().err
+
+    def test_manifest_cgf_errors_are_config_errors(self, tmp_path, capsys):
+        manifest = self.solved_manifest(tmp_path)
+        man = json.loads(manifest.read_text())
+        man["lambdas"][0] -= 1e-3
+        manifest.write_text(json.dumps(man))
+        assert self.run_on_manifest(tmp_path, manifest) == 2
+        err = capsys.readouterr().err
+        assert "proposal.manifest: stored CGF values off" in err
+        man["thetas"] = [t + [0.0] for t in man["thetas"]]
+        manifest.write_text(json.dumps(man))
+        assert self.run_on_manifest(tmp_path, manifest) == 2
+        assert "proposal.manifest: tilt has shape" in capsys.readouterr().err
+
+    def test_manifest_without_margins_dropped_loads(self, tmp_path):
+        manifest = self.solved_manifest(tmp_path)
+        man = json.loads(manifest.read_text())
+        assert man["report"]["margins_dropped"] == 0
+        del man["report"]["margins_dropped"]
+        manifest.write_text(json.dumps(man))
+        assert self.run_on_manifest(tmp_path, manifest) == 0
+        run = json.loads((tmp_path / "o" / "on_manifest_run.json").read_text())
+        assert run["report"]["margins_dropped"] == 0
+
     def test_run_idempotent_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY_SIEGMUND)
         out = tmp_path / "o"
@@ -140,6 +195,7 @@ class TestCommands:
         assert main(["check", "--config", path, "--out", str(out)]) == 1
         rep = json.loads((out / "bad_check.json").read_text())
         assert rep["holds"] is False and rep["warning"]
+        assert rep["margins_dropped"] == 0
 
     def test_oracle_reports_z_score(self, tmp_path):
         cfg = dict(TINY_SIEGMUND)
@@ -240,6 +296,32 @@ class TestSweeps:
         lines = (out / "sw2_sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 4
 
+    def test_si_rho_sweep(self, tmp_path):
+        cfg = {
+            "name": "sw3",
+            "model": {"family": "mvnormal", "dim": 4, "mean": -0.5},
+            "sweep": {"kind": "si_rho", "d": 4, "L": 2,
+                      "rho_grid": {"start": 0.0, "stop": 0.2, "step": 0.1}},
+        }
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        lines = (out / "sw3_sweep.csv").read_text().strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "0.0", "0.1", "0.2"]
+
+    @pytest.mark.parametrize("kind", ["siegmund_rho", "si_rho"])
+    def test_rho_sweep_checks_its_grid(self, tmp_path, capsys, kind):
+        cfg = {
+            "name": "sw4",
+            "model": {"family": "mvnormal", "dim": 4, "mean": -0.5},
+            "sweep": {"kind": kind, "d": 4, "rho_grid": [0.1, 1.0]},
+        }
+        path = write_cfg(tmp_path, cfg)
+        assert main(["sweep", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "sweep.rho_grid: rho = 1.0" in capsys.readouterr().err
+
     def test_table_small(self, tmp_path):
         cfg = {
             "name": "tb",
@@ -253,3 +335,28 @@ class TestSweeps:
         lines = (out / "tb_table.csv").read_text().strip().splitlines()
         assert lines[0] == "u,H1_max_rho,H2_max_rho,direct_max_rho"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("table, field", [
+        ({"rho_grid": {"start": 0.0, "stop": 0.6}}, "table.rho_grid.step"),
+        ({"rho_grid": {"start": 0.0, "stop": 0.6, "step": 0.0}},
+         "table.rho_grid.step"),
+        ({"rho_grid": [0.2, 1.0]}, "table.rho_grid: rho = 1.0"),
+        ({"rho_grid": [-0.2]}, "table.rho_grid: rho = -0.2"),
+        ({"u_values": [1.0, 0.0]}, "table.u_values[1]"),
+        ({"u_values": [-1.0]}, "table.u_values[0]"),
+        ({"ell": 0.0}, "table.ell"),
+        ({"d": 1}, "table.d"),
+    ])
+    def test_table_bad_input_is_config_error(self, tmp_path, capsys, table,
+                                             field):
+        cfg = {
+            "name": "tb",
+            "model": {"family": "mvnormal", "dim": 4, "mean": -0.5},
+            "table": {"d": 8, "ell": 1.0, "u_values": [1.0],
+                      "rho_grid": [0.0], **table},
+        }
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["table", "--config", path, "--out", str(out)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not (out / "tb_table.csv").exists()

@@ -92,6 +92,34 @@ class TestCgfValues:
             model.cgf_grad(np.zeros(4))
 
 
+class TestCgfRows:
+    @pytest.mark.parametrize("model", models_under_test(), ids=repr)
+    def test_rows_match_cgf(self, model):
+        rng = np.random.default_rng(8)
+        thetas = np.array([interior_tilt(model, rng) for _ in range(7)])
+        got = model.cgf_rows(thetas)
+        want = [model.cgf(th) for th in thetas]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    def test_rows_outside_domain_are_infinite(self):
+        model = IndependentModel([Normal(-0.5, 1.0),
+                                  ShiftedExponential(2.0, -LOG2)])
+        thetas = np.array([[0.1, 0.5], [0.1, 2.0], [-3.0, 2.5]])
+        got = model.cgf_rows(thetas)
+        assert got[0] == pytest.approx(model.cgf(thetas[0]), abs=1e-15)
+        assert list(got[1:]) == [math.inf, math.inf]
+
+    def test_rows_shape_and_finiteness(self):
+        model = exchangeable_mvnormal(3, -0.5, 0.1)
+        with pytest.raises(ValueError, match="expected"):
+            model.cgf_rows(np.zeros(3))
+        with pytest.raises(ValueError, match="expected"):
+            model.cgf_rows(np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="non-finite"):
+            model.cgf_rows(np.array([[0.0, np.nan, 0.0]]))
+        assert model.cgf_rows(np.zeros((0, 3))).shape == (0,)
+
+
 class TestConvexityAndGradients:
     def test_convexity_spot_check(self):
         rng = np.random.default_rng(7)

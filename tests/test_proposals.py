@@ -195,6 +195,54 @@ class TestSiegmundBuilders:
             assert (rep.lhs, rep.rhs, rep.margins) == (lhs, rhs, margins)
             assert rep.holds == (lhs >= rhs - 1e-12)
 
+    @pytest.mark.parametrize("model", [
+        exchangeable_mvnormal(12, -0.5, 0.3),
+        IndependentModel([ShiftedExponential(2.0, -LOG2)] * 12)],
+        ids=["normal", "iid-exponential"])
+    def test_direct_check_is_one_batched_certificate(self, monkeypatch,
+                                                     model):
+        import wrongexit.solvers as solvers
+
+        def per_size(*args, **kwargs):
+            raise AssertionError("per-size certificate call")
+
+        calls = {"v_lower_bounds": 0, "cgf": 0, "cgf_rows": 0}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapped)
+
+        monkeypatch.setattr(solvers, "v_lower_bound", per_size)
+        monkeypatch.setattr(SiegmundRule, "support_value", per_size)
+        counted(proposals, "v_lower_bounds")
+        counted(type(model), "cgf")
+        counted(type(model), "cgf_rows")
+        rep = check_direct_siegmund_homogeneous(model, 1.0, 1.0)
+        assert calls == {"v_lower_bounds": 1, "cgf": 1, "cgf_rows": 1}
+        assert list(rep.margins) == [f"m={m}" for m in range(2, 13)]
+
+    def test_margins_beyond_the_cap_are_counted(self):
+        model = exchangeable_mvnormal(203, -0.5, 0.3)
+        rep = check_direct_siegmund_homogeneous(model, 1.0, 1.0)
+        assert len(rep.margins) == 200 and rep.margins_dropped == 2
+        assert set(rep.margins) < {f"m={m}" for m in range(2, 204)}
+        prop, built = build_siegmund("theta0", model, 1.0, 1.0)
+        assert built.margins_dropped == 2
+        man = json.loads(json.dumps(prop.to_manifest(built)))
+        assert man["report"]["margins_dropped"] == 2
+        assert proposals.EfficiencyReport(**man["report"]).as_dict() \
+            == built.as_dict()
+        del man["report"]["margins_dropped"]  # a manifest from before
+        assert proposals.EfficiencyReport(
+            **man["report"]).margins_dropped == 0
+        small = check_direct_siegmund_homogeneous(
+            exchangeable_mvnormal(20, -0.5, 0.3), 1.0, 1.0)
+        assert small.as_dict()["margins_dropped"] == 0
+
     def test_theta0_on_non_exchangeable_model_is_not_checked(self):
         model = IndependentModel([Normal(-0.5, 1.0), Normal(-0.9, 2.0)])
         _, rep = build_siegmund("theta0", model, 1.0, 1.0)

@@ -250,3 +250,67 @@ class TestRearrangementMin:
             got = rearrangement_min(theta, int(L))
             want = lp_oracle(theta, int(L))
             assert got == pytest.approx(want, abs=1e-9)
+
+
+def closure_lp(rule, theta, members):
+    """min theta.x over the closure of W^A at b = 1 by linprog, or -inf
+    when the LP is unbounded.  Siegmund: x_k >= u on A and x_k <= -ell off
+    A.  Gap: x_j - x_k >= 1 for j in A, k not in A."""
+    d = theta.size
+    in_A = np.zeros(d, dtype=bool)
+    in_A[list(members)] = True
+    if isinstance(rule, SiegmundRule):
+        bounds = [(rule.u, None) if a else (None, -rule.ell) for a in in_A]
+        res = linprog(theta, bounds=bounds, method="highs")
+    else:
+        rows = []
+        for j in np.flatnonzero(in_A):
+            for k in np.flatnonzero(~in_A):
+                row = np.zeros(d)
+                row[j], row[k] = -1.0, 1.0
+                rows.append(row)
+        res = linprog(theta, A_ub=np.array(rows), b_ub=-np.ones(len(rows)),
+                      bounds=[(None, None)] * d, method="highs")
+    assert res.status in (0, 3), res.message
+    return res.fun if res.status == 0 else -math.inf
+
+
+@st.composite
+def support_cases(draw):
+    """A Siegmund or gap rule, a region and a tilt on a quarter grid, so
+    entries are exactly zero or at least 0.25 from it.  With ``signed`` the
+    tilt takes the region's sign pattern; a gap tilt is then also scaled to
+    sum exactly to zero (integer entries p_j sum(q) on A, -q_k sum(p) off
+    A)."""
+    d = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        rule = SiegmundRule(draw(st.sampled_from([0.5, 1.0, 2.0])),
+                            draw(st.sampled_from([0.5, 1.0, 3.0])))
+        size = draw(st.integers(1, d))
+    else:
+        rule = GapRule(draw(st.integers(1, d - 1)))
+        size = rule.m
+    members = draw(st.permutations(range(d)))[:size]
+    in_A = np.zeros(d, dtype=bool)
+    in_A[members] = True
+    theta = draw(arrays(np.float64, d,
+                        elements=st.integers(-8, 8).map(lambda k: k / 4)))
+    if draw(st.booleans()):
+        theta = np.where(in_A, np.abs(theta), -np.abs(theta))
+        if isinstance(rule, GapRule):
+            p, q = theta[in_A], -theta[~in_A]
+            theta = np.where(in_A, theta * q.sum(), theta * p.sum())
+    return rule, sorted(members), theta
+
+
+class TestSupportValueLP:
+    @settings(max_examples=200, deadline=None)
+    @given(support_cases())
+    def test_support_value_matches_lp(self, case):
+        rule, members, theta = case
+        got = rule.support_value(theta, Region(True, tuple(members)))
+        want = closure_lp(rule, theta, members)
+        if want == -math.inf:
+            assert got == -math.inf
+        else:
+            assert got == pytest.approx(want, abs=1e-9)

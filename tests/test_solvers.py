@@ -4,6 +4,8 @@ certificates, and independent oracles for the optimization machinery."""
 import math
 from itertools import combinations
 
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from wrongexit import (
     solve_si_z,
     v_bound_program,
     v_lower_bound,
+    v_lower_bounds,
 )
 from wrongexit.regions import Region
 from wrongexit.solvers import _independent_kkt, _mv_quad, _qclp_active_set
@@ -420,6 +423,83 @@ class TestVBounds:
         assert vb.lower_bound == pytest.approx(zt.value + st.value, abs=1e-8)
         exact = v_bound_program(A, zt.tilt, rule, model)
         assert exact.value >= vb.lower_bound - 1e-9
+
+
+GRID = st.integers(-16, 16).map(lambda k: k / 8)
+
+
+@st.composite
+def certificate_stacks(draw):
+    """A model, a Siegmund rule, gamma and a stack of (region, witness)
+    rows.  gamma is t beta^{0} (so Lambda(gamma) <= 0) or a grid vector
+    that may break Lambda(gamma) <= 0.  A row's witness is gamma + t beta^A
+    (feasible, and of the right signs when gamma = 0) or a grid vector with
+    or without the region's sign pattern."""
+    d = draw(st.integers(2, 5))
+    model = draw(st.sampled_from([
+        exchangeable_mvnormal(d, -0.5, 0.0),
+        exchangeable_mvnormal(d, -0.5, 0.4),
+        IndependentModel([ShiftedExponential(2.0, -LOG2)] * d),
+        IndependentModel([Normal(-0.5, 1.0)] * d)]))
+    rule = SiegmundRule(draw(st.sampled_from([0.5, 1.0])),
+                        draw(st.sampled_from([1.0, 2.0])))
+    t = st.integers(0, 8).map(lambda k: k / 8)
+    kind = draw(st.sampled_from(["zero", "scaled", "grid"]))
+    if kind == "grid":
+        gamma = draw(arrays(np.float64, d, elements=GRID))
+    else:
+        gamma = np.zeros(d)
+        if kind == "scaled":
+            gamma = draw(t) * solve_beta([0], rule, model).tilt
+    sets, witnesses = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        members = draw(st.permutations(range(d)))[:draw(st.integers(1, d))]
+        in_A = np.isin(np.arange(d), members)
+        row = draw(st.sampled_from(["feasible", "signed", "grid"]))
+        if row == "feasible":
+            w = gamma + draw(t) * solve_beta(members, rule, model).tilt
+        else:
+            w = draw(arrays(np.float64, d, elements=GRID))
+            if row == "signed":
+                w = np.where(in_A, np.abs(w), -np.abs(w))
+        sets.append(in_A)
+        witnesses.append(w)
+    return model, rule, gamma, np.array(sets), np.array(witnesses)
+
+
+class TestBatchedVBounds:
+    @settings(max_examples=150, deadline=None)
+    @given(certificate_stacks())
+    def test_matches_v_lower_bound_row_by_row(self, case):
+        model, rule, gamma, sets, witnesses = case
+        if model.cgf(gamma) > 1e-10:
+            with pytest.raises(ValueError, match="Lambda\\(gamma\\) <= 0"):
+                v_lower_bounds(sets, gamma, witnesses, rule, model)
+            with pytest.raises(ValueError, match="Lambda\\(gamma\\) <= 0"):
+                v_lower_bound(np.flatnonzero(sets[0]), gamma, witnesses[0],
+                              rule, model)
+            return
+        got = v_lower_bounds(sets, gamma, witnesses, rule, model)
+        assert got.shape == (len(sets),)
+        for i, (in_A, w) in enumerate(zip(sets, witnesses)):
+            vb = v_lower_bound(np.flatnonzero(in_A), gamma, w, rule, model)
+            assert np.isfinite(got[i]) == vb.feasible
+            assert (got[i] == -math.inf) == (vb.lower_bound == -math.inf)
+            if vb.feasible:
+                assert abs(got[i] - vb.lower_bound) <= 1e-12
+
+    def test_rows_must_be_rare_siegmund_regions(self):
+        model = exchangeable_mvnormal(3, -0.5, 0.0)
+        sets = np.array([[True, False, False], [False, False, False]])
+        with pytest.raises(ValueError, match="nonempty A"):
+            v_lower_bounds(sets, np.zeros(3), np.zeros((2, 3)), RULE11,
+                           model)
+        with pytest.raises(ValueError, match="shape"):
+            v_lower_bounds(sets[:1], np.zeros(3), np.zeros((2, 3)), RULE11,
+                           model)
+        with pytest.raises(ValueError, match="Siegmund rule only"):
+            v_lower_bounds(sets[:1], np.zeros(3), np.zeros((1, 3)),
+                           GapRule(1), model)
 
 
 class TestRateFunction:
