@@ -37,6 +37,7 @@ from .models import (
     exchangeable_mvnormal,
 )
 from .proposals import (
+    VARIANTS,
     EfficiencyReport,
     MixtureProposal,
     build_gap,
@@ -46,7 +47,8 @@ from .proposals import (
     problem_record,
 )
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
-from .solvers import solve_beta, solve_gamma_pair, solve_gamma_single
+from .solvers import (solve_beta, solve_gamma_pair, solve_gamma_single,
+                      validate_drifts)
 
 
 # sum-intersection audit records kept in a ``solve`` manifest
@@ -158,11 +160,23 @@ def build_proposal(model, rule, prop_spec: dict, path: str = "proposal"):
                                ["plain[0]"], problem_record(rule, model.dim),
                                "plain")
         return prop, None
+    known = VARIANTS[rule.kind]
+    if str(variant).lower() not in known:
+        raise ConfigError(f"{path}.variant: unknown {rule.kind} variant "
+                          f"{variant!r}; expected 'plain' or one of {known}")
+    _check_drifts(rule, model)
     if isinstance(rule, SiegmundRule):
         return build_siegmund(variant, model, rule.ell, rule.u)
     if isinstance(rule, GapRule):
         return build_gap(variant, model, rule.m)
     return build_sum_intersection(model, rule.L)
+
+
+def _check_drifts(rule, model):
+    try:
+        validate_drifts(rule, model)
+    except ValueError as exc:
+        raise ConfigError(f"problem: {exc}") from exc
 
 
 def load_config(path: str, paper_scale: bool = False) -> dict:
@@ -253,7 +267,11 @@ def cmd_check(cfg, args) -> int:
         if not isinstance(rule, SiegmundRule):
             raise ConfigError("proposal.variant: 'direct' applies to the "
                               "siegmund problem only")
-        rep = check_direct_siegmund_homogeneous(model, rule.ell, rule.u)
+        _check_drifts(rule, model)
+        try:
+            rep = check_direct_siegmund_homogeneous(model, rule.ell, rule.u)
+        except ValueError as exc:
+            raise ConfigError(f"proposal.variant: 'direct': {exc}") from exc
     else:
         _, rep = build_proposal(model, rule, {**spec, "variant": variant})
     if rep is None:
@@ -461,6 +479,8 @@ def _sweep_siegmund_rho(spec, out):
 def _sweep_gap_v(spec, out):
     d = int(spec.get("d", 50))
     m = int(spec.get("m", 25))
+    if not 1 <= m <= d - 1:
+        raise ConfigError(f"sweep.m: {m} is outside 1..d-1 = 1..{d - 1}")
     rule = GapRule(m)
     vs = _float_grid(spec, "v_grid", np.geomspace(0.05, 20.0, 61).tolist(),
                      "sweep")

@@ -66,6 +66,8 @@ __all__ = [
 
 DEDUP_TOL = 1e-12
 CGF_TOL = 1e-10
+VARIANTS = {"siegmund": ("theta0", "theta1", "theta2"),  # by problem kind
+            "gap": ("t0", "t1", "t2"), "sum_intersection": ("si",)}
 
 
 @dataclass
@@ -185,7 +187,7 @@ def _dedup(thetas, lambdas, provenance):
     groups: dict = {}
     order: List[int] = []
     merged: List[List[int]] = []
-    rounded = np.round(thetas, 9)
+    rounded = np.round(thetas, 9) + 0.0  # -0.0 and 0.0 hash alike
     for i in range(thetas.shape[0]):
         key = rounded[i].tobytes()
         hit = None
@@ -336,7 +338,7 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
     d(d-1)/2 pair tilts instead.
     """
     variant = variant.lower()
-    if variant not in ("theta0", "theta1", "theta2"):
+    if variant not in VARIANTS["siegmund"]:
         raise ValueError(f"unknown Siegmund variant {variant!r}")
     rule = SiegmundRule(ell, u)
     validate_drifts(rule, model)
@@ -443,7 +445,7 @@ def build_gap(variant: str, model: CgfModel, m: int, quad_cap: int = 250000
     two-index tilts; ``t2`` adds the four-index tilts.
     """
     variant = variant.lower()
-    if variant not in ("t0", "t1", "t2"):
+    if variant not in VARIANTS["gap"]:
         raise ValueError(f"unknown gap variant {variant!r}")
     d = model.dim
     if not 2 <= m <= d - 2:

@@ -26,7 +26,11 @@ Solver stack, cheapest applicable path first:
    equation in the constraint multiplier (plus one inner equation for the
    zero-sum multiplier of gap problems);
 4. an active-set method for general normal models, whose subproblem for a
-   fixed active set has an explicit solution.
+   fixed active set has an explicit solution; the sum-intersection active
+   set extends it to the concave objective rearrangement_min over the
+   vertex functionals of its LP, and solves every general
+   sum-intersection program of a normal model.  SLSQP remains only for
+   general sum-intersection programs of non-normal models.
 
 Paths agree to ~1e-9 wherever more than one applies; the test suite checks
 this on small instances.
@@ -96,7 +100,8 @@ class TiltSolution:
     ``multipliers`` holds [lambda_0, lambda_1, ..., lambda_d]: the CGF
     multiplier followed by one bound multiplier per coordinate (zero on free
     coordinates).  ``eq_multiplier`` is the zero-sum multiplier for gap
-    programs.  Ray-search solutions carry no certificate.
+    programs; ``weights`` are the vertex-functional weights of an exact
+    sum-intersection solve.  Ray-search solutions carry no certificate.
     """
 
     value: float
@@ -106,6 +111,7 @@ class TiltSolution:
     method: str
     multipliers: Optional[np.ndarray] = None
     eq_multiplier: Optional[float] = None
+    weights: Optional[np.ndarray] = None
 
     def as_dict(self) -> dict:
         return {
@@ -166,12 +172,14 @@ class _Quad:
         return self.b + self.sigma @ x
 
 
-def _subsolve(c, quad, signs, eq, pinned):
-    """Exact maximizer of c.x over {q(x) <= 0, x_pinned = 0, eq.x = 0}.
+def _subsolve(c, quad, eq, pinned):
+    """Exact maximizer of c.x over {q(x) <= 0, x_pinned = 0, eq x = 0}.
 
-    Returns (x, s, t) with s = 1/lambda_0 and t = nu/lambda_0, or None when
-    the pinned subspace misses the feasible set or the objective direction
-    degenerates.
+    ``eq`` is None, one row, or a (k, n) stack of rows.  Returns (x, s, t)
+    with s = 1/lambda_0 and t = nu/lambda_0 (one entry per row of a stack),
+    or None when the pinned subspace misses the feasible set, the rows are
+    dependent on the free coordinates or the objective direction
+    degenerates.  Only Cholesky factorisations are used.
     """
     free = ~pinned
     n = c.size
@@ -179,22 +187,28 @@ def _subsolve(c, quad, signs, eq, pinned):
         if quad.kappa <= CGF_TOL:
             return np.zeros(n), 0.0, 0.0
         return None
-    sig = quad.sigma[np.ix_(free, free)]
     try:
-        factor = cho_factor(sig, lower=True)
+        factor = cho_factor(quad.sigma[np.ix_(free, free)], lower=True,
+                            check_finite=False)
+        solve = lambda v: cho_solve(factor, v, check_finite=False)
+        if eq is not None:
+            g = eq[..., free]
+            gram = g @ solve(g.T)
+            if g.ndim == 1:
+                if gram <= 1e-300:
+                    return None
+                div = lambda v: v / gram
+            else:
+                gfac = cho_factor(gram, lower=True)
+                div = lambda v: cho_solve(gfac, v)
     except np.linalg.LinAlgError:
         return None
     bf = quad.b[free]
     cf = c[free]
-    solve = lambda v: cho_solve(factor, v)
     if eq is not None:
-        g = eq[free]
-        Bg = solve(g)
-        a2 = g @ Bg
-        if a2 <= 1e-300:
-            return None
-        chat = cf - ((g @ solve(cf)) / a2) * g
-        bhat = bf - ((g @ solve(bf)) / a2) * g
+        gc, gb = g @ solve(cf), g @ solve(bf)
+        chat = cf - np.dot(div(gc), g)
+        bhat = bf - np.dot(div(gb), g)
     else:
         chat = cf
         bhat = bf
@@ -208,8 +222,8 @@ def _subsolve(c, quad, signs, eq, pinned):
         return None
     s = math.sqrt(max(num, 0.0) / den)
     if eq is not None:
-        t = (s * (g @ solve(cf)) - (g @ solve(bf))) / a2
-        xf = solve(s * cf - t * g - bf)
+        t = div(s * gc - gb)
+        xf = solve(s * cf - np.dot(t, g) - bf)
     else:
         t = 0.0
         xf = solve(s * cf - bf)
@@ -242,7 +256,7 @@ def _qclp_active_set(c, quad, signs, eq=None, rng_seed=0):
             if key in seen:
                 break
             seen.add(key)
-            sol = _subsolve(c, quad, signs, eq, pinned)
+            sol = _subsolve(c, quad, eq, pinned)
             if sol is None:
                 # pinned subspace infeasible; release everything not forced
                 if pinned.any():
@@ -255,7 +269,7 @@ def _qclp_active_set(c, quad, signs, eq=None, rng_seed=0):
             viol = (~pinned) & (slack < -1e-12 * scale)
             if viol.any():
                 cand = pinned | viol
-                if _subsolve(c, quad, signs, eq, cand) is not None:
+                if _subsolve(c, quad, eq, cand) is not None:
                     pinned = cand
                     continue
                 worst = np.where(viol, slack, np.inf).argmin()
@@ -377,6 +391,96 @@ def _mv_quad(model: MvNormalModel, gamma=None) -> _Quad:
     kappa = model.cgf(-gamma)
     b = model.mean - model.cov @ gamma
     return _Quad(kappa, b, model.cov)
+
+
+def _si_active_set(S, signs, L, quad, method, start=None) -> TiltSolution:
+    """max rearrangement_min(theta, L) s.t. q(theta) <= 0, signs*theta >= 0
+    on the coordinates S and theta = 0 off S.  In y = signs*theta_S: max t
+    s.t. y >= 0 and l.y >= t for the rearrangement LP's vertex functionals
+    l = 1_T / k (|T| = |S| - L + k, k = 1..L).
+
+    Primal active set.  The working set holds functionals kept equal to the
+    level (the rows l_j - l_0 of ``_subsolve``) and pinned coordinates.
+    From a feasible y at a positive level, each step moves towards the
+    working set's optimum until a coordinate reaches 0 (it is pinned) or a
+    functional, found by one sort, falls to the level (it joins).  At the
+    optimum, a constraint with a negative multiplier leaves.  The working
+    subspace always holds y, so the subproblem is never empty.
+    """
+    n = len(S)
+    qy = _Quad(quad.kappa, signs * quad.b[S],
+               quad.sigma[np.ix_(S, S)] * np.outer(signs, signs))
+
+    def cut(y):  # the level of y and a functional attaining it
+        order = np.argsort(y, kind="stable")
+        vals = np.cumsum(y[order])[n - L:] / np.arange(1, L + 1)
+        k = int(np.argmin(vals))
+        ell = np.zeros(n)
+        ell[order[:n - L + k + 1]] = 1.0 / (k + 1)
+        return vals[k], ell
+
+    def starts():  # the deepest point of a ray d > 0 with b.d < 0, the
+        neg = qy.b < 0  # given feasible tilt, then the largest-sum point
+        d = np.where(neg, 1.0, min(1.0, -0.5 * qy.b[neg].sum()
+                                   / max(qy.b[~neg].sum(), 1e-300)))
+        yield -(qy.b @ d) / max(d @ qy.sigma @ d, 1e-300) * d
+        if start is not None:
+            yield signs * start[S]
+        yield _qclp_active_set(np.ones(n), qy, np.ones(n))[0]
+
+    for y in starts():
+        y = np.maximum(y, 0.0)
+        if qy.value(y) <= CGF_TOL and cut(y)[0] > 0:
+            break
+    else:
+        raise SolverError(f"{method}: no feasible tilt at a positive level")
+    work, pinned = [cut(y)[1]], y <= 0
+    for _ in range(ACTIVE_SET_MAX_ITER * n):
+        F = np.array(work)
+        G = F[1:] - F[0] if len(F) > 1 else None
+        sol = _subsolve(F[0], qy, G, pinned)
+        if sol is None:
+            raise SolverError(f"{method}: degenerate working set")
+        dy = sol[0] - y
+        tol = 1e-9 * max(1.0, np.max(np.abs(y)))
+        ratio = np.where(dy < -tol, y, np.inf) / np.where(dy < -tol, -dy, 1.0)
+        k = int(np.argmin(ratio))
+        alpha, enter = min(1.0, ratio[k]), (k if ratio[k] < 1 else None)
+        # shorten the step to where the first functional meets the level;
+        while np.max(np.abs(dy)) > tol:  # a null step is at the optimum
+            val, ell = cut(y + alpha * dy)
+            gap = ell - F[0]
+            if gap @ (y + alpha * dy) >= -1e-12 * max(1.0, val):
+                break
+            alpha, enter = max(0.0, gap @ y / -(gap @ dy)), ell
+        if enter is None:
+            y, s, t = sol
+            w = np.reshape(t, -1)[:len(F) - 1] / -s
+            w = np.append(1.0 - w.sum(), w)
+            reduced = qy.grad(y) - s * F[0] + (0.0 if G is None else t @ G)
+            mults = np.append(w, reduced[pinned] / s)  # reduced = s mu
+            drop = int(np.argmin(mults))
+            if mults[drop] >= -1e-10:
+                break
+            if drop < len(F):
+                del work[drop]
+            else:
+                pinned[np.flatnonzero(pinned)[drop - len(F)]] = False
+        elif isinstance(enter, int):
+            y, pinned[enter] = np.maximum(y + alpha * dy, 0.0), True
+        else:
+            y = np.maximum(y + alpha * dy, 0.0)
+            work.append(enter)
+    else:
+        raise SolverError(f"{method}: no convergence in "
+                          f"{ACTIVE_SET_MAX_ITER * n} iterations")
+    y = np.maximum(y, 0.0)  # rounding leaves free zeros at -1e-16
+    theta, mu = np.zeros(quad.b.size), np.zeros(quad.b.size)
+    theta[S], mu[S] = signs * y, np.where(pinned, reduced / s, 0.0)
+    resid = max(abs(qy.value(y)), float(np.max(np.abs(reduced[~pinned]),
+                                               initial=0.0)))
+    return TiltSolution(rearrangement_min(theta, L), theta, resid <= KKT_TOL,
+                        resid, method, np.append(1.0 / s, mu), weights=w)
 
 
 # ---------------------------------------------------------------------------
@@ -597,21 +701,15 @@ def _symmetric_si_beta(model, A, L):
     in_A = np.zeros(d, dtype=bool)
     in_A[list(A)] = True
 
-    def expand(p, q):
-        th = np.where(in_A, p, -q)
-        return th
-
     def value_at_angle(phi):
-        p, q = math.cos(phi), math.sin(phi)
-        direction = expand(p, q)
+        direction = np.where(in_A, math.cos(phi), -math.sin(phi))
         R = _ray_radius(model, direction)
         if R <= 0:
             return 0.0, np.zeros(d)
         th = R * direction
         return rearrangement_min(th, L), th
 
-    lo, hi = 0.0, math.pi / 2
-    grid = np.linspace(lo, hi, 513)
+    grid = np.linspace(0.0, math.pi / 2, 513)
     vals = [value_at_angle(p)[0] for p in grid]
     i = int(np.argmax(vals))
     a, b = grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]
@@ -631,17 +729,11 @@ def _symmetric_si_beta(model, A, L):
             f1 = value_at_angle(x1)[0]
     phi = 0.5 * (a + b)
     val, th = value_at_angle(phi)
-    resid = abs(model.cgf(th))
-    return TiltSolution(
-        value=float(val),
-        tilt=th,
-        converged=True,
-        residual=resid,
-        method="si/symmetric-ray-search",
-    )
+    return TiltSolution(float(val), th, True, abs(model.cgf(th)),
+                        "si/symmetric-ray-search")
 
 
-def _si_dual_program(model, signs, subsets, gamma=None, start=None):
+def _si_dual_program(model, signs, subsets, gamma=None):
     """Paper formulation of the sum-intersection programs: maximize
     sum_C lambda_C over (theta, lambda) with lambda >= 0,
     sum_{C: k in C} lambda_C <= signs_k * theta_k and Lambda(theta-gamma) <= 0.
@@ -652,73 +744,34 @@ def _si_dual_program(model, signs, subsets, gamma=None, start=None):
     """
     from scipy.optimize import minimize
 
-    d = model.dim
-    subsets = [tuple(sorted(C)) for C in subsets]
-    nC = len(subsets)
-    member = np.zeros((nC, d))
-    for i, C in enumerate(subsets):
-        member[i, list(C)] = 1.0
+    d, nC = model.dim, len(subsets)
     gamma_vec = np.zeros(d) if gamma is None else np.asarray(gamma, float)
-
-    def split(z):
-        return z[:d], z[d:]
-
-    def neg_obj(z):
-        return -z[d:].sum()
-
-    def neg_obj_grad(z):
-        g = np.zeros(d + nC)
-        g[d:] = -1.0
-        return g
-
-    def cgf_con(z):
-        th, _ = split(z)
-        return -model.cgf(th - gamma_vec)
-
-    def cgf_con_grad(z):
-        th, _ = split(z)
-        g = np.zeros(d + nC)
-        g[:d] = -model.cgf_grad(th - gamma_vec)
-        return g
-
     # sum_{C owns k} lambda_C <= signs_k theta_k   (rows indexed by k)
     lin = np.zeros((d, d + nC))
     lin[:, :d] = np.diag(signs.astype(float))
-    lin[:, d:] = -member.T
-
+    for i, C in enumerate(subsets):
+        lin[list(C), d + i] = -1.0
     cons = [
-        {"type": "ineq", "fun": cgf_con, "jac": cgf_con_grad},
+        {"type": "ineq", "fun": lambda z: -model.cgf(z[:d] - gamma_vec),
+         "jac": lambda z: np.concatenate(
+             [-model.cgf_grad(z[:d] - gamma_vec), np.zeros(nC)])},
         {"type": "ineq", "fun": lambda z: lin @ z, "jac": lambda z: lin},
     ]
-    bounds = [(None, None)] * d + [(0.0, None)] * nC
-    for k in range(d):
-        bounds[k] = (0.0, None) if signs[k] > 0 else (None, 0.0)
-
-    if start is None:
-        t0 = 0.1
-        start = np.concatenate([signs * t0, np.full(nC, t0 / max(1, nC))])
+    bounds = ([(0.0, None) if sk > 0 else (None, 0.0) for sk in signs]
+              + [(0.0, None)] * nC)
+    start = np.concatenate([signs * 0.1, np.full(nC, 0.1 / max(1, nC))])
     res = minimize(
-        neg_obj,
-        start,
-        jac=neg_obj_grad,
-        constraints=cons,
-        bounds=bounds,
-        method="SLSQP",
-        options={"maxiter": 400, "ftol": 1e-14},
-    )
-    th, lam = split(res.x)
-    if gamma is None:
+        lambda z: -z[d:].sum(), start,
+        jac=lambda z: np.concatenate([np.zeros(d), np.full(nC, -1.0)]),
+        constraints=cons, bounds=bounds, method="SLSQP",
+        options={"maxiter": 400, "ftol": 1e-14})
+    th, lam = res.x[:d], res.x[d:]
+    cur = model.cgf(th)
+    if gamma is None and (cur > 0 or cur < 0 and np.linalg.norm(th) > 0):
         # radial polish: scale to the CGF boundary (objective is homogeneous)
-        cur = model.cgf(th)
-        if cur < 0 and np.linalg.norm(th) > 0:
-            rho = positive_root(lambda rr: model.cgf(rr * th), start=1.0)
-            th = rho * th
-            lam = rho * lam
-        elif cur > 0:
-            rho = positive_root(lambda rr: model.cgf(rr * th), start=0.5)
-            th, lam = rho * th, rho * lam
-    # re-derive the achievable objective from theta alone (lambda may be
-    # slightly suboptimal after polishing)
+        rho = positive_root(lambda rr: model.cgf(rr * th),
+                            start=1.0 if cur < 0 else 0.5)
+        th, lam = rho * th, rho * lam
     resid = abs(model.cgf(th - gamma_vec))
     return th, lam, resid, res.success
 
@@ -842,15 +895,19 @@ def _solve_si_beta(A, rule: SumIntersectionRule, model, gamma=None,
     ) or (isinstance(model, IndependentModel) and model.is_iid())
     if exchangeable and gamma is None:
         return _symmetric_si_beta(model, A, L)
+    in_A = np.zeros(d, dtype=bool)
+    in_A[list(A)] = True
+    signs = np.where(in_A, 1.0, -1.0)
+    if isinstance(model, MvNormalModel):
+        return _si_active_set(np.arange(d), signs, L, _mv_quad(model, gamma),
+                              "sum_intersection/active-set",
+                              None if gamma is None else 2 * gamma)
     n_subsets = math.comb(d, L)
     if n_subsets > subset_cap:
         raise SolverError(
             f"general sum-intersection solve needs C({d},{L}) = {n_subsets} "
             f"dual variables, above the cap {subset_cap}"
         )
-    in_A = np.zeros(d, dtype=bool)
-    in_A[list(A)] = True
-    signs = np.where(in_A, 1.0, -1.0)
     subsets = list(combinations(range(d), L))
     th, lam, resid, ok = _si_dual_program(model, signs, subsets, gamma=gamma)
     val = rearrangement_min(th, L) if _sign_ok(th, signs) else -math.inf
@@ -977,6 +1034,9 @@ def solve_si_z(A, rule: SumIntersectionRule, model: CgfModel) -> TiltSolution:
         resid = abs(model.cgf(th))
         return TiltSolution(float(t), th, resid <= CGF_TOL, resid,
                             "si/z-symmetric")
+    if isinstance(model, MvNormalModel):
+        return _si_active_set(list(A), np.ones(rule.L), rule.L,
+                              _mv_quad(model), "si/z-active-set")
     t_star, th = _si_box_search(model, A)
     resid = abs(model.cgf(th))
     return TiltSolution(float(t_star), th, resid <= 1e-8, resid, "si/z-box")
@@ -999,25 +1059,17 @@ def solve_si_s(B, rule: SumIntersectionRule, model: CgfModel) -> TiltSolution:
         resid = abs(model.cgf(th))
         return TiltSolution(float(val), th, resid <= CGF_TOL, resid,
                             "si/s-symmetric")
-    # general: LP-dual form over the support B with subsets of size L
+    if isinstance(model, MvNormalModel):
+        return _si_active_set(list(B), np.ones(L + 1), L, _mv_quad(model),
+                              "si/s-active-set")
+    # non-normal: LP-dual form over the support B with subsets of size L
     sub = _restrict_model(model, B)
     subsets = list(combinations(range(L + 1), L))
     th_b, lam, resid, ok = _si_dual_program(sub, np.ones(L + 1), subsets)
     th = np.zeros(d)
     th[list(B)] = th_b
-    val = _si_support_objective(th_b, L)
-    return TiltSolution(float(val), th, ok and resid <= 1e-8, resid,
-                        "si/s-lp-dual")
-
-
-def _si_support_objective(theta_b, L):
-    a = np.sort(np.abs(theta_b))[::-1]  # length L+1
-    vals = []
-    running = a[L]
-    for ell in range(1, L + 1):
-        running += a[L - ell]
-        vals.append(running / ell)
-    return min(vals)
+    return TiltSolution(rearrangement_min(th_b, L), th, ok and resid <= 1e-8,
+                        resid, "si/s-lp-dual")
 
 
 def _is_exchangeable_on(model, idx) -> bool:
@@ -1035,57 +1087,22 @@ def _restrict_model(model, idx):
     return IndependentModel([model.components[i] for i in idx])
 
 
-def _si_box_search(model, A):
-    """max t with min{Lambda(theta): theta_A >= t, theta = 0 off A} <= 0."""
+def _si_box_search(model: IndependentModel, A):
+    """max t with min{Lambda(theta): theta_A >= t, theta = 0 off A} <= 0 for
+    independent coordinates, where each coordinate's minimum is its own."""
     A = list(A)
-    L = len(A)
-    sub = _restrict_model(model, A)
-
-    if isinstance(sub, IndependentModel):
-        floors = [c.prime_inverse(0.0) for c in sub.components]
-
-        def box_min(t):
-            th = np.maximum(t, floors)
-            return sum(c.cgf(x) for c, x in zip(sub.components, th)), th
-    else:
-        if L > 12:
-            raise SolverError("box search limited to |A| <= 12 for general "
-                              "covariance")
-        mean, cov = sub.mean, sub.cov
-
-        def box_min(t):
-            # the minimum over the box's 2^L active sets of bound coordinates
-            best, best_th = math.inf, None
-            for rbits in range(2 ** L):
-                bound = np.array([(rbits >> i) & 1 for i in range(L)], bool)
-                th = np.full(L, t)
-                free = ~bound
-                if free.any():
-                    rhs = -(mean[free] + cov[np.ix_(free, bound)] @ th[bound])
-                    try:
-                        th[free] = np.linalg.solve(cov[np.ix_(free, free)], rhs)
-                    except np.linalg.LinAlgError:
-                        continue
-                    if np.any(th[free] < t - 1e-12):
-                        continue
-                grad = mean + cov @ th
-                if np.any(grad[bound] < -1e-10):
-                    continue
-                val = float(mean @ th + 0.5 * th @ cov @ th)
-                if val < best:
-                    best, best_th = val, th
-            return best, best_th
-
-    psi = lambda t: box_min(t)[0]
+    comps = [model.components[k] for k in A]
+    floors = [c.prime_inverse(0.0) for c in comps]
+    box = lambda t: np.maximum(t, floors)
+    psi = lambda t: sum(c.cgf(x) for c, x in zip(comps, box(t)))
     hi = 1.0
     for _ in range(200):
         if psi(hi) > 0:
             break
         hi *= 2
     t_star = refine_root(psi, 0.0, hi)
-    th_a = box_min(t_star)[1]  # the witness at the boundary
     th_full = np.zeros(model.dim)
-    th_full[A] = th_a
+    th_full[A] = box(t_star)  # the witness at the boundary
     return t_star, th_full
 
 

@@ -360,3 +360,70 @@ class TestSweeps:
         assert main(["table", "--config", path, "--out", str(out)]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
         assert not (out / "tb_table.csv").exists()
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestBadInputIsConfigError:
+    def test_unknown_variant(self, tmp_path, capsys):
+        cfg = {**TINY_SIEGMUND, "proposal": {"variant": "theta9"}}
+        path = write_cfg(tmp_path, cfg)
+        for command in ("solve", "check"):
+            assert main([command, "--config", path,
+                         "--out", str(tmp_path / "o")]) == 2
+            assert ("config error: proposal.variant: unknown siegmund "
+                    "variant 'theta9'") in capsys.readouterr().err
+
+    def test_direct_on_non_exchangeable_model(self, tmp_path, capsys):
+        cfg = {**TINY_SIEGMUND, "proposal": {"variant": "direct"},
+               "model": {"family": "independent", "components": [
+                   {"type": "normal", "mu": -0.5, "sigma2": 1.0},
+                   {"type": "normal", "mu": -0.9, "sigma2": 1.0}]}}
+        path = write_cfg(tmp_path, cfg)
+        assert main(["check", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: proposal.variant: 'direct'" in err
+        assert "exchangeable" in err
+
+    def test_gap_v_sweep_m_outside_range(self, tmp_path, capsys):
+        for m in (0, 8):
+            cfg = {"name": "sw",
+                   "model": {"family": "mvnormal", "dim": 4, "mean": -0.5},
+                   "sweep": {"kind": "gap_v", "d": 8, "m": m,
+                             "v_grid": [1.0]}}
+            path = write_cfg(tmp_path, cfg)
+            assert main(["sweep", "--config", path,
+                         "--out", str(tmp_path / "o")]) == 2
+            assert f"config error: sweep.m: {m}" in capsys.readouterr().err
+
+    def test_drift_rule_mismatch(self, tmp_path, capsys):
+        cfg = {"name": "gap",
+               "model": {"family": "mvnormal", "dim": 6, "rho": 0.1,
+                         "mean": {"head": 0.5, "tail": -0.5, "split": 3}},
+               "problem": {"kind": "gap", "m": 2},
+               "proposal": {"variant": "t1"}}
+        path = write_cfg(tmp_path, cfg)
+        assert main(["check", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert ("config error: problem: gap rule requires positive drift"
+                in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("config", sorted(
+    p.name for p in CONFIGS.glob("*.json")
+    if {"problem", "paper_scale"} <= json.loads(p.read_text()).keys()))
+def test_paper_scale_overlay_builds_and_checks(tmp_path, config):
+    from wrongexit.cli import build_proposal, load_config
+
+    path = str(CONFIGS / config)
+    cfg = load_config(path, paper_scale=True)
+    model = build_model(cfg["model"])
+    prop, _ = build_proposal(model, build_rule(cfg["problem"]),
+                             cfg.get("proposal", {}))
+    assert prop.dim == model.dim
+    out = tmp_path / "o"
+    assert main(["check", "--config", path, "--paper-scale",
+                 "--out", str(out)]) in (0, 1)
+    assert (out / f"{cfg['name']}_check.json").exists()

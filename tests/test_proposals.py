@@ -442,6 +442,16 @@ class TestOrbitSolves:
             assert r1.lhs == pytest.approx(r2.lhs, abs=1e-9)
             assert r1.rhs == pytest.approx(r2.rhs, abs=1e-9)
 
+    def test_zero_sign_does_not_split_components(self, monkeypatch):
+        # with symmetry off, beta[{1,2,4}] and gap_pair[0,4] of this model
+        # differ by 4e-16, and one has -0.0 where the other has 0.0
+        model = per_side_normal(6, 3, 0.1)
+        symmetric, _ = build_gap("t1", model, 3)
+        symmetry_off(monkeypatch)
+        general, _ = build_gap("t1", model, 3)
+        assert len(general) == len(symmetric) == 9
+        assert "beta[{1,2,4}]=gap_pair[0,4]" in general.provenance
+
     def test_one_solve_per_si_s_program(self, monkeypatch):
         calls = []
         solve = proposals.solve_si_s

@@ -3,6 +3,10 @@ certificates, and independent oracles for the optimization machinery."""
 
 import math
 from itertools import combinations
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -33,7 +37,13 @@ from wrongexit import (
     v_lower_bounds,
 )
 from wrongexit.regions import Region
-from wrongexit.solvers import _independent_kkt, _mv_quad, _qclp_active_set
+from wrongexit.solvers import (
+    _independent_kkt,
+    _mv_quad,
+    _qclp_active_set,
+    _restrict_model,
+    _si_dual_program,
+)
 
 LOG2 = math.log(2.0)
 RULE11 = SiegmundRule(1.0, 1.0)
@@ -370,6 +380,79 @@ class TestSumIntersectionSolvers:
             solve_si_s([0, 1], rule, model)
         with pytest.raises(ValueError):
             solve_beta([0], rule, model)
+
+
+@st.composite
+def si_programs(draw):
+    """A non-exchangeable normal model (random SPD covariance, negative
+    drift), L, and one sum-intersection program: beta^A, beta^A shifted by
+    gamma = half of beta^A (kind "gamma"), z_A or s_B."""
+    d = draw(st.integers(3, 8))
+    L = draw(st.integers(2, d - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(d, d)) * rng.uniform(0.1, 1.0)
+    model = MvNormalModel(-rng.uniform(0.1, 1.5, size=d),
+                          a @ a.T + rng.uniform(0.05, 1.0) * np.eye(d))
+    kind = draw(st.sampled_from(["beta", "gamma", "z", "s"]))
+    size = {"z": L, "s": L + 1}.get(kind) or draw(st.integers(L, d))
+    return model, SumIntersectionRule(L), kind, sorted(
+        draw(st.permutations(range(d)))[:size])
+
+
+class TestExactSumIntersection:
+    @settings(max_examples=120, deadline=None)
+    @given(si_programs())
+    def test_certificate_and_slsqp_comparison(self, case):
+        model, rule, kind, idx = case
+        d, L = model.dim, rule.L
+        gamma = np.zeros(d)
+        if kind == "gamma":
+            gamma = 0.5 * solve_beta(idx, rule, model).tilt
+            sol = v_bound_program(idx, gamma, rule, model)
+        else:
+            program = {"beta": solve_beta, "z": solve_si_z, "s": solve_si_s}
+            sol = program[kind](idx, rule, model)
+        support = np.array(idx) if kind in ("z", "s") else np.arange(d)
+        signs = np.where(np.isin(support, idx), 1.0, -1.0)
+        assert sol.converged and sol.method.endswith("active-set")
+        assert abs(model.cgf(sol.tilt - gamma)) <= 1e-10
+        assert np.all(np.delete(sol.tilt, support) == 0)
+        assert np.all(signs * sol.tilt[support] >= 0)
+        assert abs(sol.value - rearrangement_min(sol.tilt, L)) <= 1e-12
+        # KKT signs: CGF multiplier, functional weights, sign multipliers
+        assert sol.multipliers[0] > 0
+        assert np.all(sol.multipliers[1:] >= -1e-10)
+        assert np.all(sol.weights >= -1e-10)
+        assert abs(sol.weights.sum() - 1.0) <= 1e-12
+        # the SLSQP program on the same support never does better
+        sub = _restrict_model(model, support)
+        th = _si_dual_program(
+            sub, signs, list(combinations(range(support.size), L)),
+            gamma=None if kind != "gamma" else gamma[support])[0]
+        if sub.cgf(th - gamma[support]) <= 0 and np.all(signs * th >= 0):
+            assert sol.value >= rearrangement_min(th, L) - 1e-9
+
+    def test_general_build_does_not_depend_on_blas_threads(self):
+        script = (
+            "import numpy as np\n"
+            "from wrongexit import MvNormalModel\n"
+            "from wrongexit.proposals import build_sum_intersection\n"
+            "a = np.random.default_rng(5).normal(0.0, 0.3, size=(10, 10))\n"
+            "cov = 0.8 * np.eye(10) + 0.1 + a @ a.T / 10\n"
+            "model = MvNormalModel(np.full(10, -0.5), cov)\n"
+            "prop, _ = build_sum_intersection(model, 2)\n"
+            "print(len(prop), prop.thetas.tobytes().hex())\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")])}
+            outs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert outs[0].split()[0] == "90"
+        assert outs[0] == outs[1]
 
 
 class TestVBounds:
