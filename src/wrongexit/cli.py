@@ -134,7 +134,21 @@ def build_rule(spec: dict, path: str = "problem"):
     raise ConfigError(f"{path}.kind: unknown problem kind {kind!r}")
 
 
+def _check_size(rule, d: int, builder: bool) -> None:
+    """Reject a gap m outside 1..d-1 or a sum-intersection L outside 1..d,
+    or, when ``builder``, outside the builders' 2..d-2 and 2..d-1."""
+    if isinstance(rule, SiegmundRule):
+        return
+    key = "m" if isinstance(rule, GapRule) else "L"
+    val, lo = getattr(rule, key), 1 + builder
+    hi = d - builder - (key == "m")
+    if not lo <= val <= hi:
+        raise ConfigError(f"problem.{key}: {val} is outside {lo}..{hi} at "
+                          f"d = {d}")
+
+
 def build_proposal(model, rule, prop_spec: dict, path: str = "proposal"):
+    _check_size(rule, model.dim, builder=False)
     manifest_path = prop_spec.get("manifest")
     if manifest_path:
         with open(manifest_path) as fh:
@@ -164,6 +178,7 @@ def build_proposal(model, rule, prop_spec: dict, path: str = "proposal"):
     if str(variant).lower() not in known:
         raise ConfigError(f"{path}.variant: unknown {rule.kind} variant "
                           f"{variant!r}; expected 'plain' or one of {known}")
+    _check_size(rule, model.dim, builder=True)
     _check_drifts(rule, model)
     if isinstance(rule, SiegmundRule):
         return build_siegmund(variant, model, rule.ell, rule.u)

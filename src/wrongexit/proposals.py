@@ -66,6 +66,7 @@ __all__ = [
 
 DEDUP_TOL = 1e-12
 CGF_TOL = 1e-10
+GAP_QUAD_CAP = 250000  # t2 components: four-index plus single-swap tilts
 VARIANTS = {"siegmund": ("theta0", "theta1", "theta2"),  # by problem kind
             "gap": ("t0", "t1", "t2"), "sum_intersection": ("si",)}
 
@@ -437,7 +438,7 @@ def _gap_patterns(cols, m, n):
             for lps in combinations(outside, n)]
 
 
-def build_gap(variant: str, model: CgfModel, m: int, quad_cap: int = 250000
+def build_gap(variant: str, model: CgfModel, m: int
               ) -> Tuple[MixtureProposal, EfficiencyReport]:
     """Assemble the gap-rule mixtures and check (H1') / (H2').
 
@@ -470,10 +471,10 @@ def build_gap(variant: str, model: CgfModel, m: int, quad_cap: int = 250000
     if variant == "t2":
         condition = "H2'"
         n_quads = math.comb(m, 2) * math.comb(d - m, 2)
-        if n_quads + m * (d - m) > quad_cap:
+        if n_quads + m * (d - m) > GAP_QUAD_CAP:
             raise SolverError(
                 f"gap variant t2 needs {n_quads} four-index tilts, above the "
-                f"cap {quad_cap}"
+                f"cap {GAP_QUAD_CAP}"
             )
         quads = _gap_patterns(range(d), m, 2)
         s, tilts = orb.solve("quad", quads, quad_prog)

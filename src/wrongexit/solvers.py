@@ -15,25 +15,23 @@ carry |Lambda(tilt - gamma)| <= 1e-10 and a KKT certificate.
 Solver stack, cheapest applicable path first:
 
 1. closed forms (Siegmund roots, the Siegmund tilts of every region size of
-   an exchangeable model in one pass, two-index gap tilts, symmetric
-   sum-intersection tilts);
-2. symmetry reduction: when the model and the index set are invariant under
-   a coordinate-permutation group, the program collapses to one unknown per
-   orbit and is solved exactly in that tiny space;
-3. nested scalar root finding on the KKT system for independent
+   an exchangeable model in one pass, two-index gap tilts, and the
+   sum-intersection tilts of i.i.d. independent models by ray search);
+2. nested scalar root finding on the KKT system for independent
    coordinates: the stationarity conditions invert the scalar CGF
    derivatives coordinate by coordinate, leaving one monotone scalar
    equation in the constraint multiplier (plus one inner equation for the
    zero-sum multiplier of gap problems);
-4. an active-set method for general normal models, whose subproblem for a
-   fixed active set has an explicit solution; the sum-intersection active
-   set extends it to the concave objective rearrangement_min over the
-   vertex functionals of its LP, and solves every general
-   sum-intersection program of a normal model.  SLSQP remains only for
-   general sum-intersection programs of non-normal models.
+3. an active-set method that solves every program of a normal model, whose
+   subproblem for a fixed active set has an explicit solution; the
+   sum-intersection active set extends it to the concave objective
+   rearrangement_min over the vertex functionals of its LP.  SLSQP remains
+   only for general sum-intersection programs of non-normal models.
 
-Paths agree to ~1e-9 wherever more than one applies; the test suite checks
-this on small instances.
+No normal-model program is reduced by symmetry here; the proposal builders
+solve one program per symmetry orbit instead.  Paths agree to ~1e-9
+wherever more than one applies; the test suite checks this on small
+instances.
 
 Lower bounds on v_A(gamma) are certified by weak duality: a witness
 feasible for the shifted program bounds it by its support value.
@@ -87,6 +85,7 @@ CGF_TOL = 1e-10
 KKT_TOL = 1e-8
 ACTIVE_SET_MAX_ITER = 200
 ACTIVE_SET_RESTARTS = 3
+SI_SUBSET_CAP = 40000  # dual variables of one SLSQP sum-intersection solve
 
 
 class SolverError(RuntimeError):
@@ -101,7 +100,9 @@ class TiltSolution:
     multiplier followed by one bound multiplier per coordinate (zero on free
     coordinates).  ``eq_multiplier`` is the zero-sum multiplier for gap
     programs; ``weights`` are the vertex-functional weights of an exact
-    sum-intersection solve.  Ray-search solutions carry no certificate.
+    sum-intersection solve.  Ray-search solutions, used only for the
+    sum-intersection programs of i.i.d. independent models, carry no
+    certificate.
     """
 
     value: float
@@ -301,87 +302,6 @@ def _qclp_active_set(c, quad, signs, eq=None, rng_seed=0):
             nu = lam0 * t if s > 0 else None
             return x, float(c @ x), np.concatenate([[lam0], mults]), nu, resid
     raise SolverError("active-set iteration did not converge")
-
-
-def _orbits_from_keys(*key_arrays) -> list:
-    keys = list(zip(*[np.asarray(a).tolist() for a in key_arrays]))
-    groups: dict = {}
-    for i, k in enumerate(keys):
-        groups.setdefault(k, []).append(i)
-    return [np.array(v) for v in groups.values()]
-
-
-def _try_reduce(c, quad, signs, eq, orbits, tol=1e-11):
-    """Collapse the program onto orbit-constant vectors when valid.
-
-    Requires c, b, signs (and eq) constant on each orbit and Sigma constant
-    on orbit blocks; then a symmetric optimizer exists and the reduced
-    program is exact.
-    """
-    if len(orbits) == c.size:
-        return None
-    d = c.size
-    for arr in (c, quad.b, signs) + ((eq,) if eq is not None else ()):
-        for orb in orbits:
-            vals = np.asarray(arr)[orb]
-            if np.max(np.abs(vals - vals[0])) > tol * max(1.0, np.max(np.abs(vals))):
-                return None
-    for p, op in enumerate(orbits):
-        diag = np.diag(quad.sigma)[op]
-        if np.ptp(diag) > tol:
-            return None
-        for oq in orbits[p:]:
-            block = quad.sigma[np.ix_(op, oq)]
-            if op is oq:
-                off = block[~np.eye(len(op), dtype=bool)]
-                if off.size and np.ptp(off) > tol:
-                    return None
-            elif np.ptp(block) > tol:
-                return None
-    E = np.zeros((d, len(orbits)))
-    for p, orb in enumerate(orbits):
-        E[orb, p] = 1.0
-    quad_r = _Quad(quad.kappa, E.T @ quad.b, E.T @ quad.sigma @ E)
-    c_r = E.T @ c
-    signs_r = np.array([signs[orb[0]] for orb in orbits])
-    eq_r = E.T @ eq if eq is not None else None
-    return E, c_r, quad_r, signs_r, eq_r
-
-
-def _solve_quadratic_program(c, quad, signs, eq, method_hint):
-    """Dispatch: orbit reduction when valid, else full active set."""
-    orbits = _orbits_from_keys(signs, c, quad.b)
-    red = _try_reduce(c, quad, signs, eq, orbits)
-    if red is not None:
-        E, c_r, quad_r, signs_r, eq_r = red
-        y, val, _, _, resid = _qclp_active_set(c_r, quad_r, signs_r, eq_r)
-        x = E @ y
-        s_cert = _certificate(c, quad, signs, eq, x)
-        return x, val, s_cert, resid, method_hint + "/symmetry-reduced"
-    x, val, mults, nu, resid = _qclp_active_set(c, quad, signs, eq)
-    return x, val, (mults, nu), resid, method_hint + "/active-set"
-
-
-def _certificate(c, quad, signs, eq, x):
-    """Recover (lambda_0, bound multipliers, nu) from a solved point."""
-    grad = quad.grad(x)
-    free = np.abs(x) > 1e-12 * max(1.0, np.max(np.abs(x)))
-    A = [grad[free]]
-    rhs = c[free]
-    if eq is not None:
-        A.append(-eq[free])
-    if not free.any():
-        return np.full(c.size + 1, np.nan), None
-    M = np.column_stack(A)
-    coef, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    lam0 = coef[0]
-    nu = coef[1] if eq is not None else None
-    shift = (nu / lam0) * eq if eq is not None else 0.0
-    s = 1.0 / lam0 if lam0 > 0 else math.inf
-    reduced = signs * (grad + shift - s * c)
-    mults = np.zeros(c.size)
-    mults[~free] = reduced[~free] / s if s > 0 else np.nan
-    return np.concatenate([[lam0], mults]), nu
 
 
 def _mv_quad(model: MvNormalModel, gamma=None) -> _Quad:
@@ -694,8 +614,9 @@ def _ray_radius(model, direction) -> float:
 
 def _symmetric_si_beta(model, A, L):
     """max rearrangement_min(theta, L) over Lambda <= 0 with the sign pattern
-    of A, for exchangeable models: reduces to theta = (p on A, -q off A) and
-    a quasiconcave one-dimensional search over the ray angle.
+    of A, for i.i.d. independent models only (normal models take the exact
+    active set): reduces to theta = (p on A, -q off A) and a quasiconcave
+    one-dimensional search over the ray angle.
     """
     d = model.dim
     in_A = np.zeros(d, dtype=bool)
@@ -835,13 +756,10 @@ def solve_beta(A, rule, model: CgfModel, gamma=None) -> TiltSolution:
         eq = np.ones(d)
 
     if isinstance(model, MvNormalModel):
-        quad = _mv_quad(model, gamma)
-        x, val, cert, resid, method = _solve_quadratic_program(
-            c, quad, signs, eq, rule.kind
-        )
-        mults, nu = cert if isinstance(cert, tuple) else (cert, None)
-        return TiltSolution(val, x, resid <= KKT_TOL, resid, method,
-                            mults, nu)
+        x, val, mults, nu, resid = _qclp_active_set(
+            c, _mv_quad(model, gamma), signs, eq)
+        return TiltSolution(val, x, resid <= KKT_TOL, resid,
+                            f"{rule.kind}/active-set", mults, nu)
 
     if (
         isinstance(rule, SiegmundRule)
@@ -885,16 +803,10 @@ def solve_beta(A, rule, model: CgfModel, gamma=None) -> TiltSolution:
                         f"{rule.kind}/independent-kkt", mults, nu)
 
 
-def _solve_si_beta(A, rule: SumIntersectionRule, model, gamma=None,
-                   subset_cap: int = 40000) -> TiltSolution:
+def _solve_si_beta(A, rule: SumIntersectionRule, model,
+                   gamma=None) -> TiltSolution:
     d = model.dim
     L = rule.L
-    exchangeable = (
-        isinstance(model, MvNormalModel)
-        and model.exchangeable_parameters() is not None
-    ) or (isinstance(model, IndependentModel) and model.is_iid())
-    if exchangeable and gamma is None:
-        return _symmetric_si_beta(model, A, L)
     in_A = np.zeros(d, dtype=bool)
     in_A[list(A)] = True
     signs = np.where(in_A, 1.0, -1.0)
@@ -902,11 +814,13 @@ def _solve_si_beta(A, rule: SumIntersectionRule, model, gamma=None,
         return _si_active_set(np.arange(d), signs, L, _mv_quad(model, gamma),
                               "sum_intersection/active-set",
                               None if gamma is None else 2 * gamma)
+    if model.is_iid() and gamma is None:
+        return _symmetric_si_beta(model, A, L)
     n_subsets = math.comb(d, L)
-    if n_subsets > subset_cap:
+    if n_subsets > SI_SUBSET_CAP:
         raise SolverError(
             f"general sum-intersection solve needs C({d},{L}) = {n_subsets} "
-            f"dual variables, above the cap {subset_cap}"
+            f"dual variables, above the cap {SI_SUBSET_CAP}"
         )
     subsets = list(combinations(range(d), L))
     th, lam, resid, ok = _si_dual_program(model, signs, subsets, gamma=gamma)
@@ -1026,17 +940,17 @@ def solve_si_z(A, rule: SumIntersectionRule, model: CgfModel) -> TiltSolution:
     A = tuple(sorted(A))
     if len(A) != rule.L:
         raise ValueError("solve_si_z needs |A| = L")
-    ind = np.zeros(d)
-    ind[list(A)] = 1.0
-    if _is_exchangeable_on(model, A):
+    if isinstance(model, MvNormalModel):
+        return _si_active_set(list(A), np.ones(rule.L), rule.L,
+                              _mv_quad(model), "si/z-active-set")
+    if _restrict_model(model, A).is_iid():
+        ind = np.zeros(d)
+        ind[list(A)] = 1.0
         t = _ray_radius(model, ind)
         th = t * ind
         resid = abs(model.cgf(th))
         return TiltSolution(float(t), th, resid <= CGF_TOL, resid,
                             "si/z-symmetric")
-    if isinstance(model, MvNormalModel):
-        return _si_active_set(list(A), np.ones(rule.L), rule.L,
-                              _mv_quad(model), "si/z-active-set")
     t_star, th = _si_box_search(model, A)
     resid = abs(model.cgf(th))
     return TiltSolution(float(t_star), th, resid <= 1e-8, resid, "si/z-box")
@@ -1050,34 +964,26 @@ def solve_si_s(B, rule: SumIntersectionRule, model: CgfModel) -> TiltSolution:
     B = tuple(sorted(B))
     if len(B) != L + 1:
         raise ValueError("solve_si_s needs |B| = L + 1")
-    ind = np.zeros(d)
-    ind[list(B)] = 1.0
-    if _is_exchangeable_on(model, B):
+    if isinstance(model, MvNormalModel):
+        return _si_active_set(list(B), np.ones(L + 1), L, _mv_quad(model),
+                              "si/s-active-set")
+    sub = _restrict_model(model, B)
+    if sub.is_iid():
+        ind = np.zeros(d)
+        ind[list(B)] = 1.0
         t = _ray_radius(model, ind)
         th = t * ind
         val = t * (L + 1) / L
         resid = abs(model.cgf(th))
         return TiltSolution(float(val), th, resid <= CGF_TOL, resid,
                             "si/s-symmetric")
-    if isinstance(model, MvNormalModel):
-        return _si_active_set(list(B), np.ones(L + 1), L, _mv_quad(model),
-                              "si/s-active-set")
     # non-normal: LP-dual form over the support B with subsets of size L
-    sub = _restrict_model(model, B)
     subsets = list(combinations(range(L + 1), L))
     th_b, lam, resid, ok = _si_dual_program(sub, np.ones(L + 1), subsets)
     th = np.zeros(d)
     th[list(B)] = th_b
     return TiltSolution(rearrangement_min(th_b, L), th, ok and resid <= 1e-8,
                         resid, "si/s-lp-dual")
-
-
-def _is_exchangeable_on(model, idx) -> bool:
-    if isinstance(model, MvNormalModel):
-        sub = _restrict_model(model, idx)
-        return sub.exchangeable_parameters() is not None
-    comps = [model.components[i] for i in idx]
-    return all(c == comps[0] for c in comps)
 
 
 def _restrict_model(model, idx):

@@ -398,6 +398,28 @@ class TestBadInputIsConfigError:
                          "--out", str(tmp_path / "o")]) == 2
             assert f"config error: sweep.m: {m}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,problem,variant,message", [
+        ("check", {"kind": "gap", "m": 1}, "t1",
+         "problem.m: 1 is outside 2..4"),
+        ("check", {"kind": "sum_intersection", "L": 6}, "si",
+         "problem.L: 6 is outside 2..5"),
+        ("oracle", {"kind": "gap", "m": 6}, "plain",
+         "problem.m: 6 is outside 1..5"),
+    ])
+    def test_rule_size_outside_range(self, tmp_path, capsys, command, problem,
+                                     variant, message):
+        mean = ({"head": 0.5, "tail": -0.5, "split": 1}
+                if problem["kind"] == "gap" else -0.5)
+        cfg = {"name": "size",
+               "model": {"family": "mvnormal", "dim": 6, "mean": mean},
+               "problem": problem, "proposal": {"variant": variant},
+               "oracle": {"b": 2.0, "n_mixture": 100, "n_plain": 100,
+                          "seed": 1}}
+        path = write_cfg(tmp_path, cfg)
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_drift_rule_mismatch(self, tmp_path, capsys):
         cfg = {"name": "gap",
                "model": {"family": "mvnormal", "dim": 6, "rho": 0.1,

@@ -427,11 +427,8 @@ class TestOrbitSolves:
         for (build, args), (p1, r1) in zip(builds, reduced):
             p2, r2 = build(*args)
             assert p1.provenance == p2.provenance, args[0]
-            # the sum-intersection beta maximises a function that is flat at
-            # its optimum, so permuted solves fix the tilt to ~sqrt(eps)
-            tol = 1e-7 if build is build_sum_intersection else 1e-9
             np.testing.assert_allclose(p1.thetas, p2.thetas, rtol=0,
-                                       atol=tol)
+                                       atol=1e-9)
             np.testing.assert_allclose(p1.lambdas, p2.lambdas, rtol=0,
                                        atol=1e-9)
             if args[0] == "theta0":

@@ -25,6 +25,7 @@ from wrongexit import (
     homogeneous_profile,
     rate_function,
     rearrangement_min,
+    siegmund_profile,
     solve_beta,
     solve_gamma_pair,
     solve_gamma_single,
@@ -39,10 +40,9 @@ from wrongexit import (
 from wrongexit.regions import Region
 from wrongexit.solvers import (
     _independent_kkt,
-    _mv_quad,
-    _qclp_active_set,
     _restrict_model,
     _si_dual_program,
+    _symmetric_si_beta,
 )
 
 LOG2 = math.log(2.0)
@@ -143,18 +143,17 @@ class TestSiegmundSolvers:
             th, val, *_ = out
             assert iid.value == pytest.approx(val, abs=1e-7)
 
-    def test_exchangeable_reduction_agrees_with_active_set(self):
+    def test_exchangeable_active_set_matches_profile(self):
         model = exchangeable_mvnormal(7, -0.5, 0.35)
         rule = SiegmundRule(1.0, 0.7)
+        v_plus, v_minus, r = siegmund_profile(model, rule.ell, rule.u)
         for A in ([2], [0, 4], [1, 2, 3, 4, 5]):
-            red = solve_beta(A, rule, model)
-            assert "symmetry-reduced" in red.method
-            c = np.full(7, -rule.ell)
-            c[list(A)] = rule.u
-            signs = np.where(c > 0, 1.0, -1.0)
-            x, val, *_ = _qclp_active_set(c, _mv_quad(model), signs)
-            assert red.value == pytest.approx(val, abs=1e-9)
-            np.testing.assert_allclose(red.tilt, x, atol=1e-8)
+            sol = solve_beta(A, rule, model)
+            assert sol.method == "siegmund/active-set"
+            tilt = np.full(7, v_minus[len(A)])
+            tilt[A] = v_plus[len(A)]
+            assert sol.value == pytest.approx(r[len(A)], abs=1e-9)
+            np.testing.assert_allclose(sol.tilt, tilt, atol=1e-8)
 
     def test_certificates_and_local_max(self):
         rng = np.random.default_rng(10)
@@ -353,16 +352,17 @@ class TestSumIntersectionSolvers:
         assert sol.value <= best + 0.01  # random search is a lower envelope
 
     def test_beta_ray_vs_general_path(self):
-        from wrongexit.solvers import _solve_si_beta
         model = exchangeable_mvnormal(5, -0.5, 0.15)
         rule = SumIntersectionRule(2)
-        ray = solve_beta([0, 1], rule, model)
-        gen = _solve_si_beta((0, 1), rule, model, gamma=np.zeros(5))
-        assert ray.value == pytest.approx(gen.value, abs=1e-7)
+        ray = _symmetric_si_beta(model, (0, 1), 2)
+        exact = solve_beta([0, 1], rule, model)
+        assert exact.method == "sum_intersection/active-set"
+        assert exact.value == pytest.approx(ray.value, abs=1e-7)
+        assert exact.value >= ray.value - 1e-12
         region = Region(True, (0, 1))
-        check_certificate(ray, model, region, rule)
+        check_certificate(exact, model, region, rule)
         rng = np.random.default_rng(30)
-        local_max_probe(ray, model, rule, region, rng)
+        local_max_probe(exact, model, rule, region, rng)
 
     def test_beta_value_is_rearrangement_min(self):
         model = exchangeable_mvnormal(6, -0.5, 0.2)
@@ -384,15 +384,21 @@ class TestSumIntersectionSolvers:
 
 @st.composite
 def si_programs(draw):
-    """A non-exchangeable normal model (random SPD covariance, negative
-    drift), L, and one sum-intersection program: beta^A, beta^A shifted by
-    gamma = half of beta^A (kind "gamma"), z_A or s_B."""
+    """A normal model with negative drift (a random SPD covariance, or an
+    exchangeable one with rho down to -0.9/(d-1)), L, and one
+    sum-intersection program: beta^A, beta^A shifted by gamma = half of
+    beta^A (kind "gamma"), z_A or s_B."""
     d = draw(st.integers(3, 8))
     L = draw(st.integers(2, d - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    a = rng.normal(size=(d, d)) * rng.uniform(0.1, 1.0)
-    model = MvNormalModel(-rng.uniform(0.1, 1.5, size=d),
-                          a @ a.T + rng.uniform(0.05, 1.0) * np.eye(d))
+    if draw(st.booleans()):
+        model = exchangeable_mvnormal(d, -rng.uniform(0.1, 1.5),
+                                      rng.uniform(-0.9 / (d - 1), 0.9),
+                                      rng.uniform(0.5, 2.0))
+    else:
+        a = rng.normal(size=(d, d)) * rng.uniform(0.1, 1.0)
+        model = MvNormalModel(-rng.uniform(0.1, 1.5, size=d),
+                              a @ a.T + rng.uniform(0.05, 1.0) * np.eye(d))
     kind = draw(st.sampled_from(["beta", "gamma", "z", "s"]))
     size = {"z": L, "s": L + 1}.get(kind) or draw(st.integers(L, d))
     return model, SumIntersectionRule(L), kind, sorted(
