@@ -122,16 +122,21 @@ def _scalar_component(c, path):
     return [comp] * n
 
 
+_RULE_FIELDS = {"siegmund": (SiegmundRule, float, ("ell", "u")),
+                "gap": (GapRule, int, ("m",)),
+                "sum_intersection": (SumIntersectionRule, int, ("L",))}
+
+
 def build_rule(spec: dict, path: str = "problem"):
     kind = _need(spec, "kind", path)
-    if kind == "siegmund":
-        return SiegmundRule(float(_need(spec, "ell", path)),
-                            float(_need(spec, "u", path)))
-    if kind == "gap":
-        return GapRule(int(_need(spec, "m", path)))
-    if kind == "sum_intersection":
-        return SumIntersectionRule(int(_need(spec, "L", path)))
-    raise ConfigError(f"{path}.kind: unknown problem kind {kind!r}")
+    if kind not in _RULE_FIELDS:
+        raise ConfigError(f"{path}.kind: unknown problem kind {kind!r}")
+    cls, cast, keys = _RULE_FIELDS[kind]
+    vals = [cast(_need(spec, key, path)) for key in keys]
+    for key, val in zip(keys, vals):
+        if val <= 0:
+            raise ConfigError(f"{path}.{key}: {val} is not positive")
+    return cls(*vals)
 
 
 def _check_size(rule, d: int, builder: bool) -> None:

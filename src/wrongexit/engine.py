@@ -78,7 +78,6 @@ class RunConfig:
     n_paths: int
     seed: int
     max_steps: Optional[int] = None
-    mode: str = "mixture"
     workers: int = 1
 
     def __post_init__(self):
@@ -88,8 +87,6 @@ class RunConfig:
             raise ValueError("n_paths must be positive")
         if self.max_steps is not None and self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
-        if self.mode not in ("mixture", "plain"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         cpus = os.cpu_count() or 1

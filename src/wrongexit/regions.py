@@ -41,7 +41,6 @@ __all__ = [
     "SiegmundRule",
     "GapRule",
     "SumIntersectionRule",
-    "ProblemKind",
     "rearrangement_min",
 ]
 
@@ -154,15 +153,22 @@ class SiegmundRule(_StoppingRule):
     def _exit_set(self, x, b):
         return x > b * self.u
 
+    def support_rows(self, theta: np.ndarray, sets: np.ndarray) -> np.ndarray:
+        """``support_value`` of each row of a ``(n, d)`` tilt array over the
+        region whose member mask is the same row of ``sets``."""
+        signed = ~np.where(sets, theta < -SIGN_TOL,
+                           theta > SIGN_TOL).any(axis=1)
+        val = (self.u * np.where(sets, theta, 0.0).sum(axis=1)
+               - self.ell * np.where(sets, 0.0, theta).sum(axis=1))
+        return np.where(signed, val, -math.inf)
+
     def support_value(self, theta, region: Region) -> float:
         if not region.rare:
             raise ValueError("support value is defined for rare regions")
         theta = np.asarray(theta, dtype=float)
         in_A = np.zeros(theta.size, dtype=bool)
         in_A[list(region.members)] = True
-        if np.any(theta[in_A] < -SIGN_TOL) or np.any(theta[~in_A] > SIGN_TOL):
-            return -math.inf
-        return float(self.u * theta[in_A].sum() - self.ell * theta[~in_A].sum())
+        return float(self.support_rows(theta[None], in_A[None])[0])
 
     def __repr__(self):
         return f"SiegmundRule(ell={self.ell}, u={self.u})"
@@ -246,5 +252,3 @@ class SumIntersectionRule(_StoppingRule):
     def __repr__(self):
         return f"SumIntersectionRule(L={self.L})"
 
-
-ProblemKind = (SiegmundRule, GapRule, SumIntersectionRule)

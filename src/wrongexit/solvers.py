@@ -16,17 +16,22 @@ Solver stack, cheapest applicable path first:
 
 1. closed forms (Siegmund roots, the Siegmund tilts of every region size of
    an exchangeable model in one pass, two-index gap tilts, and the
-   sum-intersection tilts of i.i.d. independent models by ray search);
-2. nested scalar root finding on the KKT system for independent
-   coordinates: the stationarity conditions invert the scalar CGF
-   derivatives coordinate by coordinate, leaving one monotone scalar
-   equation in the constraint multiplier (plus one inner equation for the
-   zero-sum multiplier of gap problems);
-3. an active-set method that solves every program of a normal model, whose
-   subproblem for a fixed active set has an explicit solution; the
-   sum-intersection active set extends it to the concave objective
-   rearrangement_min over the vertex functionals of its LP.  SLSQP remains
-   only for general sum-intersection programs of non-normal models.
+   sum-intersection beta^A and s_B tilts of i.i.d. independent models by
+   ray search);
+2. ``_sign_program``, the one routine for every program with a linear
+   objective (the Siegmund and gap beta^A, gamma^{k,k'} and the four-index
+   gap tilts): max c.theta under a sign pattern on a support, the CGF
+   constraint and an optional zero sum.  Independent coordinates take
+   nested scalar root finding on the KKT system: the stationarity
+   conditions invert the scalar CGF derivatives coordinate by coordinate,
+   leaving one monotone scalar equation in the constraint multiplier (plus
+   one inner equation for the zero-sum multiplier).  Normal models take an
+   active-set method whose subproblem for a fixed active set has an
+   explicit solution;
+3. for the sum-intersection programs of a normal model, the active set
+   extended to the concave objective rearrangement_min over the vertex
+   functionals of its LP.  Non-normal models outside the ray search take
+   SLSQP (beta^A, s_B) or a box search (z_A).
 
 No normal-model program is reduced by symmetry here; the proposal builders
 solve one program per symmetry orbit instead.  Paths agree to ~1e-9
@@ -52,7 +57,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .models import CgfModel, IndependentModel, MvNormalModel, siegmund_root
 from .regions import (
-    SIGN_TOL,
     GapRule,
     Region,
     SiegmundRule,
@@ -100,9 +104,10 @@ class TiltSolution:
     multiplier followed by one bound multiplier per coordinate (zero on free
     coordinates).  ``eq_multiplier`` is the zero-sum multiplier for gap
     programs; ``weights`` are the vertex-functional weights of an exact
-    sum-intersection solve.  Ray-search solutions, used only for the
-    sum-intersection programs of i.i.d. independent models, carry no
-    certificate.
+    sum-intersection solve.  ``_sign_program`` and the sum-intersection
+    active set fill in the certificate; closed forms, ray search (only for
+    the i.i.d. sum-intersection beta^A and s_B programs), the box search
+    and SLSQP leave it empty.
     """
 
     value: float
@@ -701,22 +706,6 @@ def _si_dual_program(model, signs, subsets, gamma=None):
 # Public solvers
 # ---------------------------------------------------------------------------
 
-def _siegmund_csigns(rule: SiegmundRule, d, A):
-    in_A = np.zeros(d, dtype=bool)
-    in_A[list(A)] = True
-    c = np.where(in_A, rule.u, -rule.ell)
-    signs = np.where(in_A, 1.0, -1.0)
-    return c, signs
-
-
-def _gap_csigns(rule: GapRule, d, A):
-    in_A = np.zeros(d, dtype=bool)
-    in_A[list(A)] = True
-    c = np.where(in_A, 1.0, 0.0)
-    signs = np.where(in_A, 1.0, -1.0)
-    return c, signs
-
-
 def _check_region(rule, d, A) -> Tuple[int, ...]:
     A = tuple(sorted(int(k) for k in A))
     if any(k < 0 or k >= d for k in A):
@@ -735,6 +724,39 @@ def _check_region(rule, d, A) -> Tuple[int, ...]:
     return A
 
 
+def _sign_program(model, support, c, signs, zero_sum, gamma,
+                  method) -> TiltSolution:
+    """max c.theta s.t. signs*theta >= 0 on ``support``, theta = 0 off it,
+    Lambda(theta - gamma) <= 0 and, when ``zero_sum``, sum theta = 0.
+
+    ``c`` and ``signs`` run over ``support``; a shifted program (``gamma``
+    given) has full support.  A normal model takes the active set, an
+    independent one the KKT root search on the support's components.  A
+    ``{}`` in ``method`` takes the name of the path.
+    """
+    d = model.dim
+    sup = np.asarray(support)
+    eq = np.ones(sup.size) if zero_sum else None
+    if isinstance(model, MvNormalModel):
+        quad = _mv_quad(model, gamma)
+        if sup.size < d:
+            quad = _Quad(quad.kappa, quad.b[sup], quad.sigma[np.ix_(sup, sup)])
+        out, path = _qclp_active_set(c, quad, signs, eq), "active-set"
+    else:
+        out = _independent_kkt([model.components[k] for k in sup], c, signs,
+                               gamma=gamma, with_eq=zero_sum)
+        path = "independent-kkt"
+        if out is None:
+            return TiltSolution(-math.inf, np.zeros(d), True, 0.0,
+                                method.format(path + "(infeasible)"))
+    x, val, mults, nu, resid = out
+    th, full_m = np.zeros(d), np.zeros(d + 1)
+    th[sup] = x
+    full_m[0], full_m[1 + sup] = mults[0], mults[1:]
+    return TiltSolution(val, th, resid <= KKT_TOL, resid, method.format(path),
+                        full_m, nu if zero_sum else None)
+
+
 def solve_beta(A, rule, model: CgfModel, gamma=None) -> TiltSolution:
     """Rate r_A and optimal tilt beta^A for the rare region W^A.
 
@@ -748,24 +770,9 @@ def solve_beta(A, rule, model: CgfModel, gamma=None) -> TiltSolution:
     if isinstance(rule, SumIntersectionRule):
         return _solve_si_beta(A, rule, model, gamma)
 
-    if isinstance(rule, SiegmundRule):
-        c, signs = _siegmund_csigns(rule, d, A)
-        eq = None
-    else:
-        c, signs = _gap_csigns(rule, d, A)
-        eq = np.ones(d)
-
-    if isinstance(model, MvNormalModel):
-        x, val, mults, nu, resid = _qclp_active_set(
-            c, _mv_quad(model, gamma), signs, eq)
-        return TiltSolution(val, x, resid <= KKT_TOL, resid,
-                            f"{rule.kind}/active-set", mults, nu)
-
-    if (
-        isinstance(rule, SiegmundRule)
-        and model.is_iid()
-        and gamma is None
-    ):
+    siegmund = isinstance(rule, SiegmundRule)
+    if (siegmund and gamma is None and isinstance(model, IndependentModel)
+            and model.is_iid()):
         a = len(A)
         vp, vm, r = _homogeneous_size(model.components[0], d, rule.ell,
                                       rule.u, a)
@@ -775,32 +782,10 @@ def solve_beta(A, rule, model: CgfModel, gamma=None) -> TiltSolution:
         return TiltSolution(float(r), th, resid <= KKT_TOL, resid,
                             "siegmund/iid-profile")
 
-    if isinstance(rule, SiegmundRule) and len(A) == 1 and gamma is None:
-        # singleton shortcut: beta^{k} equals the single-root tilt gamma^k
-        # exactly when (ell/u) kappa_k^(1) <= kappa_{k'}^(0) for all k' != k
-        k = A[0]
-        z_k = siegmund_root(model.components[k])
-        kap1 = model.components[k].cgf_prime(z_k)
-        kap0 = min(
-            -model.components[j].cgf_prime(0.0)
-            for j in range(d) if j != k
-        ) if d > 1 else math.inf
-        if (rule.ell / rule.u) * kap1 <= kap0:
-            th = np.zeros(d)
-            th[k] = z_k
-            return TiltSolution(rule.u * z_k, th, True, abs(model.cgf(th)),
-                                "siegmund/singleton-root")
-
-    out = _independent_kkt(
-        model.components, c, signs,
-        gamma=gamma, with_eq=isinstance(rule, GapRule),
-    )
-    if out is None:
-        return TiltSolution(-math.inf, np.zeros(d), True, 0.0,
-                            f"{rule.kind}/independent-kkt(infeasible)")
-    th, val, mults, nu, resid = out
-    return TiltSolution(val, th, resid <= KKT_TOL, resid,
-                        f"{rule.kind}/independent-kkt", mults, nu)
+    in_A = np.isin(np.arange(d), A)
+    c = np.where(in_A, rule.u, -rule.ell) if siegmund else in_A.astype(float)
+    return _sign_program(model, np.arange(d), c, np.where(in_A, 1.0, -1.0),
+                         not siegmund, gamma, rule.kind + "/{}")
 
 
 def _solve_si_beta(A, rule: SumIntersectionRule, model,
@@ -851,27 +836,8 @@ def solve_gamma_pair(k: int, kp: int, rule: SiegmundRule,
     if k == kp:
         raise ValueError("indices must differ")
     validate_drifts(rule, model)
-    d = model.dim
-    sup = sorted((k, kp))
-    if isinstance(model, MvNormalModel):
-        quad_full = _mv_quad(model)
-        quad = _Quad(0.0, quad_full.b[sup], quad_full.sigma[np.ix_(sup, sup)])
-        c = np.full(2, rule.u)
-        signs = np.ones(2)
-        x, val, mults, nu, resid = _qclp_active_set(c, quad, signs)
-    else:
-        comps = [model.components[i] for i in sup]
-        out = _independent_kkt(comps, np.full(2, rule.u), np.ones(2))
-        if out is None:
-            raise SolverError("gamma pair program infeasible")
-        x, val, mults, nu, resid = out
-    th = np.zeros(d)
-    th[sup] = x
-    full_m = np.zeros(d + 1)
-    full_m[0] = mults[0]
-    full_m[1 + np.array(sup)] = mults[1:]
-    return TiltSolution(float(val), th, resid <= KKT_TOL, resid,
-                        "siegmund/gamma-pair", full_m, None)
+    return _sign_program(model, sorted((k, kp)), np.full(2, rule.u),
+                         np.ones(2), False, None, "siegmund/gamma-pair")
 
 
 def solve_gap_pair(l: int, lp: int, rule: GapRule, model: CgfModel) -> TiltSolution:
@@ -908,49 +874,21 @@ def solve_gap_quad(l1: int, l2: int, lp1: int, lp2: int, rule: GapRule,
     if not (l1 < rule.m and l2 < rule.m and lp1 >= rule.m and lp2 >= rule.m):
         raise ValueError("need l1,l2 in [m] and lp1,lp2 outside [m]")
     validate_drifts(rule, model)
-    d = model.dim
-    sup = list(idx)
-    c = np.array([0.0, 0.0, 1.0, 1.0])
-    signs = np.array([-1.0, -1.0, 1.0, 1.0])
-    eq = np.ones(4)
-    if isinstance(model, MvNormalModel):
-        quad_full = _mv_quad(model)
-        quad = _Quad(0.0, quad_full.b[sup], quad_full.sigma[np.ix_(sup, sup)])
-        x, val, mults, nu, resid = _qclp_active_set(c, quad, signs, eq)
-    else:
-        comps = [model.components[i] for i in sup]
-        out = _independent_kkt(comps, c, signs, with_eq=True)
-        if out is None:
-            raise SolverError("gap quad program infeasible")
-        x, val, mults, nu, resid = out
-    th = np.zeros(d)
-    th[sup] = x
-    full_m = np.zeros(d + 1)
-    full_m[0] = mults[0]
-    full_m[1 + np.array(sup)] = mults[1:]
-    return TiltSolution(float(val), th, resid <= KKT_TOL, resid,
-                        "gap/quad", full_m, nu)
+    return _sign_program(model, idx, np.array([0.0, 0.0, 1.0, 1.0]),
+                         np.array([-1.0, -1.0, 1.0, 1.0]), True, None,
+                         "gap/quad")
 
 
 def solve_si_z(A, rule: SumIntersectionRule, model: CgfModel) -> TiltSolution:
     """z_A and gamma^A: maximize |theta|_(L) over tilts supported and
     nonnegative on A with |A| = L."""
     validate_drifts(rule, model)
-    d = model.dim
     A = tuple(sorted(A))
     if len(A) != rule.L:
         raise ValueError("solve_si_z needs |A| = L")
     if isinstance(model, MvNormalModel):
         return _si_active_set(list(A), np.ones(rule.L), rule.L,
                               _mv_quad(model), "si/z-active-set")
-    if _restrict_model(model, A).is_iid():
-        ind = np.zeros(d)
-        ind[list(A)] = 1.0
-        t = _ray_radius(model, ind)
-        th = t * ind
-        resid = abs(model.cgf(th))
-        return TiltSolution(float(t), th, resid <= CGF_TOL, resid,
-                            "si/z-symmetric")
     t_star, th = _si_box_search(model, A)
     resid = abs(model.cgf(th))
     return TiltSolution(float(t_star), th, resid <= 1e-8, resid, "si/z-box")
@@ -1064,11 +1002,7 @@ def v_lower_bounds(sets, gamma, witnesses, rule: SiegmundRule,
     if model.cgf(gamma) > CGF_TOL:
         raise ValueError("gamma must satisfy Lambda(gamma) <= 0")
     feasible = model.cgf_rows(witnesses - gamma) <= CGF_TOL
-    signed = ~np.where(sets, witnesses < -SIGN_TOL,
-                       witnesses > SIGN_TOL).any(axis=1)
-    bound = (rule.u * np.where(sets, witnesses, 0.0).sum(axis=1)
-             - rule.ell * np.where(sets, 0.0, witnesses).sum(axis=1))
-    return np.where(feasible & signed, bound, -math.inf)
+    return np.where(feasible, rule.support_rows(witnesses, sets), -math.inf)
 
 
 def rate_function(x, model: MvNormalModel) -> float:

@@ -405,6 +405,12 @@ class TestBadInputIsConfigError:
          "problem.L: 6 is outside 2..5"),
         ("oracle", {"kind": "gap", "m": 6}, "plain",
          "problem.m: 6 is outside 1..5"),
+        ("check", {"kind": "gap", "m": 0}, "t1",
+         "problem.m: 0 is not positive"),
+        ("check", {"kind": "sum_intersection", "L": 0}, "si",
+         "problem.L: 0 is not positive"),
+        ("check", {"kind": "siegmund", "ell": 0.0, "u": 1.0}, "theta1",
+         "problem.ell: 0.0 is not positive"),
     ])
     def test_rule_size_outside_range(self, tmp_path, capsys, command, problem,
                                      variant, message):

@@ -37,6 +37,7 @@ from wrongexit import (
     v_lower_bound,
     v_lower_bounds,
 )
+from wrongexit.models import siegmund_root
 from wrongexit.regions import Region
 from wrongexit.solvers import (
     _independent_kkt,
@@ -129,6 +130,14 @@ class TestSiegmundSolvers:
             s2 = solve_beta(A, rule, mv)
             assert s1.value == pytest.approx(s2.value, abs=1e-7)
             np.testing.assert_allclose(s1.tilt, s2.tilt, atol=1e-6)
+        for k, kp in ((0, 1), (1, 3), (2, 3)):
+            s1 = solve_gamma_pair(k, kp, rule, indep)
+            s2 = solve_gamma_pair(k, kp, rule, mv)
+            assert s1.value == pytest.approx(s2.value, abs=1e-7)
+            np.testing.assert_allclose(s1.tilt, s2.tilt, atol=1e-6)
+            assert s1.multipliers.shape == s2.multipliers.shape == (5,)
+            np.testing.assert_allclose(s1.multipliers, s2.multipliers,
+                                       atol=1e-6)
 
     def test_beta_iid_path_agrees_with_kkt_path(self):
         comp = ShiftedExponential(2.0, -LOG2)
@@ -202,6 +211,19 @@ class TestSiegmundSolvers:
         beta = solve_beta([0], RULE11, model)
         gam = solve_gamma_single(0, RULE11, model)
         assert np.max(np.abs(beta.tilt - gam.tilt)) > 1e-3  # iff fails
+        # non-i.i.d. coordinates where the condition holds for both k: the
+        # KKT path lands on the single-root tilt
+        mixed = IndependentModel([comp, ShiftedExponential(3.0, -0.5)])
+        rule = SiegmundRule(1.0, 3.0)
+        for k in (0, 1):
+            beta = solve_beta([k], rule, mixed)
+            gam = solve_gamma_single(k, rule, mixed)
+            assert beta.method == "siegmund/independent-kkt"
+            assert beta.value == pytest.approx(gam.value, abs=1e-12)
+            np.testing.assert_allclose(beta.tilt, gam.tilt, atol=1e-12)
+            check_certificate(beta, mixed, Region(True, (k,)), rule)
+            assert beta.multipliers[0] > 0
+            assert np.all(beta.multipliers[1:] >= 0)
         # normal iid with ell = u: equality case, tilts coincide exactly
         modeln = IndependentModel([Normal(-0.5, 1.0)] * 3)
         beta = solve_beta([0], RULE11, modeln)
@@ -258,6 +280,17 @@ class TestGapSolvers:
             assert s1.value == pytest.approx(s2.value, abs=1e-7)
             np.testing.assert_allclose(s1.tilt, s2.tilt, atol=1e-6)
             assert abs(s1.tilt.sum()) <= 1e-9
+        for idx in ((0, 1, 2, 4), (1, 0, 3, 4)):
+            s1 = solve_gap_quad(*idx, rule, indep)
+            s2 = solve_gap_quad(*idx, rule, mv)
+            assert s1.value == pytest.approx(s2.value, abs=1e-7)
+            np.testing.assert_allclose(s1.tilt, s2.tilt, atol=1e-6)
+            assert abs(s1.tilt.sum()) <= 1e-9
+            assert s1.multipliers.shape == s2.multipliers.shape == (6,)
+            np.testing.assert_allclose(s1.multipliers, s2.multipliers,
+                                       atol=1e-6)
+            assert s1.eq_multiplier == pytest.approx(s2.eq_multiplier,
+                                                     abs=1e-6)
 
     def test_gap_certificates(self):
         rng = np.random.default_rng(20)
@@ -303,6 +336,18 @@ class TestSumIntersectionSolvers:
             assert z == pytest.approx(1 / (rho * L + 1 - rho), abs=1e-10)
             assert s == pytest.approx(
                 (L + 1) / (L * (rho * (L + 1) + 1 - rho)), abs=1e-10)
+        # i.i.d. independent coordinates: every coordinate of z_A sits at
+        # the marginal Siegmund root, -2 mu / sigma2 for a normal
+        for comp in (Normal(-0.5, 2.0), ShiftedExponential(2.0, -LOG2)):
+            root = (-2 * comp.mu / comp.sigma2 if isinstance(comp, Normal)
+                    else siegmund_root(comp))
+            model = IndependentModel([comp] * 6)
+            for L in (2, 3):
+                sol = solve_si_z(range(L), SumIntersectionRule(L), model)
+                assert sol.method == "si/z-box"
+                assert sol.value == pytest.approx(root, abs=1e-12)
+                np.testing.assert_allclose(sol.tilt[:L], root, atol=1e-12)
+                assert not sol.tilt[L:].any()
 
     def test_z_grid_oracle_general_cov(self):
         rng = np.random.default_rng(8)
