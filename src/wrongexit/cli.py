@@ -43,12 +43,14 @@ from .proposals import (
     build_gap,
     build_siegmund,
     build_sum_intersection,
+    candidate_betas,
     check_direct_siegmund_homogeneous,
+    plain_proposal,
     problem_record,
 )
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
 from .solvers import (solve_beta, solve_gamma_pair, solve_gamma_single,
-                      validate_drifts)
+                      solve_si_s, solve_si_z, validate_drifts)
 
 
 # sum-intersection audit records kept in a ``solve`` manifest
@@ -63,6 +65,34 @@ def _need(cfg: dict, key: str, path: str):
     if key not in cfg:
         raise ConfigError(f"{path}.{key}: missing required field")
     return cfg[key]
+
+
+def _number(val, path: str, cast=float):
+    """``val`` through ``cast``; a value it rejects is a ConfigError."""
+    try:
+        return cast(val)
+    except (TypeError, ValueError):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{path}: {val!r} is not {kind}") from None
+
+
+def _positive(val, path: str, cast=float):
+    """``val`` through ``cast``, which must come out positive."""
+    x = _number(val, path, cast)
+    if not x > 0:
+        raise ConfigError(f"{path}: {x} is not positive")
+    return x
+
+
+def _seed(args, spec: dict, path: str) -> int:
+    """``--seed`` if given, else the config's ``seed``; a Philox key word,
+    0..2**64 - 2, as ``oracle`` also uses seed + 1."""
+    val, path = ((args.seed, "--seed") if args.seed is not None
+                 else (_need(spec, "seed", path), f"{path}.seed"))
+    seed = _number(val, path, int)
+    if not 0 <= seed <= 2 ** 64 - 2:
+        raise ConfigError(f"{path}: {seed} is outside 0..2**64 - 2")
+    return seed
 
 
 def build_model(spec: dict, path: str = "model"):
@@ -93,33 +123,41 @@ def build_model(spec: dict, path: str = "model"):
 
 def _mean_vector(spec, path):
     d = spec.get("dim")
+    if d is not None:
+        d = _positive(d, f"{path}.dim", int)
     mean = _need(spec, "mean", path)
     if isinstance(mean, (int, float)):
         if d is None:
             raise ConfigError(f"{path}.dim: required with scalar mean")
-        return np.full(int(d), float(mean))
+        return np.full(d, float(mean))
     if isinstance(mean, dict):
         if d is None:
             raise ConfigError(f"{path}.dim: required with head/tail mean")
-        split = int(_need(mean, "split", f"{path}.mean"))
-        v = np.full(int(d), float(_need(mean, "tail", f"{path}.mean")))
+        split = _number(_need(mean, "split", f"{path}.mean"),
+                        f"{path}.mean.split", int)
+        if not 0 <= split <= d:
+            raise ConfigError(f"{path}.mean.split: {split} is outside 0..{d}")
+        v = np.full(d, float(_need(mean, "tail", f"{path}.mean")))
         v[:split] = float(_need(mean, "head", f"{path}.mean"))
         return v
     return np.asarray(mean, dtype=float)
 
 
+_COMPONENTS = {"normal": (Normal, ("mu", "sigma2")),
+               "shifted_exponential": (ShiftedExponential, ("rate", "shift"))}
+
+
 def _scalar_component(c, path):
     kind = _need(c, "type", path)
-    n = int(c.get("count", 1))
-    if kind == "normal":
-        comp = Normal(float(_need(c, "mu", path)),
-                      float(_need(c, "sigma2", path)))
-    elif kind == "shifted_exponential":
-        comp = ShiftedExponential(float(_need(c, "rate", path)),
-                                  float(_need(c, "shift", path)))
-    else:
+    if kind not in _COMPONENTS:
         raise ConfigError(f"{path}.type: unknown component type {kind!r}")
-    return [comp] * n
+    n = _positive(c.get("count", 1), f"{path}.count", int)
+    cls, keys = _COMPONENTS[kind]
+    vals = [_number(_need(c, key, path), f"{path}.{key}") for key in keys]
+    try:
+        return [cls(*vals)] * n
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 _RULE_FIELDS = {"siegmund": (SiegmundRule, float, ("ell", "u")),
@@ -132,11 +170,8 @@ def build_rule(spec: dict, path: str = "problem"):
     if kind not in _RULE_FIELDS:
         raise ConfigError(f"{path}.kind: unknown problem kind {kind!r}")
     cls, cast, keys = _RULE_FIELDS[kind]
-    vals = [cast(_need(spec, key, path)) for key in keys]
-    for key, val in zip(keys, vals):
-        if val <= 0:
-            raise ConfigError(f"{path}.{key}: {val} is not positive")
-    return cls(*vals)
+    return cls(*(_positive(_need(spec, key, path), f"{path}.{key}", cast)
+                 for key in keys))
 
 
 def _check_size(rule, d: int, builder: bool) -> None:
@@ -175,10 +210,7 @@ def build_proposal(model, rule, prop_spec: dict, path: str = "proposal"):
         return prop, rep
     variant = prop_spec.get("variant", "plain")
     if variant == "plain":
-        prop = MixtureProposal(np.zeros((1, model.dim)), np.zeros(1),
-                               ["plain[0]"], problem_record(rule, model.dim),
-                               "plain")
-        return prop, None
+        return plain_proposal(rule, model.dim), None
     known = VARIANTS[rule.kind]
     if str(variant).lower() not in known:
         raise ConfigError(f"{path}.variant: unknown {rule.kind} variant "
@@ -236,6 +268,7 @@ def cmd_solve(cfg, args) -> int:
     model = build_model(cfg["model"])
     rule = build_rule(_need(cfg, "problem", "config"))
     prop, rep = build_proposal(model, rule, cfg.get("proposal", {}))
+    _check_drifts(rule, model)
     solutions, total = _solution_table(model, rule)
     man = prop.to_manifest(rep, solutions)
     man["solutions_total"] = total
@@ -250,31 +283,17 @@ def cmd_solve(cfg, args) -> int:
 
 
 def _solution_table(model, rule):
-    """Audit records for the candidate-region tilts, and the number of
-    candidate regions; sum-intersection records stop at SOLUTION_CAP."""
-    recs = []
-    if isinstance(rule, SiegmundRule):
-        sets = [[k] for k in range(model.dim)]
-    elif isinstance(rule, GapRule):
-        m, d = rule.m, model.dim
-        sets = [sorted(set(range(m)) - {l} | {lp})
-                for l in range(m) for lp in range(m, d)]
-    else:
-        from itertools import combinations
-        sets = [list(A) for A in combinations(range(model.dim), rule.L)]
-    total = len(sets)
-    if isinstance(rule, SumIntersectionRule):
-        sets = sets[:SOLUTION_CAP]
-    for A in sets:
-        sol = solve_beta(A, rule, model)
-        recs.append({
-            "problem": rule.kind,
-            "A": list(A),
-            "r": sol.value,
-            "beta": sol.tilt.tolist(),
-            "residual": sol.residual,
-        })
-    return recs, total
+    """Audit records of the candidate-region tilts, which are the
+    mixture's beta^A rows, and the number of candidate regions;
+    sum-intersection records stop at SOLUTION_CAP."""
+    si = isinstance(rule, SumIntersectionRule)
+    regions, rates, betas, resid, _ = candidate_betas(
+        rule, model, SOLUTION_CAP if si else None)
+    recs = [{"problem": rule.kind, "A": list(A), "r": r, "beta": beta,
+             "residual": res}
+            for A, r, beta, res in zip(regions, rates.tolist(),
+                                       betas.tolist(), resid.tolist())]
+    return recs, math.comb(model.dim, rule.L) if si else len(recs)
 
 
 def cmd_check(cfg, args) -> int:
@@ -307,7 +326,8 @@ def cmd_check(cfg, args) -> int:
 
 def _workers(args, spec: dict, path: str) -> int:
     """``--workers`` if given, else the config's value; 1..os.cpu_count()."""
-    w = int(spec.get("workers", 1) if args.workers is None else args.workers)
+    w = _number(spec.get("workers", 1) if args.workers is None
+                else args.workers, f"{path}.workers", int)
     if not 1 <= w <= (os.cpu_count() or 1):
         raise ConfigError(f"{path}.workers: {w} is outside 1..os.cpu_count()"
                           f" = {os.cpu_count() or 1}")
@@ -316,12 +336,17 @@ def _workers(args, spec: dict, path: str) -> int:
 
 def cmd_run(cfg, args) -> int:
     run_spec = _need(cfg, "run", "config")
-    seed = int(args.seed if args.seed is not None else
-               _need(run_spec, "seed", "run"))
+    seed = _seed(args, run_spec, "run")
     workers = _workers(args, run_spec, "run")
-    b_grid = [float(b) for b in _need(run_spec, "b_grid", "run")]
-    n_paths = int(_need(run_spec, "n_paths", "run"))
+    b_grid = [_positive(b, f"run.b_grid[{i}]")
+              for i, b in enumerate(_need(run_spec, "b_grid", "run"))]
+    if not b_grid or b_grid != sorted(b_grid):
+        raise ConfigError(f"run.b_grid: {b_grid} is not a nonempty "
+                          "ascending grid")
+    n_paths = _positive(_need(run_spec, "n_paths", "run"), "run.n_paths", int)
     max_steps = run_spec.get("max_steps")
+    if max_steps is not None:
+        max_steps = _positive(max_steps, "run.max_steps", int)
     model = build_model(cfg["model"])
     rule = build_rule(_need(cfg, "problem", "config"))
     prop, rep = build_proposal(model, rule, cfg.get("proposal", {}))
@@ -364,17 +389,17 @@ def cmd_run(cfg, args) -> int:
 
 def cmd_oracle(cfg, args) -> int:
     osp = _need(cfg, "oracle", "config")
-    b = float(_need(osp, "b", "oracle"))
-    seed = int(args.seed if args.seed is not None else
-               _need(osp, "seed", "oracle"))
+    b = _positive(_need(osp, "b", "oracle"), "oracle.b")
+    seed = _seed(args, osp, "oracle")
     workers = _workers(args, osp, "oracle")
+    n_mix, n_plain = (_positive(_need(osp, key, "oracle"), f"oracle.{key}",
+                                int) for key in ("n_mixture", "n_plain"))
     model = build_model(cfg["model"])
     rule = build_rule(_need(cfg, "problem", "config"))
     prop, _ = build_proposal(model, rule, cfg.get("proposal", {}))
-    mix_cfg = RunConfig(b=b, n_paths=int(_need(osp, "n_mixture", "oracle")),
-                        seed=seed, workers=workers)
-    plain_cfg = RunConfig(b=b, n_paths=int(_need(osp, "n_plain", "oracle")),
-                          seed=seed + 1, workers=workers)
+    mix_cfg = RunConfig(b=b, n_paths=n_mix, seed=seed, workers=workers)
+    plain_cfg = RunConfig(b=b, n_paths=n_plain, seed=seed + 1,
+                          workers=workers)
     mix = estimate_wrong_exit(model, prop, rule, mix_cfg)
     pl = plain_mc(model, rule, plain_cfg)
     se = math.hypot(mix.std_error, pl.std_error)
@@ -460,7 +485,7 @@ def _float_grid(spec, key, default, path):
             raise ConfigError(f"{path}.{key}.step: {step} is not positive")
         n = int(round((stop - start) / step))
         return [round(start + i * step, 10) for i in range(n + 1)]
-    return [float(x) for x in g]
+    return [_number(x, f"{path}.{key}[{i}]") for i, x in enumerate(g)]
 
 
 def _rho_grid(spec, d, path):
@@ -479,8 +504,8 @@ def _rho_grid(spec, d, path):
 
 def _sweep_siegmund_rho(spec, out):
     d = int(spec.get("d", 50))
-    ell = float(spec.get("ell", 1.0))
-    u = float(spec.get("u", 1.0))
+    ell = _positive(spec.get("ell", 1.0), "sweep.ell")
+    u = _positive(spec.get("u", 1.0), "sweep.u")
     rule = SiegmundRule(ell, u)
     rhos = _rho_grid(spec, d, "sweep")
     with open(out, "w", newline="") as fh:
@@ -504,6 +529,7 @@ def _sweep_gap_v(spec, out):
     rule = GapRule(m)
     vs = _float_grid(spec, "v_grid", np.geomspace(0.05, 20.0, 61).tolist(),
                      "sweep")
+    vs = [_positive(v, f"sweep.v_grid[{i}]") for i, v in enumerate(vs)]
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["v", "min_r_A", "h1p_bound", "h2p_bound", "h1p_holds",
@@ -522,9 +548,10 @@ def _sweep_gap_v(spec, out):
 def _sweep_si_rho(spec, out):
     d = int(spec.get("d", 50))
     L = int(spec.get("L", 2))
-    rule = SumIntersectionRule(L)
     rhos = _rho_grid(spec, d, "sweep")
-    from .solvers import solve_si_s, solve_si_z
+    if not 1 <= L <= d - 1:
+        raise ConfigError(f"sweep.L: {L} is outside 1..d-1 = 1..{d - 1}")
+    rule = SumIntersectionRule(L)
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["rho", "r_A", "z_A", "s_B", "hsi_holds"])

@@ -32,13 +32,12 @@ from dataclasses import dataclass
 import math
 import os
 import sys
-import time
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .models import CgfModel
-from .proposals import MixtureProposal
+from .proposals import MixtureProposal, plain_proposal
 
 __all__ = [
     "RunConfig",
@@ -108,10 +107,9 @@ class EstimatorRun:
     truncation_count: int
     b: float
     seed: int
-    wall_time: float = 0.0
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "n": self.n,
             "b": self.b,
             "seed": self.seed,
@@ -122,9 +120,6 @@ class EstimatorRun:
             "exit_tally": dict(sorted(self.exit_tally.items())),
             "truncation_count": self.truncation_count,
         }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time
-        return out
 
 
 def default_max_steps(model: CgfModel, thetas: np.ndarray, b: float) -> int:
@@ -225,7 +220,6 @@ def estimate_wrong_exit(model: CgfModel, proposal: MixtureProposal, rule,
     """N-path mixture estimate of the wrong-exit probability at scale b."""
     if proposal.dim != model.dim:
         raise ValueError("proposal dimension does not match the model")
-    t0 = time.perf_counter()
     max_steps = config.max_steps
     if max_steps is None:
         max_steps = default_max_steps(model, proposal.thetas, config.b)
@@ -248,10 +242,10 @@ def estimate_wrong_exit(model: CgfModel, proposal: MixtureProposal, rule,
     for _, t, _ in outs:
         tally.update(t)
     truncated = sum(o[2] for o in outs)
-    return _finalize(values, tally, truncated, config, time.perf_counter() - t0)
+    return _finalize(values, tally, truncated, config)
 
 
-def _finalize(values, tally, truncated, config, wall) -> EstimatorRun:
+def _finalize(values, tally, truncated, config) -> EstimatorRun:
     n = values.size
     mean = float(np.mean(values))
     second = float(np.mean(values ** 2))
@@ -271,18 +265,14 @@ def _finalize(values, tally, truncated, config, wall) -> EstimatorRun:
         truncation_count=truncated,
         b=config.b,
         seed=config.seed,
-        wall_time=wall,
     )
 
 
 def plain_mc(model: CgfModel, rule, config: RunConfig) -> EstimatorRun:
     """Average of the wrong-exit indicator under the untilted walk: the
     mixture estimator with the single component theta = 0."""
-    plain = MixtureProposal(
-        np.zeros((1, model.dim)), np.zeros(1), ["plain[0]"],
-        {"kind": rule.kind, "d": model.dim}, "plain",
-    )
-    return estimate_wrong_exit(model, plain, rule, config)
+    return estimate_wrong_exit(model, plain_proposal(rule, model.dim), rule,
+                               config)
 
 
 def decay_scan(model: CgfModel, proposal: MixtureProposal, rule,

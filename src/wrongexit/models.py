@@ -100,11 +100,6 @@ class Normal:
     def cgf_second(self, t: float) -> float:
         return self.sigma2
 
-    # range of cgf_prime over the domain, used to invert the derivative
-    @property
-    def prime_range(self) -> tuple:
-        return (-math.inf, math.inf)
-
     def prime_inverse(self, y: float) -> float:
         return (y - self.mu) / self.sigma2
 
@@ -148,10 +143,6 @@ class ShiftedExponential:
 
     def cgf_second(self, t: float) -> float:
         return (self.rate - t) ** -2
-
-    @property
-    def prime_range(self) -> tuple:
-        return (self.shift, math.inf)
 
     def prime_inverse(self, y: float) -> float:
         if y <= self.shift:
@@ -221,8 +212,8 @@ class MvNormalModel(_TiltedSampling):
     def __init__(self, mean, cov):
         mean = np.asarray(mean, dtype=float).copy()
         cov = np.asarray(cov, dtype=float).copy()
-        if mean.ndim != 1:
-            raise ValueError("mean must be a vector")
+        if mean.ndim != 1 or not mean.size:
+            raise ValueError("mean must be a nonempty vector")
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise ValueError(f"cov has shape {cov.shape}, expected ({d}, {d})")

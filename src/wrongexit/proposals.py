@@ -26,13 +26,15 @@ rule, all of range(d) for an exchangeable model, else one per coordinate)
 split each program's index patterns into orbits.  Each builder solves one
 canonical pattern per orbit, moves its tilt onto the other patterns, and
 checks its condition over one pattern per orbit; without symmetry, each
-distinct program is still solved once.
+distinct program is still solved once.  The candidate regions and their
+tilts beta^A come from one block, ``candidate_betas``, which every builder
+and the ``solve`` audit start from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import asdict, dataclass, field
+from itertools import combinations, islice
 import math
 from typing import List, Optional, Tuple
 
@@ -61,12 +63,15 @@ __all__ = [
     "check_direct_siegmund_homogeneous",
     "build_gap",
     "build_sum_intersection",
+    "candidate_betas",
+    "plain_proposal",
     "problem_record",
 ]
 
 DEDUP_TOL = 1e-12
 CGF_TOL = 1e-10
 GAP_QUAD_CAP = 250000  # t2 components: four-index plus single-swap tilts
+SI_COMPONENT_CAP = 100000  # sum-intersection components: 2 C(d, L)
 VARIANTS = {"siegmund": ("theta0", "theta1", "theta2"),  # by problem kind
             "gap": ("t0", "t1", "t2"), "sum_intersection": ("si",)}
 
@@ -98,16 +103,7 @@ class EfficiencyReport:
         self.r_star = float(self.r_star)
 
     def as_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "holds": bool(self.holds),
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "r_star": float(self.r_star),
-            "margins": {k: float(v) for k, v in self.margins.items()},
-            "warning": self.warning,
-            "margins_dropped": int(self.margins_dropped),
-        }
+        return asdict(self)
 
 
 class MixtureProposal:
@@ -163,14 +159,13 @@ class MixtureProposal:
 
     @classmethod
     def from_manifest(cls, man: dict) -> "MixtureProposal":
-        prop = cls(
+        return cls(
             np.array(man["thetas"], dtype=float),
             np.array(man["lambdas"], dtype=float),
             man["provenance"],
             man["problem"],
             man.get("variant", ""),
         )
-        return prop
 
     def check_lambdas(self, model: CgfModel, tol: float = CGF_TOL) -> float:
         """Largest |Lambda(theta_i) - lambdas[i]|; raises above ``tol``."""
@@ -184,7 +179,6 @@ class MixtureProposal:
 
 
 def _dedup(thetas, lambdas, provenance):
-    d = thetas.shape[1]
     groups: dict = {}
     order: List[int] = []
     merged: List[List[int]] = []
@@ -215,6 +209,12 @@ def problem_record(rule, d: int) -> dict:
              "sum_intersection": ("L",)}[rule.kind]
     return {"kind": rule.kind, **{k: getattr(rule, k) for k in names},
             "d": d}
+
+
+def plain_proposal(rule, d: int) -> MixtureProposal:
+    """The one-component proposal theta = 0: plain Monte Carlo."""
+    return MixtureProposal(np.zeros((1, d)), np.zeros(1), ["plain[0]"],
+                           problem_record(rule, d), "plain")
 
 
 def _set_label(A) -> str:
@@ -276,8 +276,9 @@ class _Orbits:
         return [j for a, b in self._spans for j in range(a, min(a + n, b))]
 
     def solve(self, key: str, patterns, program):
-        """Values (n,) and tilts (n, d) of program ``key`` on n index
-        patterns; ``program(canonical pattern)`` returns a TiltSolution."""
+        """Values (n,), tilts (n, d) and residuals (n,) of program ``key`` on
+        n index patterns; ``program(canonical pattern)`` returns a
+        TiltSolution."""
         idx = np.array(patterns, dtype=np.intp).reshape(len(patterns), -1)
         start = self._start[idx]
         canon = start.copy()  # block start + rank among the block's indices
@@ -293,14 +294,40 @@ class _Orbits:
                 fill = self._start + np.bincount(self._start[list(rep)],
                                                  minlength=d)[self._start]
                 fill = np.where(fill < self._end, fill, np.arange(d))
-                hit = (sol.value, sol.tilt[fill], sol.tilt[list(rep)])
+                hit = (sol.value, sol.tilt[fill], sol.tilt[list(rep)],
+                       sol.residual)
                 self._cache[(key, rep)] = hit
             hits.append(hit)
         inv = inv.reshape(-1)
         tilts = np.array([h[1] for h in hits])[inv]
         tilts[np.arange(idx.shape[0])[:, None], idx] = \
             np.array([h[2] for h in hits])[inv]
-        return np.array([h[0] for h in hits])[inv], tilts
+        return (np.array([h[0] for h in hits])[inv], tilts,
+                np.array([h[3] for h in hits])[inv])
+
+
+def candidate_betas(rule, model: CgfModel, n: Optional[int] = None):
+    """The candidate regions of ``rule`` with their rates r_A, tilts beta^A
+    and residuals, solved once per orbit, and the orbit cache.
+
+    The regions are the Siegmund singletons, the gap swaps [m] \\ {l} u {l'}
+    (l in [m], l' outside it) or the sum-intersection L-sets, in
+    lexicographic order of their index patterns; the first ``n`` of them
+    when ``n`` is given.  The cache holds the solves under the key "beta".
+    """
+    d = model.dim
+    gap = isinstance(rule, GapRule)
+    orb = _Orbits(model, rule.m if gap else 0)
+    if gap:
+        patterns = _gap_patterns(range(d), rule.m, 1)
+        region = lambda q: _swap_set(rule.m, *q)
+    else:
+        size = 1 if isinstance(rule, SiegmundRule) else rule.L
+        patterns, region = combinations(range(d), size), lambda q: q
+    patterns = list(islice(patterns, n))
+    rates, betas, resid = orb.solve(
+        "beta", patterns, lambda q: solve_beta(region(q), rule, model))
+    return [region(q) for q in patterns], rates, betas, resid, orb
 
 
 def _finish(model, thetas, labels, problem, variant, condition, lhs, rhs,
@@ -345,10 +372,7 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
     validate_drifts(rule, model)
     d = model.dim
     problem = problem_record(rule, d)
-    orb = _Orbits(model)
-    singletons = [(k,) for k in range(d)]
-    rates, betas = orb.solve("beta", singletons,
-                             lambda q: solve_beta(q, rule, model))
+    singletons, rates, betas, _, orb = candidate_betas(rule, model)
     r_min = rates.min()
     rhs = 2 * r_min
     thetas = [betas]
@@ -366,8 +390,9 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
     if variant == "theta1":
         condition = "H1"
         s = orb.solve("pair", rep_pairs, pair_prog)[0]
-        z, gammas = orb.solve("single", singletons,
-                              lambda q: solve_gamma_single(q[0], rule, model))
+        z, gammas, _ = orb.solve(
+            "single", singletons,
+            lambda q: solve_gamma_single(q[0], rule, model))
         for (k, kp), s_kk in zip(rep_pairs, s):
             for a, b in ((k, kp), (kp, k)):
                 val = z[a] + s_kk
@@ -454,17 +479,15 @@ def build_gap(variant: str, model: CgfModel, m: int
     rule = GapRule(m)
     validate_drifts(rule, model)
     problem = problem_record(rule, d)
-    orb = _Orbits(model, m)
-    beta_prog = lambda q: solve_beta(_swap_set(m, *q), rule, model)
     pair_prog = lambda q: solve_gap_pair(*q, rule, model)
     quad_prog = lambda q: solve_gap_quad(*q, rule, model)
 
+    regions, rates, betas, _, orb = candidate_betas(rule, model)
     swaps = _gap_patterns(range(d), m, 1)
-    rates, betas = orb.solve("beta", swaps, beta_prog)
     r_min = rates.min()
     rhs = 2 * r_min
     thetas = [betas]
-    labels = [f"beta[{_set_label(_swap_set(m, *s))}]" for s in swaps]
+    labels = [f"beta[{_set_label(A)}]" for A in regions]
 
     warning = FAILED
     lhs, margins = -math.inf, {}
@@ -477,7 +500,7 @@ def build_gap(variant: str, model: CgfModel, m: int
                 f"cap {GAP_QUAD_CAP}"
             )
         quads = _gap_patterns(range(d), m, 2)
-        s, tilts = orb.solve("quad", quads, quad_prog)
+        s, tilts, _ = orb.solve("quad", quads, quad_prog)
         i = int(np.argmin(s))
         lhs = 2 * s[i]
         margins["2s~[%d,%d,%d,%d]" % quads[i]] = lhs - rhs
@@ -488,10 +511,8 @@ def build_gap(variant: str, model: CgfModel, m: int
         heads = orb.heads(2)
         n_rep = (math.comb(sum(j < m for j in heads), 2)
                  * math.comb(sum(j >= m for j in heads), 2))
-        reps = _gap_patterns(orb.heads(1), m, 1)
-        if variant == "t0" and np.max(np.abs(
-                orb.solve("pair", reps, pair_prog)[1]
-                - orb.solve("beta", reps, beta_prog)[1])) > 1e-9:
+        pairs = orb.solve("pair", swaps, pair_prog)[1]
+        if variant == "t0" and np.max(np.abs(pairs - betas)) > 1e-9:
             # (H1') covers t0 only when Theta~0 = Theta~1
             margins["theta0 != theta1"] = -math.inf
             warning = ("(H1') not checked: the swap tilts differ from the "
@@ -512,7 +533,7 @@ def build_gap(variant: str, model: CgfModel, m: int
             margins["z~[%d,%d]+s~[%d,%d,%d,%d]" % (q4[j], q4[j + 2], *q4)] \
                 = lhs - rhs
         if variant == "t1":
-            thetas.append(orb.solve("pair", swaps, pair_prog)[1])
+            thetas.append(pairs)
             labels += ["gap_pair[%d,%d]" % s for s in swaps]
     return _finish(model, thetas, labels, problem, variant, condition, lhs,
                    rhs, r_min, margins, warning)
@@ -522,11 +543,10 @@ def build_gap(variant: str, model: CgfModel, m: int
 # Sum-intersection proposals
 # ---------------------------------------------------------------------------
 
-def build_sum_intersection(model: CgfModel, L: int,
-                           component_cap: int = 100000
+def build_sum_intersection(model: CgfModel, L: int
                            ) -> Tuple[MixtureProposal, EfficiencyReport]:
     """Assemble Theta^(SI) = {beta^A} U {gamma^A} over |A| = L and check
-    (H-SI).  Refuses to enumerate when 2 C(d, L) exceeds ``component_cap``.
+    (H-SI).  Refuses to enumerate when 2 C(d, L) exceeds SI_COMPONENT_CAP.
     """
     d = model.dim
     if not 2 <= L <= d - 1:
@@ -534,18 +554,15 @@ def build_sum_intersection(model: CgfModel, L: int,
     rule = SumIntersectionRule(L)
     validate_drifts(rule, model)
     needed = 2 * math.comb(d, L)
-    if needed > component_cap:
+    if needed > SI_COMPONENT_CAP:
         raise SolverError(
             f"sum-intersection proposal needs {needed} components, above "
-            f"the cap {component_cap}"
+            f"the cap {SI_COMPONENT_CAP}"
         )
     problem = problem_record(rule, d)
-    orb = _Orbits(model)
     z_prog = lambda q: solve_si_z(q, rule, model)
 
-    subsets = list(combinations(range(d), L))
-    rates, betas = orb.solve("beta", subsets,
-                             lambda q: solve_beta(q, rule, model))
+    subsets, rates, betas, _, orb = candidate_betas(rule, model)
     r_min = rates.min()
     rhs = 2 * r_min
     thetas = [betas, orb.solve("z", subsets, z_prog)[1]]

@@ -104,10 +104,11 @@ class TiltSolution:
     multiplier followed by one bound multiplier per coordinate (zero on free
     coordinates).  ``eq_multiplier`` is the zero-sum multiplier for gap
     programs; ``weights`` are the vertex-functional weights of an exact
-    sum-intersection solve.  ``_sign_program`` and the sum-intersection
-    active set fill in the certificate; closed forms, ray search (only for
-    the i.i.d. sum-intersection beta^A and s_B programs), the box search
-    and SLSQP leave it empty.
+    sum-intersection solve.  ``_sign_program`` (every Siegmund and gap
+    beta^A, i.i.d. models included) and the sum-intersection active set
+    fill in the certificate; closed forms, ray search (only for the i.i.d.
+    sum-intersection beta^A and s_B programs), the box search and SLSQP
+    leave it empty.
     """
 
     value: float
@@ -118,15 +119,6 @@ class TiltSolution:
     multipliers: Optional[np.ndarray] = None
     eq_multiplier: Optional[float] = None
     weights: Optional[np.ndarray] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "tilt": self.tilt.tolist(),
-            "converged": self.converged,
-            "residual": self.residual,
-            "method": self.method,
-        }
 
 
 @dataclass
@@ -238,7 +230,7 @@ def _subsolve(c, quad, eq, pinned):
     return x, s, t
 
 
-def _qclp_active_set(c, quad, signs, eq=None, rng_seed=0):
+def _qclp_active_set(c, quad, signs, eq=None):
     """Maximize c.x s.t. q(x) <= 0 and signs*x >= 0 (and optionally eq.x = 0).
 
     Active-set iteration: pin sign-violating coordinates at zero, release
@@ -250,7 +242,7 @@ def _qclp_active_set(c, quad, signs, eq=None, rng_seed=0):
 
     def starts():
         yield np.zeros(n, dtype=bool)
-        rng = np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(0)
         for _ in range(ACTIVE_SET_RESTARTS):
             yield rng.random(n) < 0.3
 
@@ -510,42 +502,6 @@ def _independent_kkt(components, c, signs, gamma=None, with_eq=False):
     return th, float(c @ th), np.concatenate([[lam0], mults]), nu, resid
 
 
-def _homogeneous_size(component, d: int, ell: float, u: float, a: int):
-    """(v+, v-, r_A) for one region size a in the i.i.d. case."""
-    z1 = siegmund_root(component)
-    kappa0 = -component.cgf_prime(0.0)
-    kappa1 = component.cgf_prime(z1)
-    if kappa0 / ell >= kappa1 / u:
-        # the off-region bound binds for every size: v+ = z_1, v- = 0 exactly
-        vm = -math.inf if a == d else 0.0
-        return z1, vm, u * a * z1
-
-    def g(s):
-        vp = component.prime_inverse(u * s)
-        val = a * component.cgf(vp)
-        if a < d:
-            vm = min(0.0, component.prime_inverse(-ell * s))
-            term_m = component.cgf(vm) if math.isfinite(vm) else math.inf
-            val += (d - a) * term_m
-        return val
-
-    def gprime(s):
-        vp = component.prime_inverse(u * s)
-        val = a * u * u * s / component.cgf_second(vp)
-        if a < d:
-            vm = component.prime_inverse(-ell * s)
-            if math.isfinite(vm) and vm < 0.0:
-                val += (d - a) * ell * ell * s / component.cgf_second(vm)
-        return val
-
-    s = positive_root(g, gprime)
-    vp = component.prime_inverse(u * s)
-    if a == d:
-        return vp, -math.inf, u * d * vp
-    vm = min(0.0, component.prime_inverse(-ell * s))
-    return vp, vm, u * a * vp + ell * (d - a) * (-vm)
-
-
 def homogeneous_profile(component, d: int, ell: float, u: float):
     """Per-size Siegmund tilt components for i.i.d. coordinates.
 
@@ -555,12 +511,38 @@ def homogeneous_profile(component, d: int, ell: float, u: float):
     when the corresponding bound binds).  Entry a = d has v_minus = -inf by
     convention.  Also returns r[a] = u a v+ + ell (d-a) (-v-).
     """
-    v_plus = np.zeros(d + 1)
-    v_minus = np.zeros(d + 1)
-    r = np.zeros(d + 1)
+    z1 = siegmund_root(component)
+    v_plus, v_minus, r = np.zeros(d + 1), np.zeros(d + 1), np.zeros(d + 1)
+    v_minus[d] = -math.inf
+    if -component.cgf_prime(0.0) / ell >= component.cgf_prime(z1) / u:
+        # the off-region bound binds for every size: v+ = z_1, v- = 0 exactly
+        v_plus[1:] = z1
+        r[1:] = u * np.arange(1, d + 1) * z1
+        return v_plus, v_minus, r
     for a in range(1, d + 1):
-        v_plus[a], v_minus[a], r[a] = _homogeneous_size(component, d, ell,
-                                                        u, a)
+        def g(s):
+            val = a * component.cgf(component.prime_inverse(u * s))
+            if a < d:
+                vm = min(0.0, component.prime_inverse(-ell * s))
+                val += (d - a) * (component.cgf(vm) if math.isfinite(vm)
+                                  else math.inf)
+            return val
+
+        def gprime(s):
+            vp = component.prime_inverse(u * s)
+            val = a * u * u * s / component.cgf_second(vp)
+            if a < d:
+                vm = component.prime_inverse(-ell * s)
+                if math.isfinite(vm) and vm < 0.0:
+                    val += (d - a) * ell * ell * s / component.cgf_second(vm)
+            return val
+
+        s = positive_root(g, gprime)
+        vp = component.prime_inverse(u * s)
+        v_plus[a], r[a] = vp, u * a * vp
+        if a < d:
+            v_minus[a] = min(0.0, component.prime_inverse(-ell * s))
+            r[a] += ell * (d - a) * (-v_minus[a])
     return v_plus, v_minus, r
 
 
@@ -762,6 +744,8 @@ def solve_beta(A, rule, model: CgfModel, gamma=None) -> TiltSolution:
 
     With ``gamma`` given (and Lambda(gamma) <= 0), solves the shifted
     program whose optimal value is a certified lower bound on v_A(gamma).
+    Siegmund and gap programs, i.i.d. ones included, go through
+    ``_sign_program`` and carry its KKT certificate.
     """
     d = model.dim
     A = _check_region(rule, d, A)
@@ -771,17 +755,6 @@ def solve_beta(A, rule, model: CgfModel, gamma=None) -> TiltSolution:
         return _solve_si_beta(A, rule, model, gamma)
 
     siegmund = isinstance(rule, SiegmundRule)
-    if (siegmund and gamma is None and isinstance(model, IndependentModel)
-            and model.is_iid()):
-        a = len(A)
-        vp, vm, r = _homogeneous_size(model.components[0], d, rule.ell,
-                                      rule.u, a)
-        th = np.full(d, vm if a < d else 0.0)
-        th[list(A)] = vp
-        resid = abs(model.cgf(th))
-        return TiltSolution(float(r), th, resid <= KKT_TOL, resid,
-                            "siegmund/iid-profile")
-
     in_A = np.isin(np.arange(d), A)
     c = np.where(in_A, rule.u, -rule.ell) if siegmund else in_A.astype(float)
     return _sign_program(model, np.arange(d), c, np.where(in_A, 1.0, -1.0),

@@ -76,6 +76,41 @@ class TestCommands:
         assert man["report"]["condition"] == "H1"
         assert all(rec["residual"] <= 1e-8 for rec in man["solutions"])
 
+    @pytest.mark.parametrize("model, problem, variant, orbits", [
+        ({"family": "mvnormal", "dim": 4, "mean": -0.5, "rho": 0.2},
+         {"kind": "siegmund", "ell": 1.0, "u": 1.0}, "theta1", 1),
+        ({"family": "independent", "components": [
+            {"type": "normal", "mu": 0.5, "sigma2": 1.0, "count": 2},
+            {"type": "normal", "mu": -0.5, "sigma2": 2.0, "count": 3}]},
+         {"kind": "gap", "m": 2}, "t1", 1),
+        ({"family": "mvnormal", "mean": [-0.5, -0.6, -0.7, -0.8, -0.9],
+          "rho": 0.1}, {"kind": "sum_intersection", "L": 2}, "si", 10),
+    ])
+    def test_solve_solves_each_orbit_once(self, tmp_path, monkeypatch,
+                                          model, problem, variant, orbits):
+        from wrongexit import proposals
+
+        calls = []
+        solve_beta = proposals.solve_beta
+        monkeypatch.setattr(proposals, "solve_beta",
+                            lambda *a: calls.append(a) or solve_beta(*a))
+        out = tmp_path / "o"
+        # the audit alone (plain proposal), then the build and the audit
+        for built, n_calls in (("plain", orbits), (variant, 2 * orbits)):
+            calls.clear()
+            cfg = write_cfg(tmp_path, {"name": "orb", "model": model,
+                                       "problem": problem,
+                                       "proposal": {"variant": built}})
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+            assert len(calls) == n_calls
+        man = json.loads((out / "orb_proposal.json").read_text())
+        rows = {label: i for i, prov in enumerate(man["provenance"])
+                for label in prov.split("=")}
+        assert len(man["solutions"]) == man["solutions_total"]
+        for rec in man["solutions"]:
+            label = "beta[{" + ",".join(map(str, rec["A"])) + "}]"
+            assert rec["beta"] == man["thetas"][rows[label]]
+
     def test_solve_records_solution_truncation(self, tmp_path, monkeypatch):
         from wrongexit import cli
 
@@ -346,6 +381,7 @@ class TestSweeps:
         ({"u_values": [-1.0]}, "table.u_values[0]"),
         ({"ell": 0.0}, "table.ell"),
         ({"d": 1}, "table.d"),
+        ({"rho_grid": [0.0, "x"]}, "table.rho_grid[1]: 'x' is not a number"),
     ])
     def test_table_bad_input_is_config_error(self, tmp_path, capsys, table,
                                              field):
@@ -425,6 +461,104 @@ class TestBadInputIsConfigError:
         assert main([command, "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, change, message", [
+        ("run", "run", {"n_paths": 0}, "run.n_paths: 0 is not positive"),
+        ("run", "run", {"n_paths": "x"},
+         "run.n_paths: 'x' is not an integer"),
+        ("run", "run", {"b_grid": [3.0, 0.0]},
+         "run.b_grid[1]: 0.0 is not positive"),
+        ("run", "run", {"b_grid": [4.0, 3.0]},
+         "run.b_grid: [4.0, 3.0] is not a nonempty ascending grid"),
+        ("run", "run", {"b_grid": []},
+         "run.b_grid: [] is not a nonempty ascending grid"),
+        ("run", "run", {"max_steps": 0}, "run.max_steps: 0 is not positive"),
+        ("run", "run", {"workers": "x"}, "run.workers: 'x' is not an integer"),
+        ("run", "run", {"seed": -1}, "run.seed: -1 is outside 0..2**64 - 2"),
+        ("run", None, ["--seed", "-1"], "--seed: -1 is outside 0..2**64 - 2"),
+        ("oracle", "oracle", {"b": 0}, "oracle.b: 0.0 is not positive"),
+        ("oracle", "oracle", {"n_mixture": 0},
+         "oracle.n_mixture: 0 is not positive"),
+        ("oracle", "oracle", {"n_plain": "x"},
+         "oracle.n_plain: 'x' is not an integer"),
+        ("oracle", "oracle", {"seed": 2 ** 64},
+         f"oracle.seed: {2 ** 64} is outside 0..2**64 - 2"),
+        ("oracle", None, ["--seed", "-3"],
+         "--seed: -3 is outside 0..2**64 - 2"),
+    ])
+    def test_bad_run_and_oracle_fields(self, tmp_path, monkeypatch, capsys,
+                                       command, section, change, message):
+        import wrongexit.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the input was checked")
+
+        monkeypatch.setattr(cli, "build_model", no_work)
+        cfg = {**TINY_SIEGMUND, "oracle": {"b": 3.0, "n_mixture": 400,
+                                           "n_plain": 4000, "seed": 2}}
+        extra = []
+        if section is None:
+            extra = change
+        else:
+            cfg[section] = {**cfg[section], **change}
+        out = tmp_path / "o"
+        argv = [command, "--config", write_cfg(tmp_path, cfg),
+                "--out", str(out), *extra]
+        assert main(argv) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, spec, message", [
+        ("check", {"model": {"family": "independent", "components": [
+            {"type": "normal", "mu": -0.5, "sigma2": 0.0, "count": 2}]}},
+         "model.components[0]: sigma2 must be positive"),
+        ("check", {"model": {"family": "independent", "components": [
+            {"type": "shifted_exponential", "rate": 0.0, "shift": -0.5}]}},
+         "model.components[0]: rate must be positive"),
+        ("check", {"model": {"family": "independent", "components": [
+            {"type": "normal", "mu": -0.5, "sigma2": 1.0},
+            {"type": "normal", "mu": 0.0, "sigma2": 1.0}]}},
+         "model.components[1]: component drift must be strictly signed"),
+        ("check", {"model": {"family": "independent", "components": [
+            {"type": "normal", "mu": -0.5, "sigma2": 1.0, "count": -1},
+            {"type": "normal", "mu": -0.5, "sigma2": 1.0, "count": 2}]}},
+         "model.components[0].count: -1 is not positive"),
+        ("check", {"model": {"family": "independent", "components": [
+            {"type": "normal", "mu": "x", "sigma2": 1.0}]}},
+         "model.components[0].mu: 'x' is not a number"),
+        ("check", {"model": {"family": "mvnormal", "dim": 0, "mean": -0.5}},
+         "model.dim: 0 is not positive"),
+        ("check", {"model": {"family": "mvnormal", "mean": []}},
+         "model: mean must be a nonempty vector"),
+        ("check", {"model": {"family": "mvnormal", "dim": 4, "mean": {
+            "head": 0.5, "tail": -0.5, "split": -1}}},
+         "model.mean.split: -1 is outside 0..4"),
+        ("check", {"problem": {"kind": "siegmund", "ell": "x", "u": 1.0}},
+         "problem.ell: 'x' is not a number"),
+        ("solve", {"model": {"family": "mvnormal", "dim": 2, "mean": 0.5},
+                   "proposal": {"variant": "plain"}},
+         "problem: siegmund rule requires negative drift"),
+        ("sweep", {"sweep": {"kind": "siegmund_rho", "u": 0}},
+         "sweep.u: 0.0 is not positive"),
+        ("sweep", {"sweep": {"kind": "siegmund_rho", "ell": 0}},
+         "sweep.ell: 0.0 is not positive"),
+        ("sweep", {"sweep": {"kind": "si_rho", "L": 0}},
+         "sweep.L: 0 is outside 1..d-1 = 1..7"),
+        ("sweep", {"sweep": {"kind": "si_rho", "L": 8}},
+         "sweep.L: 8 is outside 1..d-1 = 1..7"),
+        ("sweep", {"sweep": {"kind": "gap_v", "m": 4, "v_grid": [1.0, 0.0]}},
+         "sweep.v_grid[1]: 0.0 is not positive"),
+    ])
+    def test_bad_model_and_sweep_fields(self, tmp_path, capsys, command,
+                                        spec, message):
+        cfg = {**TINY_SIEGMUND, **spec}
+        if "sweep" in spec:
+            cfg["sweep"] = {"d": 8, "rho_grid": [0.0], **spec["sweep"]}
+        out = tmp_path / "o"
+        assert main([command, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not list(out.glob("*"))
 
     def test_drift_rule_mismatch(self, tmp_path, capsys):
         cfg = {"name": "gap",

@@ -365,10 +365,11 @@ class TestSumIntersectionBuilder:
             _, rep = build_sum_intersection(model, L)
             assert rep.holds is expect, (L, rho)
 
-    def test_component_cap(self):
+    def test_component_cap(self, monkeypatch):
+        monkeypatch.setattr(proposals, "SI_COMPONENT_CAP", 30000)
         model = exchangeable_mvnormal(50, -0.5, 0.1)
         with pytest.raises(SolverError, match="39200"):
-            build_sum_intersection(model, 3, component_cap=30000)
+            build_sum_intersection(model, 3)
 
     def test_general_model_small_d(self):
         rng = np.random.default_rng(1)

@@ -40,7 +40,6 @@ from wrongexit import (
 from wrongexit.models import siegmund_root
 from wrongexit.regions import Region
 from wrongexit.solvers import (
-    _independent_kkt,
     _restrict_model,
     _si_dual_program,
     _symmetric_si_beta,
@@ -139,18 +138,30 @@ class TestSiegmundSolvers:
             np.testing.assert_allclose(s1.multipliers, s2.multipliers,
                                        atol=1e-6)
 
-    def test_beta_iid_path_agrees_with_kkt_path(self):
-        comp = ShiftedExponential(2.0, -LOG2)
-        model = IndependentModel([comp] * 6)
-        rule = SiegmundRule(1.0, 1.0)
-        for A in ([0], [1, 2], list(range(6))):
-            iid = solve_beta(A, rule, model)
-            c = np.where(np.isin(np.arange(6), A), 1.0, -1.0)
-            out = _independent_kkt(model.components, np.where(c > 0, 1.0, -1.0)
-                                   * np.where(c > 0, rule.u, rule.ell),
-                                   c, with_eq=False)
-            th, val, *_ = out
-            assert iid.value == pytest.approx(val, abs=1e-7)
+    def test_beta_iid_path_agrees_with_profile(self):
+        for comp, d, rule in (
+                (ShiftedExponential(2.0, -LOG2), 6, RULE11),
+                # the off-region bound binds: v- = 0, positive multipliers
+                (Normal(-0.5, 2.0), 5, SiegmundRule(0.5, 1.0))):
+            model = IndependentModel([comp] * d)
+            v_plus, v_minus, r = homogeneous_profile(comp, d, rule.ell,
+                                                     rule.u)
+            for A in ([0], [1, 2], list(range(d))):
+                sol = solve_beta(A, rule, model)
+                a = len(A)
+                tilt = np.full(d, v_minus[a] if a < d else 0.0)
+                tilt[A] = v_plus[a]
+                assert sol.method == "siegmund/independent-kkt"
+                assert sol.value == pytest.approx(r[a], abs=1e-9)
+                np.testing.assert_allclose(sol.tilt, tilt, atol=1e-9)
+                # KKT: c + signs * mu = lambda_0 grad Lambda(beta), mu >= 0
+                in_A = np.isin(np.arange(d), A)
+                c = np.where(in_A, rule.u, -rule.ell)
+                lam0, mu = sol.multipliers[0], sol.multipliers[1:]
+                assert lam0 > 0 and np.all(mu >= -1e-12)
+                np.testing.assert_allclose(
+                    c + np.where(in_A, 1.0, -1.0) * mu,
+                    lam0 * model.cgf_grad(sol.tilt), atol=1e-8)
 
     def test_exchangeable_active_set_matches_profile(self):
         model = exchangeable_mvnormal(7, -0.5, 0.35)
