@@ -47,6 +47,7 @@ from .proposals import (
     check_direct_siegmund_homogeneous,
     plain_proposal,
     problem_record,
+    solve_cache,
 )
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
 from .solvers import (solve_beta, solve_gamma_pair, solve_gamma_single,
@@ -68,10 +69,14 @@ def _need(cfg: dict, key: str, path: str):
 
 
 def _number(val, path: str, cast=float):
-    """``val`` through ``cast``; a value it rejects is a ConfigError."""
+    """``val`` through ``cast``; a value it rejects, or a float with a
+    fractional part for ``int`` (which would truncate it), is a
+    ConfigError."""
     try:
+        if cast is int and isinstance(val, float) and not val.is_integer():
+            raise ValueError
         return cast(val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         kind = "an integer" if cast is int else "a number"
         raise ConfigError(f"{path}: {val!r} is not {kind}") from None
 
@@ -140,7 +145,11 @@ def _mean_vector(spec, path):
         v = np.full(d, float(_need(mean, "tail", f"{path}.mean")))
         v[:split] = float(_need(mean, "head", f"{path}.mean"))
         return v
-    return np.asarray(mean, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    if d is not None and mean.shape != (d,):
+        raise ConfigError(f"{path}.dim: {d} does not match the "
+                          f"{mean.size} entries of {path}.mean")
+    return mean
 
 
 _COMPONENTS = {"normal": (Normal, ("mu", "sigma2")),
@@ -187,7 +196,11 @@ def _check_size(rule, d: int, builder: bool) -> None:
                           f"d = {d}")
 
 
-def build_proposal(model, rule, prop_spec: dict, path: str = "proposal"):
+def build_proposal(model, rule, prop_spec: dict, path: str = "proposal",
+                   cache=None):
+    """The proposal and its report, if it has one; a builder solves
+    through ``cache``, a ``solve_cache`` of the rule and model, when one
+    is given."""
     _check_size(rule, model.dim, builder=False)
     manifest_path = prop_spec.get("manifest")
     if manifest_path:
@@ -218,10 +231,10 @@ def build_proposal(model, rule, prop_spec: dict, path: str = "proposal"):
     _check_size(rule, model.dim, builder=True)
     _check_drifts(rule, model)
     if isinstance(rule, SiegmundRule):
-        return build_siegmund(variant, model, rule.ell, rule.u)
+        return build_siegmund(variant, model, rule.ell, rule.u, cache)
     if isinstance(rule, GapRule):
-        return build_gap(variant, model, rule.m)
-    return build_sum_intersection(model, rule.L)
+        return build_gap(variant, model, rule.m, cache)
+    return build_sum_intersection(model, rule.L, cache)
 
 
 def _check_drifts(rule, model):
@@ -267,9 +280,12 @@ def _log(msg):
 def cmd_solve(cfg, args) -> int:
     model = build_model(cfg["model"])
     rule = build_rule(_need(cfg, "problem", "config"))
-    prop, rep = build_proposal(model, rule, cfg.get("proposal", {}))
+    _check_size(rule, model.dim, builder=False)
+    cache = solve_cache(rule, model)
+    prop, rep = build_proposal(model, rule, cfg.get("proposal", {}),
+                               cache=cache)
     _check_drifts(rule, model)
-    solutions, total = _solution_table(model, rule)
+    solutions, total = _solution_table(model, rule, cache)
     man = prop.to_manifest(rep, solutions)
     man["solutions_total"] = total
     man["solutions_truncated"] = total > len(solutions)
@@ -282,13 +298,14 @@ def cmd_solve(cfg, args) -> int:
     return 0
 
 
-def _solution_table(model, rule):
+def _solution_table(model, rule, cache):
     """Audit records of the candidate-region tilts, which are the
     mixture's beta^A rows, and the number of candidate regions;
-    sum-intersection records stop at SOLUTION_CAP."""
+    sum-intersection records stop at SOLUTION_CAP.  The tilts are read
+    from ``cache``, where a builder has already solved them."""
     si = isinstance(rule, SumIntersectionRule)
     regions, rates, betas, resid, _ = candidate_betas(
-        rule, model, SOLUTION_CAP if si else None)
+        rule, model, SOLUTION_CAP if si else None, cache)
     recs = [{"problem": rule.kind, "A": list(A), "r": r, "beta": beta,
              "residual": res}
             for A, r, beta, res in zip(regions, rates.tolist(),

@@ -27,7 +27,6 @@ how many workers run them.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import math
 import os
@@ -125,11 +124,8 @@ class EstimatorRun:
 def default_max_steps(model: CgfModel, thetas: np.ndarray, b: float) -> int:
     """Step cap: 50 b over the smallest per-coordinate drift magnitude among
     the mixture components; truncation is surfaced, never silent."""
-    worst = math.inf
-    for th in np.atleast_2d(thetas):
-        drift = model.cgf_grad(th)
-        worst = min(worst, float(np.min(np.abs(drift))))
-    scale = max(worst, MIN_DRIFT_SCALE)
+    drift = model.cgf_grad_rows(np.atleast_2d(thetas))
+    scale = max(float(np.abs(drift).min()), MIN_DRIFT_SCALE)
     return max(64, int(math.ceil(50.0 * b / scale)))
 
 
@@ -232,6 +228,8 @@ def estimate_wrong_exit(model: CgfModel, proposal: MixtureProposal, rule,
     if len(ranges) == 1:
         outs = [_simulate_batches(*args, *ranges[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             futures = [pool.submit(_simulate_batches, *args, lo, hi)
                        for lo, hi in ranges]

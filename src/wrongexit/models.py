@@ -252,6 +252,12 @@ class MvNormalModel(_TiltedSampling):
         theta = _check_dim(theta, self.dim)
         return self.mean + self.cov @ theta
 
+    def cgf_grad_rows(self, thetas) -> np.ndarray:
+        """Gradient of Lambda (the tilted drift) at each row of an (n, d)
+        tilt array."""
+        thetas = _check_rows(thetas, self.dim)
+        return self.mean + thetas @ self.cov
+
     def batch_sampler(self, thetas):
         """Closure drawing (k, n, d) blocks for n paths, path i under the
         tilt ``thetas[comp[i]]``: N(mean + cov theta, cov) increments."""
@@ -303,6 +309,13 @@ class IndependentModel(_TiltedSampling):
         if not components:
             raise ValueError("need at least one component")
         self.components = components
+        # column k: mu and sigma2 of a normal, shift and rate of an
+        # exponential component
+        self._normal = np.array([isinstance(c, Normal) for c in components])
+        self._lin = np.array([c.mu if n else c.shift
+                              for c, n in zip(components, self._normal)])
+        self._par = np.array([c.sigma2 if n else c.rate
+                              for c, n in zip(components, self._normal)])
 
     @property
     def dim(self) -> int:
@@ -326,11 +339,7 @@ class IndependentModel(_TiltedSampling):
         component and log(rate / (rate - t)) + shift t for an exponential
         one."""
         thetas = _check_rows(thetas, self.dim)
-        normal = np.array([isinstance(c, Normal) for c in self.components])
-        lin = np.array([c.mu if n else c.shift
-                        for c, n in zip(self.components, normal)])
-        par = np.array([c.sigma2 if n else c.rate
-                        for c, n in zip(self.components, normal)])
+        normal, lin, par = self._normal, self._lin, self._par
         outside = ~normal & (thetas >= par)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(normal, 0.5 * par * thetas * thetas,
@@ -344,6 +353,18 @@ class IndependentModel(_TiltedSampling):
         if not self.in_domain(theta):
             raise TiltDomainError("tilt outside domain")
         return np.array([c.cgf_prime(t) for c, t in zip(self.components, theta)])
+
+    def cgf_grad_rows(self, thetas) -> np.ndarray:
+        """Gradient of Lambda at each row of an (n, d) tilt array: column k
+        is mu + sigma2 t or 1 / (rate - t) + shift.  Raises TiltDomainError
+        when a row leaves the domain."""
+        thetas = _check_rows(thetas, self.dim)
+        normal, lin, par = self._normal, self._lin, self._par
+        if np.any(~normal & (thetas >= par)):
+            raise TiltDomainError("tilt outside domain")
+        with np.errstate(divide="ignore"):
+            return np.where(normal, lin + par * thetas,
+                            1.0 / (par - thetas) + lin)
 
     def batch_sampler(self, thetas):
         """Closure drawing (k, n, d) blocks for n paths, path i under the

@@ -28,7 +28,8 @@ canonical pattern per orbit, moves its tilt onto the other patterns, and
 checks its condition over one pattern per orbit; without symmetry, each
 distinct program is still solved once.  The candidate regions and their
 tilts beta^A come from one block, ``candidate_betas``, which every builder
-and the ``solve`` audit start from.
+and the ``solve`` audit start from; given one ``solve_cache``, the audit
+reads the builder's solves instead of repeating them.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ __all__ = [
     "candidate_betas",
     "plain_proposal",
     "problem_record",
+    "solve_cache",
 ]
 
 DEDUP_TOL = 1e-12
@@ -306,18 +308,27 @@ class _Orbits:
                 np.array([h[3] for h in hits])[inv])
 
 
-def candidate_betas(rule, model: CgfModel, n: Optional[int] = None):
+def solve_cache(rule, model: CgfModel) -> _Orbits:
+    """An empty orbit solve cache for the programs of ``rule`` on
+    ``model``; a builder and the ``solve`` audit that share one solve each
+    candidate program once between them."""
+    return _Orbits(model, rule.m if isinstance(rule, GapRule) else 0)
+
+
+def candidate_betas(rule, model: CgfModel, n: Optional[int] = None,
+                    cache: Optional[_Orbits] = None):
     """The candidate regions of ``rule`` with their rates r_A, tilts beta^A
     and residuals, solved once per orbit, and the orbit cache.
 
     The regions are the Siegmund singletons, the gap swaps [m] \\ {l} u {l'}
     (l in [m], l' outside it) or the sum-intersection L-sets, in
     lexicographic order of their index patterns; the first ``n`` of them
-    when ``n`` is given.  The cache holds the solves under the key "beta".
+    when ``n`` is given.  The cache (``cache``, a ``solve_cache`` of the
+    rule and model, else a new one) holds the solves under the key "beta".
     """
     d = model.dim
     gap = isinstance(rule, GapRule)
-    orb = _Orbits(model, rule.m if gap else 0)
+    orb = cache or solve_cache(rule, model)
     if gap:
         patterns = _gap_patterns(range(d), rule.m, 1)
         region = lambda q: _swap_set(rule.m, *q)
@@ -358,12 +369,14 @@ def _clip_margins(margins: dict, cap: int = 200) -> Tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
+                   cache: Optional[_Orbits] = None
                    ) -> Tuple[MixtureProposal, EfficiencyReport]:
     """Assemble Theta^(0), Theta^(1) or Theta^(2) and check (H1) / (H2).
 
     Theta^(0) holds the optimal tilts of the d singleton regions;
     Theta^(1) adds the d single-coordinate root tilts; Theta^(2) adds the
-    d(d-1)/2 pair tilts instead.
+    d(d-1)/2 pair tilts instead.  Programs are solved through ``cache``
+    (see ``candidate_betas``).
     """
     variant = variant.lower()
     if variant not in VARIANTS["siegmund"]:
@@ -372,7 +385,8 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
     validate_drifts(rule, model)
     d = model.dim
     problem = problem_record(rule, d)
-    singletons, rates, betas, _, orb = candidate_betas(rule, model)
+    singletons, rates, betas, _, orb = candidate_betas(rule, model,
+                                                       cache=cache)
     r_min = rates.min()
     rhs = 2 * r_min
     thetas = [betas]
@@ -463,12 +477,14 @@ def _gap_patterns(cols, m, n):
             for lps in combinations(outside, n)]
 
 
-def build_gap(variant: str, model: CgfModel, m: int
+def build_gap(variant: str, model: CgfModel, m: int,
+              cache: Optional[_Orbits] = None
               ) -> Tuple[MixtureProposal, EfficiencyReport]:
     """Assemble the gap-rule mixtures and check (H1') / (H2').
 
     ``t0`` holds the m(d-m) single-swap optimal tilts; ``t1`` adds the
-    two-index tilts; ``t2`` adds the four-index tilts.
+    two-index tilts; ``t2`` adds the four-index tilts.  ``cache`` is as
+    for ``build_siegmund``.
     """
     variant = variant.lower()
     if variant not in VARIANTS["gap"]:
@@ -482,7 +498,8 @@ def build_gap(variant: str, model: CgfModel, m: int
     pair_prog = lambda q: solve_gap_pair(*q, rule, model)
     quad_prog = lambda q: solve_gap_quad(*q, rule, model)
 
-    regions, rates, betas, _, orb = candidate_betas(rule, model)
+    regions, rates, betas, _, orb = candidate_betas(rule, model,
+                                                    cache=cache)
     swaps = _gap_patterns(range(d), m, 1)
     r_min = rates.min()
     rhs = 2 * r_min
@@ -543,10 +560,12 @@ def build_gap(variant: str, model: CgfModel, m: int
 # Sum-intersection proposals
 # ---------------------------------------------------------------------------
 
-def build_sum_intersection(model: CgfModel, L: int
+def build_sum_intersection(model: CgfModel, L: int,
+                           cache: Optional[_Orbits] = None
                            ) -> Tuple[MixtureProposal, EfficiencyReport]:
     """Assemble Theta^(SI) = {beta^A} U {gamma^A} over |A| = L and check
     (H-SI).  Refuses to enumerate when 2 C(d, L) exceeds SI_COMPONENT_CAP.
+    ``cache`` is as for ``build_siegmund``.
     """
     d = model.dim
     if not 2 <= L <= d - 1:
@@ -562,7 +581,8 @@ def build_sum_intersection(model: CgfModel, L: int
     problem = problem_record(rule, d)
     z_prog = lambda q: solve_si_z(q, rule, model)
 
-    subsets, rates, betas, _, orb = candidate_betas(rule, model)
+    subsets, rates, betas, _, orb = candidate_betas(rule, model,
+                                                    cache=cache)
     r_min = rates.min()
     rhs = 2 * r_min
     thetas = [betas, orb.solve("z", subsets, z_prog)[1]]

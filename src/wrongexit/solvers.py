@@ -27,11 +27,12 @@ Solver stack, cheapest applicable path first:
    leaving one monotone scalar equation in the constraint multiplier (plus
    one inner equation for the zero-sum multiplier).  Normal models take an
    active-set method whose subproblem for a fixed active set has an
-   explicit solution;
+   explicit solution, computed through ``np.linalg.cholesky`` factors;
 3. for the sum-intersection programs of a normal model, the active set
    extended to the concave objective rearrangement_min over the vertex
    functionals of its LP.  Non-normal models outside the ray search take
-   SLSQP (beta^A, s_B) or a box search (z_A).
+   SLSQP (beta^A, s_B) or a box search (z_A); SLSQP, the only code here
+   that needs more than numpy, is imported when it runs.
 
 No normal-model program is reduced by symmetry here; the proposal builders
 solve one program per symmetry orbit instead.  Paths agree to ~1e-9
@@ -53,7 +54,6 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .models import CgfModel, IndependentModel, MvNormalModel, siegmund_root
 from .regions import (
@@ -170,6 +170,14 @@ class _Quad:
         return self.b + self.sigma @ x
 
 
+def _cholesky_solver(a):
+    """v -> a^{-1} v for a symmetric positive definite ``a``: its lower
+    Cholesky factor is inverted once and applied as L^{-T} (L^{-1} v).
+    Raises np.linalg.LinAlgError when ``a`` is not positive definite."""
+    inv = np.linalg.inv(np.linalg.cholesky(a))
+    return lambda v: inv.T @ (inv @ v)
+
+
 def _subsolve(c, quad, eq, pinned):
     """Exact maximizer of c.x over {q(x) <= 0, x_pinned = 0, eq x = 0}.
 
@@ -177,7 +185,9 @@ def _subsolve(c, quad, eq, pinned):
     with s = 1/lambda_0 and t = nu/lambda_0 (one entry per row of a stack),
     or None when the pinned subspace misses the feasible set, the rows are
     dependent on the free coordinates or the objective direction
-    degenerates.  Only Cholesky factorisations are used.
+    degenerates.  The free block of Sigma and the Gram matrix of a stack of
+    rows are each factored once with ``np.linalg.cholesky`` and solved
+    through the inverse factor (``_cholesky_solver``).
     """
     free = ~pinned
     n = c.size
@@ -186,9 +196,7 @@ def _subsolve(c, quad, eq, pinned):
             return np.zeros(n), 0.0, 0.0
         return None
     try:
-        factor = cho_factor(quad.sigma[np.ix_(free, free)], lower=True,
-                            check_finite=False)
-        solve = lambda v: cho_solve(factor, v, check_finite=False)
+        solve = _cholesky_solver(quad.sigma[np.ix_(free, free)])
         if eq is not None:
             g = eq[..., free]
             gram = g @ solve(g.T)
@@ -197,8 +205,7 @@ def _subsolve(c, quad, eq, pinned):
                     return None
                 div = lambda v: v / gram
             else:
-                gfac = cho_factor(gram, lower=True)
-                div = lambda v: cho_solve(gfac, v)
+                div = _cholesky_solver(gram)
     except np.linalg.LinAlgError:
         return None
     bf = quad.b[free]
@@ -985,8 +992,8 @@ def rate_function(x, model: MvNormalModel) -> float:
     if not isinstance(model, MvNormalModel):
         raise ValueError("closed-form rate function requires a normal model")
     x = np.asarray(x, dtype=float)
-    factor = cho_factor(model.cov, lower=True)
-    si_mu = cho_solve(factor, model.mean)
-    si_x = cho_solve(factor, x)
+    solve = _cholesky_solver(model.cov)
+    si_mu = solve(model.mean)
+    si_x = solve(x)
     center = -(x @ si_mu)
     return float(center + math.sqrt((model.mean @ si_mu) * (x @ si_x)))

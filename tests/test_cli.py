@@ -95,8 +95,9 @@ class TestCommands:
         monkeypatch.setattr(proposals, "solve_beta",
                             lambda *a: calls.append(a) or solve_beta(*a))
         out = tmp_path / "o"
-        # the audit alone (plain proposal), then the build and the audit
-        for built, n_calls in (("plain", orbits), (variant, 2 * orbits)):
+        # the audit alone (plain proposal), then the build, whose candidate
+        # block the audit reads
+        for built, n_calls in (("plain", orbits), (variant, orbits)):
             calls.clear()
             cfg = write_cfg(tmp_path, {"name": "orb", "model": model,
                                        "problem": problem,
@@ -277,14 +278,17 @@ class TestWorkersOption:
     @pytest.mark.parametrize("workers", ["0", "3"])
     def test_bad_workers_is_config_error(self, tmp_path, monkeypatch,
                                          capsys, command, workers):
+        import concurrent.futures
+
         import wrongexit.cli as cli
-        import wrongexit.engine as engine
 
         def no_work(*args, **kwargs):
             raise AssertionError("work started before --workers was checked")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_work)
+        # the engine imports the pool class from here when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_work)
         monkeypatch.setattr(cli, "build_proposal", no_work)
         cfg = dict(TINY_SIEGMUND)
         cfg["oracle"] = {"b": 3.0, "n_mixture": 400, "n_plain": 4000,
@@ -485,6 +489,17 @@ class TestBadInputIsConfigError:
          f"oracle.seed: {2 ** 64} is outside 0..2**64 - 2"),
         ("oracle", None, ["--seed", "-3"],
          "--seed: -3 is outside 0..2**64 - 2"),
+        ("run", "run", {"n_paths": 2.5}, "run.n_paths: 2.5 is not an integer"),
+        ("run", "run", {"max_steps": 100.5},
+         "run.max_steps: 100.5 is not an integer"),
+        ("run", "run", {"seed": 1.5}, "run.seed: 1.5 is not an integer"),
+        pytest.param("oracle", "oracle", {"b": 10 ** 400},
+                     f"oracle.b: {10 ** 400} is not a number",
+                     id="oracle.b-beyond-float"),
+        ("oracle", "oracle", {"n_plain": 4000.5},
+         "oracle.n_plain: 4000.5 is not an integer"),
+        ("oracle", "oracle", {"seed": 2.5},
+         "oracle.seed: 2.5 is not an integer"),
     ])
     def test_bad_run_and_oracle_fields(self, tmp_path, monkeypatch, capsys,
                                        command, section, change, message):
@@ -548,6 +563,12 @@ class TestBadInputIsConfigError:
          "sweep.L: 8 is outside 1..d-1 = 1..7"),
         ("sweep", {"sweep": {"kind": "gap_v", "m": 4, "v_grid": [1.0, 0.0]}},
          "sweep.v_grid[1]: 0.0 is not positive"),
+        ("check", {"model": {"family": "mvnormal", "dim": 3,
+                             "mean": [-0.5, -0.5]}},
+         "model.dim: 3 does not match the 2 entries of model.mean"),
+        ("check", {"model": {"family": "independent", "components": [
+            {"type": "normal", "mu": -0.5, "sigma2": 1.0, "count": 2.5}]}},
+         "model.components[0].count: 2.5 is not an integer"),
     ])
     def test_bad_model_and_sweep_fields(self, tmp_path, capsys, command,
                                         spec, message):

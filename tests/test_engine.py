@@ -327,6 +327,28 @@ class TestNumerics:
         assert default_max_steps(model, thetas, 20.0) >= \
             default_max_steps(model, thetas, 10.0)
 
+    @pytest.mark.parametrize("model, build", [
+        (exchangeable_mvnormal(6, -0.5, 0.3),
+         lambda m: build_siegmund("theta2", m, 1.0, 2.0)),
+        (IndependentModel([Normal(-0.5, 1.0), Normal(-0.3, 2.0),
+                           Normal(-0.8, 0.5)]),
+         lambda m: build_siegmund("theta1", m, 1.0, 1.0)),
+        (IndependentModel([ShiftedExponential(1.0, -1.5)] * 3
+                          + [ShiftedExponential(2.0, -1.0)] * 2),
+         lambda m: build_sum_intersection(m, 2)),
+    ])
+    def test_default_max_steps_matches_per_row_reference(self, model, build):
+        thetas = build(model)[0].thetas
+
+        def reference(b):
+            worst = math.inf
+            for th in thetas:
+                worst = min(worst, float(np.min(np.abs(model.cgf_grad(th)))))
+            return max(64, int(math.ceil(50.0 * b / max(worst, 1e-3))))
+
+        for b in (0.5, 3.0, 7.5, 12.0, 40.0):
+            assert default_max_steps(model, thetas, b) == reference(b)
+
 
 class TestDecayScan:
     def test_single_point_grid(self):

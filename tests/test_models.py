@@ -101,6 +101,20 @@ class TestCgfRows:
         want = [model.cgf(th) for th in thetas]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
+    @pytest.mark.parametrize("model", models_under_test(), ids=repr)
+    def test_grad_rows_match_cgf_grad(self, model):
+        rng = np.random.default_rng(9)
+        thetas = np.array([interior_tilt(model, rng) for _ in range(7)])
+        got = model.cgf_grad_rows(thetas)
+        want = [model.cgf_grad(th) for th in thetas]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    def test_grad_rows_outside_domain_raise(self):
+        model = IndependentModel([Normal(-0.5, 1.0),
+                                  ShiftedExponential(2.0, -LOG2)])
+        with pytest.raises(TiltDomainError):
+            model.cgf_grad_rows(np.array([[0.1, 0.5], [0.1, 2.0]]))
+
     def test_rows_outside_domain_are_infinite(self):
         model = IndependentModel([Normal(-0.5, 1.0),
                                   ShiftedExponential(2.0, -LOG2)])

@@ -517,6 +517,48 @@ class TestExactSumIntersection:
         assert outs[0] == outs[1]
 
 
+def test_normal_model_work_imports_no_scipy():
+    # scipy serves only the SLSQP fallback of non-normal sum-intersection
+    # programs; the test modules import it, so check in a fresh interpreter
+    script = """
+import sys
+import numpy as np
+import wrongexit.cli
+from wrongexit import (IndependentModel, MvNormalModel, Normal,
+                       ShiftedExponential, SiegmundRule, exchangeable_mvnormal)
+from wrongexit.engine import RunConfig, estimate_wrong_exit
+from wrongexit.proposals import build_gap, build_siegmund, build_sum_intersection
+
+a = np.random.default_rng(3).normal(0.0, 0.3, size=(5, 5))
+cov = 0.8 * np.eye(5) + a @ a.T / 5
+general = MvNormalModel(np.linspace(-0.4, -0.8, 5), cov)
+build_siegmund("theta0", general, 1.0, 1.0)
+gap = MvNormalModel(np.array([0.5, 0.5, -0.5, -0.5, -0.5]), cov)
+build_gap("t1", gap, 2)
+build_sum_intersection(general, 2)
+iid = IndependentModel([Normal(-0.5, 1.0)] * 2)
+prop, _ = build_siegmund("theta1", iid, 1.0, 1.0)
+run = estimate_wrong_exit(iid, prop, SiegmundRule(1.0, 1.0),
+                          RunConfig(b=3.0, n_paths=20, seed=1))
+assert run.n == 20
+assert "scipy" not in sys.modules, sorted(
+    m for m in sys.modules if m.startswith("scipy"))
+exp = IndependentModel([ShiftedExponential(1.0, -1.5),
+                        ShiftedExponential(2.0, -1.0),
+                        ShiftedExponential(1.5, -1.2)])
+prop, rep = build_sum_intersection(exp, 2)
+assert "scipy.optimize" in sys.modules
+print(len(prop), rep.condition)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[1] == "H-SI"
+
+
 class TestVBounds:
     def test_witness_bounds_siegmund(self):
         model = exchangeable_mvnormal(5, -0.5, 0.3)
