@@ -437,14 +437,10 @@ def cmd_table(cfg, args) -> int:
     """Maximal rho on a grid such that (H1), (H2) and the direct condition
     hold, for a span of upper barriers (two-barrier problem, d fixed)."""
     spec = cfg.get("table", {})
-    d = int(spec.get("d", 50))
-    ell = float(spec.get("ell", 1.0))
-    if not ell > 0:
-        raise ConfigError(f"table.ell: {ell} is not positive")
-    u_values = [float(x) for x in spec.get("u_values", [3, 2, 1, 0.5, 1 / 3])]
-    for i, u in enumerate(u_values):
-        if not u > 0:
-            raise ConfigError(f"table.u_values[{i}]: {u} is not positive")
+    d = _positive(spec.get("d", 50), "table.d", int)
+    ell = _positive(spec.get("ell", 1.0), "table.ell")
+    u_values = [_positive(u, f"table.u_values[{i}]") for i, u in
+                enumerate(spec.get("u_values", [3, 2, 1, 0.5, 1 / 3]))]
     rhos = _rho_grid(spec, d, "table")
     rows = []
     for u in u_values:
@@ -520,7 +516,7 @@ def _rho_grid(spec, d, path):
 
 
 def _sweep_siegmund_rho(spec, out):
-    d = int(spec.get("d", 50))
+    d = _positive(spec.get("d", 50), "sweep.d", int)
     ell = _positive(spec.get("ell", 1.0), "sweep.ell")
     u = _positive(spec.get("u", 1.0), "sweep.u")
     rule = SiegmundRule(ell, u)
@@ -539,8 +535,8 @@ def _sweep_siegmund_rho(spec, out):
 
 
 def _sweep_gap_v(spec, out):
-    d = int(spec.get("d", 50))
-    m = int(spec.get("m", 25))
+    d = _positive(spec.get("d", 50), "sweep.d", int)
+    m = _number(spec.get("m", 25), "sweep.m", int)
     if not 1 <= m <= d - 1:
         raise ConfigError(f"sweep.m: {m} is outside 1..d-1 = 1..{d - 1}")
     rule = GapRule(m)
@@ -563,8 +559,8 @@ def _sweep_gap_v(spec, out):
 
 
 def _sweep_si_rho(spec, out):
-    d = int(spec.get("d", 50))
-    L = int(spec.get("L", 2))
+    d = _positive(spec.get("d", 50), "sweep.d", int)
+    L = _number(spec.get("L", 2), "sweep.L", int)
     rhos = _rho_grid(spec, d, "sweep")
     if not 1 <= L <= d - 1:
         raise ConfigError(f"sweep.L: {L} is outside 1..d-1 = 1..{d - 1}")

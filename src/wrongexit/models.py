@@ -201,7 +201,7 @@ class _TiltedSampling:
 
     def _tilts(self, thetas) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        if not all(self.in_domain(th) for th in thetas):
+        if not self.in_domain(thetas):
             raise TiltDomainError("tilt outside domain")
         return thetas
 
@@ -316,6 +316,7 @@ class IndependentModel(_TiltedSampling):
                               for c, n in zip(components, self._normal)])
         self._par = np.array([c.sigma2 if n else c.rate
                               for c, n in zip(components, self._normal)])
+        self._sup = np.where(self._normal, math.inf, self._par)
 
     @property
     def dim(self) -> int:
@@ -326,8 +327,9 @@ class IndependentModel(_TiltedSampling):
         return np.array([c.mean for c in self.components])
 
     def in_domain(self, theta) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        return all(t < c.domain_sup for t, c in zip(theta, self.components))
+        """Whether a tilt, or every row of a stack of tilts, lies in the
+        open domain: below the rate on each exponential coordinate."""
+        return bool(np.all(np.asarray(theta, dtype=float) < self._sup))
 
     def cgf(self, theta) -> float:
         theta = _check_dim(theta, self.dim)
@@ -373,16 +375,12 @@ class IndependentModel(_TiltedSampling):
         drawn in one call."""
         thetas = self._tilts(thetas)
         d = self.dim
-        normal = np.array([isinstance(c, Normal) for c in self.components])
-        loc = np.empty_like(thetas)
-        scale = np.empty_like(thetas)
-        for k, c in enumerate(self.components):
-            if normal[k]:
-                loc[:, k] = c.mu + c.sigma2 * thetas[:, k]
-                scale[:, k] = math.sqrt(c.sigma2)
-            else:
-                loc[:, k] = c.shift
-                scale[:, k] = 1.0 / (c.rate - thetas[:, k])
+        normal, lin, par = self._normal, self._lin, self._par
+        # a normal column: mu + sigma2 t and sqrt(sigma2); an exponential
+        # one: shift and 1 / (rate - t)
+        loc = np.where(normal, lin + par * thetas, lin)
+        with np.errstate(divide="ignore"):
+            scale = np.where(normal, np.sqrt(par), 1.0 / (par - thetas))
         norm_cols = np.flatnonzero(normal)
         exp_cols = np.flatnonzero(~normal)
 

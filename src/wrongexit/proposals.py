@@ -280,7 +280,7 @@ class _Orbits:
     def solve(self, key: str, patterns, program):
         """Values (n,), tilts (n, d) and residuals (n,) of program ``key`` on
         n index patterns; ``program(canonical pattern)`` returns a
-        TiltSolution."""
+        TiltSolution.  Raises SolverError when a solve does not converge."""
         idx = np.array(patterns, dtype=np.intp).reshape(len(patterns), -1)
         start = self._start[idx]
         canon = start.copy()  # block start + rank among the block's indices
@@ -292,6 +292,10 @@ class _Orbits:
             hit = self._cache.get((key, rep))
             if hit is None:
                 sol = program(rep)
+                if not sol.converged:
+                    raise SolverError(
+                        f"{key} program on pattern {rep}: {sol.method} did "
+                        f"not converge (residual {sol.residual:.3e})")
                 d = self._start.size
                 fill = self._start + np.bincount(self._start[list(rep)],
                                                  minlength=d)[self._start]

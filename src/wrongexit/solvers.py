@@ -15,9 +15,7 @@ carry |Lambda(tilt - gamma)| <= 1e-10 and a KKT certificate.
 Solver stack, cheapest applicable path first:
 
 1. closed forms (Siegmund roots, the Siegmund tilts of every region size of
-   an exchangeable model in one pass, two-index gap tilts, and the
-   sum-intersection beta^A and s_B tilts of i.i.d. independent models by
-   ray search);
+   an exchangeable model in one pass, and two-index gap tilts);
 2. ``_sign_program``, the one routine for every program with a linear
    objective (the Siegmund and gap beta^A, gamma^{k,k'} and the four-index
    gap tilts): max c.theta under a sign pattern on a support, the CGF
@@ -28,16 +26,16 @@ Solver stack, cheapest applicable path first:
    one inner equation for the zero-sum multiplier).  Normal models take an
    active-set method whose subproblem for a fixed active set has an
    explicit solution, computed through ``np.linalg.cholesky`` factors;
-3. for the sum-intersection programs of a normal model, the active set
-   extended to the concave objective rearrangement_min over the vertex
-   functionals of its LP.  Non-normal models outside the ray search take
-   SLSQP (beta^A, s_B) or a box search (z_A); SLSQP, the only code here
-   that needs more than numpy, is imported when it runs.
+3. ``_si_active_set`` for every sum-intersection program (beta^A, z_A,
+   s_B and the shifted beta^A) of every model: the active set extended to
+   the concave objective rearrangement_min over the vertex functionals of
+   its LP.  Its subproblem is ``_subsolve`` for a normal model; for
+   independent coordinates it is Newton on the KKT multipliers, which
+   inverts the scalar CGF derivatives coordinate by coordinate and starts
+   from ``_subsolve`` on the second-order Taylor model.
 
-No normal-model program is reduced by symmetry here; the proposal builders
-solve one program per symmetry orbit instead.  Paths agree to ~1e-9
-wherever more than one applies; the test suite checks this on small
-instances.
+No program is reduced by symmetry here; the proposal builders solve one
+program per symmetry orbit instead.  Everything here needs only numpy.
 
 Lower bounds on v_A(gamma) are certified by weak duality: a witness
 feasible for the shifted program bounds it by its support value.
@@ -49,7 +47,6 @@ the direct condition is checked for every region size at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 import math
 from typing import Optional, Tuple
 
@@ -89,7 +86,6 @@ CGF_TOL = 1e-10
 KKT_TOL = 1e-8
 ACTIVE_SET_MAX_ITER = 200
 ACTIVE_SET_RESTARTS = 3
-SI_SUBSET_CAP = 40000  # dual variables of one SLSQP sum-intersection solve
 
 
 class SolverError(RuntimeError):
@@ -106,9 +102,8 @@ class TiltSolution:
     programs; ``weights`` are the vertex-functional weights of an exact
     sum-intersection solve.  ``_sign_program`` (every Siegmund and gap
     beta^A, i.i.d. models included) and the sum-intersection active set
-    fill in the certificate; closed forms, ray search (only for the i.i.d.
-    sum-intersection beta^A and s_B programs), the box search and SLSQP
-    leave it empty.
+    (every beta^A, z_A and s_B program of every model) fill in the
+    certificate; the closed forms leave it empty.
     """
 
     value: float
@@ -168,6 +163,12 @@ class _Quad:
 
     def grad(self, x):
         return self.b + self.sigma @ x
+
+    def taylor(self, x):
+        return self
+
+    def subsolve(self, c, eq, pinned, x):
+        return _subsolve(c, self, eq, pinned)
 
 
 def _cholesky_solver(a):
@@ -317,14 +318,108 @@ def _mv_quad(model: MvNormalModel, gamma=None) -> _Quad:
     return _Quad(kappa, b, model.cov)
 
 
-def _si_active_set(S, signs, L, quad, method, start=None) -> TiltSolution:
-    """max rearrangement_min(theta, L) s.t. q(theta) <= 0, signs*theta >= 0
-    on the coordinates S and theta = 0 off S.  In y = signs*theta_S: max t
-    s.t. y >= 0 and l.y >= t for the rearrangement LP's vertex functionals
+class _Separable:
+    """g(y) = sum_k Lambda_k(signs_k y_k - gamma_k) over the support of an
+    independent model, from its column parameters: Lambda_k(t) is
+    mu t + sigma2 t^2 / 2 or log(rate / (rate - t)) + shift t."""
+
+    def __init__(self, model: IndependentModel, S, signs, gamma):
+        self.model = IndependentModel([model.components[k] for k in S])
+        self.signs = signs
+        self.gamma = np.zeros(len(S)) if gamma is None else gamma[S]
+
+    def value(self, y):
+        return float(self.model.cgf_rows([self.signs * y - self.gamma])[0])
+
+    def grad(self, y):
+        return self.signs * self.model.cgf_grad_rows(
+            [self.signs * y - self.gamma])[0]
+
+    def taylor(self, y):
+        """The second-order Taylor model of g at a feasible y."""
+        m = self.model
+        g = self.grad(y)
+        with np.errstate(divide="ignore"):
+            h = np.where(m._normal, m._par,
+                         (m._par - (self.signs * y - self.gamma)) ** -2.0)
+        return _Quad(self.value(y) - g @ y + 0.5 * y @ (h * y), g - h * y,
+                     np.diag(h))
+
+    def subsolve(self, c, eq, pinned, y):
+        """``_subsolve`` for g: with s and t the multipliers as there,
+        stationarity Lambda_k'(signs_k x_k - gamma_k) = signs_k (s c - t eq)_k
+        is inverted coordinate by coordinate, leaving g(x) = 0 and eq x = 0
+        in (s, t).  Newton on them starts from the Taylor model's subsolve
+        at y and backtracks on the residual of those equations."""
+        sol = _subsolve(c, self.taylor(y), eq, pinned)
+        if sol is None:
+            return None
+        free = ~pinned
+        m = self.model
+        normal, lin, par = m._normal[free], m._lin[free], m._par[free]
+        signs, gamma, cf = self.signs[free], self.gamma[free], c[free]
+        g = np.zeros((0, cf.size)) if eq is None else eq[:, free]
+
+        def point(z):  # x, the residuals, h = s c - t g and the curvatures
+            h = z[0] * cf - z[1:] @ g
+            v = signs * h - lin  # Lambda_k' less mu or shift
+            if z[0] <= 0 or np.any(~normal & (v <= 0)):
+                return None
+            with np.errstate(divide="ignore"):
+                t = np.where(normal, v / par, par - 1.0 / v)
+            x = np.zeros(c.size)
+            x[free] = signs * (t + gamma)
+            res = np.append(self.value(x), g @ x[free])
+            return x, res, h, np.where(normal, par, v * v)
+
+        z = np.append(sol[1], np.reshape(sol[2], -1)[:len(g)])
+        for _ in range(64):  # h -> 0 puts every Lambda_k' inside its range
+            cur = point(z)
+            if cur is not None:
+                break
+            z = 0.5 * z
+        else:
+            return None
+        for _ in range(ACTIVE_SET_MAX_ITER):
+            _, res, h, w = cur
+            if np.max(np.abs(res)) <= 1e-14:
+                break
+            jac = np.empty((z.size, z.size))  # d(res) / d(s, t)
+            jac[0, 0], jac[0, 1:] = h @ (cf / w), -(g / w) @ h
+            jac[1:, 0], jac[1:, 1:] = g @ (cf / w), -(g / w) @ g.T
+            try:
+                step = np.linalg.solve(jac, -res)
+            except np.linalg.LinAlgError:
+                return None
+            norm, alpha = np.linalg.norm(res), 1.0
+            while alpha > 1e-12:
+                new = point(z + alpha * step)
+                if new is not None and (np.linalg.norm(new[1])
+                                        <= (1.0 - 1e-4 * alpha) * norm):
+                    break
+                alpha *= 0.5
+            else:
+                break  # no decrease left at rounding level
+            z, cur = z + alpha * step, new
+        x, res, h = cur[:3]  # rounding x moves g by up to eps |h|.|x|
+        if np.max(np.abs(res)) > CGF_TOL * max(1.0, abs(h) @ abs(x[free])):
+            return None
+        return x, z[0], (0.0 if eq is None else z[1:])
+
+
+def _si_active_set(model, S, signs, L, method, gamma=None) -> TiltSolution:
+    """max rearrangement_min(theta, L) s.t. Lambda(theta - gamma) <= 0 and
+    signs*theta >= 0 on the coordinates S and theta = 0 off S (a shift
+    gamma comes with S = range(d)).  In y = signs*theta_S: max t s.t.
+    y >= 0 and l.y >= t for the rearrangement LP's vertex functionals
     l = 1_T / k (|T| = |S| - L + k, k = 1..L).
 
+    The constraint g(y) = Lambda(theta - gamma) is a ``_Quad`` for a normal
+    model and a ``_Separable`` for an independent one; each gives its
+    value, gradient, Taylor model and exact subsolve.
+
     Primal active set.  The working set holds functionals kept equal to the
-    level (the rows l_j - l_0 of ``_subsolve``) and pinned coordinates.
+    level (the rows l_j - l_0 of the subsolve) and pinned coordinates.
     From a feasible y at a positive level, each step moves towards the
     working set's optimum until a coordinate reaches 0 (it is pinned) or a
     functional, found by one sort, falls to the level (it joins).  At the
@@ -332,8 +427,13 @@ def _si_active_set(S, signs, L, quad, method, start=None) -> TiltSolution:
     subspace always holds y, so the subproblem is never empty.
     """
     n = len(S)
-    qy = _Quad(quad.kappa, signs * quad.b[S],
-               quad.sigma[np.ix_(S, S)] * np.outer(signs, signs))
+    gamma = None if gamma is None else np.asarray(gamma, dtype=float)
+    if isinstance(model, MvNormalModel):
+        quad = _mv_quad(model, gamma)
+        con = _Quad(quad.kappa, signs * quad.b[S],
+                    quad.sigma[np.ix_(S, S)] * np.outer(signs, signs))
+    else:
+        con = _Separable(model, S, signs, gamma)
 
     def cut(y):  # the level of y and a functional attaining it
         order = np.argsort(y, kind="stable")
@@ -343,18 +443,28 @@ def _si_active_set(S, signs, L, quad, method, start=None) -> TiltSolution:
         ell[order[:n - L + k + 1]] = 1.0 / (k + 1)
         return vals[k], ell
 
-    def starts():  # the deepest point of a ray d > 0 with b.d < 0, the
-        neg = qy.b < 0  # given feasible tilt, then the largest-sum point
-        d = np.where(neg, 1.0, min(1.0, -0.5 * qy.b[neg].sum()
-                                   / max(qy.b[~neg].sum(), 1e-300)))
-        yield -(qy.b @ d) / max(d @ qy.sigma @ d, 1e-300) * d
-        if start is not None:
-            yield signs * start[S]
-        yield _qclp_active_set(np.ones(n), qy, np.ones(n))[0]
+    def starts():  # on the Taylor model at the feasible tilt 2 gamma
+        # (else at 0): the deepest point of a ray d > 0 with b.d < 0, that
+        # tilt, then the largest-sum point
+        y0 = np.zeros(n) if gamma is None else signs * 2 * gamma[S]
+        q = con.taylor(y0)
+        neg = q.b < 0
+        d = np.where(neg, 1.0, min(1.0, -0.5 * q.b[neg].sum()
+                                   / max(q.b[~neg].sum(), 1e-300)))
+        yield -(q.b @ d) / max(d @ q.sigma @ d, 1e-300) * d
+        if gamma is not None:
+            yield y0
+        yield _qclp_active_set(np.ones(n), q, np.ones(n))[0]
 
     for y in starts():
         y = np.maximum(y, 0.0)
-        if qy.value(y) <= CGF_TOL and cut(y)[0] > 0:
+        for _ in range(64):  # halve a start beyond the constraint
+            if con.value(y) <= CGF_TOL:
+                break
+            y = 0.5 * y
+        else:
+            continue
+        if cut(y)[0] > 0:
             break
     else:
         raise SolverError(f"{method}: no feasible tilt at a positive level")
@@ -362,7 +472,7 @@ def _si_active_set(S, signs, L, quad, method, start=None) -> TiltSolution:
     for _ in range(ACTIVE_SET_MAX_ITER * n):
         F = np.array(work)
         G = F[1:] - F[0] if len(F) > 1 else None
-        sol = _subsolve(F[0], qy, G, pinned)
+        sol = con.subsolve(F[0], G, pinned, y)
         if sol is None:
             raise SolverError(f"{method}: degenerate working set")
         dy = sol[0] - y
@@ -381,7 +491,7 @@ def _si_active_set(S, signs, L, quad, method, start=None) -> TiltSolution:
             y, s, t = sol
             w = np.reshape(t, -1)[:len(F) - 1] / -s
             w = np.append(1.0 - w.sum(), w)
-            reduced = qy.grad(y) - s * F[0] + (0.0 if G is None else t @ G)
+            reduced = con.grad(y) - s * F[0] + (0.0 if G is None else t @ G)
             mults = np.append(w, reduced[pinned] / s)  # reduced = s mu
             drop = int(np.argmin(mults))
             if mults[drop] >= -1e-10:
@@ -399,10 +509,10 @@ def _si_active_set(S, signs, L, quad, method, start=None) -> TiltSolution:
         raise SolverError(f"{method}: no convergence in "
                           f"{ACTIVE_SET_MAX_ITER * n} iterations")
     y = np.maximum(y, 0.0)  # rounding leaves free zeros at -1e-16
-    theta, mu = np.zeros(quad.b.size), np.zeros(quad.b.size)
+    theta, mu = np.zeros(model.dim), np.zeros(model.dim)
     theta[S], mu[S] = signs * y, np.where(pinned, reduced / s, 0.0)
-    resid = max(abs(qy.value(y)), float(np.max(np.abs(reduced[~pinned]),
-                                               initial=0.0)))
+    resid = max(abs(con.value(y)), float(np.max(np.abs(reduced[~pinned]),
+                                                initial=0.0)))
     return TiltSolution(rearrangement_min(theta, L), theta, resid <= KKT_TOL,
                         resid, method, np.append(1.0 / s, mu), weights=w)
 
@@ -585,113 +695,6 @@ def siegmund_profile(model: CgfModel, ell: float, u: float):
 
 
 # ---------------------------------------------------------------------------
-# Ray search for symmetric sum-intersection programs
-# ---------------------------------------------------------------------------
-
-def _ray_radius(model, direction) -> float:
-    """Largest r >= 0 with Lambda(r * direction) <= 0."""
-    if isinstance(model, MvNormalModel):
-        drift = float(model.mean @ direction)
-        curv = float(direction @ (model.cov @ direction))
-        return max(0.0, -2.0 * drift / curv)
-    grad0 = float(model.cgf_grad(np.zeros(model.dim)) @ direction)
-    if grad0 >= 0:
-        return 0.0
-    caps = [
-        c.domain_sup / direction[k]
-        for k, c in enumerate(model.components)
-        if direction[k] > 0 and math.isfinite(c.domain_sup)
-    ]
-    upper = min(caps) if caps else math.inf
-    return positive_root(lambda rr: model.cgf(rr * direction), upper=upper)
-
-
-def _symmetric_si_beta(model, A, L):
-    """max rearrangement_min(theta, L) over Lambda <= 0 with the sign pattern
-    of A, for i.i.d. independent models only (normal models take the exact
-    active set): reduces to theta = (p on A, -q off A) and a quasiconcave
-    one-dimensional search over the ray angle.
-    """
-    d = model.dim
-    in_A = np.zeros(d, dtype=bool)
-    in_A[list(A)] = True
-
-    def value_at_angle(phi):
-        direction = np.where(in_A, math.cos(phi), -math.sin(phi))
-        R = _ray_radius(model, direction)
-        if R <= 0:
-            return 0.0, np.zeros(d)
-        th = R * direction
-        return rearrangement_min(th, L), th
-
-    grid = np.linspace(0.0, math.pi / 2, 513)
-    vals = [value_at_angle(p)[0] for p in grid]
-    i = int(np.argmax(vals))
-    a, b = grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]
-    # golden-section polish on the quasiconcave profile
-    invphi = (math.sqrt(5) - 1) / 2
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = value_at_angle(x1)[0], value_at_angle(x2)[0]
-    for _ in range(80):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = value_at_angle(x2)[0]
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = value_at_angle(x1)[0]
-    phi = 0.5 * (a + b)
-    val, th = value_at_angle(phi)
-    return TiltSolution(float(val), th, True, abs(model.cgf(th)),
-                        "si/symmetric-ray-search")
-
-
-def _si_dual_program(model, signs, subsets, gamma=None):
-    """Paper formulation of the sum-intersection programs: maximize
-    sum_C lambda_C over (theta, lambda) with lambda >= 0,
-    sum_{C: k in C} lambda_C <= signs_k * theta_k and Lambda(theta-gamma) <= 0.
-
-    Solved with SLSQP (small instances only; the builders guard sizes), then
-    polished radially onto the CGF boundary, which is exact because the
-    objective is positively homogeneous.
-    """
-    from scipy.optimize import minimize
-
-    d, nC = model.dim, len(subsets)
-    gamma_vec = np.zeros(d) if gamma is None else np.asarray(gamma, float)
-    # sum_{C owns k} lambda_C <= signs_k theta_k   (rows indexed by k)
-    lin = np.zeros((d, d + nC))
-    lin[:, :d] = np.diag(signs.astype(float))
-    for i, C in enumerate(subsets):
-        lin[list(C), d + i] = -1.0
-    cons = [
-        {"type": "ineq", "fun": lambda z: -model.cgf(z[:d] - gamma_vec),
-         "jac": lambda z: np.concatenate(
-             [-model.cgf_grad(z[:d] - gamma_vec), np.zeros(nC)])},
-        {"type": "ineq", "fun": lambda z: lin @ z, "jac": lambda z: lin},
-    ]
-    bounds = ([(0.0, None) if sk > 0 else (None, 0.0) for sk in signs]
-              + [(0.0, None)] * nC)
-    start = np.concatenate([signs * 0.1, np.full(nC, 0.1 / max(1, nC))])
-    res = minimize(
-        lambda z: -z[d:].sum(), start,
-        jac=lambda z: np.concatenate([np.zeros(d), np.full(nC, -1.0)]),
-        constraints=cons, bounds=bounds, method="SLSQP",
-        options={"maxiter": 400, "ftol": 1e-14})
-    th, lam = res.x[:d], res.x[d:]
-    cur = model.cgf(th)
-    if gamma is None and (cur > 0 or cur < 0 and np.linalg.norm(th) > 0):
-        # radial polish: scale to the CGF boundary (objective is homogeneous)
-        rho = positive_root(lambda rr: model.cgf(rr * th),
-                            start=1.0 if cur < 0 else 0.5)
-        th, lam = rho * th, rho * lam
-    resid = abs(model.cgf(th - gamma_vec))
-    return th, lam, resid, res.success
-
-
-# ---------------------------------------------------------------------------
 # Public solvers
 # ---------------------------------------------------------------------------
 
@@ -758,44 +761,16 @@ def solve_beta(A, rule, model: CgfModel, gamma=None) -> TiltSolution:
     A = _check_region(rule, d, A)
     validate_drifts(rule, model)
 
-    if isinstance(rule, SumIntersectionRule):
-        return _solve_si_beta(A, rule, model, gamma)
-
-    siegmund = isinstance(rule, SiegmundRule)
-    in_A = np.isin(np.arange(d), A)
-    c = np.where(in_A, rule.u, -rule.ell) if siegmund else in_A.astype(float)
-    return _sign_program(model, np.arange(d), c, np.where(in_A, 1.0, -1.0),
-                         not siegmund, gamma, rule.kind + "/{}")
-
-
-def _solve_si_beta(A, rule: SumIntersectionRule, model,
-                   gamma=None) -> TiltSolution:
-    d = model.dim
-    L = rule.L
     in_A = np.zeros(d, dtype=bool)
     in_A[list(A)] = True
     signs = np.where(in_A, 1.0, -1.0)
-    if isinstance(model, MvNormalModel):
-        return _si_active_set(np.arange(d), signs, L, _mv_quad(model, gamma),
-                              "sum_intersection/active-set",
-                              None if gamma is None else 2 * gamma)
-    if model.is_iid() and gamma is None:
-        return _symmetric_si_beta(model, A, L)
-    n_subsets = math.comb(d, L)
-    if n_subsets > SI_SUBSET_CAP:
-        raise SolverError(
-            f"general sum-intersection solve needs C({d},{L}) = {n_subsets} "
-            f"dual variables, above the cap {SI_SUBSET_CAP}"
-        )
-    subsets = list(combinations(range(d), L))
-    th, lam, resid, ok = _si_dual_program(model, signs, subsets, gamma=gamma)
-    val = rearrangement_min(th, L) if _sign_ok(th, signs) else -math.inf
-    return TiltSolution(float(val), th, ok and resid <= 1e-8, resid,
-                        "sum_intersection/lp-dual-slsqp")
-
-
-def _sign_ok(theta, signs, tol=1e-9):
-    return bool(np.all(signs * theta >= -tol))
+    if isinstance(rule, SumIntersectionRule):
+        return _si_active_set(model, np.arange(d), signs, rule.L,
+                              "sum_intersection/active-set", gamma)
+    siegmund = isinstance(rule, SiegmundRule)
+    c = np.where(in_A, rule.u, -rule.ell) if siegmund else in_A.astype(float)
+    return _sign_program(model, np.arange(d), c, signs, not siegmund, gamma,
+                         rule.kind + "/{}")
 
 
 def solve_gamma_single(k: int, rule: SiegmundRule, model: CgfModel) -> TiltSolution:
@@ -831,7 +806,8 @@ def solve_gap_pair(l: int, lp: int, rule: GapRule, model: CgfModel) -> TiltSolut
     v[lp] = 1.0
     v[l] = -1.0
     if isinstance(model, MvNormalModel):
-        t = _ray_radius(model, v)
+        drift = float(model.mean @ v)
+        t = max(0.0, -2.0 * drift / float(v @ (model.cov @ v)))
         if t <= 0:
             raise SolverError("no positive root along the gap direction")
     else:
@@ -866,68 +842,18 @@ def solve_si_z(A, rule: SumIntersectionRule, model: CgfModel) -> TiltSolution:
     A = tuple(sorted(A))
     if len(A) != rule.L:
         raise ValueError("solve_si_z needs |A| = L")
-    if isinstance(model, MvNormalModel):
-        return _si_active_set(list(A), np.ones(rule.L), rule.L,
-                              _mv_quad(model), "si/z-active-set")
-    t_star, th = _si_box_search(model, A)
-    resid = abs(model.cgf(th))
-    return TiltSolution(float(t_star), th, resid <= 1e-8, resid, "si/z-box")
+    return _si_active_set(model, list(A), np.ones(rule.L), rule.L,
+                          "si/z-active-set")
 
 
 def solve_si_s(B, rule: SumIntersectionRule, model: CgfModel) -> TiltSolution:
     """s_B and the auxiliary tilt on |B| = L + 1 coordinates."""
     validate_drifts(rule, model)
-    d = model.dim
-    L = rule.L
     B = tuple(sorted(B))
-    if len(B) != L + 1:
+    if len(B) != rule.L + 1:
         raise ValueError("solve_si_s needs |B| = L + 1")
-    if isinstance(model, MvNormalModel):
-        return _si_active_set(list(B), np.ones(L + 1), L, _mv_quad(model),
-                              "si/s-active-set")
-    sub = _restrict_model(model, B)
-    if sub.is_iid():
-        ind = np.zeros(d)
-        ind[list(B)] = 1.0
-        t = _ray_radius(model, ind)
-        th = t * ind
-        val = t * (L + 1) / L
-        resid = abs(model.cgf(th))
-        return TiltSolution(float(val), th, resid <= CGF_TOL, resid,
-                            "si/s-symmetric")
-    # non-normal: LP-dual form over the support B with subsets of size L
-    subsets = list(combinations(range(L + 1), L))
-    th_b, lam, resid, ok = _si_dual_program(sub, np.ones(L + 1), subsets)
-    th = np.zeros(d)
-    th[list(B)] = th_b
-    return TiltSolution(rearrangement_min(th_b, L), th, ok and resid <= 1e-8,
-                        resid, "si/s-lp-dual")
-
-
-def _restrict_model(model, idx):
-    idx = list(idx)
-    if isinstance(model, MvNormalModel):
-        return MvNormalModel(model.mean[idx], model.cov[np.ix_(idx, idx)])
-    return IndependentModel([model.components[i] for i in idx])
-
-
-def _si_box_search(model: IndependentModel, A):
-    """max t with min{Lambda(theta): theta_A >= t, theta = 0 off A} <= 0 for
-    independent coordinates, where each coordinate's minimum is its own."""
-    A = list(A)
-    comps = [model.components[k] for k in A]
-    floors = [c.prime_inverse(0.0) for c in comps]
-    box = lambda t: np.maximum(t, floors)
-    psi = lambda t: sum(c.cgf(x) for c, x in zip(comps, box(t)))
-    hi = 1.0
-    for _ in range(200):
-        if psi(hi) > 0:
-            break
-        hi *= 2
-    t_star = refine_root(psi, 0.0, hi)
-    th_full = np.zeros(model.dim)
-    th_full[A] = box(t_star)  # the witness at the boundary
-    return t_star, th_full
+    return _si_active_set(model, list(B), np.ones(rule.L + 1), rule.L,
+                          "si/s-active-set")
 
 
 def v_bound_program(A, gamma, rule, model: CgfModel) -> TiltSolution:

@@ -1,0 +1,146 @@
+"""Reference solvers for the sum-intersection programs, kept for the tests.
+
+The package solves every sum-intersection program with one exact active
+set.  These are the earlier paths it replaced: a ray search over the
+angle of theta = (p on A, -q off A) for i.i.d. models, SLSQP on the
+paper's LP-dual formulation, and a box search for z_A on independent
+coordinates.  The tests compare the active set against them.
+"""
+
+import math
+
+import numpy as np
+
+from wrongexit import IndependentModel, MvNormalModel, rearrangement_min
+from wrongexit.rootfind import positive_root, refine_root
+from wrongexit.solvers import TiltSolution
+
+
+def _ray_radius(model, direction) -> float:
+    """Largest r >= 0 with Lambda(r * direction) <= 0."""
+    if isinstance(model, MvNormalModel):
+        drift = float(model.mean @ direction)
+        curv = float(direction @ (model.cov @ direction))
+        return max(0.0, -2.0 * drift / curv)
+    grad0 = float(model.cgf_grad(np.zeros(model.dim)) @ direction)
+    if grad0 >= 0:
+        return 0.0
+    caps = [
+        c.domain_sup / direction[k]
+        for k, c in enumerate(model.components)
+        if direction[k] > 0 and math.isfinite(c.domain_sup)
+    ]
+    upper = min(caps) if caps else math.inf
+    return positive_root(lambda rr: model.cgf(rr * direction), upper=upper)
+
+
+def _symmetric_si_beta(model, A, L):
+    """max rearrangement_min(theta, L) over Lambda <= 0 with the sign pattern
+    of A, for i.i.d. independent models only (normal models take the exact
+    active set): reduces to theta = (p on A, -q off A) and a quasiconcave
+    one-dimensional search over the ray angle.
+    """
+    d = model.dim
+    in_A = np.zeros(d, dtype=bool)
+    in_A[list(A)] = True
+
+    def value_at_angle(phi):
+        direction = np.where(in_A, math.cos(phi), -math.sin(phi))
+        R = _ray_radius(model, direction)
+        if R <= 0:
+            return 0.0, np.zeros(d)
+        th = R * direction
+        return rearrangement_min(th, L), th
+
+    grid = np.linspace(0.0, math.pi / 2, 513)
+    vals = [value_at_angle(p)[0] for p in grid]
+    i = int(np.argmax(vals))
+    a, b = grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]
+    # golden-section polish on the quasiconcave profile
+    invphi = (math.sqrt(5) - 1) / 2
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = value_at_angle(x1)[0], value_at_angle(x2)[0]
+    for _ in range(80):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = value_at_angle(x2)[0]
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = value_at_angle(x1)[0]
+    phi = 0.5 * (a + b)
+    val, th = value_at_angle(phi)
+    return TiltSolution(float(val), th, True, abs(model.cgf(th)),
+                        "si/symmetric-ray-search")
+
+
+def _si_dual_program(model, signs, subsets, gamma=None):
+    """Paper formulation of the sum-intersection programs: maximize
+    sum_C lambda_C over (theta, lambda) with lambda >= 0,
+    sum_{C: k in C} lambda_C <= signs_k * theta_k and Lambda(theta-gamma) <= 0.
+
+    Solved with SLSQP (small instances only; the builders guard sizes), then
+    polished radially onto the CGF boundary, which is exact because the
+    objective is positively homogeneous.
+    """
+    from scipy.optimize import minimize
+
+    d, nC = model.dim, len(subsets)
+    gamma_vec = np.zeros(d) if gamma is None else np.asarray(gamma, float)
+    # sum_{C owns k} lambda_C <= signs_k theta_k   (rows indexed by k)
+    lin = np.zeros((d, d + nC))
+    lin[:, :d] = np.diag(signs.astype(float))
+    for i, C in enumerate(subsets):
+        lin[list(C), d + i] = -1.0
+    cons = [
+        {"type": "ineq", "fun": lambda z: -model.cgf(z[:d] - gamma_vec),
+         "jac": lambda z: np.concatenate(
+             [-model.cgf_grad(z[:d] - gamma_vec), np.zeros(nC)])},
+        {"type": "ineq", "fun": lambda z: lin @ z, "jac": lambda z: lin},
+    ]
+    bounds = ([(0.0, None) if sk > 0 else (None, 0.0) for sk in signs]
+              + [(0.0, None)] * nC)
+    start = np.concatenate([signs * 0.1, np.full(nC, 0.1 / max(1, nC))])
+    res = minimize(
+        lambda z: -z[d:].sum(), start,
+        jac=lambda z: np.concatenate([np.zeros(d), np.full(nC, -1.0)]),
+        constraints=cons, bounds=bounds, method="SLSQP",
+        options={"maxiter": 400, "ftol": 1e-14})
+    th, lam = res.x[:d], res.x[d:]
+    cur = model.cgf(th)
+    if gamma is None and (cur > 0 or cur < 0 and np.linalg.norm(th) > 0):
+        # radial polish: scale to the CGF boundary (objective is homogeneous)
+        rho = positive_root(lambda rr: model.cgf(rr * th),
+                            start=1.0 if cur < 0 else 0.5)
+        th, lam = rho * th, rho * lam
+    resid = abs(model.cgf(th - gamma_vec))
+    return th, lam, resid, res.success
+
+
+def _restrict_model(model, idx):
+    idx = list(idx)
+    if isinstance(model, MvNormalModel):
+        return MvNormalModel(model.mean[idx], model.cov[np.ix_(idx, idx)])
+    return IndependentModel([model.components[i] for i in idx])
+
+
+def _si_box_search(model: IndependentModel, A):
+    """max t with min{Lambda(theta): theta_A >= t, theta = 0 off A} <= 0 for
+    independent coordinates, where each coordinate's minimum is its own."""
+    A = list(A)
+    comps = [model.components[k] for k in A]
+    floors = [c.prime_inverse(0.0) for c in comps]
+    box = lambda t: np.maximum(t, floors)
+    psi = lambda t: sum(c.cgf(x) for c, x in zip(comps, box(t)))
+    hi = 1.0
+    for _ in range(200):
+        if psi(hi) > 0:
+            break
+        hi *= 2
+    t_star = refine_root(psi, 0.0, hi)
+    th_full = np.zeros(model.dim)
+    th_full[A] = box(t_star)  # the witness at the boundary
+    return t_star, th_full
+

@@ -386,6 +386,9 @@ class TestSweeps:
         ({"ell": 0.0}, "table.ell"),
         ({"d": 1}, "table.d"),
         ({"rho_grid": [0.0, "x"]}, "table.rho_grid[1]: 'x' is not a number"),
+        ({"u_values": ["x"]}, "table.u_values[0]: 'x' is not a number"),
+        ({"d": 8.7}, "table.d: 8.7 is not an integer"),
+        ({"ell": "x"}, "table.ell: 'x' is not a number"),
     ])
     def test_table_bad_input_is_config_error(self, tmp_path, capsys, table,
                                              field):
@@ -569,6 +572,14 @@ class TestBadInputIsConfigError:
         ("check", {"model": {"family": "independent", "components": [
             {"type": "normal", "mu": -0.5, "sigma2": 1.0, "count": 2.5}]}},
          "model.components[0].count: 2.5 is not an integer"),
+        ("sweep", {"sweep": {"kind": "si_rho", "d": 8.7, "L": 2}},
+         "sweep.d: 8.7 is not an integer"),
+        ("sweep", {"sweep": {"kind": "si_rho", "L": 2.5}},
+         "sweep.L: 2.5 is not an integer"),
+        ("sweep", {"sweep": {"kind": "siegmund_rho", "d": "x"}},
+         "sweep.d: 'x' is not an integer"),
+        ("sweep", {"sweep": {"kind": "gap_v", "m": 3.5, "v_grid": [1.0]}},
+         "sweep.m: 3.5 is not an integer"),
     ])
     def test_bad_model_and_sweep_fields(self, tmp_path, capsys, command,
                                         spec, message):

@@ -238,6 +238,32 @@ class TestTiltedSampling:
         x = model.sample(np.zeros(3), np.random.default_rng(0))
         assert x.shape == (3,)
 
+    def test_batch_sampler_matches_per_component_reference(self):
+        comps = [Normal(-0.5, 2.0), ShiftedExponential(2.0, -LOG2),
+                 Normal(0.3, 0.5), ShiftedExponential(1.5, -1.0)]
+        model = IndependentModel(comps)
+        rng = np.random.default_rng(5)
+        thetas = rng.uniform(-1.0, 1.4, size=(6, 4))
+        comp = rng.integers(0, 6, size=9)
+        got = model.batch_sampler(thetas)(np.random.default_rng(1), comp, 3)
+        # per-component loop: loc + scale * Z, Z drawn family by family
+        draw = np.random.default_rng(1)
+        want = np.empty((3, 9, 4))
+        want[..., [0, 2]] = draw.standard_normal((3, 9, 2))
+        want[..., [1, 3]] = draw.standard_exponential((3, 9, 2))
+        for k, c in enumerate(comps):
+            t = thetas[comp, k]
+            if isinstance(c, Normal):
+                want[..., k] *= math.sqrt(c.sigma2)
+                want[..., k] += c.mu + c.sigma2 * t
+            else:
+                want[..., k] *= 1.0 / (c.rate - t)
+                want[..., k] += c.shift
+        assert np.array_equal(got, want)
+        thetas[4, 3] = 1.5  # the exponential rate: outside the domain
+        with pytest.raises(TiltDomainError):
+            model.batch_sampler(thetas)
+
 
 class TestChangeOfMeasure:
     @pytest.mark.parametrize("model,theta,n", [

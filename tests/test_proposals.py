@@ -463,6 +463,23 @@ class TestOrbitSolves:
         assert sorted(calls) == list(combinations(range(5), 3))
 
 
+    def test_non_converged_solve_is_an_error(self, monkeypatch):
+        model = random_normal(4, 3)
+        solve = proposals.solve_si_s
+
+        def stalled(B, rule, model):
+            sol = solve(B, rule, model)
+            sol.converged, sol.residual = False, 3e-6
+            return sol
+
+        monkeypatch.setattr(proposals, "solve_si_s", stalled)
+        with pytest.raises(SolverError) as err:
+            build_sum_intersection(model, 2)
+        msg = str(err.value)
+        assert msg.startswith("s program on pattern (0, 1, 2): ")
+        assert "si/s-active-set did not converge (residual 3.000e-06)" in msg
+
+
 class TestMixtureProposal:
     def test_lambda_validation(self):
         with pytest.raises(ValueError):

@@ -37,10 +37,12 @@ from wrongexit import (
     v_lower_bound,
     v_lower_bounds,
 )
-from wrongexit.models import siegmund_root
+from wrongexit.models import TiltDomainError, siegmund_root
 from wrongexit.regions import Region
-from wrongexit.solvers import (
+from si_reference import (
+    _ray_radius,
     _restrict_model,
+    _si_box_search,
     _si_dual_program,
     _symmetric_si_beta,
 )
@@ -355,7 +357,7 @@ class TestSumIntersectionSolvers:
             model = IndependentModel([comp] * 6)
             for L in (2, 3):
                 sol = solve_si_z(range(L), SumIntersectionRule(L), model)
-                assert sol.method == "si/z-box"
+                assert sol.method == "si/z-active-set"
                 assert sol.value == pytest.approx(root, abs=1e-12)
                 np.testing.assert_allclose(sol.tilt[:L], root, atol=1e-12)
                 assert not sol.tilt[L:].any()
@@ -420,6 +422,26 @@ class TestSumIntersectionSolvers:
         rng = np.random.default_rng(30)
         local_max_probe(exact, model, rule, region, rng)
 
+    @pytest.mark.parametrize("comp", [Normal(-0.5, 2.0),
+                                      ShiftedExponential(2.0, -LOG2)])
+    def test_iid_programs_match_ray_and_box_references(self, comp):
+        # the i.i.d. reference paths: ray search (beta^A), box search (z_A)
+        # and the ray through 1_B (s_B = t (L + 1) / L)
+        d = 5
+        model = IndependentModel([comp] * d)
+        for L in (2, 3):
+            rule = SumIntersectionRule(L)
+            A, B = tuple(range(L)), tuple(range(L + 1))
+            cases = [(solve_si_z(A, rule, model), _si_box_search(model, A)[0]),
+                     (solve_si_s(B, rule, model), _ray_radius(
+                         model, np.isin(np.arange(d), B) * 1.0) * (L + 1) / L)]
+            cases += [(solve_beta(R, rule, model),
+                       _symmetric_si_beta(model, R, L).value)
+                      for R in (A, B, tuple(range(1, d)))]
+            for sol, ref in cases:
+                assert sol.converged and sol.method.endswith("active-set")
+                assert sol.value >= ref - 1e-8
+
     def test_beta_value_is_rearrangement_min(self):
         model = exchangeable_mvnormal(6, -0.5, 0.2)
         rule = SumIntersectionRule(2)
@@ -440,21 +462,37 @@ class TestSumIntersectionSolvers:
 
 @st.composite
 def si_programs(draw):
-    """A normal model with negative drift (a random SPD covariance, or an
-    exchangeable one with rho down to -0.9/(d-1)), L, and one
-    sum-intersection program: beta^A, beta^A shifted by gamma = half of
-    beta^A (kind "gamma"), z_A or s_B."""
+    """A model with negative drift, L, and one sum-intersection program:
+    beta^A, beta^A shifted by gamma = half of beta^A (kind "gamma"), z_A or
+    s_B.  The model is normal (a random SPD covariance, or an exchangeable
+    one with rho down to -0.9/(d-1)) or independent (normal,
+    shifted-exponential or mixed components, i.i.d. or not)."""
     d = draw(st.integers(3, 8))
     L = draw(st.integers(2, d - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if draw(st.booleans()):
+    family = draw(st.sampled_from(["exchangeable", "general", "normal",
+                                   "exponential", "mixed"]))
+    if family == "exchangeable":
         model = exchangeable_mvnormal(d, -rng.uniform(0.1, 1.5),
                                       rng.uniform(-0.9 / (d - 1), 0.9),
                                       rng.uniform(0.5, 2.0))
-    else:
+    elif family == "general":
         a = rng.normal(size=(d, d)) * rng.uniform(0.1, 1.0)
         model = MvNormalModel(-rng.uniform(0.1, 1.5, size=d),
                               a @ a.T + rng.uniform(0.05, 1.0) * np.eye(d))
+    else:
+        def component(kind):
+            if kind == "normal":
+                return Normal(-rng.uniform(0.1, 1.5), rng.uniform(0.5, 2.0))
+            rate = rng.uniform(0.5, 3.0)
+            return ShiftedExponential(rate,
+                                      -1.0 / rate - rng.uniform(0.1, 1.5))
+
+        kinds = [family] * d if family != "mixed" else list(
+            rng.choice(["normal", "exponential"], size=d))
+        comps = ([component(kinds[0])] * d if draw(st.booleans())
+                 else [component(k) for k in kinds])
+        model = IndependentModel(comps)
     kind = draw(st.sampled_from(["beta", "gamma", "z", "s"]))
     size = {"z": L, "s": L + 1}.get(kind) or draw(st.integers(L, d))
     return model, SumIntersectionRule(L), kind, sorted(
@@ -486,11 +524,16 @@ class TestExactSumIntersection:
         assert np.all(sol.multipliers[1:] >= -1e-10)
         assert np.all(sol.weights >= -1e-10)
         assert abs(sol.weights.sum() - 1.0) <= 1e-12
-        # the SLSQP program on the same support never does better
+        # the SLSQP program on the same support never does better; on an
+        # exponential coordinate it may step outside the CGF domain
         sub = _restrict_model(model, support)
-        th = _si_dual_program(
-            sub, signs, list(combinations(range(support.size), L)),
-            gamma=None if kind != "gamma" else gamma[support])[0]
+        try:
+            th = _si_dual_program(
+                sub, signs, list(combinations(range(support.size), L)),
+                gamma=None if kind != "gamma" else gamma[support])[0]
+        except TiltDomainError:
+            assert isinstance(model, IndependentModel)
+            return
         if sub.cgf(th - gamma[support]) <= 0 and np.all(signs * th >= 0):
             assert sol.value >= rearrangement_min(th, L) - 1e-9
 
@@ -518,14 +561,17 @@ class TestExactSumIntersection:
 
 
 def test_normal_model_work_imports_no_scipy():
-    # scipy serves only the SLSQP fallback of non-normal sum-intersection
-    # programs; the test modules import it, so check in a fresh interpreter
+    # numpy is the only runtime dependency: in a fresh interpreter where any
+    # scipy import fails, build all three families on normal and
+    # independent models (the exponential sum-intersection build included)
+    # and run a small estimate
     script = """
 import sys
+sys.modules["scipy"] = None
 import numpy as np
 import wrongexit.cli
 from wrongexit import (IndependentModel, MvNormalModel, Normal,
-                       ShiftedExponential, SiegmundRule, exchangeable_mvnormal)
+                       ShiftedExponential, SiegmundRule, SumIntersectionRule)
 from wrongexit.engine import RunConfig, estimate_wrong_exit
 from wrongexit.proposals import build_gap, build_siegmund, build_sum_intersection
 
@@ -533,21 +579,22 @@ a = np.random.default_rng(3).normal(0.0, 0.3, size=(5, 5))
 cov = 0.8 * np.eye(5) + a @ a.T / 5
 general = MvNormalModel(np.linspace(-0.4, -0.8, 5), cov)
 build_siegmund("theta0", general, 1.0, 1.0)
-gap = MvNormalModel(np.array([0.5, 0.5, -0.5, -0.5, -0.5]), cov)
-build_gap("t1", gap, 2)
+build_gap("t1", MvNormalModel(np.array([0.5, 0.5, -0.5, -0.5, -0.5]), cov), 2)
 build_sum_intersection(general, 2)
 iid = IndependentModel([Normal(-0.5, 1.0)] * 2)
 prop, _ = build_siegmund("theta1", iid, 1.0, 1.0)
 run = estimate_wrong_exit(iid, prop, SiegmundRule(1.0, 1.0),
                           RunConfig(b=3.0, n_paths=20, seed=1))
 assert run.n == 20
-assert "scipy" not in sys.modules, sorted(
-    m for m in sys.modules if m.startswith("scipy"))
+build_gap("t2", IndependentModel([Normal(0.5, 1.0)] * 2
+                                 + [Normal(-0.5, 1.0)] * 3), 2)
 exp = IndependentModel([ShiftedExponential(1.0, -1.5),
                         ShiftedExponential(2.0, -1.0),
                         ShiftedExponential(1.5, -1.2)])
 prop, rep = build_sum_intersection(exp, 2)
-assert "scipy.optimize" in sys.modules
+run = estimate_wrong_exit(exp, prop, SumIntersectionRule(2),
+                          RunConfig(b=3.0, n_paths=20, seed=1))
+assert run.n == 20
 print(len(prop), rep.condition)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
