@@ -19,20 +19,19 @@ Solver stack, cheapest applicable path first:
 2. ``_sign_program``, the one routine for every program with a linear
    objective (the Siegmund and gap beta^A, gamma^{k,k'} and the four-index
    gap tilts): max c.theta under a sign pattern on a support, the CGF
-   constraint and an optional zero sum.  Independent coordinates take
-   nested scalar root finding on the KKT system: the stationarity
-   conditions invert the scalar CGF derivatives coordinate by coordinate,
-   leaving one monotone scalar equation in the constraint multiplier (plus
-   one inner equation for the zero-sum multiplier).  Normal models take an
-   active-set method whose subproblem for a fixed active set has an
-   explicit solution, computed through ``np.linalg.cholesky`` factors;
+   constraint and an optional zero sum, by the active set
+   ``_qclp_active_set`` on every model;
 3. ``_si_active_set`` for every sum-intersection program (beta^A, z_A,
    s_B and the shifted beta^A) of every model: the active set extended to
    the concave objective rearrangement_min over the vertex functionals of
-   its LP.  Its subproblem is ``_subsolve`` for a normal model; for
-   independent coordinates it is Newton on the KKT multipliers, which
-   inverts the scalar CGF derivatives coordinate by coordinate and starts
-   from ``_subsolve`` on the second-order Taylor model.
+   its LP.
+
+Both active sets take the constraint from ``_constraint`` and solve the
+subproblem of a fixed active set exactly: in closed form (``_subsolve``,
+through ``np.linalg.cholesky`` factors) for a normal model, and for
+independent coordinates by Newton on the KKT multipliers, which inverts
+the scalar CGF derivatives coordinate by coordinate and starts from
+``_subsolve`` on the second-order Taylor model.
 
 No program is reduced by symmetry here; the proposal builders solve one
 program per symmetry orbit instead.  Everything here needs only numpy.
@@ -60,7 +59,7 @@ from .regions import (
     SumIntersectionRule,
     rearrangement_min,
 )
-from .rootfind import RootError, positive_root, refine_root
+from .rootfind import positive_root
 
 __all__ = [
     "TiltSolution",
@@ -100,10 +99,13 @@ class TiltSolution:
     multiplier followed by one bound multiplier per coordinate (zero on free
     coordinates).  ``eq_multiplier`` is the zero-sum multiplier for gap
     programs; ``weights`` are the vertex-functional weights of an exact
-    sum-intersection solve.  ``_sign_program`` (every Siegmund and gap
-    beta^A, i.i.d. models included) and the sum-intersection active set
-    (every beta^A, z_A and s_B program of every model) fill in the
-    certificate; the closed forms leave it empty.
+    sum-intersection solve.  The two active sets fill in the certificate
+    for every program they solve on every model: ``_sign_program`` (every
+    Siegmund and gap beta^A, gamma^{k,k'} and four-index gap tilt) and
+    the sum-intersection active set (every beta^A, z_A and s_B program);
+    the closed forms leave it empty.  ``residual`` is the largest of |g|,
+    the sign and zero-sum violations and the stationarity residuals, the
+    last divided by max(1, Lambda_k'') on independent coordinates.
     """
 
     value: float
@@ -147,7 +149,7 @@ def validate_drifts(rule, model: CgfModel) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic-CGF programs (normal models): active set with exact subproblems
+# Active sets over the CGF constraint, with exact subproblems
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -166,6 +168,9 @@ class _Quad:
 
     def taylor(self, x):
         return self
+
+    def scale(self, x):
+        return 1.0
 
     def subsolve(self, c, eq, pinned, x):
         return _subsolve(c, self, eq, pinned)
@@ -238,13 +243,15 @@ def _subsolve(c, quad, eq, pinned):
     return x, s, t
 
 
-def _qclp_active_set(c, quad, signs, eq=None):
-    """Maximize c.x s.t. q(x) <= 0 and signs*x >= 0 (and optionally eq.x = 0).
+def _qclp_active_set(c, con, signs, eq=None):
+    """Maximize c.x s.t. g(x) <= 0 and signs*x >= 0 (and optionally eq.x = 0)
+    for a constraint ``con`` (a ``_Quad`` or a ``_Separable``).
 
     Active-set iteration: pin sign-violating coordinates at zero, release
-    pinned coordinates with negative multipliers, re-solve the subproblem in
-    closed form.  Restarts from perturbed initial active sets guard against
-    cycling; their masks are drawn only once the first start has cycled.
+    pinned coordinates with negative multipliers, re-solve the subproblem
+    exactly (``con.subsolve``, from the last subproblem's solution).
+    Restarts from perturbed initial active sets guard against cycling;
+    their masks are drawn only once the first start has cycled.
     """
     n = c.size
 
@@ -254,15 +261,17 @@ def _qclp_active_set(c, quad, signs, eq=None):
         for _ in range(ACTIVE_SET_RESTARTS):
             yield rng.random(n) < 0.3
 
+    x = None
     for pinned0 in starts():
-        pinned = pinned0.copy()
+        pinned, sol = pinned0.copy(), None
         seen = set()
         for _ in range(ACTIVE_SET_MAX_ITER):
             key = pinned.tobytes()
             if key in seen:
                 break
             seen.add(key)
-            sol = _subsolve(c, quad, eq, pinned)
+            if sol is None:
+                sol = con.subsolve(c, eq, pinned, x)
             if sol is None:
                 # pinned subspace infeasible; release everything not forced
                 if pinned.any():
@@ -275,14 +284,16 @@ def _qclp_active_set(c, quad, signs, eq=None):
             viol = (~pinned) & (slack < -1e-12 * scale)
             if viol.any():
                 cand = pinned | viol
-                if _subsolve(c, quad, eq, cand) is not None:
+                sol = con.subsolve(c, eq, cand, x)
+                if sol is not None:
                     pinned = cand
                     continue
                 worst = np.where(viol, slack, np.inf).argmin()
                 pinned = pinned.copy()
                 pinned[worst] = True
                 continue
-            grad = quad.grad(x)
+            sol = None
+            grad = con.grad(x)
             shift = t * eq if eq is not None else 0.0
             reduced = signs * (grad + shift - s * c)  # = s * lambda_k on pinned
             neg = pinned & (reduced < -1e-10 * max(1.0, s))
@@ -296,10 +307,10 @@ def _qclp_active_set(c, quad, signs, eq=None):
                 mults[pinned] = reduced[pinned] / s
             lam0 = math.inf if s == 0 else 1.0 / s
             stat_resid = 0.0 if not (~pinned).any() else float(
-                np.max(np.abs(reduced[~pinned]))
+                np.max(np.abs((reduced / con.scale(x))[~pinned]))
             )
             resid = max(
-                abs(quad.value(x)),
+                abs(con.value(x)),
                 float(max(0.0, -slack.min())) if n else 0.0,
                 abs(eq @ x) if eq is not None else 0.0,
                 stat_resid,
@@ -318,6 +329,18 @@ def _mv_quad(model: MvNormalModel, gamma=None) -> _Quad:
     return _Quad(kappa, b, model.cov)
 
 
+def _constraint(model, S, signs, gamma):
+    """g(y) = Lambda(theta - gamma) in y = signs * theta_S, theta = 0 off S:
+    a ``_Quad`` for a normal model, a ``_Separable`` for an independent one.
+    Each gives its value, gradient, Taylor model and exact subsolve."""
+    gamma = None if gamma is None else np.asarray(gamma, dtype=float)
+    if isinstance(model, MvNormalModel):
+        quad = _mv_quad(model, gamma)
+        return _Quad(quad.kappa, signs * quad.b[S],
+                     quad.sigma[np.ix_(S, S)] * np.outer(signs, signs))
+    return _Separable(model, S, signs, gamma)
+
+
 class _Separable:
     """g(y) = sum_k Lambda_k(signs_k y_k - gamma_k) over the support of an
     independent model, from its column parameters: Lambda_k(t) is
@@ -327,6 +350,7 @@ class _Separable:
         self.model = IndependentModel([model.components[k] for k in S])
         self.signs = signs
         self.gamma = np.zeros(len(S)) if gamma is None else gamma[S]
+        self.home = 2.0 * signs * self.gamma  # feasible: g = Lambda(gamma)
 
     def value(self, y):
         return float(self.model.cgf_rows([self.signs * y - self.gamma])[0])
@@ -335,13 +359,21 @@ class _Separable:
         return self.signs * self.model.cgf_grad_rows(
             [self.signs * y - self.gamma])[0]
 
+    def curvature(self, y):
+        """Lambda_k'' at signs_k y_k - gamma_k, coordinate by coordinate."""
+        m = self.model
+        with np.errstate(divide="ignore"):
+            return np.where(m._normal, m._par,
+                            (m._par - (self.signs * y - self.gamma)) ** -2.0)
+
+    def scale(self, y):
+        """Divisors of the stationarity residuals: near an exponential rate
+        Lambda_k' is only known to its rounding level times Lambda_k''."""
+        return np.maximum(1.0, self.curvature(y))
+
     def taylor(self, y):
         """The second-order Taylor model of g at a feasible y."""
-        m = self.model
-        g = self.grad(y)
-        with np.errstate(divide="ignore"):
-            h = np.where(m._normal, m._par,
-                         (m._par - (self.signs * y - self.gamma)) ** -2.0)
+        g, h = self.grad(y), self.curvature(y)
         return _Quad(self.value(y) - g @ y + 0.5 * y @ (h * y), g - h * y,
                      np.diag(h))
 
@@ -350,7 +382,17 @@ class _Separable:
         stationarity Lambda_k'(signs_k x_k - gamma_k) = signs_k (s c - t eq)_k
         is inverted coordinate by coordinate, leaving g(x) = 0 and eq x = 0
         in (s, t).  Newton on them starts from the Taylor model's subsolve
-        at y and backtracks on the residual of those equations."""
+        at y (skipped when y is None or outside the domain), else at the
+        feasible point ``home``, and backtracks on the residual of those
+        equations."""
+        for y0 in (y, self.home):
+            if y0 is not None and math.isfinite(self.value(y0)):
+                sol = self._newton(c, eq, pinned, y0)
+                if sol is not None:
+                    return sol
+        return None
+
+    def _newton(self, c, eq, pinned, y):
         sol = _subsolve(c, self.taylor(y), eq, pinned)
         if sol is None:
             return None
@@ -358,7 +400,8 @@ class _Separable:
         m = self.model
         normal, lin, par = m._normal[free], m._lin[free], m._par[free]
         signs, gamma, cf = self.signs[free], self.gamma[free], c[free]
-        g = np.zeros((0, cf.size)) if eq is None else eq[:, free]
+        g = (np.zeros((0, cf.size)) if eq is None
+             else np.atleast_2d(eq)[:, free])
 
         def point(z):  # x, the residuals, h = s c - t g and the curvatures
             h = z[0] * cf - z[1:] @ g
@@ -373,11 +416,19 @@ class _Separable:
             return x, res, h, np.where(normal, par, v * v)
 
         z = np.append(sol[1], np.reshape(sol[2], -1)[:len(g)])
-        for _ in range(64):  # h -> 0 puts every Lambda_k' inside its range
+        # every Lambda_k' must exceed its shift: h -> 0 does that when the
+        # shifts are negative.  A zero-sum row (1-D eq, all ones with unit
+        # signs) instead lowers t, which raises every h_k, until each
+        # exponential Lambda_k' is at least its value at gamma_k
+        for i in range(64):
             cur = point(z)
             if cur is not None:
                 break
-            z = 0.5 * z
+            if i == 0 and eq is not None and eq.ndim == 1:
+                z[1] = min(z[1], np.min((z[0] * cf - lin - 1.0 / par)[~normal],
+                                        initial=np.inf))
+            else:
+                z = 0.5 * z
         else:
             return None
         for _ in range(ACTIVE_SET_MAX_ITER):
@@ -404,7 +455,9 @@ class _Separable:
         x, res, h = cur[:3]  # rounding x moves g by up to eps |h|.|x|
         if np.max(np.abs(res)) > CGF_TOL * max(1.0, abs(h) @ abs(x[free])):
             return None
-        return x, z[0], (0.0 if eq is None else z[1:])
+        if eq is None:
+            return x, z[0], 0.0
+        return x, z[0], (z[1] if eq.ndim == 1 else z[1:])
 
 
 def _si_active_set(model, S, signs, L, method, gamma=None) -> TiltSolution:
@@ -414,9 +467,7 @@ def _si_active_set(model, S, signs, L, method, gamma=None) -> TiltSolution:
     y >= 0 and l.y >= t for the rearrangement LP's vertex functionals
     l = 1_T / k (|T| = |S| - L + k, k = 1..L).
 
-    The constraint g(y) = Lambda(theta - gamma) is a ``_Quad`` for a normal
-    model and a ``_Separable`` for an independent one; each gives its
-    value, gradient, Taylor model and exact subsolve.
+    The constraint g(y) = Lambda(theta - gamma) comes from ``_constraint``.
 
     Primal active set.  The working set holds functionals kept equal to the
     level (the rows l_j - l_0 of the subsolve) and pinned coordinates.
@@ -428,12 +479,7 @@ def _si_active_set(model, S, signs, L, method, gamma=None) -> TiltSolution:
     """
     n = len(S)
     gamma = None if gamma is None else np.asarray(gamma, dtype=float)
-    if isinstance(model, MvNormalModel):
-        quad = _mv_quad(model, gamma)
-        con = _Quad(quad.kappa, signs * quad.b[S],
-                    quad.sigma[np.ix_(S, S)] * np.outer(signs, signs))
-    else:
-        con = _Separable(model, S, signs, gamma)
+    con = _constraint(model, S, signs, gamma)
 
     def cut(y):  # the level of y and a functional attaining it
         order = np.argsort(y, kind="stable")
@@ -511,112 +557,10 @@ def _si_active_set(model, S, signs, L, method, gamma=None) -> TiltSolution:
     y = np.maximum(y, 0.0)  # rounding leaves free zeros at -1e-16
     theta, mu = np.zeros(model.dim), np.zeros(model.dim)
     theta[S], mu[S] = signs * y, np.where(pinned, reduced / s, 0.0)
-    resid = max(abs(con.value(y)), float(np.max(np.abs(reduced[~pinned]),
-                                                initial=0.0)))
+    resid = max(abs(con.value(y)), float(np.max(
+        np.abs((reduced / con.scale(y))[~pinned]), initial=0.0)))
     return TiltSolution(rearrangement_min(theta, L), theta, resid <= KKT_TOL,
                         resid, method, np.append(1.0 / s, mu), weights=w)
-
-
-# ---------------------------------------------------------------------------
-# Independent coordinates: nested scalar root finding on the KKT system
-# ---------------------------------------------------------------------------
-
-def _indep_theta(comp, sign, gamma_k, y):
-    """Stationarity-consistent coordinate value, clamped to its sign."""
-    raw = comp.prime_inverse(y)
-    val = gamma_k + raw if math.isfinite(raw) else -math.inf
-    if sign > 0:
-        return max(0.0, val)
-    return min(0.0, val)
-
-
-def _indep_term(comp, gamma_k, theta_k):
-    if not math.isfinite(theta_k):
-        return math.inf
-    return comp.cgf(theta_k - gamma_k)
-
-
-def _independent_kkt(components, c, signs, gamma=None, with_eq=False):
-    """Solve max c.theta s.t. sum_k Lambda_k(theta_k - gamma_k) <= 0 + signs
-    (+ zero sum when ``with_eq``) by root finding on the KKT multipliers.
-
-    With s = 1/lambda_0 and t = nu/lambda_0, stationarity pins
-    (Lambda_k)'(theta_k - gamma_k) = s c_k - t on unclamped coordinates; the
-    CGF sum is strictly increasing in s, and (for gap problems) the
-    coordinate sum is strictly decreasing in t, so both levels of the nested
-    search are monotone scalar root-finding problems.
-    """
-    n = len(components)
-    gamma = np.zeros(n) if gamma is None else np.asarray(gamma, dtype=float)
-
-    def theta_vec(s, t):
-        return [
-            _indep_theta(components[k], signs[k], gamma[k], s * c[k] - t)
-            for k in range(n)
-        ]
-
-    def coord_sum(s, t):
-        th = theta_vec(s, t)
-        return -math.inf if any(not math.isfinite(v) for v in th) else sum(th)
-
-    def solve_t(s):
-        # bracket the zero-sum equation; coordinate sum decreases in t
-        lo, hi = -1.0, 1.0
-        for _ in range(200):
-            if coord_sum(s, lo) > 0:
-                break
-            lo *= 2
-        for _ in range(200):
-            if coord_sum(s, hi) <= 0:
-                break
-            hi *= 2
-        return refine_root(lambda t: -coord_sum(s, t), lo, hi)
-
-    def cgf_sum(s):
-        t = solve_t(s) if with_eq else 0.0
-        th = theta_vec(s, t)
-        return sum(_indep_term(components[k], gamma[k], th[k]) for k in range(n)), t
-
-    g0, _ = cgf_sum(0.0)
-    if g0 > CGF_TOL:
-        return None  # no sign-feasible point satisfies the CGF constraint
-    g = lambda s: cgf_sum(s)[0]
-
-    def gprime(s):
-        # envelope derivative: s [sum c^2/w - (sum c/w)^2 / sum 1/w] over
-        # the unclamped coordinates, w_k the shifted CGF curvature
-        t = solve_t(s) if with_eq else 0.0
-        th = theta_vec(s, t)
-        sum_c2w = sum_cw = sum_1w = 0.0
-        for k in range(n):
-            if not math.isfinite(th[k]) or th[k] == 0.0:
-                continue
-            w = components[k].cgf_second(th[k] - gamma[k])
-            sum_c2w += c[k] * c[k] / w
-            sum_cw += c[k] / w
-            sum_1w += 1.0 / w
-        val = sum_c2w
-        if with_eq and sum_1w > 0:
-            val -= sum_cw * sum_cw / sum_1w
-        return s * val
-
-    try:
-        s_star = positive_root(g, gprime)
-    except RootError as exc:
-        raise SolverError(f"independent KKT root search failed: {exc}") from exc
-    t_star = solve_t(s_star) if with_eq else 0.0
-    th = np.array(theta_vec(s_star, t_star))
-    resid = abs(g(s_star)) + (abs(th.sum()) if with_eq else 0.0)
-    mults = np.zeros(n)
-    for k in range(n):
-        if th[k] == 0.0:
-            mk = signs[k] * (
-                components[k].cgf_prime(-gamma[k]) + t_star - s_star * c[k]
-            )
-            mults[k] = mk / s_star if s_star > 0 else math.nan
-    lam0 = 1.0 / s_star
-    nu = t_star * lam0 if with_eq else None
-    return th, float(c @ th), np.concatenate([[lam0], mults]), nu, resid
 
 
 def homogeneous_profile(component, d: int, ell: float, u: float):
@@ -722,31 +666,20 @@ def _sign_program(model, support, c, signs, zero_sum, gamma,
     Lambda(theta - gamma) <= 0 and, when ``zero_sum``, sum theta = 0.
 
     ``c`` and ``signs`` run over ``support``; a shifted program (``gamma``
-    given) has full support.  A normal model takes the active set, an
-    independent one the KKT root search on the support's components.  A
-    ``{}`` in ``method`` takes the name of the path.
+    given) has full support.  The active set takes the constraint on the
+    support with unit signs and keeps the sign pattern itself; it raises
+    SolverError when no sign-feasible tilt meets the CGF constraint.
     """
     d = model.dim
     sup = np.asarray(support)
     eq = np.ones(sup.size) if zero_sum else None
-    if isinstance(model, MvNormalModel):
-        quad = _mv_quad(model, gamma)
-        if sup.size < d:
-            quad = _Quad(quad.kappa, quad.b[sup], quad.sigma[np.ix_(sup, sup)])
-        out, path = _qclp_active_set(c, quad, signs, eq), "active-set"
-    else:
-        out = _independent_kkt([model.components[k] for k in sup], c, signs,
-                               gamma=gamma, with_eq=zero_sum)
-        path = "independent-kkt"
-        if out is None:
-            return TiltSolution(-math.inf, np.zeros(d), True, 0.0,
-                                method.format(path + "(infeasible)"))
-    x, val, mults, nu, resid = out
+    con = _constraint(model, sup, np.ones(sup.size), gamma)
+    x, val, mults, nu, resid = _qclp_active_set(c, con, signs, eq)
     th, full_m = np.zeros(d), np.zeros(d + 1)
     th[sup] = x
     full_m[0], full_m[1 + sup] = mults[0], mults[1:]
-    return TiltSolution(val, th, resid <= KKT_TOL, resid, method.format(path),
-                        full_m, nu if zero_sum else None)
+    return TiltSolution(val, th, resid <= KKT_TOL, resid, method, full_m,
+                        nu if zero_sum else None)
 
 
 def solve_beta(A, rule, model: CgfModel, gamma=None) -> TiltSolution:
@@ -770,7 +703,7 @@ def solve_beta(A, rule, model: CgfModel, gamma=None) -> TiltSolution:
     siegmund = isinstance(rule, SiegmundRule)
     c = np.where(in_A, rule.u, -rule.ell) if siegmund else in_A.astype(float)
     return _sign_program(model, np.arange(d), c, signs, not siegmund, gamma,
-                         rule.kind + "/{}")
+                         rule.kind + "/active-set")
 
 
 def solve_gamma_single(k: int, rule: SiegmundRule, model: CgfModel) -> TiltSolution:

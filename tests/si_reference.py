@@ -1,10 +1,12 @@
-"""Reference solvers for the sum-intersection programs, kept for the tests.
+"""Reference solvers for the tilt programs, kept for the tests.
 
-The package solves every sum-intersection program with one exact active
-set.  These are the earlier paths it replaced: a ray search over the
-angle of theta = (p on A, -q off A) for i.i.d. models, SLSQP on the
-paper's LP-dual formulation, and a box search for z_A on independent
-coordinates.  The tests compare the active set against them.
+The package solves every tilt program with one exact active set.  These
+are the earlier paths it replaced: for the sum-intersection programs, a
+ray search over the angle of theta = (p on A, -q off A) for i.i.d.
+models, SLSQP on the paper's LP-dual formulation, and a box search for z_A
+on independent coordinates; for the linear-objective (Siegmund and gap)
+programs on independent coordinates, nested scalar root finding on the
+KKT multipliers.  The tests compare the active set against them.
 """
 
 import math
@@ -12,8 +14,8 @@ import math
 import numpy as np
 
 from wrongexit import IndependentModel, MvNormalModel, rearrangement_min
-from wrongexit.rootfind import positive_root, refine_root
-from wrongexit.solvers import TiltSolution
+from wrongexit.rootfind import RootError, positive_root, refine_root
+from wrongexit.solvers import CGF_TOL, SolverError, TiltSolution
 
 
 def _ray_radius(model, direction) -> float:
@@ -144,3 +146,100 @@ def _si_box_search(model: IndependentModel, A):
     th_full[A] = box(t_star)  # the witness at the boundary
     return t_star, th_full
 
+
+def _indep_theta(comp, sign, gamma_k, y):
+    """Stationarity-consistent coordinate value, clamped to its sign."""
+    raw = comp.prime_inverse(y)
+    val = gamma_k + raw if math.isfinite(raw) else -math.inf
+    if sign > 0:
+        return max(0.0, val)
+    return min(0.0, val)
+
+
+def _indep_term(comp, gamma_k, theta_k):
+    if not math.isfinite(theta_k):
+        return math.inf
+    return comp.cgf(theta_k - gamma_k)
+
+
+def _independent_kkt(components, c, signs, gamma=None, with_eq=False):
+    """Solve max c.theta s.t. sum_k Lambda_k(theta_k - gamma_k) <= 0 + signs
+    (+ zero sum when ``with_eq``) by root finding on the KKT multipliers.
+
+    With s = 1/lambda_0 and t = nu/lambda_0, stationarity pins
+    (Lambda_k)'(theta_k - gamma_k) = s c_k - t on unclamped coordinates; the
+    CGF sum is strictly increasing in s, and (for gap problems) the
+    coordinate sum is strictly decreasing in t, so both levels of the nested
+    search are monotone scalar root-finding problems.
+    """
+    n = len(components)
+    gamma = np.zeros(n) if gamma is None else np.asarray(gamma, dtype=float)
+
+    def theta_vec(s, t):
+        return [
+            _indep_theta(components[k], signs[k], gamma[k], s * c[k] - t)
+            for k in range(n)
+        ]
+
+    def coord_sum(s, t):
+        th = theta_vec(s, t)
+        return -math.inf if any(not math.isfinite(v) for v in th) else sum(th)
+
+    def solve_t(s):
+        # bracket the zero-sum equation; coordinate sum decreases in t
+        lo, hi = -1.0, 1.0
+        for _ in range(200):
+            if coord_sum(s, lo) > 0:
+                break
+            lo *= 2
+        for _ in range(200):
+            if coord_sum(s, hi) <= 0:
+                break
+            hi *= 2
+        return refine_root(lambda t: -coord_sum(s, t), lo, hi)
+
+    def cgf_sum(s):
+        t = solve_t(s) if with_eq else 0.0
+        th = theta_vec(s, t)
+        return sum(_indep_term(components[k], gamma[k], th[k]) for k in range(n)), t
+
+    g0, _ = cgf_sum(0.0)
+    if g0 > CGF_TOL:
+        return None  # no sign-feasible point satisfies the CGF constraint
+    g = lambda s: cgf_sum(s)[0]
+
+    def gprime(s):
+        # envelope derivative: s [sum c^2/w - (sum c/w)^2 / sum 1/w] over
+        # the unclamped coordinates, w_k the shifted CGF curvature
+        t = solve_t(s) if with_eq else 0.0
+        th = theta_vec(s, t)
+        sum_c2w = sum_cw = sum_1w = 0.0
+        for k in range(n):
+            if not math.isfinite(th[k]) or th[k] == 0.0:
+                continue
+            w = components[k].cgf_second(th[k] - gamma[k])
+            sum_c2w += c[k] * c[k] / w
+            sum_cw += c[k] / w
+            sum_1w += 1.0 / w
+        val = sum_c2w
+        if with_eq and sum_1w > 0:
+            val -= sum_cw * sum_cw / sum_1w
+        return s * val
+
+    try:
+        s_star = positive_root(g, gprime)
+    except RootError as exc:
+        raise SolverError(f"independent KKT root search failed: {exc}") from exc
+    t_star = solve_t(s_star) if with_eq else 0.0
+    th = np.array(theta_vec(s_star, t_star))
+    resid = abs(g(s_star)) + (abs(th.sum()) if with_eq else 0.0)
+    mults = np.zeros(n)
+    for k in range(n):
+        if th[k] == 0.0:
+            mk = signs[k] * (
+                components[k].cgf_prime(-gamma[k]) + t_star - s_star * c[k]
+            )
+            mults[k] = mk / s_star if s_star > 0 else math.nan
+    lam0 = 1.0 / s_star
+    nu = t_star * lam0 if with_eq else None
+    return th, float(c @ th), np.concatenate([[lam0], mults]), nu, resid

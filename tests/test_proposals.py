@@ -26,7 +26,8 @@ from wrongexit.proposals import (
     build_sum_intersection,
     check_direct_siegmund_homogeneous,
 )
-from wrongexit.solvers import SolverError
+from wrongexit.solvers import SolverError, TiltSolution
+from si_reference import _independent_kkt
 
 LOG2 = math.log(2.0)
 
@@ -52,12 +53,25 @@ def symmetry_off(monkeypatch):
                         lambda model, m=0: list(range(model.dim + 1)))
 
 
+def reference_beta(A, rule, model):
+    """solve_beta, except that an independent model takes the KKT root
+    search of ``si_reference``, the root search of homogeneous_profile."""
+    if not isinstance(model, IndependentModel):
+        return solve_beta(A, rule, model)
+    in_A = np.isin(np.arange(model.dim), A)
+    th, val = _independent_kkt(model.components,
+                               np.where(in_A, rule.u, -rule.ell),
+                               np.where(in_A, 1.0, -1.0))[:2]
+    return TiltSolution(val, th, True, 0.0, "reference")
+
+
 def direct_reference(model, ell, u):
-    """The direct check one size at a time: solve_beta and v_lower_bound for
-    A = {0..m-1}, m = 2..d.  Returns (betas by size, lhs, rhs, margins)."""
+    """The direct check one size at a time: reference_beta and
+    v_lower_bound for A = {0..m-1}, m = 2..d.  Returns (betas by size, lhs,
+    rhs, margins)."""
     rule = SiegmundRule(ell, u)
     d = model.dim
-    betas = [None] + [solve_beta(list(range(a)), rule, model)
+    betas = [None] + [reference_beta(list(range(a)), rule, model)
                       for a in range(1, d + 1)]
     beta1 = betas[1].tilt
     rhs = 2 * betas[1].value

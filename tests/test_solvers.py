@@ -8,7 +8,7 @@ from pathlib import Path
 import subprocess
 import sys
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
@@ -39,7 +39,9 @@ from wrongexit import (
 )
 from wrongexit.models import TiltDomainError, siegmund_root
 from wrongexit.regions import Region
+from wrongexit.solvers import SolverError
 from si_reference import (
+    _independent_kkt,
     _ray_radius,
     _restrict_model,
     _si_box_search,
@@ -153,7 +155,7 @@ class TestSiegmundSolvers:
                 a = len(A)
                 tilt = np.full(d, v_minus[a] if a < d else 0.0)
                 tilt[A] = v_plus[a]
-                assert sol.method == "siegmund/independent-kkt"
+                assert sol.method == "siegmund/active-set"
                 assert sol.value == pytest.approx(r[a], abs=1e-9)
                 np.testing.assert_allclose(sol.tilt, tilt, atol=1e-9)
                 # KKT: c + signs * mu = lambda_0 grad Lambda(beta), mu >= 0
@@ -231,7 +233,7 @@ class TestSiegmundSolvers:
         for k in (0, 1):
             beta = solve_beta([k], rule, mixed)
             gam = solve_gamma_single(k, rule, mixed)
-            assert beta.method == "siegmund/independent-kkt"
+            assert beta.method == "siegmund/active-set"
             assert beta.value == pytest.approx(gam.value, abs=1e-12)
             np.testing.assert_allclose(beta.tilt, gam.tilt, atol=1e-12)
             check_certificate(beta, mixed, Region(True, (k,)), rule)
@@ -559,6 +561,111 @@ class TestExactSumIntersection:
         assert outs[0].split()[0] == "90"
         assert outs[0] == outs[1]
 
+    def test_near_pole_program_certifies(self):
+        # the optimum puts coordinate 4 about 7e-5 below its rate, where
+        # Lambda'' is about 2e8: the stationarity residual is measured in
+        # units of the curvature there, not in absolute terms
+        pairs = [(2.4112046916976184, -1.6209344038914475),
+                 (2.1501298446626667, -1.1514962836694111),
+                 (2.5385349932483545, -1.7265604996697137),
+                 (2.372119282091573, -1.8428937889829002),
+                 (1.3820872770986854, -1.763727567768258),
+                 (0.9861834397480527, -1.97738938048795),
+                 (2.7374346149532442, -1.421698800921902)]
+        model = IndependentModel([ShiftedExponential(r, s) for r, s in pairs])
+        sol = solve_si_z([0, 1, 2, 3, 4, 6], SumIntersectionRule(6), model)
+        assert 0 < pairs[4][0] - sol.tilt[4] < 1e-4
+        assert sol.converged and sol.residual <= 1e-10
+        assert abs(model.cgf(sol.tilt)) <= 1e-10
+        assert sol.multipliers[0] > 0
+
+
+@st.composite
+def sign_programs(draw):
+    """An independent model and one linear-objective program with the
+    arguments of its ``_independent_kkt`` reference: a Siegmund beta^A, a
+    gamma^{k,k'}, a gap single swap or general beta^A, a four-index gap
+    tilt, or a Siegmund or gap beta^A shifted by gamma = half of its
+    tilt.  Components are normal, shifted-exponential or mixed, i.i.d. (per
+    side, for the gap rule) or not; gap heads may be exponentials with a
+    positive shift."""
+    kind = draw(st.sampled_from(["siegmund", "pair", "swap", "gap", "quad",
+                                 "shifted"]))
+    gap = kind in ("swap", "gap", "quad") or (kind == "shifted"
+                                              and draw(st.booleans()))
+    d = draw(st.integers(4 if kind == "quad" else 2, 8))
+    m = (draw(st.integers(2, d - 2)) if kind == "quad" else
+         draw(st.integers(1, d - 1)) if gap else 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    family = draw(st.sampled_from(["normal", "exponential", "mixed"]))
+    kinds = [family] * d if family != "mixed" else list(
+        rng.choice(["normal", "exponential"], size=d))
+
+    def component(kind, head):
+        if kind == "normal":
+            mu = rng.uniform(0.1, 1.5)
+            return Normal(mu if head else -mu, rng.uniform(0.5, 2.0))
+        rate = rng.uniform(0.5, 3.0)
+        return ShiftedExponential(rate, rng.uniform(-0.9 / rate, 1.5) if head
+                                  else -1.0 / rate - rng.uniform(0.1, 1.5))
+
+    if draw(st.booleans()):
+        head, tail = component(kinds[0], True), component(kinds[-1], False)
+        comps = [head] * m + [tail] * (d - m)
+    else:
+        comps = [component(kinds[k], k < m) for k in range(d)]
+    model = IndependentModel(comps)
+    perm = draw(st.permutations(range(d)))
+    if kind == "pair":
+        rule = SiegmundRule(1.0, rng.uniform(0.2, 3.0))
+        k, kp = sorted(perm[:2])
+        return (model, solve_gamma_pair(k, kp, rule, model), [k, kp],
+                np.full(2, rule.u), np.ones(2), False, None)
+    if kind == "quad":
+        idx = ([k for k in perm if k < m][:2]
+               + [k for k in perm if k >= m][:2])
+        return (model, solve_gap_quad(*idx, GapRule(m), model), idx,
+                np.array([0.0, 0.0, 1.0, 1.0]),
+                np.array([-1.0, -1.0, 1.0, 1.0]), True, None)
+    if not gap:
+        rule = SiegmundRule(rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0))
+        A = sorted(perm[:draw(st.integers(1, d))])
+    elif kind == "gap" or (kind == "shifted" and draw(st.booleans())):
+        rule = GapRule(m)
+        A = sorted(perm[:m])
+        assume(A != list(range(m)))
+    else:
+        rule = GapRule(m)
+        A = sorted(set(range(m)) - {draw(st.integers(0, m - 1))}
+                   | {draw(st.integers(m, d - 1))})
+    in_A = np.isin(np.arange(d), A)
+    c = in_A * 1.0 if gap else np.where(in_A, rule.u, -rule.ell)
+    gamma = None
+    if kind == "shifted":
+        gamma = 0.5 * solve_beta(A, rule, model).tilt
+        sol = v_bound_program(A, gamma, rule, model)
+    else:
+        sol = solve_beta(A, rule, model)
+    return (model, sol, list(range(d)), c, np.where(in_A, 1.0, -1.0), gap,
+            gamma)
+
+
+class TestIndependentSignPrograms:
+    @settings(max_examples=150, deadline=None)
+    @given(sign_programs())
+    def test_certificate_and_kkt_reference(self, case):
+        model, sol, support, c, signs, zero_sum, gamma = case
+        shift = np.zeros(model.dim) if gamma is None else gamma
+        assert sol.converged and sol.method.endswith(
+            ("active-set", "gamma-pair", "quad"))
+        assert sol.multipliers[0] > 0
+        assert np.all(sol.multipliers[1:] >= -1e-10)
+        assert abs(model.cgf(sol.tilt - shift)) <= 1e-10
+        ref = _independent_kkt(
+            [model.components[k] for k in support], c, signs,
+            None if gamma is None else gamma[support], zero_sum)
+        assert abs(sol.value - ref[1]) <= 1e-9
+
 
 def test_normal_model_work_imports_no_scipy():
     # numpy is the only runtime dependency: in a fresh interpreter where any
@@ -639,6 +746,18 @@ class TestVBounds:
                                 RULE11, model)
             exact = v_bound_program(A, beta1.tilt, RULE11, model)
             assert exact.value >= wit.lower_bound - 1e-9
+
+    @pytest.mark.parametrize("model", [
+        MvNormalModel(np.full(2, -0.5), np.eye(2)),
+        IndependentModel([Normal(-0.5, 1.0)] * 2)],
+        ids=["normal", "independent"])
+    def test_infeasible_shifted_program_is_an_error(self, model):
+        # Lambda(gamma) < 0, but theta_1 <= 0 forces theta_1 - gamma_1 <=
+        # -1.1, and Lambda_1(-1.1) exceeds -min Lambda_0
+        gamma = np.array([0.5, 1.1])
+        assert model.cgf(gamma) < 0
+        with pytest.raises(SolverError):
+            v_bound_program([0], gamma, RULE11, model)
 
     def test_vbound_requires_feasible_gamma(self):
         model = exchangeable_mvnormal(3, -0.5, 0.0)
