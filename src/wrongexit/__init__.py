@@ -32,7 +32,6 @@ from .solvers import (
     solve_gap_quad,
     solve_si_s,
     solve_si_z,
-    v_bound_program,
     v_lower_bound,
     v_lower_bounds,
 )

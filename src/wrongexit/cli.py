@@ -77,8 +77,12 @@ def _number(val, path: str, cast=float):
             raise ValueError
         return cast(val)
     except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if cast is int else "a number"
+        kind = {int: "an integer", float: "a number"}.get(cast, "numeric")
         raise ConfigError(f"{path}: {val!r} is not {kind}") from None
+
+
+def _floats(val):
+    return np.asarray(val, dtype=float)
 
 
 def _positive(val, path: str, cast=float):
@@ -106,10 +110,10 @@ def build_model(spec: dict, path: str = "model"):
         mean = _mean_vector(spec, path)
         d = mean.shape[0]
         if "cov" in spec:
-            cov = np.asarray(spec["cov"], dtype=float)
+            cov = _number(spec["cov"], f"{path}.cov", _floats)
         else:
-            rho = float(spec.get("rho", 0.0))
-            sigma2 = float(spec.get("sigma2", 1.0))
+            rho = _number(spec.get("rho", 0.0), f"{path}.rho")
+            sigma2 = _number(spec.get("sigma2", 1.0), f"{path}.sigma2")
             cov = sigma2 * ((1 - rho) * np.eye(d) + rho * np.ones((d, d)))
         try:
             return MvNormalModel(mean, cov)
@@ -142,10 +146,12 @@ def _mean_vector(spec, path):
                         f"{path}.mean.split", int)
         if not 0 <= split <= d:
             raise ConfigError(f"{path}.mean.split: {split} is outside 0..{d}")
-        v = np.full(d, float(_need(mean, "tail", f"{path}.mean")))
-        v[:split] = float(_need(mean, "head", f"{path}.mean"))
+        v = np.full(d, _number(_need(mean, "tail", f"{path}.mean"),
+                               f"{path}.mean.tail"))
+        v[:split] = _number(_need(mean, "head", f"{path}.mean"),
+                            f"{path}.mean.head")
         return v
-    mean = np.asarray(mean, dtype=float)
+    mean = _number(mean, f"{path}.mean", _floats)
     if d is not None and mean.shape != (d,):
         raise ConfigError(f"{path}.dim: {d} does not match the "
                           f"{mean.size} entries of {path}.mean")
@@ -441,6 +447,8 @@ def cmd_table(cfg, args) -> int:
     ell = _positive(spec.get("ell", 1.0), "table.ell")
     u_values = [_positive(u, f"table.u_values[{i}]") for i, u in
                 enumerate(spec.get("u_values", [3, 2, 1, 0.5, 1 / 3]))]
+    if not u_values:
+        raise ConfigError("table.u_values: the list is empty")
     rhos = _rho_grid(spec, d, "table")
     rows = []
     for u in u_values:
@@ -488,17 +496,24 @@ def cmd_sweep(cfg, args) -> int:
 
 
 def _float_grid(spec, key, default, path):
-    """A list of floats, or start + i step for i = 0..round((stop - start)
-    / step) rounded to 10 digits."""
+    """A nonempty list of floats, or start + i step for i = 0..round((stop -
+    start) / step) rounded to 10 digits."""
     g = spec.get(key, default)
     if isinstance(g, dict):
-        start, stop, step = (_need(g, k, f"{path}.{key}")
+        start, stop, step = (_number(_need(g, k, f"{path}.{key}"),
+                                     f"{path}.{key}.{k}")
                              for k in ("start", "stop", "step"))
         if not step > 0:
             raise ConfigError(f"{path}.{key}.step: {step} is not positive")
-        n = int(round((stop - start) / step))
-        return [round(start + i * step, 10) for i in range(n + 1)]
-    return [_number(x, f"{path}.{key}[{i}]") for i, x in enumerate(g)]
+        n = (stop - start) / step
+        if not math.isfinite(n):
+            raise ConfigError(f"{path}.{key}: {start}..{stop} is not finite")
+        grid = [round(start + i * step, 10) for i in range(round(n) + 1)]
+    else:
+        grid = [_number(x, f"{path}.{key}[{i}]") for i, x in enumerate(g)]
+    if not grid:
+        raise ConfigError(f"{path}.{key}: the grid is empty")
+    return grid
 
 
 def _rho_grid(spec, d, path):

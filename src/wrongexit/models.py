@@ -57,9 +57,12 @@ def _check_dim(theta: np.ndarray, dim: int) -> np.ndarray:
 
 def _check_rows(thetas, dim: int) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != dim:
+    if thetas.ndim != 2:
         raise ValueError(f"tilts have shape {thetas.shape}, expected "
                          f"(n, {dim})")
+    if thetas.shape[1] != dim:
+        raise ValueError(f"tilt has shape {thetas.shape[1:]}, expected "
+                         f"({dim},)")
     if not np.all(np.isfinite(thetas)):
         raise ValueError("tilt has non-finite entries")
     return thetas

@@ -171,10 +171,8 @@ class MixtureProposal:
 
     def check_lambdas(self, model: CgfModel, tol: float = CGF_TOL) -> float:
         """Largest |Lambda(theta_i) - lambdas[i]|; raises above ``tol``."""
-        worst = max(
-            abs(model.cgf(self.thetas[i]) - self.lambdas[i])
-            for i in range(len(self))
-        )
+        worst = float(np.max(np.abs(model.cgf_rows(self.thetas)
+                                    - self.lambdas)))
         if worst > tol:
             raise ValueError(f"stored CGF values off by {worst:.3e}")
         return worst

@@ -4,13 +4,13 @@ Every quantity computed here is the optimal value and maximizer of a convex
 program of the form
 
     maximize    <linear or concave positively-homogeneous objective>(theta)
-    subject to  Lambda(theta - gamma) <= 0,  sign constraints,
+    subject to  Lambda(theta) <= 0,  sign constraints,
                 optionally  sum_i theta_i = 0,
 
-where Lambda is the CGF of the increment distribution and gamma (default 0)
-shifts the constraint when certifying second-moment decay bounds.  The CGF
-constraint is active at every optimum of the shipped problems, so solutions
-carry |Lambda(tilt - gamma)| <= 1e-10 and a KKT certificate.
+where Lambda is the CGF of the increment distribution.  theta = 0 is
+feasible for every program, so none is infeasible.  The CGF constraint is
+active at every optimum of the shipped problems, so solutions carry
+|Lambda(tilt)| <= 1e-10 and a KKT certificate.
 
 Solver stack, cheapest applicable path first:
 
@@ -21,26 +21,27 @@ Solver stack, cheapest applicable path first:
    gap tilts): max c.theta under a sign pattern on a support, the CGF
    constraint and an optional zero sum, by the active set
    ``_qclp_active_set`` on every model;
-3. ``_si_active_set`` for every sum-intersection program (beta^A, z_A,
-   s_B and the shifted beta^A) of every model: the active set extended to
-   the concave objective rearrangement_min over the vertex functionals of
-   its LP.
+3. ``_si_active_set`` for every sum-intersection program (beta^A, z_A and
+   s_B) of every model: the active set extended to the concave objective
+   rearrangement_min over the vertex functionals of its LP.
 
-Both active sets take the constraint from ``_constraint`` and solve the
-subproblem of a fixed active set exactly: in closed form (``_subsolve``,
-through ``np.linalg.cholesky`` factors) for a normal model, and for
-independent coordinates by Newton on the KKT multipliers, which inverts
-the scalar CGF derivatives coordinate by coordinate and starts from
-``_subsolve`` on the second-order Taylor model.
+Each active set runs once, from one deterministic start.  Both take the
+constraint from ``_constraint`` and solve the subproblem of a fixed active
+set exactly: in closed form (``_subsolve``, through ``np.linalg.cholesky``
+factors) for a normal model, and for independent coordinates by Newton on
+the KKT multipliers, which inverts the scalar CGF derivatives coordinate by
+coordinate and starts from ``_subsolve`` on the second-order Taylor model.
 
 No program is reduced by symmetry here; the proposal builders solve one
 program per symmetry orbit instead.  Everything here needs only numpy.
 
-Lower bounds on v_A(gamma) are certified by weak duality: a witness
-feasible for the shifted program bounds it by its support value.
-``v_lower_bound`` certifies one region; ``v_lower_bounds`` certifies a
-stack of Siegmund regions at one gamma in one vectorised pass, which is how
-the direct condition is checked for every region size at once.
+Lower bounds on the variance-decay exponents v_A(gamma) are certified by
+weak duality: a witness feasible for the shifted program (the constraint
+Lambda(theta - gamma) <= 0) bounds v_A(gamma) by its support value, so that
+program is never solved.  ``v_lower_bound`` certifies one region;
+``v_lower_bounds`` certifies a stack of Siegmund regions at one gamma in
+one vectorised pass, which is how the direct condition is checked for
+every region size at once.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ __all__ = [
     "solve_gap_quad",
     "solve_si_z",
     "solve_si_s",
-    "v_bound_program",
     "v_lower_bound",
     "v_lower_bounds",
     "rate_function",
@@ -84,7 +84,6 @@ __all__ = [
 CGF_TOL = 1e-10
 KKT_TOL = 1e-8
 ACTIVE_SET_MAX_ITER = 200
-ACTIVE_SET_RESTARTS = 3
 
 
 class SolverError(RuntimeError):
@@ -245,126 +244,90 @@ def _subsolve(c, quad, eq, pinned):
 
 def _qclp_active_set(c, con, signs, eq=None):
     """Maximize c.x s.t. g(x) <= 0 and signs*x >= 0 (and optionally eq.x = 0)
-    for a constraint ``con`` (a ``_Quad`` or a ``_Separable``).
+    for a constraint ``con`` (a ``_Quad`` or a ``_Separable``) with g(0) = 0.
 
-    Active-set iteration: pin sign-violating coordinates at zero, release
-    pinned coordinates with negative multipliers, re-solve the subproblem
-    exactly (``con.subsolve``, from the last subproblem's solution).
-    Restarts from perturbed initial active sets guard against cycling;
-    their masks are drawn only once the first start has cycled.
+    Active-set iteration from nothing pinned: pin every sign-violating
+    coordinate at zero, else release the pinned coordinate with the most
+    negative multiplier, else certify; each subproblem is solved exactly
+    (``con.subsolve``, from the last subproblem's solution).  x = 0 lies in
+    every pinned subspace, so a subproblem without a solution is
+    degenerate.  A pinned set met twice would cycle; both raise SolverError.
     """
     n = c.size
-
-    def starts():
-        yield np.zeros(n, dtype=bool)
-        rng = np.random.default_rng(0)
-        for _ in range(ACTIVE_SET_RESTARTS):
-            yield rng.random(n) < 0.3
-
-    x = None
-    for pinned0 in starts():
-        pinned, sol = pinned0.copy(), None
-        seen = set()
-        for _ in range(ACTIVE_SET_MAX_ITER):
-            key = pinned.tobytes()
-            if key in seen:
-                break
-            seen.add(key)
-            if sol is None:
-                sol = con.subsolve(c, eq, pinned, x)
-            if sol is None:
-                # pinned subspace infeasible; release everything not forced
-                if pinned.any():
-                    pinned = np.zeros(n, dtype=bool)
-                    continue
-                break
-            x, s, t = sol
-            scale = max(1.0, float(np.max(np.abs(x))))
-            slack = signs * x
-            viol = (~pinned) & (slack < -1e-12 * scale)
-            if viol.any():
-                cand = pinned | viol
-                sol = con.subsolve(c, eq, cand, x)
-                if sol is not None:
-                    pinned = cand
-                    continue
-                worst = np.where(viol, slack, np.inf).argmin()
-                pinned = pinned.copy()
-                pinned[worst] = True
-                continue
-            sol = None
-            grad = con.grad(x)
-            shift = t * eq if eq is not None else 0.0
-            reduced = signs * (grad + shift - s * c)  # = s * lambda_k on pinned
-            neg = pinned & (reduced < -1e-10 * max(1.0, s))
-            if neg.any():
-                k = np.where(neg, reduced, np.inf).argmin()
-                pinned = pinned.copy()
-                pinned[k] = False
-                continue
-            mults = np.zeros(n)
-            if s > 0:
-                mults[pinned] = reduced[pinned] / s
-            lam0 = math.inf if s == 0 else 1.0 / s
-            stat_resid = 0.0 if not (~pinned).any() else float(
-                np.max(np.abs((reduced / con.scale(x))[~pinned]))
-            )
-            resid = max(
-                abs(con.value(x)),
-                float(max(0.0, -slack.min())) if n else 0.0,
-                abs(eq @ x) if eq is not None else 0.0,
-                stat_resid,
-            )
-            nu = lam0 * t if s > 0 else None
-            return x, float(c @ x), np.concatenate([[lam0], mults]), nu, resid
-    raise SolverError("active-set iteration did not converge")
+    pinned, x, seen = np.zeros(n, dtype=bool), None, set()
+    for _ in range(ACTIVE_SET_MAX_ITER):
+        key = pinned.tobytes()
+        if key in seen:
+            raise SolverError("active-set iteration revisited a pinned set")
+        seen.add(key)
+        sol = con.subsolve(c, eq, pinned, x)
+        if sol is None:
+            raise SolverError("degenerate active-set subproblem")
+        x, s, t = sol
+        scale = max(1.0, float(np.max(np.abs(x))))
+        slack = signs * x
+        viol = (~pinned) & (slack < -1e-12 * scale)
+        if viol.any():
+            pinned = pinned | viol
+            continue
+        grad = con.grad(x)
+        shift = t * eq if eq is not None else 0.0
+        reduced = signs * (grad + shift - s * c)  # = s * lambda_k on pinned
+        neg = pinned & (reduced < -1e-10 * max(1.0, s))
+        if neg.any():
+            pinned = pinned.copy()
+            pinned[np.where(neg, reduced, np.inf).argmin()] = False
+            continue
+        mults = np.zeros(n)
+        if s > 0:
+            mults[pinned] = reduced[pinned] / s
+        lam0 = math.inf if s == 0 else 1.0 / s
+        stat_resid = 0.0 if not (~pinned).any() else float(
+            np.max(np.abs((reduced / con.scale(x))[~pinned]))
+        )
+        resid = max(
+            abs(con.value(x)),
+            float(max(0.0, -slack.min())) if n else 0.0,
+            abs(eq @ x) if eq is not None else 0.0,
+            stat_resid,
+        )
+        nu = lam0 * t if s > 0 else None
+        return x, float(c @ x), np.concatenate([[lam0], mults]), nu, resid
+    raise SolverError(f"active-set iteration did not converge in "
+                      f"{ACTIVE_SET_MAX_ITER} steps")
 
 
-def _mv_quad(model: MvNormalModel, gamma=None) -> _Quad:
-    if gamma is None:
-        return _Quad(0.0, model.mean.copy(), model.cov)
-    gamma = np.asarray(gamma, dtype=float)
-    kappa = model.cgf(-gamma)
-    b = model.mean - model.cov @ gamma
-    return _Quad(kappa, b, model.cov)
-
-
-def _constraint(model, S, signs, gamma):
-    """g(y) = Lambda(theta - gamma) in y = signs * theta_S, theta = 0 off S:
-    a ``_Quad`` for a normal model, a ``_Separable`` for an independent one.
+def _constraint(model, S, signs):
+    """g(y) = Lambda(theta) in y = signs * theta_S, theta = 0 off S: a
+    ``_Quad`` for a normal model, a ``_Separable`` for an independent one.
     Each gives its value, gradient, Taylor model and exact subsolve."""
-    gamma = None if gamma is None else np.asarray(gamma, dtype=float)
     if isinstance(model, MvNormalModel):
-        quad = _mv_quad(model, gamma)
-        return _Quad(quad.kappa, signs * quad.b[S],
-                     quad.sigma[np.ix_(S, S)] * np.outer(signs, signs))
-    return _Separable(model, S, signs, gamma)
+        return _Quad(0.0, signs * model.mean[S],
+                     model.cov[np.ix_(S, S)] * np.outer(signs, signs))
+    return _Separable(model, S, signs)
 
 
 class _Separable:
-    """g(y) = sum_k Lambda_k(signs_k y_k - gamma_k) over the support of an
+    """g(y) = sum_k Lambda_k(signs_k y_k) over the support of an
     independent model, from its column parameters: Lambda_k(t) is
     mu t + sigma2 t^2 / 2 or log(rate / (rate - t)) + shift t."""
 
-    def __init__(self, model: IndependentModel, S, signs, gamma):
+    def __init__(self, model: IndependentModel, S, signs):
         self.model = IndependentModel([model.components[k] for k in S])
         self.signs = signs
-        self.gamma = np.zeros(len(S)) if gamma is None else gamma[S]
-        self.home = 2.0 * signs * self.gamma  # feasible: g = Lambda(gamma)
 
     def value(self, y):
-        return float(self.model.cgf_rows([self.signs * y - self.gamma])[0])
+        return float(self.model.cgf_rows([self.signs * y])[0])
 
     def grad(self, y):
-        return self.signs * self.model.cgf_grad_rows(
-            [self.signs * y - self.gamma])[0]
+        return self.signs * self.model.cgf_grad_rows([self.signs * y])[0]
 
     def curvature(self, y):
-        """Lambda_k'' at signs_k y_k - gamma_k, coordinate by coordinate."""
+        """Lambda_k'' at signs_k y_k, coordinate by coordinate."""
         m = self.model
         with np.errstate(divide="ignore"):
             return np.where(m._normal, m._par,
-                            (m._par - (self.signs * y - self.gamma)) ** -2.0)
+                            (m._par - self.signs * y) ** -2.0)
 
     def scale(self, y):
         """Divisors of the stationarity residuals: near an exponential rate
@@ -379,13 +342,12 @@ class _Separable:
 
     def subsolve(self, c, eq, pinned, y):
         """``_subsolve`` for g: with s and t the multipliers as there,
-        stationarity Lambda_k'(signs_k x_k - gamma_k) = signs_k (s c - t eq)_k
-        is inverted coordinate by coordinate, leaving g(x) = 0 and eq x = 0
-        in (s, t).  Newton on them starts from the Taylor model's subsolve
-        at y (skipped when y is None or outside the domain), else at the
-        feasible point ``home``, and backtracks on the residual of those
-        equations."""
-        for y0 in (y, self.home):
+        stationarity Lambda_k'(signs_k x_k) = signs_k (s c - t eq)_k is
+        inverted coordinate by coordinate, leaving g(x) = 0 and eq x = 0 in
+        (s, t).  Newton on them starts from the Taylor model's subsolve at y
+        (skipped when y is None or outside the domain), else at 0, and
+        backtracks on the residual of those equations."""
+        for y0 in (y, np.zeros(c.size)):
             if y0 is not None and math.isfinite(self.value(y0)):
                 sol = self._newton(c, eq, pinned, y0)
                 if sol is not None:
@@ -399,7 +361,7 @@ class _Separable:
         free = ~pinned
         m = self.model
         normal, lin, par = m._normal[free], m._lin[free], m._par[free]
-        signs, gamma, cf = self.signs[free], self.gamma[free], c[free]
+        signs, cf = self.signs[free], c[free]
         g = (np.zeros((0, cf.size)) if eq is None
              else np.atleast_2d(eq)[:, free])
 
@@ -411,7 +373,7 @@ class _Separable:
             with np.errstate(divide="ignore"):
                 t = np.where(normal, v / par, par - 1.0 / v)
             x = np.zeros(c.size)
-            x[free] = signs * (t + gamma)
+            x[free] = signs * t
             res = np.append(self.value(x), g @ x[free])
             return x, res, h, np.where(normal, par, v * v)
 
@@ -419,7 +381,7 @@ class _Separable:
         # every Lambda_k' must exceed its shift: h -> 0 does that when the
         # shifts are negative.  A zero-sum row (1-D eq, all ones with unit
         # signs) instead lowers t, which raises every h_k, until each
-        # exponential Lambda_k' is at least its value at gamma_k
+        # exponential Lambda_k' is at least its value at 0
         for i in range(64):
             cur = point(z)
             if cur is not None:
@@ -460,26 +422,26 @@ class _Separable:
         return x, z[0], (z[1] if eq.ndim == 1 else z[1:])
 
 
-def _si_active_set(model, S, signs, L, method, gamma=None) -> TiltSolution:
-    """max rearrangement_min(theta, L) s.t. Lambda(theta - gamma) <= 0 and
-    signs*theta >= 0 on the coordinates S and theta = 0 off S (a shift
-    gamma comes with S = range(d)).  In y = signs*theta_S: max t s.t.
-    y >= 0 and l.y >= t for the rearrangement LP's vertex functionals
-    l = 1_T / k (|T| = |S| - L + k, k = 1..L).
+def _si_active_set(model, S, signs, L, method) -> TiltSolution:
+    """max rearrangement_min(theta, L) s.t. Lambda(theta) <= 0 and
+    signs*theta >= 0 on the coordinates S and theta = 0 off S.  In
+    y = signs*theta_S: max t s.t. y >= 0 and l.y >= t for the rearrangement
+    LP's vertex functionals l = 1_T / k (|T| = |S| - L + k, k = 1..L).
 
-    The constraint g(y) = Lambda(theta - gamma) comes from ``_constraint``.
+    The constraint g(y) = Lambda(theta) comes from ``_constraint``.
 
     Primal active set.  The working set holds functionals kept equal to the
     level (the rows l_j - l_0 of the subsolve) and pinned coordinates.
-    From a feasible y at a positive level, each step moves towards the
-    working set's optimum until a coordinate reaches 0 (it is pinned) or a
-    functional, found by one sort, falls to the level (it joins).  At the
-    optimum, a constraint with a negative multiplier leaves.  The working
-    subspace always holds y, so the subproblem is never empty.
+    It starts on the Taylor model q of g at 0, at the deepest point of a
+    ray d > 0 with b.d < 0, halved into the constraint.  From a feasible y
+    at a positive level, each step moves towards the working set's optimum
+    until a coordinate reaches 0 (it is pinned) or a functional, found by
+    one sort, falls to the level (it joins).  At the optimum, a constraint
+    with a negative multiplier leaves.  The working subspace always holds
+    y, so the subproblem is never empty.
     """
     n = len(S)
-    gamma = None if gamma is None else np.asarray(gamma, dtype=float)
-    con = _constraint(model, S, signs, gamma)
+    con = _constraint(model, S, signs)
 
     def cut(y):  # the level of y and a functional attaining it
         order = np.argsort(y, kind="stable")
@@ -489,30 +451,16 @@ def _si_active_set(model, S, signs, L, method, gamma=None) -> TiltSolution:
         ell[order[:n - L + k + 1]] = 1.0 / (k + 1)
         return vals[k], ell
 
-    def starts():  # on the Taylor model at the feasible tilt 2 gamma
-        # (else at 0): the deepest point of a ray d > 0 with b.d < 0, that
-        # tilt, then the largest-sum point
-        y0 = np.zeros(n) if gamma is None else signs * 2 * gamma[S]
-        q = con.taylor(y0)
-        neg = q.b < 0
-        d = np.where(neg, 1.0, min(1.0, -0.5 * q.b[neg].sum()
-                                   / max(q.b[~neg].sum(), 1e-300)))
-        yield -(q.b @ d) / max(d @ q.sigma @ d, 1e-300) * d
-        if gamma is not None:
-            yield y0
-        yield _qclp_active_set(np.ones(n), q, np.ones(n))[0]
-
-    for y in starts():
-        y = np.maximum(y, 0.0)
-        for _ in range(64):  # halve a start beyond the constraint
-            if con.value(y) <= CGF_TOL:
-                break
-            y = 0.5 * y
-        else:
-            continue
-        if cut(y)[0] > 0:
+    q = con.taylor(np.zeros(n))
+    neg = q.b < 0
+    d = np.where(neg, 1.0, min(1.0, -0.5 * q.b[neg].sum()
+                               / max(q.b[~neg].sum(), 1e-300)))
+    y = np.maximum(-(q.b @ d) / max(d @ q.sigma @ d, 1e-300) * d, 0.0)
+    for _ in range(64):
+        if con.value(y) <= CGF_TOL:
             break
-    else:
+        y = 0.5 * y
+    if not (con.value(y) <= CGF_TOL and cut(y)[0] > 0):
         raise SolverError(f"{method}: no feasible tilt at a positive level")
     work, pinned = [cut(y)[1]], y <= 0
     for _ in range(ACTIVE_SET_MAX_ITER * n):
@@ -660,20 +608,19 @@ def _check_region(rule, d, A) -> Tuple[int, ...]:
     return A
 
 
-def _sign_program(model, support, c, signs, zero_sum, gamma,
+def _sign_program(model, support, c, signs, zero_sum,
                   method) -> TiltSolution:
     """max c.theta s.t. signs*theta >= 0 on ``support``, theta = 0 off it,
-    Lambda(theta - gamma) <= 0 and, when ``zero_sum``, sum theta = 0.
+    Lambda(theta) <= 0 and, when ``zero_sum``, sum theta = 0.
 
-    ``c`` and ``signs`` run over ``support``; a shifted program (``gamma``
-    given) has full support.  The active set takes the constraint on the
-    support with unit signs and keeps the sign pattern itself; it raises
-    SolverError when no sign-feasible tilt meets the CGF constraint.
+    ``c`` and ``signs`` run over ``support``.  The active set takes the
+    constraint on the support with unit signs and keeps the sign pattern
+    itself.
     """
     d = model.dim
     sup = np.asarray(support)
     eq = np.ones(sup.size) if zero_sum else None
-    con = _constraint(model, sup, np.ones(sup.size), gamma)
+    con = _constraint(model, sup, np.ones(sup.size))
     x, val, mults, nu, resid = _qclp_active_set(c, con, signs, eq)
     th, full_m = np.zeros(d), np.zeros(d + 1)
     th[sup] = x
@@ -682,13 +629,12 @@ def _sign_program(model, support, c, signs, zero_sum, gamma,
                         nu if zero_sum else None)
 
 
-def solve_beta(A, rule, model: CgfModel, gamma=None) -> TiltSolution:
+def solve_beta(A, rule, model: CgfModel) -> TiltSolution:
     """Rate r_A and optimal tilt beta^A for the rare region W^A.
 
-    With ``gamma`` given (and Lambda(gamma) <= 0), solves the shifted
-    program whose optimal value is a certified lower bound on v_A(gamma).
     Siegmund and gap programs, i.i.d. ones included, go through
-    ``_sign_program`` and carry its KKT certificate.
+    ``_sign_program`` and sum-intersection programs through
+    ``_si_active_set``; both carry their KKT certificate.
     """
     d = model.dim
     A = _check_region(rule, d, A)
@@ -699,10 +645,10 @@ def solve_beta(A, rule, model: CgfModel, gamma=None) -> TiltSolution:
     signs = np.where(in_A, 1.0, -1.0)
     if isinstance(rule, SumIntersectionRule):
         return _si_active_set(model, np.arange(d), signs, rule.L,
-                              "sum_intersection/active-set", gamma)
+                              "sum_intersection/active-set")
     siegmund = isinstance(rule, SiegmundRule)
     c = np.where(in_A, rule.u, -rule.ell) if siegmund else in_A.astype(float)
-    return _sign_program(model, np.arange(d), c, signs, not siegmund, gamma,
+    return _sign_program(model, np.arange(d), c, signs, not siegmund,
                          rule.kind + "/active-set")
 
 
@@ -725,7 +671,7 @@ def solve_gamma_pair(k: int, kp: int, rule: SiegmundRule,
         raise ValueError("indices must differ")
     validate_drifts(rule, model)
     return _sign_program(model, sorted((k, kp)), np.full(2, rule.u),
-                         np.ones(2), False, None, "siegmund/gamma-pair")
+                         np.ones(2), False, "siegmund/gamma-pair")
 
 
 def solve_gap_pair(l: int, lp: int, rule: GapRule, model: CgfModel) -> TiltSolution:
@@ -764,8 +710,7 @@ def solve_gap_quad(l1: int, l2: int, lp1: int, lp2: int, rule: GapRule,
         raise ValueError("need l1,l2 in [m] and lp1,lp2 outside [m]")
     validate_drifts(rule, model)
     return _sign_program(model, idx, np.array([0.0, 0.0, 1.0, 1.0]),
-                         np.array([-1.0, -1.0, 1.0, 1.0]), True, None,
-                         "gap/quad")
+                         np.array([-1.0, -1.0, 1.0, 1.0]), True, "gap/quad")
 
 
 def solve_si_z(A, rule: SumIntersectionRule, model: CgfModel) -> TiltSolution:
@@ -787,16 +732,6 @@ def solve_si_s(B, rule: SumIntersectionRule, model: CgfModel) -> TiltSolution:
         raise ValueError("solve_si_s needs |B| = L + 1")
     return _si_active_set(model, list(B), np.ones(rule.L + 1), rule.L,
                           "si/s-active-set")
-
-
-def v_bound_program(A, gamma, rule, model: CgfModel) -> TiltSolution:
-    """Exact solution of the weak-duality program lower-bounding v_A(gamma):
-    the same program as solve_beta with the constraint Lambda(theta - gamma).
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    if model.cgf(gamma) > CGF_TOL:
-        raise ValueError("gamma must satisfy Lambda(gamma) <= 0")
-    return solve_beta(A, rule, model, gamma=gamma)
 
 
 def v_lower_bound(A, gamma, witness, rule, model: CgfModel) -> VBound:

@@ -6,16 +6,56 @@ ray search over the angle of theta = (p on A, -q off A) for i.i.d.
 models, SLSQP on the paper's LP-dual formulation, and a box search for z_A
 on independent coordinates; for the linear-objective (Siegmund and gap)
 programs on independent coordinates, nested scalar root finding on the
-KKT multipliers.  The tests compare the active set against them.
+KKT multipliers.  The tests compare the active set against them.  On a
+normal model, ``shifted_program`` solves the linear-objective programs
+exactly by enumerating their pinned sets, shifted or not.
 """
 
+from itertools import product
 import math
 
 import numpy as np
 
-from wrongexit import IndependentModel, MvNormalModel, rearrangement_min
+from wrongexit import (
+    IndependentModel,
+    MvNormalModel,
+    SiegmundRule,
+    rearrangement_min,
+)
 from wrongexit.rootfind import RootError, positive_root, refine_root
-from wrongexit.solvers import CGF_TOL, SolverError, TiltSolution
+from wrongexit.solvers import (
+    CGF_TOL,
+    SolverError,
+    TiltSolution,
+    _Quad,
+    _subsolve,
+)
+
+
+def shifted_program(A, gamma, rule, model: MvNormalModel) -> float:
+    """max c.theta s.t. Lambda(theta - gamma) <= 0 and the sign pattern of
+    the Siegmund or gap region A (and sum theta = 0 for the gap rule), on a
+    normal model with d <= 6: the optimal value, whose weak dual certifies
+    v_A(gamma).  The constraint is the quadratic kappa + b.theta +
+    theta' Sigma theta / 2 with kappa = Lambda(-gamma) and b = mu - Sigma
+    gamma.  Every pinned set is solved exactly by ``_subsolve``; the
+    optimum is the best sign-feasible one, as the maximizer of the pinned
+    set of its zeros is the maximizer of the program."""
+    d = model.dim
+    assert d <= 6
+    gamma = np.asarray(gamma, dtype=float)
+    in_A = np.isin(np.arange(d), A)
+    siegmund = isinstance(rule, SiegmundRule)
+    c = np.where(in_A, rule.u, -rule.ell) if siegmund else in_A * 1.0
+    signs = np.where(in_A, 1.0, -1.0)
+    quad = _Quad(model.cgf(-gamma), model.mean - model.cov @ gamma, model.cov)
+    eq = None if siegmund else np.ones(d)
+    best = -math.inf
+    for pinned in product((False, True), repeat=d):
+        sol = _subsolve(c, quad, eq, np.array(pinned))
+        if sol is not None and np.all(signs * sol[0] >= -1e-12):
+            best = max(best, float(c @ sol[0]))
+    return best
 
 
 def _ray_radius(model, direction) -> float:
@@ -78,10 +118,10 @@ def _symmetric_si_beta(model, A, L):
                         "si/symmetric-ray-search")
 
 
-def _si_dual_program(model, signs, subsets, gamma=None):
+def _si_dual_program(model, signs, subsets):
     """Paper formulation of the sum-intersection programs: maximize
     sum_C lambda_C over (theta, lambda) with lambda >= 0,
-    sum_{C: k in C} lambda_C <= signs_k * theta_k and Lambda(theta-gamma) <= 0.
+    sum_{C: k in C} lambda_C <= signs_k * theta_k and Lambda(theta) <= 0.
 
     Solved with SLSQP (small instances only; the builders guard sizes), then
     polished radially onto the CGF boundary, which is exact because the
@@ -90,16 +130,15 @@ def _si_dual_program(model, signs, subsets, gamma=None):
     from scipy.optimize import minimize
 
     d, nC = model.dim, len(subsets)
-    gamma_vec = np.zeros(d) if gamma is None else np.asarray(gamma, float)
     # sum_{C owns k} lambda_C <= signs_k theta_k   (rows indexed by k)
     lin = np.zeros((d, d + nC))
     lin[:, :d] = np.diag(signs.astype(float))
     for i, C in enumerate(subsets):
         lin[list(C), d + i] = -1.0
     cons = [
-        {"type": "ineq", "fun": lambda z: -model.cgf(z[:d] - gamma_vec),
+        {"type": "ineq", "fun": lambda z: -model.cgf(z[:d]),
          "jac": lambda z: np.concatenate(
-             [-model.cgf_grad(z[:d] - gamma_vec), np.zeros(nC)])},
+             [-model.cgf_grad(z[:d]), np.zeros(nC)])},
         {"type": "ineq", "fun": lambda z: lin @ z, "jac": lambda z: lin},
     ]
     bounds = ([(0.0, None) if sk > 0 else (None, 0.0) for sk in signs]
@@ -112,12 +151,12 @@ def _si_dual_program(model, signs, subsets, gamma=None):
         options={"maxiter": 400, "ftol": 1e-14})
     th, lam = res.x[:d], res.x[d:]
     cur = model.cgf(th)
-    if gamma is None and (cur > 0 or cur < 0 and np.linalg.norm(th) > 0):
+    if cur > 0 or cur < 0 and np.linalg.norm(th) > 0:
         # radial polish: scale to the CGF boundary (objective is homogeneous)
         rho = positive_root(lambda rr: model.cgf(rr * th),
                             start=1.0 if cur < 0 else 0.5)
         th, lam = rho * th, rho * lam
-    resid = abs(model.cgf(th - gamma_vec))
+    resid = abs(model.cgf(th))
     return th, lam, resid, res.success
 
 
@@ -147,37 +186,36 @@ def _si_box_search(model: IndependentModel, A):
     return t_star, th_full
 
 
-def _indep_theta(comp, sign, gamma_k, y):
+def _indep_theta(comp, sign, y):
     """Stationarity-consistent coordinate value, clamped to its sign."""
     raw = comp.prime_inverse(y)
-    val = gamma_k + raw if math.isfinite(raw) else -math.inf
+    val = raw if math.isfinite(raw) else -math.inf
     if sign > 0:
         return max(0.0, val)
     return min(0.0, val)
 
 
-def _indep_term(comp, gamma_k, theta_k):
+def _indep_term(comp, theta_k):
     if not math.isfinite(theta_k):
         return math.inf
-    return comp.cgf(theta_k - gamma_k)
+    return comp.cgf(theta_k)
 
 
-def _independent_kkt(components, c, signs, gamma=None, with_eq=False):
-    """Solve max c.theta s.t. sum_k Lambda_k(theta_k - gamma_k) <= 0 + signs
+def _independent_kkt(components, c, signs, with_eq=False):
+    """Solve max c.theta s.t. sum_k Lambda_k(theta_k) <= 0 + signs
     (+ zero sum when ``with_eq``) by root finding on the KKT multipliers.
 
     With s = 1/lambda_0 and t = nu/lambda_0, stationarity pins
-    (Lambda_k)'(theta_k - gamma_k) = s c_k - t on unclamped coordinates; the
+    (Lambda_k)'(theta_k) = s c_k - t on unclamped coordinates; the
     CGF sum is strictly increasing in s, and (for gap problems) the
     coordinate sum is strictly decreasing in t, so both levels of the nested
     search are monotone scalar root-finding problems.
     """
     n = len(components)
-    gamma = np.zeros(n) if gamma is None else np.asarray(gamma, dtype=float)
 
     def theta_vec(s, t):
         return [
-            _indep_theta(components[k], signs[k], gamma[k], s * c[k] - t)
+            _indep_theta(components[k], signs[k], s * c[k] - t)
             for k in range(n)
         ]
 
@@ -201,7 +239,7 @@ def _independent_kkt(components, c, signs, gamma=None, with_eq=False):
     def cgf_sum(s):
         t = solve_t(s) if with_eq else 0.0
         th = theta_vec(s, t)
-        return sum(_indep_term(components[k], gamma[k], th[k]) for k in range(n)), t
+        return sum(_indep_term(components[k], th[k]) for k in range(n)), t
 
     g0, _ = cgf_sum(0.0)
     if g0 > CGF_TOL:
@@ -217,7 +255,7 @@ def _independent_kkt(components, c, signs, gamma=None, with_eq=False):
         for k in range(n):
             if not math.isfinite(th[k]) or th[k] == 0.0:
                 continue
-            w = components[k].cgf_second(th[k] - gamma[k])
+            w = components[k].cgf_second(th[k])
             sum_c2w += c[k] * c[k] / w
             sum_cw += c[k] / w
             sum_1w += 1.0 / w
@@ -237,7 +275,7 @@ def _independent_kkt(components, c, signs, gamma=None, with_eq=False):
     for k in range(n):
         if th[k] == 0.0:
             mk = signs[k] * (
-                components[k].cgf_prime(-gamma[k]) + t_star - s_star * c[k]
+                components[k].cgf_prime(0.0) + t_star - s_star * c[k]
             )
             mults[k] = mk / s_star if s_star > 0 else math.nan
     lam0 = 1.0 / s_star

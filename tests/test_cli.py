@@ -389,6 +389,12 @@ class TestSweeps:
         ({"u_values": ["x"]}, "table.u_values[0]: 'x' is not a number"),
         ({"d": 8.7}, "table.d: 8.7 is not an integer"),
         ({"ell": "x"}, "table.ell: 'x' is not a number"),
+        ({"rho_grid": {"start": 0.0, "stop": "x", "step": 0.2}},
+         "table.rho_grid.stop: 'x' is not a number"),
+        ({"rho_grid": []}, "table.rho_grid: the grid is empty"),
+        ({"rho_grid": {"start": 0.6, "stop": 0.0, "step": 0.2}},
+         "table.rho_grid: the grid is empty"),
+        ({"u_values": []}, "table.u_values: the list is empty"),
     ])
     def test_table_bad_input_is_config_error(self, tmp_path, capsys, table,
                                              field):
@@ -580,6 +586,36 @@ class TestBadInputIsConfigError:
          "sweep.d: 'x' is not an integer"),
         ("sweep", {"sweep": {"kind": "gap_v", "m": 3.5, "v_grid": [1.0]}},
          "sweep.m: 3.5 is not an integer"),
+        ("sweep", {"sweep": {"kind": "siegmund_rho", "rho_grid": {
+            "start": 0.0, "stop": "x", "step": 0.1}}},
+         "sweep.rho_grid.stop: 'x' is not a number"),
+        ("sweep", {"sweep": {"kind": "siegmund_rho", "rho_grid": {
+            "start": 0.0, "stop": 0.5, "step": "a"}}},
+         "sweep.rho_grid.step: 'a' is not a number"),
+        ("sweep", {"sweep": {"kind": "siegmund_rho", "rho_grid": {
+            "start": 0.0, "stop": "inf", "step": 0.1}}},
+         "sweep.rho_grid: 0.0..inf is not finite"),
+        ("sweep", {"sweep": {"kind": "siegmund_rho", "rho_grid": []}},
+         "sweep.rho_grid: the grid is empty"),
+        ("sweep", {"sweep": {"kind": "si_rho", "rho_grid": {
+            "start": 0.5, "stop": 0.0, "step": 0.1}}},
+         "sweep.rho_grid: the grid is empty"),
+        ("sweep", {"sweep": {"kind": "gap_v", "m": 4, "v_grid": []}},
+         "sweep.v_grid: the grid is empty"),
+        ("check", {"model": {"family": "mvnormal", "dim": 2, "mean": -0.5,
+                             "rho": "x"}},
+         "model.rho: 'x' is not a number"),
+        ("check", {"model": {"family": "mvnormal", "dim": 2, "mean": -0.5,
+                             "sigma2": "x"}},
+         "model.sigma2: 'x' is not a number"),
+        ("check", {"model": {"family": "mvnormal", "mean": [-0.5, -0.5],
+                             "cov": "x"}},
+         "model.cov: 'x' is not numeric"),
+        ("check", {"model": {"family": "mvnormal", "mean": ["a", -0.5]}},
+         "model.mean: ['a', -0.5] is not numeric"),
+        ("check", {"model": {"family": "mvnormal", "dim": 2, "mean": {
+            "head": "x", "tail": -0.5, "split": 1}}},
+         "model.mean.head: 'x' is not a number"),
     ])
     def test_bad_model_and_sweep_fields(self, tmp_path, capsys, command,
                                         spec, message):

@@ -33,13 +33,11 @@ from wrongexit import (
     solve_gap_quad,
     solve_si_s,
     solve_si_z,
-    v_bound_program,
     v_lower_bound,
     v_lower_bounds,
 )
 from wrongexit.models import TiltDomainError, siegmund_root
 from wrongexit.regions import Region
-from wrongexit.solvers import SolverError
 from si_reference import (
     _independent_kkt,
     _ray_radius,
@@ -47,6 +45,7 @@ from si_reference import (
     _si_box_search,
     _si_dual_program,
     _symmetric_si_beta,
+    shifted_program,
 )
 
 LOG2 = math.log(2.0)
@@ -178,6 +177,19 @@ class TestSiegmundSolvers:
             tilt[A] = v_plus[len(A)]
             assert sol.value == pytest.approx(r[len(A)], abs=1e-9)
             np.testing.assert_allclose(sol.tilt, tilt, atol=1e-8)
+
+    def test_active_set_releases_a_pinned_coordinate(self):
+        # the first iterations pin a coordinate whose multiplier then comes
+        # out negative, so the active set releases it before it certifies
+        cov = np.array([[1.0, -0.8, -0.8], [-0.8, 1.0, 0.4],
+                        [-0.8, 0.4, 1.0]])
+        model = MvNormalModel(np.full(3, -0.5), cov)
+        rule = SiegmundRule(1.0, 3.0)
+        sol = solve_beta([1], rule, model)
+        assert sol.converged
+        assert np.all(sol.multipliers >= -1e-10)
+        ref = shifted_program([1], np.zeros(3), rule, model)
+        assert abs(sol.value - ref) <= 1e-12
 
     def test_certificates_and_local_max(self):
         rng = np.random.default_rng(10)
@@ -465,10 +477,9 @@ class TestSumIntersectionSolvers:
 @st.composite
 def si_programs(draw):
     """A model with negative drift, L, and one sum-intersection program:
-    beta^A, beta^A shifted by gamma = half of beta^A (kind "gamma"), z_A or
-    s_B.  The model is normal (a random SPD covariance, or an exchangeable
-    one with rho down to -0.9/(d-1)) or independent (normal,
-    shifted-exponential or mixed components, i.i.d. or not)."""
+    beta^A, z_A or s_B.  The model is normal (a random SPD covariance, or
+    an exchangeable one with rho down to -0.9/(d-1)) or independent
+    (normal, shifted-exponential or mixed components, i.i.d. or not)."""
     d = draw(st.integers(3, 8))
     L = draw(st.integers(2, d - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -495,7 +506,7 @@ def si_programs(draw):
         comps = ([component(kinds[0])] * d if draw(st.booleans())
                  else [component(k) for k in kinds])
         model = IndependentModel(comps)
-    kind = draw(st.sampled_from(["beta", "gamma", "z", "s"]))
+    kind = draw(st.sampled_from(["beta", "z", "s"]))
     size = {"z": L, "s": L + 1}.get(kind) or draw(st.integers(L, d))
     return model, SumIntersectionRule(L), kind, sorted(
         draw(st.permutations(range(d)))[:size])
@@ -507,17 +518,12 @@ class TestExactSumIntersection:
     def test_certificate_and_slsqp_comparison(self, case):
         model, rule, kind, idx = case
         d, L = model.dim, rule.L
-        gamma = np.zeros(d)
-        if kind == "gamma":
-            gamma = 0.5 * solve_beta(idx, rule, model).tilt
-            sol = v_bound_program(idx, gamma, rule, model)
-        else:
-            program = {"beta": solve_beta, "z": solve_si_z, "s": solve_si_s}
-            sol = program[kind](idx, rule, model)
+        program = {"beta": solve_beta, "z": solve_si_z, "s": solve_si_s}
+        sol = program[kind](idx, rule, model)
         support = np.array(idx) if kind in ("z", "s") else np.arange(d)
         signs = np.where(np.isin(support, idx), 1.0, -1.0)
         assert sol.converged and sol.method.endswith("active-set")
-        assert abs(model.cgf(sol.tilt - gamma)) <= 1e-10
+        assert abs(model.cgf(sol.tilt)) <= 1e-10
         assert np.all(np.delete(sol.tilt, support) == 0)
         assert np.all(signs * sol.tilt[support] >= 0)
         assert abs(sol.value - rearrangement_min(sol.tilt, L)) <= 1e-12
@@ -531,12 +537,11 @@ class TestExactSumIntersection:
         sub = _restrict_model(model, support)
         try:
             th = _si_dual_program(
-                sub, signs, list(combinations(range(support.size), L)),
-                gamma=None if kind != "gamma" else gamma[support])[0]
+                sub, signs, list(combinations(range(support.size), L)))[0]
         except TiltDomainError:
             assert isinstance(model, IndependentModel)
             return
-        if sub.cgf(th - gamma[support]) <= 0 and np.all(signs * th >= 0):
+        if sub.cgf(th) <= 0 and np.all(signs * th >= 0):
             assert sol.value >= rearrangement_min(th, L) - 1e-9
 
     def test_general_build_does_not_depend_on_blas_threads(self):
@@ -584,15 +589,12 @@ class TestExactSumIntersection:
 def sign_programs(draw):
     """An independent model and one linear-objective program with the
     arguments of its ``_independent_kkt`` reference: a Siegmund beta^A, a
-    gamma^{k,k'}, a gap single swap or general beta^A, a four-index gap
-    tilt, or a Siegmund or gap beta^A shifted by gamma = half of its
+    gamma^{k,k'}, a gap single swap or general beta^A, or a four-index gap
     tilt.  Components are normal, shifted-exponential or mixed, i.i.d. (per
     side, for the gap rule) or not; gap heads may be exponentials with a
     positive shift."""
-    kind = draw(st.sampled_from(["siegmund", "pair", "swap", "gap", "quad",
-                                 "shifted"]))
-    gap = kind in ("swap", "gap", "quad") or (kind == "shifted"
-                                              and draw(st.booleans()))
+    kind = draw(st.sampled_from(["siegmund", "pair", "swap", "gap", "quad"]))
+    gap = kind in ("swap", "gap", "quad")
     d = draw(st.integers(4 if kind == "quad" else 2, 8))
     m = (draw(st.integers(2, d - 2)) if kind == "quad" else
          draw(st.integers(1, d - 1)) if gap else 0)
@@ -620,17 +622,17 @@ def sign_programs(draw):
         rule = SiegmundRule(1.0, rng.uniform(0.2, 3.0))
         k, kp = sorted(perm[:2])
         return (model, solve_gamma_pair(k, kp, rule, model), [k, kp],
-                np.full(2, rule.u), np.ones(2), False, None)
+                np.full(2, rule.u), np.ones(2), False)
     if kind == "quad":
         idx = ([k for k in perm if k < m][:2]
                + [k for k in perm if k >= m][:2])
         return (model, solve_gap_quad(*idx, GapRule(m), model), idx,
                 np.array([0.0, 0.0, 1.0, 1.0]),
-                np.array([-1.0, -1.0, 1.0, 1.0]), True, None)
+                np.array([-1.0, -1.0, 1.0, 1.0]), True)
     if not gap:
         rule = SiegmundRule(rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0))
         A = sorted(perm[:draw(st.integers(1, d))])
-    elif kind == "gap" or (kind == "shifted" and draw(st.booleans())):
+    elif kind == "gap":
         rule = GapRule(m)
         A = sorted(perm[:m])
         assume(A != list(range(m)))
@@ -640,30 +642,22 @@ def sign_programs(draw):
                    | {draw(st.integers(m, d - 1))})
     in_A = np.isin(np.arange(d), A)
     c = in_A * 1.0 if gap else np.where(in_A, rule.u, -rule.ell)
-    gamma = None
-    if kind == "shifted":
-        gamma = 0.5 * solve_beta(A, rule, model).tilt
-        sol = v_bound_program(A, gamma, rule, model)
-    else:
-        sol = solve_beta(A, rule, model)
-    return (model, sol, list(range(d)), c, np.where(in_A, 1.0, -1.0), gap,
-            gamma)
+    return (model, solve_beta(A, rule, model), list(range(d)), c,
+            np.where(in_A, 1.0, -1.0), gap)
 
 
 class TestIndependentSignPrograms:
     @settings(max_examples=150, deadline=None)
     @given(sign_programs())
     def test_certificate_and_kkt_reference(self, case):
-        model, sol, support, c, signs, zero_sum, gamma = case
-        shift = np.zeros(model.dim) if gamma is None else gamma
+        model, sol, support, c, signs, zero_sum = case
         assert sol.converged and sol.method.endswith(
             ("active-set", "gamma-pair", "quad"))
         assert sol.multipliers[0] > 0
         assert np.all(sol.multipliers[1:] >= -1e-10)
-        assert abs(model.cgf(sol.tilt - shift)) <= 1e-10
+        assert abs(model.cgf(sol.tilt)) <= 1e-10
         ref = _independent_kkt(
-            [model.components[k] for k in support], c, signs,
-            None if gamma is None else gamma[support], zero_sum)
+            [model.components[k] for k in support], c, signs, zero_sum)
         assert abs(sol.value - ref[1]) <= 1e-9
 
 
@@ -744,25 +738,8 @@ class TestVBounds:
             betaA = solve_beta(A, RULE11, model)
             wit = v_lower_bound(A, beta1.tilt, betaA.tilt + beta1.tilt,
                                 RULE11, model)
-            exact = v_bound_program(A, beta1.tilt, RULE11, model)
-            assert exact.value >= wit.lower_bound - 1e-9
-
-    @pytest.mark.parametrize("model", [
-        MvNormalModel(np.full(2, -0.5), np.eye(2)),
-        IndependentModel([Normal(-0.5, 1.0)] * 2)],
-        ids=["normal", "independent"])
-    def test_infeasible_shifted_program_is_an_error(self, model):
-        # Lambda(gamma) < 0, but theta_1 <= 0 forces theta_1 - gamma_1 <=
-        # -1.1, and Lambda_1(-1.1) exceeds -min Lambda_0
-        gamma = np.array([0.5, 1.1])
-        assert model.cgf(gamma) < 0
-        with pytest.raises(SolverError):
-            v_bound_program([0], gamma, RULE11, model)
-
-    def test_vbound_requires_feasible_gamma(self):
-        model = exchangeable_mvnormal(3, -0.5, 0.0)
-        with pytest.raises(ValueError):
-            v_bound_program([0], np.full(3, 5.0), RULE11, model)
+            exact = shifted_program(A, beta1.tilt, RULE11, model)
+            assert exact >= wit.lower_bound - 1e-9
 
     def test_gap_vbound_witness(self):
         mean = np.array([0.5, 0.5, -0.5, -0.5, -0.5])
@@ -774,8 +751,8 @@ class TestVBounds:
         vb = v_lower_bound(A, zt.tilt, zt.tilt + st.tilt, rule, model)
         assert vb.feasible
         assert vb.lower_bound == pytest.approx(zt.value + st.value, abs=1e-8)
-        exact = v_bound_program(A, zt.tilt, rule, model)
-        assert exact.value >= vb.lower_bound - 1e-9
+        exact = shifted_program(A, zt.tilt, rule, model)
+        assert exact >= vb.lower_bound - 1e-9
 
 
 GRID = st.integers(-16, 16).map(lambda k: k / 8)
