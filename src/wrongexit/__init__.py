@@ -21,9 +21,7 @@ from .regions import (
 from .solvers import (
     SolverError,
     TiltSolution,
-    VBound,
     homogeneous_profile,
-    rate_function,
     siegmund_profile,
     solve_beta,
     solve_gamma_pair,
@@ -32,7 +30,6 @@ from .solvers import (
     solve_gap_quad,
     solve_si_s,
     solve_si_z,
-    v_lower_bound,
     v_lower_bounds,
 )
 

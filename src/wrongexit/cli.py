@@ -69,16 +69,19 @@ def _need(cfg: dict, key: str, path: str):
 
 
 def _number(val, path: str, cast=float):
-    """``val`` through ``cast``; a value it rejects, or a float with a
-    fractional part for ``int`` (which would truncate it), is a
-    ConfigError."""
+    """``val`` through ``cast``; a value it rejects, a float with a
+    fractional part for ``int`` (which would truncate it), or a result
+    with a nan or infinite entry is a ConfigError."""
     try:
         if cast is int and isinstance(val, float) and not val.is_integer():
             raise ValueError
-        return cast(val)
+        out = cast(val)
     except (TypeError, ValueError, OverflowError):
         kind = {int: "an integer", float: "a number"}.get(cast, "numeric")
         raise ConfigError(f"{path}: {val!r} is not {kind}") from None
+    if cast is not int and not np.all(np.isfinite(out)):
+        raise ConfigError(f"{path}: {val!r} is not finite")
+    return out
 
 
 def _floats(val):
@@ -138,7 +141,7 @@ def _mean_vector(spec, path):
     if isinstance(mean, (int, float)):
         if d is None:
             raise ConfigError(f"{path}.dim: required with scalar mean")
-        return np.full(d, float(mean))
+        return np.full(d, _number(mean, f"{path}.mean"))
     if isinstance(mean, dict):
         if d is None:
             raise ConfigError(f"{path}.dim: required with head/tail mean")
@@ -325,17 +328,7 @@ def cmd_check(cfg, args) -> int:
     spec = cfg.get("proposal", {})
     defaults = {"siegmund": "theta1", "gap": "t1", "sum_intersection": "si"}
     variant = spec.get("variant", defaults[rule.kind])
-    if variant == "direct":
-        if not isinstance(rule, SiegmundRule):
-            raise ConfigError("proposal.variant: 'direct' applies to the "
-                              "siegmund problem only")
-        _check_drifts(rule, model)
-        try:
-            rep = check_direct_siegmund_homogeneous(model, rule.ell, rule.u)
-        except ValueError as exc:
-            raise ConfigError(f"proposal.variant: 'direct': {exc}") from exc
-    else:
-        _, rep = build_proposal(model, rule, {**spec, "variant": variant})
+    _, rep = build_proposal(model, rule, {**spec, "variant": variant})
     if rep is None:
         raise ConfigError("proposal.variant: no condition to check for "
                           f"variant {variant!r}")

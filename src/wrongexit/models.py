@@ -106,9 +106,6 @@ class Normal:
     def prime_inverse(self, y: float) -> float:
         return (y - self.mu) / self.sigma2
 
-    def sample(self, t: float, rng: np.random.Generator, size=None):
-        return rng.normal(self.mu + self.sigma2 * t, math.sqrt(self.sigma2), size)
-
 
 @dataclass(frozen=True)
 class ShiftedExponential:
@@ -152,11 +149,6 @@ class ShiftedExponential:
             return -math.inf
         return self.rate - 1.0 / (y - self.shift)
 
-    def sample(self, t: float, rng: np.random.Generator, size=None):
-        if t >= self.rate:
-            raise TiltDomainError(f"tilt {t} outside domain (-inf, {self.rate})")
-        return rng.exponential(1.0 / (self.rate - t), size) + self.shift
-
 
 ScalarFamily = Union[Normal, ShiftedExponential]
 
@@ -181,8 +173,12 @@ def siegmund_root(component: ScalarFamily) -> float:
 # ---------------------------------------------------------------------------
 
 class _TiltedSampling:
-    """Tilted sampling shared by the models: each model supplies
-    ``batch_sampler``, and single-tilt sampling is its one-component case."""
+    """Shared by the models: each model supplies ``cgf_grad_rows`` and
+    ``batch_sampler``, and the single-tilt gradient and sampling are their
+    one-row cases."""
+
+    def cgf_grad(self, theta) -> np.ndarray:
+        return self.cgf_grad_rows([theta])[0]
 
     def sample(self, theta, rng: np.random.Generator, size: Optional[int] = None):
         """Draws from the tilted law mu_theta."""
@@ -250,10 +246,6 @@ class MvNormalModel(_TiltedSampling):
         thetas = _check_rows(thetas, self.dim)
         quad = np.einsum("ij,ij->i", thetas @ self.cov, thetas)
         return thetas @ self.mean + 0.5 * quad
-
-    def cgf_grad(self, theta) -> np.ndarray:
-        theta = _check_dim(theta, self.dim)
-        return self.mean + self.cov @ theta
 
     def cgf_grad_rows(self, thetas) -> np.ndarray:
         """Gradient of Lambda (the tilted drift) at each row of an (n, d)
@@ -352,12 +344,6 @@ class IndependentModel(_TiltedSampling):
         terms += lin * thetas
         terms[outside] = math.inf
         return terms.sum(axis=1)
-
-    def cgf_grad(self, theta) -> np.ndarray:
-        theta = _check_dim(theta, self.dim)
-        if not self.in_domain(theta):
-            raise TiltDomainError("tilt outside domain")
-        return np.array([c.cgf_prime(t) for c, t in zip(self.components, theta)])
 
     def cgf_grad_rows(self, thetas) -> np.ndarray:
         """Gradient of Lambda at each row of an (n, d) tilt array: column k

@@ -44,6 +44,7 @@ import numpy as np
 from .models import CgfModel, IndependentModel, MvNormalModel
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
 from .solvers import (
+    CGF_TOL,
     SolverError,
     siegmund_profile,
     solve_beta,
@@ -71,7 +72,6 @@ __all__ = [
 ]
 
 DEDUP_TOL = 1e-12
-CGF_TOL = 1e-10
 GAP_QUAD_CAP = 250000  # t2 components: four-index plus single-swap tilts
 SI_COMPONENT_CAP = 100000  # sum-intersection components: 2 C(d, L)
 VARIANTS = {"siegmund": ("theta0", "theta1", "theta2"),  # by problem kind

@@ -19,13 +19,18 @@ The engine applies it to ``(k, B, d)`` blocks of B paths over k steps and
 keeps the exit sets as boolean member masks; ``first_hit`` and
 ``classify`` are the one-path cases of the same test.
 
-Each rule also evaluates the support value
+The support value
 
     inf_{x in closure(W^A)} theta . x
 
-in closed form, which is -inf unless theta satisfies the sign pattern of A
-(and, for the gap rule, sums to zero).  These closed forms are what turns
-the rate computations of the solvers into finite-dimensional programs.
+is -inf unless theta satisfies the sign pattern of A (and, for the gap
+rule, sums to zero).  On that pattern it is u sum_A theta - ell
+sum_{A^c} theta for the Siegmund rule, sum_A theta for the gap rule and
+``rearrangement_min(theta, L)`` for the sum-intersection rule: the
+objectives that turn the rate computations of the solvers into
+finite-dimensional programs.  ``SiegmundRule.support_rows`` evaluates the
+Siegmund one row by row for the batched certificate of the direct
+condition.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ __all__ = [
 ]
 
 SIGN_TOL = 1e-12  # |theta_k| below this satisfies either sign constraint
-ZERO_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -154,21 +158,14 @@ class SiegmundRule(_StoppingRule):
         return x > b * self.u
 
     def support_rows(self, theta: np.ndarray, sets: np.ndarray) -> np.ndarray:
-        """``support_value`` of each row of a ``(n, d)`` tilt array over the
-        region whose member mask is the same row of ``sets``."""
+        """Support value u theta_A.1 - ell theta_{A^c}.1 of each row of a
+        ``(n, d)`` tilt array over the region whose member mask is the same
+        row of ``sets``; -inf on a row off the sign pattern."""
         signed = ~np.where(sets, theta < -SIGN_TOL,
                            theta > SIGN_TOL).any(axis=1)
         val = (self.u * np.where(sets, theta, 0.0).sum(axis=1)
                - self.ell * np.where(sets, 0.0, theta).sum(axis=1))
         return np.where(signed, val, -math.inf)
-
-    def support_value(self, theta, region: Region) -> float:
-        if not region.rare:
-            raise ValueError("support value is defined for rare regions")
-        theta = np.asarray(theta, dtype=float)
-        in_A = np.zeros(theta.size, dtype=bool)
-        in_A[list(region.members)] = True
-        return float(self.support_rows(theta[None], in_A[None])[0])
 
     def __repr__(self):
         return f"SiegmundRule(ell={self.ell}, u={self.u})"
@@ -202,18 +199,6 @@ class GapRule(_StoppingRule):
     def _reference_set(self, d):
         return np.arange(d) < self.m
 
-    def support_value(self, theta, region: Region) -> float:
-        if not region.rare:
-            raise ValueError("support value is defined for rare regions")
-        theta = np.asarray(theta, dtype=float)
-        if abs(theta.sum()) > ZERO_SUM_TOL:
-            return -math.inf
-        in_A = np.zeros(theta.size, dtype=bool)
-        in_A[list(region.members)] = True
-        if np.any(theta[in_A] < -SIGN_TOL) or np.any(theta[~in_A] > SIGN_TOL):
-            return -math.inf
-        return float(theta[in_A].sum())
-
     def __repr__(self):
         return f"GapRule(m={self.m})"
 
@@ -239,16 +224,5 @@ class SumIntersectionRule(_StoppingRule):
         positive = x > 0
         return positive & (positive.sum(axis=-1) >= self.L)[..., None]
 
-    def support_value(self, theta, region: Region) -> float:
-        if not region.rare:
-            raise ValueError("support value is defined for rare regions")
-        theta = np.asarray(theta, dtype=float)
-        in_A = np.zeros(theta.size, dtype=bool)
-        in_A[list(region.members)] = True
-        if np.any(theta[in_A] < -SIGN_TOL) or np.any(theta[~in_A] > SIGN_TOL):
-            return -math.inf
-        return rearrangement_min(theta, self.L)
-
     def __repr__(self):
         return f"SumIntersectionRule(L={self.L})"
-

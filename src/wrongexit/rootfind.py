@@ -1,16 +1,16 @@
 """Scalar root finding for convex one-dimensional functions.
 
 The scalar cumulant equations of this package (the Siegmund root of one
-component, the per-size i.i.d. Siegmund tilts of ``homogeneous_profile``
-and the two-index gap tilt of an independent model) reduce to finding the
-unique positive zero of a convex (or at least sign-monotone) function f
-with f(0) <= 0 and f -> +inf toward the right end of its domain.  The
-scheme is deliberately simple: bracket by doubling, bisect essentially to
-the floating-point resolution of the argument, then push the residual to
-its rounding floor with one guarded Newton or secant step.  Sign-based
-bisection is immune to the kinks that clamped coordinates introduce (the
-off-region tilt of ``homogeneous_profile`` is clamped at 0), which pure
-Newton iterations are not.
+component and the per-size i.i.d. Siegmund tilts of
+``homogeneous_profile``) reduce to finding the unique positive zero of a
+convex (or at least sign-monotone) function f with f(0) <= 0 and
+f -> +inf toward the right end of its domain.  The scheme is deliberately
+simple: bracket by doubling, bisect essentially to the floating-point
+resolution of the argument, then push the residual to its rounding floor
+with one guarded Newton or secant step.  Sign-based bisection is immune to
+the kinks that clamped coordinates introduce (the off-region tilt of
+``homogeneous_profile`` is clamped at 0), which pure Newton iterations
+are not.
 """
 
 from __future__ import annotations

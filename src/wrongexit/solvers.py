@@ -14,12 +14,12 @@ active at every optimum of the shipped problems, so solutions carry
 
 Solver stack, cheapest applicable path first:
 
-1. closed forms (Siegmund roots, the Siegmund tilts of every region size of
-   an exchangeable model in one pass, and two-index gap tilts);
+1. closed forms (Siegmund roots and the Siegmund tilts of every region
+   size of an exchangeable model in one pass);
 2. ``_sign_program``, the one routine for every program with a linear
-   objective (the Siegmund and gap beta^A, gamma^{k,k'} and the four-index
-   gap tilts): max c.theta under a sign pattern on a support, the CGF
-   constraint and an optional zero sum, by the active set
+   objective (the Siegmund and gap beta^A, gamma^{k,k'} and the two- and
+   four-index gap tilts): max c.theta under a sign pattern on a support,
+   the CGF constraint and an optional zero sum, by the active set
    ``_qclp_active_set`` on every model;
 3. ``_si_active_set`` for every sum-intersection program (beta^A, z_A and
    s_B) of every model: the active set extended to the concave objective
@@ -38,10 +38,9 @@ program per symmetry orbit instead.  Everything here needs only numpy.
 Lower bounds on the variance-decay exponents v_A(gamma) are certified by
 weak duality: a witness feasible for the shifted program (the constraint
 Lambda(theta - gamma) <= 0) bounds v_A(gamma) by its support value, so that
-program is never solved.  ``v_lower_bound`` certifies one region;
-``v_lower_bounds`` certifies a stack of Siegmund regions at one gamma in
-one vectorised pass, which is how the direct condition is checked for
-every region size at once.
+program is never solved.  ``v_lower_bounds`` certifies a stack of Siegmund
+regions at one gamma in one vectorised pass, which is how the direct
+condition is checked for every region size at once.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ import numpy as np
 from .models import CgfModel, IndependentModel, MvNormalModel, siegmund_root
 from .regions import (
     GapRule,
-    Region,
     SiegmundRule,
     SumIntersectionRule,
     rearrangement_min,
@@ -64,7 +62,6 @@ from .rootfind import positive_root
 
 __all__ = [
     "TiltSolution",
-    "VBound",
     "SolverError",
     "solve_beta",
     "solve_gamma_single",
@@ -73,9 +70,7 @@ __all__ = [
     "solve_gap_quad",
     "solve_si_z",
     "solve_si_s",
-    "v_lower_bound",
     "v_lower_bounds",
-    "rate_function",
     "homogeneous_profile",
     "siegmund_profile",
     "validate_drifts",
@@ -115,17 +110,6 @@ class TiltSolution:
     multipliers: Optional[np.ndarray] = None
     eq_multiplier: Optional[float] = None
     weights: Optional[np.ndarray] = None
-
-
-@dataclass
-class VBound:
-    """Certified lower bound on the variance-decay exponent v_A(gamma)."""
-
-    region: Region
-    gamma: np.ndarray
-    lower_bound: float
-    witness: np.ndarray
-    feasible: bool
 
 
 # ---------------------------------------------------------------------------
@@ -675,28 +659,14 @@ def solve_gamma_pair(k: int, kp: int, rule: SiegmundRule,
 
 
 def solve_gap_pair(l: int, lp: int, rule: GapRule, model: CgfModel) -> TiltSolution:
-    """Two-index gap tilt: maximize theta_lp with theta_l = -theta_lp <= 0,
-    reducing to the positive root of t -> Lambda(t (e_lp - e_l))."""
+    """Two-index gap tilt t (e_lp - e_l): maximize theta_lp under the
+    zero-sum and sign constraints on {l, lp}, so that t is the positive
+    root of t -> Lambda(t (e_lp - e_l))."""
     if not (l < rule.m <= lp):
         raise ValueError("need l in [m] and lp outside [m]")
     validate_drifts(rule, model)
-    d = model.dim
-    v = np.zeros(d)
-    v[lp] = 1.0
-    v[l] = -1.0
-    if isinstance(model, MvNormalModel):
-        drift = float(model.mean @ v)
-        t = max(0.0, -2.0 * drift / float(v @ (model.cov @ v)))
-        if t <= 0:
-            raise SolverError("no positive root along the gap direction")
-    else:
-        cl, clp = model.components[l], model.components[lp]
-        f = lambda t: cl.cgf(-t) + clp.cgf(t)
-        fp = lambda t: -cl.cgf_prime(-t) + clp.cgf_prime(t)
-        t = positive_root(f, fp, upper=clp.domain_sup)
-    th = t * v
-    resid = abs(model.cgf(th))
-    return TiltSolution(float(t), th, resid <= KKT_TOL, resid, "gap/pair-root")
+    return _sign_program(model, (l, lp), np.array([0.0, 1.0]),
+                         np.array([-1.0, 1.0]), True, "gap/pair")
 
 
 def solve_gap_quad(l1: int, l2: int, lp1: int, lp2: int, rule: GapRule,
@@ -734,33 +704,19 @@ def solve_si_s(B, rule: SumIntersectionRule, model: CgfModel) -> TiltSolution:
                           "si/s-active-set")
 
 
-def v_lower_bound(A, gamma, witness, rule, model: CgfModel) -> VBound:
-    """Certify v_A(gamma) >= support_value(witness, A) by checking that the
-    witness is feasible for the shifted program."""
-    d = model.dim
-    gamma = np.asarray(gamma, dtype=float)
-    witness = np.asarray(witness, dtype=float)
-    region = Region(rare=True, members=_check_region(rule, d, A))
-    if model.cgf(gamma) > CGF_TOL:
-        raise ValueError("gamma must satisfy Lambda(gamma) <= 0")
-    feasible = model.cgf(witness - gamma) <= CGF_TOL
-    bound = rule.support_value(witness, region) if feasible else -math.inf
-    if not math.isfinite(bound):
-        feasible = False
-        bound = -math.inf
-    return VBound(region, gamma, float(bound), witness, feasible)
-
-
 def v_lower_bounds(sets, gamma, witnesses, rule: SiegmundRule,
                    model: CgfModel) -> np.ndarray:
-    """``v_lower_bound`` for a stack of Siegmund regions at one gamma.
+    """Certified lower bounds on v_{A_i}(gamma) for a stack of Siegmund
+    regions at one gamma.
 
-    Row i certifies v_{A_i}(gamma) >= support_value(witnesses[i], A_i) for
-    the region with member mask ``sets[i]``.  Each row must be a rare
-    region, and Lambda(gamma) <= 0 is checked once; the CGFs of the shifted
-    witnesses and their support values are evaluated for all rows at once.
-    Returns the bounds, -inf on each row whose witness is infeasible or
-    breaks the sign pattern of its region.
+    Row i checks that witnesses[i] is feasible for the shifted program
+    (Lambda(witnesses[i] - gamma) <= 0), which bounds v_{A_i}(gamma) by the
+    support value of witnesses[i] over the region with member mask
+    ``sets[i]``.  Each row must be a rare region, and Lambda(gamma) <= 0 is
+    checked once; the CGFs of the shifted witnesses and their support values
+    are evaluated for all rows at once.  Returns the bounds, -inf on each
+    row whose witness is infeasible or breaks the sign pattern of its
+    region.
     """
     if not isinstance(rule, SiegmundRule):
         raise ValueError("batched certificates cover the Siegmund rule only")
@@ -777,17 +733,3 @@ def v_lower_bounds(sets, gamma, witnesses, rule: SiegmundRule,
         raise ValueError("gamma must satisfy Lambda(gamma) <= 0")
     feasible = model.cgf_rows(witnesses - gamma) <= CGF_TOL
     return np.where(feasible, rule.support_rows(witnesses, sets), -math.inf)
-
-
-def rate_function(x, model: MvNormalModel) -> float:
-    """Large-deviations rate I(x) = sup{theta.x : Lambda(theta) <= 0} for a
-    normal model: the zero level set of Lambda is the ellipsoid centered at
-    -Sigma^{-1} mu, giving I(x) = x.theta_c + sqrt(mu'S^-1 mu * x'S^-1 x)."""
-    if not isinstance(model, MvNormalModel):
-        raise ValueError("closed-form rate function requires a normal model")
-    x = np.asarray(x, dtype=float)
-    solve = _cholesky_solver(model.cov)
-    si_mu = solve(model.mean)
-    si_x = solve(x)
-    center = -(x @ si_mu)
-    return float(center + math.sqrt((model.mean @ si_mu) * (x @ si_x)))

@@ -9,6 +9,10 @@ programs on independent coordinates, nested scalar root finding on the
 KKT multipliers.  The tests compare the active set against them.  On a
 normal model, ``shifted_program`` solves the linear-objective programs
 exactly by enumerating their pinned sets, shifted or not.
+
+It also keeps two one-region oracles: ``support_value``, the closed-form
+support value of a rare region of each rule, and ``v_lower_bound``, the
+one-region certificate that ``solvers.v_lower_bounds`` batches.
 """
 
 from itertools import product
@@ -17,19 +21,62 @@ import math
 import numpy as np
 
 from wrongexit import (
+    GapRule,
     IndependentModel,
     MvNormalModel,
+    Region,
     SiegmundRule,
     rearrangement_min,
 )
+from wrongexit.regions import SIGN_TOL
 from wrongexit.rootfind import RootError, positive_root, refine_root
 from wrongexit.solvers import (
     CGF_TOL,
     SolverError,
     TiltSolution,
+    _check_region,
     _Quad,
     _subsolve,
 )
+
+ZERO_SUM_TOL = 1e-9
+
+
+def support_value(rule, theta, region: Region) -> float:
+    """inf over closure(W^A) of theta.x for a rare region A of ``rule``:
+    -inf off the sign pattern of A (and, for the gap rule, when theta does
+    not sum to zero), else u theta_A.1 - ell theta_{A^c}.1 (Siegmund),
+    theta_A.1 (gap) or rearrangement_min(theta, L) (sum-intersection)."""
+    if not region.rare:
+        raise ValueError("support value is defined for rare regions")
+    theta = np.asarray(theta, dtype=float)
+    in_A = np.zeros(theta.size, dtype=bool)
+    in_A[list(region.members)] = True
+    if isinstance(rule, SiegmundRule):
+        return float(rule.support_rows(theta[None], in_A[None])[0])
+    if isinstance(rule, GapRule) and abs(theta.sum()) > ZERO_SUM_TOL:
+        return -math.inf
+    if np.any(theta[in_A] < -SIGN_TOL) or np.any(theta[~in_A] > SIGN_TOL):
+        return -math.inf
+    if isinstance(rule, GapRule):
+        return float(theta[in_A].sum())
+    return rearrangement_min(theta, rule.L)
+
+
+def v_lower_bound(A, gamma, witness, rule, model):
+    """Certify v_A(gamma) >= support_value(witness, A) by checking that the
+    witness is feasible for the shifted program.  Returns the bound and
+    whether it is certified; a witness that is infeasible or breaks the
+    sign pattern of A gives (-inf, False)."""
+    gamma = np.asarray(gamma, dtype=float)
+    witness = np.asarray(witness, dtype=float)
+    region = Region(rare=True, members=_check_region(rule, model.dim, A))
+    if model.cgf(gamma) > CGF_TOL:
+        raise ValueError("gamma must satisfy Lambda(gamma) <= 0")
+    if model.cgf(witness - gamma) > CGF_TOL:
+        return -math.inf, False
+    bound = support_value(rule, witness, region)
+    return (bound, True) if math.isfinite(bound) else (-math.inf, False)
 
 
 def shifted_program(A, gamma, rule, model: MvNormalModel) -> float:

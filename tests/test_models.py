@@ -230,7 +230,8 @@ class TestTiltedSampling:
         t = 0.8718
         comp = ShiftedExponential(2.0, -LOG2)
         rng = np.random.default_rng(2)
-        draws = comp.sample(t, rng, size=400_000) + LOG2
+        draw = IndependentModel([comp]).tilted_sampler([t])
+        draws = draw(rng, 400_000)[:, 0] + LOG2
         assert draws.mean() == pytest.approx(1.0 / (2.0 - t), rel=0.01)
 
     def test_single_draw_shape(self):

@@ -23,7 +23,6 @@ from wrongexit import (
     SumIntersectionRule,
     exchangeable_mvnormal,
     homogeneous_profile,
-    rate_function,
     rearrangement_min,
     siegmund_profile,
     solve_beta,
@@ -33,11 +32,11 @@ from wrongexit import (
     solve_gap_quad,
     solve_si_s,
     solve_si_z,
-    v_lower_bound,
     v_lower_bounds,
 )
 from wrongexit.models import TiltDomainError, siegmund_root
 from wrongexit.regions import Region
+from wrongexit.rootfind import positive_root
 from si_reference import (
     _independent_kkt,
     _ray_radius,
@@ -46,6 +45,8 @@ from si_reference import (
     _si_dual_program,
     _symmetric_si_beta,
     shifted_program,
+    support_value,
+    v_lower_bound,
 )
 
 LOG2 = math.log(2.0)
@@ -57,7 +58,7 @@ def check_certificate(sol, model, region, rule, tol=1e-8):
     agreement between the optimal value and the support value."""
     assert sol.converged
     assert abs(model.cgf(sol.tilt)) <= 1e-10
-    sup = rule.support_value(sol.tilt, region)
+    sup = support_value(rule, sol.tilt, region)
     assert sup == pytest.approx(sol.value, abs=tol)
 
 
@@ -65,7 +66,7 @@ def local_max_probe(sol, model, rule, region, rng, n_dirs=20):
     """Feasible perturbations of size 1e-4 must not improve the objective
     by more than 1e-6."""
     d = model.dim
-    base = rule.support_value(sol.tilt, region)
+    base = support_value(rule, sol.tilt, region)
     for _ in range(n_dirs):
         step = 1e-4 * rng.normal(size=d)
         cand = sol.tilt + step
@@ -73,7 +74,7 @@ def local_max_probe(sol, model, rule, region, rng, n_dirs=20):
             cand -= cand.sum() / d
         if model.cgf(cand) > 0:
             continue  # infeasible direction
-        val = rule.support_value(cand, region)
+        val = support_value(rule, cand, region)
         assert val <= base + 1e-6
 
 
@@ -277,6 +278,28 @@ class TestGapSolvers:
             st = solve_gap_quad(0, 1, 3, 4, rule, model)
             assert st.value == pytest.approx(4 / (1 + v), abs=1e-8)
             assert zt.value <= st.value + 1e-10  # dominance chain
+
+    @pytest.mark.parametrize("comps", [
+        [ShiftedExponential(2.0, 0.0)] * 2
+        + [ShiftedExponential(2.0, -LOG2)] * 3,
+        [ShiftedExponential(2.0, 0.1), ShiftedExponential(1.5, -0.2),
+         ShiftedExponential(3.0, -0.5), ShiftedExponential(1.2, -1.0),
+         ShiftedExponential(2.5, -LOG2)],
+    ], ids=["per-side-iid", "heterogeneous"])
+    def test_pair_exponential_is_the_gap_direction_root(self, comps):
+        # the two-index tilt is t (e_lp - e_l), t the positive zero of
+        # t -> Lambda(t (e_lp - e_l)) below the rate of coordinate lp
+        model = IndependentModel(comps)
+        rule = GapRule(2)
+        for l, lp in ((0, 2), (1, 3), (0, 4)):
+            v = np.zeros(5)
+            v[l], v[lp] = -1.0, 1.0
+            t = positive_root(lambda r: model.cgf(r * v),
+                              upper=comps[lp].domain_sup)
+            zt = solve_gap_pair(l, lp, rule, model)
+            assert zt.converged
+            assert zt.value == pytest.approx(t, abs=1e-12)
+            np.testing.assert_allclose(zt.tilt, t * v, rtol=0, atol=1e-12)
 
     def test_exchangeable_two_index_tilt(self):
         mu_p, mu_m, s2, rho = 0.7, -0.4, 1.3, 0.25
@@ -713,22 +736,24 @@ class TestVBounds:
         gam_k = solve_gamma_single(0, RULE11, model)
         gam_kk = solve_gamma_pair(0, 1, RULE11, model)
         A = [0, 1, 3]
-        vb = v_lower_bound(A, gam_k.tilt, gam_k.tilt + gam_kk.tilt,
-                           RULE11, model)
-        assert vb.feasible
-        assert vb.lower_bound == pytest.approx(gam_k.value + gam_kk.value,
-                                               abs=1e-8)
-        vb2 = v_lower_bound(A, gam_kk.tilt, 2 * gam_kk.tilt, RULE11, model)
-        assert vb2.feasible
-        assert vb2.lower_bound == pytest.approx(2 * gam_kk.value, abs=1e-8)
+        bound, feasible = v_lower_bound(A, gam_k.tilt,
+                                        gam_k.tilt + gam_kk.tilt, RULE11,
+                                        model)
+        assert feasible
+        assert bound == pytest.approx(gam_k.value + gam_kk.value, abs=1e-8)
+        bound2, feasible2 = v_lower_bound(A, gam_kk.tilt, 2 * gam_kk.tilt,
+                                          RULE11, model)
+        assert feasible2
+        assert bound2 == pytest.approx(2 * gam_kk.value, abs=1e-8)
 
     def test_infeasible_witness(self):
         model = exchangeable_mvnormal(3, -0.5, 0.0)
         gam = solve_gamma_single(0, RULE11, model)
         bad = gam.tilt.copy()
         bad[1] = +0.5  # wrong sign for A = {0}
-        vb = v_lower_bound([0], gam.tilt, bad + gam.tilt, RULE11, model)
-        assert not vb.feasible and vb.lower_bound == -math.inf
+        bound, feasible = v_lower_bound([0], gam.tilt, bad + gam.tilt,
+                                        RULE11, model)
+        assert not feasible and bound == -math.inf
 
     def test_exact_program_dominates_witness(self):
         model = exchangeable_mvnormal(6, -0.5, 0.3)
@@ -736,10 +761,10 @@ class TestVBounds:
         for m in (2, 4, 6):
             A = list(range(m))
             betaA = solve_beta(A, RULE11, model)
-            wit = v_lower_bound(A, beta1.tilt, betaA.tilt + beta1.tilt,
-                                RULE11, model)
+            wit, _ = v_lower_bound(A, beta1.tilt, betaA.tilt + beta1.tilt,
+                                   RULE11, model)
             exact = shifted_program(A, beta1.tilt, RULE11, model)
-            assert exact >= wit.lower_bound - 1e-9
+            assert exact >= wit - 1e-9
 
     def test_gap_vbound_witness(self):
         mean = np.array([0.5, 0.5, -0.5, -0.5, -0.5])
@@ -748,11 +773,12 @@ class TestVBounds:
         zt = solve_gap_pair(0, 2, rule, model)
         st = solve_gap_quad(0, 1, 2, 3, rule, model)
         A = [2, 3]  # differs from [m] in two swaps
-        vb = v_lower_bound(A, zt.tilt, zt.tilt + st.tilt, rule, model)
-        assert vb.feasible
-        assert vb.lower_bound == pytest.approx(zt.value + st.value, abs=1e-8)
+        bound, feasible = v_lower_bound(A, zt.tilt, zt.tilt + st.tilt, rule,
+                                        model)
+        assert feasible
+        assert bound == pytest.approx(zt.value + st.value, abs=1e-8)
         exact = shifted_program(A, zt.tilt, rule, model)
-        assert exact >= vb.lower_bound - 1e-9
+        assert exact >= bound - 1e-9
 
 
 GRID = st.integers(-16, 16).map(lambda k: k / 8)
@@ -812,11 +838,12 @@ class TestBatchedVBounds:
         got = v_lower_bounds(sets, gamma, witnesses, rule, model)
         assert got.shape == (len(sets),)
         for i, (in_A, w) in enumerate(zip(sets, witnesses)):
-            vb = v_lower_bound(np.flatnonzero(in_A), gamma, w, rule, model)
-            assert np.isfinite(got[i]) == vb.feasible
-            assert (got[i] == -math.inf) == (vb.lower_bound == -math.inf)
-            if vb.feasible:
-                assert abs(got[i] - vb.lower_bound) <= 1e-12
+            bound, feasible = v_lower_bound(np.flatnonzero(in_A), gamma, w,
+                                            rule, model)
+            assert np.isfinite(got[i]) == feasible
+            assert (got[i] == -math.inf) == (bound == -math.inf)
+            if feasible:
+                assert abs(got[i] - bound) <= 1e-12
 
     def test_rows_must_be_rare_siegmund_regions(self):
         model = exchangeable_mvnormal(3, -0.5, 0.0)
@@ -830,44 +857,3 @@ class TestBatchedVBounds:
         with pytest.raises(ValueError, match="Siegmund rule only"):
             v_lower_bounds(sets[:1], np.zeros(3), np.zeros((1, 3)),
                            GapRule(1), model)
-
-
-class TestRateFunction:
-    def test_rate_at_tilt_gradient(self):
-        model = exchangeable_mvnormal(4, -0.5, 0.2)
-        beta = solve_beta([0, 2], RULE11, model)
-        x = model.cgf_grad(beta.tilt)
-        assert rate_function(x, model) == pytest.approx(
-            float(beta.tilt @ x), rel=1e-10)
-        # scaling x to the boundary point of the rate level set gives r_A
-        scale = beta.value / float(beta.tilt @ x)
-        assert rate_function(scale * x, model) == pytest.approx(
-            beta.value, rel=1e-10)
-
-    def test_rate_boundary_sample_oracle(self):
-        # the zero level set of the CGF is the ellipsoid
-        # (theta - c)' Sigma (theta - c) = mu' Sigma^-1 mu, c = -Sigma^-1 mu
-        rng = np.random.default_rng(12)
-        a = rng.normal(size=(3, 3)) * 0.4
-        cov = a @ a.T + np.eye(3)
-        model = MvNormalModel(np.array([-0.6, -0.9, -0.5]), cov)
-        center = -np.linalg.solve(cov, model.mean)
-        radius = math.sqrt(model.mean @ np.linalg.solve(cov, model.mean))
-        evals, evecs = np.linalg.eigh(cov)
-        sqrt_map = np.diag(evals ** -0.5) @ evecs.T  # rows map z -> theta
-        for _ in range(5):
-            x = rng.normal(size=3)
-            zs = rng.normal(size=(200000, 3))
-            zs /= np.linalg.norm(zs, axis=1, keepdims=True)
-            boundary = center + radius * zs @ sqrt_map
-            # confirm the sample sits on the level set, then compare sups
-            lam = np.array([model.cgf(th) for th in boundary[:50]])
-            assert np.max(np.abs(lam)) <= 1e-9
-            want = float(np.max(boundary @ x))
-            assert rate_function(x, model) == pytest.approx(
-                want, abs=1e-3 * max(1, abs(want)))
-
-    def test_rate_rejects_non_normal(self):
-        model = IndependentModel([Normal(-0.5, 1.0)] * 2)
-        with pytest.raises(ValueError):
-            rate_function(np.ones(2), model)
