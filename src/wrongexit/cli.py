@@ -56,6 +56,7 @@ from .solvers import (solve_beta, solve_gamma_pair, solve_gamma_single,
 
 # sum-intersection audit records kept in a ``solve`` manifest
 SOLUTION_CAP = 500
+GRID_CAP = 10_000  # points of a start/stop/step grid
 
 
 class ConfigError(ValueError):
@@ -501,6 +502,9 @@ def _float_grid(spec, key, default, path):
         n = (stop - start) / step
         if not math.isfinite(n):
             raise ConfigError(f"{path}.{key}: {start}..{stop} is not finite")
+        if round(n) + 1 > GRID_CAP:
+            raise ConfigError(f"{path}.{key}: {start}..{stop} by {step} has "
+                              f"{round(n) + 1} points, above {GRID_CAP}")
         grid = [round(start + i * step, 10) for i in range(round(n) + 1)]
     else:
         grid = [_number(x, f"{path}.{key}[{i}]") for i, x in enumerate(g)]

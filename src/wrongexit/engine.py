@@ -14,9 +14,14 @@ truncation, which is counted and must be zero for a clean run).
 Paths are simulated in batches of ``BATCH`` that advance in lockstep: a
 ``(B, d)`` state moves forward in chunks of k steps, each chunk one
 ``(k, B, d)`` block checked by the rule's vectorised stop test.  A path
-leaves the batch at its first stop.  The weights of a batch's wrong exits
-come from vectorised logsumexps over blocks of at most ``CHUNK_VALUES``
-log weights, which also caps the sampled blocks.
+leaves the batch at its first stop.  The chunks grow with the steps the
+batch has walked (``FIRST_CHUNK``, ``FIRST_CHUNK``, then doubling), so a
+batch of short walks draws few rows past its stops, and a block holds at
+most ``CHUNK_VALUES`` values.  The weights of a batch's wrong exits come
+from vectorised logsumexps over blocks of at most ``CHUNK_VALUES`` log
+weights.  Exit sets are tallied as packed member masks (bytes) over the
+whole run and decoded to their ``A=...``/``reference`` keys once at the
+end, one decode per distinct set.
 
 Reproducibility: batch i draws from one counter-based Philox stream keyed by
 (seed, i).  The batch size does not depend on the worker count and workers
@@ -37,6 +42,7 @@ import numpy as np
 
 from .models import CgfModel
 from .proposals import MixtureProposal, plain_proposal
+from .regions import Region
 
 __all__ = [
     "RunConfig",
@@ -53,6 +59,7 @@ __all__ = [
 MIN_DRIFT_SCALE = 1e-3
 BATCH = 256  # paths per random stream, fixed so results ignore workers
 CHUNK_VALUES = 1 << 14  # float64 values per sampled block or weight block
+FIRST_CHUNK = 8  # steps of a batch's first chunk; later ones <= steps walked
 
 
 def _mixture_estimate(n_comp: int, logw: np.ndarray) -> np.ndarray:
@@ -152,8 +159,11 @@ def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
     ``thetas``, until each stops or reaches ``max_steps``.
 
     ``draw(rng, comp, k)`` returns the next k increments of the paths with
-    components ``comp`` as a (k, len(comp), d) block.  A chunk holds at most
-    ``CHUNK_VALUES`` values, so k grows as paths leave the batch.
+    components ``comp`` as a (k, len(comp), d) block.  After t steps the
+    next chunk takes k = min(max(FIRST_CHUNK, t), CHUNK_VALUES // (live
+    paths * d)) steps (at least 1, at most the steps left to the cap): the
+    chunks run 8, 8, 16, 32, ..., so the rows drawn past the paths' stops
+    stay within about the steps they walked, and k grows as paths leave.
     """
     n_comp, d = thetas.shape
     comp = rng.integers(n_comp, size=n)
@@ -163,7 +173,8 @@ def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
     live = np.arange(n)
     t = 0
     while live.size and t < max_steps:
-        k = min(max_steps - t, max(1, CHUNK_VALUES // (live.size * d)))
+        k = min(max_steps - t, max(1, CHUNK_VALUES // (live.size * d)),
+                max(FIRST_CHUNK, t))
         block = draw(rng, comp[live], k)
         block[0] += states[live]
         np.cumsum(block, axis=0, out=block)
@@ -191,7 +202,8 @@ def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
 
 def _simulate_batches(model, proposal, rule, b, max_steps, seed, n_paths,
                       lo, hi):
-    """Batches lo..hi-1 of an n_paths run: values, exit tally, truncations."""
+    """Batches lo..hi-1 of an n_paths run: values, the tally of packed
+    exit-set masks (bytes) and the truncation count."""
     draw = model.batch_sampler(proposal.thetas)
     values = []
     tally: Counter = Counter()
@@ -202,13 +214,23 @@ def _simulate_batches(model, proposal, rule, b, max_steps, seed, n_paths,
                              proposal.lambdas, batch_rng(seed, i), n)
         values.append(res.values)
         truncated += int(res.truncated.sum())
-        # decode the exit sets to tally keys once per distinct set; the keys
-        # are interned, so tallies kept from many runs share their strings
-        sets, counts = np.unique(res.exit_sets[~res.truncated], axis=0,
-                                 return_counts=True)
-        for mask, c in zip(sets, counts):
-            tally[sys.intern(rule.region(mask).key)] += int(c)
+        packed = np.packbits(res.exit_sets[~res.truncated], axis=1)
+        tally.update(packed.view(f"V{packed.shape[1]}").ravel().tolist())
     return np.concatenate(values), tally, truncated
+
+
+def _decode_tally(tally: Counter, rule, d: int) -> Counter:
+    """Tally keyed by ``A=...``/``reference`` from one keyed by packed
+    exit-set masks, decoding each distinct mask once.  The keys are
+    interned, so tallies kept from many runs share their strings."""
+    packed = np.frombuffer(b"".join(tally), dtype=np.uint8)
+    masks = np.unpackbits(packed.reshape(len(tally), (d + 7) // 8), axis=1,
+                          count=d).astype(bool)
+    out: Counter = Counter()
+    for mask, rare, c in zip(masks, rule.rare_mask(masks), tally.values()):
+        key = Region(bool(rare), tuple(np.flatnonzero(mask).tolist())).key
+        out[sys.intern(key)] += c
+    return out
 
 
 def estimate_wrong_exit(model: CgfModel, proposal: MixtureProposal, rule,
@@ -240,7 +262,8 @@ def estimate_wrong_exit(model: CgfModel, proposal: MixtureProposal, rule,
     for _, t, _ in outs:
         tally.update(t)
     truncated = sum(o[2] for o in outs)
-    return _finalize(values, tally, truncated, config)
+    return _finalize(values, _decode_tally(tally, rule, model.dim),
+                     truncated, config)
 
 
 def _finalize(values, tally, truncated, config) -> EstimatorRun:

@@ -1,7 +1,9 @@
 """Estimator correctness: determinism, unbiasedness, and bookkeeping."""
 
+from collections import Counter
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from wrongexit import (
 )
 from wrongexit.engine import (
     BATCH,
+    FIRST_CHUNK,
     RunConfig,
     _mixture_estimate,
     batch_rng,
@@ -33,7 +36,9 @@ from wrongexit.proposals import (
     build_gap,
     build_siegmund,
     build_sum_intersection,
+    plain_proposal,
 )
+from wrongexit.cli import build_model, build_proposal, build_rule, load_config
 
 LOG2 = math.log(2.0)
 RULE11 = SiegmundRule(1.0, 1.0)
@@ -85,6 +90,11 @@ def per_path_reference(calls, rule, b, thetas, lambdas):
             logw = thetas @ states[i] - steps[i] * lambdas
             values[i] = math.exp(math.log(len(thetas)) - logsumexp(logw))
     return values, steps, regions
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ORACLE_CONFIGS = ("oracle_siegmund_d2.json", "oracle_gap_d4.json",
+                  "oracle_si_d3.json")
 
 
 class TestRunConfig:
@@ -159,6 +169,80 @@ class TestSimulatePath:
         assert not res.truncated.any()
         for state, mask in zip(res.states, res.exit_sets):
             assert rule.classify(state, 2.0) == rule.region(mask)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS)
+    def test_overdraw_is_bounded_on_the_oracle_problems(self, config):
+        # rows drawn (chunk steps times live paths) over the steps the paths
+        # use, on the mixture side and the plain side; every chunk is at most
+        # max(FIRST_CHUNK, steps walked), so short walks are not overdrawn
+        cfg = load_config(str(CONFIGS / config))
+        model = build_model(cfg["model"])
+        rule = build_rule(cfg["problem"])
+        mix, _ = build_proposal(model, rule, cfg["proposal"])
+        b = cfg["oracle"]["b"]
+        for prop in (mix, plain_proposal(rule, model.dim)):
+            ms = default_max_steps(model, prop.thetas, b)
+            draw = model.batch_sampler(prop.thetas)
+            drawn = used = 0
+            for i in range(4):
+                chunks = []
+
+                def rec(rng, comp, k):
+                    chunks.append((k, comp.size))
+                    return draw(rng, comp, k)
+
+                res = simulate_batch(rec, rule, b, ms, prop.thetas,
+                                     prop.lambdas, batch_rng(17, i), BATCH)
+                assert not res.truncated.any()
+                t = 0
+                for k, live in chunks:
+                    assert k <= max(FIRST_CHUNK, t), (t, k)
+                    drawn += k * live
+                    t += k
+                used += int(res.steps.sum())
+            assert drawn / used <= 1.75, (config, prop.variant, drawn / used)
+
+
+class TestPackedTally:
+    @pytest.mark.parametrize("d", [3, 10, 20])
+    @pytest.mark.parametrize("kind", ["siegmund", "gap", "sum_intersection"])
+    def test_tally_matches_per_path_decode(self, kind, d):
+        # masks of 3, 10 and 20 coordinates span one to three bytes; the
+        # tight cap truncates some paths, which the tally leaves out
+        if kind == "siegmund":
+            rule, b, cap = SiegmundRule(1.0, 1.0), 1.0, 8
+            mean = np.full(d, -0.2)
+        elif kind == "gap":
+            m = 1 if d == 3 else 3
+            rule, b, cap = GapRule(m), 1.0, 4
+            mean = np.where(np.arange(d) < m, 0.3, -0.3)
+        else:
+            rule, b, cap = SumIntersectionRule(2), 1.5, 4
+            mean = np.full(d, 0.1)
+        model = MvNormalModel(mean, np.eye(d))
+        prop = plain_proposal(rule, d)
+        n_paths, seed = 2 * BATCH + 40, 6
+        run = estimate_wrong_exit(model, prop, rule,
+                                  RunConfig(b=b, n_paths=n_paths, seed=seed,
+                                            max_steps=cap))
+        draw = model.batch_sampler(prop.thetas)
+        expect, truncated = Counter(), 0
+        for i in range(-(-n_paths // BATCH)):
+            res = simulate_batch(draw, rule, b, cap, prop.thetas,
+                                 prop.lambdas, batch_rng(seed, i),
+                                 min(BATCH, n_paths - i * BATCH))
+            truncated += int(res.truncated.sum())
+            expect.update(rule.region(mask).key for mask, t in
+                          zip(res.exit_sets, res.truncated) if not t)
+        assert run.exit_tally == dict(expect)
+        assert run.truncation_count == truncated > 0
+        assert sum(run.exit_tally.values()) == n_paths - truncated
+        assert len(run.exit_tally) >= 2
+        if kind == "gap":
+            # the gap rule's reference set {0..m-1} is not empty
+            assert "reference" in run.exit_tally
 
 
 class TestEstimator:
