@@ -50,8 +50,16 @@ from .proposals import (
     solve_cache,
 )
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
-from .solvers import (solve_beta, solve_gamma_pair, solve_gamma_single,
-                      solve_si_s, solve_si_z, validate_drifts)
+from .solvers import (
+    SolverError,
+    block_solve,
+    gamma_pair_program,
+    solve_beta,
+    solve_gamma_single,
+    solve_si_s,
+    solve_si_z,
+    validate_drifts,
+)
 
 
 # sum-intersection audit records kept in a ``solve`` manifest
@@ -433,9 +441,28 @@ def cmd_oracle(cfg, args) -> int:
     return 0
 
 
+def _value(where: str, solve, *args) -> float:
+    """The value of ``solve(*args)``; a SolverError naming the grid point
+    ``where`` when the solve fails or does not converge."""
+    try:
+        sol = solve(*args)
+    except SolverError as exc:
+        raise SolverError(f"{where}: {exc}") from exc
+    return _converged(where, sol)
+
+
+def _converged(where: str, sol) -> float:
+    if not sol.converged:
+        raise SolverError(f"{where}: {sol.method} did not converge "
+                          f"(residual {sol.residual:.3e})")
+    return sol.value
+
+
 def cmd_table(cfg, args) -> int:
     """Maximal rho on a grid such that (H1), (H2) and the direct condition
-    hold, for a span of upper barriers (two-barrier problem, d fixed)."""
+    hold, for a span of upper barriers (two-barrier problem, d fixed).  Each
+    rho's model serves every u, and the pair programs of the whole grid are
+    solved as one block."""
     spec = cfg.get("table", {})
     d = _positive(spec.get("d", 50), "table.d", int)
     ell = _positive(spec.get("ell", 1.0), "table.ell")
@@ -444,25 +471,34 @@ def cmd_table(cfg, args) -> int:
     if not u_values:
         raise ConfigError("table.u_values: the list is empty")
     rhos = _rho_grid(spec, d, "table")
-    rows = []
-    for u in u_values:
-        rule = SiegmundRule(ell, u)
-        best = {"H1": None, "H2": None, "direct": None}
-        for rho in rhos:
-            model = exchangeable_mvnormal(d, -0.5, rho)
-            rep = check_direct_siegmund_homogeneous(model, ell, u)
-            r = rep.r_star
-            s = solve_gamma_pair(0, 1, rule, model).value
-            uz = solve_gamma_single(0, rule, model).value
-            if uz + s >= 2 * r - 1e-12:
-                best["H1"] = rho
-            if 2 * s >= 2 * r - 1e-12:
-                best["H2"] = rho
-            if rep.holds:
-                best["direct"] = rho
-        rows.append({"u": u, **best})
-        _log(f"u={u:g}: H1<= {best['H1']}  H2<= {best['H2']}  "
-             f"direct<= {best['direct']}")
+    rules = [SiegmundRule(ell, u) for u in u_values]
+    cells, pairs = [], []
+    for i, rho in enumerate(rhos):
+        model = exchangeable_mvnormal(d, -0.5, rho)
+        for j, rule in enumerate(rules):
+            where = f"table.rho_grid[{i}] = {rho}, table.u_values[{j}] = " \
+                f"{rule.u}"
+            rep = check_direct_siegmund_homogeneous(model, ell, rule.u)
+            uz = _value(where, solve_gamma_single, 0, rule, model)
+            cells.append((where, rho, j, rep, uz))
+            pairs.append(gamma_pair_program(0, 1, rule, model))
+    try:
+        pairs = block_solve(pairs)
+    except SolverError as exc:
+        raise SolverError(f"table: {exc}") from exc
+    best = [{"H1": None, "H2": None, "direct": None} for _ in rules]
+    for (where, rho, j, rep, uz), pair in zip(cells, pairs):
+        r, s = rep.r_star, _converged(where, pair)
+        if uz + s >= 2 * r - 1e-12:
+            best[j]["H1"] = rho
+        if 2 * s >= 2 * r - 1e-12:
+            best[j]["H2"] = rho
+        if rep.holds:
+            best[j]["direct"] = rho
+    rows = [{"u": u, **b} for u, b in zip(u_values, best)]
+    for row in rows:
+        _log(f"u={row['u']:g}: H1<= {row['H1']}  H2<= {row['H2']}  "
+             f"direct<= {row['direct']}")
     out = _out_dir(cfg, args) / f"{cfg['name']}_table.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -533,17 +569,25 @@ def _sweep_siegmund_rho(spec, out):
     u = _positive(spec.get("u", 1.0), "sweep.u")
     rule = SiegmundRule(ell, u)
     rhos = _rho_grid(spec, d, "sweep")
+    rows = []
+    for i, rho in enumerate(rhos):
+        model = exchangeable_mvnormal(d, -0.5, rho)
+        r = _value(f"sweep.rho_grid[{i}] = {rho}", solve_beta, [0], rule,
+                   model)
+        h1 = u / (1 + rho) + u / 2
+        h2 = 2 * u / (1 + rho)
+        rows.append([repr(float(rho)), repr(r), repr(h1), repr(h2),
+                     int(r <= h1 + 1e-12), int(r <= h2 + 1e-12)])
+    _write_csv(out, ["rho", "r", "h1_bound", "h2_bound", "h1_holds",
+                     "h2_holds"], rows)
+
+
+def _write_csv(out, header, rows):
+    """Write a sweep's rows, every one computed before the file opens."""
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["rho", "r", "h1_bound", "h2_bound", "h1_holds",
-                    "h2_holds"])
-        for rho in rhos:
-            model = exchangeable_mvnormal(d, -0.5, rho)
-            r = solve_beta([0], rule, model).value
-            h1 = u / (1 + rho) + u / 2
-            h2 = 2 * u / (1 + rho)
-            w.writerow([repr(float(rho)), repr(r), repr(h1), repr(h2),
-                        int(r <= h1 + 1e-12), int(r <= h2 + 1e-12)])
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _sweep_gap_v(spec, out):
@@ -555,19 +599,18 @@ def _sweep_gap_v(spec, out):
     vs = _float_grid(spec, "v_grid", np.geomspace(0.05, 20.0, 61).tolist(),
                      "sweep")
     vs = [_positive(v, f"sweep.v_grid[{i}]") for i, v in enumerate(vs)]
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["v", "min_r_A", "h1p_bound", "h2p_bound", "h1p_holds",
-                    "h2p_holds"])
-        for v in vs:
-            comps = [Normal(0.5, 1.0)] * m + [Normal(-0.5, float(v))] * (d - m)
-            model = IndependentModel(comps)
-            A = sorted(set(range(m)) - {0} | {m})
-            r = solve_beta(A, rule, model).value
-            h1 = 3 / (1 + v)
-            h2 = 4 / (1 + v)
-            w.writerow([repr(float(v)), repr(r), repr(h1), repr(h2),
-                        int(r <= h1 + 1e-12), int(r <= h2 + 1e-12)])
+    rows = []
+    for i, v in enumerate(vs):
+        comps = [Normal(0.5, 1.0)] * m + [Normal(-0.5, float(v))] * (d - m)
+        model = IndependentModel(comps)
+        A = sorted(set(range(m)) - {0} | {m})
+        r = _value(f"sweep.v_grid[{i}] = {v}", solve_beta, A, rule, model)
+        h1 = 3 / (1 + v)
+        h2 = 4 / (1 + v)
+        rows.append([repr(float(v)), repr(r), repr(h1), repr(h2),
+                     int(r <= h1 + 1e-12), int(r <= h2 + 1e-12)])
+    _write_csv(out, ["v", "min_r_A", "h1p_bound", "h2p_bound", "h1p_holds",
+                     "h2p_holds"], rows)
 
 
 def _sweep_si_rho(spec, out):
@@ -577,16 +620,17 @@ def _sweep_si_rho(spec, out):
     if not 1 <= L <= d - 1:
         raise ConfigError(f"sweep.L: {L} is outside 1..d-1 = 1..{d - 1}")
     rule = SumIntersectionRule(L)
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rho", "r_A", "z_A", "s_B", "hsi_holds"])
-        for rho in rhos:
-            model = exchangeable_mvnormal(d, -0.5, rho)
-            r = solve_beta(list(range(L)), rule, model).value
-            z = solve_si_z(list(range(L)), rule, model).value
-            s = solve_si_s(list(range(L + 1)), rule, model).value
-            w.writerow([repr(float(rho)), repr(r), repr(z), repr(s),
-                        int(z + s >= 2 * r - 1e-12)])
+    rows = []
+    for i, rho in enumerate(rhos):
+        model = exchangeable_mvnormal(d, -0.5, rho)
+        r, z, s = (_value(f"sweep.rho_grid[{i}] = {rho}", solve, idx, rule,
+                          model)
+                   for solve, idx in ((solve_beta, range(L)),
+                                      (solve_si_z, range(L)),
+                                      (solve_si_s, range(L + 1))))
+        rows.append([repr(float(rho)), repr(r), repr(z), repr(s),
+                     int(z + s >= 2 * r - 1e-12)])
+    _write_csv(out, ["rho", "r_A", "z_A", "s_B", "hsi_holds"], rows)
 
 
 COMMANDS = {

@@ -142,6 +142,21 @@ def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _rekey(gen: np.random.Generator, seed: int,
+           batch_index: int) -> np.random.Generator:
+    """``gen``, a Philox Generator, set to the start of ``batch_rng(seed,
+    batch_index)``'s stream: its key, a zero counter, an empty buffer and no
+    cached 32-bit word.  It saves a Philox construction, which also reads
+    OS entropy that the key then overrides, per batch."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed, batch_index], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
 class BatchResult(NamedTuple):
     """Per-path outcomes of one batch, in path order."""
 
@@ -205,13 +220,14 @@ def _simulate_batches(model, proposal, rule, b, max_steps, seed, n_paths,
     """Batches lo..hi-1 of an n_paths run: values, the tally of packed
     exit-set masks (bytes) and the truncation count."""
     draw = model.batch_sampler(proposal.thetas)
+    gen = batch_rng(seed, lo)
     values = []
     tally: Counter = Counter()
     truncated = 0
     for i in range(lo, hi):
         n = min(BATCH, n_paths - i * BATCH)
         res = simulate_batch(draw, rule, b, max_steps, proposal.thetas,
-                             proposal.lambdas, batch_rng(seed, i), n)
+                             proposal.lambdas, _rekey(gen, seed, i), n)
         values.append(res.values)
         truncated += int(res.truncated.sum())
         packed = np.packbits(res.exit_sets[~res.truncated], axis=1)

@@ -296,6 +296,29 @@ class MvNormalModel(_TiltedSampling):
         return f"MvNormalModel(dim={self.dim})"
 
 
+def separable_cgf(normal, lin, par, thetas) -> np.ndarray:
+    """Row sums of Lambda_k(thetas[:, k]) for independent coordinates whose
+    family (``normal``) and parameters (``lin``, ``par``) broadcast against
+    the (n, d) ``thetas``: mu t + sigma2 t^2 / 2 for a normal column,
+    log(rate / (rate - t)) + shift t for an exponential one; +inf on a row
+    outside the domain."""
+    outside = ~normal & (thetas >= par)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(normal, 0.5 * par * thetas * thetas,
+                         np.log(par / (par - thetas)))
+    terms += lin * thetas
+    terms[outside] = math.inf
+    return terms.sum(axis=1)
+
+
+def separable_grad(normal, lin, par, thetas) -> np.ndarray:
+    """Lambda_k'(thetas[:, k]) for the columns of ``separable_cgf``: mu +
+    sigma2 t or 1 / (rate - t) + shift, unchecked against the domain."""
+    with np.errstate(divide="ignore"):
+        return np.where(normal, lin + par * thetas,
+                        1.0 / (par - thetas) + lin)
+
+
 class IndependentModel(_TiltedSampling):
     """Independent scalar coordinates; Lambda(theta) = sum_k Lambda_k(theta_k)."""
 
@@ -335,27 +358,17 @@ class IndependentModel(_TiltedSampling):
         outside the domain.  Column k is mu t + sigma2 t^2 / 2 for a normal
         component and log(rate / (rate - t)) + shift t for an exponential
         one."""
-        thetas = _check_rows(thetas, self.dim)
-        normal, lin, par = self._normal, self._lin, self._par
-        outside = ~normal & (thetas >= par)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(normal, 0.5 * par * thetas * thetas,
-                             np.log(par / (par - thetas)))
-        terms += lin * thetas
-        terms[outside] = math.inf
-        return terms.sum(axis=1)
+        return separable_cgf(self._normal, self._lin, self._par,
+                             _check_rows(thetas, self.dim))
 
     def cgf_grad_rows(self, thetas) -> np.ndarray:
         """Gradient of Lambda at each row of an (n, d) tilt array: column k
         is mu + sigma2 t or 1 / (rate - t) + shift.  Raises TiltDomainError
         when a row leaves the domain."""
         thetas = _check_rows(thetas, self.dim)
-        normal, lin, par = self._normal, self._lin, self._par
-        if np.any(~normal & (thetas >= par)):
+        if np.any(~self._normal & (thetas >= self._par)):
             raise TiltDomainError("tilt outside domain")
-        with np.errstate(divide="ignore"):
-            return np.where(normal, lin + par * thetas,
-                            1.0 / (par - thetas) + lin)
+        return separable_grad(self._normal, self._lin, self._par, thetas)
 
     def batch_sampler(self, thetas):
         """Closure drawing (k, n, d) blocks for n paths, path i under the

@@ -26,10 +26,13 @@ rule, all of range(d) for an exchangeable model, else one per coordinate)
 split each program's index patterns into orbits.  Each builder solves one
 canonical pattern per orbit, moves its tilt onto the other patterns, and
 checks its condition over one pattern per orbit; without symmetry, each
-distinct program is still solved once.  The candidate regions and their
-tilts beta^A come from one block, ``candidate_betas``, which every builder
-and the ``solve`` audit start from; given one ``solve_cache``, the audit
-reads the builder's solves instead of repeating them.
+distinct program is still solved once.  The records of all uncached
+canonical patterns of one program kind go to one ``block_solve``, which
+solves them in lockstep, in slices of at most ``active_set.BLOCK_VALUES``
+stacked matrix entries.  The candidate regions and their tilts beta^A come
+from one block, ``candidate_betas``, which every builder and the ``solve``
+audit start from; given one ``solve_cache``, the audit reads the builder's
+solves instead of repeating them.
 """
 
 from __future__ import annotations
@@ -41,19 +44,21 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .active_set import BLOCK_VALUES
 from .models import CgfModel, IndependentModel, MvNormalModel
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
 from .solvers import (
     CGF_TOL,
     SolverError,
+    beta_program,
+    block_solve,
+    gamma_pair_program,
+    gap_pair_program,
+    gap_quad_program,
+    si_s_program,
+    si_z_program,
     siegmund_profile,
-    solve_beta,
-    solve_gamma_pair,
     solve_gamma_single,
-    solve_gap_pair,
-    solve_gap_quad,
-    solve_si_s,
-    solve_si_z,
     v_lower_bounds,
     validate_drifts,
 )
@@ -275,39 +280,58 @@ class _Orbits:
         every orbit of patterns with at most n indices in each block."""
         return [j for a, b in self._spans for j in range(a, min(a + n, b))]
 
-    def solve(self, key: str, patterns, program):
+    def solve(self, key: str, patterns, solve):
         """Values (n,), tilts (n, d) and residuals (n,) of program ``key`` on
-        n index patterns; ``program(canonical pattern)`` returns a
-        TiltSolution.  Raises SolverError when a solve does not converge."""
+        n index patterns; ``solve(canonical patterns)`` returns their
+        TiltSolutions.  It is called on the patterns not yet cached, once
+        per chunk of at most BLOCK_VALUES tilt entries (one call unless
+        there are thousands).  Raises SolverError when a solve does not
+        converge."""
         idx = np.array(patterns, dtype=np.intp).reshape(len(patterns), -1)
         start = self._start[idx]
         canon = start.copy()  # block start + rank among the block's indices
         for i in range(1, idx.shape[1]):
             canon[:, i] += (start[:, :i] == start[:, i:i + 1]).sum(axis=1)
         reps, inv = np.unique(canon, axis=0, return_inverse=True)
-        hits = []
-        for rep in map(tuple, reps.tolist()):
-            hit = self._cache.get((key, rep))
-            if hit is None:
-                sol = program(rep)
-                if not sol.converged:
-                    raise SolverError(
-                        f"{key} program on pattern {rep}: {sol.method} did "
-                        f"not converge (residual {sol.residual:.3e})")
-                d = self._start.size
-                fill = self._start + np.bincount(self._start[list(rep)],
-                                                 minlength=d)[self._start]
-                fill = np.where(fill < self._end, fill, np.arange(d))
-                hit = (sol.value, sol.tilt[fill], sol.tilt[list(rep)],
-                       sol.residual)
-                self._cache[(key, rep)] = hit
-            hits.append(hit)
+        reps = list(map(tuple, reps.tolist()))
+        new = [rep for rep in reps if (key, rep) not in self._cache]
+        d = self._start.size
+        step = max(1, BLOCK_VALUES // d)
+        for part in (new[i:i + step] for i in range(0, len(new), step)):
+            sols = solve(part)
+            bad = next((i for i, sol in enumerate(sols) if not sol.converged),
+                       None)
+            if bad is not None:
+                sol = sols[bad]
+                raise SolverError(
+                    f"{key} program on pattern {part[bad]}: {sol.method} did "
+                    f"not converge (residual {sol.residual:.3e})")
+            rows, tilts = np.array(part), np.array([sol.tilt for sol in sols])
+            # a block's unused coordinates take its first unused one's entry
+            used = np.zeros((len(part), d), dtype=np.intp)
+            for j in range(rows.shape[1]):
+                used[np.arange(len(part)), self._start[rows[:, j]]] += 1
+            fill = self._start + used[:, self._start]
+            fill = np.where(fill < self._end, fill, np.arange(d))
+            self._cache.update(zip(((key, rep) for rep in part), zip(
+                (sol.value for sol in sols),
+                np.take_along_axis(tilts, fill, axis=1),
+                np.take_along_axis(tilts, rows, axis=1),
+                (sol.residual for sol in sols))))
+        hits = [self._cache[(key, rep)] for rep in reps]
         inv = inv.reshape(-1)
         tilts = np.array([h[1] for h in hits])[inv]
         tilts[np.arange(idx.shape[0])[:, None], idx] = \
             np.array([h[2] for h in hits])[inv]
         return (np.array([h[0] for h in hits])[inv], tilts,
                 np.array([h[3] for h in hits])[inv])
+
+
+def _block(program):
+    """The orbit solve of a record factory: one ``block_solve`` of the
+    records ``program(pattern)`` of the given patterns, drawn as the block
+    needs them."""
+    return lambda patterns: block_solve(program(q) for q in patterns)
 
 
 def solve_cache(rule, model: CgfModel) -> _Orbits:
@@ -339,7 +363,8 @@ def candidate_betas(rule, model: CgfModel, n: Optional[int] = None,
         patterns, region = combinations(range(d), size), lambda q: q
     patterns = list(islice(patterns, n))
     rates, betas, resid = orb.solve(
-        "beta", patterns, lambda q: solve_beta(region(q), rule, model))
+        "beta", patterns,
+        _block(lambda q: beta_program(region(q), rule, model)))
     return [region(q) for q in patterns], rates, betas, resid, orb
 
 
@@ -402,13 +427,14 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
     warning, dropped = FAILED, 0
     lhs, margins = math.inf, {}
     rep_pairs = list(combinations(orb.heads(2), 2))
-    pair_prog = lambda q: solve_gamma_pair(*q, rule, model)
+    pair_prog = _block(lambda q: gamma_pair_program(*q, rule, model))
     if variant == "theta1":
         condition = "H1"
         s = orb.solve("pair", rep_pairs, pair_prog)[0]
         z, gammas, _ = orb.solve(
             "single", singletons,
-            lambda q: solve_gamma_single(q[0], rule, model))
+            lambda reps: [solve_gamma_single(q[0], rule, model)
+                          for q in reps])
         for (k, kp), s_kk in zip(rep_pairs, s):
             for a, b in ((k, kp), (kp, k)):
                 val = z[a] + s_kk
@@ -497,8 +523,8 @@ def build_gap(variant: str, model: CgfModel, m: int,
     rule = GapRule(m)
     validate_drifts(rule, model)
     problem = problem_record(rule, d)
-    pair_prog = lambda q: solve_gap_pair(*q, rule, model)
-    quad_prog = lambda q: solve_gap_quad(*q, rule, model)
+    pair_prog = _block(lambda q: gap_pair_program(*q, rule, model))
+    quad_prog = _block(lambda q: gap_quad_program(*q, rule, model))
 
     regions, rates, betas, _, orb = candidate_betas(rule, model,
                                                     cache=cache)
@@ -581,7 +607,7 @@ def build_sum_intersection(model: CgfModel, L: int,
             f"the cap {SI_COMPONENT_CAP}"
         )
     problem = problem_record(rule, d)
-    z_prog = lambda q: solve_si_z(q, rule, model)
+    z_prog = _block(lambda q: si_z_program(q, rule, model))
 
     subsets, rates, betas, _, orb = candidate_betas(rule, model,
                                                     cache=cache)
@@ -596,7 +622,7 @@ def build_sum_intersection(model: CgfModel, L: int,
             for k in heads if k not in A]
     vals = (orb.solve("z", [A for A, _ in reps], z_prog)[0]
             + orb.solve("s", [B for _, B in reps],
-                        lambda q: solve_si_s(q, rule, model))[0])
+                        _block(lambda q: si_s_program(q, rule, model)))[0])
     i = int(np.argmin(vals))
     lhs = vals[i]
     A, B = reps[i]

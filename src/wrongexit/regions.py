@@ -70,7 +70,7 @@ class Region:
         return f"Rare({set(self.members) or '{}'})" if self.rare else "Reference"
 
 
-def rearrangement_min(theta, L: int) -> float:
+def rearrangement_min(theta, L: int):
     """min over 1 <= l <= L of (1/l) * sum of the (d - L + l) smallest |theta|.
 
     Equivalently, with |theta|_(1) >= ... >= |theta|_(d) the decreasing
@@ -79,20 +79,20 @@ def rearrangement_min(theta, L: int) -> float:
 
         min theta . x   s.t.  x >= 0,  sum_{k in B} x_k >= 1 for all |B| = L,
 
-    for theta with nonnegative entries.
+    for theta with nonnegative entries.  A float for one tilt; for an (m, d)
+    stack of tilts, the (m,) array of their values.
     """
     a = np.abs(np.asarray(theta, dtype=float))
-    d = a.size
+    d = a.shape[-1]
     if not 1 <= L <= d:
         raise ValueError(f"L={L} outside [1, {d}]")
-    a = np.sort(a)[::-1]
-    tail = a[L:].sum()
+    a = np.sort(a, axis=-1)[..., ::-1]
+    running = a[..., L:].sum(axis=-1)
     best = math.inf
-    running = tail
     for ell in range(1, L + 1):
-        running += a[L - ell]
-        best = min(best, running / ell)
-    return float(best)
+        running = running + a[..., L - ell]
+        best = np.where(running / ell < best, running / ell, best)
+    return float(best) if a.ndim == 1 else best
 
 
 class _StoppingRule:

@@ -30,13 +30,12 @@ from wrongexit import (
 )
 from wrongexit.regions import SIGN_TOL
 from wrongexit.rootfind import RootError, positive_root, refine_root
+from wrongexit.constraints import _Quad, _subsolve
 from wrongexit.solvers import (
     CGF_TOL,
     SolverError,
     TiltSolution,
     _check_region,
-    _Quad,
-    _subsolve,
 )
 
 ZERO_SUM_TOL = 1e-9
@@ -95,13 +94,14 @@ def shifted_program(A, gamma, rule, model: MvNormalModel) -> float:
     siegmund = isinstance(rule, SiegmundRule)
     c = np.where(in_A, rule.u, -rule.ell) if siegmund else in_A * 1.0
     signs = np.where(in_A, 1.0, -1.0)
-    quad = _Quad(model.cgf(-gamma), model.mean - model.cov @ gamma, model.cov)
-    eq = None if siegmund else np.ones(d)
+    quad = _Quad(np.array([model.cgf(-gamma)]),
+                 (model.mean - model.cov @ gamma)[None], model.cov[None])
+    eq = None if siegmund else np.ones((1, d))
     best = -math.inf
     for pinned in product((False, True), repeat=d):
-        sol = _subsolve(c, quad, eq, np.array(pinned))
-        if sol is not None and np.all(signs * sol[0] >= -1e-12):
-            best = max(best, float(c @ sol[0]))
+        x, _, _, ok = _subsolve(c[None], quad, eq, np.array([pinned]))
+        if ok[0] and np.all(signs * x[0] >= -1e-12):
+            best = max(best, float(c @ x[0]))
     return best
 
 

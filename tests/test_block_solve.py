@@ -1,0 +1,188 @@
+"""Block solves against one-program solves: random programs of every kind on
+four model families, each solved once as one block and once program by
+program, must agree bit for bit in every TiltSolution field and in the
+errors raised."""
+
+import numpy as np
+import pytest
+
+from wrongexit import (
+    GapRule,
+    IndependentModel,
+    MvNormalModel,
+    Normal,
+    ShiftedExponential,
+    SiegmundRule,
+    SumIntersectionRule,
+)
+from wrongexit import active_set, constraints
+from wrongexit.active_set import (
+    BLOCK_VALUES,
+    Program,
+    SolverError,
+    block_solve,
+)
+from wrongexit.solvers import (
+    beta_program,
+    gamma_pair_program,
+    gap_pair_program,
+    gap_quad_program,
+    si_s_program,
+    si_z_program,
+)
+
+KINDS = ("beta", "gamma_pair", "gap_pair", "gap_quad", "si_beta", "si_z",
+         "si_s")
+FAMILIES = ("correlated", "normal", "exponential", "mixed")
+FIELDS = ("value", "tilt", "converged", "residual", "method", "multipliers",
+          "eq_multiplier", "weights")
+
+
+def random_model(rng, family, drifts):
+    """A model of ``family`` whose coordinate k has the sign of drifts[k]."""
+    d = drifts.size
+    mag = rng.uniform(0.2, 1.2, d)
+    if family == "correlated":
+        a = rng.normal(size=(d, d)) * rng.uniform(0.1, 0.6)
+        return MvNormalModel(drifts * mag, a @ a.T + rng.uniform(0.3, 1.5)
+                             * np.eye(d))
+    comps = []
+    for k in range(d):
+        expo = family == "exponential" or (family == "mixed"
+                                           and rng.random() < 0.5)
+        if expo:  # mean 1/rate + shift
+            rate = rng.uniform(0.5, 3.0)
+            comps.append(ShiftedExponential(rate, drifts[k] * mag[k]
+                                            - 1.0 / rate))
+        else:
+            comps.append(Normal(drifts[k] * mag[k], rng.uniform(0.3, 2.5)))
+    return IndependentModel(comps)
+
+
+def random_program(rng, kind, family, d):
+    """One program record of ``kind`` on a random model of ``family``."""
+    signs = -np.ones(d)
+    if kind in ("beta", "gap_pair", "gap_quad"):
+        gap = kind != "beta" or rng.random() < 0.5
+        if gap:
+            d = max(d, 4)
+            m = int(rng.integers(2, d - 1)) if kind == "gap_quad" \
+                else int(rng.integers(1, d))
+            signs = np.where(np.arange(d) < m, 1.0, -1.0)
+    model = random_model(rng, family, signs)
+    pick = lambda lo, hi, n: sorted(rng.choice(np.arange(lo, hi), n, False))
+    if kind == "beta" and not gap:
+        rule = SiegmundRule(rng.uniform(0.3, 2.0), rng.uniform(0.3, 3.0))
+        A = pick(0, d, int(rng.integers(1, d + 1)))
+        return beta_program(A, rule, model)
+    if kind == "beta":
+        l, lp = int(rng.integers(0, m)), int(rng.integers(m, d))
+        A = sorted(set(range(m)) - {l} | {lp})
+        return beta_program(A, GapRule(m), model)
+    if kind == "gamma_pair":
+        rule = SiegmundRule(rng.uniform(0.3, 2.0), rng.uniform(0.3, 3.0))
+        return gamma_pair_program(*pick(0, d, 2), rule, model)
+    if kind == "gap_pair":
+        return gap_pair_program(int(rng.integers(0, m)),
+                                int(rng.integers(m, d)), GapRule(m), model)
+    if kind == "gap_quad":
+        return gap_quad_program(*pick(0, m, 2), *pick(m, d, 2), GapRule(m),
+                                model)
+    L = int(rng.integers(2, d)) if d > 2 else 2
+    rule = SumIntersectionRule(L)
+    if kind == "si_beta":
+        return beta_program(pick(0, d, int(rng.integers(L, d + 1))), rule,
+                            model)
+    if kind == "si_z":
+        return si_z_program(pick(0, d, L), rule, model)
+    return si_s_program(pick(0, d, min(L + 1, d)), rule, model)
+
+
+def programs(seed, kind, per_cell):
+    """``per_cell`` programs of ``kind`` for each family and d = 3..7."""
+    rng = np.random.default_rng([seed, KINDS.index(kind)])
+    return [random_program(rng, kind, family, d) for family in FAMILIES
+            for d in range(3, 8) for _ in range(per_cell)]
+
+
+def solve_alone(progs):
+    """Each program as a block of its own: its solution or its error."""
+    out = []
+    for p in progs:
+        try:
+            out.append(block_solve([p])[0])
+        except SolverError as exc:
+            out.append(exc)
+    return out
+
+
+def assert_same(a, b):
+    for name in FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert type(x) is type(y), name
+        if isinstance(x, np.ndarray):
+            assert x.tobytes() == y.tobytes() and x.shape == y.shape, name
+        else:
+            assert x == y or (x != x and y != y), name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_matches_one_program_solves(kind):
+    progs = programs(16, kind, 6)
+    alone = solve_alone(progs)
+    errors = [r for r in alone if isinstance(r, SolverError)]
+    if errors:
+        with pytest.raises(SolverError) as err:
+            block_solve(progs)
+        assert str(err.value) == str(errors[0])
+    kept = [p for p, r in zip(progs, alone) if not isinstance(r, SolverError)]
+    sols = [r for r in alone if not isinstance(r, SolverError)]
+    assert len(kept) >= 0.9 * len(progs)
+    for got, want in zip(block_solve(iter(kept)), sols):
+        assert_same(got, want)
+        assert type(got.value) is float and type(got.residual) is float
+        assert type(got.converged) is bool
+        assert got.eq_multiplier is None or type(got.eq_multiplier) is float
+
+
+def test_block_slices_stay_bounded(monkeypatch):
+    """Programs are drawn and stacked a slice at a time."""
+    monkeypatch.setattr(active_set, "BLOCK_VALUES", 2 * 7 * 7)
+    progs = programs(17, "si_beta", 2)
+    drawn, sizes = [], []
+    stack = constraints._Stack.concat
+
+    def spy(self, stacks):
+        sizes.append(sum(s.signs.shape[1] ** 2 if hasattr(s, "signs")
+                         else s.b.shape[1] ** 2 for s in stacks))
+        return stack(self, stacks)
+
+    monkeypatch.setattr(constraints._Stack, "concat", spy)
+    gen = (drawn.append(i) or p for i, p in enumerate(progs))
+    want = solve_alone(progs)
+    got = block_solve(gen)
+    assert drawn == list(range(len(progs)))
+    assert max(sizes) <= 2 * 7 * 7 < BLOCK_VALUES
+    for a, b in zip(got, want):
+        assert_same(a, b)
+
+
+def test_block_raises_the_first_failure_in_input_order():
+    def rising(mean, label):  # no tilt of a rising walk has a positive level
+        model = MvNormalModel(np.full(3, mean), np.eye(3))
+        return Program(None, constraints._constraint(model, np.arange(3),
+                                                     np.ones(3)),
+                       np.ones(3), None, 2, label, np.arange(3), 3)
+
+    rng = np.random.default_rng(5)
+    good = [random_program(rng, "si_z", "correlated", 4) for _ in range(3)]
+    progs = [good[0], rising(0.5, "first"), good[1], rising(0.7, "second"),
+             good[2]]
+    msg = ": no feasible tilt at a positive level"
+    for label in ("first", "second"):
+        with pytest.raises(SolverError, match=f"^{label}{msg}$"):
+            block_solve([rising(0.6, label)])
+    with pytest.raises(SolverError, match=f"^first{msg}$"):
+        block_solve(progs)
+    for got, want in zip(block_solve(good), solve_alone(good)):
+        assert_same(got, want)

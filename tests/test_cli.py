@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from wrongexit.cli import ConfigError, build_model, build_rule, main
+from wrongexit.solvers import SolverError
 
 TINY_SIEGMUND = {
     "name": "tiny",
@@ -91,9 +92,9 @@ class TestCommands:
         from wrongexit import proposals
 
         calls = []
-        solve_beta = proposals.solve_beta
-        monkeypatch.setattr(proposals, "solve_beta",
-                            lambda *a: calls.append(a) or solve_beta(*a))
+        beta_program = proposals.beta_program
+        monkeypatch.setattr(proposals, "beta_program",
+                            lambda *a: calls.append(a) or beta_program(*a))
         out = tmp_path / "o"
         # the audit alone (plain proposal), then the build, whose candidate
         # block the audit reads
@@ -360,6 +361,58 @@ class TestSweeps:
         assert main(["sweep", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
         assert "sweep.rho_grid: rho = 1.0" in capsys.readouterr().err
+
+    def test_failing_sweep_writes_no_file(self, tmp_path):
+        """A grid point whose solve fails stops the sweep before its CSV
+        opens, and the error names the point."""
+        cfg = {
+            "name": "sw5",
+            "model": {"family": "mvnormal", "dim": 4, "mean": -0.5},
+            "sweep": {"kind": "si_rho", "d": 50, "L": 2,
+                      "rho_grid": [0.0, 0.5, 0.999999]},
+        }
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        with pytest.raises(SolverError, match=(
+                r"^sweep\.rho_grid\[2\] = 0\.999999: si/z-active-set: "
+                "degenerate working set$")):
+            main(["sweep", "--config", path, "--out", str(out)])
+        assert not (out / "sw5_sweep.csv").exists()
+
+    def test_non_converged_solve_stops_table_and_sweep(self, tmp_path,
+                                                        monkeypatch):
+        import wrongexit.cli as cli
+
+        def stalled(sol):
+            sol.converged, sol.residual = False, 2e-7
+            return sol
+
+        solve_beta, block_solve = cli.solve_beta, cli.block_solve
+        monkeypatch.setattr(cli, "solve_beta",
+                            lambda *a: stalled(solve_beta(*a)))
+        monkeypatch.setattr(cli, "block_solve",
+                            lambda ps: [stalled(s) for s in block_solve(ps)])
+        out = tmp_path / "o"
+        sweep = write_cfg(tmp_path, {
+            "name": "sw6",
+            "model": {"family": "mvnormal", "dim": 4, "mean": -0.5},
+            "sweep": {"kind": "siegmund_rho", "d": 10,
+                      "rho_grid": [0.1, 0.45]},
+        }, "sweep.json")
+        with pytest.raises(SolverError, match=(
+                r"^sweep\.rho_grid\[0\] = 0\.1: siegmund/active-set did not "
+                r"converge \(residual 2\.000e-07\)$")):
+            main(["sweep", "--config", sweep, "--out", str(out)])
+        table = write_cfg(tmp_path, {
+            "name": "tb6",
+            "model": {"family": "mvnormal", "dim": 4, "mean": -0.5},
+            "table": {"d": 8, "u_values": [1.0], "rho_grid": [0.0, 0.2]},
+        }, "table.json")
+        with pytest.raises(SolverError, match=(
+                r"^table\.rho_grid\[0\] = 0\.0, table\.u_values\[0\] = "
+                r"1\.0: siegmund/gamma-pair did not converge")):
+            main(["table", "--config", table, "--out", str(out)])
+        assert not any(out.iterdir())
 
     def test_table_small(self, tmp_path):
         cfg = {

@@ -24,6 +24,7 @@ from wrongexit.engine import (
     FIRST_CHUNK,
     RunConfig,
     _mixture_estimate,
+    _rekey,
     batch_rng,
     decay_scan,
     default_max_steps,
@@ -125,6 +126,23 @@ class TestStreams:
         np.testing.assert_array_equal(draws[(1, 2**40)],
                                       batch_rng(1, 2**40).standard_normal(4))
         assert len({v.tobytes() for v in draws.values()}) == len(draws)
+
+    def test_rekeyed_generator_repeats_batch_streams(self):
+        """One generator re-keyed from batch to batch draws each batch's
+        stream value for value, whatever state the last batch left."""
+        gen = batch_rng(9, 9)
+        for seed in (0, 7, 2**63 + 5):
+            for i in (0, 1, 3, 2**40):
+                fresh = batch_rng(seed, i)
+                _rekey(gen, seed, i)
+                # a 32-bit draw caches half a word for the next one
+                for g in (gen, fresh):
+                    ints = g.integers(0, 2**31, 3, dtype=np.int32)
+                    normals = g.standard_normal(3001)
+                    if g is gen:
+                        want = ints, normals
+                np.testing.assert_array_equal(ints, want[0])
+                np.testing.assert_array_equal(normals, want[1])
 
 
 class TestSimulatePath:

@@ -458,27 +458,29 @@ class TestOrbitSolves:
 
     def test_one_solve_per_si_s_program(self, monkeypatch):
         calls = []
-        solve = proposals.solve_si_s
+        program = proposals.si_s_program
 
         def counted(B, rule, model):
             calls.append(tuple(B))
-            return solve(B, rule, model)
+            return program(B, rule, model)
 
-        monkeypatch.setattr(proposals, "solve_si_s", counted)
+        monkeypatch.setattr(proposals, "si_s_program", counted)
         build_sum_intersection(random_normal(5, 3), 2)
         assert sorted(calls) == list(combinations(range(5), 3))
 
 
     def test_non_converged_solve_is_an_error(self, monkeypatch):
         model = random_normal(4, 3)
-        solve = proposals.solve_si_s
+        solve = proposals.block_solve
 
-        def stalled(B, rule, model):
-            sol = solve(B, rule, model)
-            sol.converged, sol.residual = False, 3e-6
-            return sol
+        def stalled(programs):
+            sols = solve(programs)
+            for sol in sols:
+                if sol.method == "si/s-active-set":
+                    sol.converged, sol.residual = False, 3e-6
+            return sols
 
-        monkeypatch.setattr(proposals, "solve_si_s", stalled)
+        monkeypatch.setattr(proposals, "block_solve", stalled)
         with pytest.raises(SolverError) as err:
             build_sum_intersection(model, 2)
         msg = str(err.value)
