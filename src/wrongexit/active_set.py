@@ -34,7 +34,7 @@ BLOCK_VALUES = 1 << 18
 
 
 class SolverError(RuntimeError):
-    pass
+    index = None  # a block solve's input position of the failing program
 
 
 @dataclass
@@ -115,7 +115,8 @@ def block_solve(programs) -> list:
     lockstep through one active set, ``_qclp_active_set`` or
     ``_si_active_set``.  Each result is bit for bit the one its program gets
     in a block of its own.  Raises the SolverError of the first failing
-    program in input order.
+    program in input order, with that program's input position as its
+    ``index``.
     """
     out = []
     for part in _slices(programs):
@@ -128,9 +129,10 @@ def block_solve(programs) -> list:
             solve = _qclp_active_set if block[0].L is None else _si_active_set
             for i, sol in zip(idx, solve(block)):
                 sols[i] = sol
-        err = next((s for s in sols if isinstance(s, SolverError)), None)
-        if err is not None:
-            raise err
+        for i, sol in enumerate(sols):
+            if isinstance(sol, SolverError):
+                sol.index = len(out) + i
+                raise sol
         out += sols
     return out
 

@@ -10,6 +10,10 @@ engine into reproducible experiments:
     table   maximal-rho table over a correlation grid for three conditions
     sweep   condition sweeps (siegmund_rho | gap_v | si_rho) as CSV
 
+``table`` and ``sweep`` share one grid driver, which solves the programs
+of every grid point in one block and names the grid point of any failure.
+Each command computes its rows before it makes its output directory.
+
 Every command is idempotent for a fixed config and seed: outputs are
 byte-identical on re-runs (timing is logged to stderr, never written into
 result files).
@@ -51,13 +55,14 @@ from .proposals import (
 )
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
 from .solvers import (
+    Program,
     SolverError,
+    beta_program,
     block_solve,
     gamma_pair_program,
-    solve_beta,
+    si_s_program,
+    si_z_program,
     solve_gamma_single,
-    solve_si_s,
-    solve_si_z,
     validate_drifts,
 )
 
@@ -97,6 +102,13 @@ def _floats(val):
     return np.asarray(val, dtype=float)
 
 
+def _list(val, path: str, each=_number) -> list:
+    """``each(x, path[i])`` for the entries x of the list ``val``."""
+    if not isinstance(val, (list, tuple)):
+        raise ConfigError(f"{path}: {val!r} is not a list")
+    return [each(x, f"{path}[{i}]") for i, x in enumerate(val)]
+
+
 def _positive(val, path: str, cast=float):
     """``val`` through ``cast``, which must come out positive."""
     x = _number(val, path, cast)
@@ -132,9 +144,8 @@ def build_model(spec: dict, path: str = "model"):
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     if family == "independent":
-        comps = []
-        for i, c in enumerate(_need(spec, "components", path)):
-            comps.extend(_scalar_component(c, f"{path}.components[{i}]"))
+        comps = sum(_list(_need(spec, "components", path),
+                          f"{path}.components", _scalar_component), [])
         try:
             return IndependentModel(comps)
         except ValueError as exc:
@@ -363,8 +374,7 @@ def cmd_run(cfg, args) -> int:
     run_spec = _need(cfg, "run", "config")
     seed = _seed(args, run_spec, "run")
     workers = _workers(args, run_spec, "run")
-    b_grid = [_positive(b, f"run.b_grid[{i}]")
-              for i, b in enumerate(_need(run_spec, "b_grid", "run"))]
+    b_grid = _list(_need(run_spec, "b_grid", "run"), "run.b_grid", _positive)
     if not b_grid or b_grid != sorted(b_grid):
         raise ConfigError(f"run.b_grid: {b_grid} is not a nonempty "
                           "ascending grid")
@@ -381,14 +391,9 @@ def cmd_run(cfg, args) -> int:
                       max_steps=max_steps, workers=workers)
     elapsed = time.perf_counter() - t0
 
-    out_dir = _out_dir(cfg, args)
-    csv_path = out_dir / f"{cfg['name']}_scan.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["b", "p_hat", "neg_log10_p", "rel_err"])
-        for row in rows:
-            w.writerow([repr(row["b"]), repr(row["p_hat"]),
-                        repr(row["neg_log10_p"]), repr(row["rel_err"])])
+    keys = ["b", "p_hat", "neg_log10_p", "rel_err"]
+    csv_path = _write_csv(cfg, args, "scan", keys,
+                          [[repr(row[k]) for k in keys] for row in rows])
     run_json = {
         "name": cfg["name"],
         "config": {"b_grid": b_grid, "n_paths": n_paths, "seed": seed,
@@ -397,7 +402,7 @@ def cmd_run(cfg, args) -> int:
         "rows": rows,
         "report": rep.as_dict() if rep is not None else None,
     }
-    json_path = out_dir / f"{cfg['name']}_run.json"
+    json_path = csv_path.parent / f"{cfg['name']}_run.json"
     _dump_json(run_json, json_path)
     _log(f"wrote {csv_path} and {json_path} in {elapsed:.1f}s")
 
@@ -441,86 +446,86 @@ def cmd_oracle(cfg, args) -> int:
     return 0
 
 
-def _value(where: str, solve, *args) -> float:
-    """The value of ``solve(*args)``; a SolverError naming the grid point
-    ``where`` when the solve fails or does not converge."""
+def _grid_rows(points, row) -> list:
+    """``row(x, values)`` at each grid point of ``points``, (name, x,
+    programs) triples.  The programs of every point are solved in one
+    ``block_solve`` (a closed-form TiltSolution may stand in for one); a
+    failure raised there or a solution that did not converge is a
+    SolverError naming its grid point."""
+    names = [name for name, _, ps in points for _ in ps]
+    sols = [p for _, _, ps in points for p in ps]
+    todo = [i for i, p in enumerate(sols) if isinstance(p, Program)]
     try:
-        sol = solve(*args)
+        for i, sol in zip(todo, block_solve([sols[i] for i in todo])):
+            sols[i] = sol
     except SolverError as exc:
-        raise SolverError(f"{where}: {exc}") from exc
-    return _converged(where, sol)
+        raise SolverError(f"{names[todo[exc.index]]}: {exc}") from exc
+    for name, sol in zip(names, sols):
+        if not sol.converged:
+            raise SolverError(f"{name}: {sol.method} did not converge "
+                              f"(residual {sol.residual:.3e})")
+    vals = iter(sols)
+    return [row(x, [next(vals).value for _ in ps]) for _, x, ps in points]
 
 
-def _converged(where: str, sol) -> float:
-    if not sol.converged:
-        raise SolverError(f"{where}: {sol.method} did not converge "
-                          f"(residual {sol.residual:.3e})")
-    return sol.value
+def _write_csv(cfg, args, kind, header, rows) -> Path:
+    """Write ``rows`` to ``<name>_<kind>.csv``, making the output dir."""
+    out = _out_dir(cfg, args) / f"{cfg['name']}_{kind}.csv"
+    with open(out, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return out
 
 
 def cmd_table(cfg, args) -> int:
     """Maximal rho on a grid such that (H1), (H2) and the direct condition
-    hold, for a span of upper barriers (two-barrier problem, d fixed).  Each
-    rho's model serves every u, and the pair programs of the whole grid are
-    solved as one block."""
+    hold, for a span of upper barriers (two-barrier problem, d fixed).  A
+    grid point is a (rho, u) cell; each rho's model serves every u."""
     spec = cfg.get("table", {})
     d = _positive(spec.get("d", 50), "table.d", int)
     ell = _positive(spec.get("ell", 1.0), "table.ell")
-    u_values = [_positive(u, f"table.u_values[{i}]") for i, u in
-                enumerate(spec.get("u_values", [3, 2, 1, 0.5, 1 / 3]))]
+    u_values = _list(spec.get("u_values", [3, 2, 1, 0.5, 1 / 3]),
+                     "table.u_values", _positive)
     if not u_values:
         raise ConfigError("table.u_values: the list is empty")
     rhos = _rho_grid(spec, d, "table")
     rules = [SiegmundRule(ell, u) for u in u_values]
-    cells, pairs = [], []
+    points = []
     for i, rho in enumerate(rhos):
         model = exchangeable_mvnormal(d, -0.5, rho)
         for j, rule in enumerate(rules):
-            where = f"table.rho_grid[{i}] = {rho}, table.u_values[{j}] = " \
-                f"{rule.u}"
             rep = check_direct_siegmund_homogeneous(model, ell, rule.u)
-            uz = _value(where, solve_gamma_single, 0, rule, model)
-            cells.append((where, rho, j, rep, uz))
-            pairs.append(gamma_pair_program(0, 1, rule, model))
-    try:
-        pairs = block_solve(pairs)
-    except SolverError as exc:
-        raise SolverError(f"table: {exc}") from exc
-    best = [{"H1": None, "H2": None, "direct": None} for _ in rules]
-    for (where, rho, j, rep, uz), pair in zip(cells, pairs):
-        r, s = rep.r_star, _converged(where, pair)
-        if uz + s >= 2 * r - 1e-12:
-            best[j]["H1"] = rho
-        if 2 * s >= 2 * r - 1e-12:
-            best[j]["H2"] = rho
-        if rep.holds:
-            best[j]["direct"] = rho
-    rows = [{"u": u, **b} for u, b in zip(u_values, best)]
-    for row in rows:
-        _log(f"u={row['u']:g}: H1<= {row['H1']}  H2<= {row['H2']}  "
-             f"direct<= {row['direct']}")
-    out = _out_dir(cfg, args) / f"{cfg['name']}_table.csv"
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["u", "H1_max_rho", "H2_max_rho", "direct_max_rho"])
-        for row in rows:
-            w.writerow([repr(row["u"]), row["H1"], row["H2"], row["direct"]])
+            points.append((
+                f"table.rho_grid[{i}] = {rho}, table.u_values[{j}] = {rule.u}",
+                (rho, j, rep), [solve_gamma_single(0, rule, model),
+                                gamma_pair_program(0, 1, rule, model)]))
+
+    def holds(x, vals):  # (H1), (H2) and the direct condition at a cell
+        (rho, j, rep), (uz, s), r = x, vals, x[2].r_star
+        return rho, j, (uz + s >= 2 * r - 1e-12, 2 * s >= 2 * r - 1e-12,
+                        rep.holds)
+
+    rows = [[repr(u), None, None, None] for u in u_values]
+    for rho, j, flags in _grid_rows(points, holds):  # the last rho that holds
+        rows[j][1:] = [rho if ok else v for ok, v in zip(flags, rows[j][1:])]
+    for u, (_, h1, h2, direct) in zip(u_values, rows):
+        _log(f"u={u:g}: H1<= {h1}  H2<= {h2}  direct<= {direct}")
+    out = _write_csv(cfg, args, "table", ["u", "H1_max_rho", "H2_max_rho",
+                                          "direct_max_rho"], rows)
     _log(f"wrote {out}")
     return 0
 
 
 def cmd_sweep(cfg, args) -> int:
+    """A condition sweep, whose ``_SWEEPS`` entry gives its grid."""
     spec = _need(cfg, "sweep", "config")
     kind = _need(spec, "kind", "sweep")
-    out = _out_dir(cfg, args) / f"{cfg['name']}_sweep.csv"
-    if kind == "siegmund_rho":
-        _sweep_siegmund_rho(spec, out)
-    elif kind == "gap_v":
-        _sweep_gap_v(spec, out)
-    elif kind == "si_rho":
-        _sweep_si_rho(spec, out)
-    else:
+    if not isinstance(kind, str) or kind not in _SWEEPS:
         raise ConfigError(f"sweep.kind: unknown sweep {kind!r}")
+    d = _positive(spec.get("d", 50), "sweep.d", int)
+    header, points, row = _SWEEPS[kind](spec, d)
+    out = _write_csv(cfg, args, "sweep", header, _grid_rows(points, row))
     _log(f"wrote {out}")
     return 0
 
@@ -543,7 +548,7 @@ def _float_grid(spec, key, default, path):
                               f"{round(n) + 1} points, above {GRID_CAP}")
         grid = [round(start + i * step, 10) for i in range(round(n) + 1)]
     else:
-        grid = [_number(x, f"{path}.{key}[{i}]") for i, x in enumerate(g)]
+        grid = _list(g, f"{path}.{key}")
     if not grid:
         raise ConfigError(f"{path}.{key}: the grid is empty")
     return grid
@@ -563,35 +568,25 @@ def _rho_grid(spec, d, path):
     return rhos
 
 
-def _sweep_siegmund_rho(spec, out):
-    d = _positive(spec.get("d", 50), "sweep.d", int)
+def _bound_row(x, r, h1, h2):
+    """A sweep row: x, r, two bounds on r and whether r meets each."""
+    return [repr(float(x)), repr(r), repr(h1), repr(h2),
+            int(r <= h1 + 1e-12), int(r <= h2 + 1e-12)]
+
+
+def _sweep_siegmund_rho(spec, d):
     ell = _positive(spec.get("ell", 1.0), "sweep.ell")
     u = _positive(spec.get("u", 1.0), "sweep.u")
     rule = SiegmundRule(ell, u)
-    rhos = _rho_grid(spec, d, "sweep")
-    rows = []
-    for i, rho in enumerate(rhos):
-        model = exchangeable_mvnormal(d, -0.5, rho)
-        r = _value(f"sweep.rho_grid[{i}] = {rho}", solve_beta, [0], rule,
-                   model)
-        h1 = u / (1 + rho) + u / 2
-        h2 = 2 * u / (1 + rho)
-        rows.append([repr(float(rho)), repr(r), repr(h1), repr(h2),
-                     int(r <= h1 + 1e-12), int(r <= h2 + 1e-12)])
-    _write_csv(out, ["rho", "r", "h1_bound", "h2_bound", "h1_holds",
-                     "h2_holds"], rows)
+    points = [(f"sweep.rho_grid[{i}] = {rho}", rho, [beta_program(
+        [0], rule, exchangeable_mvnormal(d, -0.5, rho))])
+        for i, rho in enumerate(_rho_grid(spec, d, "sweep"))]
+    return (["rho", "r", "h1_bound", "h2_bound", "h1_holds", "h2_holds"],
+            points, lambda rho, vals: _bound_row(
+                rho, vals[0], u / (1 + rho) + u / 2, 2 * u / (1 + rho)))
 
 
-def _write_csv(out, header, rows):
-    """Write a sweep's rows, every one computed before the file opens."""
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _sweep_gap_v(spec, out):
-    d = _positive(spec.get("d", 50), "sweep.d", int)
+def _sweep_gap_v(spec, d):
     m = _number(spec.get("m", 25), "sweep.m", int)
     if not 1 <= m <= d - 1:
         raise ConfigError(f"sweep.m: {m} is outside 1..d-1 = 1..{d - 1}")
@@ -599,38 +594,36 @@ def _sweep_gap_v(spec, out):
     vs = _float_grid(spec, "v_grid", np.geomspace(0.05, 20.0, 61).tolist(),
                      "sweep")
     vs = [_positive(v, f"sweep.v_grid[{i}]") for i, v in enumerate(vs)]
-    rows = []
-    for i, v in enumerate(vs):
-        comps = [Normal(0.5, 1.0)] * m + [Normal(-0.5, float(v))] * (d - m)
-        model = IndependentModel(comps)
-        A = sorted(set(range(m)) - {0} | {m})
-        r = _value(f"sweep.v_grid[{i}] = {v}", solve_beta, A, rule, model)
-        h1 = 3 / (1 + v)
-        h2 = 4 / (1 + v)
-        rows.append([repr(float(v)), repr(r), repr(h1), repr(h2),
-                     int(r <= h1 + 1e-12), int(r <= h2 + 1e-12)])
-    _write_csv(out, ["v", "min_r_A", "h1p_bound", "h2p_bound", "h1p_holds",
-                     "h2p_holds"], rows)
+    A = sorted(set(range(m)) - {0} | {m})
+    points = [(f"sweep.v_grid[{i}] = {v}", v, [beta_program(A, rule, (
+        IndependentModel([Normal(0.5, 1.0)] * m
+                         + [Normal(-0.5, float(v))] * (d - m))))])
+        for i, v in enumerate(vs)]
+    return (["v", "min_r_A", "h1p_bound", "h2p_bound", "h1p_holds",
+             "h2p_holds"], points,
+            lambda v, vals: _bound_row(v, vals[0], 3 / (1 + v), 4 / (1 + v)))
 
 
-def _sweep_si_rho(spec, out):
-    d = _positive(spec.get("d", 50), "sweep.d", int)
+def _sweep_si_rho(spec, d):
     L = _number(spec.get("L", 2), "sweep.L", int)
     rhos = _rho_grid(spec, d, "sweep")
     if not 1 <= L <= d - 1:
         raise ConfigError(f"sweep.L: {L} is outside 1..d-1 = 1..{d - 1}")
     rule = SumIntersectionRule(L)
-    rows = []
+    points = []
     for i, rho in enumerate(rhos):
         model = exchangeable_mvnormal(d, -0.5, rho)
-        r, z, s = (_value(f"sweep.rho_grid[{i}] = {rho}", solve, idx, rule,
-                          model)
-                   for solve, idx in ((solve_beta, range(L)),
-                                      (solve_si_z, range(L)),
-                                      (solve_si_s, range(L + 1))))
-        rows.append([repr(float(rho)), repr(r), repr(z), repr(s),
-                     int(z + s >= 2 * r - 1e-12)])
-    _write_csv(out, ["rho", "r_A", "z_A", "s_B", "hsi_holds"], rows)
+        points.append((f"sweep.rho_grid[{i}] = {rho}", rho, [
+            beta_program(range(L), rule, model),
+            si_z_program(range(L), rule, model),
+            si_s_program(range(L + 1), rule, model)]))
+    return (["rho", "r_A", "z_A", "s_B", "hsi_holds"], points,
+            lambda rho, v: [repr(float(rho)), *map(repr, v),
+                            int(v[1] + v[2] >= 2 * v[0] - 1e-12)])
+
+
+_SWEEPS = {"siegmund_rho": _sweep_siegmund_rho, "gap_v": _sweep_gap_v,
+           "si_rho": _sweep_si_rho}
 
 
 COMMANDS = {

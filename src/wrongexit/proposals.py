@@ -285,8 +285,8 @@ class _Orbits:
         n index patterns; ``solve(canonical patterns)`` returns their
         TiltSolutions.  It is called on the patterns not yet cached, once
         per chunk of at most BLOCK_VALUES tilt entries (one call unless
-        there are thousands).  Raises SolverError when a solve does not
-        converge."""
+        there are thousands).  Raises SolverError, naming the pattern,
+        when a solve fails or does not converge."""
         idx = np.array(patterns, dtype=np.intp).reshape(len(patterns), -1)
         start = self._start[idx]
         canon = start.copy()  # block start + rank among the block's indices
@@ -298,14 +298,16 @@ class _Orbits:
         d = self._start.size
         step = max(1, BLOCK_VALUES // d)
         for part in (new[i:i + step] for i in range(0, len(new), step)):
-            sols = solve(part)
-            bad = next((i for i, sol in enumerate(sols) if not sol.converged),
-                       None)
-            if bad is not None:
-                sol = sols[bad]
-                raise SolverError(
-                    f"{key} program on pattern {part[bad]}: {sol.method} did "
-                    f"not converge (residual {sol.residual:.3e})")
+            try:
+                sols = solve(part)
+            except SolverError as exc:
+                raise SolverError(f"{key} program on pattern "
+                                  f"{part[exc.index]}: {exc}") from exc
+            for rep, sol in zip(part, sols):
+                if not sol.converged:
+                    raise SolverError(
+                        f"{key} program on pattern {rep}: {sol.method} did "
+                        f"not converge (residual {sol.residual:.3e})")
             rows, tilts = np.array(part), np.array([sol.tilt for sol in sols])
             # a block's unused coordinates take its first unused one's entry
             used = np.zeros((len(part), d), dtype=np.intp)

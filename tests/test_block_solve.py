@@ -167,7 +167,7 @@ def test_block_slices_stay_bounded(monkeypatch):
         assert_same(a, b)
 
 
-def test_block_raises_the_first_failure_in_input_order():
+def test_block_raises_the_first_failure_in_input_order(monkeypatch):
     def rising(mean, label):  # no tilt of a rising walk has a positive level
         model = MvNormalModel(np.full(3, mean), np.eye(3))
         return Program(None, constraints._constraint(model, np.arange(3),
@@ -182,7 +182,13 @@ def test_block_raises_the_first_failure_in_input_order():
     for label in ("first", "second"):
         with pytest.raises(SolverError, match=f"^{label}{msg}$"):
             block_solve([rising(0.6, label)])
-    with pytest.raises(SolverError, match=f"^first{msg}$"):
+    with pytest.raises(SolverError, match=f"^first{msg}$") as err:
         block_solve(progs)
+    assert err.value.index == 1
     for got, want in zip(block_solve(good), solve_alone(good)):
         assert_same(got, want)
+    # one program per slice: the failure's position is in the whole input
+    monkeypatch.setattr(active_set, "BLOCK_VALUES", 1)
+    with pytest.raises(SolverError, match=f"^second{msg}$") as err:
+        block_solve([good[0], good[1], rising(0.7, "second"), good[2]])
+    assert err.value.index == 2

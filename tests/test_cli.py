@@ -387,9 +387,7 @@ class TestSweeps:
             sol.converged, sol.residual = False, 2e-7
             return sol
 
-        solve_beta, block_solve = cli.solve_beta, cli.block_solve
-        monkeypatch.setattr(cli, "solve_beta",
-                            lambda *a: stalled(solve_beta(*a)))
+        block_solve = cli.block_solve
         monkeypatch.setattr(cli, "block_solve",
                             lambda ps: [stalled(s) for s in block_solve(ps)])
         out = tmp_path / "o"
@@ -412,7 +410,126 @@ class TestSweeps:
                 r"^table\.rho_grid\[0\] = 0\.0, table\.u_values\[0\] = "
                 r"1\.0: siegmund/gamma-pair did not converge")):
             main(["table", "--config", table, "--out", str(out)])
-        assert not any(out.iterdir())
+        assert not out.exists()
+
+    def test_table_checks_its_closed_form_tilts(self, tmp_path,
+                                                 monkeypatch):
+        """The closed-form gamma^k of a table cell is checked for
+        convergence like the cell's block solution."""
+        import wrongexit.cli as cli
+
+        single = cli.solve_gamma_single
+
+        def stalled(*args):
+            sol = single(*args)
+            sol.converged, sol.residual = False, 4e-9
+            return sol
+
+        monkeypatch.setattr(cli, "solve_gamma_single", stalled)
+        table = write_cfg(tmp_path, {
+            "name": "tb8",
+            "model": {"family": "mvnormal", "dim": 4, "mean": -0.5},
+            "table": {"d": 8, "u_values": [1.0], "rho_grid": [0.0, 0.2]},
+        })
+        out = tmp_path / "o"
+        with pytest.raises(SolverError, match=(
+                r"^table\.rho_grid\[0\] = 0\.0, table\.u_values\[0\] = "
+                r"1\.0: siegmund/gamma-root did not converge \(residual "
+                r"4\.000e-09\)$")):
+            main(["table", "--config", table, "--out", str(out)])
+        assert not out.exists()
+
+    def test_failure_raised_in_the_table_block_names_its_point(
+            self, tmp_path, monkeypatch):
+        """A SolverError raised for one program of the table's block names
+        that program's (rho, u) cell, and nothing is written."""
+        from wrongexit import active_set
+
+        solve = active_set._qclp_active_set
+
+        def second_fails(block):
+            out = solve(block)
+            out[1] = SolverError("degenerate active-set subproblem")
+            return out
+
+        monkeypatch.setattr(active_set, "_qclp_active_set", second_fails)
+        table = write_cfg(tmp_path, {
+            "name": "tb7",
+            "model": {"family": "mvnormal", "dim": 4, "mean": -0.5},
+            "table": {"d": 8, "u_values": [1.0], "rho_grid": [0.0, 0.2]},
+        })
+        out = tmp_path / "o"
+        with pytest.raises(SolverError, match=(
+                r"^table\.rho_grid\[1\] = 0\.2, table\.u_values\[0\] = "
+                r"1\.0: degenerate active-set subproblem$")):
+            main(["table", "--config", table, "--out", str(out)])
+        assert not out.exists()
+
+    def test_rejected_sweep_makes_no_output_dir(self, tmp_path):
+        """The output directory is made only once every row exists: an
+        unknown kind and a failing sweep leave none behind."""
+        out = tmp_path / "o"
+        unknown = write_cfg(tmp_path, {
+            "name": "sw8",
+            "model": {"family": "mvnormal", "dim": 4, "mean": -0.5},
+            "sweep": {"kind": "nope"},
+        }, "unknown.json")
+        assert main(["sweep", "--config", unknown, "--out", str(out)]) == 2
+        assert not out.exists()
+        failing = write_cfg(tmp_path, {
+            "name": "sw8",
+            "model": {"family": "mvnormal", "dim": 4, "mean": -0.5},
+            "sweep": {"kind": "si_rho", "d": 50, "L": 2,
+                      "rho_grid": [0.0, 0.999999]},
+        }, "failing.json")
+        with pytest.raises(SolverError, match=r"^sweep\.rho_grid\[1\] = "):
+            main(["sweep", "--config", failing, "--out", str(out)])
+        assert not out.exists()
+
+    def test_grid_values_match_one_program_solves(self, tmp_path):
+        """Every value a sweep writes is, bit for bit, the one-program
+        solve of its grid point."""
+        from wrongexit import (GapRule, IndependentModel, Normal,
+                               SiegmundRule, SumIntersectionRule,
+                               exchangeable_mvnormal, solve_beta, solve_si_s,
+                               solve_si_z)
+
+        def rows(sweep):
+            path = write_cfg(tmp_path, {
+                "name": sweep["kind"],
+                "model": {"family": "mvnormal", "dim": 4, "mean": -0.5},
+                "sweep": sweep}, f"{sweep['kind']}.json")
+            assert main(["sweep", "--config", path,
+                         "--out", str(tmp_path / "o")]) == 0
+            text = (tmp_path / "o" / f"{sweep['kind']}_sweep.csv").read_text()
+            return [line.split(",") for line in text.splitlines()[1:]]
+
+        rhos = [0.0, 0.15, 0.4, 0.7]
+        got = rows({"kind": "siegmund_rho", "d": 10, "rho_grid": rhos})
+        rule = SiegmundRule(1.0, 1.0)
+        assert [row[1] for row in got] == [
+            repr(solve_beta([0], rule, exchangeable_mvnormal(10, -0.5, rho))
+                 .value) for rho in rhos]
+        vs = [0.3, 1.0, 2.5]
+        got = rows({"kind": "gap_v", "d": 8, "m": 4, "v_grid": vs})
+        want = []
+        for v in vs:
+            model = IndependentModel([Normal(0.5, 1.0)] * 4
+                                     + [Normal(-0.5, v)] * 4)
+            want.append(repr(solve_beta([1, 2, 3, 4], GapRule(4), model)
+                             .value))
+        assert [row[1] for row in got] == want
+        rhos = [0.0, 0.2, 0.5]
+        got = rows({"kind": "si_rho", "d": 6, "L": 2, "rho_grid": rhos})
+        rule = SumIntersectionRule(2)
+        want = []
+        for rho in rhos:
+            model = exchangeable_mvnormal(6, -0.5, rho)
+            want.append([repr(solve(idx, rule, model).value)
+                         for solve, idx in ((solve_beta, [0, 1]),
+                                            (solve_si_z, [0, 1]),
+                                            (solve_si_s, [0, 1, 2]))])
+        assert [row[1:4] for row in got] == want
 
     def test_table_small(self, tmp_path):
         cfg = {
@@ -451,6 +568,7 @@ class TestSweeps:
         ({"rho_grid": {"start": 0.0, "stop": 0.9, "step": 1e-12}},
          "table.rho_grid: 0.0..0.9 by 1e-12 has 900000000001 points, "
          "above 10000"),
+        ({"u_values": 1.0}, "table.u_values: 1.0 is not a list"),
     ])
     def test_table_bad_input_is_config_error(self, tmp_path, capsys, table,
                                              field):
@@ -565,6 +683,7 @@ class TestBadInputIsConfigError:
          "oracle.n_plain: 4000.5 is not an integer"),
         ("oracle", "oracle", {"seed": 2.5},
          "oracle.seed: 2.5 is not an integer"),
+        ("run", "run", {"b_grid": 3.0}, "run.b_grid: 3.0 is not a list"),
     ])
     def test_bad_run_and_oracle_fields(self, tmp_path, monkeypatch, capsys,
                                        command, section, change, message):
@@ -685,6 +804,13 @@ class TestBadInputIsConfigError:
         ("sweep", {"sweep": {"kind": "gap_v", "m": 4, "v_grid": {
             "start": 0.1, "stop": 1.1, "step": 1e-4}}},
          "sweep.v_grid: 0.1..1.1 by 0.0001 has 10001 points, above 10000"),
+        # a scalar where a list belongs
+        ("sweep", {"sweep": {"kind": "siegmund_rho", "rho_grid": 0.5}},
+         "sweep.rho_grid: 0.5 is not a list"),
+        ("check", {"model": {"family": "independent", "components": 3}},
+         "model.components: 3 is not a list"),
+        ("sweep", {"sweep": {"kind": ["gap_v"]}},
+         "sweep.kind: unknown sweep ['gap_v']"),
     ])
     def test_bad_model_and_sweep_fields(self, tmp_path, capsys, command,
                                         spec, message):

@@ -487,6 +487,26 @@ class TestOrbitSolves:
         assert msg.startswith("s program on pattern (0, 1, 2): ")
         assert "si/s-active-set did not converge (residual 3.000e-06)" in msg
 
+    def test_raised_solve_error_names_its_pattern(self, monkeypatch):
+        """A SolverError raised for one program of a builder's block names
+        that program's pattern."""
+        from wrongexit import active_set
+
+        solve, failed = active_set._si_active_set, []
+
+        def second_z_fails(block):
+            out = solve(block)
+            if block[0].method == "si/z-active-set" and len(block) > 1:
+                failed.append(tuple(block[1].support.tolist()))
+                out[1] = SolverError("si/z-active-set: degenerate working set")
+            return out
+
+        monkeypatch.setattr(active_set, "_si_active_set", second_z_fails)
+        with pytest.raises(SolverError) as err:
+            build_sum_intersection(random_normal(5, 3), 2)
+        assert str(err.value) == (f"z program on pattern {failed[0]}: "
+                                  "si/z-active-set: degenerate working set")
+
 
 class TestMixtureProposal:
     def test_lambda_validation(self):
