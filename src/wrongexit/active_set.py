@@ -11,10 +11,11 @@ rearrangement_min.  Each iteration solves the subproblems of all programs
 still iterating at once (the constraint's ``subsolve``, one stack per
 count of free coordinates, and per working-set size), with per-program
 masks for pins, releases, entering functionals and backtracking.  A
-program's result does not depend on the block it is solved in.  Records
-are drawn and stacked in slices of at most ``BLOCK_VALUES`` matrix
+program's result is bit for bit the one it gets in a block of its own.
+Records are drawn and stacked in slices of at most ``BLOCK_VALUES`` matrix
 entries, so the memory of a block solve is bounded whatever its number of
-programs.
+programs.  ``checked_block_solve``, the one gate of the product solves,
+also takes closed forms and names the entry of a failed or unconverged one.
 """
 
 from __future__ import annotations
@@ -137,6 +138,35 @@ def block_solve(programs) -> list:
     return out
 
 
+def checked_block_solve(name, entries) -> list:
+    """The TiltSolutions of ``entries``: ``Program`` records, drawn as one
+    ``block_solve`` needs them, and closed-form TiltSolutions, passed
+    through.  A SolverError raised there comes out as "{name(i)}: {msg}"
+    for the failing entry i; else the first solution i that did not
+    converge raises "{name(i)}: {method} did not converge (residual r)"."""
+    out = []  # the closed forms, and None for each record: none is held
+
+    def records():
+        for entry in entries:
+            if isinstance(entry, TiltSolution):
+                out.append(entry)
+            else:
+                out.append(None)
+                yield entry
+
+    try:
+        solved = iter(block_solve(records()))
+    except SolverError as exc:
+        pos = [i for i, sol in enumerate(out) if sol is None][exc.index]
+        raise SolverError(f"{name(pos)}: {exc}") from exc
+    sols = [next(solved) if sol is None else sol for sol in out]
+    for i, sol in enumerate(sols):
+        if not sol.converged:
+            raise SolverError(f"{name(i)}: {sol.method} did not converge "
+                              f"(residual {sol.residual:.3e})")
+    return sols
+
+
 def _stacked(block):
     """The block's constraint, signs, zero-sum rows (or None) and supports,
     stacked."""
@@ -242,24 +272,6 @@ def _qclp_active_set(block) -> list:
     return out
 
 
-def _split_sums(a, mask):
-    """Row sums of the entries of a under mask and off it, each summed as
-    numpy sums those entries alone (its pairwise order depends on their
-    count)."""
-    count, n = mask.sum(axis=1), a.shape[1]
-    if (count == count[0]).all() and count[0] in (0, n):
-        full, zero = a.sum(axis=1), np.zeros(len(a))
-        return (full, zero) if count[0] else (zero, full)
-    packed = np.take_along_axis(a, np.argsort(~mask, axis=1, kind="stable"),
-                                axis=1)
-    on, off = np.zeros(len(a)), np.zeros(len(a))
-    for m in _counts(count):
-        rows = count == m
-        on[rows] = packed[rows, :m].sum(axis=1)
-        off[rows] = packed[rows, m:].sum(axis=1)
-    return on, off
-
-
 def _si_active_set(block) -> list:
     """max rearrangement_min(theta, L) s.t. Lambda(theta) <= 0 and
     signs*theta >= 0 on the coordinates S and theta = 0 off S, for each
@@ -298,7 +310,7 @@ def _si_active_set(block) -> list:
 
     q = con.taylor(np.zeros((k, n)))
     neg = q.b < 0
-    down, up = _split_sums(q.b, neg)
+    down, up = (np.where(m, q.b, 0.0).sum(axis=1) for m in (neg, ~neg))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = -0.5 * down / np.maximum(up, 1e-300)
         d = np.where(neg, 1.0, np.where(ratio < 1.0, ratio, 1.0)[:, None])

@@ -11,7 +11,7 @@ engine into reproducible experiments:
     sweep   condition sweeps (siegmund_rho | gap_v | si_rho) as CSV
 
 ``table`` and ``sweep`` share one grid driver, which solves the programs
-of every grid point in one block and names the grid point of any failure.
+of every grid point in one checked block, naming the point of a failure.
 Each command computes its rows before it makes its output directory.
 
 Every command is idempotent for a fixed config and seed: outputs are
@@ -32,6 +32,7 @@ import time
 
 import numpy as np
 
+from .active_set import checked_block_solve
 from .engine import RunConfig, decay_scan, estimate_wrong_exit, plain_mc
 from .models import (
     IndependentModel,
@@ -55,10 +56,7 @@ from .proposals import (
 )
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
 from .solvers import (
-    Program,
-    SolverError,
     beta_program,
-    block_solve,
     gamma_pair_program,
     si_s_program,
     si_z_program,
@@ -76,10 +74,24 @@ class ConfigError(ValueError):
     """Invalid experiment config; message carries the offending field path."""
 
 
+def _object(val, path: str) -> dict:
+    if not isinstance(val, dict):
+        raise ConfigError(f"{path}: {val!r} is not an object")
+    return val
+
+
 def _need(cfg: dict, key: str, path: str):
-    if key not in cfg:
+    if key not in _object(cfg, path):
         raise ConfigError(f"{path}.{key}: missing required field")
     return cfg[key]
+
+
+def _section(cfg: dict, key: str, required: bool = False) -> dict:
+    """The config section ``cfg[key]``, an object; {} when it is absent
+    and not ``required``."""
+    if required or key in _object(cfg, "config"):
+        return _object(_need(cfg, key, "config"), key)
+    return {}
 
 
 def _number(val, path: str, cast=float):
@@ -187,7 +199,7 @@ _COMPONENTS = {"normal": (Normal, ("mu", "sigma2")),
 
 def _scalar_component(c, path):
     kind = _need(c, "type", path)
-    if kind not in _COMPONENTS:
+    if not isinstance(kind, str) or kind not in _COMPONENTS:
         raise ConfigError(f"{path}.type: unknown component type {kind!r}")
     n = _positive(c.get("count", 1), f"{path}.count", int)
     cls, keys = _COMPONENTS[kind]
@@ -205,7 +217,7 @@ _RULE_FIELDS = {"siegmund": (SiegmundRule, float, ("ell", "u")),
 
 def build_rule(spec: dict, path: str = "problem"):
     kind = _need(spec, "kind", path)
-    if kind not in _RULE_FIELDS:
+    if not isinstance(kind, str) or kind not in _RULE_FIELDS:
         raise ConfigError(f"{path}.kind: unknown problem kind {kind!r}")
     cls, cast, keys = _RULE_FIELDS[kind]
     return cls(*(_positive(_need(spec, key, path), f"{path}.{key}", cast)
@@ -277,8 +289,7 @@ def load_config(path: str, paper_scale: bool = False) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
     if paper_scale:
-        overrides = cfg.get("paper_scale", {})
-        for key, val in overrides.items():
+        for key, val in _section(cfg, "paper_scale").items():
             if isinstance(val, dict) and isinstance(cfg.get(key), dict):
                 cfg[key] = {**cfg[key], **val}
             else:
@@ -289,7 +300,7 @@ def load_config(path: str, paper_scale: bool = False) -> dict:
 
 
 def _out_dir(cfg, args) -> Path:
-    out = Path(args.out or cfg.get("outputs", {}).get("dir", "out"))
+    out = Path(args.out or _section(cfg, "outputs").get("dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -308,10 +319,10 @@ def _log(msg):
 
 def cmd_solve(cfg, args) -> int:
     model = build_model(cfg["model"])
-    rule = build_rule(_need(cfg, "problem", "config"))
+    rule = build_rule(_section(cfg, "problem", True))
     _check_size(rule, model.dim, builder=False)
     cache = solve_cache(rule, model)
-    prop, rep = build_proposal(model, rule, cfg.get("proposal", {}),
+    prop, rep = build_proposal(model, rule, _section(cfg, "proposal"),
                                cache=cache)
     _check_drifts(rule, model)
     solutions, total = _solution_table(model, rule, cache)
@@ -344,8 +355,8 @@ def _solution_table(model, rule, cache):
 
 def cmd_check(cfg, args) -> int:
     model = build_model(cfg["model"])
-    rule = build_rule(_need(cfg, "problem", "config"))
-    spec = cfg.get("proposal", {})
+    rule = build_rule(_section(cfg, "problem", True))
+    spec = _section(cfg, "proposal")
     defaults = {"siegmund": "theta1", "gap": "t1", "sum_intersection": "si"}
     variant = spec.get("variant", defaults[rule.kind])
     _, rep = build_proposal(model, rule, {**spec, "variant": variant})
@@ -371,7 +382,7 @@ def _workers(args, spec: dict, path: str) -> int:
 
 
 def cmd_run(cfg, args) -> int:
-    run_spec = _need(cfg, "run", "config")
+    run_spec = _section(cfg, "run", True)
     seed = _seed(args, run_spec, "run")
     workers = _workers(args, run_spec, "run")
     b_grid = _list(_need(run_spec, "b_grid", "run"), "run.b_grid", _positive)
@@ -383,8 +394,8 @@ def cmd_run(cfg, args) -> int:
     if max_steps is not None:
         max_steps = _positive(max_steps, "run.max_steps", int)
     model = build_model(cfg["model"])
-    rule = build_rule(_need(cfg, "problem", "config"))
-    prop, rep = build_proposal(model, rule, cfg.get("proposal", {}))
+    rule = build_rule(_section(cfg, "problem", True))
+    prop, rep = build_proposal(model, rule, _section(cfg, "proposal"))
 
     t0 = time.perf_counter()
     rows = decay_scan(model, prop, rule, b_grid, n_paths, seed,
@@ -418,15 +429,15 @@ def cmd_run(cfg, args) -> int:
 
 
 def cmd_oracle(cfg, args) -> int:
-    osp = _need(cfg, "oracle", "config")
+    osp = _section(cfg, "oracle", True)
     b = _positive(_need(osp, "b", "oracle"), "oracle.b")
     seed = _seed(args, osp, "oracle")
     workers = _workers(args, osp, "oracle")
     n_mix, n_plain = (_positive(_need(osp, key, "oracle"), f"oracle.{key}",
                                 int) for key in ("n_mixture", "n_plain"))
     model = build_model(cfg["model"])
-    rule = build_rule(_need(cfg, "problem", "config"))
-    prop, _ = build_proposal(model, rule, cfg.get("proposal", {}))
+    rule = build_rule(_section(cfg, "problem", True))
+    prop, _ = build_proposal(model, rule, _section(cfg, "proposal"))
     mix_cfg = RunConfig(b=b, n_paths=n_mix, seed=seed, workers=workers)
     plain_cfg = RunConfig(b=b, n_paths=n_plain, seed=seed + 1,
                           workers=workers)
@@ -448,23 +459,12 @@ def cmd_oracle(cfg, args) -> int:
 
 def _grid_rows(points, row) -> list:
     """``row(x, values)`` at each grid point of ``points``, (name, x,
-    programs) triples.  The programs of every point are solved in one
-    ``block_solve`` (a closed-form TiltSolution may stand in for one); a
-    failure raised there or a solution that did not converge is a
-    SolverError naming its grid point."""
+    programs) triples; a closed-form TiltSolution may stand in for a
+    program.  The programs of every point go through one
+    ``checked_block_solve``, which names the grid point of a failure."""
     names = [name for name, _, ps in points for _ in ps]
-    sols = [p for _, _, ps in points for p in ps]
-    todo = [i for i, p in enumerate(sols) if isinstance(p, Program)]
-    try:
-        for i, sol in zip(todo, block_solve([sols[i] for i in todo])):
-            sols[i] = sol
-    except SolverError as exc:
-        raise SolverError(f"{names[todo[exc.index]]}: {exc}") from exc
-    for name, sol in zip(names, sols):
-        if not sol.converged:
-            raise SolverError(f"{name}: {sol.method} did not converge "
-                              f"(residual {sol.residual:.3e})")
-    vals = iter(sols)
+    vals = iter(checked_block_solve(names.__getitem__,
+                                    [p for _, _, ps in points for p in ps]))
     return [row(x, [next(vals).value for _ in ps]) for _, x, ps in points]
 
 
@@ -482,7 +482,7 @@ def cmd_table(cfg, args) -> int:
     """Maximal rho on a grid such that (H1), (H2) and the direct condition
     hold, for a span of upper barriers (two-barrier problem, d fixed).  A
     grid point is a (rho, u) cell; each rho's model serves every u."""
-    spec = cfg.get("table", {})
+    spec = _section(cfg, "table")
     d = _positive(spec.get("d", 50), "table.d", int)
     ell = _positive(spec.get("ell", 1.0), "table.ell")
     u_values = _list(spec.get("u_values", [3, 2, 1, 0.5, 1 / 3]),
@@ -519,7 +519,7 @@ def cmd_table(cfg, args) -> int:
 
 def cmd_sweep(cfg, args) -> int:
     """A condition sweep, whose ``_SWEEPS`` entry gives its grid."""
-    spec = _need(cfg, "sweep", "config")
+    spec = _section(cfg, "sweep", True)
     kind = _need(spec, "kind", "sweep")
     if not isinstance(kind, str) or kind not in _SWEEPS:
         raise ConfigError(f"sweep.kind: unknown sweep {kind!r}")

@@ -8,10 +8,10 @@ and optional equality rows, for every program of the stack at once.  The
 programs are taken in groups of equal free counts, so every group is one
 stack of equal-size systems.
 
-Every stacked call runs on each program the BLAS or LAPACK routine, on the
-same memory layout, that it runs on the program alone (``_dot``, ``_mv``,
-``_vm``, ``_columns``), so a program's result does not depend on the stack
-it is solved in.
+Every stacked call runs on each program one BLAS or LAPACK routine on one
+memory layout, whatever the stack's size (``_dot``, ``_mv``, ``_vm``,
+``_columns``), so a program's result is bit for bit the one it gets in a
+stack of its own.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ ACTIVE_SET_MAX_ITER = 200
 
 
 # ---------------------------------------------------------------------------
-# Stacked linear algebra: each call runs, on every program of a stack, the
-# BLAS or LAPACK routine that the same call runs on one program alone
+# Stacked linear algebra: each call runs, on every program of a stack, one
+# BLAS or LAPACK routine on one memory layout, whatever the stack's size
 # ---------------------------------------------------------------------------
 
 def _dot(a, b):
@@ -105,9 +105,10 @@ def _free_groups(pinned, live=None):
 
 def _columns(eq, rows, cols):
     """The (r, nf) blocks eq_i[:, cols_i] of a (k, r, n) stack of rows (all
-    columns when ``cols`` is None), each laid out in Fortran order as numpy
-    lays out eq_i[:, mask] alone (BLAS takes a transposed path, and rounds
-    differently, on that layout)."""
+    columns when ``cols`` is None), each in Fortran order, the order the
+    indexed blocks come out in: so a program's rows reach BLAS on one
+    layout (which sets its transposed path and rounding) whether or not its
+    stack takes the all-free shortcut."""
     if cols is None:
         return np.swapaxes(np.swapaxes(eq[rows], 1, 2).copy(), 1, 2)
     r = eq.shape[1]
@@ -191,7 +192,7 @@ def _subsolve(c, quad, eq, pinned):
                 if eq.ndim == 2:
                     g = _pick(eq, rows, cols)
                     gram = _dot(g, solve(g))
-                    good &= ~(gram <= 1e-300)
+                    good &= gram > 1e-300
                     div = lambda v: v / gram
                     along = lambda v: v[:, None] * g
                     gc, gb = _dot(g, solve(cf)), _dot(g, solve(bf))
@@ -209,8 +210,9 @@ def _subsolve(c, quad, eq, pinned):
                 chat, bhat = cf, bf
             num = _dot(bhat, solve(bhat)) - 2.0 * kap
             den = _dot(chat, solve(chat))
-            good &= ~(num < -1e-12 * np.maximum(1.0, np.abs(kap)))
-            good &= ~(den <= 1e-300)
+            # written so that a nan fails each check
+            good &= num >= -1e-12 * np.maximum(1.0, np.abs(kap))
+            good &= den > 1e-300
             sg = np.sqrt(np.maximum(num, 0.0) / den)
             if eq is not None:
                 tg = div((sg * gc.T).T - gb)
@@ -218,6 +220,7 @@ def _subsolve(c, quad, eq, pinned):
                 t[rows] = tg
             else:
                 xf = solve(sg[:, None] * cf - bf)
+        good &= np.isfinite(xf).all(axis=1)
         if cols is None:
             x[:] = xf
         else:
@@ -389,8 +392,9 @@ class _Separable(_Stack, NamedTuple("_SeparableFields", [
                 move = act[found]
                 zg[move] = zg[move] + alpha[found, None] * step[found]
             xx, xf, res, h = cur[:4]  # rounding x moves g by up to eps |h|.|x|
-            good &= ~(np.abs(res).max(axis=1)
-                      > CGF_TOL * np.maximum(1.0, _dot(np.abs(h), np.abs(xf))))
+            good &= np.isfinite(xf).all(axis=1) & (
+                np.abs(res).max(axis=1)
+                <= CGF_TOL * np.maximum(1.0, _dot(np.abs(h), np.abs(xf))))
             x[rows], z[rows], ok[rows] = xx, zg, good
         t = z[:, 1] if r == 1 and eq.ndim == 2 else z[:, 1:]
         return x, z[:, 0], (np.zeros(k) if eq is None else t), ok

@@ -27,12 +27,11 @@ split each program's index patterns into orbits.  Each builder solves one
 canonical pattern per orbit, moves its tilt onto the other patterns, and
 checks its condition over one pattern per orbit; without symmetry, each
 distinct program is still solved once.  The records of all uncached
-canonical patterns of one program kind go to one ``block_solve``, which
-solves them in lockstep, in slices of at most ``active_set.BLOCK_VALUES``
-stacked matrix entries.  The candidate regions and their tilts beta^A come
-from one block, ``candidate_betas``, which every builder and the ``solve``
-audit start from; given one ``solve_cache``, the audit reads the builder's
-solves instead of repeating them.
+canonical patterns of one program kind go through one checked block solve
+(``active_set.checked_block_solve``).  The candidate regions and their
+tilts beta^A come from one block, ``candidate_betas``, which every builder
+and the ``solve`` audit start from; given one ``solve_cache``, the audit
+reads the builder's solves instead of repeating them.
 """
 
 from __future__ import annotations
@@ -40,18 +39,17 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, islice
 import math
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .active_set import BLOCK_VALUES
+from .active_set import BLOCK_VALUES, checked_block_solve
 from .models import CgfModel, IndependentModel, MvNormalModel
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
 from .solvers import (
     CGF_TOL,
     SolverError,
     beta_program,
-    block_solve,
     gamma_pair_program,
     gap_pair_program,
     gap_quad_program,
@@ -185,8 +183,7 @@ class MixtureProposal:
 
 def _dedup(thetas, lambdas, provenance):
     groups: dict = {}
-    order: List[int] = []
-    merged: List[List[int]] = []
+    merged: dict = {}  # kept row -> the rows merged into it, kept row first
     rounded = np.round(thetas, 9) + 0.0  # -0.0 and 0.0 hash alike
     for i in range(thetas.shape[0]):
         key = rounded[i].tobytes()
@@ -197,13 +194,13 @@ def _dedup(thetas, lambdas, provenance):
                 break
         if hit is None:
             groups.setdefault(key, []).append(i)
-            order.append(i)
-            merged.append([i])
+            merged[i] = [i]
         else:
-            merged[order.index(hit)].append(i)
+            merged[hit].append(i)
+    order = list(merged)
     keep_t = thetas[order]
     keep_l = lambdas[order]
-    keep_p = ["=".join(provenance[j] for j in grp) for grp in merged]
+    keep_p = ["=".join(provenance[j] for j in grp) for grp in merged.values()]
     return keep_t, keep_l, keep_p
 
 
@@ -280,13 +277,14 @@ class _Orbits:
         every orbit of patterns with at most n indices in each block."""
         return [j for a, b in self._spans for j in range(a, min(a + n, b))]
 
-    def solve(self, key: str, patterns, solve):
+    def solve(self, key: str, patterns, program):
         """Values (n,), tilts (n, d) and residuals (n,) of program ``key`` on
-        n index patterns; ``solve(canonical patterns)`` returns their
-        TiltSolutions.  It is called on the patterns not yet cached, once
-        per chunk of at most BLOCK_VALUES tilt entries (one call unless
-        there are thousands).  Raises SolverError, naming the pattern,
-        when a solve fails or does not converge."""
+        n index patterns; ``program(canonical pattern)`` gives its
+        ``Program`` record or its closed-form TiltSolution.  The patterns
+        not yet cached go through ``checked_block_solve``, once per chunk
+        of at most BLOCK_VALUES tilt entries (one call unless there are
+        thousands), each named "{key} program on pattern {rep}" in the
+        SolverError of a failed or unconverged solve."""
         idx = np.array(patterns, dtype=np.intp).reshape(len(patterns), -1)
         start = self._start[idx]
         canon = start.copy()  # block start + rank among the block's indices
@@ -298,16 +296,9 @@ class _Orbits:
         d = self._start.size
         step = max(1, BLOCK_VALUES // d)
         for part in (new[i:i + step] for i in range(0, len(new), step)):
-            try:
-                sols = solve(part)
-            except SolverError as exc:
-                raise SolverError(f"{key} program on pattern "
-                                  f"{part[exc.index]}: {exc}") from exc
-            for rep, sol in zip(part, sols):
-                if not sol.converged:
-                    raise SolverError(
-                        f"{key} program on pattern {rep}: {sol.method} did "
-                        f"not converge (residual {sol.residual:.3e})")
+            sols = checked_block_solve(
+                lambda i: f"{key} program on pattern {part[i]}",
+                (program(rep) for rep in part))
             rows, tilts = np.array(part), np.array([sol.tilt for sol in sols])
             # a block's unused coordinates take its first unused one's entry
             used = np.zeros((len(part), d), dtype=np.intp)
@@ -327,13 +318,6 @@ class _Orbits:
             np.array([h[2] for h in hits])[inv]
         return (np.array([h[0] for h in hits])[inv], tilts,
                 np.array([h[3] for h in hits])[inv])
-
-
-def _block(program):
-    """The orbit solve of a record factory: one ``block_solve`` of the
-    records ``program(pattern)`` of the given patterns, drawn as the block
-    needs them."""
-    return lambda patterns: block_solve(program(q) for q in patterns)
 
 
 def solve_cache(rule, model: CgfModel) -> _Orbits:
@@ -365,8 +349,7 @@ def candidate_betas(rule, model: CgfModel, n: Optional[int] = None,
         patterns, region = combinations(range(d), size), lambda q: q
     patterns = list(islice(patterns, n))
     rates, betas, resid = orb.solve(
-        "beta", patterns,
-        _block(lambda q: beta_program(region(q), rule, model)))
+        "beta", patterns, lambda q: beta_program(region(q), rule, model))
     return [region(q) for q in patterns], rates, betas, resid, orb
 
 
@@ -429,14 +412,13 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
     warning, dropped = FAILED, 0
     lhs, margins = math.inf, {}
     rep_pairs = list(combinations(orb.heads(2), 2))
-    pair_prog = _block(lambda q: gamma_pair_program(*q, rule, model))
+    pair_prog = lambda q: gamma_pair_program(*q, rule, model)
     if variant == "theta1":
         condition = "H1"
         s = orb.solve("pair", rep_pairs, pair_prog)[0]
         z, gammas, _ = orb.solve(
             "single", singletons,
-            lambda reps: [solve_gamma_single(q[0], rule, model)
-                          for q in reps])
+            lambda q: solve_gamma_single(q[0], rule, model))
         for (k, kp), s_kk in zip(rep_pairs, s):
             for a, b in ((k, kp), (kp, k)):
                 val = z[a] + s_kk
@@ -525,8 +507,8 @@ def build_gap(variant: str, model: CgfModel, m: int,
     rule = GapRule(m)
     validate_drifts(rule, model)
     problem = problem_record(rule, d)
-    pair_prog = _block(lambda q: gap_pair_program(*q, rule, model))
-    quad_prog = _block(lambda q: gap_quad_program(*q, rule, model))
+    pair_prog = lambda q: gap_pair_program(*q, rule, model)
+    quad_prog = lambda q: gap_quad_program(*q, rule, model)
 
     regions, rates, betas, _, orb = candidate_betas(rule, model,
                                                     cache=cache)
@@ -609,7 +591,7 @@ def build_sum_intersection(model: CgfModel, L: int,
             f"the cap {SI_COMPONENT_CAP}"
         )
     problem = problem_record(rule, d)
-    z_prog = _block(lambda q: si_z_program(q, rule, model))
+    z_prog = lambda q: si_z_program(q, rule, model)
 
     subsets, rates, betas, _, orb = candidate_betas(rule, model,
                                                     cache=cache)
@@ -624,7 +606,7 @@ def build_sum_intersection(model: CgfModel, L: int,
             for k in heads if k not in A]
     vals = (orb.solve("z", [A for A, _ in reps], z_prog)[0]
             + orb.solve("s", [B for _, B in reps],
-                        _block(lambda q: si_s_program(q, rule, model)))[0])
+                        lambda q: si_s_program(q, rule, model))[0])
     i = int(np.argmin(vals))
     lhs = vals[i]
     A, B = reps[i]

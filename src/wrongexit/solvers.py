@@ -27,8 +27,9 @@ Solver stack, cheapest applicable path first:
 The records (``beta_program`` and its siblings) go to
 ``active_set.block_solve``, which solves any number of them in lockstep,
 in slices of at most ``active_set.BLOCK_VALUES`` stacked matrix entries;
-each result is bit for bit what its program gets alone.  Each public
-``solve_*`` builds one record and solves a block of one.
+a program's result is bit for bit the one it gets in a block of its own.
+The product solves go through its checked gate, ``checked_block_solve``.
+Each public ``solve_*`` builds one record and solves a block of one.
 
 No program is reduced by symmetry here; the proposal builders solve one
 program per symmetry orbit instead.  Everything here needs only numpy.
@@ -57,8 +58,6 @@ from .rootfind import positive_root
 __all__ = [
     "TiltSolution",
     "SolverError",
-    "Program",
-    "block_solve",
     "beta_program",
     "gamma_pair_program",
     "gap_pair_program",

@@ -20,7 +20,9 @@ from wrongexit.active_set import (
     BLOCK_VALUES,
     Program,
     SolverError,
+    TiltSolution,
     block_solve,
+    checked_block_solve,
 )
 from wrongexit.solvers import (
     beta_program,
@@ -167,13 +169,16 @@ def test_block_slices_stay_bounded(monkeypatch):
         assert_same(a, b)
 
 
-def test_block_raises_the_first_failure_in_input_order(monkeypatch):
-    def rising(mean, label):  # no tilt of a rising walk has a positive level
-        model = MvNormalModel(np.full(3, mean), np.eye(3))
-        return Program(None, constraints._constraint(model, np.arange(3),
-                                                     np.ones(3)),
-                       np.ones(3), None, 2, label, np.arange(3), 3)
+def rising(mean, label):
+    """A sum-intersection record that fails: no tilt of a rising walk has a
+    positive level."""
+    model = MvNormalModel(np.full(3, mean), np.eye(3))
+    return Program(None, constraints._constraint(model, np.arange(3),
+                                                 np.ones(3)),
+                   np.ones(3), None, 2, label, np.arange(3), 3)
 
+
+def test_block_raises_the_first_failure_in_input_order(monkeypatch):
     rng = np.random.default_rng(5)
     good = [random_program(rng, "si_z", "correlated", 4) for _ in range(3)]
     progs = [good[0], rising(0.5, "first"), good[1], rising(0.7, "second"),
@@ -192,3 +197,97 @@ def test_block_raises_the_first_failure_in_input_order(monkeypatch):
     with pytest.raises(SolverError, match=f"^second{msg}$") as err:
         block_solve([good[0], good[1], rising(0.7, "second"), good[2]])
     assert err.value.index == 2
+
+
+# ---------------------------------------------------------------------------
+# The checked gate: closed forms pass through, failures name their entry
+# ---------------------------------------------------------------------------
+
+NAME = "entry {}".format
+FAIL = "no feasible tilt at a positive level"
+
+
+def closed_form(converged=True):
+    return TiltSolution(1.5, np.zeros(3), converged,
+                        0.0 if converged else 2e-7, "siegmund/gamma-root")
+
+
+def good_records(n, seed=5):
+    rng = np.random.default_rng(seed)
+    return [random_program(rng, "si_z", "correlated", 4) for _ in range(n)]
+
+
+def test_gate_passes_closed_forms_through():
+    good, closed = good_records(2), closed_form()
+    got = checked_block_solve(NAME, [good[0], closed, good[1]])
+    assert got[1] is closed
+    for a, b in zip((got[0], got[2]), block_solve(good)):
+        assert_same(a, b)
+
+
+def test_gate_names_a_failure_by_its_whole_input_position(monkeypatch):
+    monkeypatch.setattr(active_set, "BLOCK_VALUES", 1)  # a slice per record
+    good, closed = good_records(3), closed_form()
+    entries = [good[0], closed, good[1], closed, rising(0.7, "bad"),
+               good[2]]
+    with pytest.raises(SolverError, match=f"^entry 4: bad: {FAIL}$"):
+        checked_block_solve(NAME, entries)
+
+
+def test_gate_names_a_non_converged_closed_form():
+    good = good_records(2)
+    with pytest.raises(SolverError, match=(
+            r"^entry 1: siegmund/gamma-root did not converge "
+            r"\(residual 2\.000e-07\)$")):
+        checked_block_solve(NAME, [good[0], closed_form(False), good[1]])
+
+
+def test_gate_raised_error_wins_over_earlier_non_convergence():
+    good = good_records(2)
+    with pytest.raises(SolverError, match=f"^entry 2: bad: {FAIL}$"):
+        checked_block_solve(NAME, [good[0], closed_form(False),
+                                    rising(0.6, "bad"), good[1]])
+
+
+def test_gate_draws_records_lazily(monkeypatch):
+    """When a slice is solved, at most one record beyond it (the one that
+    closed it) has been drawn."""
+    rule = SumIntersectionRule(2)
+    records = [si_z_program((0, 1), rule, MvNormalModel(
+        np.full(3, -0.4 - 0.1 * i), np.eye(3) + 0.2)) for i in range(6)]
+    monkeypatch.setattr(active_set, "BLOCK_VALUES", 2 * 2 * 2)  # 2 a slice
+    drawn, solved, seen = [], [], []
+    solve = active_set._si_active_set
+
+    def spy(block):
+        solved.extend(block)
+        seen.append((len(drawn), len(solved)))
+        return solve(block)
+
+    def entries():
+        for i, p in enumerate(records):
+            if i % 2:
+                yield closed_form()
+            drawn.append(i)
+            yield p
+
+    monkeypatch.setattr(active_set, "_si_active_set", spy)
+    got = checked_block_solve(NAME, entries())
+    assert len(seen) == 3 and all(d <= s + 1 for d, s in seen)
+    sols = [sol for sol in got if sol.method == "si/z-active-set"]
+    assert len(sols) == len(records) and len(got) == 9
+    for a, b in zip(sols, block_solve(records)):
+        assert_same(a, b)
+
+
+def test_nan_program_fails_alone_in_its_stack():
+    """A nan in one program of a stacked subsolve fails that program, and
+    its neighbour is solved as it is alone."""
+    quad = constraints._Quad(np.zeros(2), np.array([[np.nan, -1.0],
+                                                    [-0.5, -0.5]]),
+                             np.stack([np.eye(2)] * 2))
+    c, pinned = np.ones((2, 2)), np.zeros((2, 2), dtype=bool)
+    x, s, _, ok = quad.subsolve(c, None, pinned, None)
+    x1, s1, _, ok1 = quad.take([1]).subsolve(c[1:], None, pinned[1:], None)
+    assert ok.tolist() == [False, True] and ok1.tolist() == [True]
+    assert x[1].tobytes() == x1[0].tobytes() and s[1] == s1[0]

@@ -381,14 +381,14 @@ class TestSweeps:
 
     def test_non_converged_solve_stops_table_and_sweep(self, tmp_path,
                                                         monkeypatch):
-        import wrongexit.cli as cli
+        from wrongexit import active_set
 
         def stalled(sol):
             sol.converged, sol.residual = False, 2e-7
             return sol
 
-        block_solve = cli.block_solve
-        monkeypatch.setattr(cli, "block_solve",
+        block_solve = active_set.block_solve
+        monkeypatch.setattr(active_set, "block_solve",
                             lambda ps: [stalled(s) for s in block_solve(ps)])
         out = tmp_path / "o"
         sweep = write_cfg(tmp_path, {
@@ -811,6 +811,20 @@ class TestBadInputIsConfigError:
          "model.components: 3 is not a list"),
         ("sweep", {"sweep": {"kind": ["gap_v"]}},
          "sweep.kind: unknown sweep ['gap_v']"),
+        # a section or entry of the wrong JSON type
+        ("check", {"problem": {"kind": ["gap"]}},
+         "problem.kind: unknown problem kind ['gap']"),
+        ("check", {"model": {"family": "independent", "components": [
+            {"type": ["normal"], "mu": -0.5, "sigma2": 1.0}]}},
+         "model.components[0].type: unknown component type ['normal']"),
+        ("check", {"model": {"family": "independent", "components": [3]}},
+         "model.components[0]: 3 is not an object"),
+        ("check", {"proposal": "x"}, "proposal: 'x' is not an object"),
+        ("table", {"table": "x"}, "table: 'x' is not an object"),
+        ("check", {"problem": "x"}, "problem: 'x' is not an object"),
+        ("check", {"model": "x"}, "model: 'x' is not an object"),
+        ("run", {"run": "x"}, "run: 'x' is not an object"),
+        ("oracle", {"oracle": ["x"]}, "oracle: ['x'] is not an object"),
     ])
     def test_bad_model_and_sweep_fields(self, tmp_path, capsys, command,
                                         spec, message):
@@ -822,6 +836,19 @@ class TestBadInputIsConfigError:
                      "--out", str(out)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("command, section", [
+        ("sweep", "sweep"), ("check", "outputs"), ("run", "run")])
+    def test_section_that_is_not_an_object(self, tmp_path, monkeypatch,
+                                           capsys, command, section):
+        """Without --out, so that ``outputs`` is read, and with --seed, so
+        that ``run.seed`` is not."""
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path, {**TINY_SIEGMUND, section: "x"})
+        assert main([command, "--config", path, "--seed", "3"]) == 2
+        assert (f"config error: {section}: 'x' is not an object"
+                in capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == [Path(path).name]
 
     def test_drift_rule_mismatch(self, tmp_path, capsys):
         cfg = {"name": "gap",

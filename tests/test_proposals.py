@@ -470,8 +470,10 @@ class TestOrbitSolves:
 
 
     def test_non_converged_solve_is_an_error(self, monkeypatch):
+        from wrongexit import active_set
+
         model = random_normal(4, 3)
-        solve = proposals.block_solve
+        solve = active_set.block_solve
 
         def stalled(programs):
             sols = solve(programs)
@@ -480,7 +482,7 @@ class TestOrbitSolves:
                     sol.converged, sol.residual = False, 3e-6
             return sols
 
-        monkeypatch.setattr(proposals, "block_solve", stalled)
+        monkeypatch.setattr(active_set, "block_solve", stalled)
         with pytest.raises(SolverError) as err:
             build_sum_intersection(model, 2)
         msg = str(err.value)
