@@ -30,7 +30,6 @@ from .solvers import (
     solve_gap_quad,
     solve_si_s,
     solve_si_z,
-    v_lower_bounds,
 )
 
 __version__ = "0.1.0"

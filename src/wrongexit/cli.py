@@ -11,7 +11,9 @@ engine into reproducible experiments:
     sweep   condition sweeps (siegmund_rho | gap_v | si_rho) as CSV
 
 ``table`` and ``sweep`` share one grid driver, which solves the programs
-of every grid point in one checked block, naming the point of a failure.
+of every grid point in one checked block, naming the point of a failure;
+``table`` certifies the direct condition of all its cells in one stacked
+pass.
 Each command computes its rows before it makes its output directory.
 
 Every command is idempotent for a fixed config and seed: outputs are
@@ -49,7 +51,7 @@ from .proposals import (
     build_siegmund,
     build_sum_intersection,
     candidate_betas,
-    check_direct_siegmund_homogeneous,
+    direct_certificate,
     plain_proposal,
     problem_record,
     solve_cache,
@@ -247,20 +249,30 @@ def build_proposal(model, rule, prop_spec: dict, path: str = "proposal",
     if manifest_path:
         with open(manifest_path) as fh:
             man = json.load(fh)
-        have = man.get("problem", {})
+        where = f"{path}.manifest"
+        if not isinstance(man, dict):
+            raise ConfigError(f"{where}: {manifest_path} holds a JSON "
+                              f"{type(man).__name__}, not an object")
+        have = _object(man.get("problem", {}), f"{where}.problem")
         for key, want in problem_record(rule, model.dim).items():
             if have.get(key) != want:
                 raise ConfigError(
-                    f"{path}.manifest: solved for {key} = {have.get(key)!r},"
+                    f"{where}: solved for {key} = {have.get(key)!r},"
                     f" but the config has {key} = {want!r}")
+        for key in ("thetas", "lambdas", "provenance"):
+            _need(man, key, where)
         try:
             prop = MixtureProposal.from_manifest(man)
             prop.check_lambdas(model)
         except ValueError as exc:
-            raise ConfigError(f"{path}.manifest: {exc}") from exc
+            raise ConfigError(f"{where}: {exc}") from exc
         rep = None
         if "report" in man:
-            rep = EfficiencyReport(**man["report"])
+            report = _object(man["report"], f"{where}.report")
+            try:
+                rep = EfficiencyReport(**report)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{where}.report: {exc}") from exc
         return prop, rep
     variant = prop_spec.get("variant", "plain")
     if variant == "plain":
@@ -481,7 +493,9 @@ def _write_csv(cfg, args, kind, header, rows) -> Path:
 def cmd_table(cfg, args) -> int:
     """Maximal rho on a grid such that (H1), (H2) and the direct condition
     hold, for a span of upper barriers (two-barrier problem, d fixed).  A
-    grid point is a (rho, u) cell; each rho's model serves every u."""
+    grid point is a (rho, u) cell; each rho's model serves every u, and one
+    stacked ``direct_certificate`` certifies the direct condition of every
+    cell."""
     spec = _section(cfg, "table")
     d = _positive(spec.get("d", 50), "table.d", int)
     ell = _positive(spec.get("ell", 1.0), "table.ell")
@@ -491,20 +505,22 @@ def cmd_table(cfg, args) -> int:
         raise ConfigError("table.u_values: the list is empty")
     rhos = _rho_grid(spec, d, "table")
     rules = [SiegmundRule(ell, u) for u in u_values]
+    models = [exchangeable_mvnormal(d, -0.5, rho) for rho in rhos]
+    direct = direct_certificate([m for m in models for _ in rules], ell,
+                                [rule.u for _ in models for rule in rules])
     points = []
-    for i, rho in enumerate(rhos):
-        model = exchangeable_mvnormal(d, -0.5, rho)
+    for i, (rho, model) in enumerate(zip(rhos, models)):
         for j, rule in enumerate(rules):
-            rep = check_direct_siegmund_homogeneous(model, ell, rule.u)
             points.append((
                 f"table.rho_grid[{i}] = {rho}, table.u_values[{j}] = {rule.u}",
-                (rho, j, rep), [solve_gamma_single(0, rule, model),
-                                gamma_pair_program(0, 1, rule, model)]))
+                (rho, j, len(points)), [solve_gamma_single(0, rule, model),
+                                        gamma_pair_program(0, 1, rule, model)]))
 
     def holds(x, vals):  # (H1), (H2) and the direct condition at a cell
-        (rho, j, rep), (uz, s), r = x, vals, x[2].r_star
+        (rho, j, c), (uz, s) = x, vals
+        r = direct.r_star[c]
         return rho, j, (uz + s >= 2 * r - 1e-12, 2 * s >= 2 * r - 1e-12,
-                        rep.holds)
+                        direct.holds[c])
 
     rows = [[repr(u), None, None, None] for u in u_values]
     for rho, j, flags in _grid_rows(points, holds):  # the last rho that holds

@@ -216,19 +216,22 @@ class MvNormalModel(_TiltedSampling):
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise ValueError(f"cov has shape {cov.shape}, expected ({d}, {d})")
-        if not np.allclose(cov, cov.T, atol=1e-12):
+        for name, x in (("mean", mean), ("cov", cov)):
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"{name} has non-finite entries")
+        # np.allclose(cov, cov.T, atol=1e-12) on finite entries, at half cost
+        if not np.all(np.abs(cov - cov.T) <= 1e-12 + 1e-5 * np.abs(cov.T)):
             raise ValueError("cov must be symmetric")
         if np.any(mean == 0.0):
             raise ValueError("all drift entries must be strictly signed")
         try:
-            chol = np.linalg.cholesky(cov)
+            np.linalg.cholesky(cov)  # the factor is formed where it is used
         except np.linalg.LinAlgError as exc:
             raise ValueError("cov must be positive definite") from exc
         mean.flags.writeable = False
         cov.flags.writeable = False
         self.mean = mean
         self.cov = cov
-        self._chol = chol
 
     @property
     def dim(self) -> int:
@@ -257,7 +260,7 @@ class MvNormalModel(_TiltedSampling):
         """Closure drawing (k, n, d) blocks for n paths, path i under the
         tilt ``thetas[comp[i]]``: N(mean + cov theta, cov) increments."""
         loc = self.mean + self._tilts(thetas) @ self.cov.T
-        chol_t = np.ascontiguousarray(self._chol.T)
+        chol_t = np.ascontiguousarray(np.linalg.cholesky(self.cov).T)
         d = self.dim
 
         def draw(rng: np.random.Generator, comp: np.ndarray,
@@ -278,11 +281,12 @@ class MvNormalModel(_TiltedSampling):
         s2 = diag[0]
         if not np.all(np.abs(diag - s2) <= tol * max(1.0, abs(s2))):
             return None
-        off = self.cov[~np.eye(self.dim, dtype=bool)]
-        if off.size == 0:
+        if self.dim == 1:
             return float(m), float(s2), 0.0
-        r = off[0]
-        if not np.all(np.abs(off - r) <= tol * max(1.0, abs(s2))):
+        r = self.cov[0, 1]
+        off = np.abs(self.cov - r)  # off-diagonal deviations from r
+        np.fill_diagonal(off, 0.0)
+        if not np.all(off <= tol * max(1.0, abs(s2))):
             return None
         return float(m), float(s2), float(r / s2)
 

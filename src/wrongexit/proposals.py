@@ -55,9 +55,8 @@ from .solvers import (
     gap_quad_program,
     si_s_program,
     si_z_program,
-    siegmund_profile,
+    siegmund_profiles,
     solve_gamma_single,
-    v_lower_bounds,
     validate_drifts,
 )
 
@@ -66,6 +65,7 @@ __all__ = [
     "EfficiencyReport",
     "build_siegmund",
     "check_direct_siegmund_homogeneous",
+    "direct_certificate",
     "build_gap",
     "build_sum_intersection",
     "candidate_betas",
@@ -446,29 +446,82 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
                    rhs, r_min, margins, warning, dropped)
 
 
+@dataclass
+class DirectCertificate:
+    """The direct condition at a stack of cells: ``vals[i, m - 2]`` is the
+    certified lower bound on v_A(beta^{0}) for A = {0..m-1} at cell i (-inf
+    where it is not certified), and ``r_star[i]`` the singleton rate r_{0};
+    cell i holds when its smallest bound ``lhs[i]`` reaches ``rhs[i]`` =
+    2 r_star[i].
+    """
+
+    vals: np.ndarray
+    r_star: np.ndarray
+    rhs: np.ndarray = field(init=False)
+    lhs: np.ndarray = field(init=False)
+    holds: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.rhs = 2 * self.r_star
+        self.lhs = self.vals.min(axis=1, initial=math.inf)
+        self.holds = self.lhs >= self.rhs - 1e-12
+
+
+def direct_certificate(models, ell: float, us) -> DirectCertificate:
+    """Direct condition v_A(beta^{0}) >= 2 r_{0} at the cells (models[i],
+    us[i]): one ell and exchangeable models of one dimension d.
+
+    Each cell is reduced to A = {0..m-1}, m = 2..d, and certified by the
+    witnesses beta^A + beta^{0} of the shifted programs.  A witness is
+    feasible when Lambda(beta^A) <= CGF_TOL, and Lambda(beta^{0}) <=
+    CGF_TOL must hold; both are read from the two-block CGF values of
+    ``siegmund_profiles``.  The support values of the explicit witness rows
+    come from ``SiegmundRule.support_rows``.  The cells of one u are
+    certified together, in slices of at most BLOCK_VALUES values, so memory
+    does not grow with the number of cells.
+    """
+    us = np.asarray(us, dtype=float)
+    d = models[0].dim
+    for model, u in zip(models, us):
+        validate_drifts(SiegmundRule(ell, u), model)
+        if model.dim != d:
+            raise ValueError(f"the cells have dimensions {d} and {model.dim}")
+    vals, r_star = np.empty((us.size, d - 1)), np.empty(us.size)
+    sets = np.arange(d) < np.arange(2, d + 1)[:, None]  # row m-2: |A| = m
+    # cells of one slice: its witness rows and the temporaries of
+    # support_rows, about four arrays of their shape, hold at most
+    # BLOCK_VALUES values
+    per = max(1, BLOCK_VALUES // (4 * d * d))
+    for u in dict.fromkeys(us.tolist()):
+        cells = np.flatnonzero(us == u)
+        for i in np.split(cells, range(per, cells.size, per)):
+            v_plus, v_minus, rates, lam = siegmund_profiles(
+                [models[c] for c in i], ell, us[i])
+            if np.any(lam[:, 1] > CGF_TOL):
+                raise ValueError("gamma must satisfy Lambda(gamma) <= 0")
+            beta0 = np.where(np.arange(d) == 0, v_plus[:, 1:2], v_minus[:, 1:2])
+            rows = np.where(sets, v_plus[:, 2:, None], v_minus[:, 2:, None])
+            rows += beta0[:, None]
+            vals[i] = np.where(lam[:, 2:] <= CGF_TOL,
+                               SiegmundRule(ell, u).support_rows(rows, sets),
+                               -math.inf)
+            r_star[i] = rates[:, 1]
+    return DirectCertificate(vals, r_star)
+
+
 def check_direct_siegmund_homogeneous(model: CgfModel, ell: float, u: float
                                       ) -> EfficiencyReport:
     """Direct condition v_A(beta^{0}) >= 2 min_k r_{k} for homogeneous
-    models, reduced to A = {0..m-1}, m = 2..d, and certified for all sizes
-    in one ``v_lower_bounds`` pass through the feasible witnesses
-    beta^A + beta^{0} of the shifted programs."""
-    rule = SiegmundRule(ell, u)
-    validate_drifts(rule, model)
-    d = model.dim
-    v_plus, v_minus, rates = siegmund_profile(model, ell, u)
-    sets = np.arange(d) < np.arange(1, d + 1)[:, None]  # row a-1: |A| = a
-    betas = np.where(sets, v_plus[1:, None], v_minus[1:, None])
-    vals = v_lower_bounds(sets[1:], betas[0], betas[1:] + betas[0], rule,
-                          model)
-    r = rates[1]
-    rhs = 2 * r
-    lhs = vals.min(initial=math.inf)
+    models: the one-cell case of ``direct_certificate``, with the margin of
+    each region size m = 2..d."""
+    cert = direct_certificate([model], ell, [u])
+    rhs, lhs, holds = cert.rhs[0], cert.lhs[0], cert.holds[0]
     margins, dropped = _clip_margins(dict(zip(
-        (f"m={m}" for m in range(2, d + 1)), (vals - rhs).tolist())))
-    holds = lhs >= rhs - 1e-12
+        (f"m={m}" for m in range(2, model.dim + 1)),
+        (cert.vals[0] - rhs).tolist())))
     warning = None if holds else "direct condition failed for some region size"
     return EfficiencyReport("direct", holds, float(lhs), float(rhs),
-                            float(r), margins, warning, dropped)
+                            float(cert.r_star[0]), margins, warning, dropped)
 
 
 # ---------------------------------------------------------------------------

@@ -158,13 +158,14 @@ class SiegmundRule(_StoppingRule):
         return x > b * self.u
 
     def support_rows(self, theta: np.ndarray, sets: np.ndarray) -> np.ndarray:
-        """Support value u theta_A.1 - ell theta_{A^c}.1 of each row of a
-        ``(n, d)`` tilt array over the region whose member mask is the same
-        row of ``sets``; -inf on a row off the sign pattern."""
+        """Support value u theta_A.1 - ell theta_{A^c}.1 of each row (last
+        axis) of a tilt array over the region whose member mask is the
+        matching row of ``sets``, which broadcasts against ``theta``; -inf
+        on a row off the sign pattern."""
         signed = ~np.where(sets, theta < -SIGN_TOL,
-                           theta > SIGN_TOL).any(axis=1)
-        val = (self.u * np.where(sets, theta, 0.0).sum(axis=1)
-               - self.ell * np.where(sets, 0.0, theta).sum(axis=1))
+                           theta > SIGN_TOL).any(axis=-1)
+        val = (self.u * np.where(sets, theta, 0.0).sum(axis=-1)
+               - self.ell * np.where(sets, 0.0, theta).sum(axis=-1))
         return np.where(signed, val, -math.inf)
 
     def __repr__(self):

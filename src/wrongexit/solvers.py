@@ -34,12 +34,10 @@ Each public ``solve_*`` builds one record and solves a block of one.
 No program is reduced by symmetry here; the proposal builders solve one
 program per symmetry orbit instead.  Everything here needs only numpy.
 
-Lower bounds on the variance-decay exponents v_A(gamma) are certified by
-weak duality: a witness feasible for the shifted program (the constraint
-Lambda(theta - gamma) <= 0) bounds v_A(gamma) by its support value, so that
-program is never solved.  ``v_lower_bounds`` certifies a stack of Siegmund
-regions at one gamma in one vectorised pass, which is how the direct
-condition is checked for every region size at once.
+``siegmund_profiles`` gives the Siegmund tilts of every region size of a
+stack of exchangeable models, with their CGF values in two-block form; the
+direct condition (``proposals.direct_certificate``) is certified from them
+by weak duality, so its shifted programs are never solved.
 """
 
 from __future__ import annotations
@@ -71,9 +69,9 @@ __all__ = [
     "solve_gap_quad",
     "solve_si_z",
     "solve_si_s",
-    "v_lower_bounds",
     "homogeneous_profile",
     "siegmund_profile",
+    "siegmund_profiles",
     "validate_drifts",
 ]
 
@@ -141,20 +139,50 @@ def homogeneous_profile(component, d: int, ell: float, u: float):
 
 
 def siegmund_profile(model: CgfModel, ell: float, u: float):
-    """The arrays of ``homogeneous_profile`` for any exchangeable model.
+    """The arrays of ``homogeneous_profile`` for any exchangeable model: the
+    one-cell case of ``siegmund_profiles``."""
+    return tuple(x[0] for x in siegmund_profiles([model], ell, [u])[:3])
 
-    Normal models solve the two-orbit program of ``_subsolve`` (v+ on A, v-
-    off A) in closed form for every a together; where v- comes out positive,
-    or a = d, it is pinned at 0, leaving the root v+ = -2 mu a / s11.
+
+def siegmund_profiles(models, ell: float, us):
+    """Per-size Siegmund tilts of a stack of cells (models[i], us[i]): one
+    ell and exchangeable models of one dimension d.
+
+    Returns (n, d + 1) arrays v+, v- and r, row i as ``homogeneous_profile``
+    gives them for cell i, and lam, where lam[i, a] is Lambda of the tilt
+    v+ on a coordinates and v- on the rest, in two-block form (O(d) per
+    cell, no d x d product).  i.i.d. cells take ``homogeneous_profile``.
+    The normal cells share one broadcast of the closed form of the
+    two-orbit program of ``_subsolve`` (v+ on A, v- off A); where v- comes
+    out positive, or a = d, it is pinned at 0, leaving the root v+ = -2 mu a
+    / s11.
     """
-    if isinstance(model, IndependentModel) and model.is_iid():
-        return homogeneous_profile(model.components[0], model.dim, ell, u)
-    ex = isinstance(model, MvNormalModel) and model.exchangeable_parameters()
-    if not ex:
-        raise ValueError("the size profile requires an exchangeable model")
-    mu, s2, rho = ex
-    a = np.arange(1.0, model.dim + 1)
-    n = model.dim - a
+    d = models[0].dim
+    us = np.asarray(us, dtype=float)
+    vp, vm, r, lam = (np.zeros((len(models), d + 1)) for _ in range(4))
+    a = np.arange(d + 1.0)
+    normal = []
+    for i, model in enumerate(models):
+        if model.dim != d:
+            raise ValueError(f"the cells have dimensions {d} and {model.dim}")
+        if isinstance(model, IndependentModel) and model.is_iid():
+            comp = model.components[0]
+            vp[i], vm[i], r[i] = homogeneous_profile(comp, d, ell, us[i])
+            one = IndependentModel([comp]).cgf_rows  # Lambda of a coordinate
+            lam[i] = (a * one(vp[i, :, None])
+                      + (d - a) * one(np.where(a < d, vm[i], 0.0)[:, None]))
+            continue
+        ex = isinstance(model, MvNormalModel) and model.exchangeable_parameters()
+        if not ex:
+            raise ValueError("the size profile requires an exchangeable model")
+        normal.append((i, *ex))
+    if not normal:
+        return vp, vm, r, lam
+    idx, mu, s2, rho = (np.array(x)[:, None] for x in zip(*normal))
+    idx = idx[:, 0]
+    u = us[idx, None]
+    a = a[1:]
+    n = d - a
     # orbit-reduced covariance [[s11, s12], [s12, s22]] of the split (A, A^c)
     s11, s22 = s2 * a * (1 - rho + rho * a), s2 * n * (1 - rho + rho * n)
     s12 = s2 * rho * a * n
@@ -163,12 +191,16 @@ def siegmund_profile(model: CgfModel, ell: float, u: float):
         form = lambda x, y: (s22 * x * x - 2 * s12 * x * y + s11 * y * y) / det
         s = np.sqrt(form(mu * a, mu * n) / form(u * a, -ell * n))
         w1, w2 = (s * u - mu) * a, -(s * ell + mu) * n
-        vp, vm = (s22 * w1 - s12 * w2) / det, (s11 * w2 - s12 * w1) / det
-    free = vm <= 0.0  # False where v- > 0, and at a = d (det = 0, nan)
-    vp, vm = np.where(free, vp, -2.0 * mu * a / s11), np.where(free, vm, 0.0)
-    r = u * a * vp - ell * n * vm
-    vm[-1] = -math.inf
-    return tuple(np.concatenate([[0.0], x]) for x in (vp, vm, r))
+        p, m = (s22 * w1 - s12 * w2) / det, (s11 * w2 - s12 * w1) / det
+    free = m <= 0.0  # False where v- > 0, and at a = d (det = 0, nan)
+    p, m = np.where(free, p, -2.0 * mu * a / s11), np.where(free, m, 0.0)
+    vp[idx, 1:], vm[idx, 1:], r[idx, 1:] = p, m, u * a * p - ell * n * m
+    # Lambda = mu 1.theta + s2 ((1 - rho) |theta|^2 + rho (1.theta)^2) / 2
+    total, square = a * p + n * m, a * p * p + n * m * m
+    lam[idx, 1:] = mu * total + 0.5 * s2 * ((1 - rho) * square
+                                            + rho * total * total)
+    vm[idx, -1] = -math.inf
+    return vp, vm, r, lam
 
 
 # ---------------------------------------------------------------------------
@@ -333,34 +365,3 @@ def solve_si_z(A, rule: SumIntersectionRule, model: CgfModel) -> TiltSolution:
 def solve_si_s(B, rule: SumIntersectionRule, model: CgfModel) -> TiltSolution:
     """s_B and the auxiliary tilt (``si_s_program``)."""
     return block_solve([si_s_program(B, rule, model)])[0]
-
-
-def v_lower_bounds(sets, gamma, witnesses, rule: SiegmundRule,
-                   model: CgfModel) -> np.ndarray:
-    """Certified lower bounds on v_{A_i}(gamma) for a stack of Siegmund
-    regions at one gamma.
-
-    Row i checks that witnesses[i] is feasible for the shifted program
-    (Lambda(witnesses[i] - gamma) <= 0), which bounds v_{A_i}(gamma) by the
-    support value of witnesses[i] over the region with member mask
-    ``sets[i]``.  Each row must be a rare region, and Lambda(gamma) <= 0 is
-    checked once; the CGFs of the shifted witnesses and their support values
-    are evaluated for all rows at once.  Returns the bounds, -inf on each
-    row whose witness is infeasible or breaks the sign pattern of its
-    region.
-    """
-    if not isinstance(rule, SiegmundRule):
-        raise ValueError("batched certificates cover the Siegmund rule only")
-    sets = np.asarray(sets, dtype=bool)
-    witnesses = np.asarray(witnesses, dtype=float)
-    if sets.ndim != 2 or sets.shape != witnesses.shape:
-        raise ValueError(f"region masks {sets.shape} and witnesses "
-                         f"{witnesses.shape} are not (n, d) arrays of one "
-                         "shape")
-    if not rule.rare_mask(sets).all():
-        raise ValueError("Siegmund rare regions have nonempty A")
-    gamma = np.asarray(gamma, dtype=float)
-    if model.cgf(gamma) > CGF_TOL:
-        raise ValueError("gamma must satisfy Lambda(gamma) <= 0")
-    feasible = model.cgf_rows(witnesses - gamma) <= CGF_TOL
-    return np.where(feasible, rule.support_rows(witnesses, sets), -math.inf)

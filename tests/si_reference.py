@@ -10,9 +10,12 @@ KKT multipliers.  The tests compare the active set against them.  On a
 normal model, ``shifted_program`` solves the linear-objective programs
 exactly by enumerating their pinned sets, shifted or not.
 
-It also keeps two one-region oracles: ``support_value``, the closed-form
-support value of a rare region of each rule, and ``v_lower_bound``, the
-one-region certificate that ``solvers.v_lower_bounds`` batches.
+It also keeps three certificate oracles: ``support_value``, the
+closed-form support value of a rare region of each rule; ``v_lower_bound``,
+the one-region certificate; and ``v_lower_bounds``, its row-wise form over
+a stack of Siegmund regions at one gamma, whose explicit ``cgf_rows``
+feasibility test checks the two-block one of
+``proposals.direct_certificate``.
 """
 
 from itertools import product
@@ -76,6 +79,37 @@ def v_lower_bound(A, gamma, witness, rule, model):
         return -math.inf, False
     bound = support_value(rule, witness, region)
     return (bound, True) if math.isfinite(bound) else (-math.inf, False)
+
+
+def v_lower_bounds(sets, gamma, witnesses, rule: SiegmundRule,
+                   model) -> np.ndarray:
+    """Certified lower bounds on v_{A_i}(gamma) for a stack of Siegmund
+    regions at one gamma.
+
+    Row i checks that witnesses[i] is feasible for the shifted program
+    (Lambda(witnesses[i] - gamma) <= 0), which bounds v_{A_i}(gamma) by the
+    support value of witnesses[i] over the region with member mask
+    ``sets[i]``.  Each row must be a rare region, and Lambda(gamma) <= 0 is
+    checked once; the CGFs of the shifted witnesses and their support values
+    are evaluated for all rows at once.  Returns the bounds, -inf on each
+    row whose witness is infeasible or breaks the sign pattern of its
+    region.
+    """
+    if not isinstance(rule, SiegmundRule):
+        raise ValueError("batched certificates cover the Siegmund rule only")
+    sets = np.asarray(sets, dtype=bool)
+    witnesses = np.asarray(witnesses, dtype=float)
+    if sets.ndim != 2 or sets.shape != witnesses.shape:
+        raise ValueError(f"region masks {sets.shape} and witnesses "
+                         f"{witnesses.shape} are not (n, d) arrays of one "
+                         "shape")
+    if not rule.rare_mask(sets).all():
+        raise ValueError("Siegmund rare regions have nonempty A")
+    gamma = np.asarray(gamma, dtype=float)
+    if model.cgf(gamma) > CGF_TOL:
+        raise ValueError("gamma must satisfy Lambda(gamma) <= 0")
+    feasible = model.cgf_rows(witnesses - gamma) <= CGF_TOL
+    return np.where(feasible, rule.support_rows(witnesses, sets), -math.inf)
 
 
 def shifted_program(A, gamma, rule, model: MvNormalModel) -> float:

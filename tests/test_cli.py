@@ -189,6 +189,37 @@ class TestCommands:
         assert self.run_on_manifest(tmp_path, manifest) == 2
         assert "proposal.manifest: tilt has shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda man: [man],
+                     ": {path} holds a JSON list, not an object", id="list"),
+        pytest.param(lambda man: {k: v for k, v in man.items()
+                                  if k != "thetas"},
+                     ".thetas: missing required field", id="no-thetas"),
+        pytest.param(lambda man: {k: v for k, v in man.items()
+                                  if k != "lambdas"},
+                     ".lambdas: missing required field", id="no-lambdas"),
+        pytest.param(lambda man: {k: v for k, v in man.items()
+                                  if k != "provenance"},
+                     ".provenance: missing required field",
+                     id="no-provenance"),
+        pytest.param(lambda man: {**man, "report": "x"},
+                     ".report: 'x' is not an object", id="report-string"),
+        pytest.param(lambda man: {**man, "report": {**man["report"],
+                                                    "extra": 1}},
+                     ".report: ", id="report-unknown-field"),
+        pytest.param(lambda man: {**man, "problem": ["x"]},
+                     ".problem: ['x'] is not an object", id="problem-list"),
+    ])
+    def test_manifest_of_the_wrong_shape_is_config_error(
+            self, tmp_path, capsys, edit, message):
+        manifest = self.solved_manifest(tmp_path)
+        manifest.write_text(json.dumps(edit(json.loads(
+            manifest.read_text()))))
+        assert self.run_on_manifest(tmp_path, manifest) == 2
+        message = message.format(path=manifest)
+        assert (f"config error: proposal.manifest{message}"
+                in capsys.readouterr().err)
+
     def test_manifest_without_margins_dropped_loads(self, tmp_path):
         manifest = self.solved_manifest(tmp_path)
         man = json.loads(manifest.read_text())
@@ -544,6 +575,45 @@ class TestSweeps:
         lines = (out / "tb_table.csv").read_text().strip().splitlines()
         assert lines[0] == "u,H1_max_rho,H2_max_rho,direct_max_rho"
         assert len(lines) == 2
+
+    def test_table_certifies_all_cells_in_one_stacked_call(
+            self, tmp_path, monkeypatch):
+        """The direct condition of every (rho, u) cell comes from one
+        stacked certificate, with no CGF over a (d-1) x d witness stack,
+        and the table's direct column is the last rho at which the
+        one-cell check holds."""
+        import wrongexit.cli as cli
+        from wrongexit import MvNormalModel, exchangeable_mvnormal
+        from wrongexit.proposals import check_direct_siegmund_homogeneous
+
+        calls, shapes = [], []
+        certify, cgf_rows = cli.direct_certificate, MvNormalModel.cgf_rows
+
+        def counted(models, ell, us):
+            calls.append(len(us))
+            return certify(models, ell, us)
+
+        def counted_rows(self, thetas):
+            shapes.append(np.shape(thetas))
+            return cgf_rows(self, thetas)
+
+        monkeypatch.setattr(cli, "direct_certificate", counted)
+        monkeypatch.setattr(MvNormalModel, "cgf_rows", counted_rows)
+        rhos, u_values = [0.0, 0.3, 0.4, 0.5, 0.6], [3.0, 1.0, 0.5]
+        cfg = {"name": "tb", "model": {"family": "mvnormal", "dim": 2,
+                                       "mean": -0.5},
+               "table": {"d": 8, "u_values": u_values, "rho_grid": rhos}}
+        out = tmp_path / "o"
+        assert main(["table", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        assert calls == [len(rhos) * len(u_values)]
+        assert (7, 8) not in shapes
+        rows = (out / "tb_table.csv").read_text().strip().splitlines()[1:]
+        for u, row in zip(u_values, rows):
+            held = [rho for rho in rhos if check_direct_siegmund_homogeneous(
+                exchangeable_mvnormal(8, -0.5, rho), 1.0, u).holds]
+            assert row.split(",")[3] == (repr(held[-1]) if held else "")
+        assert [row.split(",")[3] for row in rows] == ["0.6", "0.4", "0.3"]
 
     @pytest.mark.parametrize("table, field", [
         ({"rho_grid": {"start": 0.0, "stop": 0.6}}, "table.rho_grid.step"),

@@ -201,6 +201,46 @@ class TestModelValidation:
             == pytest.approx((-0.5, 1.0, 0.3))
         m = MvNormalModel(np.array([-0.5, -0.6]), np.eye(2))
         assert m.exchangeable_parameters() is None
+        assert MvNormalModel([-0.5], [[2.0]]).exchangeable_parameters() \
+            == (-0.5, 2.0, 0.0)
+        for step, expect in ((5e-13, True), (2e-12, False)):
+            cov = 0.7 * np.eye(4) + 0.3
+            cov[1, 3] += step
+            cov[3, 1] += step
+            m = MvNormalModel(np.full(4, -0.5), cov)
+            assert (m.exchangeable_parameters() is not None) is expect
+
+    @pytest.mark.parametrize("mean, cov", [
+        ([math.nan, -0.5], np.eye(2)),
+        ([-math.inf, -0.5], np.eye(2)),
+        ([-0.5, -0.5], [[math.inf, 0.0], [0.0, 1.0]]),
+        ([-0.5, -0.5], [[1.0, math.nan], [math.nan, 1.0]]),
+    ], ids=["nan-mean", "inf-mean", "inf-variance", "nan-covariance"])
+    def test_non_finite_input_rejected(self, mean, cov):
+        with pytest.raises(ValueError, match="non-finite"):
+            MvNormalModel(mean, cov)
+
+    def test_symmetry_test_matches_allclose(self):
+        """The elementwise symmetry test accepts exactly the finite
+        matrices that np.allclose(cov, cov.T, atol=1e-12) accepts."""
+        rng = np.random.default_rng(3)
+        seen = set()
+        for scale in (1e-3, 1.0, 1e8):
+            a = rng.normal(size=(4, 4))
+            base = scale * (a @ a.T + 4 * np.eye(4))
+            for step in (0.0, 5e-13, 2e-12, 1e-9, 1e-6, 1e-4):
+                cov = base.copy()
+                cov[0, 2] += step * scale
+                want = np.allclose(cov, cov.T, atol=1e-12)
+                try:
+                    MvNormalModel(np.full(4, -0.5), cov)
+                    got = True
+                except ValueError as exc:
+                    assert "symmetric" in str(exc)
+                    got = False
+                assert got == want, (scale, step)
+                seen.add(got)
+        assert seen == {True, False}
 
 
 class TestTiltedSampling:

@@ -24,9 +24,15 @@ from wrongexit.proposals import (
     build_siegmund,
     build_sum_intersection,
     check_direct_siegmund_homogeneous,
+    direct_certificate,
 )
-from wrongexit.solvers import SolverError, TiltSolution
-from si_reference import _independent_kkt, v_lower_bound
+from wrongexit.solvers import (
+    CGF_TOL,
+    SolverError,
+    TiltSolution,
+    siegmund_profiles,
+)
+from si_reference import _independent_kkt, v_lower_bound, v_lower_bounds
 
 LOG2 = math.log(2.0)
 
@@ -214,21 +220,31 @@ class TestSiegmundBuilders:
         ids=["normal", "iid-exponential"])
     def test_direct_check_is_one_batched_certificate(self, monkeypatch,
                                                      model):
-        calls = {"v_lower_bounds": 0, "cgf": 0, "cgf_rows": 0}
+        """The check is one stacked certificate over one cell, and no
+        CGF is evaluated over a (d-1) x d witness stack; ``cmd_table``
+        makes one stacked call for all its cells
+        (``test_table_certifies_all_cells_in_one_stacked_call``)."""
+        calls = {"direct_certificate": 0, "cgf": 0, "witness_rows": 0}
+        certify = proposals.direct_certificate
+        cgf, cgf_rows = type(model).cgf, type(model).cgf_rows
 
-        def counted(owner, name):
-            fn = getattr(owner, name)
+        def counted(*args):
+            calls["direct_certificate"] += 1
+            return certify(*args)
 
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(owner, name, wrapped)
+        def counted_cgf(self, theta):
+            calls["cgf"] += 1
+            return cgf(self, theta)
 
-        counted(proposals, "v_lower_bounds")
-        counted(type(model), "cgf")
-        counted(type(model), "cgf_rows")
+        def counted_rows(self, thetas):
+            calls["witness_rows"] += np.shape(thetas) == (11, 12)
+            return cgf_rows(self, thetas)
+
+        monkeypatch.setattr(proposals, "direct_certificate", counted)
+        monkeypatch.setattr(type(model), "cgf", counted_cgf)
+        monkeypatch.setattr(type(model), "cgf_rows", counted_rows)
         rep = check_direct_siegmund_homogeneous(model, 1.0, 1.0)
-        assert calls == {"v_lower_bounds": 1, "cgf": 1, "cgf_rows": 1}
+        assert calls == {"direct_certificate": 1, "cgf": 0, "witness_rows": 0}
         assert list(rep.margins) == [f"m={m}" for m in range(2, 13)]
 
     def test_margins_beyond_the_cap_are_counted(self):
@@ -273,6 +289,86 @@ class TestSiegmundBuilders:
             model = exchangeable_mvnormal(50, -0.5, rho)
             rep = check_direct_siegmund_homogeneous(model, 1.0, 1.0)
             assert rep.holds is expect
+
+
+def direct_cells():
+    """Cells (model, u) by (d, ell) on the reference grids of
+    ``test_direct_check_matches_per_size_reference`` (negative rho
+    included) and of the i.i.d. test, with i.i.d. cells added to each
+    group: exponential ones and normal ones whose off-region bound binds
+    for some sizes."""
+    exp6 = IndependentModel([ShiftedExponential(2.0, -LOG2)] * 6)
+    groups = {(6, 1.0): [(exp6, 1.0), (exp6, 0.2)], (6, 4.0): [(exp6, 3.0)],
+              (6, 0.5): [(exp6, 1.0)]}
+    for d in (2, 3, 7, 20):
+        iid = [IndependentModel([ShiftedExponential(2.0, -LOG2)] * d),
+               IndependentModel([Normal(-0.5, 2.0)] * d)]
+        for ell in (0.5, 1.0, 4.0):
+            groups[(d, ell)] = [
+                (exchangeable_mvnormal(d, -0.5, rho), u)
+                for rho in (-0.9 / (d - 1), 0.0, 0.85)
+                for u in (0.2, 1.0, 3.0)] + [
+                (model, u) for model in iid for u in (0.2, 1.0)]
+    return groups
+
+
+class TestDirectCertificate:
+    @pytest.mark.parametrize("per_slice", [None, 1, 2],
+                             ids=["one-slice", "slices-of-1", "slices-of-2"])
+    def test_stacked_cells_match_each_cell_alone(self, monkeypatch,
+                                                 per_slice):
+        branches, outcomes = set(), set()
+        for (d, ell), cells in direct_cells().items():
+            alone = [direct_certificate([model], ell, [u])
+                     for model, u in cells]
+            if per_slice is not None:  # slices of per_slice cells
+                monkeypatch.setattr(proposals, "BLOCK_VALUES",
+                                    4 * d * d * per_slice)
+            models, us = zip(*cells)
+            stacked = direct_certificate(list(models), ell, us)
+            for j, (model, u) in enumerate(cells):
+                one = alone[j]
+                assert stacked.vals[j].tobytes() == one.vals[0].tobytes()
+                assert stacked.r_star[j].tobytes() == \
+                    one.r_star[0].tobytes()
+                assert stacked.holds[j] == one.holds[0]
+                rep = check_direct_siegmund_homogeneous(model, ell, u)
+                assert (rep.holds, rep.lhs, rep.rhs, rep.r_star) == (
+                    one.holds[0], one.lhs[0], one.rhs[0], one.r_star[0])
+                vm = siegmund_profiles([model], ell, [u])[1][0, 1:d]
+                branches.update(np.where(vm == 0.0, "pinned", "free"))
+                outcomes.add(bool(one.holds[0]))
+        assert branches == {"pinned", "free"}
+        assert outcomes == {True, False}
+
+    def test_two_block_feasibility_matches_explicit_cgf_rows(self):
+        """On the reference grids the two-block CGF values of the profile
+        tilts match ``cgf_rows`` over the explicit tilts, the feasibility
+        flags match those of the explicit shifted witnesses, and every
+        cell's bounds are bit for bit those of the row-wise oracle."""
+        for (d, ell), cells in direct_cells().items():
+            models, us = zip(*cells)
+            vp, vm, _, lam = siegmund_profiles(models, ell, us)
+            sets = np.arange(d) < np.arange(1, d + 1)[:, None]
+            for j, (model, u) in enumerate(cells):
+                betas = np.where(sets, vp[j, 1:, None], vm[j, 1:, None])
+                np.testing.assert_allclose(lam[j, 1:], model.cgf_rows(betas),
+                                           rtol=0, atol=1e-12)
+                witnesses = betas[1:] + betas[0]
+                explicit = model.cgf_rows(witnesses - betas[0]) <= CGF_TOL
+                np.testing.assert_array_equal(lam[j, 2:] <= CGF_TOL, explicit)
+                ref = v_lower_bounds(sets[1:], betas[0], witnesses,
+                                     SiegmundRule(ell, u), model)
+                got = direct_certificate([model], ell, [u]).vals[0]
+                assert got.tobytes() == ref.tobytes(), (d, ell, j)
+
+    def test_cells_must_share_one_dimension(self):
+        models = [exchangeable_mvnormal(3, -0.5, 0.0),
+                  exchangeable_mvnormal(4, -0.5, 0.0)]
+        with pytest.raises(ValueError, match="dimensions 3 and 4"):
+            direct_certificate(models, 1.0, [1.0, 1.0])
+        with pytest.raises(ValueError, match="dimensions 3 and 4"):
+            siegmund_profiles(models, 1.0, [1.0, 1.0])
 
 
 class TestGapBuilders:

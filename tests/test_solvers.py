@@ -32,7 +32,6 @@ from wrongexit import (
     solve_gap_quad,
     solve_si_s,
     solve_si_z,
-    v_lower_bounds,
 )
 from wrongexit.models import TiltDomainError, siegmund_root
 from wrongexit.regions import Region
@@ -47,6 +46,7 @@ from si_reference import (
     shifted_program,
     support_value,
     v_lower_bound,
+    v_lower_bounds,
 )
 
 LOG2 = math.log(2.0)
