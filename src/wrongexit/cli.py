@@ -317,8 +317,21 @@ def _out_dir(cfg, args) -> Path:
     return out
 
 
+def _strict(obj):
+    """``obj`` with each non-finite float spelled "inf", "-inf" or "nan",
+    as the CSVs spell it, since RFC 8259 JSON has no token for them."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _dump_json(obj, path: Path):
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_strict(obj), indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
 def _log(msg):

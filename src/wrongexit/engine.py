@@ -11,17 +11,24 @@ computed in log space.  Reference exits and truncated paths contribute
 zero, so the estimate stays unbiased for the wrong-exit probability (up to
 truncation, which is counted and must be zero for a clean run).
 
-Paths are simulated in batches of ``BATCH`` that advance in lockstep: a
-``(B, d)`` state moves forward in chunks of k steps, each chunk one
-``(k, B, d)`` block checked by the rule's vectorised stop test.  A path
-leaves the batch at its first stop.  The chunks grow with the steps the
-batch has walked (``FIRST_CHUNK``, ``FIRST_CHUNK``, then doubling), so a
-batch of short walks draws few rows past its stops, and a block holds at
-most ``CHUNK_VALUES`` values.  The weights of a batch's wrong exits come
-from vectorised logsumexps over blocks of at most ``CHUNK_VALUES`` log
-weights.  Exit sets are tallied as packed member masks (bytes) over the
-whole run and decoded to their ``A=...``/``reference`` keys once at the
-end, one decode per distinct set.
+Paths are simulated in batches of ``BATCH`` that advance in lockstep: the
+live paths' ``(B, d)`` states move forward in chunks of k steps, each chunk
+one ``(k, B, d)`` block of increments turned into running sums in place and
+checked by the rule's vectorised stop test.  The running sums are a row
+recurrence, one addition of row j - 1 into row j: numpy's axis-0 cumsum
+does the same additions in the same order but runs one strided loop per
+(path, coordinate) column, about 10x slower on these blocks.  A path leaves
+the batch at its first stop; the live paths' states and components are
+carried as compact arrays, and a path's stop state is written out only
+when it stops (a truncated one's once, after the last chunk).  The chunks
+grow with the steps the batch has walked (``FIRST_CHUNK``, ``FIRST_CHUNK``,
+then doubling), so a batch of short walks draws few rows past its stops.  A
+block holds at most ``CHUNK_VALUES`` values, or one step of the live paths
+when that holds more (at d > 64 a full batch walks one step per chunk).
+The weights of a batch's wrong exits come from vectorised logsumexps over
+blocks of at most ``CHUNK_VALUES`` log weights.  Exit sets are tallied as
+packed member masks (bytes) over the whole run and decoded to their
+``A=...``/``reference`` keys once at the end, one decode per distinct set.
 
 Reproducibility: batch i draws from one counter-based Philox stream keyed by
 (seed, i).  The batch size does not depend on the worker count and workers
@@ -179,6 +186,12 @@ def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
     paths * d)) steps (at least 1, at most the steps left to the cap): the
     chunks run 8, 8, 16, 32, ..., so the rows drawn past the paths' stops
     stay within about the steps they walked, and k grows as paths leave.
+    A block holds at most max(CHUNK_VALUES, live paths * d) values.  Its
+    running sums are formed in place row by row, the same additions in the
+    same order as ``np.cumsum(block, axis=0)``, so the bits are the same.
+    The live paths' states ride from chunk to chunk as a compact array,
+    which may be a view of the last block row because ``draw`` returns a
+    fresh block each call.
     """
     n_comp, d = thetas.shape
     comp = rng.integers(n_comp, size=n)
@@ -186,21 +199,29 @@ def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
     steps = np.full(n, max_steps)
     exit_sets = np.zeros((n, d), dtype=bool)
     live = np.arange(n)
+    cur = np.zeros((n, d))  # states of the live paths, in ``live`` order
     t = 0
     while live.size and t < max_steps:
         k = min(max_steps - t, max(1, CHUNK_VALUES // (live.size * d)),
                 max(FIRST_CHUNK, t))
-        block = draw(rng, comp[live], k)
-        block[0] += states[live]
-        np.cumsum(block, axis=0, out=block)
+        block = draw(rng, comp, k)
+        block[0] += cur
+        for j in range(1, k):
+            np.add(block[j - 1], block[j], out=block[j])
         first, sets = rule.exits(block, b)
         done = first >= 0
-        cols = np.arange(live.size)
-        states[live] = block[np.where(done, first, k - 1), cols]
-        steps[live[done]] = t + first[done] + 1
-        exit_sets[live[done]] = sets[done]
-        live = live[~done]
+        if done.any():
+            cols = np.flatnonzero(done)
+            states[live[cols]] = block[first[cols], cols]
+            steps[live[cols]] = t + first[cols] + 1
+            exit_sets[live[cols]] = sets[cols]
+            keep = ~done
+            live, comp = live[keep], comp[keep]
+            cur = block[k - 1, keep]
+        else:
+            cur = block[k - 1]  # a view: ``draw`` returns a fresh block
         t += k
+    states[live] = cur
     truncated = np.zeros(n, dtype=bool)
     truncated[live] = True
 

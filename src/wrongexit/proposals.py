@@ -106,6 +106,7 @@ class EfficiencyReport:
         self.lhs = float(self.lhs)
         self.rhs = float(self.rhs)
         self.r_star = float(self.r_star)
+        self.margins = {k: float(v) for k, v in dict(self.margins).items()}
 
     def as_dict(self) -> dict:
         return asdict(self)

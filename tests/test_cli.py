@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wrongexit.cli import ConfigError, build_model, build_rule, main
+from wrongexit.cli import (ConfigError, build_model, build_proposal,
+                           build_rule, main)
 from wrongexit.solvers import SolverError
 
 TINY_SIEGMUND = {
@@ -29,6 +30,15 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def strict_load(path):
+    """The JSON file at ``path``, refusing NaN, Infinity and -Infinity,
+    which RFC 8259 does not allow."""
+    def refuse(token):
+        raise ValueError(f"{path}: non-RFC 8259 token {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
 class TestConfigParsing:
@@ -275,6 +285,49 @@ class TestCommands:
         rep = json.loads((out / "tiny_oracle.json").read_text())
         assert abs(rep["z_score"]) <= 4.0
         assert rep["mixture"]["p_hat"] > 0
+
+    def test_zero_estimates_write_strict_json(self, tmp_path):
+        # plain Monte Carlo at b = 12 sees no wrong exit in 20 paths, so the
+        # run's rows and the oracle's plain side hold infinite values
+        cfg = {"name": "zero",
+               "model": {"family": "mvnormal", "dim": 3, "mean": -0.5,
+                         "rho": 0.0},
+               "problem": {"kind": "siegmund", "ell": 1.0, "u": 1.0},
+               "proposal": {"variant": "plain"},
+               "run": {"b_grid": [12.0], "n_paths": 20, "seed": 1},
+               "oracle": {"b": 6.0, "n_mixture": 20, "n_plain": 200,
+                          "seed": 1}}
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        row, = strict_load(out / "zero_run.json")["rows"]
+        assert row["p_hat"] == 0.0
+        assert row["neg_log10_p"] == row["rel_err"] == "inf"
+        csv_row = (out / "zero_scan.csv").read_text().splitlines()[1]
+        assert csv_row.split(",")[2:] == ["inf", "inf"]
+        assert main(["oracle", "--config", path, "--out", str(out)]) == 0
+        rep = strict_load(out / "zero_oracle.json")
+        assert rep["plain"]["p_hat"] == 0.0
+        assert rep["plain"]["relative_error"] == "inf"
+
+    def test_manifest_with_infinite_margins_reads_back(self, tmp_path):
+        # the direct condition fails at rho = 0.9 with margin m=6 at -inf
+        cfg = {"name": "inf",
+               "model": {"family": "mvnormal", "dim": 6, "mean": -0.5,
+                         "rho": 0.9},
+               "problem": {"kind": "siegmund", "ell": 1.0, "u": 1.0},
+               "proposal": {"variant": "theta0"}}
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        man = strict_load(out / "inf_proposal.json")
+        assert man["report"]["margins"]["m=6"] == "-inf"
+        model, rule = build_model(cfg["model"]), build_rule(cfg["problem"])
+        _, built = build_proposal(model, rule, cfg["proposal"])
+        _, read = build_proposal(model, rule, {
+            "manifest": str(out / "inf_proposal.json")})
+        assert read == built
+        assert read.margins["m=6"] == -math.inf
 
     def test_strict_mode_flags_truncation(self, tmp_path):
         cfg = dict(TINY_SIEGMUND)

@@ -21,6 +21,7 @@ from wrongexit import (
 )
 from wrongexit.engine import (
     BATCH,
+    CHUNK_VALUES,
     FIRST_CHUNK,
     RunConfig,
     _mixture_estimate,
@@ -91,6 +92,40 @@ def per_path_reference(calls, rule, b, thetas, lambdas):
             logw = thetas @ states[i] - steps[i] * lambdas
             values[i] = math.exp(math.log(len(thetas)) - logsumexp(logw))
     return values, steps, regions
+
+
+def cumsum_chunk_reference(draw, rule, b, max_steps, thetas, lambdas, rng,
+                           n):
+    """``simulate_batch`` with numpy's axis-0 cumsum for each chunk's running
+    sums and every live state scattered into ``states`` on every chunk."""
+    n_comp, d = thetas.shape
+    comp = rng.integers(n_comp, size=n)
+    states = np.zeros((n, d))
+    steps = np.full(n, max_steps)
+    exit_sets = np.zeros((n, d), dtype=bool)
+    live = np.arange(n)
+    t = 0
+    while live.size and t < max_steps:
+        k = min(max_steps - t, max(1, CHUNK_VALUES // (live.size * d)),
+                max(FIRST_CHUNK, t))
+        block = draw(rng, comp[live], k)
+        block[0] += states[live]
+        np.cumsum(block, axis=0, out=block)
+        first, sets = rule.exits(block, b)
+        done = first >= 0
+        cols = np.arange(live.size)
+        states[live] = block[np.where(done, first, k - 1), cols]
+        steps[live[done]] = t + first[done] + 1
+        exit_sets[live[done]] = sets[done]
+        live = live[~done]
+        t += k
+    truncated = np.zeros(n, dtype=bool)
+    truncated[live] = True
+    values = np.zeros(n)
+    rare = np.flatnonzero(rule.rare_mask(exit_sets) & ~truncated)
+    logw = states[rare] @ thetas.T - steps[rare, None] * lambdas
+    values[rare] = _mixture_estimate(n_comp, logw)
+    return values, states, steps, exit_sets, truncated
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -221,6 +256,67 @@ class TestChunks:
                     t += k
                 used += int(res.steps.sum())
             assert drawn / used <= 1.75, (config, prop.variant, drawn / used)
+
+
+def _recurrence_case(family, kind, d):
+    """(model, rule, b, thetas, lambdas) for one pin case: drifts that make
+    the rule stop within tens of steps, and a few random tilts in the
+    model's domain so that the live paths carry different components."""
+    gen = np.random.default_rng(d)
+    if kind == "siegmund":
+        rule, b = SiegmundRule(1.0, 1.5), 3.0
+        mean = np.full(d, -0.3)
+    elif kind == "gap":
+        rule, b = GapRule(2), 4.0
+        mean = np.where(np.arange(d) < 2, 0.2, -0.2)
+    else:
+        rule, b = SumIntersectionRule(2), 6.0
+        mean = np.where(np.arange(d) % 2 == 0, 0.4, -0.4)
+    if family == "mvnormal":
+        cov = 0.5 * np.eye(d) + 0.5
+        model = MvNormalModel(mean, cov)
+        thetas = 0.2 * gen.standard_normal((5, d))
+    else:
+        # shifted exponentials with mean m on even coordinates, normals on
+        # odd ones
+        model = IndependentModel([
+            ShiftedExponential(2.0, m - 0.5) if k % 2 == 0 else
+            Normal(m, 1.0) for k, m in enumerate(mean)])
+        thetas = gen.uniform(-0.3, 0.3, (5, d))
+    return model, rule, b, thetas, model.cgf_rows(thetas)
+
+
+class TestRowRecurrence:
+    @pytest.mark.parametrize("n, cap", [(BATCH, 10_000), (37, 10_000),
+                                        (BATCH, 20)])
+    @pytest.mark.parametrize("kind", ["siegmund", "gap", "sum_intersection"])
+    @pytest.mark.parametrize("family, d", [("mvnormal", 5),
+                                           ("independent", 6),
+                                           ("mvnormal", 100)])
+    def test_matches_cumsum_loop_bit_for_bit(self, family, d, kind, n, cap):
+        # at d=100 a chunk of 256 live paths is one step, so the recurrence
+        # adds no rows; a cap of 20 steps truncates paths mid-run, in the
+        # third chunk at d <= 6
+        model, rule, b, thetas, lambdas = _recurrence_case(family, kind, d)
+        draw = model.batch_sampler(thetas)
+        chunks = []
+
+        def rec(rng, comp, k):
+            chunks.append((k, comp.size))
+            return draw(rng, comp, k)
+
+        for i in range(2):
+            got = simulate_batch(rec, rule, b, cap, thetas, lambdas,
+                                 batch_rng(5, i), n)
+            want = cumsum_chunk_reference(draw, rule, b, cap, thetas,
+                                          lambdas, batch_rng(5, i), n)
+            for name, a, e in zip(got._fields, got, want):
+                assert a.dtype == e.dtype and a.shape == e.shape, name
+                assert a.tobytes() == e.tobytes(), (name, i)
+        assert got.truncated.any() == (cap == 20)
+        assert (~got.truncated).any()
+        assert all(k * live * d <= max(CHUNK_VALUES, live * d)
+                   for k, live in chunks)
 
 
 class TestPackedTally:
