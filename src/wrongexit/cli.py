@@ -132,8 +132,8 @@ def _positive(val, path: str, cast=float):
 
 
 def _seed(args, spec: dict, path: str) -> int:
-    """``--seed`` if given, else the config's ``seed``; a Philox key word,
-    0..2**64 - 2, as ``oracle`` also uses seed + 1."""
+    """``--seed`` if given, else the config's ``seed``; a ``SeedSequence``
+    word, 0..2**64 - 2, as ``oracle`` also uses seed + 1."""
     val, path = ((args.seed, "--seed") if args.seed is not None
                  else (_need(spec, "seed", path), f"{path}.seed"))
     seed = _number(val, path, int)

@@ -30,10 +30,11 @@ blocks of at most ``CHUNK_VALUES`` log weights.  Exit sets are tallied as
 packed member masks (bytes) over the whole run and decoded to their
 ``A=...``/``reference`` keys once at the end, one decode per distinct set.
 
-Reproducibility: batch i draws from one counter-based Philox stream keyed by
-(seed, i).  The batch size does not depend on the worker count and workers
-take whole batches, so results are bit-identical for a fixed seed no matter
-how many workers run them.
+Reproducibility: batch i draws from one SFC64 stream seeded by
+``SeedSequence([seed, i])``, whose hashing keeps the streams of
+neighbouring seeds and batches apart.  The batch size does not depend on
+the worker count and workers take whole batches, so results are
+bit-identical for a fixed seed no matter how many workers run them.
 """
 
 from __future__ import annotations
@@ -144,24 +145,10 @@ def default_max_steps(model: CgfModel, thetas: np.ndarray, b: float) -> int:
 
 
 def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
-    """Counter-based stream of one batch; never shared across batches."""
-    key = np.array([seed, batch_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _rekey(gen: np.random.Generator, seed: int,
-           batch_index: int) -> np.random.Generator:
-    """``gen``, a Philox Generator, set to the start of ``batch_rng(seed,
-    batch_index)``'s stream: its key, a zero counter, an empty buffer and no
-    cached 32-bit word.  It saves a Philox construction, which also reads
-    OS entropy that the key then overrides, per batch."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed, batch_index], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
-    return gen
+    """The stream of one batch, an SFC64 generator seeded by the hashed
+    key (seed, batch_index); never shared across batches."""
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence([seed, batch_index])))
 
 
 class BatchResult(NamedTuple):
@@ -241,14 +228,13 @@ def _simulate_batches(model, proposal, rule, b, max_steps, seed, n_paths,
     """Batches lo..hi-1 of an n_paths run: values, the tally of packed
     exit-set masks (bytes) and the truncation count."""
     draw = model.batch_sampler(proposal.thetas)
-    gen = batch_rng(seed, lo)
     values = []
     tally: Counter = Counter()
     truncated = 0
     for i in range(lo, hi):
         n = min(BATCH, n_paths - i * BATCH)
         res = simulate_batch(draw, rule, b, max_steps, proposal.thetas,
-                             proposal.lambdas, _rekey(gen, seed, i), n)
+                             proposal.lambdas, batch_rng(seed, i), n)
         values.append(res.values)
         truncated += int(res.truncated.sum())
         packed = np.packbits(res.exit_sets[~res.truncated], axis=1)

@@ -286,16 +286,33 @@ class TestCommands:
         assert abs(rep["z_score"]) <= 4.0
         assert rep["mixture"]["p_hat"] > 0
 
+    def test_oracle_runs_at_largest_seed(self, tmp_path):
+        # the plain side is keyed by seed + 1 = 2**64 - 1, the largest
+        # stream key
+        cfg = {**TINY_SIEGMUND, "oracle": {"b": 3.0, "n_mixture": 400,
+                                           "n_plain": 4000, "seed": 2}}
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", path, "--out", str(out),
+                     "--seed", "18446744073709551614"]) == 0
+        rep = strict_load(out / "tiny_oracle.json")
+        assert rep["mixture"]["seed"] == 2 ** 64 - 2
+        assert rep["plain"]["seed"] == 2 ** 64 - 1
+        assert rep["mixture"]["p_hat"] > 0 and rep["plain"]["n"] == 4000
+
     def test_zero_estimates_write_strict_json(self, tmp_path):
-        # plain Monte Carlo at b = 12 sees no wrong exit in 20 paths, so the
-        # run's rows and the oracle's plain side hold infinite values
+        # the wrong-exit probability at b = 18 is about 1e-8 (a 20k-path
+        # theta0 mixture estimate), so the run's 20 and the oracle's 200
+        # plain paths see no wrong exit, whatever the stream, with
+        # probability about 1 - 2e-6; the run's rows and the oracle's plain
+        # side then hold infinite values
         cfg = {"name": "zero",
                "model": {"family": "mvnormal", "dim": 3, "mean": -0.5,
                          "rho": 0.0},
                "problem": {"kind": "siegmund", "ell": 1.0, "u": 1.0},
                "proposal": {"variant": "plain"},
-               "run": {"b_grid": [12.0], "n_paths": 20, "seed": 1},
-               "oracle": {"b": 6.0, "n_mixture": 20, "n_plain": 200,
+               "run": {"b_grid": [18.0], "n_paths": 20, "seed": 1},
+               "oracle": {"b": 18.0, "n_mixture": 20, "n_plain": 200,
                           "seed": 1}}
         path = write_cfg(tmp_path, cfg)
         out = tmp_path / "o"
