@@ -20,8 +20,10 @@ of ``BENCHMARK.json`` with its median, quartiles (inclusive method) and
 runs in run order for each side, the pairs the change won, the change of
 the medians in percent, the summed ``attempted`` and ``failed`` counts,
 whether every run was correct and whether each pair printed one output
-digest; and the ``loc.*`` line counts of both sides as ``bench/run.py``
-groups them.  The file is rewritten after every pair.
+digest; the timed units of each side's runs (``bench/worker.py`` keeps
+every unit's outputs, so ``peak_rss_mb`` grows with them); and the
+``loc.*`` line counts of both sides as ``bench/run.py`` groups them.  The
+file is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ def _loc_metrics(trees: list) -> list:
 
 
 def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py`` run in ``tree``: its result line and digest."""
+    """One ``bench/run.py`` run in ``tree``: its result line, digest and
+    timed units."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
@@ -64,7 +67,9 @@ def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                            f"{proc.returncode}: {proc.stderr[-2000:]}")
     digest = next(ln.split(":", 1)[1].strip() for ln in lines
                   if ln.startswith("output digest:"))
-    return dict(json.loads(lines[-1]), digest=digest)
+    units = next(int(ln.split(":", 1)[1].split()[0]) for ln in lines
+                 if ln.startswith(f"workload {workload} seed {seed}:"))
+    return dict(json.loads(lines[-1]), digest=digest, units=units)
 
 
 def _spread(runs: list) -> dict:
@@ -103,8 +108,9 @@ def _summary(pairs: list, seeds: list, held_out: bool,
         out["held_out_seed"] = seeds[-1]
     out["digests_match"] = all(p[0]["digest"] == p[1]["digest"]
                                for p in pairs)
-    for side in ("parent", "change"):
+    for k, side in enumerate(("parent", "change")):
         out[side] = {name: _spread(v) for name, v in runs[side].items()}
+        out[side]["units"] = _spread([p[k]["units"] for p in pairs])
     return out
 
 
@@ -134,7 +140,9 @@ def main(argv=None) -> int:
         "runs first in each pair; one seed per pair. Each metric gives the "
         "median, the quartiles (inclusive method) and every run, in run "
         "order. loc.* are wc -l line counts of src/wrongexit/*.py, grouped "
-        "by module as bench/run.py groups them. held_out_seed is a seed not "
+        "by module as bench/run.py groups them. units are the timed units of "
+        "each run, whose outputs bench/worker.py keeps, so peak_rss_mb grows "
+        "with them. held_out_seed is a seed not "
         "used while the change was written. digests_match is true when each "
         "pair's two runs printed the same output digest.")
     record = {

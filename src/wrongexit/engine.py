@@ -11,29 +11,30 @@ computed in log space.  Reference exits and truncated paths contribute
 zero, so the estimate stays unbiased for the wrong-exit probability (up to
 truncation, which is counted and must be zero for a clean run).
 
-Paths are simulated in batches of ``BATCH`` that advance in lockstep: the
-live paths' ``(B, d)`` states move forward in chunks of k steps, each chunk
-one ``(k, B, d)`` block of increments turned into running sums in place and
-checked by the rule's vectorised stop test.  The running sums are a row
-recurrence, one addition of row j - 1 into row j: numpy's axis-0 cumsum
-does the same additions in the same order but runs one strided loop per
-(path, coordinate) column, about 10x slower on these blocks.  A path leaves
-the batch at its first stop; the live paths' states and components are
-carried as compact arrays, and a path's stop state is written out only
-when it stops (a truncated one's once, after the last chunk).  The chunks
-grow with the steps the batch has walked (``FIRST_CHUNK``, ``FIRST_CHUNK``,
-then doubling), so a batch of short walks draws few rows past its stops.  A
-block holds at most ``CHUNK_VALUES`` values, or one step of the live paths
-when that holds more (at d > 64 a full batch walks one step per chunk).
-The weights of a batch's wrong exits come from vectorised logsumexps over
-blocks of at most ``CHUNK_VALUES`` log weights.  Exit sets are tallied as
-packed member masks (bytes) over the whole run and decoded to their
-``A=...``/``reference`` keys once at the end, one decode per distinct set.
+Paths are simulated in batches of ``batch_paths(d)`` that advance in lockstep:
+256 paths, or 2048 // d at d < 8 so that a full first chunk fills one block.
+The live paths' ``(B, d)`` states move forward in chunks of k steps, each
+chunk one ``(k, B, d)`` block of increments turned into running sums in place
+and checked by the rule's vectorised stop test.  The running sums are a row
+recurrence, one addition of row j - 1 into row j: numpy's axis-0 cumsum does
+the same additions in the same order but runs one strided loop per (path,
+coordinate) column, about 10x slower on these blocks.  A path leaves the batch
+at its first stop; the live paths' states and components are carried as
+compact arrays, and a path's stop state is written out only when it stops (a
+truncated one's once, after the last chunk).  The chunks grow with the steps
+the batch has walked (``FIRST_CHUNK``, ``FIRST_CHUNK``, then doubling), so a
+batch of short walks draws few rows past its stops.  A block holds at most
+``CHUNK_VALUES`` values, or one step of the live paths when that holds more
+(at d > 64 a full batch walks one step per chunk).  The weights of a batch's
+wrong exits come from vectorised logsumexps over blocks of at most
+``CHUNK_VALUES`` log weights.  Exit sets are tallied as packed member masks
+(bytes) over the whole run and decoded to their ``A=...``/``reference`` keys
+once at the end, one decode per distinct set.
 
 Reproducibility: batch i draws from one SFC64 stream seeded by
 ``SeedSequence([seed, i])``, whose hashing keeps the streams of
-neighbouring seeds and batches apart.  The batch size does not depend on
-the worker count and workers take whole batches, so results are
+neighbouring seeds and batches apart.  The batch size depends on d alone,
+not on the worker count, and workers take whole batches, so results are
 bit-identical for a fixed seed no matter how many workers run them.
 """
 
@@ -56,6 +57,7 @@ __all__ = [
     "RunConfig",
     "EstimatorRun",
     "BatchResult",
+    "batch_paths",
     "batch_rng",
     "default_max_steps",
     "simulate_batch",
@@ -65,7 +67,7 @@ __all__ = [
 ]
 
 MIN_DRIFT_SCALE = 1e-3
-BATCH = 256  # paths per random stream, fixed so results ignore workers
+BATCH = 256  # fewest paths per random stream; see batch_paths
 CHUNK_VALUES = 1 << 14  # float64 values per sampled block or weight block
 FIRST_CHUNK = 8  # steps of a batch's first chunk; later ones <= steps walked
 
@@ -142,6 +144,13 @@ def default_max_steps(model: CgfModel, thetas: np.ndarray, b: float) -> int:
     drift = model.cgf_grad_rows(np.atleast_2d(thetas))
     scale = max(float(np.abs(drift).min()), MIN_DRIFT_SCALE)
     return max(64, int(math.ceil(50.0 * b / scale)))
+
+
+def batch_paths(d: int) -> int:
+    """Paths per batch at dimension d: max(BATCH, 2048 // d), so that a
+    full batch's first chunk fills one block.  A function of d alone, so
+    results ignore the worker count."""
+    return max(BATCH, CHUNK_VALUES // (FIRST_CHUNK * d))
 
 
 def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
@@ -231,8 +240,9 @@ def _simulate_batches(model, proposal, rule, b, max_steps, seed, n_paths,
     values = []
     tally: Counter = Counter()
     truncated = 0
+    size = batch_paths(model.dim)
     for i in range(lo, hi):
-        n = min(BATCH, n_paths - i * BATCH)
+        n = min(size, n_paths - i * size)
         res = simulate_batch(draw, rule, b, max_steps, proposal.thetas,
                              proposal.lambdas, batch_rng(seed, i), n)
         values.append(res.values)
@@ -265,7 +275,7 @@ def estimate_wrong_exit(model: CgfModel, proposal: MixtureProposal, rule,
     if max_steps is None:
         max_steps = default_max_steps(model, proposal.thetas, config.b)
     n = config.n_paths
-    n_batches = -(-n // BATCH)
+    n_batches = -(-n // batch_paths(model.dim))
     bounds = np.linspace(0, n_batches, config.workers + 1).astype(int)
     ranges = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])
               if lo < hi]

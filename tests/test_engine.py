@@ -25,6 +25,7 @@ from wrongexit.engine import (
     FIRST_CHUNK,
     RunConfig,
     _mixture_estimate,
+    batch_paths,
     batch_rng,
     decay_scan,
     default_max_steps,
@@ -282,6 +283,46 @@ def _recurrence_case(family, kind, d):
     return model, rule, b, thetas, model.cgf_rows(thetas)
 
 
+class TestBatchPaths:
+    @pytest.mark.parametrize("d", [8, 10, 20, 50, 400])
+    def test_high_dimensions_keep_the_base_batch(self, d):
+        assert batch_paths(d) == BATCH
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_first_chunk_of_a_full_batch_fills_one_block(self, d):
+        # one more path would overflow the block
+        first = batch_paths(d) * FIRST_CHUNK * d
+        assert CHUNK_VALUES - FIRST_CHUNK * d < first <= CHUNK_VALUES
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 20])
+    def test_blocks_stay_within_their_bound(self, d):
+        model, rule, b, thetas, lambdas = _recurrence_case("mvnormal",
+                                                           "siegmund", d)
+        calls = []
+        res = simulate_batch(recording_draw(model, thetas, calls), rule, b,
+                             10_000, thetas, lambdas, batch_rng(5, 0),
+                             batch_paths(d))
+        assert not res.truncated.any()
+        for comp, block in calls:
+            assert block.size <= max(CHUNK_VALUES, comp.size * d)
+        if d < 8:
+            assert calls[0][1].size > CHUNK_VALUES - FIRST_CHUNK * d
+
+    def test_worker_count_invariance_with_a_ragged_batch(self, monkeypatch):
+        # three batches at d = 2, the last one 37 paths; two workers split
+        # them one and two
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        model = siegmund_d2()
+        prop, _ = build_siegmund("theta1", model, 1.0, 1.0)
+        n_paths = 2 * batch_paths(2) + 37
+        runs = [estimate_wrong_exit(model, prop, RULE11,
+                                    RunConfig(b=3.0, n_paths=n_paths,
+                                              seed=8, workers=w))
+                for w in (1, 2, 3)]
+        one, two, three = (r.to_json_dict() for r in runs)
+        assert one == two == three and one["n"] == n_paths
+
+
 class TestRowRecurrence:
     @pytest.mark.parametrize("n, cap", [(BATCH, 10_000), (37, 10_000),
                                         (BATCH, 20)])
@@ -345,10 +386,11 @@ class TestPackedTally:
                                             max_steps=cap))
         draw = model.batch_sampler(prop.thetas)
         expect, truncated = Counter(), 0
-        for i in range(-(-n_paths // BATCH)):
+        size = batch_paths(d)
+        for i in range(-(-n_paths // size)):
             res = simulate_batch(draw, rule, b, cap, prop.thetas,
                                  prop.lambdas, batch_rng(seed, i),
-                                 min(BATCH, n_paths - i * BATCH))
+                                 min(size, n_paths - i * size))
             truncated += int(res.truncated.sum())
             expect.update(rule.region(mask).key for mask, t in
                           zip(res.exit_sets, res.truncated) if not t)
@@ -427,12 +469,13 @@ class TestEstimator:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         model = siegmund_d2()
         prop, _ = build_siegmund("theta1", model, 1.0, 1.0)
+        n_paths = batch_paths(2) // 2
         runs = [estimate_wrong_exit(model, prop, RULE11,
-                                    RunConfig(b=3.0, n_paths=BATCH // 2,
+                                    RunConfig(b=3.0, n_paths=n_paths,
                                               seed=4, workers=w))
                 for w in (1, 3)]
         one, three = (r.to_json_dict() for r in runs)
-        assert one == three and one["n"] == BATCH // 2
+        assert one == three and one["n"] == n_paths
 
     def test_chunk_reordering_stability(self):
         # pairwise summation keeps the moments stable to 1e-12 under
