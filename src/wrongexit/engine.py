@@ -1,11 +1,12 @@
 """Path simulation and the mixture importance-sampling estimator.
 
-One estimator realization: draw a tilt theta uniformly from the mixture,
-run the walk S_n = S_{n-1} + X_n with X_n ~ mu_theta until some region
-classifies, then (on a wrong exit through a rare region) invert the
-average likelihood ratio over *all* mixture components,
+One estimator realization: draw a tilt theta_j from the mixture with
+probability alpha_j (1 / |Theta| unless tuned, see below), run the walk
+S_n = S_{n-1} + X_n with X_n ~ mu_theta until some region classifies, then
+(on a wrong exit through a rare region) invert the mixture's likelihood
+ratio over *all* components,
 
-    estimate = |Theta| / sum_theta exp(theta . S_T - T Lambda(theta)),
+    estimate = 1 / sum_j alpha_j exp(theta_j . S_T - T Lambda(theta_j)),
 
 computed in log space.  Reference exits and truncated paths contribute
 zero, so the estimate stays unbiased for the wrong-exit probability (up to
@@ -31,11 +32,30 @@ wrong exits come from vectorised logsumexps over blocks of at most
 (bytes) over the whole run and decoded to their ``A=...``/``reference`` keys
 once at the end, one decode per distinct set.
 
+Mixture weights: a proposal with two distinct groups (``beta`` candidate
+tilts and auxiliary tilts, ``MixtureProposal.groups``) runs batch 0 as a
+pilot under uniform weights, in-process, and its paths count in the
+estimate.  The pilot picks the candidate share s that minimises its own
+estimate of the second moment under the weights ``share_weights(s)``,
+
+    M2(s) ~ sum_i Z_uniform,i Z_s,i,   Z_s = 1 / sum_j alpha_j(s) w_j,
+
+over its wrong exits (convex in s; He & Owen 2014).  The search runs over
+``SHARE_RANGE``, widened to take in the uniform share, so every weight stays
+at least min(0.05 / K_g, 1 / |Theta|), K_g its group's size, and the
+certificates still hold (defensive mixtures, Owen & Zhou 2000).  Batches
+1..n-1 draw components with those weights and weight a wrong exit by
+1 / sum_j alpha_j w_j.  A proposal with one group (or all of whose
+components are in both), a one-batch run and a pilot with no wrong exit
+keep the uniform draw and its arithmetic bit for bit; each run records its
+share and which case it was in ``weighting``.
+
 Reproducibility: batch i draws from one SFC64 stream seeded by
 ``SeedSequence([seed, i])``, whose hashing keeps the streams of
 neighbouring seeds and batches apart.  The batch size depends on d alone,
-not on the worker count, and workers take whole batches, so results are
-bit-identical for a fixed seed no matter how many workers run them.
+not on the worker count, the pilot runs before any batch is handed to a
+worker, and workers take whole batches, so results are bit-identical for a
+fixed seed no matter how many workers run them.
 """
 
 from __future__ import annotations
@@ -63,6 +83,7 @@ __all__ = [
     "simulate_batch",
     "estimate_wrong_exit",
     "plain_mc",
+    "pilot_share",
     "decay_scan",
 ]
 
@@ -70,6 +91,14 @@ MIN_DRIFT_SCALE = 1e-3
 BATCH = 256  # fewest paths per random stream; see batch_paths
 CHUNK_VALUES = 1 << 14  # float64 values per sampled block or weight block
 FIRST_CHUNK = 8  # steps of a batch's first chunk; later ones <= steps walked
+SHARE_RANGE = (0.05, 0.95)  # candidate shares searched, plus the uniform one
+SHARE_TOL = 1e-4  # width of the bisection bracket of the chosen share
+
+# ``weighting`` of a run: tuned by the pilot, or uniform and why
+PILOT = "pilot"
+ONE_GROUP = "uniform: one group"
+ONE_BATCH = "uniform: one batch"
+NO_WRONG_EXIT = "uniform: pilot saw no wrong exit"
 
 
 def _mixture_estimate(n_comp: int, logw: np.ndarray) -> np.ndarray:
@@ -123,6 +152,8 @@ class EstimatorRun:
     truncation_count: int
     b: float
     seed: int
+    candidate_share: float
+    weighting: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,6 +166,8 @@ class EstimatorRun:
             "relative_error": self.relative_error,
             "exit_tally": dict(sorted(self.exit_tally.items())),
             "truncation_count": self.truncation_count,
+            "candidate_share": self.candidate_share,
+            "weighting": self.weighting,
         }
 
 
@@ -171,10 +204,12 @@ class BatchResult(NamedTuple):
 
 
 def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
-                   lambdas: np.ndarray, rng: np.random.Generator,
-                   n: int) -> BatchResult:
-    """Run n paths in lockstep, each under a component drawn uniformly from
-    ``thetas``, until each stops or reaches ``max_steps``.
+                   lambdas: np.ndarray, rng: np.random.Generator, n: int,
+                   weights: Optional[np.ndarray] = None) -> BatchResult:
+    """Run n paths in lockstep, each under a component of ``thetas`` drawn
+    uniformly (``weights`` None) or with probabilities ``weights``, until
+    each stops or reaches ``max_steps``.  A wrong exit's value is
+    1 / sum_j alpha_j w_j, alpha_j = 1/K when uniform.
 
     ``draw(rng, comp, k)`` returns the next k increments of the paths with
     components ``comp`` as a (k, len(comp), d) block.  After t steps the
@@ -190,7 +225,10 @@ def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
     fresh block each call.
     """
     n_comp, d = thetas.shape
-    comp = rng.integers(n_comp, size=n)
+    if weights is None:
+        comp = rng.integers(n_comp, size=n)
+    else:
+        comp = rng.choice(n_comp, size=n, p=weights)
     states = np.zeros((n, d))
     steps = np.full(n, max_steps)
     exit_sets = np.zeros((n, d), dtype=bool)
@@ -228,28 +266,95 @@ def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
         idx = rare[lo:lo + rows]
         logw = states[idx] @ thetas.T
         logw -= steps[idx, None] * lambdas
+        if weights is not None:
+            logw += np.log(n_comp * weights)
         values[idx] = _mixture_estimate(n_comp, logw)
     return BatchResult(values, states, steps, exit_sets, truncated)
 
 
-def _simulate_batches(model, proposal, rule, b, max_steps, seed, n_paths,
-                      lo, hi):
-    """Batches lo..hi-1 of an n_paths run: values, the tally of packed
-    exit-set masks (bytes) and the truncation count."""
-    draw = model.batch_sampler(proposal.thetas)
+def pilot_share(logw: np.ndarray, beta: np.ndarray, aux: np.ndarray
+                ) -> float:
+    """The candidate share s that minimises the pilot's second-moment
+    estimate sum_i Z_uniform,i Z_s,i, where row i of ``logw`` holds the log
+    weights log w_ij of wrong exit i under every component and ``beta`` and
+    ``aux`` are the group masks.  With a_i and c_i the group means of w_ij,
+    Z_s,i = 1 / (s a_i + (1 - s) c_i), so the objective is convex in s; its
+    derivative is bisected over ``SHARE_RANGE`` widened to the uniform
+    share, to within ``SHARE_TOL``."""
+    top = logw.max(axis=1, keepdims=True)
+    w = np.exp(logw - top)
+    a = w @ (beta / beta.sum())
+    c = w @ (aux / aux.sum())
+    # Z_uniform,i Z_s,i = K exp(-2 top_i) / (sum_j w_ij (s a_i + (1-s) c_i)),
+    # scaled by a positive constant, which leaves the minimiser alone
+    g = -2.0 * top[:, 0] - np.log(w.sum(axis=1))
+    e = np.exp(g - g.max())
+
+    def slope(s):
+        return -np.sum(e * (a - c) / (s * a + (1.0 - s) * c) ** 2)
+
+    uniform = beta.sum() / (beta.sum() + aux.sum())
+    lo, hi = min(SHARE_RANGE[0], uniform), max(SHARE_RANGE[1], uniform)
+    if slope(lo) >= 0.0:
+        return float(lo)
+    if slope(hi) <= 0.0:
+        return float(hi)
+    while hi - lo > SHARE_TOL:
+        mid = 0.5 * (lo + hi)
+        if slope(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return float(0.5 * (lo + hi))
+
+
+def _tally(results):
+    """Values, the tally of packed exit-set masks (bytes) and the
+    truncation count of an iterable of batch results, read one at a time."""
     values = []
     tally: Counter = Counter()
     truncated = 0
-    size = batch_paths(model.dim)
-    for i in range(lo, hi):
-        n = min(size, n_paths - i * size)
-        res = simulate_batch(draw, rule, b, max_steps, proposal.thetas,
-                             proposal.lambdas, batch_rng(seed, i), n)
+    for res in results:
         values.append(res.values)
         truncated += int(res.truncated.sum())
         packed = np.packbits(res.exit_sets[~res.truncated], axis=1)
         tally.update(packed.view(f"V{packed.shape[1]}").ravel().tolist())
     return np.concatenate(values), tally, truncated
+
+
+def _simulate_batches(model, proposal, rule, b, max_steps, seed, n_paths,
+                      lo, hi, weights=None):
+    """Batches lo..hi-1 of an n_paths run, as ``_tally`` sums them."""
+    draw = model.batch_sampler(proposal.thetas)
+    size = batch_paths(model.dim)
+    return _tally(simulate_batch(draw, rule, b, max_steps, proposal.thetas,
+                                 proposal.lambdas, batch_rng(seed, i),
+                                 min(size, n_paths - i * size), weights)
+                  for i in range(lo, hi))
+
+
+def _pilot(model, proposal, rule, b, max_steps, seed, n_paths):
+    """The weighting of a run: (weights or None, candidate share, the
+    ``weighting`` string, the pilot's ``_tally`` or None).  Runs batch 0
+    as the pilot when the proposal has two distinct groups and the run
+    more than one batch."""
+    beta, aux = proposal.groups
+    share = float(beta.sum() / (beta.sum() + aux.sum()))
+    if not (beta.any() and aux.any()) or (beta & aux).all():
+        return None, share, ONE_GROUP, None
+    size = batch_paths(model.dim)
+    if n_paths <= size:
+        return None, share, ONE_BATCH, None
+    thetas, lambdas = proposal.thetas, proposal.lambdas
+    res = simulate_batch(model.batch_sampler(thetas), rule, b, max_steps,
+                         thetas, lambdas, batch_rng(seed, 0), size)
+    out = _tally([res])
+    rare = np.flatnonzero(rule.rare_mask(res.exit_sets) & ~res.truncated)
+    if not rare.size:
+        return None, share, NO_WRONG_EXIT, out
+    logw = res.states[rare] @ thetas.T - res.steps[rare, None] * lambdas
+    share = pilot_share(logw, beta, aux)
+    return proposal.share_weights(share), share, PILOT, out
 
 
 def _decode_tally(tally: Counter, rule, d: int) -> Counter:
@@ -275,20 +380,23 @@ def estimate_wrong_exit(model: CgfModel, proposal: MixtureProposal, rule,
     if max_steps is None:
         max_steps = default_max_steps(model, proposal.thetas, config.b)
     n = config.n_paths
+    args = (model, proposal, rule, config.b, max_steps, config.seed, n)
+    weights, share, weighting, pilot = _pilot(*args)
+    outs = [] if pilot is None else [pilot]
+    first = len(outs)
     n_batches = -(-n // batch_paths(model.dim))
-    bounds = np.linspace(0, n_batches, config.workers + 1).astype(int)
+    bounds = np.linspace(first, n_batches, config.workers + 1).astype(int)
     ranges = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])
               if lo < hi]
-    args = (model, proposal, rule, config.b, max_steps, config.seed, n)
     if len(ranges) == 1:
-        outs = [_simulate_batches(*args, *ranges[0])]
+        outs.append(_simulate_batches(*args, *ranges[0], weights))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            futures = [pool.submit(_simulate_batches, *args, lo, hi)
+            futures = [pool.submit(_simulate_batches, *args, lo, hi, weights)
                        for lo, hi in ranges]
-            outs = [f.result() for f in futures]
+            outs += [f.result() for f in futures]
     # merge in batch order so the statistics are worker-count invariant
     values = np.concatenate([o[0] for o in outs])
     tally: Counter = Counter()
@@ -296,10 +404,11 @@ def estimate_wrong_exit(model: CgfModel, proposal: MixtureProposal, rule,
         tally.update(t)
     truncated = sum(o[2] for o in outs)
     return _finalize(values, _decode_tally(tally, rule, model.dim),
-                     truncated, config)
+                     truncated, config, share, weighting)
 
 
-def _finalize(values, tally, truncated, config) -> EstimatorRun:
+def _finalize(values, tally, truncated, config, share,
+              weighting) -> EstimatorRun:
     n = values.size
     mean = float(np.mean(values))
     second = float(np.mean(values ** 2))
@@ -319,6 +428,8 @@ def _finalize(values, tally, truncated, config) -> EstimatorRun:
         truncation_count=truncated,
         b=config.b,
         seed=config.seed,
+        candidate_share=share,
+        weighting=weighting,
     )
 
 
@@ -350,5 +461,8 @@ def decay_scan(model: CgfModel, proposal: MixtureProposal, rule,
             "std_error": run.std_error,
             "truncation_count": run.truncation_count,
             "exit_tally": run.exit_tally,
+            "second_moment": run.second_moment,
+            "candidate_share": run.candidate_share,
+            "weighting": run.weighting,
         })
     return rows

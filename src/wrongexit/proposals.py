@@ -1,12 +1,13 @@
 """Mixture-proposal assembly and sufficient-condition checks.
 
-A proposal is a finite set of tilt vectors Theta sampled uniformly by the
-engine.  The builders put in Theta the optimal tilts of the candidate rare
-regions (singletons for the two-barrier problem, single swaps for the gap
-rule, size-L sets for the sum-intersection rule) plus auxiliary tilts that
-control the estimator variance over all remaining regions at once, and
-report whether the corresponding sufficient condition for asymptotic
-efficiency holds:
+A proposal is a finite set of tilt vectors Theta, which the engine samples
+uniformly or with a tuned share for each of its two groups
+(``MixtureProposal.groups``).  The builders put in Theta the optimal tilts
+of the candidate rare regions (singletons for the two-barrier problem,
+single swaps for the gap rule, size-L sets for the sum-intersection rule)
+plus auxiliary tilts that control the estimator variance over all remaining
+regions at once, and report whether the corresponding sufficient condition
+for asymptotic efficiency holds:
 
     (H1)   min_{k != k'} (u z_k + s_{k,k'})        >= 2 min_k r_{k}
     (H2)   min_{k != k'}  2 s_{k,k'}               >= 2 min_k r_{k}
@@ -37,6 +38,7 @@ reads the builder's solves instead of repeating them.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import combinations, islice
 import math
 from typing import Optional, Tuple
@@ -144,6 +146,25 @@ class MixtureProposal:
     @property
     def dim(self) -> int:
         return self.thetas.shape[1]
+
+    @cached_property
+    def groups(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Masks of the components in the candidate group (the optimal
+        tilts, labelled ``beta[...]``) and in the auxiliary group (every
+        other label).  A component merged across the groups is in both."""
+        parts = [label.split("=") for label in self.provenance]
+        return (np.array([any(p.startswith("beta[") for p in ps)
+                          for ps in parts]),
+                np.array([not all(p.startswith("beta[") for p in ps)
+                          for ps in parts]))
+
+    def share_weights(self, s: float) -> np.ndarray:
+        """Component weights alpha_j(s) = s [j in beta] / K_beta +
+        (1 - s) [j in aux] / K_aux, which give the candidate group the share
+        s of the draws; a component in both groups gets the sum.  Needs
+        both groups nonempty."""
+        beta, aux = self.groups
+        return s * beta / beta.sum() + (1.0 - s) * aux / aux.sum()
 
     def to_manifest(self, report: Optional[EfficiencyReport] = None,
                     solutions: Optional[list] = None) -> dict:

@@ -23,6 +23,12 @@ from wrongexit.engine import (
     BATCH,
     CHUNK_VALUES,
     FIRST_CHUNK,
+    NO_WRONG_EXIT,
+    ONE_BATCH,
+    ONE_GROUP,
+    PILOT,
+    SHARE_RANGE,
+    SHARE_TOL,
     RunConfig,
     _mixture_estimate,
     batch_paths,
@@ -30,6 +36,7 @@ from wrongexit.engine import (
     decay_scan,
     default_max_steps,
     estimate_wrong_exit,
+    pilot_share,
     plain_mc,
     simulate_batch,
 )
@@ -244,7 +251,8 @@ class TestChunks:
                     return draw(rng, comp, k)
 
                 res = simulate_batch(rec, rule, b, ms, prop.thetas,
-                                     prop.lambdas, batch_rng(17, i), BATCH)
+                                     prop.lambdas, batch_rng(17, i),
+                                     batch_paths(model.dim))
                 assert not res.truncated.any()
                 t = 0
                 for k, live in chunks:
@@ -613,3 +621,193 @@ class TestDecayScan:
         rows = decay_scan(model, prop, RULE11, [3.0, 5.0, 7.0], 4000, 13)
         logs = [-math.log(r["p_hat"]) for r in rows]
         assert logs[0] < logs[1] < logs[2]
+
+
+def si_two_groups():
+    """SI d=3, rho=0.1, L=2: three beta and three si_z tilts, all distinct."""
+    model = exchangeable_mvnormal(3, -0.5, 0.1)
+    return model, build_sum_intersection(model, 2)[0], SumIntersectionRule(2)
+
+
+def theta2_two_groups():
+    """Siegmund theta2 d=3: three beta and three gamma_pair tilts."""
+    model = exchangeable_mvnormal(3, -0.5, 0.2)
+    return (model, build_siegmund("theta2", model, 1.0, 1.0)[0],
+            SiegmundRule(1.0, 1.0))
+
+
+def batchwise(model, prop, rule, cfg, weights=None, first=0):
+    """Values and exit tally of batches first.. of the run ``cfg``, each
+    drawn by ``simulate_batch`` with ``weights``: the engine's uniform path
+    when ``weights`` is None."""
+    ms = cfg.max_steps or default_max_steps(model, prop.thetas, cfg.b)
+    draw = model.batch_sampler(prop.thetas)
+    size = batch_paths(model.dim)
+    values, tally = [], Counter()
+    for i in range(first, -(-cfg.n_paths // size)):
+        res = simulate_batch(draw, rule, cfg.b, ms, prop.thetas,
+                             prop.lambdas, batch_rng(cfg.seed, i),
+                             min(size, cfg.n_paths - i * size), weights)
+        values.append(res.values)
+        tally.update(rule.region(mask).key for mask, t in
+                     zip(res.exit_sets, res.truncated) if not t)
+    return np.concatenate(values), dict(tally)
+
+
+def pilot_objective(model, prop, rule, cfg, shares):
+    """sum_i Z_uniform,i Z_s,i over the pilot's wrong exits at each share,
+    from scipy's logsumexp over the weights ``share_weights(s)``."""
+    ms = default_max_steps(model, prop.thetas, cfg.b)
+    res = simulate_batch(model.batch_sampler(prop.thetas), rule, cfg.b, ms,
+                         prop.thetas, prop.lambdas, batch_rng(cfg.seed, 0),
+                         batch_paths(model.dim))
+    rare = rule.rare_mask(res.exit_sets) & ~res.truncated
+    logw = (res.states[rare] @ prop.thetas.T
+            - res.steps[rare, None] * prop.lambdas)
+    return np.array([np.sum(res.values[rare] * np.exp(-logsumexp(
+        logw + np.log(prop.share_weights(s)), axis=1))) for s in shares])
+
+
+class TestWeightedMixtures:
+    def test_groups_and_share_weights(self):
+        _, prop, _ = si_two_groups()
+        beta, aux = prop.groups
+        assert beta.tolist() == [True] * 3 + [False] * 3
+        assert (aux == ~beta).all()
+        w = prop.share_weights(0.9)
+        np.testing.assert_allclose(w, [0.3] * 3 + [0.1 / 3] * 3, rtol=1e-15)
+        # a component merged across the groups gets the sum of its weights
+        merged = MixtureProposal(np.array([[0.1, 0.0], [0.1, 0.0],
+                                           [0.0, 0.1]]), np.zeros(3),
+                                 ["beta[{0}]", "gamma[0]", "gamma[1]"],
+                                 {"kind": "siegmund"})
+        beta, aux = merged.groups
+        assert beta.tolist() == [True, False] and aux.tolist() == [True, True]
+        np.testing.assert_allclose(merged.share_weights(0.8), [0.9, 0.1])
+
+    @pytest.mark.parametrize("problem, b", [(si_two_groups, 4.5),
+                                            (theta2_two_groups, 4.0)])
+    def test_unbiased_against_plain_mc(self, problem, b):
+        # fixed shares from MixtureProposal weights and the pilot-tuned run,
+        # each within 3 SE of 1e6-path plain Monte Carlo
+        model, prop, rule = problem()
+        plain = plain_mc(model, rule,
+                         RunConfig(b=b, n_paths=1_000_000, seed=43))
+        assert 1e-3 <= plain.mean <= 2e-2 and plain.truncation_count == 0
+        cfg = RunConfig(b=b, n_paths=10_000, seed=44)
+        estimates = []
+        for s in (0.05, 0.5, 0.95):
+            values, _ = batchwise(model, prop, rule, cfg,
+                                  prop.share_weights(s))
+            estimates.append((s, values.mean(),
+                              values.std(ddof=1) / math.sqrt(values.size)))
+        run = estimate_wrong_exit(model, prop, rule, cfg)
+        assert run.weighting == PILOT and run.truncation_count == 0
+        estimates.append((run.candidate_share, run.mean, run.std_error))
+        for s, mean, se in estimates:
+            z = (mean - plain.mean) / math.hypot(se, plain.std_error)
+            assert abs(z) <= 3.0, (rule.kind, s, mean, plain.mean, z)
+
+    def test_worker_count_byte_identity_when_tuned(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        model, prop, rule = si_two_groups()
+        runs = [estimate_wrong_exit(model, prop, rule,
+                                    RunConfig(b=4.0, n_paths=4 * batch_paths(3)
+                                              + 37, seed=10, workers=w))
+                for w in (1, 3)]
+        one, three = runs
+        assert one.weighting == PILOT
+        assert one.mean == three.mean
+        assert one.exit_tally == three.exit_tally
+        assert one.candidate_share == three.candidate_share
+        assert one.to_json_dict() == three.to_json_dict()
+
+    @pytest.mark.parametrize("case", ["beta only", "all merged", "one batch",
+                                      "pilot saw no wrong exit"])
+    def test_skip_cases_keep_the_uniform_path(self, case):
+        size = batch_paths(3)
+        if case == "beta only":
+            model = exchangeable_mvnormal(3, -0.5, 0.2)
+            prop = build_siegmund("theta0", model, 1.0, 1.0)[0]
+            rule, cfg, reason = RULE11, RunConfig(4.0, 3 * size, 5), ONE_GROUP
+        elif case == "all merged":
+            # at rho = 0 every beta tilt equals its si_z tilt
+            model = exchangeable_mvnormal(3, -0.5, 0.0)
+            prop = build_sum_intersection(model, 2)[0]
+            rule, reason = SumIntersectionRule(2), ONE_GROUP
+            cfg = RunConfig(4.0, 3 * size, 5)
+        elif case == "one batch":
+            model, prop, rule = si_two_groups()
+            cfg, reason = RunConfig(4.0, size, 5), ONE_BATCH
+        else:
+            # a rare wrong exit: batch 0 sees none, later batches see some
+            model = siegmund_d2()
+            th = np.array([[0.0, 0.0], [0.2, 0.2]])
+            prop = MixtureProposal(th, model.cgf_rows(th),
+                                   ["beta[{0}]", "drift"],
+                                   {"kind": "siegmund"})
+            rule, reason = RULE11, NO_WRONG_EXIT
+            cfg = RunConfig(11.0, 8 * batch_paths(2), 0)
+        beta, aux = prop.groups
+        run = estimate_wrong_exit(model, prop, rule, cfg)
+        values, tally = batchwise(model, prop, rule, cfg)
+        assert run.weighting == reason
+        assert run.candidate_share == beta.sum() / (beta.sum() + aux.sum())
+        assert run.mean == np.mean(values)
+        assert run.second_moment == np.mean(values ** 2)
+        assert run.exit_tally == tally
+        if case == "pilot saw no wrong exit":
+            assert 0 < run.mean and sum(run.exit_tally.values()) == cfg.n_paths
+            assert len(run.exit_tally) > 1
+
+    def test_pilot_share_is_the_grid_minimum(self):
+        # the engine's share minimises the pilot objective over a grid, and
+        # the run is the pilot batch plus batches drawn at that share
+        model, prop, rule = si_two_groups()
+        cfg = RunConfig(b=4.0, n_paths=3 * batch_paths(3), seed=12)
+        run = estimate_wrong_exit(model, prop, rule, cfg)
+        assert run.weighting == PILOT
+        grid = np.linspace(*SHARE_RANGE, 451)
+        best = grid[np.argmin(pilot_objective(model, prop, rule, cfg, grid))]
+        assert abs(run.candidate_share - best) <= SHARE_TOL + 2e-3
+        pilot, _ = batchwise(model, prop, rule,
+                             RunConfig(cfg.b, batch_paths(3), cfg.seed))
+        rest, _ = batchwise(model, prop, rule, cfg,
+                            prop.share_weights(run.candidate_share), first=1)
+        values = np.concatenate([pilot, rest])
+        assert run.mean == np.mean(values)
+        assert run.second_moment == np.mean(values ** 2)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_interior_minimum_matches_a_grid(self, seed):
+        # random log weights whose optimum may lie inside the range or at
+        # either end, with a uniform share outside [0.05, 0.95]
+        rng = np.random.default_rng(seed)
+        beta = np.array([True] + [False] * 24)
+        aux = ~beta
+        logw = rng.normal(scale=2.0, size=(300, 25))
+        logw[:, 0] += rng.normal(scale=3.0) - 3.0 * seed
+        share = pilot_share(logw, beta, aux)
+        lo, hi = min(SHARE_RANGE[0], 1 / 25), SHARE_RANGE[1]
+        grid = np.linspace(lo, hi, 2_001)
+        top = logw.max(axis=1, keepdims=True)
+        w = np.exp(logw - top)
+        z_uniform = 25 / w.sum(axis=1)
+        z = 1 / (grid[:, None] * w[:, 0] + (1 - grid[:, None])
+                 * w[:, 1:].mean(axis=1))
+        best = grid[np.argmin((z * z_uniform * np.exp(-2 * top[:, 0])).sum(
+            axis=1))]
+        assert lo <= share <= hi
+        assert abs(share - best) <= SHARE_TOL + (hi - lo) / 2_000
+
+    def test_scan_rows_carry_second_moment_and_weighting(self):
+        model, prop, rule = si_two_groups()
+        n = 2 * batch_paths(3)
+        rows = decay_scan(model, prop, rule, [3.0, 4.0], n, 7)
+        for row in rows:
+            run = estimate_wrong_exit(model, prop, rule,
+                                      RunConfig(b=row["b"], n_paths=n,
+                                                seed=7))
+            assert row["second_moment"] == run.second_moment
+            assert row["candidate_share"] == run.candidate_share
+            assert row["weighting"] == run.weighting == PILOT
