@@ -14,12 +14,12 @@ import math
 from wrongexit import (
     SiegmundRule,
     exchangeable_mvnormal,
-    solve_beta,
-    solve_gamma_pair,
     solve_gamma_single,
 )
+from wrongexit.active_set import block_solve
 from wrongexit.engine import RunConfig, estimate_wrong_exit
 from wrongexit.proposals import build_siegmund, check_direct_siegmund_homogeneous
+from wrongexit.solvers import beta_program, gamma_pair_program
 
 D = 20
 RHO = 0.2
@@ -32,9 +32,10 @@ def main():
     print(f"{'rho':>5} {'r':>9} {'u z_k':>7} {'s_kk':>9} {'H1?':>4} {'H2?':>4}")
     for rho in (0.0, 0.2, 0.45, 0.46, 0.54, 0.55):
         model = exchangeable_mvnormal(50, -0.5, rho)
-        r = solve_beta([0], rule, model).value
+        r, s = (sol.value for sol in block_solve([
+            beta_program([0], rule, model),
+            gamma_pair_program(0, 1, rule, model)]))
         uz = solve_gamma_single(0, rule, model).value
-        s = solve_gamma_pair(0, 1, rule, model).value
         h1 = uz + s >= 2 * r
         h2 = 2 * s >= 2 * r
         print(f"{rho:5.2f} {r:9.5f} {uz:7.3f} {s:9.5f} {str(h1):>4} {str(h2):>4}")

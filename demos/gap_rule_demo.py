@@ -17,12 +17,11 @@ from wrongexit import (
     IndependentModel,
     MvNormalModel,
     Normal,
-    solve_beta,
-    solve_gap_pair,
-    solve_gap_quad,
 )
+from wrongexit.active_set import block_solve
 from wrongexit.engine import RunConfig, estimate_wrong_exit, plain_mc
 from wrongexit.proposals import build_gap
+from wrongexit.solvers import beta_program, gap_pair_program, gap_quad_program
 
 
 def main():
@@ -32,9 +31,11 @@ def main():
     for v in (0.5, 1.0, 2.0):
         comps = [Normal(0.5, 1.0)] * m + [Normal(-0.5, v)] * (d - m)
         model = IndependentModel(comps)
-        zt = solve_gap_pair(0, m, rule, model).value
-        st = solve_gap_quad(0, 1, m, m + 1, rule, model).value
-        rA = solve_beta(sorted(set(range(m)) - {0} | {m}), rule, model).value
+        swap = sorted(set(range(m)) - {0} | {m})
+        zt, st, rA = (sol.value for sol in block_solve([
+            gap_pair_program(0, m, rule, model),
+            gap_quad_program(0, 1, m, m + 1, rule, model),
+            beta_program(swap, rule, model)]))
         print(f"  var = {v:3.1f}: z~ = {zt:.4f} (= 2/(1+v)), "
               f"s~ = {st:.4f} (= 4/(1+v)), swap rate r_A = {rA:.4f}")
     print()

@@ -14,12 +14,11 @@ from wrongexit import (
     SumIntersectionRule,
     exchangeable_mvnormal,
     rearrangement_min,
-    solve_beta,
-    solve_si_s,
-    solve_si_z,
 )
+from wrongexit.active_set import block_solve
 from wrongexit.engine import RunConfig, estimate_wrong_exit, plain_mc
 from wrongexit.proposals import build_sum_intersection
+from wrongexit.solvers import beta_program, si_s_program, si_z_program
 
 
 def main():
@@ -28,9 +27,10 @@ def main():
     rule = SumIntersectionRule(L)
     for rho in (0.0, 0.1, 0.23, 0.24):
         model = exchangeable_mvnormal(50, -0.5, rho)
-        z = solve_si_z(range(L), rule, model).value
-        s = solve_si_s(range(L + 1), rule, model).value
-        r = solve_beta(range(L), rule, model).value
+        z, s, r = (sol.value for sol in block_solve([
+            si_z_program(range(L), rule, model),
+            si_s_program(range(L + 1), rule, model),
+            beta_program(range(L), rule, model)]))
         ok = z + s >= 2 * r
         print(f"  rho = {rho:4.2f}: z_A = {z:.4f} "
               f"(= 1/(rho L + 1 - rho)), s_B = {s:.4f}, r_A = {r:.4f}, "

@@ -22,14 +22,7 @@ from .solvers import (
     SolverError,
     TiltSolution,
     homogeneous_profile,
-    siegmund_profile,
-    solve_beta,
-    solve_gamma_pair,
     solve_gamma_single,
-    solve_gap_pair,
-    solve_gap_quad,
-    solve_si_s,
-    solve_si_z,
 )
 
 __version__ = "0.1.0"

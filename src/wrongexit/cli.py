@@ -261,6 +261,11 @@ def build_proposal(model, rule, prop_spec: dict, path: str = "proposal",
                     f" but the config has {key} = {want!r}")
         for key in ("thetas", "lambdas", "provenance"):
             _need(man, key, where)
+        labels = man["provenance"]
+        if not (isinstance(labels, list)
+                and all(isinstance(p, str) for p in labels)):
+            raise ConfigError(f"{where}.provenance: {labels!r} is not a list "
+                              "of strings, one per row of thetas")
         try:
             prop = MixtureProposal.from_manifest(man)
             prop.check_lambdas(model)

@@ -373,7 +373,8 @@ class _Separable(_Stack, NamedTuple("_SeparableFields", [
                 step = step[:, :, 0]
                 good[act[~solved]] = live[act[~solved]] = False
                 norm = np.sqrt(_dot(res, res))
-                alpha = np.ones(act.size)
+                # a non-finite step (near-singular jac) has no decrease left
+                alpha = np.where(np.isfinite(step).all(axis=1), 1.0, 0.0)
                 search, found = solved.copy(), np.zeros(act.size, bool)
                 while True:
                     sel = np.flatnonzero(search & (alpha > 1e-12))

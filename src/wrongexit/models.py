@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -174,18 +174,11 @@ def siegmund_root(component: ScalarFamily) -> float:
 
 class _TiltedSampling:
     """Shared by the models: each model supplies ``cgf_grad_rows`` and
-    ``batch_sampler``, and the single-tilt gradient and sampling are their
+    ``batch_sampler``, and the single-tilt gradient and sampler are their
     one-row cases."""
 
     def cgf_grad(self, theta) -> np.ndarray:
         return self.cgf_grad_rows([theta])[0]
-
-    def sample(self, theta, rng: np.random.Generator, size: Optional[int] = None):
-        """Draws from the tilted law mu_theta."""
-        theta = _check_dim(theta, self.dim)
-        draw = self.tilted_sampler(theta)
-        out = draw(rng, 1 if size is None else size)
-        return out[0] if size is None else out
 
     def tilted_sampler(self, theta):
         """Closure drawing (k, d) blocks from the tilted law; the tilt

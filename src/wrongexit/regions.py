@@ -16,8 +16,8 @@ rules are supported:
 
 Each rule states its stopping test once, over states of any leading shape.
 The engine applies it to ``(k, B, d)`` blocks of B paths over k steps and
-keeps the exit sets as boolean member masks; ``first_hit`` and
-``classify`` are the one-path cases of the same test.
+keeps the exit sets as boolean member masks; ``first_hit`` is the
+one-path case of the same test.
 
 The support value
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class _StoppingRule:
     ``_exit_set`` (the member mask of the region a stopped state lies in)
     and ``_reference_set`` (the member mask of the reference region).
     ``exits`` applies them to a ``(k, B, d)`` block of B paths over k steps;
-    ``first_hit`` and ``classify`` are its one-path cases.
+    ``first_hit`` is its one-path case.
     """
 
     def exits(self, states: np.ndarray, b: float):
@@ -132,9 +132,6 @@ class _StoppingRule:
         if idx[0] < 0:
             return -1, None
         return int(idx[0]), self.region(sets[0])
-
-    def classify(self, x, b: float) -> Optional[Region]:
-        return self.first_hit(np.asarray(x, dtype=float)[None], b)[1]
 
     def _reference_set(self, d: int) -> np.ndarray:
         return np.zeros(d, dtype=bool)

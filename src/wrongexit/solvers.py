@@ -29,15 +29,16 @@ The records (``beta_program`` and its siblings) go to
 in slices of at most ``active_set.BLOCK_VALUES`` stacked matrix entries;
 a program's result is bit for bit the one it gets in a block of its own.
 The product solves go through its checked gate, ``checked_block_solve``.
-Each public ``solve_*`` builds one record and solves a block of one.
+The one closed-form solve, ``solve_gamma_single``, needs no record.
 
 No program is reduced by symmetry here; the proposal builders solve one
 program per symmetry orbit instead.  Everything here needs only numpy.
 
 ``siegmund_profiles`` gives the Siegmund tilts of every region size of a
-stack of exchangeable models, with their CGF values in two-block form; the
-direct condition (``proposals.direct_certificate``) is certified from them
-by weak duality, so its shifted programs are never solved.
+stack of exchangeable models (a list of one for a single model), with their
+CGF values in two-block form; the direct condition
+(``proposals.direct_certificate``) is certified from them by weak duality,
+so its shifted programs are never solved.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .active_set import Program, SolverError, TiltSolution, block_solve
+from .active_set import Program, SolverError, TiltSolution
 from .constraints import CGF_TOL, _constraint
 from .models import CgfModel, IndependentModel, MvNormalModel, siegmund_root
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
@@ -62,15 +63,8 @@ __all__ = [
     "gap_quad_program",
     "si_z_program",
     "si_s_program",
-    "solve_beta",
     "solve_gamma_single",
-    "solve_gamma_pair",
-    "solve_gap_pair",
-    "solve_gap_quad",
-    "solve_si_z",
-    "solve_si_s",
     "homogeneous_profile",
-    "siegmund_profile",
     "siegmund_profiles",
     "validate_drifts",
 ]
@@ -136,12 +130,6 @@ def homogeneous_profile(component, d: int, ell: float, u: float):
             v_minus[a] = min(0.0, component.prime_inverse(-ell * s))
             r[a] += ell * (d - a) * (-v_minus[a])
     return v_plus, v_minus, r
-
-
-def siegmund_profile(model: CgfModel, ell: float, u: float):
-    """The arrays of ``homogeneous_profile`` for any exchangeable model: the
-    one-cell case of ``siegmund_profiles``."""
-    return tuple(x[0] for x in siegmund_profiles([model], ell, [u])[:3])
 
 
 def siegmund_profiles(models, ell: float, us):
@@ -306,7 +294,7 @@ def si_z_program(A, rule: SumIntersectionRule, model: CgfModel) -> Program:
     validate_drifts(rule, model)
     A = tuple(sorted(A))
     if len(A) != rule.L:
-        raise ValueError("solve_si_z needs |A| = L")
+        raise ValueError("z_A needs |A| = L")
     return _si_program(model, list(A), np.ones(rule.L), rule.L,
                        "si/z-active-set")
 
@@ -317,15 +305,9 @@ def si_s_program(B, rule: SumIntersectionRule, model: CgfModel) -> Program:
     validate_drifts(rule, model)
     B = tuple(sorted(B))
     if len(B) != rule.L + 1:
-        raise ValueError("solve_si_s needs |B| = L + 1")
+        raise ValueError("s_B needs |B| = L + 1")
     return _si_program(model, list(B), np.ones(rule.L + 1), rule.L,
                        "si/s-active-set")
-
-
-def solve_beta(A, rule, model: CgfModel) -> TiltSolution:
-    """Rate r_A and optimal tilt beta^A for the rare region W^A, with its
-    KKT certificate (``beta_program`` solved as a block of one)."""
-    return block_solve([beta_program(A, rule, model)])[0]
 
 
 def solve_gamma_single(k: int, rule: SiegmundRule, model: CgfModel) -> TiltSolution:
@@ -338,30 +320,3 @@ def solve_gamma_single(k: int, rule: SiegmundRule, model: CgfModel) -> TiltSolut
     resid = abs(model.cgf(th))
     return TiltSolution(float(rule.u * z), th, bool(resid <= CGF_TOL),
                         float(resid), "siegmund/gamma-root")
-
-
-def solve_gamma_pair(k: int, kp: int, rule: SiegmundRule,
-                     model: CgfModel) -> TiltSolution:
-    """Two-coordinate tilt gamma^{k,k'} maximizing u(theta_k + theta_k')."""
-    return block_solve([gamma_pair_program(k, kp, rule, model)])[0]
-
-
-def solve_gap_pair(l: int, lp: int, rule: GapRule, model: CgfModel) -> TiltSolution:
-    """Two-index gap tilt (``gap_pair_program``)."""
-    return block_solve([gap_pair_program(l, lp, rule, model)])[0]
-
-
-def solve_gap_quad(l1: int, l2: int, lp1: int, lp2: int, rule: GapRule,
-                   model: CgfModel) -> TiltSolution:
-    """Four-index gap tilt (``gap_quad_program``)."""
-    return block_solve([gap_quad_program(l1, l2, lp1, lp2, rule, model)])[0]
-
-
-def solve_si_z(A, rule: SumIntersectionRule, model: CgfModel) -> TiltSolution:
-    """z_A and gamma^A (``si_z_program``)."""
-    return block_solve([si_z_program(A, rule, model)])[0]
-
-
-def solve_si_s(B, rule: SumIntersectionRule, model: CgfModel) -> TiltSolution:
-    """s_B and the auxiliary tilt (``si_s_program``)."""
-    return block_solve([si_s_program(B, rule, model)])[0]

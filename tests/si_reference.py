@@ -15,7 +15,8 @@ closed-form support value of a rare region of each rule; ``v_lower_bound``,
 the one-region certificate; and ``v_lower_bounds``, its row-wise form over
 a stack of Siegmund regions at one gamma, whose explicit ``cgf_rows``
 feasibility test checks the two-block one of
-``proposals.direct_certificate``.
+``proposals.direct_certificate``.  ``solve`` solves one program record as a
+block of one.
 """
 
 from itertools import product
@@ -31,6 +32,7 @@ from wrongexit import (
     SiegmundRule,
     rearrangement_min,
 )
+from wrongexit.active_set import block_solve
 from wrongexit.regions import SIGN_TOL
 from wrongexit.rootfind import RootError, positive_root, refine_root
 from wrongexit.constraints import _Quad, _subsolve
@@ -42,6 +44,11 @@ from wrongexit.solvers import (
 )
 
 ZERO_SUM_TOL = 1e-9
+
+
+def solve(program) -> TiltSolution:
+    """The solution of one program record, solved as a block of one."""
+    return block_solve([program])[0]
 
 
 def support_value(rule, theta, region: Region) -> float:

@@ -24,13 +24,7 @@ from wrongexit import (
     exchangeable_mvnormal,
     homogeneous_profile,
     rearrangement_min,
-    solve_beta,
-    solve_gamma_pair,
     solve_gamma_single,
-    solve_gap_pair,
-    solve_gap_quad,
-    solve_si_s,
-    solve_si_z,
 )
 from wrongexit.engine import RunConfig, decay_scan, estimate_wrong_exit, plain_mc
 from wrongexit.proposals import (
@@ -39,6 +33,15 @@ from wrongexit.proposals import (
     build_sum_intersection,
     check_direct_siegmund_homogeneous,
 )
+from wrongexit.solvers import (
+    beta_program,
+    gamma_pair_program,
+    gap_pair_program,
+    gap_quad_program,
+    si_s_program,
+    si_z_program,
+)
+from si_reference import solve
 
 LOG2 = math.log(2.0)
 
@@ -58,7 +61,7 @@ def test_criterion_01_closed_form_tilts():
             rho = i / 10
             model = exchangeable_mvnormal(50, -0.5, rho)
             uz = solve_gamma_single(0, rule, model).value
-            s = solve_gamma_pair(0, 1, rule, model).value
+            s = solve(gamma_pair_program(0, 1, rule, model)).value
             assert uz == pytest.approx(u, abs=1e-8)
             assert s == pytest.approx(2 * u / (1 + rho), abs=1e-8)
     report(1, "u z_k = u and s_kk' = 2u/(1+rho) across the rho grid", t0, 1.0)
@@ -79,8 +82,8 @@ def test_criterion_02_table_reproduction():
         for i in range(91):
             rho = round(i / 100, 2)
             model = exchangeable_mvnormal(50, -0.5, rho)
-            r = solve_beta([0], rule, model).value
-            s = solve_gamma_pair(0, 1, rule, model).value
+            r = solve(beta_program([0], rule, model)).value
+            s = solve(gamma_pair_program(0, 1, rule, model)).value
             uz = solve_gamma_single(0, rule, model).value
             if uz + s >= 2 * r - 1e-12:
                 best["H1"] = rho
@@ -116,17 +119,17 @@ def test_criterion_04_gap_si_closed_forms_and_hsi_boundaries():
     for v in (0.3, 1.0, 4.0):
         comps = [Normal(0.5, 1.0)] * m + [Normal(-0.5, v)] * (d - m)
         model = IndependentModel(comps)
-        assert solve_gap_pair(0, m, gap, model).value == \
+        assert solve(gap_pair_program(0, m, gap, model)).value == \
             pytest.approx(2 / (1 + v), abs=1e-8)
-        assert solve_gap_quad(0, 1, m, m + 1, gap, model).value == \
+        assert solve(gap_quad_program(0, 1, m, m + 1, gap, model)).value == \
             pytest.approx(4 / (1 + v), abs=1e-8)
     # sum-intersection closed forms for exchangeable normals
     for L, rho in [(2, 0.1), (3, 0.4), (2, 0.7)]:
         rule = SumIntersectionRule(L)
         model = exchangeable_mvnormal(50, -0.5, rho)
-        assert solve_si_z(range(L), rule, model).value == \
+        assert solve(si_z_program(range(L), rule, model)).value == \
             pytest.approx(1 / (rho * L + 1 - rho), abs=1e-8)
-        assert solve_si_s(range(L + 1), rule, model).value == \
+        assert solve(si_s_program(range(L + 1), rule, model)).value == \
             pytest.approx((L + 1) / (L * (rho * (L + 1) + 1 - rho)), abs=1e-8)
     # (H-SI) boundaries on the 0.01 grid at d = 50
     for L, expect in [(2, 0.23), (3, 0.14)]:
@@ -135,9 +138,9 @@ def test_criterion_04_gap_si_closed_forms_and_hsi_boundaries():
         for i in range(91):
             rho = round(i / 100, 2)
             model = exchangeable_mvnormal(50, -0.5, rho)
-            rA = solve_beta(list(range(L)), rule, model).value
-            zA = solve_si_z(list(range(L)), rule, model).value
-            sB = solve_si_s(list(range(L + 1)), rule, model).value
+            rA = solve(beta_program(list(range(L)), rule, model)).value
+            zA = solve(si_z_program(list(range(L)), rule, model)).value
+            sB = solve(si_s_program(list(range(L + 1)), rule, model)).value
             if zA + sB >= 2 * rA - 1e-12:
                 best = rho
         assert best == expect, (L, best)
@@ -256,10 +259,11 @@ def test_criterion_09_invariant_suites(monkeypatch):
     theta = np.array([0.6, -0.1])
     lam = model.cgf(theta)
     n_rep = 200_000
-    tilted = model.sample(theta, rng, size=n_rep * 3).reshape(n_rep, 3, 2)
+    tilted = model.tilted_sampler(theta)(rng, n_rep * 3).reshape(n_rep, 3, 2)
     s = tilted.sum(axis=1)
     w = np.exp(-(s @ theta) + 3 * lam) * np.tanh(s.sum(axis=1))
-    base = model.sample(np.zeros(2), rng, size=n_rep * 3).reshape(n_rep, 3, 2)
+    base = model.tilted_sampler(np.zeros(2))(rng, n_rep * 3)
+    base = base.reshape(n_rep, 3, 2)
     v = np.tanh(base.sum(axis=1).sum(axis=1))
     se = math.hypot(w.std(ddof=1) / math.sqrt(n_rep),
                     v.std(ddof=1) / math.sqrt(n_rep))
@@ -274,12 +278,12 @@ def test_criterion_09_invariant_suites(monkeypatch):
     model = exchangeable_mvnormal(5, -0.5, 0.4)
     rule = SiegmundRule(1.0, 1.0)
     uz = solve_gamma_single(0, rule, model).value
-    s = solve_gamma_pair(0, 1, rule, model).value
+    s = solve(gamma_pair_program(0, 1, rule, model)).value
     assert uz <= s + 1e-12
     comps = [Normal(0.5, 1.0)] * 2 + [Normal(-0.5, 2.0)] * 3
     gm = IndependentModel(comps)
-    zt = solve_gap_pair(0, 2, GapRule(2), gm).value
-    st = solve_gap_quad(0, 1, 2, 3, GapRule(2), gm).value
+    zt = solve(gap_pair_program(0, 2, GapRule(2), gm)).value
+    st = solve(gap_quad_program(0, 1, 2, 3, GapRule(2), gm)).value
     assert zt <= st + 1e-12
     # determinism under worker-count changes; three workers are allowed
     # whatever the machine's core count

@@ -212,6 +212,12 @@ class TestCommands:
                                   if k != "provenance"},
                      ".provenance: missing required field",
                      id="no-provenance"),
+        pytest.param(lambda man: {**man, "provenance": list(range(
+            len(man["provenance"])))}, ".provenance: [0, ",
+                     id="provenance-numbers"),
+        pytest.param(lambda man: {**man, "provenance": "x" * len(
+            man["provenance"])}, ".provenance: 'x",
+                     id="provenance-string"),
         pytest.param(lambda man: {**man, "report": "x"},
                      ".report: 'x' is not an object", id="report-string"),
         pytest.param(lambda man: {**man, "report": {**man["report"],
@@ -592,8 +598,10 @@ class TestSweeps:
         solve of its grid point."""
         from wrongexit import (GapRule, IndependentModel, Normal,
                                SiegmundRule, SumIntersectionRule,
-                               exchangeable_mvnormal, solve_beta, solve_si_s,
-                               solve_si_z)
+                               exchangeable_mvnormal)
+        from wrongexit.solvers import (beta_program, si_s_program,
+                                       si_z_program)
+        from si_reference import solve
 
         def rows(sweep):
             path = write_cfg(tmp_path, {
@@ -609,16 +617,17 @@ class TestSweeps:
         got = rows({"kind": "siegmund_rho", "d": 10, "rho_grid": rhos})
         rule = SiegmundRule(1.0, 1.0)
         assert [row[1] for row in got] == [
-            repr(solve_beta([0], rule, exchangeable_mvnormal(10, -0.5, rho))
-                 .value) for rho in rhos]
+            repr(solve(beta_program(
+                [0], rule, exchangeable_mvnormal(10, -0.5, rho))).value)
+            for rho in rhos]
         vs = [0.3, 1.0, 2.5]
         got = rows({"kind": "gap_v", "d": 8, "m": 4, "v_grid": vs})
         want = []
         for v in vs:
             model = IndependentModel([Normal(0.5, 1.0)] * 4
                                      + [Normal(-0.5, v)] * 4)
-            want.append(repr(solve_beta([1, 2, 3, 4], GapRule(4), model)
-                             .value))
+            want.append(repr(solve(beta_program([1, 2, 3, 4], GapRule(4),
+                                                model)).value))
         assert [row[1] for row in got] == want
         rhos = [0.0, 0.2, 0.5]
         got = rows({"kind": "si_rho", "d": 6, "L": 2, "rho_grid": rhos})
@@ -626,10 +635,10 @@ class TestSweeps:
         want = []
         for rho in rhos:
             model = exchangeable_mvnormal(6, -0.5, rho)
-            want.append([repr(solve(idx, rule, model).value)
-                         for solve, idx in ((solve_beta, [0, 1]),
-                                            (solve_si_z, [0, 1]),
-                                            (solve_si_s, [0, 1, 2]))])
+            want.append([repr(solve(program(idx, rule, model)).value)
+                         for program, idx in ((beta_program, [0, 1]),
+                                              (si_z_program, [0, 1]),
+                                              (si_s_program, [0, 1, 2]))])
         assert [row[1:4] for row in got] == want
 
     def test_table_small(self, tmp_path):

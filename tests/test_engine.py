@@ -76,7 +76,7 @@ def recording_draw(model, thetas, calls):
 
 def per_path_reference(calls, rule, b, thetas, lambdas):
     """Walk each path one step at a time through the increments the batch
-    core drew, stopping at the first row ``rule.classify`` labels, and weight
+    core drew, stopping at the first row ``rule.first_hit`` stops, and weight
     wrong exits with scipy's logsumexp: (values, steps, regions)."""
     comp = calls[0][0]
     n = comp.size
@@ -90,7 +90,7 @@ def per_path_reference(calls, rule, b, thetas, lambdas):
             for x in block[:, col]:
                 states[i] += x
                 steps[i] += 1
-                regions[i] = rule.classify(states[i], b)
+                regions[i] = rule.first_hit(states[i][None], b)[1]
                 if regions[i] is not None:
                     break
     values = np.zeros(n)
@@ -225,7 +225,7 @@ class TestSimulatePath:
                              thetas, np.zeros(1), batch_rng(3, 0), 50)
         assert not res.truncated.any()
         for state, mask in zip(res.states, res.exit_sets):
-            assert rule.classify(state, 2.0) == rule.region(mask)
+            assert rule.first_hit(state[None], 2.0)[1] == rule.region(mask)
 
 
 class TestChunks:

@@ -82,7 +82,7 @@ class TestCgfValues:
         with pytest.raises(TiltDomainError):
             model.cgf_grad(np.array([2.0]))
         with pytest.raises(TiltDomainError):
-            model.sample(np.array([2.0]), np.random.default_rng(0))
+            model.tilted_sampler(np.array([2.0]))(np.random.default_rng(0), 1)
 
     def test_dimension_mismatch(self):
         model = exchangeable_mvnormal(3, -0.5, 0.1)
@@ -252,7 +252,7 @@ class TestTiltedSampling:
     def test_empirical_mean_matches_gradient(self, model, theta):
         rng = np.random.default_rng(42)
         n = 1_000_000
-        draws = model.sample(theta, rng, size=n)
+        draws = model.tilted_sampler(theta)(rng, n)
         want = model.cgf_grad(theta)
         got = draws.mean(axis=0)
         sd = draws.std(axis=0, ddof=1) / math.sqrt(n)
@@ -261,7 +261,7 @@ class TestTiltedSampling:
     def test_zero_tilt_is_base_distribution(self):
         model = IndependentModel([ShiftedExponential(2.0, -LOG2)])
         rng = np.random.default_rng(1)
-        draws = model.sample(np.zeros(1), rng, size=200_000)[:, 0]
+        draws = model.tilted_sampler(np.zeros(1))(rng, 200_000)[:, 0]
         assert draws.min() >= -LOG2
         assert draws.mean() == pytest.approx(0.5 - LOG2, abs=4 * 0.5 / math.sqrt(200_000))
 
@@ -276,7 +276,7 @@ class TestTiltedSampling:
 
     def test_single_draw_shape(self):
         model = exchangeable_mvnormal(3, -0.5, 0.2)
-        x = model.sample(np.zeros(3), np.random.default_rng(0))
+        x = model.tilted_sampler(np.zeros(3))(np.random.default_rng(0), 1)[0]
         assert x.shape == (3,)
 
     def test_batch_sampler_matches_per_component_reference(self):
@@ -323,12 +323,12 @@ class TestChangeOfMeasure:
             return np.tanh(s.sum(axis=1))
 
         rng = np.random.default_rng(11)
-        tilted = model.sample(theta, rng, size=n_rep * n)
+        tilted = model.tilted_sampler(theta)(rng, n_rep * n)
         tilted = tilted.reshape(n_rep, n, model.dim)
         s_tilted = tilted.sum(axis=1)
         w = np.exp(-(s_tilted @ theta) + n * lam) * g(s_tilted)
 
-        base = model.sample(np.zeros(model.dim), rng, size=n_rep * n)
+        base = model.tilted_sampler(np.zeros(model.dim))(rng, n_rep * n)
         base = base.reshape(n_rep, n, model.dim)
         v = g(base.sum(axis=1))
 

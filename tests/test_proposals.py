@@ -14,8 +14,6 @@ from wrongexit import (
     ShiftedExponential,
     SiegmundRule,
     exchangeable_mvnormal,
-    siegmund_profile,
-    solve_beta,
 )
 import wrongexit.proposals as proposals
 from wrongexit.proposals import (
@@ -30,9 +28,11 @@ from wrongexit.solvers import (
     CGF_TOL,
     SolverError,
     TiltSolution,
+    beta_program,
     siegmund_profiles,
 )
-from si_reference import _independent_kkt, v_lower_bound, v_lower_bounds
+from si_reference import (_independent_kkt, solve, v_lower_bound,
+                          v_lower_bounds)
 
 LOG2 = math.log(2.0)
 
@@ -59,10 +59,11 @@ def symmetry_off(monkeypatch):
 
 
 def reference_beta(A, rule, model):
-    """solve_beta, except that an independent model takes the KKT root
-    search of ``si_reference``, the root search of homogeneous_profile."""
+    """The solved ``beta_program``, except that an independent model takes
+    the KKT root search of ``si_reference``, the root search of
+    homogeneous_profile."""
     if not isinstance(model, IndependentModel):
-        return solve_beta(A, rule, model)
+        return solve(beta_program(A, rule, model))
     in_A = np.isin(np.arange(model.dim), A)
     th, val = _independent_kkt(model.components,
                                np.where(in_A, rule.u, -rule.ell),
@@ -136,7 +137,7 @@ class TestSiegmundBuilders:
         prop, _ = build_siegmund("theta0", model, 1.0, 1.0)
         rule = SiegmundRule(1.0, 1.0)
         for k in (0, 3, 6):
-            direct = solve_beta([k], rule, model)
+            direct = solve(beta_program([k], rule, model))
             row = prop.thetas[k]
             np.testing.assert_allclose(row, direct.tilt, atol=1e-9)
 
@@ -194,7 +195,8 @@ class TestSiegmundBuilders:
                             assert np.isneginf(got) == np.isneginf(ref), case
                             if math.isfinite(ref):
                                 assert got == pytest.approx(ref, abs=1e-9)
-                        vp, vm, r = siegmund_profile(model, ell, u)
+                        vp, vm, r = (x[0] for x in siegmund_profiles(
+                            [model], ell, [u])[:3])
                         for a in range(1, d + 1):
                             tilt = np.where(np.arange(d) < a, vp[a], vm[a])
                             np.testing.assert_allclose(
@@ -409,7 +411,7 @@ class TestGapBuilders:
     def test_indep_normal_v_window_d50(self):
         # paper window: (H1') holds on v in (0.15, 6.95), (H2') on
         # (0.071, 14.15); exact crossings are slightly wider
-        from wrongexit import solve_gap_pair, solve_gap_quad
+        from wrongexit.solvers import gap_pair_program, gap_quad_program
         d, m = 50, 25
         rule_checks = {}
         for v in (0.13, 0.16, 6.9, 7.1, 0.065, 0.08, 14.0, 14.4):
@@ -418,9 +420,9 @@ class TestGapBuilders:
             from wrongexit.regions import GapRule
             rule = GapRule(m)
             A = sorted(set(range(m)) - {0} | {m})
-            r = solve_beta(A, rule, model).value
-            zt = solve_gap_pair(0, m, rule, model).value
-            st = solve_gap_quad(0, 1, m, m + 1, rule, model).value
+            r = solve(beta_program(A, rule, model)).value
+            zt = solve(gap_pair_program(0, m, rule, model)).value
+            st = solve(gap_quad_program(0, 1, m, m + 1, rule, model)).value
             rule_checks[v] = (zt + st >= 2 * r - 1e-12,
                               2 * st >= 2 * r - 1e-12)
         assert not rule_checks[0.13][0] and rule_checks[0.16][0]

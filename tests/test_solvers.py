@@ -7,6 +7,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import warnings
 
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -24,18 +25,20 @@ from wrongexit import (
     exchangeable_mvnormal,
     homogeneous_profile,
     rearrangement_min,
-    siegmund_profile,
-    solve_beta,
-    solve_gamma_pair,
     solve_gamma_single,
-    solve_gap_pair,
-    solve_gap_quad,
-    solve_si_s,
-    solve_si_z,
 )
 from wrongexit.models import TiltDomainError, siegmund_root
 from wrongexit.regions import Region
 from wrongexit.rootfind import positive_root
+from wrongexit.solvers import (
+    beta_program,
+    gamma_pair_program,
+    gap_pair_program,
+    gap_quad_program,
+    si_s_program,
+    si_z_program,
+    siegmund_profiles,
+)
 from si_reference import (
     _independent_kkt,
     _ray_radius,
@@ -44,6 +47,7 @@ from si_reference import (
     _si_dual_program,
     _symmetric_si_beta,
     shifted_program,
+    solve,
     support_value,
     v_lower_bound,
     v_lower_bounds,
@@ -87,13 +91,13 @@ class TestSiegmundSolvers:
                 model = exchangeable_mvnormal(6, -0.5, rho)
                 assert solve_gamma_single(2, rule, model).value == \
                     pytest.approx(u, abs=1e-12)
-                got = solve_gamma_pair(1, 4, rule, model).value
+                got = solve(gamma_pair_program(1, 4, rule, model)).value
                 assert got == pytest.approx(2 * u / (1 + rho), abs=1e-10)
 
     def test_gamma_pair_independence_limit(self):
         model = exchangeable_mvnormal(4, -0.5, 0.0)
-        assert solve_gamma_pair(0, 1, SiegmundRule(1.0, 2.0), model).value \
-            == pytest.approx(4.0, abs=1e-10)
+        program = gamma_pair_program(0, 1, SiegmundRule(1.0, 2.0), model)
+        assert solve(program).value == pytest.approx(4.0, abs=1e-10)
 
     def test_figure3_rates(self):
         vp, vm, r = homogeneous_profile(Normal(-0.5, 1.0), 50, 1.0, 0.004)
@@ -129,13 +133,13 @@ class TestSiegmundSolvers:
         mv = MvNormalModel(mus, np.diag(sig))
         rule = SiegmundRule(0.8, 1.2)
         for A in ([0], [1, 3], [0, 1, 2, 3]):
-            s1 = solve_beta(A, rule, indep)
-            s2 = solve_beta(A, rule, mv)
+            s1 = solve(beta_program(A, rule, indep))
+            s2 = solve(beta_program(A, rule, mv))
             assert s1.value == pytest.approx(s2.value, abs=1e-7)
             np.testing.assert_allclose(s1.tilt, s2.tilt, atol=1e-6)
         for k, kp in ((0, 1), (1, 3), (2, 3)):
-            s1 = solve_gamma_pair(k, kp, rule, indep)
-            s2 = solve_gamma_pair(k, kp, rule, mv)
+            s1 = solve(gamma_pair_program(k, kp, rule, indep))
+            s2 = solve(gamma_pair_program(k, kp, rule, mv))
             assert s1.value == pytest.approx(s2.value, abs=1e-7)
             np.testing.assert_allclose(s1.tilt, s2.tilt, atol=1e-6)
             assert s1.multipliers.shape == s2.multipliers.shape == (5,)
@@ -151,7 +155,7 @@ class TestSiegmundSolvers:
             v_plus, v_minus, r = homogeneous_profile(comp, d, rule.ell,
                                                      rule.u)
             for A in ([0], [1, 2], list(range(d))):
-                sol = solve_beta(A, rule, model)
+                sol = solve(beta_program(A, rule, model))
                 a = len(A)
                 tilt = np.full(d, v_minus[a] if a < d else 0.0)
                 tilt[A] = v_plus[a]
@@ -170,9 +174,10 @@ class TestSiegmundSolvers:
     def test_exchangeable_active_set_matches_profile(self):
         model = exchangeable_mvnormal(7, -0.5, 0.35)
         rule = SiegmundRule(1.0, 0.7)
-        v_plus, v_minus, r = siegmund_profile(model, rule.ell, rule.u)
+        v_plus, v_minus, r = (x[0] for x in siegmund_profiles(
+            [model], rule.ell, [rule.u])[:3])
         for A in ([2], [0, 4], [1, 2, 3, 4, 5]):
-            sol = solve_beta(A, rule, model)
+            sol = solve(beta_program(A, rule, model))
             assert sol.method == "siegmund/active-set"
             tilt = np.full(7, v_minus[len(A)])
             tilt[A] = v_plus[len(A)]
@@ -186,7 +191,7 @@ class TestSiegmundSolvers:
                         [-0.8, 0.4, 1.0]])
         model = MvNormalModel(np.full(3, -0.5), cov)
         rule = SiegmundRule(1.0, 3.0)
-        sol = solve_beta([1], rule, model)
+        sol = solve(beta_program([1], rule, model))
         assert sol.converged
         assert np.all(sol.multipliers >= -1e-10)
         ref = shifted_program([1], np.zeros(3), rule, model)
@@ -196,7 +201,7 @@ class TestSiegmundSolvers:
         rng = np.random.default_rng(10)
         model = exchangeable_mvnormal(5, -0.5, 0.25)
         for A in ([0], [1, 3], [0, 1, 2, 3, 4]):
-            sol = solve_beta(A, RULE11, model)
+            sol = solve(beta_program(A, RULE11, model))
             region = Region(True, tuple(A))
             check_certificate(sol, model, region, RULE11)
             local_max_probe(sol, model, RULE11, region, rng)
@@ -206,7 +211,7 @@ class TestSiegmundSolvers:
         for model in (exchangeable_mvnormal(4, -0.5, 0.5),
                       IndependentModel([ShiftedExponential(2.0, -LOG2)] * 4)):
             for size in (1, 2, 4):
-                sol = solve_beta(list(range(size)), RULE11, model)
+                sol = solve(beta_program(list(range(size)), RULE11, model))
                 assert 0 < sol.value < math.inf
 
     def test_dominance_uz_le_s(self):
@@ -217,7 +222,7 @@ class TestSiegmundSolvers:
                                         ShiftedExponential(1.5, -1.0)])):
             for k, kp in combinations(range(5), 2):
                 uz = solve_gamma_single(k, RULE11, model).value
-                s = solve_gamma_pair(k, kp, RULE11, model).value
+                s = solve(gamma_pair_program(k, kp, RULE11, model)).value
                 assert uz <= s + 1e-10
 
     def test_gamma_pair_geq_sum_of_roots_indep(self):
@@ -225,18 +230,18 @@ class TestSiegmundSolvers:
                                   Normal(-0.5, 1.0)])
         z0 = model.marginal_root(0)
         z1 = model.marginal_root(1)
-        s = solve_gamma_pair(0, 1, RULE11, model).value
+        s = solve(gamma_pair_program(0, 1, RULE11, model)).value
         assert s >= z0 + z1 - 1e-12
         # equality in the iid case by symmetry
         iid = IndependentModel([ShiftedExponential(2.0, -LOG2)] * 2)
-        s = solve_gamma_pair(0, 1, RULE11, iid).value
+        s = solve(gamma_pair_program(0, 1, RULE11, iid)).value
         assert s == pytest.approx(2.0, abs=1e-9)
 
     def test_singleton_equivalence_lemma(self):
         # beta^{k} = gamma^k iff (ell/u) kappa_k(1) <= kappa_{k'}(0) forall k'
         comp = ShiftedExponential(2.0, -LOG2)  # kappa0=.193 < kappa1=.307
         model = IndependentModel([comp] * 3)
-        beta = solve_beta([0], RULE11, model)
+        beta = solve(beta_program([0], RULE11, model))
         gam = solve_gamma_single(0, RULE11, model)
         assert np.max(np.abs(beta.tilt - gam.tilt)) > 1e-3  # iff fails
         # non-i.i.d. coordinates where the condition holds for both k: the
@@ -244,7 +249,7 @@ class TestSiegmundSolvers:
         mixed = IndependentModel([comp, ShiftedExponential(3.0, -0.5)])
         rule = SiegmundRule(1.0, 3.0)
         for k in (0, 1):
-            beta = solve_beta([k], rule, mixed)
+            beta = solve(beta_program([k], rule, mixed))
             gam = solve_gamma_single(k, rule, mixed)
             assert beta.method == "siegmund/active-set"
             assert beta.value == pytest.approx(gam.value, abs=1e-12)
@@ -254,7 +259,7 @@ class TestSiegmundSolvers:
             assert np.all(beta.multipliers[1:] >= 0)
         # normal iid with ell = u: equality case, tilts coincide exactly
         modeln = IndependentModel([Normal(-0.5, 1.0)] * 3)
-        beta = solve_beta([0], RULE11, modeln)
+        beta = solve(beta_program([0], RULE11, modeln))
         gam = solve_gamma_single(0, RULE11, modeln)
         np.testing.assert_array_equal(beta.tilt, gam.tilt)
         # u large enough makes the condition hold for the exponential too:
@@ -262,7 +267,7 @@ class TestSiegmundSolvers:
         z = 1.0
         kap1, kap0 = comp.cgf_prime(z), -comp.cgf_prime(0.0)
         rule = SiegmundRule(1.0, kap1 / kap0 + 0.1)
-        beta = solve_beta([0], rule, model)
+        beta = solve(beta_program([0], rule, model))
         gam = solve_gamma_single(0, rule, model)
         np.testing.assert_allclose(beta.tilt, gam.tilt, atol=1e-12)
 
@@ -273,9 +278,9 @@ class TestGapSolvers:
             comps = [Normal(0.5, 1.0)] * 3 + [Normal(-0.5, v)] * 3
             model = IndependentModel(comps)
             rule = GapRule(3)
-            zt = solve_gap_pair(0, 3, rule, model)
+            zt = solve(gap_pair_program(0, 3, rule, model))
             assert zt.value == pytest.approx(2 / (1 + v), abs=1e-10)
-            st = solve_gap_quad(0, 1, 3, 4, rule, model)
+            st = solve(gap_quad_program(0, 1, 3, 4, rule, model))
             assert st.value == pytest.approx(4 / (1 + v), abs=1e-8)
             assert zt.value <= st.value + 1e-10  # dominance chain
 
@@ -296,7 +301,7 @@ class TestGapSolvers:
             v[l], v[lp] = -1.0, 1.0
             t = positive_root(lambda r: model.cgf(r * v),
                               upper=comps[lp].domain_sup)
-            zt = solve_gap_pair(l, lp, rule, model)
+            zt = solve(gap_pair_program(l, lp, rule, model))
             assert zt.converged
             assert zt.value == pytest.approx(t, abs=1e-12)
             np.testing.assert_allclose(zt.tilt, t * v, rtol=0, atol=1e-12)
@@ -309,11 +314,11 @@ class TestGapSolvers:
         model = MvNormalModel(mean, cov)
         rule = GapRule(m)
         t_expect = (mu_p - mu_m) / (s2 * (1 - rho))
-        zt = solve_gap_pair(1, 5, rule, model)
+        zt = solve(gap_pair_program(1, 5, rule, model))
         assert zt.value == pytest.approx(t_expect, abs=1e-10)
         # beta^A for the swap set equals the two-index tilt
         A = sorted(set(range(m)) - {1} | {5})
-        beta = solve_beta(A, rule, model)
+        beta = solve(beta_program(A, rule, model))
         assert beta.value == pytest.approx(t_expect, abs=1e-8)
         np.testing.assert_allclose(beta.tilt, zt.tilt, atol=1e-7)
 
@@ -325,14 +330,14 @@ class TestGapSolvers:
                            np.diag([c.sigma2 for c in comps]))
         rule = GapRule(2)
         for A in ([0, 2], [1, 4], [2, 3]):
-            s1 = solve_beta(A, rule, indep)
-            s2 = solve_beta(A, rule, mv)
+            s1 = solve(beta_program(A, rule, indep))
+            s2 = solve(beta_program(A, rule, mv))
             assert s1.value == pytest.approx(s2.value, abs=1e-7)
             np.testing.assert_allclose(s1.tilt, s2.tilt, atol=1e-6)
             assert abs(s1.tilt.sum()) <= 1e-9
         for idx in ((0, 1, 2, 4), (1, 0, 3, 4)):
-            s1 = solve_gap_quad(*idx, rule, indep)
-            s2 = solve_gap_quad(*idx, rule, mv)
+            s1 = solve(gap_quad_program(*idx, rule, indep))
+            s2 = solve(gap_quad_program(*idx, rule, mv))
             assert s1.value == pytest.approx(s2.value, abs=1e-7)
             np.testing.assert_allclose(s1.tilt, s2.tilt, atol=1e-6)
             assert abs(s1.tilt.sum()) <= 1e-9
@@ -352,7 +357,7 @@ class TestGapSolvers:
         for A in ([0, 2], [3, 4]):
             if A == [3, 4]:
                 continue  # not a valid swap pattern check; keep single swap
-            sol = solve_beta(A, rule, model)
+            sol = solve(beta_program(A, rule, model))
             region = Region(True, tuple(A))
             check_certificate(sol, model, region, rule)
             local_max_probe(sol, model, rule, region, rng)
@@ -361,9 +366,9 @@ class TestGapSolvers:
         comps = [Normal(0.5, 1.0)] * 2 + [Normal(-0.5, 1.0)] * 2
         model = IndependentModel(comps)
         rule = GapRule(2)
-        st = solve_gap_quad(0, 1, 2, 3, rule, model)
+        st = solve(gap_quad_program(0, 1, 2, 3, rule, model))
         assert st.value == pytest.approx(2.0, abs=1e-9)
-        zt = solve_gap_pair(0, 2, rule, model)
+        zt = solve(gap_pair_program(0, 2, rule, model))
         assert zt.value == pytest.approx(1.0, abs=1e-10)
 
     def test_gap_index_validation(self):
@@ -371,9 +376,9 @@ class TestGapSolvers:
                                  [Normal(-0.5, 1.0)] * 2)
         rule = GapRule(2)
         with pytest.raises(ValueError):
-            solve_gap_pair(2, 3, rule, model)
+            solve(gap_pair_program(2, 3, rule, model))
         with pytest.raises(ValueError):
-            solve_gap_quad(0, 1, 2, 2, rule, model)
+            solve(gap_quad_program(0, 1, 2, 2, rule, model))
 
 
 class TestSumIntersectionSolvers:
@@ -381,8 +386,8 @@ class TestSumIntersectionSolvers:
         for L, rho in [(2, 0.0), (2, 0.3), (3, 0.1), (4, 0.5)]:
             model = exchangeable_mvnormal(10, -0.5, rho)
             rule = SumIntersectionRule(L)
-            z = solve_si_z(range(L), rule, model).value
-            s = solve_si_s(range(L + 1), rule, model).value
+            z = solve(si_z_program(range(L), rule, model)).value
+            s = solve(si_s_program(range(L + 1), rule, model)).value
             assert z == pytest.approx(1 / (rho * L + 1 - rho), abs=1e-10)
             assert s == pytest.approx(
                 (L + 1) / (L * (rho * (L + 1) + 1 - rho)), abs=1e-10)
@@ -393,7 +398,8 @@ class TestSumIntersectionSolvers:
                     else siegmund_root(comp))
             model = IndependentModel([comp] * 6)
             for L in (2, 3):
-                sol = solve_si_z(range(L), SumIntersectionRule(L), model)
+                sol = solve(si_z_program(range(L), SumIntersectionRule(L),
+                                         model))
                 assert sol.method == "si/z-active-set"
                 assert sol.value == pytest.approx(root, abs=1e-12)
                 np.testing.assert_allclose(sol.tilt[:L], root, atol=1e-12)
@@ -406,7 +412,7 @@ class TestSumIntersectionSolvers:
         cov = a @ a.T + np.eye(d)
         model = MvNormalModel(np.array([-0.5, -0.8, -0.6]), cov)
         rule = SumIntersectionRule(L)
-        sol = solve_si_z((0, 1), rule, model)
+        sol = solve(si_z_program((0, 1), rule, model))
         # dense oracle over the support simplex (tilts p*(cos, sin) on A)
         best = 0.0
         for phi in np.linspace(0, math.pi / 2, 20001):
@@ -426,7 +432,7 @@ class TestSumIntersectionSolvers:
         model = MvNormalModel(-0.4 - rng.random(d), cov)
         rule = SumIntersectionRule(L)
         B = (0, 1, 3)
-        sol = solve_si_s(B, rule, model)
+        sol = solve(si_s_program(B, rule, model))
 
         def objective(th3):
             srt = np.sort(th3)[::-1]
@@ -450,7 +456,7 @@ class TestSumIntersectionSolvers:
         model = exchangeable_mvnormal(5, -0.5, 0.15)
         rule = SumIntersectionRule(2)
         ray = _symmetric_si_beta(model, (0, 1), 2)
-        exact = solve_beta([0, 1], rule, model)
+        exact = solve(beta_program([0, 1], rule, model))
         assert exact.method == "sum_intersection/active-set"
         assert exact.value == pytest.approx(ray.value, abs=1e-7)
         assert exact.value >= ray.value - 1e-12
@@ -469,10 +475,11 @@ class TestSumIntersectionSolvers:
         for L in (2, 3):
             rule = SumIntersectionRule(L)
             A, B = tuple(range(L)), tuple(range(L + 1))
-            cases = [(solve_si_z(A, rule, model), _si_box_search(model, A)[0]),
-                     (solve_si_s(B, rule, model), _ray_radius(
+            cases = [(solve(si_z_program(A, rule, model)),
+                      _si_box_search(model, A)[0]),
+                     (solve(si_s_program(B, rule, model)), _ray_radius(
                          model, np.isin(np.arange(d), B) * 1.0) * (L + 1) / L)]
-            cases += [(solve_beta(R, rule, model),
+            cases += [(solve(beta_program(R, rule, model)),
                        _symmetric_si_beta(model, R, L).value)
                       for R in (A, B, tuple(range(1, d)))]
             for sol, ref in cases:
@@ -482,7 +489,8 @@ class TestSumIntersectionSolvers:
     def test_beta_value_is_rearrangement_min(self):
         model = exchangeable_mvnormal(6, -0.5, 0.2)
         rule = SumIntersectionRule(2)
-        sol = solve_beta([0, 1, 2], rule, model)  # |A| > L also allowed
+        # |A| > L also allowed
+        sol = solve(beta_program([0, 1, 2], rule, model))
         assert sol.value == pytest.approx(
             rearrangement_min(sol.tilt, 2), abs=1e-9)
 
@@ -490,11 +498,11 @@ class TestSumIntersectionSolvers:
         model = exchangeable_mvnormal(5, -0.5, 0.1)
         rule = SumIntersectionRule(2)
         with pytest.raises(ValueError):
-            solve_si_z([0, 1, 2], rule, model)
+            solve(si_z_program([0, 1, 2], rule, model))
         with pytest.raises(ValueError):
-            solve_si_s([0, 1], rule, model)
+            solve(si_s_program([0, 1], rule, model))
         with pytest.raises(ValueError):
-            solve_beta([0], rule, model)
+            solve(beta_program([0], rule, model))
 
 
 @st.composite
@@ -541,8 +549,9 @@ class TestExactSumIntersection:
     def test_certificate_and_slsqp_comparison(self, case):
         model, rule, kind, idx = case
         d, L = model.dim, rule.L
-        program = {"beta": solve_beta, "z": solve_si_z, "s": solve_si_s}
-        sol = program[kind](idx, rule, model)
+        program = {"beta": beta_program, "z": si_z_program,
+                   "s": si_s_program}
+        sol = solve(program[kind](idx, rule, model))
         support = np.array(idx) if kind in ("z", "s") else np.arange(d)
         signs = np.where(np.isin(support, idx), 1.0, -1.0)
         assert sol.converged and sol.method.endswith("active-set")
@@ -601,7 +610,8 @@ class TestExactSumIntersection:
                  (0.9861834397480527, -1.97738938048795),
                  (2.7374346149532442, -1.421698800921902)]
         model = IndependentModel([ShiftedExponential(r, s) for r, s in pairs])
-        sol = solve_si_z([0, 1, 2, 3, 4, 6], SumIntersectionRule(6), model)
+        sol = solve(si_z_program([0, 1, 2, 3, 4, 6], SumIntersectionRule(6),
+                                 model))
         assert 0 < pairs[4][0] - sol.tilt[4] < 1e-4
         assert sol.converged and sol.residual <= 1e-10
         assert abs(model.cgf(sol.tilt)) <= 1e-10
@@ -644,12 +654,12 @@ def sign_programs(draw):
     if kind == "pair":
         rule = SiegmundRule(1.0, rng.uniform(0.2, 3.0))
         k, kp = sorted(perm[:2])
-        return (model, solve_gamma_pair(k, kp, rule, model), [k, kp],
+        return (model, solve(gamma_pair_program(k, kp, rule, model)), [k, kp],
                 np.full(2, rule.u), np.ones(2), False)
     if kind == "quad":
         idx = ([k for k in perm if k < m][:2]
                + [k for k in perm if k >= m][:2])
-        return (model, solve_gap_quad(*idx, GapRule(m), model), idx,
+        return (model, solve(gap_quad_program(*idx, GapRule(m), model)), idx,
                 np.array([0.0, 0.0, 1.0, 1.0]),
                 np.array([-1.0, -1.0, 1.0, 1.0]), True)
     if not gap:
@@ -665,7 +675,7 @@ def sign_programs(draw):
                    | {draw(st.integers(m, d - 1))})
     in_A = np.isin(np.arange(d), A)
     c = in_A * 1.0 if gap else np.where(in_A, rule.u, -rule.ell)
-    return (model, solve_beta(A, rule, model), list(range(d)), c,
+    return (model, solve(beta_program(A, rule, model)), list(range(d)), c,
             np.where(in_A, 1.0, -1.0), gap)
 
 
@@ -682,6 +692,19 @@ class TestIndependentSignPrograms:
         ref = _independent_kkt(
             [model.components[k] for k in support], c, signs, zero_sum)
         assert abs(sol.value - ref[1]) <= 1e-9
+
+    def test_non_finite_newton_step_ends_the_search(self):
+        # a near-singular Newton system returns a -inf step (no LinAlgError)
+        # at an iterate with s ~ 6e18; the line search must not evaluate
+        # the residuals along it
+        model = IndependentModel(
+            [ShiftedExponential(1.1180190275267863, 0.8162472947629029)]
+            + [ShiftedExponential(2.629515696326864, -1.661657114145941)] * 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(beta_program([1], GapRule(1), model))
+        assert sol.converged
+        assert abs(sol.value - 2.6283509263196367) <= 1e-12
 
 
 def test_normal_model_work_imports_no_scipy():
@@ -734,7 +757,7 @@ class TestVBounds:
     def test_witness_bounds_siegmund(self):
         model = exchangeable_mvnormal(5, -0.5, 0.3)
         gam_k = solve_gamma_single(0, RULE11, model)
-        gam_kk = solve_gamma_pair(0, 1, RULE11, model)
+        gam_kk = solve(gamma_pair_program(0, 1, RULE11, model))
         A = [0, 1, 3]
         bound, feasible = v_lower_bound(A, gam_k.tilt,
                                         gam_k.tilt + gam_kk.tilt, RULE11,
@@ -757,10 +780,10 @@ class TestVBounds:
 
     def test_exact_program_dominates_witness(self):
         model = exchangeable_mvnormal(6, -0.5, 0.3)
-        beta1 = solve_beta([0], RULE11, model)
+        beta1 = solve(beta_program([0], RULE11, model))
         for m in (2, 4, 6):
             A = list(range(m))
-            betaA = solve_beta(A, RULE11, model)
+            betaA = solve(beta_program(A, RULE11, model))
             wit, _ = v_lower_bound(A, beta1.tilt, betaA.tilt + beta1.tilt,
                                    RULE11, model)
             exact = shifted_program(A, beta1.tilt, RULE11, model)
@@ -770,8 +793,8 @@ class TestVBounds:
         mean = np.array([0.5, 0.5, -0.5, -0.5, -0.5])
         model = MvNormalModel(mean, np.eye(5))
         rule = GapRule(2)
-        zt = solve_gap_pair(0, 2, rule, model)
-        st = solve_gap_quad(0, 1, 2, 3, rule, model)
+        zt = solve(gap_pair_program(0, 2, rule, model))
+        st = solve(gap_quad_program(0, 1, 2, 3, rule, model))
         A = [2, 3]  # differs from [m] in two swaps
         bound, feasible = v_lower_bound(A, zt.tilt, zt.tilt + st.tilt, rule,
                                         model)
@@ -806,14 +829,15 @@ def certificate_stacks(draw):
     else:
         gamma = np.zeros(d)
         if kind == "scaled":
-            gamma = draw(t) * solve_beta([0], rule, model).tilt
+            gamma = draw(t) * solve(beta_program([0], rule, model)).tilt
     sets, witnesses = [], []
     for _ in range(draw(st.integers(1, 6))):
         members = draw(st.permutations(range(d)))[:draw(st.integers(1, d))]
         in_A = np.isin(np.arange(d), members)
         row = draw(st.sampled_from(["feasible", "signed", "grid"]))
         if row == "feasible":
-            w = gamma + draw(t) * solve_beta(members, rule, model).tilt
+            beta = solve(beta_program(members, rule, model))
+            w = gamma + draw(t) * beta.tilt
         else:
             w = draw(arrays(np.float64, d, elements=GRID))
             if row == "signed":
