@@ -146,17 +146,23 @@ def build_model(spec: dict, path: str = "model"):
     family = _need(spec, "family", path)
     if family == "mvnormal":
         mean = _mean_vector(spec, path)
-        d = mean.shape[0]
         if "cov" in spec:
-            cov = _number(spec["cov"], f"{path}.cov", _floats)
+            clash = [k for k in ("rho", "sigma2") if k in spec]
+            if clash:
+                raise ConfigError(f"{path}.{clash[0]}: given with {path}.cov,"
+                                  " which fixes the covariance")
+            build = MvNormalModel
+            args = [_number(spec["cov"], f"{path}.cov", _floats)]
         else:
-            rho = _number(spec.get("rho", 0.0), f"{path}.rho")
-            sigma2 = _number(spec.get("sigma2", 1.0), f"{path}.sigma2")
-            cov = sigma2 * ((1 - rho) * np.eye(d) + rho * np.ones((d, d)))
+            build = MvNormalModel.exchangeable
+            args = [_number(spec.get(k, v), f"{path}.{k}")
+                    for k, v in (("sigma2", 1.0), ("rho", 0.0))]
         try:
-            return MvNormalModel(mean, cov)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+            return build(mean, *args)
+        except ValueError as exc:  # a cov, rho or sigma2 error names it
+            key = str(exc).split()[0]
+            key = f".{key}" if key in ("cov", "rho", "sigma2") else ""
+            raise ConfigError(f"{path}{key}: {exc}") from exc
     if family == "independent":
         comps = sum(_list(_need(spec, "components", path),
                           f"{path}.components", _scalar_component), [])

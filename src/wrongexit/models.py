@@ -201,30 +201,59 @@ class _TiltedSampling:
 class MvNormalModel(_TiltedSampling):
     """Multivariate normal increments N(mean, cov), cov strictly PD."""
 
-    def __init__(self, mean, cov):
+    def __init__(self, mean, cov, _exchangeable: bool = False):
+        """``_exchangeable``, set by ``exchangeable`` only, trusts cov."""
         mean = np.asarray(mean, dtype=float).copy()
         cov = np.asarray(cov, dtype=float).copy()
         if mean.ndim != 1 or not mean.size:
             raise ValueError("mean must be a nonempty vector")
-        d = mean.shape[0]
-        if cov.shape != (d, d):
-            raise ValueError(f"cov has shape {cov.shape}, expected ({d}, {d})")
-        for name, x in (("mean", mean), ("cov", cov)):
-            if not np.all(np.isfinite(x)):
-                raise ValueError(f"{name} has non-finite entries")
-        # np.allclose(cov, cov.T, atol=1e-12) on finite entries, at half cost
-        if not np.all(np.abs(cov - cov.T) <= 1e-12 + 1e-5 * np.abs(cov.T)):
-            raise ValueError("cov must be symmetric")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean has non-finite entries")
         if np.any(mean == 0.0):
             raise ValueError("all drift entries must be strictly signed")
-        try:
-            np.linalg.cholesky(cov)  # the factor is formed where it is used
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("cov must be positive definite") from exc
+        d = mean.shape[0]
+        self._form = None
+        if _exchangeable:  # (m, sigma2, rho) as exchangeable_form reads them
+            s2, r = cov[0, 0], (cov[0, 1] if d > 1 else 0.0)
+            self._form = float(mean[0]), float(s2), float(r / s2)
+        elif cov.shape != (d, d):
+            raise ValueError(f"cov has shape {cov.shape}, expected ({d}, {d})")
+        elif not np.all(np.isfinite(cov)):
+            raise ValueError("cov has non-finite entries")
+        # np.allclose(cov, cov.T, atol=1e-12) on finite entries, at half cost
+        elif not np.all(np.abs(cov - cov.T) <= 1e-12 + 1e-5 * np.abs(cov.T)):
+            raise ValueError("cov must be symmetric")
+        else:
+            try:
+                np.linalg.cholesky(cov)  # the factor is formed where used
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("cov must be positive definite") from exc
         mean.flags.writeable = False
         cov.flags.writeable = False
-        self.mean = mean
-        self.cov = cov
+        self.mean, self.cov = mean, cov
+
+    @classmethod
+    def exchangeable(cls, mean, sigma2: float, rho: float) -> "MvNormalModel":
+        """N(mean, sigma2 ((1 - rho) I + rho 11')): positive definite iff
+        sigma2 > 0 and -1/(d-1) < rho < 1 (rho = 0 at d = 1).  Cholesky
+        succeeds once min(1 - rho, 1 + (d - 1) rho) > ~d^2 2^-53, so the
+        dense checks decide only nearer that edge or at an extreme sigma2."""
+        d = np.size(mean)
+        if not 0.0 < sigma2 < math.inf:
+            raise ValueError(f"sigma2 = {sigma2} is not positive and finite")
+        if not (-1.0 / (d - 1) < rho < 1.0 if d > 1 else rho == 0.0):
+            raise ValueError(f"rho = {rho} is outside " + (
+                f"(-1/(d-1), 1) = ({-1.0 / (d - 1):g}, 1)" if d > 1
+                else "{0} at d = 1"))
+        cov = sigma2 * ((1.0 - rho) * np.eye(d) + rho * np.ones((d, d)))
+        model = cls(mean, cov, _exchangeable=True)
+        if (min(1.0 - rho, 1.0 + (d - 1) * rho) <= 1e-12 * d * d
+                or not 1e-150 < sigma2 < 1e150):
+            try:
+                cls(mean, cov)
+            except ValueError as exc:
+                raise ValueError(f"rho = {rho}: {exc}") from exc
+        return model
 
     @property
     def dim(self) -> int:
@@ -267,21 +296,7 @@ class MvNormalModel(_TiltedSampling):
 
     def exchangeable_parameters(self, tol: float = 1e-12):
         """(m, sigma2, rho) when the model is exchangeable, else None."""
-        m = self.mean[0]
-        if not np.all(np.abs(self.mean - m) <= tol * max(1.0, abs(m))):
-            return None
-        diag = np.diag(self.cov)
-        s2 = diag[0]
-        if not np.all(np.abs(diag - s2) <= tol * max(1.0, abs(s2))):
-            return None
-        if self.dim == 1:
-            return float(m), float(s2), 0.0
-        r = self.cov[0, 1]
-        off = np.abs(self.cov - r)  # off-diagonal deviations from r
-        np.fill_diagonal(off, 0.0)
-        if not np.all(off <= tol * max(1.0, abs(s2))):
-            return None
-        return float(m), float(s2), float(r / s2)
+        return exchangeable_form(self.mean, self.cov, tol, self._form)
 
     def marginal_root(self, k: int) -> float:
         """Positive zero of the k-th diagonal restriction t -> Lambda(t e_k)."""
@@ -409,14 +424,24 @@ class IndependentModel(_TiltedSampling):
 CgfModel = Union[MvNormalModel, IndependentModel]
 
 
+def exchangeable_form(mean, cov, tol: float = 1e-12, form=None):
+    """(m, sigma2, rho) when N(mean, cov) is exchangeable to within ``tol``,
+    else None; given the ``form`` of a known exchangeable cov, checks mean."""
+    m = mean[0]
+    if not np.all(np.abs(mean - m) <= tol * max(1.0, abs(m))):
+        return None
+    if form is not None:
+        return form
+    s2, r = cov[0, 0], (cov[0, 1] if len(mean) > 1 else 0.0)
+    dev = np.abs(cov - r)  # deviations from r off and from s2 on the diagonal
+    np.fill_diagonal(dev, np.abs(np.diag(cov) - s2))
+    if not np.all(dev <= tol * max(1.0, abs(s2))):
+        return None
+    return float(m), float(s2), float(r / s2)
+
+
 def exchangeable_mvnormal(dim: int, mean: float = -0.5, rho: float = 0.0,
                           sigma2: float = 1.0) -> MvNormalModel:
     """Exchangeable normal model: common mean, unit-pattern covariance
     sigma2 * ((1 - rho) I + rho 11')."""
-    if dim > 1:
-        if not -1.0 / (dim - 1) < rho < 1.0:
-            raise ValueError("rho outside the positive-definite range")
-    elif rho != 0.0:
-        raise ValueError("rho must be 0 for dim 1")
-    cov = sigma2 * ((1.0 - rho) * np.eye(dim) + rho * np.ones((dim, dim)))
-    return MvNormalModel(np.full(dim, mean), cov)
+    return MvNormalModel.exchangeable(np.full(dim, mean), sigma2, rho)

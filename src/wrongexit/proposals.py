@@ -46,7 +46,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .active_set import BLOCK_VALUES, checked_block_solve
-from .models import CgfModel, IndependentModel, MvNormalModel
+from .models import CgfModel, IndependentModel, exchangeable_form
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
 from .solvers import (
     CGF_TOL,
@@ -265,11 +265,10 @@ def _symmetry_cuts(model: CgfModel, m: int = 0) -> list:
         ok = all(c == comps[a] for a, b in spans for c in comps[a:b])
     else:
         mean, cov = model.mean, model.cov
-        ok = all(
-            MvNormalModel(mean[a:b], cov[a:b, a:b]).exchangeable_parameters()
-            is not None for a, b in spans
-        ) and all(np.ptp(cov[a:b, c:e]) <= 1e-12
-                  for (a, b), (c, e) in combinations(spans, 2))
+        ok = all(exchangeable_form(mean[a:b], cov[a:b, a:b]) is not None
+                 for a, b in spans) and all(
+            np.ptp(cov[a:b, c:e]) <= 1e-12
+            for (a, b), (c, e) in combinations(spans, 2))
     return cuts if ok else list(range(d + 1))
 
 

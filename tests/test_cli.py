@@ -974,6 +974,43 @@ class TestBadInputIsConfigError:
         ("check", {"model": "x"}, "model: 'x' is not an object"),
         ("run", {"run": "x"}, "run: 'x' is not an object"),
         ("oracle", {"oracle": ["x"]}, "oracle: ['x'] is not an object"),
+        # the exchangeable shorthand, checked in closed form
+        ("check", {"model": {"family": "mvnormal", "dim": 3, "mean": -0.5,
+                             "rho": 1.5}},
+         "model.rho: rho = 1.5 is outside (-1/(d-1), 1) = (-0.5, 1)"),
+        ("check", {"model": {"family": "mvnormal", "dim": 3, "mean": -0.5,
+                             "rho": -0.5}},
+         "model.rho: rho = -0.5 is outside (-1/(d-1), 1) = (-0.5, 1)"),
+        ("check", {"model": {"family": "mvnormal", "dim": 3, "mean": -0.5,
+                             "sigma2": 0}},
+         "model.sigma2: sigma2 = 0.0 is not positive and finite"),
+        ("check", {"model": {"family": "mvnormal", "dim": 3, "mean": -0.5,
+                             "sigma2": -2.0, "rho": 0.1}},
+         "model.sigma2: sigma2 = -2.0 is not positive and finite"),
+        ("check", {"model": {"family": "mvnormal", "dim": 1, "mean": -0.5,
+                             "rho": 0.5}},
+         "model.rho: rho = 0.5 is outside {0} at d = 1"),
+        ("check", {"model": {"family": "mvnormal", "dim": 10, "mean": -0.5,
+                             "rho": 1 - 2 ** -52}},
+         "model.rho: rho = 0.9999999999999998: cov must be positive "
+         "definite"),
+        # the dense path
+        ("check", {"model": {"family": "mvnormal", "mean": [-0.5, -0.5],
+                             "cov": [[1.0, 0.0]]}},
+         "model.cov: cov has shape (1, 2), expected (2, 2)"),
+        ("check", {"model": {"family": "mvnormal", "mean": [-0.5, -0.5],
+                             "cov": [[1.0, 0.5], [0.4, 1.0]]}},
+         "model.cov: cov must be symmetric"),
+        ("check", {"model": {"family": "mvnormal", "mean": [-0.5, -0.5],
+                             "cov": [[1.0, 2.0], [2.0, 1.0]]}},
+         "model.cov: cov must be positive definite"),
+        # shorthand next to an explicit cov
+        ("check", {"model": {"family": "mvnormal", "mean": [-0.5] * 3,
+                             "rho": 0.2, "cov": np.eye(3).tolist()}},
+         "model.rho: given with model.cov, which fixes the covariance"),
+        ("check", {"model": {"family": "mvnormal", "mean": [-0.5] * 3,
+                             "sigma2": 2.0, "cov": np.eye(3).tolist()}},
+         "model.sigma2: given with model.cov, which fixes the covariance"),
     ])
     def test_bad_model_and_sweep_fields(self, tmp_path, capsys, command,
                                         spec, message):

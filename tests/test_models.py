@@ -2,9 +2,11 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from wrongexit import proposals
 from wrongexit import (
     IndependentModel,
     MvNormalModel,
@@ -241,6 +243,121 @@ class TestModelValidation:
                 assert got == want, (scale, step)
                 seen.add(got)
         assert seen == {True, False}
+
+
+def dense_exchangeable(mean, sigma2, rho):
+    """The exchangeable model through the dense checks of ``__init__``."""
+    d = len(mean)
+    return MvNormalModel(
+        mean, sigma2 * ((1.0 - rho) * np.eye(d) + rho * np.ones((d, d))))
+
+
+def bits(x):
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+def flags(a):
+    return {k: getattr(a.flags, k) for k in (
+        "c_contiguous", "f_contiguous", "owndata", "writeable", "aligned")}
+
+
+def near_boundary(d):
+    """The rho probes of the boundary table: rounding margins of 1 and of
+    -1/(d-1), then two interior values."""
+    return [1 - 2 ** -52, 1 - 2 ** -50, 1 - 1e-14, -1 / (d - 1) + 1e-16,
+            -1 / (d - 1) + 1e-14, -(1 - 1e-15) / (d - 1), 0.0, 0.9]
+
+
+@st.composite
+def exchangeable_inputs(draw):
+    d = draw(st.integers(1, 12))
+    entry = st.floats(-3.0, 3.0).filter(lambda x: x != 0.0)
+    mean = (np.full(d, draw(entry)) if draw(st.booleans())
+            else np.array(draw(st.lists(entry, min_size=d, max_size=d))))
+    sigma2 = draw(st.sampled_from([1.0, 0.7, 3.0])
+                  | st.floats(1e-3, 1e3, exclude_min=True))
+    if d == 1:
+        return mean, sigma2, draw(st.sampled_from([0.0, -0.0]))
+    rho = draw(st.floats(-1 / (d - 1), 1.0, exclude_min=True, exclude_max=True)
+               | st.sampled_from(near_boundary(d) + [-0.0]))
+    return mean, sigma2, rho
+
+
+class TestClosedFormExchangeable:
+    @settings(max_examples=200, deadline=None)
+    @given(exchangeable_inputs())
+    def test_matches_the_dense_model_bitwise(self, case):
+        mean, sigma2, rho = case
+        try:
+            want = dense_exchangeable(mean, sigma2, rho)
+        except ValueError:
+            with pytest.raises(ValueError):
+                MvNormalModel.exchangeable(mean, sigma2, rho)
+            return
+        got = MvNormalModel.exchangeable(mean, sigma2, rho)
+        d = len(mean)
+        for a, b in ((got.mean, want.mean), (got.cov, want.cov)):
+            assert a.tobytes() == b.tobytes() and flags(a) == flags(b)
+        assert bits(got.exchangeable_parameters()) \
+            == bits(want.exchangeable_parameters())
+        thetas = np.random.default_rng(d).normal(scale=0.5, size=(4, d))
+        for rows in ("cgf_rows", "cgf_grad_rows"):
+            assert bits(getattr(got, rows)(thetas)) \
+                == bits(getattr(want, rows)(thetas))
+        comp = np.array([0, 3, 1, 3, 2])
+        draws = [model.batch_sampler(thetas)(np.random.default_rng(7), comp, 3)
+                 for model in (got, want)]
+        assert bits(draws[0]) == bits(draws[1])
+        for m in {0, d // 2}:
+            assert proposals._symmetry_cuts(got, m) \
+                == proposals._symmetry_cuts(want, m)
+
+    # the dense Cholesky check rejects these 7 of the 72 probes
+    REJECTED = {(10, 1.0, 1 - 2 ** -52), (10, 0.7, 1 - 2 ** -52),
+                *((50, s2, 1 - 2 ** -52) for s2 in (1.0, 0.7, 3.0)),
+                (50, 0.7, 1 - 2 ** -50), (50, 3.0, 1 - 2 ** -50)}
+
+    @pytest.mark.parametrize("d", [2, 10, 50])
+    @pytest.mark.parametrize("sigma2", [1.0, 0.7, 3.0])
+    def test_boundary_probes_accept_what_the_dense_path_does(self, d, sigma2):
+        for rho in near_boundary(d):
+            try:
+                dense_exchangeable(np.full(d, -0.5), sigma2, rho)
+                dense = True
+            except ValueError:
+                dense = False
+            try:
+                model = exchangeable_mvnormal(d, -0.5, rho, sigma2)
+                assert bits(model.exchangeable_parameters()) == bits(
+                    dense_exchangeable(model.mean, sigma2, rho)
+                    .exchangeable_parameters())
+                got = True
+            except ValueError as exc:
+                assert str(exc) == (f"rho = {rho}: cov must be positive "
+                                    "definite")
+                got = False
+            assert got is dense is ((d, sigma2, rho) not in self.REJECTED), \
+                rho
+
+    def test_input_ranges(self):
+        mean = np.full(3, -0.5)
+        for sigma2, rho, message in (
+                (0.0, 0.2, "sigma2 = 0.0 is not positive and finite"),
+                (math.inf, 0.2, "sigma2 = inf is not positive"),
+                (1.0, 1.0, r"rho = 1.0 is outside \(-1/\(d-1\), 1\) = "
+                           r"\(-0.5, 1\)"),
+                (1.0, -0.5, "rho = -0.5 is outside"),
+                (1.0, math.nan, "rho = nan is outside")):
+            with pytest.raises(ValueError, match=message):
+                MvNormalModel.exchangeable(mean, sigma2, rho)
+        with pytest.raises(ValueError,
+                           match=r"rho = 0.5 is outside \{0\} at d = 1"):
+            MvNormalModel.exchangeable([-0.5], 1.0, 0.5)
+        with pytest.raises(ValueError, match="strictly signed"):
+            MvNormalModel.exchangeable([-0.5, 0.0], 1.0, 0.2)
+        model = MvNormalModel.exchangeable([-0.5, -0.7, -0.5], 2.0, 0.3)
+        assert model.exchangeable_parameters() is None
+        assert np.array_equal(model.mean, [-0.5, -0.7, -0.5])
 
 
 class TestTiltedSampling:
