@@ -18,7 +18,7 @@ from wrongexit import (
 )
 from wrongexit.active_set import block_solve
 from wrongexit.engine import RunConfig, estimate_wrong_exit
-from wrongexit.proposals import build_siegmund, check_direct_siegmund_homogeneous
+from wrongexit.proposals import build_siegmund
 from wrongexit.solvers import beta_program, gamma_pair_program
 
 D = 20
@@ -44,13 +44,12 @@ def main():
 
     print(f"== direct per-region check at d = {D}, rho = {RHO} ==")
     model = exchangeable_mvnormal(D, -0.5, RHO)
-    rep = check_direct_siegmund_homogeneous(model, 1.0, 1.0)
-    worst = min(rep.margins.items(), key=lambda kv: kv[1])
-    print(f"holds = {rep.holds}; tightest margin at {worst[0]} "
-          f"({worst[1]:+.4f}); r = {rep.r_star:.5f}\n")
+    prop, report = build_siegmund("theta0", model, 1.0, 1.0)
+    worst = min(report.margins.items(), key=lambda kv: kv[1])
+    print(f"holds = {report.holds}; tightest margin at {worst[0]} "
+          f"({worst[1]:+.4f}); r = {report.r_star:.5f}\n")
 
     print("== estimating the wrong-exit probability ==")
-    prop, report = build_siegmund("theta0", model, 1.0, 1.0)
     print(f"mixture: {len(prop)} components, condition "
           f"{report.condition} holds = {report.holds}")
     for b in (6.0, 10.0, 14.0):

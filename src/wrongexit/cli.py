@@ -253,9 +253,8 @@ def build_proposal(model, rule, prop_spec: dict, path: str = "proposal",
     _check_size(rule, model.dim, builder=False)
     manifest_path = prop_spec.get("manifest")
     if manifest_path:
-        with open(manifest_path) as fh:
-            man = json.load(fh)
         where = f"{path}.manifest"
+        man = _read_json(manifest_path, where)
         if not isinstance(man, dict):
             raise ConfigError(f"{where}: {manifest_path} holds a JSON "
                               f"{type(man).__name__}, not an object")
@@ -308,9 +307,19 @@ def _check_drifts(rule, model):
         raise ConfigError(f"problem: {exc}") from exc
 
 
+def _read_json(path, where: str):
+    """The JSON value in the file ``path``; a file that cannot be read or
+    parsed is a ConfigError under ``where``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or JSON
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{where}: cannot read {path}: {reason}") from None
+
+
 def load_config(path: str, paper_scale: bool = False) -> dict:
-    with open(path) as fh:
-        cfg = json.load(fh)
+    cfg = _read_json(path, "--config")
     if paper_scale:
         for key, val in _section(cfg, "paper_scale").items():
             if isinstance(val, dict) and isinstance(cfg.get(key), dict):
@@ -328,23 +337,6 @@ def _out_dir(cfg, args) -> Path:
     return out
 
 
-def _strict(obj):
-    """``obj`` with each non-finite float spelled "inf", "-inf" or "nan",
-    as the CSVs spell it, since RFC 8259 JSON has no token for them."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(float(obj))
-    if isinstance(obj, dict):
-        return {k: _strict(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict(v) for v in obj]
-    return obj
-
-
-def _dump_json(obj, path: Path):
-    path.write_text(json.dumps(_strict(obj), indent=2, sort_keys=True,
-                               allow_nan=False) + "\n")
-
-
 def _log(msg):
     print(msg, file=sys.stderr)
 
@@ -356,7 +348,6 @@ def _log(msg):
 def cmd_solve(cfg, args) -> int:
     model = build_model(cfg["model"])
     rule = build_rule(_section(cfg, "problem", True))
-    _check_size(rule, model.dim, builder=False)
     cache = solve_cache(rule, model)
     prop, rep = build_proposal(model, rule, _section(cfg, "proposal"),
                                cache=cache)
@@ -365,8 +356,7 @@ def cmd_solve(cfg, args) -> int:
     man = prop.to_manifest(rep, solutions)
     man["solutions_total"] = total
     man["solutions_truncated"] = total > len(solutions)
-    out = _out_dir(cfg, args) / f"{cfg['name']}_proposal.json"
-    _dump_json(man, out)
+    out = _write_json(cfg, args, "proposal", man)
     _log(f"wrote {out} ({len(prop)} components)")
     if args.strict and rep is not None and not rep.holds:
         _log("strict: efficiency condition failed")
@@ -399,8 +389,7 @@ def cmd_check(cfg, args) -> int:
     if rep is None:
         raise ConfigError("proposal.variant: no condition to check for "
                           f"variant {variant!r}")
-    out = _out_dir(cfg, args) / f"{cfg['name']}_check.json"
-    _dump_json(rep.as_dict(), out)
+    out = _write_json(cfg, args, "check", rep.as_dict())
     _log(f"wrote {out}: condition {rep.condition} "
          f"{'holds' if rep.holds else 'FAILS'} "
          f"(lhs={rep.lhs:.6g}, rhs={rep.rhs:.6g})")
@@ -449,8 +438,7 @@ def cmd_run(cfg, args) -> int:
         "rows": rows,
         "report": rep.as_dict() if rep is not None else None,
     }
-    json_path = csv_path.parent / f"{cfg['name']}_run.json"
-    _dump_json(run_json, json_path)
+    json_path = _write_json(cfg, args, "run", run_json)
     _log(f"wrote {csv_path} and {json_path} in {elapsed:.1f}s")
 
     truncated = sum(r["truncation_count"] for r in rows)
@@ -487,8 +475,7 @@ def cmd_oracle(cfg, args) -> int:
         "plain": pl.to_json_dict(),
         "z_score": z,
     }
-    out = _out_dir(cfg, args) / f"{cfg['name']}_oracle.json"
-    _dump_json(report, out)
+    out = _write_json(cfg, args, "oracle", report)
     _log(f"wrote {out}: mixture={mix.mean:.4g} plain={pl.mean:.4g} z={z:.2f}")
     return 0
 
@@ -511,6 +498,26 @@ def _write_csv(cfg, args, kind, header, rows) -> Path:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+    return out
+
+
+def _strict(obj):
+    """``obj`` with each non-finite float spelled "inf", "-inf" or "nan",
+    as the CSVs spell it, since RFC 8259 JSON has no token for them."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
+def _write_json(cfg, args, kind, obj) -> Path:
+    """Write strict JSON ``obj`` to ``<name>_<kind>.json``, making the dir."""
+    out = _out_dir(cfg, args) / f"{cfg['name']}_{kind}.json"
+    out.write_text(json.dumps(_strict(obj), indent=2, sort_keys=True,
+                              allow_nan=False) + "\n")
     return out
 
 

@@ -125,8 +125,8 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("b must be positive")
+        if not 0 < self.b < math.inf:
+            raise ValueError("b must be positive and finite")
         if self.n_paths <= 0:
             raise ValueError("n_paths must be positive")
         if self.max_steps is not None and self.max_steps <= 0:

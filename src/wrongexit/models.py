@@ -80,8 +80,10 @@ class Normal:
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be positive and finite")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
         if self.mu == 0.0:
             raise ValueError("component drift must be strictly signed")
 
@@ -118,8 +120,10 @@ class ShiftedExponential:
     shift: float
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
+        if not math.isfinite(self.shift):
+            raise ValueError("shift must be finite")
         if self.mean == 0.0:
             raise ValueError("component drift must be strictly signed")
 
@@ -173,12 +177,8 @@ def siegmund_root(component: ScalarFamily) -> float:
 # ---------------------------------------------------------------------------
 
 class _TiltedSampling:
-    """Shared by the models: each model supplies ``cgf_grad_rows`` and
-    ``batch_sampler``, and the single-tilt gradient and sampler are their
-    one-row cases."""
-
-    def cgf_grad(self, theta) -> np.ndarray:
-        return self.cgf_grad_rows([theta])[0]
+    """Shared by the models: each model supplies ``batch_sampler``, and the
+    single-tilt sampler is its one-row case."""
 
     def tilted_sampler(self, theta):
         """Closure drawing (k, d) blocks from the tilted law; the tilt
@@ -294,9 +294,9 @@ class MvNormalModel(_TiltedSampling):
 
         return draw
 
-    def exchangeable_parameters(self, tol: float = 1e-12):
+    def exchangeable_parameters(self):
         """(m, sigma2, rho) when the model is exchangeable, else None."""
-        return exchangeable_form(self.mean, self.cov, tol, self._form)
+        return exchangeable_form(self.mean, self.cov, self._form)
 
     def marginal_root(self, k: int) -> float:
         """Positive zero of the k-th diagonal restriction t -> Lambda(t e_k)."""
@@ -424,18 +424,19 @@ class IndependentModel(_TiltedSampling):
 CgfModel = Union[MvNormalModel, IndependentModel]
 
 
-def exchangeable_form(mean, cov, tol: float = 1e-12, form=None):
-    """(m, sigma2, rho) when N(mean, cov) is exchangeable to within ``tol``,
-    else None; given the ``form`` of a known exchangeable cov, checks mean."""
+def exchangeable_form(mean, cov, form=None):
+    """(m, sigma2, rho) when N(mean, cov) is exchangeable to within a
+    relative 1e-12, else None; given the ``form`` of a known exchangeable
+    cov, checks mean."""
     m = mean[0]
-    if not np.all(np.abs(mean - m) <= tol * max(1.0, abs(m))):
+    if not np.all(np.abs(mean - m) <= 1e-12 * max(1.0, abs(m))):
         return None
     if form is not None:
         return form
     s2, r = cov[0, 0], (cov[0, 1] if len(mean) > 1 else 0.0)
     dev = np.abs(cov - r)  # deviations from r off and from s2 on the diagonal
     np.fill_diagonal(dev, np.abs(np.diag(cov) - s2))
-    if not np.all(dev <= tol * max(1.0, abs(s2))):
+    if not np.all(dev <= 1e-12 * max(1.0, abs(s2))):
         return None
     return float(m), float(s2), float(r / s2)
 

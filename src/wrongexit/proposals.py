@@ -16,11 +16,12 @@ for asymptotic efficiency holds:
     (H-SI) min_{A, k not in A} (z_A + s_{A u {k}}) >= 2 min_A r_A
 
 plus the direct per-region condition v_A(beta^{j}) >= 2 r for homogeneous
-two-barrier models, certified by the feasible witness beta^A + beta^{j}.
+two-barrier models, certified by the feasible witness beta^A + beta^{j}
+(``direct_certificate``, which theta0 reads at its one cell).
 
 A failed condition leaves the proposal usable (estimates stay unbiased);
-efficiency is then unproven, not disproven, and the report carries a
-warning instead.
+efficiency is then unproven, not disproven, and the report, which one tail
+(``_finish``) makes for every builder, carries a warning instead.
 
 Orbit solves: the model's symmetry blocks ([m] and the rest for the gap
 rule, all of range(d) for an exchangeable model, else one per coordinate)
@@ -66,7 +67,6 @@ __all__ = [
     "MixtureProposal",
     "EfficiencyReport",
     "build_siegmund",
-    "check_direct_siegmund_homogeneous",
     "direct_certificate",
     "build_gap",
     "build_sum_intersection",
@@ -79,6 +79,7 @@ __all__ = [
 DEDUP_TOL = 1e-12
 GAP_QUAD_CAP = 250000  # t2 components: four-index plus single-swap tilts
 SI_COMPONENT_CAP = 100000  # sum-intersection components: 2 C(d, L)
+MARGIN_CAP = 200  # margins a report keeps, the smallest first
 VARIANTS = {"siegmund": ("theta0", "theta1", "theta2"),  # by problem kind
             "gap": ("t0", "t1", "t2"), "sum_intersection": ("si",)}
 
@@ -133,11 +134,12 @@ class MixtureProposal:
         self.provenance = keep_p
         self.problem = dict(problem)
         self.variant = variant
-        if np.any(self.lambdas > CGF_TOL):
-            bad = int(np.argmax(self.lambdas))
+        bad = ~(np.isfinite(self.lambdas) & (self.lambdas <= CGF_TOL))
+        if np.any(bad):
+            i = int(np.argmax(bad))
             raise ValueError(
-                f"component {self.provenance[bad]} has Lambda(theta) = "
-                f"{self.lambdas[bad]:.3e} > 0"
+                f"component {self.provenance[i]} has Lambda(theta) = "
+                f"{self.lambdas[i]:.3e}, not a finite value <= 0"
             )
 
     def __len__(self) -> int:
@@ -194,11 +196,11 @@ class MixtureProposal:
             man.get("variant", ""),
         )
 
-    def check_lambdas(self, model: CgfModel, tol: float = CGF_TOL) -> float:
-        """Largest |Lambda(theta_i) - lambdas[i]|; raises above ``tol``."""
+    def check_lambdas(self, model: CgfModel) -> float:
+        """Largest |Lambda(theta_i) - lambdas[i]|; raises unless <= CGF_TOL."""
         worst = float(np.max(np.abs(model.cgf_rows(self.thetas)
                                     - self.lambdas)))
-        if worst > tol:
+        if not worst <= CGF_TOL:
             raise ValueError(f"stored CGF values off by {worst:.3e}")
         return worst
 
@@ -256,9 +258,9 @@ FAILED = ("sufficient condition failed: estimates remain unbiased but "
 def _symmetry_cuts(model: CgfModel, m: int = 0) -> list:
     """Bounds 0 = c_0 < ... < c_n = d of the coordinate blocks the model is
     invariant under permuting within: [m] and the rest (all of range(d)
-    when m = 0) if it is, else one block per coordinate."""
+    when m = 0 or [m] covers it) if it is, else one block per coordinate."""
     d = model.dim
-    cuts = [0, m, d] if m else [0, d]
+    cuts = [0, m, d] if 0 < m < d else [0, d]
     spans = list(zip(cuts, cuts[1:]))
     if isinstance(model, IndependentModel):
         comps = model.components
@@ -375,26 +377,26 @@ def candidate_betas(rule, model: CgfModel, n: Optional[int] = None,
 
 
 def _finish(model, thetas, labels, problem, variant, condition, lhs, rhs,
-            r_star, margins, warning=FAILED, dropped=0):
-    """The report (with ``warning`` when the condition fails) and the
-    proposal over the stacked tilt blocks, with their CGF values;
-    ``dropped`` counts margins clipped before ``margins`` was formed."""
+            r_star, margins, warning=FAILED):
+    """The report (with ``warning`` when the condition fails), its margins
+    clipped to the MARGIN_CAP smallest, and the proposal over the stacked
+    tilt blocks, with their CGF values."""
     holds = lhs >= rhs - 1e-12
-    kept, n_clipped = _clip_margins(margins)
+    kept, dropped = _clip_margins(margins)
     rep = EfficiencyReport(condition, holds, lhs, rhs, r_star, kept,
-                           None if holds else warning, dropped + n_clipped)
+                           None if holds else warning, dropped)
     thetas = np.concatenate(thetas)
     prop = MixtureProposal(thetas, [model.cgf(t) for t in thetas], labels,
                            problem, variant)
     return prop, rep
 
 
-def _clip_margins(margins: dict, cap: int = 200) -> Tuple[dict, int]:
-    """The ``cap`` smallest margins and the number of margins dropped."""
-    if len(margins) <= cap:
+def _clip_margins(margins: dict) -> Tuple[dict, int]:
+    """The MARGIN_CAP smallest margins and the number of margins dropped."""
+    if len(margins) <= MARGIN_CAP:
         return margins, 0
-    worst = sorted(margins.items(), key=lambda kv: kv[1])[:cap]
-    return dict(worst), len(margins) - cap
+    worst = sorted(margins.items(), key=lambda kv: kv[1])[:MARGIN_CAP]
+    return dict(worst), len(margins) - MARGIN_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +432,7 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
         return _finish(model, thetas, labels, problem, variant, "H1",
                        math.inf, rhs, r_min, {"d=1": math.inf})
 
-    warning, dropped = FAILED, 0
+    warning = FAILED
     lhs, margins = math.inf, {}
     rep_pairs = list(combinations(orb.heads(2), 2))
     pair_prog = lambda q: gamma_pair_program(*q, rule, model)
@@ -458,13 +460,15 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
         labels += [f"gamma_pair[{k},{kp}]" for k, kp in pairs]
     elif orb.symmetric:
         condition = "direct"
-        rep = check_direct_siegmund_homogeneous(model, ell, u)
-        lhs, margins, dropped = rep.lhs, rep.margins, rep.margins_dropped
+        cert = direct_certificate([model], ell, [u])
+        lhs = cert.lhs[0]
+        margins = dict(zip((f"m={m}" for m in range(2, d + 1)),
+                           (cert.vals[0] - cert.rhs[0]).tolist()))
     else:
         condition, lhs = "direct", -math.inf
         warning = "direct condition not checked: model is not exchangeable"
     return _finish(model, thetas, labels, problem, variant, condition, lhs,
-                   rhs, r_min, margins, warning, dropped)
+                   rhs, r_min, margins, warning)
 
 
 @dataclass
@@ -528,21 +532,6 @@ def direct_certificate(models, ell: float, us) -> DirectCertificate:
                                -math.inf)
             r_star[i] = rates[:, 1]
     return DirectCertificate(vals, r_star)
-
-
-def check_direct_siegmund_homogeneous(model: CgfModel, ell: float, u: float
-                                      ) -> EfficiencyReport:
-    """Direct condition v_A(beta^{0}) >= 2 min_k r_{k} for homogeneous
-    models: the one-cell case of ``direct_certificate``, with the margin of
-    each region size m = 2..d."""
-    cert = direct_certificate([model], ell, [u])
-    rhs, lhs, holds = cert.rhs[0], cert.lhs[0], cert.holds[0]
-    margins, dropped = _clip_margins(dict(zip(
-        (f"m={m}" for m in range(2, model.dim + 1)),
-        (cert.vals[0] - rhs).tolist())))
-    warning = None if holds else "direct condition failed for some region size"
-    return EfficiencyReport("direct", holds, float(lhs), float(rhs),
-                            float(cert.r_star[0]), margins, warning, dropped)
 
 
 # ---------------------------------------------------------------------------

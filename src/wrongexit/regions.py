@@ -143,8 +143,8 @@ class SiegmundRule(_StoppingRule):
     kind = "siegmund"
 
     def __init__(self, ell: float, u: float):
-        if ell <= 0 or u <= 0:
-            raise ValueError("ell and u must be positive")
+        if not (0 < ell < math.inf and 0 < u < math.inf):
+            raise ValueError("ell and u must be positive and finite")
         self.ell = float(ell)
         self.u = float(u)
 

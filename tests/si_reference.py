@@ -152,7 +152,7 @@ def _ray_radius(model, direction) -> float:
         drift = float(model.mean @ direction)
         curv = float(direction @ (model.cov @ direction))
         return max(0.0, -2.0 * drift / curv)
-    grad0 = float(model.cgf_grad(np.zeros(model.dim)) @ direction)
+    grad0 = float(model.cgf_grad_rows([np.zeros(model.dim)])[0] @ direction)
     if grad0 >= 0:
         return 0.0
     caps = [
@@ -226,7 +226,7 @@ def _si_dual_program(model, signs, subsets):
     cons = [
         {"type": "ineq", "fun": lambda z: -model.cgf(z[:d]),
          "jac": lambda z: np.concatenate(
-             [-model.cgf_grad(z[:d]), np.zeros(nC)])},
+             [-model.cgf_grad_rows([z[:d]])[0], np.zeros(nC)])},
         {"type": "ineq", "fun": lambda z: lin @ z, "jac": lambda z: lin},
     ]
     bounds = ([(0.0, None) if sk > 0 else (None, 0.0) for sk in signs]

@@ -31,7 +31,7 @@ from wrongexit.proposals import (
     build_gap,
     build_siegmund,
     build_sum_intersection,
-    check_direct_siegmund_homogeneous,
+    direct_certificate,
 )
 from wrongexit.solvers import (
     beta_program,
@@ -89,7 +89,7 @@ def test_criterion_02_table_reproduction():
                 best["H1"] = rho
             if 2 * s >= 2 * r - 1e-12:
                 best["H2"] = rho
-            if check_direct_siegmund_homogeneous(model, 1.0, u).holds:
+            if direct_certificate([model], 1.0, [u]).holds[0]:
                 best["direct"] = rho
         for key in got:
             got[key].append(best[key])
@@ -248,7 +248,7 @@ def test_criterion_09_invariant_suites(monkeypatch):
                                     Normal(-0.5, 1.0)])):
         for _ in range(5):
             th = rng.normal(scale=0.4, size=model.dim)
-            grad = model.cgf_grad(th)
+            grad = model.cgf_grad_rows([th])[0]
             for k in range(model.dim):
                 e = np.zeros(model.dim)
                 e[k] = 1e-6

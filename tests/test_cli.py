@@ -26,6 +26,12 @@ TINY_SIEGMUND = {
 }
 
 
+# file contents that are not a JSON document: none (a missing file),
+# malformed JSON and bytes that are not UTF-8
+UNREADABLE = [None, b'{"name": ', b'\xff{}']
+UNREADABLE_IDS = ["missing", "malformed", "not-utf8"]
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -74,6 +80,15 @@ class TestConfigParsing:
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = write_cfg(tmp_path, {"name": "x", "model": {"family": "bad"}})
         assert main(["solve", "--config", path]) == 2
+
+    @pytest.mark.parametrize("data", UNREADABLE, ids=UNREADABLE_IDS)
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, data):
+        path = tmp_path / "cfg.json"
+        if data is not None:
+            path.write_bytes(data)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert (f"config error: --config: cannot read {path}: "
+                in capsys.readouterr().err)
 
 
 class TestCommands:
@@ -186,9 +201,28 @@ class TestCommands:
         assert self.run_on_manifest(tmp_path, manifest, model=model) == 2
         assert "proposal.manifest: solved for d = 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", UNREADABLE, ids=UNREADABLE_IDS)
+    def test_unreadable_manifest_is_config_error(self, tmp_path, capsys,
+                                                 data):
+        manifest = tmp_path / "manifest.json"
+        if data is not None:
+            manifest.write_bytes(data)
+        assert self.run_on_manifest(tmp_path, manifest) == 2
+        assert (f"config error: proposal.manifest: cannot read {manifest}: "
+                in capsys.readouterr().err)
+
     def test_manifest_cgf_errors_are_config_errors(self, tmp_path, capsys):
         manifest = self.solved_manifest(tmp_path)
-        man = json.loads(manifest.read_text())
+        solved = manifest.read_text()
+        for nan in ("nan", math.nan):  # as _strict and json.dumps spell it
+            man = json.loads(solved)
+            man["lambdas"][0] = nan
+            manifest.write_text(json.dumps(man))
+            assert self.run_on_manifest(tmp_path, manifest) == 2
+            err = capsys.readouterr().err
+            assert "proposal.manifest: component " in err
+            assert "has Lambda(theta) = nan, not a finite value" in err
+        man = json.loads(solved)
         man["lambdas"][0] -= 1e-3
         manifest.write_text(json.dumps(man))
         assert self.run_on_manifest(tmp_path, manifest) == 2
@@ -660,10 +694,10 @@ class TestSweeps:
         """The direct condition of every (rho, u) cell comes from one
         stacked certificate, with no CGF over a (d-1) x d witness stack,
         and the table's direct column is the last rho at which the
-        one-cell check holds."""
+        theta0 builder's direct check holds."""
         import wrongexit.cli as cli
         from wrongexit import MvNormalModel, exchangeable_mvnormal
-        from wrongexit.proposals import check_direct_siegmund_homogeneous
+        from wrongexit.proposals import build_siegmund
 
         calls, shapes = [], []
         certify, cgf_rows = cli.direct_certificate, MvNormalModel.cgf_rows
@@ -689,8 +723,9 @@ class TestSweeps:
         assert (7, 8) not in shapes
         rows = (out / "tb_table.csv").read_text().strip().splitlines()[1:]
         for u, row in zip(u_values, rows):
-            held = [rho for rho in rhos if check_direct_siegmund_homogeneous(
-                exchangeable_mvnormal(8, -0.5, rho), 1.0, u).holds]
+            held = [rho for rho in rhos if build_siegmund(
+                "theta0", exchangeable_mvnormal(8, -0.5, rho), 1.0,
+                u)[1].holds]
             assert row.split(",")[3] == (repr(held[-1]) if held else "")
         assert [row.split(",")[3] for row in rows] == ["0.6", "0.4", "0.3"]
 
@@ -769,6 +804,18 @@ class TestBadInputIsConfigError:
             assert main(["sweep", "--config", path,
                          "--out", str(tmp_path / "o")]) == 2
             assert f"config error: sweep.m: {m}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", [6, 9])
+    def test_solve_rule_size_outside_range(self, tmp_path, capsys, m):
+        # ``solve`` makes its solve cache before the size check
+        cfg = {"name": "size",
+               "model": {"family": "mvnormal", "dim": 6, "mean": -0.5},
+               "problem": {"kind": "gap", "m": m},
+               "proposal": {"variant": "t1"}}
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert (f"config error: problem.m: {m} is outside 1..5"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command,problem,variant,message", [
         ("check", {"kind": "gap", "m": 1}, "t1",

@@ -151,6 +151,11 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(b=1.0, n_paths=10, seed=0, workers=0)
 
+    @pytest.mark.parametrize("b", [math.nan, math.inf])
+    def test_non_finite_b_rejected(self, b):
+        with pytest.raises(ValueError, match="b must be positive and finite"):
+            RunConfig(b=b, n_paths=10, seed=0)
+
     def test_workers_above_cpu_count_rejected(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         RunConfig(b=1.0, n_paths=10, seed=0, workers=2)
@@ -594,7 +599,8 @@ class TestNumerics:
         def reference(b):
             worst = math.inf
             for th in thetas:
-                worst = min(worst, float(np.min(np.abs(model.cgf_grad(th)))))
+                worst = min(worst, float(np.min(np.abs(
+                    model.cgf_grad_rows([th])))))
             return max(64, int(math.ceil(50.0 * b / max(worst, 1e-3))))
 
         for b in (0.5, 3.0, 7.5, 12.0, 40.0):

@@ -47,7 +47,7 @@ class TestCgfValues:
         for model in models_under_test():
             z = np.zeros(model.dim)
             assert abs(model.cgf(z)) <= 1e-12
-            np.testing.assert_allclose(model.cgf_grad(z), model.mean,
+            np.testing.assert_allclose(model.cgf_grad_rows([z])[0], model.mean,
                                        atol=1e-12)
 
     def test_mvnormal_origin(self):
@@ -68,7 +68,8 @@ class TestCgfValues:
         rng = np.random.default_rng(0)
         th = rng.normal(size=5)
         expect = -0.5 + model.cov @ th
-        np.testing.assert_allclose(model.cgf_grad(th), expect, atol=1e-14)
+        np.testing.assert_allclose(model.cgf_grad_rows([th])[0], expect,
+                                   atol=1e-14)
 
     def test_exponential_tilted_mean(self):
         comp = ShiftedExponential(2.0, -LOG2)
@@ -82,7 +83,7 @@ class TestCgfValues:
         assert model.cgf(np.array([2.0])) == math.inf
         assert model.cgf(np.array([2.5])) == math.inf
         with pytest.raises(TiltDomainError):
-            model.cgf_grad(np.array([2.0]))
+            model.cgf_grad_rows([np.array([2.0])])
         with pytest.raises(TiltDomainError):
             model.tilted_sampler(np.array([2.0]))(np.random.default_rng(0), 1)
 
@@ -91,7 +92,7 @@ class TestCgfValues:
         with pytest.raises(ValueError):
             model.cgf(np.zeros(2))
         with pytest.raises(ValueError):
-            model.cgf_grad(np.zeros(4))
+            model.cgf_grad_rows([np.zeros(4)])
 
 
 class TestCgfRows:
@@ -108,7 +109,7 @@ class TestCgfRows:
         rng = np.random.default_rng(9)
         thetas = np.array([interior_tilt(model, rng) for _ in range(7)])
         got = model.cgf_grad_rows(thetas)
-        want = [model.cgf_grad(th) for th in thetas]
+        want = [model.cgf_grad_rows([th])[0] for th in thetas]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
     def test_grad_rows_outside_domain_raise(self):
@@ -155,7 +156,7 @@ class TestConvexityAndGradients:
         for model in models_under_test():
             for _ in range(5):
                 th = interior_tilt(model, rng)
-                grad = model.cgf_grad(th)
+                grad = model.cgf_grad_rows([th])[0]
                 for k in range(model.dim):
                     e = np.zeros(model.dim)
                     e[k] = h
@@ -189,6 +190,22 @@ class TestModelValidation:
             MvNormalModel(np.array([-0.5, 0.0]), np.eye(2))
         with pytest.raises(ValueError):
             Normal(0.0, 1.0)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Normal(-0.5, math.nan), "sigma2"),
+        (lambda: Normal(-0.5, math.inf), "sigma2"),
+        (lambda: Normal(math.nan, 1.0), "mu"),
+        (lambda: Normal(-math.inf, 1.0), "mu"),
+        (lambda: ShiftedExponential(math.nan, -1.0), "rate"),
+        (lambda: ShiftedExponential(math.inf, -1.0), "rate"),
+        (lambda: ShiftedExponential(1.0, math.nan), "shift"),
+        (lambda: ShiftedExponential(1.0, -math.inf), "shift"),
+    ], ids=["normal-nan-sigma2", "normal-inf-sigma2", "normal-nan-mu",
+            "normal-inf-mu", "exp-nan-rate", "exp-inf-rate",
+            "exp-nan-shift", "exp-inf-shift"])
+    def test_non_finite_component_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_non_pd_cov_rejected(self):
         with pytest.raises(ValueError):
@@ -370,7 +387,7 @@ class TestTiltedSampling:
         rng = np.random.default_rng(42)
         n = 1_000_000
         draws = model.tilted_sampler(theta)(rng, n)
-        want = model.cgf_grad(theta)
+        want = model.cgf_grad_rows([theta])[0]
         got = draws.mean(axis=0)
         sd = draws.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(got - want) <= 4 * sd)

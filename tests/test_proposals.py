@@ -21,7 +21,6 @@ from wrongexit.proposals import (
     build_gap,
     build_siegmund,
     build_sum_intersection,
-    check_direct_siegmund_homogeneous,
     direct_certificate,
 )
 from wrongexit.solvers import (
@@ -167,13 +166,13 @@ class TestSiegmundBuilders:
                           (8, 1.0, 0.5)]:
             if d >= 2 + 2 * ell / u:
                 model = IndependentModel([comp] * d)
-                rep = check_direct_siegmund_homogeneous(model, ell, u)
-                assert rep.holds, (d, ell, u)
+                assert direct_certificate([model], ell, [u]).holds[0], \
+                    (d, ell, u)
 
     def test_direct_check_rejects_non_exchangeable(self):
         model = IndependentModel([Normal(-0.5, 1.0), Normal(-0.9, 2.0)])
         with pytest.raises(ValueError):
-            check_direct_siegmund_homogeneous(model, 1.0, 1.0)
+            direct_certificate([model], 1.0, [1.0])
 
     def test_direct_check_matches_per_size_reference(self):
         branches = set()
@@ -185,7 +184,7 @@ class TestSiegmundBuilders:
                         case = (d, rho, u, ell)
                         betas, lhs, rhs, margins = direct_reference(
                             model, ell, u)
-                        rep = check_direct_siegmund_homogeneous(model, ell, u)
+                        _, rep = build_siegmund("theta0", model, ell, u)
                         assert rep.holds == (lhs >= rhs - 1e-12), case
                         assert rep.lhs == pytest.approx(lhs, abs=1e-9), case
                         assert rep.rhs == pytest.approx(rhs, abs=1e-9), case
@@ -212,9 +211,11 @@ class TestSiegmundBuilders:
         model = IndependentModel([ShiftedExponential(2.0, -LOG2)] * 6)
         for ell, u in [(1.0, 1.0), (1.0, 0.2), (4.0, 3.0), (0.5, 1.0)]:
             _, lhs, rhs, margins = direct_reference(model, ell, u)
-            rep = check_direct_siegmund_homogeneous(model, ell, u)
-            assert (rep.lhs, rep.rhs, rep.margins) == (lhs, rhs, margins)
-            assert rep.holds == (lhs >= rhs - 1e-12)
+            cert = direct_certificate([model], ell, [u])
+            _, rep = build_siegmund("theta0", model, ell, u)
+            assert (cert.lhs[0], cert.rhs[0], rep.margins) == (lhs, rhs,
+                                                              margins)
+            assert cert.holds[0] == (lhs >= rhs - 1e-12)
 
     @pytest.mark.parametrize("model", [
         exchangeable_mvnormal(12, -0.5, 0.3),
@@ -222,8 +223,8 @@ class TestSiegmundBuilders:
         ids=["normal", "iid-exponential"])
     def test_direct_check_is_one_batched_certificate(self, monkeypatch,
                                                      model):
-        """The check is one stacked certificate over one cell, and no
-        CGF is evaluated over a (d-1) x d witness stack; ``cmd_table``
+        """The theta0 check is one stacked certificate over one cell, which
+        evaluates no CGF over a (d-1) x d witness stack; ``cmd_table``
         makes one stacked call for all its cells
         (``test_table_certifies_all_cells_in_one_stacked_call``)."""
         calls = {"direct_certificate": 0, "cgf": 0, "witness_rows": 0}
@@ -232,7 +233,10 @@ class TestSiegmundBuilders:
 
         def counted(*args):
             calls["direct_certificate"] += 1
-            return certify(*args)
+            with monkeypatch.context() as inside:
+                inside.setattr(type(model), "cgf", counted_cgf)
+                inside.setattr(type(model), "cgf_rows", counted_rows)
+                return certify(*args)
 
         def counted_cgf(self, theta):
             calls["cgf"] += 1
@@ -243,19 +247,15 @@ class TestSiegmundBuilders:
             return cgf_rows(self, thetas)
 
         monkeypatch.setattr(proposals, "direct_certificate", counted)
-        monkeypatch.setattr(type(model), "cgf", counted_cgf)
-        monkeypatch.setattr(type(model), "cgf_rows", counted_rows)
-        rep = check_direct_siegmund_homogeneous(model, 1.0, 1.0)
+        _, rep = build_siegmund("theta0", model, 1.0, 1.0)
         assert calls == {"direct_certificate": 1, "cgf": 0, "witness_rows": 0}
         assert list(rep.margins) == [f"m={m}" for m in range(2, 13)]
 
     def test_margins_beyond_the_cap_are_counted(self):
         model = exchangeable_mvnormal(203, -0.5, 0.3)
-        rep = check_direct_siegmund_homogeneous(model, 1.0, 1.0)
-        assert len(rep.margins) == 200 and rep.margins_dropped == 2
-        assert set(rep.margins) < {f"m={m}" for m in range(2, 204)}
         prop, built = build_siegmund("theta0", model, 1.0, 1.0)
-        assert built.margins_dropped == 2
+        assert len(built.margins) == 200 and built.margins_dropped == 2
+        assert set(built.margins) < {f"m={m}" for m in range(2, 204)}
         man = json.loads(json.dumps(prop.to_manifest(built)))
         assert man["report"]["margins_dropped"] == 2
         assert proposals.EfficiencyReport(**man["report"]).as_dict() \
@@ -263,8 +263,8 @@ class TestSiegmundBuilders:
         del man["report"]["margins_dropped"]  # a manifest from before
         assert proposals.EfficiencyReport(
             **man["report"]).margins_dropped == 0
-        small = check_direct_siegmund_homogeneous(
-            exchangeable_mvnormal(20, -0.5, 0.3), 1.0, 1.0)
+        _, small = build_siegmund(
+            "theta0", exchangeable_mvnormal(20, -0.5, 0.3), 1.0, 1.0)
         assert small.as_dict()["margins_dropped"] == 0
 
     def test_theta0_on_non_exchangeable_model_is_not_checked(self):
@@ -277,11 +277,10 @@ class TestSiegmundBuilders:
     def test_theta0_propagates_direct_check_errors(self, monkeypatch):
         import wrongexit.proposals as proposals
 
-        def broken(model, ell, u):
+        def broken(models, ell, us):
             raise ValueError("broken direct check")
 
-        monkeypatch.setattr(proposals, "check_direct_siegmund_homogeneous",
-                            broken)
+        monkeypatch.setattr(proposals, "direct_certificate", broken)
         model = exchangeable_mvnormal(4, -0.5, 0.2)
         with pytest.raises(ValueError, match="broken direct check"):
             build_siegmund("theta0", model, 1.0, 1.0)
@@ -289,7 +288,7 @@ class TestSiegmundBuilders:
     def test_direct_boundary_u1(self):
         for rho, expect in [(0.50, True), (0.51, False)]:
             model = exchangeable_mvnormal(50, -0.5, rho)
-            rep = check_direct_siegmund_homogeneous(model, 1.0, 1.0)
+            _, rep = build_siegmund("theta0", model, 1.0, 1.0)
             assert rep.holds is expect
 
 
@@ -334,9 +333,9 @@ class TestDirectCertificate:
                 assert stacked.r_star[j].tobytes() == \
                     one.r_star[0].tobytes()
                 assert stacked.holds[j] == one.holds[0]
-                rep = check_direct_siegmund_homogeneous(model, ell, u)
-                assert (rep.holds, rep.lhs, rep.rhs, rep.r_star) == (
-                    one.holds[0], one.lhs[0], one.rhs[0], one.r_star[0])
+                _, rep = build_siegmund("theta0", model, ell, u)
+                assert (rep.lhs, list(rep.margins.values())) == (
+                    one.lhs[0], (one.vals[0] - one.rhs[0]).tolist())
                 vm = siegmund_profiles([model], ell, [u])[1][0, 1:d]
                 branches.update(np.where(vm == 0.0, "pinned", "free"))
                 outcomes.add(bool(one.holds[0]))

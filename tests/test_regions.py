@@ -182,6 +182,14 @@ class TestExits:
         assert sets.tolist() == [[True, False], [False, True]]
 
 
+class TestRuleValidation:
+    @pytest.mark.parametrize("ell, u", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+    def test_siegmund_barriers_must_be_positive_and_finite(self, ell, u):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SiegmundRule(ell, u)
+
+
 class TestSupportValue:
     def test_siegmund_formula(self):
         rule = SiegmundRule(1.0, 1.0)

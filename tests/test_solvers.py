@@ -169,7 +169,7 @@ class TestSiegmundSolvers:
                 assert lam0 > 0 and np.all(mu >= -1e-12)
                 np.testing.assert_allclose(
                     c + np.where(in_A, 1.0, -1.0) * mu,
-                    lam0 * model.cgf_grad(sol.tilt), atol=1e-8)
+                    lam0 * model.cgf_grad_rows([sol.tilt])[0], atol=1e-8)
 
     def test_exchangeable_active_set_matches_profile(self):
         model = exchangeable_mvnormal(7, -0.5, 0.35)
