@@ -1,6 +1,6 @@
 """Print one sha256 per (config, command) over the files the CLI writes.
 
-    python3 scripts/output_digests.py [--tree DIR] > digests.txt
+    python3 scripts/output_digests.py [--tree DIR] [--keep OUT] > digests.txt
 
 Every shipped config under ``DIR/configs`` runs, in process against the
 package in ``DIR/src``, each command its sections call for, at cut-down
@@ -13,7 +13,9 @@ of Table 1 in well under a second; the rho sweeps at a rho step of 0.3
 bytes of the files the command wrote.  ``DIR`` defaults to the checkout
 holding this script.  To compare two commits, export one with ``git
 archive`` into a directory, run the script once per tree and ``diff`` the
-two listings.
+two listings.  With ``--keep OUT`` each job's config and outputs stay in
+``OUT/<config>_<command>/`` (the digests are unchanged), and
+``scripts/compare_outputs.py`` compares two kept trees field by field.
 """
 
 from __future__ import annotations
@@ -70,15 +72,19 @@ def main() -> None:
     ap.add_argument("--tree", type=Path,
                     default=Path(__file__).resolve().parents[1],
                     help="checkout whose configs and src to run")
-    tree = ap.parse_args().tree.resolve()
+    ap.add_argument("--keep", type=Path, metavar="OUT",
+                    help="directory to keep each job's outputs in")
+    args = ap.parse_args()
+    tree = args.tree.resolve()
     sys.path.insert(0, str(tree / "src"))
     from wrongexit.cli import main as cli
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with (contextlib.nullcontext(args.keep) if args.keep
+          else tempfile.TemporaryDirectory()) as root:
         for path in sorted((tree / "configs").glob("*.json")):
             for cmd, cfg in jobs(json.loads(path.read_text())):
-                work = Path(tmp) / f"{path.stem}_{cmd}"
-                work.mkdir()
+                work = Path(root) / f"{path.stem}_{cmd}"
+                work.mkdir(parents=True)
                 cfg_path = work / "config.json"
                 cfg_path.write_text(json.dumps(cfg))
                 out = work / "out"

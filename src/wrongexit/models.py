@@ -46,15 +46,6 @@ class TiltDomainError(ValueError):
     """Tilt parameter outside the open domain of the CGF."""
 
 
-def _check_dim(theta: np.ndarray, dim: int) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (dim,):
-        raise ValueError(f"tilt has shape {theta.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("tilt has non-finite entries")
-    return theta
-
-
 def _check_rows(thetas, dim: int) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2:
@@ -177,8 +168,13 @@ def siegmund_root(component: ScalarFamily) -> float:
 # ---------------------------------------------------------------------------
 
 class _TiltedSampling:
-    """Shared by the models: each model supplies ``batch_sampler``, and the
-    single-tilt sampler is its one-row case."""
+    """Shared by the models: each model supplies ``cgf_rows`` and
+    ``batch_sampler``, and the single-tilt CGF and sampler are their
+    one-row cases."""
+
+    def cgf(self, theta) -> float:
+        """Lambda(theta) of one (d,) tilt; +inf outside the domain."""
+        return float(self.cgf_rows(np.asarray(theta, dtype=float)[None])[0])
 
     def tilted_sampler(self, theta):
         """Closure drawing (k, d) blocks from the tilted law; the tilt
@@ -262,10 +258,6 @@ class MvNormalModel(_TiltedSampling):
     def in_domain(self, theta) -> bool:
         return bool(np.all(np.isfinite(theta)))
 
-    def cgf(self, theta) -> float:
-        theta = _check_dim(theta, self.dim)
-        return float(self.mean @ theta + 0.5 * theta @ (self.cov @ theta))
-
     def cgf_rows(self, thetas) -> np.ndarray:
         """Lambda of each row of an (n, d) tilt array."""
         thetas = _check_rows(thetas, self.dim)
@@ -298,11 +290,9 @@ class MvNormalModel(_TiltedSampling):
         """(m, sigma2, rho) when the model is exchangeable, else None."""
         return exchangeable_form(self.mean, self.cov, self._form)
 
-    def marginal_root(self, k: int) -> float:
-        """Positive zero of the k-th diagonal restriction t -> Lambda(t e_k)."""
-        if self.mean[k] >= 0:
-            raise ValueError("Siegmund root requires negative drift in coordinate")
-        return -2.0 * self.mean[k] / self.cov[k, k]
+    def marginal(self, k: int) -> Normal:
+        """The law N(mean[k], cov[k, k]) of coordinate k."""
+        return Normal(float(self.mean[k]), float(self.cov[k, k]))
 
     def __repr__(self):
         return f"MvNormalModel(dim={self.dim})"
@@ -361,10 +351,6 @@ class IndependentModel(_TiltedSampling):
         open domain: below the rate on each exponential coordinate."""
         return bool(np.all(np.asarray(theta, dtype=float) < self._sup))
 
-    def cgf(self, theta) -> float:
-        theta = _check_dim(theta, self.dim)
-        return sum(c.cgf(t) for c, t in zip(self.components, theta))
-
     def cgf_rows(self, thetas) -> np.ndarray:
         """Lambda of each row of an (n, d) tilt array; +inf on a row
         outside the domain.  Column k is mu t + sigma2 t^2 / 2 for a normal
@@ -378,7 +364,7 @@ class IndependentModel(_TiltedSampling):
         is mu + sigma2 t or 1 / (rate - t) + shift.  Raises TiltDomainError
         when a row leaves the domain."""
         thetas = _check_rows(thetas, self.dim)
-        if np.any(~self._normal & (thetas >= self._par)):
+        if not self.in_domain(thetas):
             raise TiltDomainError("tilt outside domain")
         return separable_grad(self._normal, self._lin, self._par, thetas)
 
@@ -414,8 +400,9 @@ class IndependentModel(_TiltedSampling):
     def is_iid(self) -> bool:
         return all(c == self.components[0] for c in self.components)
 
-    def marginal_root(self, k: int) -> float:
-        return siegmund_root(self.components[k])
+    def marginal(self, k: int) -> ScalarFamily:
+        """The law of coordinate k."""
+        return self.components[k]
 
     def __repr__(self):
         return f"IndependentModel(dim={self.dim})"

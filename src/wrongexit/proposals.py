@@ -386,8 +386,8 @@ def _finish(model, thetas, labels, problem, variant, condition, lhs, rhs,
     rep = EfficiencyReport(condition, holds, lhs, rhs, r_star, kept,
                            None if holds else warning, dropped)
     thetas = np.concatenate(thetas)
-    prop = MixtureProposal(thetas, [model.cgf(t) for t in thetas], labels,
-                           problem, variant)
+    prop = MixtureProposal(thetas, model.cgf_rows(thetas), labels, problem,
+                           variant)
     return prop, rep
 
 
@@ -461,9 +461,9 @@ def build_siegmund(variant: str, model: CgfModel, ell: float, u: float,
     elif orb.symmetric:
         condition = "direct"
         cert = direct_certificate([model], ell, [u])
-        lhs = cert.lhs[0]
+        lhs, rhs, r_min = cert.lhs[0], cert.rhs[0], cert.r_star[0]
         margins = dict(zip((f"m={m}" for m in range(2, d + 1)),
-                           (cert.vals[0] - cert.rhs[0]).tolist()))
+                           (cert.vals[0] - rhs).tolist()))
     else:
         condition, lhs = "direct", -math.inf
         warning = "direct condition not checked: model is not exchangeable"

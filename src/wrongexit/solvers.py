@@ -311,12 +311,13 @@ def si_s_program(B, rule: SumIntersectionRule, model: CgfModel) -> Program:
 
 
 def solve_gamma_single(k: int, rule: SiegmundRule, model: CgfModel) -> TiltSolution:
-    """Single-coordinate tilt gamma^k: k-th entry is the Siegmund root of the
-    k-th marginal CGF restriction, other entries zero; value u z_k."""
+    """Single-coordinate tilt gamma^k: k-th entry is the Siegmund root z_k
+    of the law of coordinate k, other entries zero; value u z_k."""
     validate_drifts(rule, model)
-    z = model.marginal_root(k)
+    marginal = model.marginal(k)
+    z = siegmund_root(marginal)
     th = np.zeros(model.dim)
     th[k] = z
-    resid = abs(model.cgf(th))
+    resid = abs(marginal.cgf(z))
     return TiltSolution(float(rule.u * z), th, bool(resid <= CGF_TOL),
                         float(resid), "siegmund/gamma-root")

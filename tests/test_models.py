@@ -101,8 +101,21 @@ class TestCgfRows:
         rng = np.random.default_rng(8)
         thetas = np.array([interior_tilt(model, rng) for _ in range(7)])
         got = model.cgf_rows(thetas)
-        want = [model.cgf(th) for th in thetas]
+        if isinstance(model, IndependentModel):
+            want = [sum(c.cgf(t) for c, t in zip(model.components, th))
+                    for th in thetas]
+        else:
+            want = [model.mean @ th + th @ model.cov @ th / 2 for th in thetas]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("model", models_under_test(), ids=repr)
+    def test_marginal_is_the_law_of_a_coordinate(self, model):
+        for k in range(model.dim):
+            comp = model.marginal(k)
+            assert comp.mean == model.mean[k]
+            for t in (-0.3, 0.4):
+                th = np.where(np.arange(model.dim) == k, t, 0.0)
+                assert comp.cgf(t) == pytest.approx(model.cgf(th), abs=1e-15)
 
     @pytest.mark.parametrize("model", models_under_test(), ids=repr)
     def test_grad_rows_match_cgf_grad(self, model):
@@ -123,7 +136,8 @@ class TestCgfRows:
                                   ShiftedExponential(2.0, -LOG2)])
         thetas = np.array([[0.1, 0.5], [0.1, 2.0], [-3.0, 2.5]])
         got = model.cgf_rows(thetas)
-        assert got[0] == pytest.approx(model.cgf(thetas[0]), abs=1e-15)
+        want = sum(c.cgf(t) for c, t in zip(model.components, thetas[0]))
+        assert got[0] == pytest.approx(want, abs=1e-15)
         assert list(got[1:]) == [math.inf, math.inf]
 
     def test_rows_shape_and_finiteness(self):

@@ -217,6 +217,19 @@ class TestSiegmundBuilders:
                                                               margins)
             assert cert.holds[0] == (lhs >= rhs - 1e-12)
 
+    @pytest.mark.parametrize("model, ell, u", [
+        (IndependentModel([ShiftedExponential(2.0, -LOG2)] * 6), 4.0, 3.0),
+        (exchangeable_mvnormal(20, -0.5, 0.2), 1.0, 1.0)],
+        ids=["iid-exponential", "normal"])
+    def test_direct_report_reads_one_rate(self, model, ell, u):
+        """The theta0 report takes lhs, rhs, r_star and its margins from
+        the one direct certificate."""
+        cert = direct_certificate([model], ell, [u])
+        _, rep = build_siegmund("theta0", model, ell, u)
+        assert (rep.lhs, rep.rhs, rep.r_star) == (cert.lhs[0], cert.rhs[0],
+                                                  cert.r_star[0])
+        assert min(rep.margins.values()) == rep.lhs - rep.rhs
+
     @pytest.mark.parametrize("model", [
         exchangeable_mvnormal(12, -0.5, 0.3),
         IndependentModel([ShiftedExponential(2.0, -LOG2)] * 12)],
@@ -623,6 +636,19 @@ class TestMixtureProposal:
         assert np.array_equal(back.thetas, prop.thetas)
         assert back.provenance == prop.provenance
         assert back.check_lambdas(model) <= 1e-10
+
+    @pytest.mark.parametrize("build, model", [
+        (lambda m: build_siegmund("theta0", m, 1.0, 1.0),
+         exchangeable_mvnormal(20, -0.5, 0.2)),
+        (lambda m: build_siegmund("theta1", m, 1.0, 1.0),
+         IndependentModel([ShiftedExponential(2.0, -LOG2),
+                           Normal(-0.5, 1.0)] * 2)),
+        (lambda m: build_gap("t1", m, 2), per_side_normal(5, 2, 0.1)),
+        (lambda m: build_sum_intersection(m, 2), random_normal(4, 1))],
+        ids=["theta0", "theta1", "t1", "si"])
+    def test_built_lambdas_are_the_row_values(self, build, model):
+        prop, _ = build(model)
+        assert prop.check_lambdas(model) == 0.0
 
     def test_no_duplicates_after_dedup(self):
         thetas = np.array([[1.0, 0.0], [1.0, 1e-13], [0.0, 1.0]])

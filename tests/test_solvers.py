@@ -228,8 +228,8 @@ class TestSiegmundSolvers:
     def test_gamma_pair_geq_sum_of_roots_indep(self):
         model = IndependentModel([ShiftedExponential(2.0, -LOG2),
                                   Normal(-0.5, 1.0)])
-        z0 = model.marginal_root(0)
-        z1 = model.marginal_root(1)
+        z0 = siegmund_root(model.marginal(0))
+        z1 = siegmund_root(model.marginal(1))
         s = solve(gamma_pair_program(0, 1, RULE11, model)).value
         assert s >= z0 + z1 - 1e-12
         # equality in the iid case by symmetry
