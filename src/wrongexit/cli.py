@@ -400,7 +400,8 @@ def _workers(args, spec: dict, path: str) -> int:
     """``--workers`` if given, else the config's value; 1..os.cpu_count()."""
     w = _number(spec.get("workers", 1) if args.workers is None
                 else args.workers, f"{path}.workers", int)
-    if not 1 <= w <= (os.cpu_count() or 1):
+    cpus = 1 if w <= 1 else os.cpu_count() or 1
+    if not 1 <= w <= cpus:
         raise ConfigError(f"{path}.workers: {w} is outside 1..os.cpu_count()"
                           f" = {os.cpu_count() or 1}")
     return w

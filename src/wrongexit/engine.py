@@ -133,7 +133,7 @@ class RunConfig:
             raise ValueError("max_steps must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        cpus = os.cpu_count() or 1
+        cpus = 1 if self.workers == 1 else os.cpu_count() or 1
         if self.workers > cpus:
             raise ValueError(
                 f"workers={self.workers} exceeds os.cpu_count()={cpus}")

@@ -19,6 +19,20 @@ The engine applies it to ``(k, B, d)`` blocks of B paths over k steps and
 keeps the exit sets as boolean member masks; ``first_hit`` is the
 one-path case of the same test.
 
+The stop test runs on every row of every block, and at the small d of the
+oracle problems it costs about as much as drawing the increments.  A numpy
+reduction, sort or partition along the last axis loops once per row, and
+at d = 2-4 that per-row overhead is most of its cost.  So the Siegmund
+``all``, the ``rare_mask`` ``any`` and the sum-intersection counts reduce a
+coordinate-major copy (``reduce_coords``), and the gap test sorts, which is
+faster than a two-index partition at every d.  The sum-intersection test
+still partitions, but only on the rows that pass an exact pre-filter: a row
+whose L smallest |x_k| sum past b has at most L - 1 coordinates at or
+below b / L, even after rounding (``SumIntersectionRule._stopped``), so
+the count drops only rows that cannot stop: 72% of the rows at d=10, L=2
+and 45% at d=3, L=2 on the benchmark's sum-intersection models.  Every
+test gives the same bits as the per-row form.
+
 The support value
 
     inf_{x in closure(W^A)} theta . x
@@ -50,6 +64,8 @@ __all__ = [
 ]
 
 SIGN_TOL = 1e-12  # |theta_k| below this satisfies either sign constraint
+IN_PLACE_MIN_D = 32  # reduce_coords reduces in place from this d on
+SI_MARGIN = 1e-9  # relative slack of the SI pre-filter's threshold b / L
 
 
 @dataclass(frozen=True)
@@ -95,6 +111,30 @@ def rearrangement_min(theta, L: int):
     return float(best) if a.ndim == 1 else best
 
 
+def reduce_coords(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1)`` of a bool or int array ``(..., d)``.
+
+    Reducing the last axis makes numpy loop once per row, and at small d
+    that per-row overhead is most of the cost.  Below ``IN_PLACE_MIN_D``
+    coordinates the rows are copied coordinate-major, ``a.reshape(-1,
+    d).T.copy()``, and reduced along axis 0: d - 1 whole-column operations.
+    The copy is one pass over the block whatever d is, while the number of
+    rows, and with it the per-row overhead, falls as d grows, so from
+    there on the in-place ``axis=-1`` reduction wins.
+    Measured on 16,384-value bool blocks (numpy 2.4, one core of a shared
+    x86-64 container), in-place against coordinate-major, in us: ``all``
+    109/10 at d=4, 18/10 at d=20, 12/10 at d=32, 10/11 at d=40, 6/11 at
+    d=100 and 2.4/19 at d=400; ``add`` 97/23 at d=4, 21/19 at d=32 and
+    12/20 at d=100.  Bool and int reductions are exact, so both layouts
+    give the same bits.
+    """
+    d = a.shape[-1]
+    if d >= IN_PLACE_MIN_D:
+        return ufunc.reduce(a, axis=-1)
+    cols = a.reshape(-1, d).T.copy()
+    return ufunc.reduce(cols, axis=0).reshape(a.shape[:-1])
+
+
 class _StoppingRule:
     """One stopping definition per rule, vectorised over leading axes.
 
@@ -124,7 +164,8 @@ class _StoppingRule:
 
     def rare_mask(self, sets: np.ndarray) -> np.ndarray:
         """Rows of a ``(n, d)`` exit-set array that are rare regions."""
-        return (sets != self._reference_set(sets.shape[1])).any(axis=1)
+        return reduce_coords(np.logical_or,
+                             sets != self._reference_set(sets.shape[1]))
 
     def first_hit(self, states: np.ndarray, b: float):
         """First stopped row in a (n, d) block of states, or (-1, None)."""
@@ -149,7 +190,8 @@ class SiegmundRule(_StoppingRule):
         self.u = float(u)
 
     def _stopped(self, x, b):
-        return ((x > b * self.u) | (x < -b * self.ell)).all(axis=-1)
+        return reduce_coords(np.logical_and,
+                             (x > b * self.u) | (x < -b * self.ell))
 
     def _exit_set(self, x, b):
         return x > b * self.u
@@ -183,7 +225,8 @@ class GapRule(_StoppingRule):
         d = x.shape[-1]
         if not 1 <= self.m <= d - 1:
             raise ValueError("m must satisfy 1 <= m <= d-1")
-        part = np.partition(x, (d - self.m - 1, d - self.m), axis=-1)
+        # the same order statistics as a partition, and faster at every d
+        part = np.sort(x, axis=-1)
         # a tie exactly at gap == b does not stop (regions are open)
         return part[..., d - self.m] - part[..., d - self.m - 1] > b
 
@@ -212,15 +255,37 @@ class SumIntersectionRule(_StoppingRule):
         self.L = int(L)
 
     def _stopped(self, x, b):
-        if self.L > x.shape[-1]:
+        """The sum of the L smallest |x_k| exceeds b, tested by partition
+        on the candidate rows only.
+
+        The sum of L values is at most L times their largest, t, so a row
+        that stops has at most L - 1 coordinates with |x_k| <= b / L.  In
+        floats: the computed sum of L nonnegative terms is at most their
+        exact sum times 1 + (L - 1) eps (eps = 2^-53), so a computed sum
+        above b gives t > b / (L (1 + (L - 1) eps)).  The threshold
+        b / L (1 - SI_MARGIN) is formed with three roundings, each a
+        factor of at most 1 + eps, so it lies below that bound while
+        (L + 2) eps < SI_MARGIN, for any L below 10^6.  The d - L + 1
+        coordinates with |x_k| >= t then all lie above the threshold, so a
+        row with L or more coordinates at or below it cannot stop.  NaN is
+        never at or below the threshold, just as a partition sorts it last.
+        """
+        d = x.shape[-1]
+        if self.L > d:
             raise ValueError("L exceeds dimension")
-        small = np.partition(np.abs(x), self.L - 1, axis=-1)[..., : self.L]
-        return small.sum(axis=-1) > b
+        ax = np.abs(x).reshape(-1, d)
+        small = reduce_coords(np.add, ax <= b / self.L * (1.0 - SI_MARGIN))
+        cand = np.flatnonzero(small < self.L)
+        low = np.partition(np.take(ax, cand, axis=0), self.L - 1, axis=-1)
+        hit = np.zeros(ax.shape[0], dtype=bool)
+        hit[cand] = low[:, : self.L].sum(axis=-1) > b
+        return hit.reshape(x.shape[:-1])
 
     def _exit_set(self, x, b):
         # the reference region (fewer than L positive coordinates) has A empty
         positive = x > 0
-        return positive & (positive.sum(axis=-1) >= self.L)[..., None]
+        many = reduce_coords(np.add, positive) >= self.L
+        return positive & many[..., None]
 
     def __repr__(self):
         return f"SumIntersectionRule(L={self.L})"

@@ -444,6 +444,15 @@ class TestWorkersOption:
         assert f"{section}.workers: {workers}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_worker_does_not_ask_cpu_count(self, tmp_path, monkeypatch):
+        def no_count():
+            raise AssertionError("os.cpu_count called for one worker")
+
+        monkeypatch.setattr(os, "cpu_count", no_count)
+        path = write_cfg(tmp_path, TINY_SIEGMUND)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o"),
+                     "--workers", "1"]) == 0
+
 
 class TestSweeps:
     def test_gap_v_sweep_csv(self, tmp_path):

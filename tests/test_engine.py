@@ -165,6 +165,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="workers"):
             RunConfig(b=1.0, n_paths=10, seed=0, workers=2)
 
+    def test_one_worker_does_not_ask_cpu_count(self, monkeypatch):
+        def no_count():
+            raise AssertionError("os.cpu_count called for one worker")
+
+        monkeypatch.setattr(os, "cpu_count", no_count)
+        RunConfig(b=1.0, n_paths=10, seed=0, workers=1)
+
 
 class TestStreams:
     def test_batch_streams_are_keyed_by_seed_and_index(self):

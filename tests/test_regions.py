@@ -17,6 +17,7 @@ from wrongexit import (
     SumIntersectionRule,
     rearrangement_min,
 )
+from wrongexit.regions import IN_PLACE_MIN_D, reduce_coords
 from si_reference import support_value
 
 
@@ -180,6 +181,113 @@ class TestExits:
         first, sets = rule.exits(block, 2.0)
         assert list(first) == [0, 2]
         assert sets.tolist() == [[True, False], [False, True]]
+
+
+@st.composite
+def real_blocks(draw):
+    """A rule, b and a real-valued (k, B, d) block at a d on either side of
+    ``IN_PLACE_MIN_D``, with coordinates exactly at the rule's thresholds
+    (b u and -b ell, b / L, a gap of b) and one ulp either side of them.
+    One row is drawn at the threshold, so that it stops or just fails to."""
+    d = draw(st.sampled_from([2, 3, IN_PLACE_MIN_D - 1, IN_PLACE_MIN_D,
+                              IN_PLACE_MIN_D + 1, 64]))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    up, down = (lambda v: np.nextafter(v, math.inf),
+                lambda v: np.nextafter(v, -math.inf))
+    grid = st.integers(-64, 64).map(lambda q: q / 4)
+    kind = draw(st.sampled_from(["siegmund", "gap", "si"]))
+    if kind == "si":
+        rule = SumIntersectionRule(draw(st.sampled_from(
+            [1, 2, max(1, d // 2), d])))
+        # b / L exact (L quarters) or rounded (any b)
+        b = draw(st.one_of(st.integers(1, 16).map(lambda q: rule.L * q / 4),
+                           st.floats(0.5, 20.0)))
+        c = b / rule.L
+        edge = [c, up(c), down(c), b, up(b), down(b), c + 0.25]
+        edge += [-v for v in edge]
+        elements = st.one_of(grid, st.floats(-4 * b, 4 * b),
+                             st.sampled_from(edge))
+        row = arrays(np.float64, d, elements=st.sampled_from(edge))
+    else:
+        b = draw(st.integers(1, 32)) / 4
+        reals = st.floats(-4 * b, 4 * b, allow_nan=False)
+        if kind == "siegmund":
+            rule = SiegmundRule(draw(st.sampled_from([0.5, 1.0, 0.7])),
+                                draw(st.sampled_from([1.0, 2.0, 1.3])))
+            hi, lo = b * rule.u, -b * rule.ell
+            edge = [hi, up(hi), down(hi), lo, up(lo), down(lo)]
+            elements = st.one_of(reals, st.sampled_from(edge))
+            outside = [up(hi), hi + 1.0, down(lo), lo - 1.0]
+            row = arrays(np.float64, d, elements=st.sampled_from(outside))
+        else:
+            rule = GapRule(draw(st.sampled_from([1, max(1, d // 2), d - 1])))
+            base = draw(grid)
+            top = base + draw(st.sampled_from([b, up(b), down(b), b + 0.25]))
+            edge = [base, top, up(base), down(top)]
+            elements = st.one_of(reals, st.sampled_from(edge))
+            ranks = st.permutations(range(d))
+            # the top m at ``top``, the (m+1)-th largest exactly at base
+            row = ranks.map(np.array).map(lambda p: np.where(
+                p < rule.m, top, base - (p - rule.m) % 3))
+    block = draw(arrays(np.float64, (k, n, d), elements=elements))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
+        block[at] = draw(row)
+        if draw(st.booleans()):  # one coordinate back on the threshold
+            block[at + (draw(st.integers(0, d - 1)),)] = draw(
+                st.sampled_from(edge))
+    return rule, b, block
+
+
+def real_oracle_exit(rule, x, b):
+    """``oracle_exit`` of one real-valued state.  Its sum-intersection stop
+    test is the per-row partition form, one row at a time: a float sum of
+    L terms depends on their order, and partitioning one row leaves them
+    in the order the block test sums them."""
+    stop, members = oracle_exit(rule, x, b)
+    if isinstance(rule, SumIntersectionRule):
+        small = np.partition(np.abs(np.array(x)), rule.L - 1)[: rule.L]
+        stop = small.sum() > b
+    return stop, members
+
+
+class TestExitsReal:
+    @settings(max_examples=300, deadline=None)
+    @given(real_blocks())
+    def test_exits_match_sorting_oracle(self, case):
+        rule, b, block = case
+        first, sets = rule.exits(block, b)
+        k, n, d = block.shape
+        for j in range(n):
+            rows = [real_oracle_exit(rule, list(block[i, j]), b)
+                    for i in range(k)]
+            stops = [i for i, (stop, _) in enumerate(rows) if stop]
+            if not stops:
+                assert first[j] == -1 and not sets[j].any()
+                continue
+            assert first[j] == stops[0]
+            assert list(np.flatnonzero(sets[j])) == rows[stops[0]][1]
+
+
+class TestReduceCoords:
+    @pytest.mark.parametrize("ufunc", [np.logical_and, np.logical_or,
+                                       np.add])
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(0, 4), st.integers(0, 5),
+                           st.sampled_from([1, 2, 3, IN_PLACE_MIN_D - 1,
+                                            IN_PLACE_MIN_D, 64])),
+           block=st.booleans(), dtype=st.sampled_from([bool, np.int64]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_last_axis_reduce(self, ufunc, shape, block, dtype,
+                                      seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-3, 4, size=shape if block else shape[1:])
+        a = a.astype(dtype)
+        got = reduce_coords(ufunc, a)
+        want = ufunc.reduce(a, axis=-1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestRuleValidation:
