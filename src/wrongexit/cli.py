@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+from dataclasses import fields
 import json
 import math
 import os
@@ -37,10 +38,10 @@ import numpy as np
 from .active_set import checked_block_solve
 from .engine import RunConfig, decay_scan, estimate_wrong_exit, plain_mc
 from .models import (
+    FAMILIES,
     IndependentModel,
     MvNormalModel,
     Normal,
-    ShiftedExponential,
     exchangeable_mvnormal,
 )
 from .proposals import (
@@ -201,8 +202,7 @@ def _mean_vector(spec, path):
     return mean
 
 
-_COMPONENTS = {"normal": (Normal, ("mu", "sigma2")),
-               "shifted_exponential": (ShiftedExponential, ("rate", "shift"))}
+_COMPONENTS = {f.name: f for f in FAMILIES}
 
 
 def _scalar_component(c, path):
@@ -210,8 +210,9 @@ def _scalar_component(c, path):
     if not isinstance(kind, str) or kind not in _COMPONENTS:
         raise ConfigError(f"{path}.type: unknown component type {kind!r}")
     n = _positive(c.get("count", 1), f"{path}.count", int)
-    cls, keys = _COMPONENTS[kind]
-    vals = [_number(_need(c, key, path), f"{path}.{key}") for key in keys]
+    cls = _COMPONENTS[kind]
+    vals = [_number(_need(c, key, path), f"{path}.{key}")
+            for key in (f.name for f in fields(cls))]
     try:
         return [cls(*vals)] * n
     except ValueError as exc:

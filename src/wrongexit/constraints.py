@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import MvNormalModel, separable_cgf, separable_grad
+from .models import ColumnLaws, MvNormalModel
 
 CGF_TOL = 1e-10
 ACTIVE_SET_MAX_ITER = 200
@@ -237,38 +237,30 @@ def _constraint(model, S, signs):
     if isinstance(model, MvNormalModel):
         sigma = model.cov[S[:, None], S] * (signs[:, None] * signs)
         return _Quad(np.zeros(1), (signs * model.mean[S])[None], sigma[None])
-    return _Separable(*(a[S][None] for a in (model._normal, model._lin,
-                                             model._par)), signs[None])
+    return _Separable(*(a[S][None] for a in model.columns), signs[None])
 
 
-class _Separable(_Stack, NamedTuple("_SeparableFields", [
-        ("normal", np.ndarray), ("lin", np.ndarray), ("par", np.ndarray),
+class _Separable(_Stack, ColumnLaws, NamedTuple("_SeparableFields", [
+        ("fam", np.ndarray), ("lin", np.ndarray), ("par", np.ndarray),
         ("signs", np.ndarray)])):
     """g_i(y) = sum_k Lambda_k(signs_k y_k) over the support of an
-    independent model, for a stack of programs, from the support's column
-    parameters (``separable_cgf``), each (k, n)."""
+    independent model, for a stack of programs, from the support's columns
+    (``models.ColumnLaws``), each (k, n)."""
 
     def value(self, y):
-        return separable_cgf(self.normal, self.lin, self.par, self.signs * y)
+        return self.cgf(self.signs * y)
 
     def grad(self, y):
-        return self.signs * separable_grad(self.normal, self.lin, self.par,
-                                           self.signs * y)
-
-    def curvature(self, y):
-        """Lambda_k'' at signs_k y_k, coordinate by coordinate."""
-        with np.errstate(divide="ignore"):
-            return np.where(self.normal, self.par,
-                            (self.par - self.signs * y) ** -2.0)
+        return self.signs * self.prime(self.signs * y)
 
     def scale(self, y):
-        """Divisors of the stationarity residuals: near an exponential rate
+        """Divisors of the stationarity residuals: near a finite domain end
         Lambda_k' is only known to its rounding level times Lambda_k''."""
-        return np.maximum(1.0, self.curvature(y))
+        return np.maximum(1.0, self.row("k2", self.signs * y))
 
     def taylor(self, y):
         """The second-order Taylor models of g at feasible points y."""
-        g, h = self.grad(y), self.curvature(y)
+        g, h = self.grad(y), self.row("k2", self.signs * y)
         k, n = h.shape
         sigma = np.zeros((k, n, n))
         sigma[:, np.arange(n), np.arange(n)] = h
@@ -306,8 +298,8 @@ class _Separable(_Stack, NamedTuple("_SeparableFields", [
                             axis=1)
         x, z, ok = np.zeros((k, n)), np.zeros((k, 1 + r)), np.zeros(k, bool)
         for rows, cols in _free_groups(pinned, ok0):
-            normal, lin, par, signs = (_pick(a, rows, cols)
-                                       for a in self)
+            free = type(self)(*(_pick(a, rows, cols) for a in self))
+            lin, signs, floor = free.lin, free.signs, free.row("floor")
             cf, con = _pick(c, rows, cols), self.take(rows)
             g = (np.zeros((rows.size, 0, cf.shape[1])) if eq is None
                  else _pick(eq, rows, cols)[:, None, :] if eq.ndim == 2
@@ -317,11 +309,10 @@ class _Separable(_Stack, NamedTuple("_SeparableFields", [
                 """x, its free entries, the residuals, h = s c - t g, the
                 curvatures and the mask of points outside the domain."""
                 h = z[:, :1] * cf[sel] - _vm(z[:, 1:], g[sel])
-                v = signs[sel] * h - lin[sel]  # Lambda_k' less mu or shift
-                bad = (z[:, 0] <= 0) | np.any(~normal[sel] & (v <= 0), axis=1)
-                with np.errstate(all="ignore"):
-                    xf = signs[sel] * np.where(normal[sel], v / par[sel],
-                                               par[sel] - 1.0 / v)
+                v = signs[sel] * h - lin[sel]  # K_k' = Lambda_k' less lin_k
+                bad = (z[:, 0] <= 0) | np.any(v <= floor[sel], axis=1)
+                tf, w = free.take(sel).row("k1_inverse", v)
+                xf = signs[sel] * tf
                 if cols is None:
                     xx = xf.copy()
                 else:
@@ -329,22 +320,22 @@ class _Separable(_Stack, NamedTuple("_SeparableFields", [
                     xx[np.arange(sel.size)[:, None], cols[sel]] = xf
                 res = np.concatenate([con.take(sel).value(xx)[:, None],
                                       _mv(g[sel], xf)], axis=1)
-                return [xx, xf, res, h, np.where(normal[sel], par[sel], v * v),
-                        bad]
+                return [xx, xf, res, h, w, bad]
 
             zg = z0[rows]
             cur = point(zg, np.arange(rows.size))
-            # every Lambda_k' must exceed its shift: h -> 0 does that when
-            # the shifts are negative.  One zero-sum row (all ones with unit
+            # every K_k' must exceed its floor: h -> 0 does that when the
+            # lin_k are negative.  One zero-sum row (all ones with unit
             # signs) instead lowers t, which raises every h_k, until each
-            # exponential Lambda_k' is at least its value at 0
+            # Lambda_k' with a finite floor is at least its value at 0
             for i in range(64):
                 pend = np.flatnonzero(cur[5])
                 if not pend.size:
                     break
                 if i == 0 and r == 1 and eq.ndim == 2:
-                    low = np.where(~normal[pend], zg[pend, :1] * cf[pend]
-                                   - lin[pend] - 1.0 / par[pend], np.inf)
+                    low = np.where(floor[pend] > -np.inf,
+                                   zg[pend, :1] * cf[pend] - lin[pend]
+                                   - free.take(pend).row("k1", 0.0), np.inf)
                     low = low.min(axis=1)
                     zg[pend, 1] = np.where(low < zg[pend, 1], low,
                                            zg[pend, 1])

@@ -1,6 +1,6 @@
 """Increment-distribution families with exact cumulant generating functions.
 
-Every family exposes the cumulant generating function (CGF)
+Every model exposes the cumulant generating function (CGF)
 
     Lambda(theta) = log E[exp(theta . X_1)],
 
@@ -9,13 +9,17 @@ from the exponentially tilted law
 
     d mu_theta / d mu (x) = exp(theta . x - Lambda(theta)).
 
-Two families are shipped:
+Two models are shipped:
 
 * ``MvNormalModel``:  X_1 ~ N(mean, cov) with Lambda(theta) =
   mean.theta + theta' cov theta / 2 on all of R^d; tilting by theta shifts
   the mean to mean + cov theta and leaves the covariance unchanged.
-* ``IndependentModel``: independent scalar coordinates, each Normal or
-  shifted exponential, with Lambda(theta) = sum_k Lambda_k(theta_k).
+* ``IndependentModel``: independent scalar coordinates with Lambda(theta) =
+  sum_k Lambda_k(theta_k), each coordinate of one family of the table
+  ``FAMILIES`` (``Normal``, ``ShiftedExponential``).  A family is one row:
+  a class holding its config type and keys, its two parameter columns and
+  its formulas, vectorised over columns (``ColumnLaws``).  A new family is
+  one more row.
 
 Models are immutable after construction and safe to share across threads.
 Random streams are always passed in by the caller and never stored.
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -38,12 +42,18 @@ __all__ = [
     "MvNormalModel",
     "IndependentModel",
     "CgfModel",
+    "FAMILIES",
     "siegmund_root",
 ]
 
 
 class TiltDomainError(ValueError):
     """Tilt parameter outside the open domain of the CGF."""
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _check_rows(thetas, dim: int) -> np.ndarray:
@@ -60,107 +70,147 @@ def _check_rows(thetas, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Scalar components
+# Scalar families: one row of the table each
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Normal:
-    """Scalar normal component N(mu, sigma2)."""
+class ScalarFamily:
+    """A scalar law with Lambda(t) = lin t + K(par, t), one row of the table
+    ``FAMILIES``: its config ``name`` and keys (its fields), the fields that
+    are its ``columns`` (lin, par), and its formulas, each a function of a
+    column c (an instance, or arrays of columns with ``lin`` and ``par``):
+    K (``k``, given ``numpy`` or ``math``), K', K'', the inverse of K' above
+    its infimum ``floor`` with K'' there, the domain's open upper end
+    ``sup``, the (loc, scale) of the tilted ``draw`` loc + scale * Z, Z from
+    the Generator method ``variate``, and the Siegmund ``root``.  The scalar
+    methods are the one-column case: Lambda is +inf outside the domain,
+    where Lambda' and Lambda'' raise TiltDomainError."""
+
+    def __post_init__(self):
+        lin, par = self.columns
+        if not 0 < getattr(self, par) < math.inf:
+            raise ValueError(f"{par} must be positive and finite")
+        if not math.isfinite(getattr(self, lin)):
+            raise ValueError(f"{lin} must be finite")
+        # plain attributes, set once, as the scalar methods read them often
+        object.__setattr__(self, "lin", getattr(self, lin))
+        object.__setattr__(self, "par", getattr(self, par))
+        object.__setattr__(self, "domain_sup", self.sup())
+        if self.mean == 0.0:
+            raise ValueError("component drift must be strictly signed")
+
+    mean = property(lambda self: self.cgf_prime(0.0))
+
+    def cgf(self, t: float) -> float:
+        if t >= self.domain_sup:
+            return math.inf
+        return self.lin * t + self.k(t, math)
+
+    def cgf_prime(self, t: float) -> float:
+        return self.lin + self.k1(self._check(t))
+
+    def cgf_second(self, t: float) -> float:
+        return self.k2(self._check(t))
+
+    def prime_inverse(self, y: float) -> float:
+        """The t with Lambda'(t) = y; -inf below the range of Lambda'."""
+        v = y - self.lin
+        return -math.inf if v <= self.floor else self.k1_inverse(v)[0]
+
+    def _check(self, t: float) -> float:
+        if t >= self.domain_sup:
+            raise TiltDomainError(
+                f"tilt {t} outside domain (-inf, {self.domain_sup})")
+        return t
+
+    def root(self) -> float:
+        """The positive zero of Lambda by bracketed bisection, where a row
+        has no closed form."""
+        return positive_root(self.cgf, self.cgf_prime, upper=self.domain_sup)
+
+
+@dataclass(frozen=True)
+class Normal(ScalarFamily):
+    """Scalar normal component N(mu, sigma2): K = sigma2 t^2 / 2 on all of
+    R; tilting by t gives N(mu + sigma2 t, sigma2)."""
 
     mu: float
     sigma2: float
 
-    def __post_init__(self):
-        if not 0 < self.sigma2 < math.inf:
-            raise ValueError("sigma2 must be positive and finite")
-        if not math.isfinite(self.mu):
-            raise ValueError("mu must be finite")
-        if self.mu == 0.0:
-            raise ValueError("component drift must be strictly signed")
-
-    @property
-    def mean(self) -> float:
-        return self.mu
-
-    # open upper end of dom(Lambda); +inf for normal
-    @property
-    def domain_sup(self) -> float:
-        return math.inf
-
-    def cgf(self, t: float) -> float:
-        return self.mu * t + 0.5 * self.sigma2 * t * t
-
-    def cgf_prime(self, t: float) -> float:
-        return self.mu + self.sigma2 * t
-
-    def cgf_second(self, t: float) -> float:
-        return self.sigma2
-
-    def prime_inverse(self, y: float) -> float:
-        return (y - self.mu) / self.sigma2
+    name, columns, floor = "normal", ("mu", "sigma2"), -math.inf
+    k = lambda c, t, xp=np: 0.5 * c.par * t * t
+    k1 = lambda c, t: c.par * t
+    k2 = lambda c, t: c.par
+    k1_inverse = lambda c, v: (v / c.par, c.par)
+    sup = lambda c: math.inf
+    variate = "standard_normal"
+    draw = lambda c, t: (c.lin + c.par * t, np.sqrt(c.par))
+    root = lambda c: -2.0 * c.lin / c.par
 
 
 @dataclass(frozen=True)
-class ShiftedExponential:
-    """Scalar component distributed as Exponential(rate) + shift.
-
-    Tilting by t < rate gives Exponential(rate - t) + shift.
-    """
+class ShiftedExponential(ScalarFamily):
+    """Scalar component distributed as Exponential(rate) + shift: K =
+    log(rate / (rate - t)) for t < rate; tilting by t gives
+    Exponential(rate - t) + shift."""
 
     rate: float
     shift: float
 
-    def __post_init__(self):
-        if not 0 < self.rate < math.inf:
-            raise ValueError("rate must be positive and finite")
-        if not math.isfinite(self.shift):
-            raise ValueError("shift must be finite")
-        if self.mean == 0.0:
-            raise ValueError("component drift must be strictly signed")
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.rate + self.shift
-
-    @property
-    def domain_sup(self) -> float:
-        return self.rate
-
-    def cgf(self, t: float) -> float:
-        if t >= self.rate:
-            return math.inf
-        return math.log(self.rate / (self.rate - t)) + self.shift * t
-
-    def cgf_prime(self, t: float) -> float:
-        if t >= self.rate:
-            raise TiltDomainError(f"tilt {t} outside domain (-inf, {self.rate})")
-        return 1.0 / (self.rate - t) + self.shift
-
-    def cgf_second(self, t: float) -> float:
-        return (self.rate - t) ** -2
-
-    def prime_inverse(self, y: float) -> float:
-        if y <= self.shift:
-            return -math.inf
-        return self.rate - 1.0 / (y - self.shift)
+    name, columns, floor = "shifted_exponential", ("shift", "rate"), 0.0
+    k = lambda c, t, xp=np: xp.log(c.par / (c.par - t))
+    k1 = lambda c, t: 1.0 / (c.par - t)
+    k2 = lambda c, t: (c.par - t) ** -2
+    k1_inverse = lambda c, v: (c.par - 1.0 / v, v * v)
+    sup = lambda c: c.par
+    variate = "standard_exponential"
+    draw = lambda c, t: (c.lin, 1.0 / (c.par - t))
 
 
-ScalarFamily = Union[Normal, ShiftedExponential]
+FAMILIES = (Normal, ShiftedExponential)
 
 
 def siegmund_root(component: ScalarFamily) -> float:
-    """Unique z > 0 with Lambda(z) = 0 for a scalar family with negative mean.
-
-    Closed form -2 mu / sigma2 for normal components; bracketed bisection
-    with Newton polish for shifted exponentials.
-    """
+    """Unique z > 0 with Lambda(z) = 0 for a scalar family with negative
+    mean: -2 mu / sigma2 for a normal, else by bracketed bisection."""
     if component.mean >= 0:
         raise ValueError("Siegmund root requires negative mean")
-    if isinstance(component, Normal):
-        return -2.0 * component.mu / component.sigma2
-    return positive_root(
-        component.cgf, component.cgf_prime, upper=component.domain_sup
-    )
+    return component.root()
+
+
+class ColumnLaws:
+    """Independent scalar coordinates as the arrays ``fam`` (each column's
+    index in ``FAMILIES``), ``lin`` and ``par``, broadcasting against the
+    tilts t; each column takes its own family's value of a formula."""
+
+    def row(self, name: str, *args):
+        """Formula or constant ``name`` of each column's family, unchecked."""
+        vals = [getattr(f, name) for f in FAMILIES]
+        with np.errstate(all="ignore"):
+            vals = [v(self, *args) if callable(v) else v for v in vals]
+        if isinstance(vals[0], tuple):
+            return tuple(map(self._pick, zip(*vals)))
+        return self._pick(vals)
+
+    def _pick(self, vals):  # np.where: half np.choose's cost on small stacks
+        out = vals[0]
+        for i in range(1, len(FAMILIES)):
+            out = np.where(self.fam == i, vals[i], out)
+        return out
+
+    def cgf(self, t) -> np.ndarray:
+        """Sums over the last axis of Lambda_k(t_k), +inf past a domain."""
+        terms = self.lin * t + self.row("k", t)
+        terms[t >= self.row("sup")] = math.inf
+        return terms.sum(axis=-1)
+
+    def prime(self, t) -> np.ndarray:
+        return self.lin + self.row("k1", t)
+
+
+class Columns(ColumnLaws, NamedTuple("_ColumnFields", [
+        ("fam", np.ndarray), ("lin", np.ndarray), ("par", np.ndarray)])):
+    """The read-only columns of an ``IndependentModel``."""
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +274,7 @@ class MvNormalModel(_TiltedSampling):
                 np.linalg.cholesky(cov)  # the factor is formed where used
             except np.linalg.LinAlgError as exc:
                 raise ValueError("cov must be positive definite") from exc
-        mean.flags.writeable = False
-        cov.flags.writeable = False
-        self.mean, self.cov = mean, cov
+        self.mean, self.cov = _frozen(mean), _frozen(cov)
 
     @classmethod
     def exchangeable(cls, mean, sigma2: float, rho: float) -> "MvNormalModel":
@@ -298,29 +346,6 @@ class MvNormalModel(_TiltedSampling):
         return f"MvNormalModel(dim={self.dim})"
 
 
-def separable_cgf(normal, lin, par, thetas) -> np.ndarray:
-    """Row sums of Lambda_k(thetas[:, k]) for independent coordinates whose
-    family (``normal``) and parameters (``lin``, ``par``) broadcast against
-    the (n, d) ``thetas``: mu t + sigma2 t^2 / 2 for a normal column,
-    log(rate / (rate - t)) + shift t for an exponential one; +inf on a row
-    outside the domain."""
-    outside = ~normal & (thetas >= par)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(normal, 0.5 * par * thetas * thetas,
-                         np.log(par / (par - thetas)))
-    terms += lin * thetas
-    terms[outside] = math.inf
-    return terms.sum(axis=1)
-
-
-def separable_grad(normal, lin, par, thetas) -> np.ndarray:
-    """Lambda_k'(thetas[:, k]) for the columns of ``separable_cgf``: mu +
-    sigma2 t or 1 / (rate - t) + shift, unchecked against the domain."""
-    with np.errstate(divide="ignore"):
-        return np.where(normal, lin + par * thetas,
-                        1.0 / (par - thetas) + lin)
-
-
 class IndependentModel(_TiltedSampling):
     """Independent scalar coordinates; Lambda(theta) = sum_k Lambda_k(theta_k)."""
 
@@ -328,69 +353,49 @@ class IndependentModel(_TiltedSampling):
         components = tuple(components)
         if not components:
             raise ValueError("need at least one component")
+        for i, c in enumerate(components):
+            if type(c) not in FAMILIES:
+                raise TypeError(f"component {i} is {c!r}, not one of the "
+                                f"families {[f.__name__ for f in FAMILIES]}")
         self.components = components
-        # column k: mu and sigma2 of a normal, shift and rate of an
-        # exponential component
-        self._normal = np.array([isinstance(c, Normal) for c in components])
-        self._lin = np.array([c.mu if n else c.shift
-                              for c, n in zip(components, self._normal)])
-        self._par = np.array([c.sigma2 if n else c.rate
-                              for c, n in zip(components, self._normal)])
-        self._sup = np.where(self._normal, math.inf, self._par)
+        self.columns = Columns(*(_frozen(np.array(a)) for a in zip(*(
+            (FAMILIES.index(type(c)), c.lin, c.par) for c in components))))
+        self.mean = _frozen(np.array([c.mean for c in components]))
+        self._sup = _frozen(self.columns.row("sup"))
 
     @property
     def dim(self) -> int:
         return len(self.components)
 
-    @property
-    def mean(self) -> np.ndarray:
-        return np.array([c.mean for c in self.components])
-
     def in_domain(self, theta) -> bool:
-        """Whether a tilt, or every row of a stack of tilts, lies in the
-        open domain: below the rate on each exponential coordinate."""
+        """Whether a tilt, or each row of a stack, is below ``domain_sup``."""
         return bool(np.all(np.asarray(theta, dtype=float) < self._sup))
 
     def cgf_rows(self, thetas) -> np.ndarray:
-        """Lambda of each row of an (n, d) tilt array; +inf on a row
-        outside the domain.  Column k is mu t + sigma2 t^2 / 2 for a normal
-        component and log(rate / (rate - t)) + shift t for an exponential
-        one."""
-        return separable_cgf(self._normal, self._lin, self._par,
-                             _check_rows(thetas, self.dim))
+        """Lambda of each row of an (n, d) tilt array; +inf off the domain."""
+        return self.columns.cgf(_check_rows(thetas, self.dim))
 
     def cgf_grad_rows(self, thetas) -> np.ndarray:
-        """Gradient of Lambda at each row of an (n, d) tilt array: column k
-        is mu + sigma2 t or 1 / (rate - t) + shift.  Raises TiltDomainError
-        when a row leaves the domain."""
-        thetas = _check_rows(thetas, self.dim)
-        if not self.in_domain(thetas):
-            raise TiltDomainError("tilt outside domain")
-        return separable_grad(self._normal, self._lin, self._par, thetas)
+        """Gradient of Lambda at each row of an (n, d) tilt array.  Raises
+        TiltDomainError when a row leaves the domain."""
+        return self.columns.prime(self._tilts(_check_rows(thetas, self.dim)))
 
     def batch_sampler(self, thetas):
         """Closure drawing (k, n, d) blocks for n paths, path i under the
         tilt ``thetas[comp[i]]``.  Every coordinate is loc + scale * Z with Z
-        standard normal or standard exponential; columns of one family are
-        drawn in one call."""
-        thetas = self._tilts(thetas)
+        its family's standard variate; the columns of one family are drawn
+        in one call, family by family in ``FAMILIES`` order."""
+        loc, scale = self.columns.row("draw", self._tilts(thetas))
         d = self.dim
-        normal, lin, par = self._normal, self._lin, self._par
-        # a normal column: mu + sigma2 t and sqrt(sigma2); an exponential
-        # one: shift and 1 / (rate - t)
-        loc = np.where(normal, lin + par * thetas, lin)
-        with np.errstate(divide="ignore"):
-            scale = np.where(normal, np.sqrt(par), 1.0 / (par - thetas))
-        norm_cols = np.flatnonzero(normal)
-        exp_cols = np.flatnonzero(~normal)
+        groups = [(f.variate, np.flatnonzero(self.columns.fam == i))
+                  for i, f in enumerate(FAMILIES)]
 
         def draw(rng: np.random.Generator, comp: np.ndarray,
                  k: int) -> np.ndarray:
             n = comp.size
             out = np.empty((k, n, d))
-            out[..., norm_cols] = rng.standard_normal((k, n, norm_cols.size))
-            out[..., exp_cols] = rng.standard_exponential(
-                (k, n, exp_cols.size))
+            for variate, cols in groups:
+                out[..., cols] = getattr(rng, variate)((k, n, cols.size))
             out *= scale[comp]
             out += loc[comp]
             return out

@@ -156,7 +156,7 @@ def siegmund_profiles(models, ell: float, us):
         if isinstance(model, IndependentModel) and model.is_iid():
             comp = model.components[0]
             vp[i], vm[i], r[i] = homogeneous_profile(comp, d, ell, us[i])
-            one = IndependentModel([comp]).cgf_rows  # Lambda of a coordinate
+            one = IndependentModel([comp]).columns.cgf  # Lambda of one
             lam[i] = (a * one(vp[i, :, None])
                       + (d - a) * one(np.where(a < d, vm[i], 0.0)[:, None]))
             continue

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wrongexit import proposals
+from wrongexit.models import FAMILIES
 from wrongexit import (
     IndependentModel,
     MvNormalModel,
@@ -86,6 +87,13 @@ class TestCgfValues:
             model.cgf_grad_rows([np.array([2.0])])
         with pytest.raises(TiltDomainError):
             model.tilted_sampler(np.array([2.0]))(np.random.default_rng(0), 1)
+        comp = ShiftedExponential(2.0, -0.69)
+        for t in (2.0, 3.0):
+            assert comp.cgf(t) == math.inf
+            with pytest.raises(TiltDomainError):
+                comp.cgf_prime(t)
+            with pytest.raises(TiltDomainError):
+                comp.cgf_second(t)
 
     def test_dimension_mismatch(self):
         model = exchangeable_mvnormal(3, -0.5, 0.1)
@@ -178,6 +186,57 @@ class TestConvexityAndGradients:
                     assert fd == pytest.approx(grad[k], rel=1e-5, abs=1e-8)
 
 
+# one interior example per row of the family table: a new row needs one
+EXAMPLES = {Normal: Normal(-0.5, 2.0),
+            ShiftedExponential: ShiftedExponential(2.0, -LOG2)}
+
+
+class TestFamilyTable:
+    def test_every_family_has_an_example(self):
+        assert set(EXAMPLES) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+    def test_row_formulas_agree(self, family):
+        comp, h = EXAMPLES[family], 1e-5
+        sup = comp.domain_sup
+        ts = np.linspace(-1.5, min(1.5, 0.8 * sup), 7)
+        for t in ts:
+            fd1 = (comp.cgf(t + h) - comp.cgf(t - h)) / (2 * h)
+            assert fd1 == pytest.approx(comp.cgf_prime(t), rel=1e-7)
+            fd2 = (comp.cgf_prime(t + h) - comp.cgf_prime(t - h)) / (2 * h)
+            assert fd2 == pytest.approx(comp.cgf_second(t), rel=1e-7)
+            assert comp.prime_inverse(comp.cgf_prime(t)) == pytest.approx(
+                t, rel=1e-12, abs=1e-12)
+            t_inv, second = comp.k1_inverse(comp.cgf_prime(t) - comp.lin)
+            assert second == pytest.approx(comp.cgf_second(t_inv), rel=1e-12)
+        assert comp.prime_inverse(comp.lin + comp.floor) == -math.inf
+        # the columns of the vectorised path give the scalar values
+        cols, tc = IndependentModel([comp]).columns, ts[:, None]
+        np.testing.assert_allclose(cols.cgf(tc), [comp.cgf(t) for t in ts],
+                                   rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(cols.prime(tc)[:, 0],
+                                   [comp.cgf_prime(t) for t in ts], rtol=1e-15)
+        np.testing.assert_allclose(cols.row("k2", tc)[:, 0],
+                                   [comp.cgf_second(t) for t in ts],
+                                   rtol=1e-15)
+        t_inv, second = cols.row("k1_inverse", cols.prime(tc) - cols.lin)
+        np.testing.assert_allclose(t_inv[:, 0], ts, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(second, cols.row("k2", t_inv), rtol=1e-12)
+        if math.isfinite(sup):
+            for t in (sup, sup + 0.5):
+                assert comp.cgf(t) == math.inf
+                assert cols.cgf(np.array([[t]]))[0] == math.inf
+                with pytest.raises(TiltDomainError):
+                    comp.cgf_prime(t)
+                with pytest.raises(TiltDomainError):
+                    comp.cgf_second(t)
+        # the tilted draw has mean Lambda'(t)
+        n, t = 400_000, ts[-2]
+        x = IndependentModel([comp]).tilted_sampler([t])(
+            np.random.default_rng(3), n)[:, 0]
+        assert abs(x.mean() - comp.cgf_prime(t)) <= 4 * x.std() / math.sqrt(n)
+
+
 class TestSiegmundRoot:
     def test_normal_closed_form(self):
         assert siegmund_root(Normal(-0.5, 1.0)) == 1.0
@@ -220,6 +279,23 @@ class TestModelValidation:
     def test_non_finite_component_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize("components, index", [
+        ([1.0], 0), ([Normal(-0.5, 1.0), "x"], 1)])
+    def test_entry_that_is_no_component_is_a_type_error(self, components,
+                                                        index):
+        with pytest.raises(TypeError, match=rf"component {index} is .*"
+                           r"\['Normal', 'ShiftedExponential'\]"):
+            IndependentModel(components)
+
+    def test_independent_model_arrays_are_read_only(self):
+        model = IndependentModel([Normal(-0.5, 1.0),
+                                  ShiftedExponential(2.0, -LOG2)])
+        assert model.mean is model.mean
+        assert list(model.mean) == [-0.5, 0.5 - LOG2]
+        for a in (model.mean, *model.columns):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
 
     def test_non_pd_cov_rejected(self):
         with pytest.raises(ValueError):
