@@ -50,7 +50,8 @@ import numpy as np
 
 from .active_set import Program, SolverError, TiltSolution
 from .constraints import CGF_TOL, _constraint
-from .models import CgfModel, IndependentModel, MvNormalModel, siegmund_root
+from .models import (CgfModel, Columns, IndependentModel, MvNormalModel,
+                     siegmund_root)
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
 from .rootfind import positive_root
 
@@ -156,7 +157,8 @@ def siegmund_profiles(models, ell: float, us):
         if isinstance(model, IndependentModel) and model.is_iid():
             comp = model.components[0]
             vp[i], vm[i], r[i] = homogeneous_profile(comp, d, ell, us[i])
-            one = IndependentModel([comp]).columns.cgf  # Lambda of one
+            # Lambda of one coordinate: the model's first column
+            one = Columns(*(col[:1] for col in model.columns)).cgf
             lam[i] = (a * one(vp[i, :, None])
                       + (d - a) * one(np.where(a < d, vm[i], 0.0)[:, None]))
             continue
