@@ -71,7 +71,7 @@ import numpy as np
 
 from .models import CgfModel
 from .proposals import MixtureProposal, plain_proposal
-from .regions import Region
+from .regions import region_key
 
 __all__ = [
     "RunConfig",
@@ -366,7 +366,7 @@ def _decode_tally(tally: Counter, rule, d: int) -> Counter:
                           count=d).astype(bool)
     out: Counter = Counter()
     for mask, rare, c in zip(masks, rule.rare_mask(masks), tally.values()):
-        key = Region(bool(rare), tuple(np.flatnonzero(mask).tolist())).key
+        key = region_key(rare, np.flatnonzero(mask).tolist())
         out[sys.intern(key)] += c
     return out
 

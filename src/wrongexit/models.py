@@ -28,6 +28,7 @@ Random streams are always passed in by the caller and never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 from typing import NamedTuple, Sequence, Union
 
@@ -184,10 +185,16 @@ class ColumnLaws:
     tilts t; each column takes its own family's value of a formula."""
 
     def row(self, name: str, *args):
-        """Formula or constant ``name`` of each column's family, unchecked."""
-        vals = [getattr(f, name) for f in FAMILIES]
+        """Formula or constant ``name`` of each column's family, unchecked:
+        a formula is evaluated with numpy's warnings off."""
+        if not callable(getattr(FAMILIES[0], name)):
+            return self._row(name)
         with np.errstate(all="ignore"):
-            vals = [v(self, *args) if callable(v) else v for v in vals]
+            return self._row(name, *args)
+
+    def _row(self, name, *args):
+        vals = [getattr(f, name) for f in FAMILIES]
+        vals = [v(self, *args) if callable(v) else v for v in vals]
         if isinstance(vals[0], tuple):
             return tuple(map(self._pick, zip(*vals)))
         return self._pick(vals)
@@ -200,8 +207,10 @@ class ColumnLaws:
 
     def cgf(self, t) -> np.ndarray:
         """Sums over the last axis of Lambda_k(t_k), +inf past a domain."""
-        terms = self.lin * t + self.row("k", t)
-        terms[t >= self.row("sup")] = math.inf
+        with np.errstate(all="ignore"):  # once for both formulas
+            k, sup = self._row("k", t), self._row("sup")
+        terms = self.lin * t + k
+        terms[t >= sup] = math.inf
         return terms.sum(axis=-1)
 
     def prime(self, t) -> np.ndarray:
@@ -221,6 +230,15 @@ class _TiltedSampling:
     """Shared by the models: each model supplies ``cgf_rows`` and
     ``batch_sampler``, and the single-tilt CGF and sampler are their
     one-row cases."""
+
+    @cached_property
+    def positive_drifts(self) -> int:
+        """p when the first p coordinates drift up and the rest down (no
+        drift is zero), else -1: the sign pattern the stopping rules
+        check, read once per model."""
+        up = self.mean > 0
+        p = int(np.count_nonzero(up))
+        return p if up[:p].all() else -1
 
     def cgf(self, theta) -> float:
         """Lambda(theta) of one (d,) tilt; +inf outside the domain."""

@@ -24,14 +24,27 @@ oracle problems it costs about as much as drawing the increments.  A numpy
 reduction, sort or partition along the last axis loops once per row, and
 at d = 2-4 that per-row overhead is most of its cost.  So the Siegmund
 ``all``, the ``rare_mask`` ``any`` and the sum-intersection counts reduce a
-coordinate-major copy (``reduce_coords``), and the gap test sorts, which is
-faster than a two-index partition at every d.  The sum-intersection test
-still partitions, but only on the rows that pass an exact pre-filter: a row
-whose L smallest |x_k| sum past b has at most L - 1 coordinates at or
+coordinate-major copy (``reduce_coords``), and the gap and sum-intersection
+tests take their order statistics from ``order_stats``, which below
+``SORT_MIN_D`` = 8 sorts a coordinate-major copy by a compare-exchange
+network over whole columns.  On one 16,384-value block, in us:
+
+    d                    2    3    4    7    8   10   12
+    network             16   24   29   54   57   77   90
+    np.sort per row    342  230  176  105   62  102   85
+
+Smaller blocks move the crossover down (between d = 7 and 8 at 4,096
+values; the network loses from d = 7 at 1,024), so numpy sorts from d = 8
+on.  The gap test and its exit set read one pass: the m-th and (m+1)-th
+largest coordinates, the first also bounding the exit set.  The
+sum-intersection test sorts only the rows that pass an exact pre-filter: a
+row whose L smallest |x_k| sum past b has at most L - 1 coordinates at or
 below b / L, even after rounding (``SumIntersectionRule._stopped``), so
 the count drops only rows that cannot stop: 72% of the rows at d=10, L=2
 and 45% at d=3, L=2 on the benchmark's sum-intersection models.  Every
-test gives the same bits as the per-row form.
+test gives the same stop rows and exit sets as a per-row sort; only a sum
+of L >= 3 terms, added in the order ``order_stats`` leaves them, can move
+in its last bit against another order.
 
 The support value
 
@@ -50,6 +63,7 @@ condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 from typing import Tuple
 
@@ -65,6 +79,7 @@ __all__ = [
 
 SIGN_TOL = 1e-12  # |theta_k| below this satisfies either sign constraint
 IN_PLACE_MIN_D = 32  # reduce_coords reduces in place from this d on
+SORT_MIN_D = 8  # order_stats sorts with numpy from this d on
 SI_MARGIN = 1e-9  # relative slack of the SI pre-filter's threshold b / L
 
 
@@ -80,10 +95,16 @@ class Region:
 
     @property
     def key(self) -> str:
-        return "A=" + ",".join(map(str, self.members)) if self.rare else "reference"
+        return region_key(self.rare, self.members)
 
     def __repr__(self):
         return f"Rare({set(self.members) or '{}'})" if self.rare else "Reference"
+
+
+def region_key(rare: bool, members) -> str:
+    """``A=<members>`` for a rare region, ``reference`` otherwise: the
+    region's key in tallies and outputs, members in increasing order."""
+    return "A=" + ",".join(map(str, members)) if rare else "reference"
 
 
 def rearrangement_min(theta, L: int):
@@ -135,25 +156,89 @@ def reduce_coords(ufunc, a: np.ndarray) -> np.ndarray:
     return ufunc.reduce(cols, axis=0).reshape(a.shape[:-1])
 
 
+@lru_cache(maxsize=None)
+def sorting_network(d: int) -> Tuple[Tuple[int, int], ...]:
+    """The comparators (i, j), i < j, of Batcher's odd-even merge sort on
+    d wires, in order: after each puts the smaller of wires i and j on i
+    and the larger on j, every input comes out sorted (Batcher 1968,
+    "Sorting networks and their applications").  It is the network for
+    the next power of two less the comparators that touch a wire past d,
+    as if those wires held +inf."""
+    pairs = []
+    p = 1
+    while p < d:
+        k = p
+        while k:
+            for j in range(k % p, d - k, 2 * k):
+                pairs += [(i + j, i + j + k) for i in range(min(k, d - j - k))
+                          if (i + j) // (2 * p) == (i + j + k) // (2 * p)]
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def order_stats(a: np.ndarray, kth):
+    """The coordinates of the states ``a`` ``(..., d)`` arranged as
+    ``np.partition(a, kth, axis=-1)`` arranges them, as d columns of
+    shape ``a.shape[:-1]``: column k holds each state's k-th smallest
+    coordinate for every rank k in ``kth``, with the smaller ones before
+    it and the larger after it.  NaN sorts last, as in numpy.
+
+    A per-row sort or partition makes numpy loop once per row, and at
+    small d that overhead is most of its cost.  Below ``SORT_MIN_D`` the
+    states are copied coordinate-major, as in ``reduce_coords``, and
+    sorted fully by ``sorting_network(d)``: each comparator is one
+    ``np.fmin`` and one ``np.maximum`` over whole columns (fmin drops a
+    NaN and maximum keeps it, so a NaN moves up like the largest value).
+    Every output is one of the inputs, so the columns hold the values of
+    a per-row sort (a zero may change its sign).  The comparators grow
+    faster than d, so from ``SORT_MIN_D`` on numpy's per-row loop is
+    cheaper, and the states are sorted by ``np.sort`` when ``kth`` holds
+    more than one rank and partitioned by ``np.partition`` otherwise.
+    Measured on float blocks (numpy 2.4, one core of a shared x86-64
+    container), network (copy included) against ``np.sort``, in us, with
+    16,384 values in the module docstring's table: on 4,096 values 13/48
+    at d=4, 25/29 at d=7, 28/22 at d=8 and 36/28 at d=10; on 1,024 values
+    9/17 at d=4 and 19/13 at d=7.  ``np.partition(a, 1)`` costs about 10%
+    less than the sort at d = 9-12, and a two-rank partition more than the
+    sort at every d from 8 on.
+    """
+    d = a.shape[-1]
+    rows, shape = a.reshape(-1, d), (d,) + a.shape[:-1]
+    if d >= SORT_MIN_D:
+        part = (np.sort(rows, axis=-1) if np.ndim(kth)
+                else np.partition(rows, kth, axis=-1))
+        return part.T.reshape(shape)  # a view; np.moveaxis adds 4 us
+    cols = list(rows.T.copy().reshape(shape))
+    spare = np.empty_like(cols[0])
+    for i, j in sorting_network(d):
+        np.fmin(cols[i], cols[j], out=spare)
+        np.maximum(cols[i], cols[j], out=cols[j])
+        cols[i], spare = spare, cols[i]
+    return cols
+
+
 class _StoppingRule:
     """One stopping definition per rule, vectorised over leading axes.
 
-    A rule supplies ``_stopped`` (the stop test of states ``(..., d)``),
-    ``_exit_set`` (the member mask of the region a stopped state lies in)
-    and ``_reference_set`` (the member mask of the reference region).
-    ``exits`` applies them to a ``(k, B, d)`` block of B paths over k steps;
-    ``first_hit`` is its one-path case.
+    A rule supplies ``_stopped`` (the stop test of states ``(..., d)``,
+    with a per-state level for the exit set, or None),
+    ``_exit_set`` (the member mask of the region a stopped state lies in,
+    given its level) and ``_reference_set`` (the member mask of the
+    reference region).  ``exits`` applies them to a ``(k, B, d)`` block of
+    B paths over k steps; ``first_hit`` is its one-path case.
     """
 
     def exits(self, states: np.ndarray, b: float):
         """First stopping row of each path in a ``(k, B, d)`` block, or -1,
         and the boolean ``(B, d)`` member mask of the region entered there
         (all False for a path that does not stop in the block)."""
-        hit = self._stopped(states, b)
+        hit, level = self._stopped(states, b)
         first = hit.argmax(axis=0)
-        cols = np.arange(states.shape[1])
-        done = hit[first, cols]
-        sets = self._exit_set(states[first, cols], b)
+        at = first, np.arange(states.shape[1])
+        done = hit[at]
+        sets = self._exit_set(states[at], None if level is None
+                              else level[at], b)
         sets &= done[:, None]
         return np.where(done, first, -1), sets
 
@@ -191,9 +276,9 @@ class SiegmundRule(_StoppingRule):
 
     def _stopped(self, x, b):
         return reduce_coords(np.logical_and,
-                             (x > b * self.u) | (x < -b * self.ell))
+                             (x > b * self.u) | (x < -b * self.ell)), None
 
-    def _exit_set(self, x, b):
+    def _exit_set(self, x, level, b):
         return x > b * self.u
 
     def support_rows(self, theta: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -222,20 +307,19 @@ class GapRule(_StoppingRule):
         self.m = int(m)
 
     def _stopped(self, x, b):
+        """The gap test, with the m-th largest coordinate as the level."""
         d = x.shape[-1]
         if not 1 <= self.m <= d - 1:
             raise ValueError("m must satisfy 1 <= m <= d-1")
-        # the same order statistics as a partition, and faster at every d
-        part = np.sort(x, axis=-1)
+        cols = order_stats(x, (d - self.m - 1, d - self.m))
+        mth = cols[d - self.m]
         # a tie exactly at gap == b does not stop (regions are open)
-        return part[..., d - self.m] - part[..., d - self.m - 1] > b
+        return mth - cols[d - self.m - 1] > b, mth
 
-    def _exit_set(self, x, b):
+    def _exit_set(self, x, level, b):
         # in a stopped state the top m lie more than b above the rest, so
         # the m-th largest value bounds them and any ties fall inside
-        d = x.shape[-1]
-        mth = np.partition(x, d - self.m, axis=-1)[..., d - self.m, None]
-        return x >= mth
+        return x >= level[..., None]
 
     def _reference_set(self, d):
         return np.arange(d) < self.m
@@ -255,8 +339,9 @@ class SumIntersectionRule(_StoppingRule):
         self.L = int(L)
 
     def _stopped(self, x, b):
-        """The sum of the L smallest |x_k| exceeds b, tested by partition
-        on the candidate rows only.
+        """The sum of the L smallest |x_k| exceeds b, tested on the
+        candidate rows only, with the terms summed left to right in the
+        order ``order_stats`` leaves them (ascending below ``SORT_MIN_D``).
 
         The sum of L values is at most L times their largest, t, so a row
         that stops has at most L - 1 coordinates with |x_k| <= b / L.  In
@@ -267,8 +352,10 @@ class SumIntersectionRule(_StoppingRule):
         factor of at most 1 + eps, so it lies below that bound while
         (L + 2) eps < SI_MARGIN, for any L below 10^6.  The d - L + 1
         coordinates with |x_k| >= t then all lie above the threshold, so a
-        row with L or more coordinates at or below it cannot stop.  NaN is
-        never at or below the threshold, just as a partition sorts it last.
+        row with L or more coordinates at or below it cannot stop.  That
+        proof holds for any order of the L terms, and for L = 2 the order
+        does not change the sum.  NaN is never at or below the threshold,
+        just as ``order_stats`` sorts it last.
         """
         d = x.shape[-1]
         if self.L > d:
@@ -276,12 +363,12 @@ class SumIntersectionRule(_StoppingRule):
         ax = np.abs(x).reshape(-1, d)
         small = reduce_coords(np.add, ax <= b / self.L * (1.0 - SI_MARGIN))
         cand = np.flatnonzero(small < self.L)
-        low = np.partition(np.take(ax, cand, axis=0), self.L - 1, axis=-1)
+        low = order_stats(np.take(ax, cand, axis=0), self.L - 1)
         hit = np.zeros(ax.shape[0], dtype=bool)
-        hit[cand] = low[:, : self.L].sum(axis=-1) > b
-        return hit.reshape(x.shape[:-1])
+        hit[cand] = sum(low[1:self.L], low[0]) > b
+        return hit.reshape(x.shape[:-1]), None
 
-    def _exit_set(self, x, b):
+    def _exit_set(self, x, level, b):
         # the reference region (fewer than L positive coordinates) has A empty
         positive = x > 0
         many = reduce_coords(np.add, positive) >= self.L

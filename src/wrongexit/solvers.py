@@ -76,17 +76,16 @@ __all__ = [
 
 def validate_drifts(rule, model: CgfModel) -> None:
     """Reject models whose drift signs do not match the stopping rule."""
-    mean = np.asarray(model.mean)
     if isinstance(rule, GapRule):
-        if not (np.all(mean[: rule.m] > 0) and np.all(mean[rule.m:] < 0)):
+        # the first min(m, d) drifts positive and the rest negative
+        if model.positive_drifts != min(rule.m, model.dim):
             raise ValueError(
                 "gap rule requires positive drift on the first m coordinates "
                 "and negative drift on the rest"
             )
-    else:
-        if not np.all(mean < 0):
-            raise ValueError(f"{rule.kind} rule requires negative drift in "
-                             "every coordinate")
+    elif model.positive_drifts:
+        raise ValueError(f"{rule.kind} rule requires negative drift in "
+                         "every coordinate")
 
 
 def homogeneous_profile(component, d: int, ell: float, u: float):

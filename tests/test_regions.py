@@ -1,13 +1,15 @@
 """Region classification and support-value checks, with an LP oracle for
 the rearrangement minimum."""
 
+from functools import reduce
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from itertools import combinations
+from itertools import combinations, permutations, product
 from scipy.optimize import linprog
 
 from wrongexit import (
@@ -17,7 +19,8 @@ from wrongexit import (
     SumIntersectionRule,
     rearrangement_min,
 )
-from wrongexit.regions import IN_PLACE_MIN_D, reduce_coords
+from wrongexit.regions import (IN_PLACE_MIN_D, SORT_MIN_D, order_stats,
+                                reduce_coords, sorting_network)
 from si_reference import support_value
 
 
@@ -240,15 +243,21 @@ def real_blocks(draw):
     return rule, b, block
 
 
+def si_low_sum(a, L):
+    """The sum of the L smallest entries of one row ``a``, added left to
+    right in the order the block test leaves them: a float sum of L terms
+    depends on their order, and the block test sorts below ``SORT_MIN_D``
+    and partitions from it on, as one row's sort or partition does."""
+    low = np.sort(a) if a.size < SORT_MIN_D else np.partition(a, L - 1)
+    return reduce(operator.add, low[:L])
+
+
 def real_oracle_exit(rule, x, b):
-    """``oracle_exit`` of one real-valued state.  Its sum-intersection stop
-    test is the per-row partition form, one row at a time: a float sum of
-    L terms depends on their order, and partitioning one row leaves them
-    in the order the block test sums them."""
+    """``oracle_exit`` of one real-valued state, with the sum-intersection
+    stop test in the per-row form of ``si_low_sum``."""
     stop, members = oracle_exit(rule, x, b)
     if isinstance(rule, SumIntersectionRule):
-        small = np.partition(np.abs(np.array(x)), rule.L - 1)[: rule.L]
-        stop = small.sum() > b
+        stop = si_low_sum(np.abs(np.array(x)), rule.L) > b
     return stop, members
 
 
@@ -268,6 +277,115 @@ class TestExitsReal:
                 continue
             assert first[j] == stops[0]
             assert list(np.flatnonzero(sets[j])) == rows[stops[0]][1]
+
+
+class TestOrderStats:
+    @pytest.mark.parametrize("d", range(1, SORT_MIN_D))
+    def test_network_sorts_every_zero_one_row(self, d):
+        # a comparator network sorts every input iff it sorts every 0/1 one
+        assert all(0 <= i < j < d for i, j in sorting_network(d))
+        rows = np.array(list(product([0.0, 1.0], repeat=d)))
+        got = np.stack(order_stats(rows, (0, d - 1)), axis=-1)
+        assert np.array_equal(got, np.sort(rows, axis=-1))
+
+    def test_network_sizes(self):
+        # Batcher's odd-even merge sort: 5 comparators on 4 wires, 19 on 8
+        assert [len(sorting_network(d)) for d in range(1, 9)] == \
+            [0, 1, 3, 5, 9, 12, 16, 19]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, SORT_MIN_D - 1, SORT_MIN_D,
+                                   10, 12])
+    def test_matches_np_sort_on_floats(self, d):
+        """Rows with ties, signed zeros, infinities and NaN: every rank of
+        ``kth`` holds the sorted value and the ranks below it the smaller
+        values; below ``SORT_MIN_D`` the whole row is sorted."""
+        rng = np.random.default_rng(d)
+        pool = np.array([-np.inf, -2.5, -1.0, -0.0, 0.0, 1.0, 2.5, np.inf,
+                         np.nan])
+        shape = (3, 200, d)
+        a = np.where(rng.random(shape) < 0.6, rng.choice(pool, shape),
+                     rng.normal(size=shape))
+        want = np.sort(a, axis=-1)
+        for kth in [(max(0, d - 2), d - 1), 0, d // 2, d - 1]:
+            got = np.stack(order_stats(a, kth), axis=-1)
+            assert got.shape == a.shape
+            for k in np.atleast_1d(kth):
+                assert np.array_equal(got[..., k], want[..., k],
+                                      equal_nan=True)
+                assert np.array_equal(np.sort(got[..., :k], axis=-1),
+                                      want[..., :k], equal_nan=True)
+            if d < SORT_MIN_D:
+                assert np.array_equal(got, want, equal_nan=True)
+
+
+def per_row_exit(rule, x, b):
+    """Stop test and member mask of one state by one per-row ``np.sort``
+    (gap) or ``si_low_sum`` (sum-intersection), NaN sorting last."""
+    d = x.size
+    if isinstance(rule, GapRule):
+        s = np.sort(x)
+        mth = s[d - rule.m]
+        return mth - s[d - rule.m - 1] > b, x >= mth
+    positive = x > 0
+    return (si_low_sum(np.abs(x), rule.L) > b,
+            positive & (positive.sum() >= rule.L))
+
+
+def order_rules(d):
+    return [GapRule(m) for m in sorted({1, d // 2, d - 1})] + [
+        SumIntersectionRule(L) for L in (1, 2, 3) if L <= d]
+
+
+def walk_block(rng, k, n, d):
+    """A (k, n, d) block of random walks; on a half-unit grid half the
+    time, so that ties and sums exactly at b occur."""
+    block = np.cumsum(rng.normal(scale=1.5, size=(k, n, d)), axis=0)
+    return np.round(2 * block) / 2 if rng.random() < 0.5 else block
+
+
+class TestExitsPerRow:
+    """``exits`` and ``first_hit`` of the order-statistic rules against the
+    per-row sort or partition, at d on both sides of ``SORT_MIN_D``."""
+
+    @pytest.mark.parametrize("nan", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 4, SORT_MIN_D - 1, SORT_MIN_D, 10])
+    def test_exits_match_per_row_reference(self, d, nan):
+        """With ``nan``, a fifth of the coordinates are NaN, which sorts
+        last as in numpy's per-row sort: it is never among the gap test's
+        m-th and (m+1)-th largest unless m or more coordinates are NaN,
+        never in a gap exit set, and enters the sum-intersection sum only
+        when fewer than L coordinates are not NaN."""
+        rng = np.random.default_rng(100 * nan + d)
+        for rule in order_rules(d):
+            for _ in range(20):
+                block = walk_block(rng, 10, 12, d)
+                if nan:
+                    block[rng.random(block.shape) < 0.2] = np.nan
+                self.check(rule, block, float(rng.choice([1.0, 2.0, 3.5])))
+
+    def test_si_sum_adds_smallest_first_below_sort_min_d(self):
+        """2^-53 + 2^-53 + 1 = 1 + 2^-52 passes b = 1 when added smallest
+        first; in any other order the sum rounds to 1 and does not."""
+        tiny = 2.0 ** -53
+        rule = SumIntersectionRule(3)
+        for x in permutations([tiny, -tiny, 1.0]):
+            assert rule.first_hit(np.array([x]), 1.0)[0] == 0
+
+    @staticmethod
+    def check(rule, block, b):
+        k, n, d = block.shape
+        first, sets = rule.exits(block, b)
+        for j in range(n):
+            rows = [per_row_exit(rule, block[i, j], b) for i in range(k)]
+            stops = [i for i, (stop, _) in enumerate(rows) if stop]
+            idx, region = rule.first_hit(block[:, j], b)
+            if not stops:
+                assert first[j] == idx == -1 and not sets[j].any()
+                assert region is None
+                continue
+            assert first[j] == idx == stops[0]
+            assert np.array_equal(sets[j], rows[stops[0]][1])
+            assert region == rule.region(rows[stops[0]][1])
 
 
 class TestReduceCoords:
