@@ -24,7 +24,8 @@ D = 20
 def main():
     comp = ShiftedExponential(2.0, -math.log(2.0))
     print(f"component: Exp(2) - log 2, mean {comp.mean:+.4f}")
-    print(f"root z1 = 1 exactly; drift after tilting = {comp.cgf_prime(1.0):.4f}\n")
+    drift = IndependentModel([comp]).cgf_grad_rows([[1.0]])[0, 0]
+    print(f"root z1 = 1 exactly; drift after tilting = {drift:.4f}\n")
 
     v_plus, v_minus, r = homogeneous_profile(comp, D, 1.0, 1.0)
     print(f"d = {D}: singleton tilt has {v_plus[1]:.4f} on the exit "

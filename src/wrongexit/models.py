@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .rootfind import positive_root
+from .rootfind import lockstep_roots
 
 __all__ = [
     "TiltDomainError",
@@ -79,13 +79,12 @@ class ScalarFamily:
     """A scalar law with Lambda(t) = lin t + K(par, t), one row of the table
     ``FAMILIES``: its config ``name`` and keys (its fields), the fields that
     are its ``columns`` (lin, par), and its formulas, each a function of a
-    column c (an instance, or arrays of columns with ``lin`` and ``par``):
-    K (``k``, given ``numpy`` or ``math``), K', K'', the inverse of K' above
-    its infimum ``floor`` with K'' there, the domain's open upper end
+    column c (an instance, or arrays of columns with ``lin`` and ``par``)
+    and of numpy arrays or floats t: K (``k``), K', K'', the inverse of K'
+    above its infimum ``floor`` with K'' there, the domain's open upper end
     ``sup``, the (loc, scale) of the tilted ``draw`` loc + scale * Z, Z from
-    the Generator method ``variate``, and the Siegmund ``root``.  The scalar
-    methods are the one-column case: Lambda is +inf outside the domain,
-    where Lambda' and Lambda'' raise TiltDomainError."""
+    the Generator method ``variate``, and the Siegmund ``root``.  The
+    formulas are unchecked: the domain is t < sup."""
 
     def __post_init__(self):
         lin, par = self.columns
@@ -93,41 +92,21 @@ class ScalarFamily:
             raise ValueError(f"{par} must be positive and finite")
         if not math.isfinite(getattr(self, lin)):
             raise ValueError(f"{lin} must be finite")
-        # plain attributes, set once, as the scalar methods read them often
+        # plain attributes, set once, as the row formulas read them
         object.__setattr__(self, "lin", getattr(self, lin))
         object.__setattr__(self, "par", getattr(self, par))
-        object.__setattr__(self, "domain_sup", self.sup())
         if self.mean == 0.0:
             raise ValueError("component drift must be strictly signed")
 
-    mean = property(lambda self: self.cgf_prime(0.0))
-
-    def cgf(self, t: float) -> float:
-        if t >= self.domain_sup:
-            return math.inf
-        return self.lin * t + self.k(t, math)
-
-    def cgf_prime(self, t: float) -> float:
-        return self.lin + self.k1(self._check(t))
-
-    def cgf_second(self, t: float) -> float:
-        return self.k2(self._check(t))
-
-    def prime_inverse(self, y: float) -> float:
-        """The t with Lambda'(t) = y; -inf below the range of Lambda'."""
-        v = y - self.lin
-        return -math.inf if v <= self.floor else self.k1_inverse(v)[0]
-
-    def _check(self, t: float) -> float:
-        if t >= self.domain_sup:
-            raise TiltDomainError(
-                f"tilt {t} outside domain (-inf, {self.domain_sup})")
-        return t
+    mean = property(lambda self: self.lin + self.k1(0.0))
 
     def root(self) -> float:
-        """The positive zero of Lambda by bracketed bisection, where a row
+        """The positive zero of Lambda by lockstep bisection, where a row
         has no closed form."""
-        return positive_root(self.cgf, self.cgf_prime, upper=self.domain_sup)
+        z = lockstep_roots(lambda t: self.lin * t + self.k(t),
+                           lambda t: self.lin + self.k1(t), self.sup(),
+                           f"Siegmund root of {self!r}")
+        return float(z[0])
 
 
 @dataclass(frozen=True)
@@ -139,7 +118,7 @@ class Normal(ScalarFamily):
     sigma2: float
 
     name, columns, floor = "normal", ("mu", "sigma2"), -math.inf
-    k = lambda c, t, xp=np: 0.5 * c.par * t * t
+    k = lambda c, t: 0.5 * c.par * t * t
     k1 = lambda c, t: c.par * t
     k2 = lambda c, t: c.par
     k1_inverse = lambda c, v: (v / c.par, c.par)
@@ -159,7 +138,7 @@ class ShiftedExponential(ScalarFamily):
     shift: float
 
     name, columns, floor = "shifted_exponential", ("shift", "rate"), 0.0
-    k = lambda c, t, xp=np: xp.log(c.par / (c.par - t))
+    k = lambda c, t: np.log(c.par / (c.par - t))
     k1 = lambda c, t: 1.0 / (c.par - t)
     k2 = lambda c, t: (c.par - t) ** -2
     k1_inverse = lambda c, v: (c.par - 1.0 / v, v * v)
@@ -173,7 +152,7 @@ FAMILIES = (Normal, ShiftedExponential)
 
 def siegmund_root(component: ScalarFamily) -> float:
     """Unique z > 0 with Lambda(z) = 0 for a scalar family with negative
-    mean: -2 mu / sigma2 for a normal, else by bracketed bisection."""
+    mean: -2 mu / sigma2 for a normal, else by lockstep bisection."""
     if component.mean >= 0:
         raise ValueError("Siegmund root requires negative mean")
     return component.root()
@@ -386,7 +365,7 @@ class IndependentModel(_TiltedSampling):
         return len(self.components)
 
     def in_domain(self, theta) -> bool:
-        """Whether a tilt, or each row of a stack, is below ``domain_sup``."""
+        """Whether a tilt, or each row of a stack, is inside the domain."""
         return bool(np.all(np.asarray(theta, dtype=float) < self._sup))
 
     def cgf_rows(self, thetas) -> np.ndarray:

@@ -1,22 +1,19 @@
-"""Scalar root finding for convex one-dimensional functions.
+"""Lockstep root finding for the scalar cumulant equations.
 
-The scalar cumulant equations of this package (the Siegmund root of one
-component and the per-size i.i.d. Siegmund tilts of
-``homogeneous_profile``) reduce to finding the unique positive zero of a
-convex (or at least sign-monotone) function f with f(0) <= 0 and
-f -> +inf toward the right end of its domain.  The scheme is deliberately
-simple: bracket by doubling, bisect essentially to the floating-point
-resolution of the argument, then push the residual to its rounding floor
-with one guarded Newton or secant step.  Sign-based bisection is immune to
-the kinks that clamped coordinates introduce (the off-region tilt of
-``homogeneous_profile`` is clamped at 0), which pure Newton iterations
-are not.
+The Siegmund root of one component and the per-size i.i.d. Siegmund tilts
+of ``homogeneous_profile`` each ask for the unique positive zero of a
+convex (or at least sign-monotone) f with f(0) <= 0 and f -> +inf toward
+the right end of its domain.  ``lockstep_roots`` solves any number of
+them at once, each by its own steps of one scheme: bracket by doubling
+(or by halving the distance to a finite domain end), bisect to the float
+resolution of the argument, then take one guarded Newton step.  Bisecting
+on signs is immune to the kinks that clamped coordinates introduce (the
+off-region tilt of ``homogeneous_profile`` is clamped at 0).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Optional
+import numpy as np
 
 BISECT_XTOL = 1e-15
 MAX_DOUBLINGS = 200
@@ -24,73 +21,51 @@ MAX_BISECTIONS = 300
 
 
 class RootError(RuntimeError):
-    """No sign change could be bracketed."""
+    """No root could be bracketed inside the domain."""
 
 
-def positive_root(
-    f: Callable[[float], float],
-    fprime: Optional[Callable[[float], float]] = None,
-    upper: float = math.inf,
-    start: float = 1.0,
-) -> float:
-    """Unique root of ``f`` on (0, upper) for f with f(0+) <= 0.
+def lockstep_roots(f, fprime, upper, what: str) -> np.ndarray:
+    """The root of each equation i of f on (0, upper[i]), where f(0+) <= 0.
 
-    ``upper`` is an open domain bound (e.g. the rate of an exponential
-    component); probes approach it geometrically but never evaluate it.
+    f and fprime map an array of arguments of upper's shape to their
+    values, with numpy's warnings off.  ``upper`` holds the open domain
+    ends (inf where there is none); every probe and root stays strictly
+    below them.  The Newton step is kept only when it lands near the
+    bracket and lowers |f|.  A root that rounds onto the domain end, or a
+    NaN while bracketing, raises RootError naming ``what``.
     """
-    lo = 0.0
-    hi = min(start, upper / 2 if math.isfinite(upper) else start)
-    for _ in range(MAX_DOUBLINGS):
-        val = f(hi)
-        if math.isnan(val):
-            raise RootError("function returned NaN while bracketing")
-        if val > 0.0:
-            break
-        lo = hi
-        hi = (hi + upper) / 2 if math.isfinite(upper) else hi * 2
-    else:
-        raise RootError("failed to bracket a positive root")
-    return refine_root(f, lo, hi, fprime)
-
-
-def refine_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    fprime: Optional[Callable[[float], float]] = None,
-) -> float:
-    """Root on a bracket [lo, hi] with f(lo) <= 0 < f(hi)."""
-    for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket exhausted at float resolution
-        if hi - lo <= BISECT_XTOL * max(1.0, abs(mid)):
-            break
-        if f(mid) > 0.0:
-            hi = mid
+    upper = np.array(upper, dtype=float, ndmin=1)
+    lo, hi = np.zeros(upper.shape), np.minimum(1.0, upper / 2)
+    with np.errstate(all="ignore"):
+        open_ = np.ones(upper.shape, dtype=bool)
+        for _ in range(MAX_DOUBLINGS):
+            val = f(hi)
+            if np.isnan(val[open_]).any():
+                raise RootError(f"{what}: NaN while bracketing")
+            open_ &= ~(val > 0.0)
+            if not open_.any():
+                break
+            step = np.where(np.isfinite(upper), (hi + upper) / 2, hi * 2)
+            if np.any(open_ & (step >= upper)):
+                raise RootError(f"{what}: the root rounds to the domain end")
+            lo, hi = np.where(open_, hi, lo), np.where(open_, step, hi)
         else:
-            lo = mid
-    x = 0.5 * (lo + hi)
-    fx = f(x)
-    if fx == 0.0:
-        return x
-    # one guarded polish step; rejected unless it reduces the residual
-    if fprime is not None:
-        slope = fprime(x)
-    else:
-        h = 1e-7 * max(1.0, abs(x))
-        try:
-            slope = (f(x + h) - f(x - h)) / (2 * h)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            slope = 0.0
-    if slope and math.isfinite(slope):
+            raise RootError(f"{what}: failed to bracket a positive root")
+        active = np.ones(upper.shape, dtype=bool)
+        for _ in range(MAX_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            # stop at the float resolution of the bracket
+            tol = BISECT_XTOL * np.maximum(1.0, np.abs(mid))
+            active &= (lo < mid) & (mid < hi) & (hi - lo > tol)
+            if not active.any():
+                break
+            up = f(mid) > 0.0
+            lo, hi = (np.where(active & ~up, mid, lo),
+                      np.where(active & up, mid, hi))
+        x = 0.5 * (lo + hi)
+        fx, slope = f(x), fprime(x)
         cand = x - fx / slope
         width = hi - lo
-        if lo - width <= cand <= hi + width:
-            try:
-                f_cand = f(cand)
-            except (ValueError, OverflowError, ZeroDivisionError):
-                f_cand = math.inf
-            if abs(f_cand) < abs(fx):
-                return cand
-    return x
+        ok = ((fx != 0.0) & (slope != 0.0) & np.isfinite(slope)
+              & (lo - width <= cand) & (cand <= hi + width) & (cand < upper))
+        return np.where(ok & (np.abs(f(cand)) < np.abs(fx)), cand, x)

@@ -14,8 +14,9 @@ active at every optimum of the shipped problems, so solutions carry
 
 Solver stack, cheapest applicable path first:
 
-1. closed forms (Siegmund roots and the Siegmund tilts of every region
-   size of an exchangeable model in one pass);
+1. closed forms and lockstep scalar roots (Siegmund roots, and the
+   Siegmund tilts of every region size of an exchangeable model in one
+   pass);
 2. ``_sign_program``, the one record for every program with a linear
    objective (the Siegmund and gap beta^A, gamma^{k,k'} and the two- and
    four-index gap tilts): max c.theta under a sign pattern on a support,
@@ -44,16 +45,16 @@ so its shifted programs are never solved.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Tuple
 
 import numpy as np
 
 from .active_set import Program, SolverError, TiltSolution
 from .constraints import CGF_TOL, _constraint
-from .models import (CgfModel, Columns, IndependentModel, MvNormalModel,
-                     siegmund_root)
+from .models import CgfModel, IndependentModel, MvNormalModel, siegmund_root
 from .regions import GapRule, SiegmundRule, SumIntersectionRule
-from .rootfind import positive_root
+from .rootfind import lockstep_roots
 
 __all__ = [
     "TiltSolution",
@@ -92,44 +93,47 @@ def homogeneous_profile(component, d: int, ell: float, u: float):
     """Per-size Siegmund tilt components for i.i.d. coordinates.
 
     For |A| = a the optimal tilt has value v_plus[a] on A and v_minus[a] off
-    A, solving  a Lambda(v+) + (d-a) Lambda(v-) = 0  together with the
-    multiplier condition -(1/ell) Lambda'(v-) = (1/u) Lambda'(v+) (with v- = 0
-    when the corresponding bound binds).  Entry a = d has v_minus = -inf by
-    convention.  Also returns r[a] = u a v+ + ell (d-a) (-v-).
+    A: Lambda'(v+) = u s and Lambda'(v-) = -ell s, v- clamped at 0, at the
+    s > 0 where a Lambda(v+) + (d-a) Lambda(v-) = 0, solved for every size
+    in lockstep through the component's row formulas.  Entry a = d has
+    v_minus = -inf by convention.  Also returns r[a] = u a v+ + ell (d-a)
+    (-v-).
     """
-    z1 = siegmund_root(component)
-    v_plus, v_minus, r = np.zeros(d + 1), np.zeros(d + 1), np.zeros(d + 1)
-    v_minus[d] = -math.inf
-    if -component.cgf_prime(0.0) / ell >= component.cgf_prime(z1) / u:
-        # the off-region bound binds for every size: v+ = z_1, v- = 0 exactly
-        v_plus[1:] = z1
-        r[1:] = u * np.arange(1, d + 1) * z1
-        return v_plus, v_minus, r
-    for a in range(1, d + 1):
-        def g(s):
-            val = a * component.cgf(component.prime_inverse(u * s))
-            if a < d:
-                vm = min(0.0, component.prime_inverse(-ell * s))
-                val += (d - a) * (component.cgf(vm) if math.isfinite(vm)
-                                  else math.inf)
-            return val
+    if not (isinstance(d, numbers.Integral) and d > 0):
+        raise ValueError("d must be a positive integer")
+    SiegmundRule(ell, u)  # ell and u must be positive and finite
+    if component.mean >= 0:
+        raise ValueError("Siegmund profile requires negative mean")
+    c, a = component, np.arange(1.0, d + 1)
+    n = d - a
+    off, slopes = n > 0, np.array([[u], [-ell]])
 
-        def gprime(s):
-            vp = component.prime_inverse(u * s)
-            val = a * u * u * s / component.cgf_second(vp)
-            if a < d:
-                vm = component.prime_inverse(-ell * s)
-                if math.isfinite(vm) and vm < 0.0:
-                    val += (d - a) * ell * ell * s / component.cgf_second(vm)
-            return val
+    def tilts(s):  # v+ and v- (clamped); -inf below the range of Lambda'
+        v = slopes * s - c.lin
+        t = np.where(v <= c.floor, -math.inf, c.k1_inverse(v)[0])
+        return t[0], np.minimum(0.0, t[1])
 
-        s = positive_root(g, gprime)
-        vp = component.prime_inverse(u * s)
-        v_plus[a], r[a] = vp, u * a * vp
-        if a < d:
-            v_minus[a] = min(0.0, component.prime_inverse(-ell * s))
-            r[a] += ell * (d - a) * (-v_minus[a])
-    return v_plus, v_minus, r
+    def lam(t):
+        return np.where(t > -math.inf, c.lin * t + c.k(t), math.inf)
+
+    def g(s):
+        vp, vm = tilts(s)
+        return a * lam(vp) + np.where(off, n * lam(vm), 0.0)
+
+    def gprime(s):
+        vp, vm = tilts(s)
+        free = off & (vm < 0.0) & (vm > -math.inf)
+        return (a * u * u * s / c.k2(vp)
+                + np.where(free, n * ell * ell * s / c.k2(vm), 0.0))
+
+    s = lockstep_roots(g, gprime, np.full(d, math.inf),
+                       f"the i.i.d. profile of {c!r}")
+    out = np.zeros((3, d + 1))
+    with np.errstate(all="ignore"):  # v- may be -inf at a = d
+        vp, vm = tilts(s)
+        out[:, 1:] = (vp, np.where(off, vm, -math.inf),
+                      u * a * vp + np.where(off, ell * n * -vm, 0.0))
+    return tuple(out)
 
 
 def siegmund_profiles(models, ell: float, us):
@@ -156,10 +160,8 @@ def siegmund_profiles(models, ell: float, us):
         if isinstance(model, IndependentModel) and model.is_iid():
             comp = model.components[0]
             vp[i], vm[i], r[i] = homogeneous_profile(comp, d, ell, us[i])
-            # Lambda of one coordinate: the model's first column
-            one = Columns(*(col[:1] for col in model.columns)).cgf
-            lam[i] = (a * one(vp[i, :, None])
-                      + (d - a) * one(np.where(a < d, vm[i], 0.0)[:, None]))
+            one = lambda t: comp.lin * t + comp.k(t)  # Lambda of a coordinate
+            lam[i] = a * one(vp[i]) + (d - a) * one(np.where(a < d, vm[i], 0))
             continue
         ex = isinstance(model, MvNormalModel) and model.exchangeable_parameters()
         if not ex:
@@ -196,10 +198,17 @@ def siegmund_profiles(models, ell: float, us):
 # Public solvers
 # ---------------------------------------------------------------------------
 
-def _check_region(rule, d, A) -> Tuple[int, ...]:
-    A = tuple(sorted(int(k) for k in A))
-    if any(k < 0 or k >= d for k in A):
+def _check_indices(d, idx) -> Tuple[int, ...]:
+    idx = tuple(map(int, idx))
+    if idx and not 0 <= min(idx) <= max(idx) < d:
         raise ValueError("region indices out of range")
+    if len(set(idx)) < len(idx):
+        raise ValueError("indices must be distinct")
+    return idx
+
+
+def _check_region(rule, d, A) -> Tuple[int, ...]:
+    A = tuple(sorted(_check_indices(d, A)))
     if isinstance(rule, SiegmundRule):
         if not A:
             raise ValueError("Siegmund rare regions have nonempty A")
@@ -255,8 +264,7 @@ def gamma_pair_program(k: int, kp: int, rule: SiegmundRule,
                        model: CgfModel) -> Program:
     """The record of the two-coordinate tilt gamma^{k,k'}: maximize
     u(theta_k + theta_k')."""
-    if k == kp:
-        raise ValueError("indices must differ")
+    k, kp = _check_indices(model.dim, (k, kp))
     validate_drifts(rule, model)
     return _sign_program(model, sorted((k, kp)), np.full(2, rule.u),
                          np.ones(2), False, "siegmund/gamma-pair")
@@ -267,6 +275,7 @@ def gap_pair_program(l: int, lp: int, rule: GapRule,
     """The record of the two-index gap tilt t (e_lp - e_l): maximize
     theta_lp under the zero-sum and sign constraints on {l, lp}, so that t
     is the positive root of t -> Lambda(t (e_lp - e_l))."""
+    l, lp = _check_indices(model.dim, (l, lp))
     if not (l < rule.m <= lp):
         raise ValueError("need l in [m] and lp outside [m]")
     validate_drifts(rule, model)
@@ -279,9 +288,7 @@ def gap_quad_program(l1: int, l2: int, lp1: int, lp2: int, rule: GapRule,
     """The record of the four-index gap tilt: maximize theta_lp1 +
     theta_lp2 under the zero-sum and sign constraints with all other
     coordinates pinned to zero."""
-    idx = (l1, l2, lp1, lp2)
-    if len(set(idx)) != 4:
-        raise ValueError("indices must be distinct")
+    idx = _check_indices(model.dim, (l1, l2, lp1, lp2))
     if not (l1 < rule.m and l2 < rule.m and lp1 >= rule.m and lp2 >= rule.m):
         raise ValueError("need l1,l2 in [m] and lp1,lp2 outside [m]")
     validate_drifts(rule, model)
@@ -293,7 +300,7 @@ def si_z_program(A, rule: SumIntersectionRule, model: CgfModel) -> Program:
     """The record of z_A and gamma^A: maximize |theta|_(L) over tilts
     supported and nonnegative on A with |A| = L."""
     validate_drifts(rule, model)
-    A = tuple(sorted(A))
+    A = tuple(sorted(_check_indices(model.dim, A)))
     if len(A) != rule.L:
         raise ValueError("z_A needs |A| = L")
     return _si_program(model, list(A), np.ones(rule.L), rule.L,
@@ -304,7 +311,7 @@ def si_s_program(B, rule: SumIntersectionRule, model: CgfModel) -> Program:
     """The record of s_B and the auxiliary tilt on |B| = L + 1
     coordinates."""
     validate_drifts(rule, model)
-    B = tuple(sorted(B))
+    B = tuple(sorted(_check_indices(model.dim, B)))
     if len(B) != rule.L + 1:
         raise ValueError("s_B needs |B| = L + 1")
     return _si_program(model, list(B), np.ones(rule.L + 1), rule.L,
@@ -314,11 +321,12 @@ def si_s_program(B, rule: SumIntersectionRule, model: CgfModel) -> Program:
 def solve_gamma_single(k: int, rule: SiegmundRule, model: CgfModel) -> TiltSolution:
     """Single-coordinate tilt gamma^k: k-th entry is the Siegmund root z_k
     of the law of coordinate k, other entries zero; value u z_k."""
+    (k,) = _check_indices(model.dim, (k,))
     validate_drifts(rule, model)
     marginal = model.marginal(k)
     z = siegmund_root(marginal)
     th = np.zeros(model.dim)
     th[k] = z
-    resid = abs(marginal.cgf(z))
+    resid = abs(marginal.lin * z + marginal.k(z))
     return TiltSolution(float(rule.u * z), th, bool(resid <= CGF_TOL),
                         float(resid), "siegmund/gamma-root")

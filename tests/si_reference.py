@@ -17,6 +17,10 @@ a stack of Siegmund regions at one gamma, whose explicit ``cgf_rows``
 feasibility test checks the two-block one of
 ``proposals.direct_certificate``.  ``solve`` solves one program record as a
 block of one.
+
+The scalar laws' K, K', K'', the inverse of K' and domain end, and the
+scalar root search (``positive_root``, ``refine_root``) are written out
+here, apart from the package's family rows and lockstep root finder.
 """
 
 from itertools import product
@@ -28,13 +32,16 @@ from wrongexit import (
     GapRule,
     IndependentModel,
     MvNormalModel,
+    Normal,
     Region,
+    ShiftedExponential,
     SiegmundRule,
+    TiltDomainError,
     rearrangement_min,
 )
 from wrongexit.active_set import block_solve
 from wrongexit.regions import SIGN_TOL
-from wrongexit.rootfind import RootError, positive_root, refine_root
+from wrongexit.rootfind import RootError
 from wrongexit.constraints import _Quad, _subsolve
 from wrongexit.solvers import (
     CGF_TOL,
@@ -44,6 +51,112 @@ from wrongexit.solvers import (
 )
 
 ZERO_SUM_TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Scalar laws and scalar root finding
+# ---------------------------------------------------------------------------
+
+def domain_sup(c) -> float:
+    """The open upper end of the domain of Lambda of a scalar law."""
+    return c.rate if isinstance(c, ShiftedExponential) else math.inf
+
+
+def cgf(c, t: float) -> float:
+    """Lambda(t) of a scalar law, +inf outside the domain."""
+    if t >= domain_sup(c):
+        return math.inf
+    if isinstance(c, Normal):
+        return c.mu * t + 0.5 * c.sigma2 * t * t
+    return c.shift * t + math.log(c.rate / (c.rate - t))
+
+
+def _check_domain(c, t: float) -> None:
+    if t >= domain_sup(c):
+        raise TiltDomainError(f"tilt {t} outside domain (-inf, "
+                              f"{domain_sup(c)})")
+
+
+def cgf_prime(c, t: float) -> float:
+    _check_domain(c, t)
+    if isinstance(c, Normal):
+        return c.mu + c.sigma2 * t
+    return c.shift + 1.0 / (c.rate - t)
+
+
+def cgf_second(c, t: float) -> float:
+    _check_domain(c, t)
+    return c.sigma2 if isinstance(c, Normal) else (c.rate - t) ** -2
+
+
+def prime_inverse(c, y: float) -> float:
+    """The t with Lambda'(t) = y; -inf below the range of Lambda'."""
+    if isinstance(c, Normal):
+        return (y - c.mu) / c.sigma2
+    v = y - c.shift
+    return -math.inf if v <= 0.0 else c.rate - 1.0 / v
+
+
+BISECT_XTOL = 1e-15
+
+
+def positive_root(f, fprime=None, upper: float = math.inf,
+                  start: float = 1.0) -> float:
+    """Unique root of ``f`` on (0, upper) for f with f(0+) <= 0: bracket by
+    doubling (halving the distance to a finite ``upper``), then
+    ``refine_root``."""
+    lo = 0.0
+    hi = min(start, upper / 2 if math.isfinite(upper) else start)
+    for _ in range(200):
+        val = f(hi)
+        if math.isnan(val):
+            raise RootError("function returned NaN while bracketing")
+        if val > 0.0:
+            break
+        lo = hi
+        hi = (hi + upper) / 2 if math.isfinite(upper) else hi * 2
+    else:
+        raise RootError("failed to bracket a positive root")
+    return refine_root(f, lo, hi, fprime)
+
+
+def refine_root(f, lo: float, hi: float, fprime=None) -> float:
+    """Root on a bracket [lo, hi] with f(lo) <= 0 < f(hi): bisection to
+    the float resolution, then one guarded Newton (or central-difference
+    secant) step, kept only when it lowers |f|."""
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if hi - lo <= BISECT_XTOL * max(1.0, abs(mid)):
+            break
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    x = 0.5 * (lo + hi)
+    fx = f(x)
+    if fx == 0.0:
+        return x
+    if fprime is not None:
+        slope = fprime(x)
+    else:
+        h = 1e-7 * max(1.0, abs(x))
+        try:
+            slope = (f(x + h) - f(x - h)) / (2 * h)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            slope = 0.0
+    if slope and math.isfinite(slope):
+        cand = x - fx / slope
+        width = hi - lo
+        if lo - width <= cand <= hi + width:
+            try:
+                f_cand = f(cand)
+            except (ValueError, OverflowError, ZeroDivisionError):
+                f_cand = math.inf
+            if abs(f_cand) < abs(fx):
+                return cand
+    return x
 
 
 def solve(program) -> TiltSolution:
@@ -156,9 +269,9 @@ def _ray_radius(model, direction) -> float:
     if grad0 >= 0:
         return 0.0
     caps = [
-        c.domain_sup / direction[k]
+        domain_sup(c) / direction[k]
         for k, c in enumerate(model.components)
-        if direction[k] > 0 and math.isfinite(c.domain_sup)
+        if direction[k] > 0 and math.isfinite(domain_sup(c))
     ]
     upper = min(caps) if caps else math.inf
     return positive_root(lambda rr: model.cgf(rr * direction), upper=upper)
@@ -260,9 +373,9 @@ def _si_box_search(model: IndependentModel, A):
     independent coordinates, where each coordinate's minimum is its own."""
     A = list(A)
     comps = [model.components[k] for k in A]
-    floors = [c.prime_inverse(0.0) for c in comps]
+    floors = [prime_inverse(c, 0.0) for c in comps]
     box = lambda t: np.maximum(t, floors)
-    psi = lambda t: sum(c.cgf(x) for c, x in zip(comps, box(t)))
+    psi = lambda t: sum(cgf(c, x) for c, x in zip(comps, box(t)))
     hi = 1.0
     for _ in range(200):
         if psi(hi) > 0:
@@ -276,7 +389,7 @@ def _si_box_search(model: IndependentModel, A):
 
 def _indep_theta(comp, sign, y):
     """Stationarity-consistent coordinate value, clamped to its sign."""
-    raw = comp.prime_inverse(y)
+    raw = prime_inverse(comp, y)
     val = raw if math.isfinite(raw) else -math.inf
     if sign > 0:
         return max(0.0, val)
@@ -286,7 +399,7 @@ def _indep_theta(comp, sign, y):
 def _indep_term(comp, theta_k):
     if not math.isfinite(theta_k):
         return math.inf
-    return comp.cgf(theta_k)
+    return cgf(comp, theta_k)
 
 
 def _independent_kkt(components, c, signs, with_eq=False):
@@ -343,7 +456,7 @@ def _independent_kkt(components, c, signs, with_eq=False):
         for k in range(n):
             if not math.isfinite(th[k]) or th[k] == 0.0:
                 continue
-            w = components[k].cgf_second(th[k])
+            w = cgf_second(components[k], th[k])
             sum_c2w += c[k] * c[k] / w
             sum_cw += c[k] / w
             sum_1w += 1.0 / w
@@ -363,7 +476,7 @@ def _independent_kkt(components, c, signs, with_eq=False):
     for k in range(n):
         if th[k] == 0.0:
             mk = signs[k] * (
-                components[k].cgf_prime(0.0) + t_star - s_star * c[k]
+                cgf_prime(components[k], 0.0) + t_star - s_star * c[k]
             )
             mults[k] = mk / s_star if s_star > 0 else math.nan
     lam0 = 1.0 / s_star

@@ -102,8 +102,9 @@ def test_criterion_03_exponential_solver_values():
     comp = ShiftedExponential(2.0, -LOG2)
     from wrongexit import siegmund_root
     assert siegmund_root(comp) == pytest.approx(1.0, abs=1e-12)
-    assert -comp.cgf_prime(0.0) == pytest.approx(0.1931, abs=1e-3)
-    assert comp.cgf_prime(1.0) == pytest.approx(0.307, abs=1e-3)
+    assert -comp.mean == pytest.approx(0.1931, abs=1e-3)
+    drift = IndependentModel([comp]).cgf_grad_rows([[1.0]])[0, 0]
+    assert drift == pytest.approx(0.307, abs=1e-3)
     vp, vm, _ = homogeneous_profile(comp, 400, 1.0, 1.0)
     assert vp[1] == pytest.approx(0.8718, abs=1e-4)
     assert vm[1] == pytest.approx(-4.1194e-4, abs=1e-4)

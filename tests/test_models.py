@@ -1,6 +1,7 @@
 """CGF correctness, tilted sampling, and change-of-measure checks."""
 
 import math
+import re
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from wrongexit import proposals
 from wrongexit.models import FAMILIES
+from wrongexit.rootfind import RootError
 from wrongexit import (
     IndependentModel,
     MvNormalModel,
@@ -17,6 +19,7 @@ from wrongexit import (
     exchangeable_mvnormal,
     siegmund_root,
 )
+from si_reference import cgf, cgf_prime, cgf_second
 
 LOG2 = math.log(2.0)
 
@@ -38,7 +41,7 @@ def models_under_test():
 
 def interior_tilt(model, rng):
     if isinstance(model, IndependentModel):
-        hi = np.array([min(c.domain_sup, 2.0) for c in model.components])
+        hi = np.array([min(c.sup(), 2.0) for c in model.components])
         return rng.uniform(-1.0, 0.8) * 0.5 + rng.uniform(-0.5, 0.5, model.dim) * 0.3 * hi
     return rng.normal(scale=0.6, size=model.dim)
 
@@ -57,7 +60,7 @@ class TestCgfValues:
 
     def test_shifted_exponential_root_value(self):
         comp = ShiftedExponential(2.0, -LOG2)
-        assert abs(comp.cgf(1.0)) <= 1e-15
+        assert abs(comp.lin * 1.0 + comp.k(1.0)) <= 1e-15
 
     def test_exchangeable_quadratic_by_hand(self):
         # -1'theta/2 + theta'Sigma theta/2 at theta=(1,1), rho=0.5: -1 + 3/2
@@ -74,10 +77,11 @@ class TestCgfValues:
 
     def test_exponential_tilted_mean(self):
         comp = ShiftedExponential(2.0, -LOG2)
-        assert comp.cgf_prime(1.0) == pytest.approx(1.0 - LOG2, abs=1e-15)
+        drift = IndependentModel([comp]).cgf_grad_rows([[1.0]])[0, 0]
+        assert drift == pytest.approx(1.0 - LOG2, abs=1e-15)
         # paper values for this component
-        assert -comp.cgf_prime(0.0) == pytest.approx(0.1931, abs=1e-4)
-        assert comp.cgf_prime(1.0) == pytest.approx(0.307, abs=1e-3)
+        assert -comp.mean == pytest.approx(0.1931, abs=1e-4)
+        assert drift == pytest.approx(0.307, abs=1e-3)
 
     def test_domain_boundary_is_infinite(self):
         model = IndependentModel([ShiftedExponential(2.0, -LOG2)])
@@ -87,13 +91,11 @@ class TestCgfValues:
             model.cgf_grad_rows([np.array([2.0])])
         with pytest.raises(TiltDomainError):
             model.tilted_sampler(np.array([2.0]))(np.random.default_rng(0), 1)
-        comp = ShiftedExponential(2.0, -0.69)
+        model = IndependentModel([ShiftedExponential(2.0, -0.69)])
         for t in (2.0, 3.0):
-            assert comp.cgf(t) == math.inf
+            assert model.cgf([t]) == math.inf
             with pytest.raises(TiltDomainError):
-                comp.cgf_prime(t)
-            with pytest.raises(TiltDomainError):
-                comp.cgf_second(t)
+                model.cgf_grad_rows([[t]])
 
     def test_dimension_mismatch(self):
         model = exchangeable_mvnormal(3, -0.5, 0.1)
@@ -110,7 +112,7 @@ class TestCgfRows:
         thetas = np.array([interior_tilt(model, rng) for _ in range(7)])
         got = model.cgf_rows(thetas)
         if isinstance(model, IndependentModel):
-            want = [sum(c.cgf(t) for c, t in zip(model.components, th))
+            want = [sum(cgf(c, t) for c, t in zip(model.components, th))
                     for th in thetas]
         else:
             want = [model.mean @ th + th @ model.cov @ th / 2 for th in thetas]
@@ -123,7 +125,8 @@ class TestCgfRows:
             assert comp.mean == model.mean[k]
             for t in (-0.3, 0.4):
                 th = np.where(np.arange(model.dim) == k, t, 0.0)
-                assert comp.cgf(t) == pytest.approx(model.cgf(th), abs=1e-15)
+                assert comp.lin * t + comp.k(t) == pytest.approx(
+                    model.cgf(th), abs=1e-15)
 
     @pytest.mark.parametrize("model", models_under_test(), ids=repr)
     def test_grad_rows_match_cgf_grad(self, model):
@@ -144,7 +147,7 @@ class TestCgfRows:
                                   ShiftedExponential(2.0, -LOG2)])
         thetas = np.array([[0.1, 0.5], [0.1, 2.0], [-3.0, 2.5]])
         got = model.cgf_rows(thetas)
-        want = sum(c.cgf(t) for c, t in zip(model.components, thetas[0]))
+        want = sum(cgf(c, t) for c, t in zip(model.components, thetas[0]))
         assert got[0] == pytest.approx(want, abs=1e-15)
         assert list(got[1:]) == [math.inf, math.inf]
 
@@ -198,43 +201,42 @@ class TestFamilyTable:
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
     def test_row_formulas_agree(self, family):
         comp, h = EXAMPLES[family], 1e-5
-        sup = comp.domain_sup
+        sup = comp.sup()
+        lam = lambda t: comp.lin * t + comp.k(t)
+        prime = lambda t: comp.lin + comp.k1(t)
         ts = np.linspace(-1.5, min(1.5, 0.8 * sup), 7)
         for t in ts:
-            fd1 = (comp.cgf(t + h) - comp.cgf(t - h)) / (2 * h)
-            assert fd1 == pytest.approx(comp.cgf_prime(t), rel=1e-7)
-            fd2 = (comp.cgf_prime(t + h) - comp.cgf_prime(t - h)) / (2 * h)
-            assert fd2 == pytest.approx(comp.cgf_second(t), rel=1e-7)
-            assert comp.prime_inverse(comp.cgf_prime(t)) == pytest.approx(
-                t, rel=1e-12, abs=1e-12)
-            t_inv, second = comp.k1_inverse(comp.cgf_prime(t) - comp.lin)
-            assert second == pytest.approx(comp.cgf_second(t_inv), rel=1e-12)
-        assert comp.prime_inverse(comp.lin + comp.floor) == -math.inf
+            fd1 = (lam(t + h) - lam(t - h)) / (2 * h)
+            assert fd1 == pytest.approx(prime(t), rel=1e-7)
+            fd2 = (prime(t + h) - prime(t - h)) / (2 * h)
+            assert fd2 == pytest.approx(comp.k2(t), rel=1e-7)
+            t_inv, second = comp.k1_inverse(comp.k1(t))
+            assert t_inv == pytest.approx(t, rel=1e-12, abs=1e-12)
+            assert second == pytest.approx(comp.k2(t_inv), rel=1e-12)
+            assert comp.k1(t) > comp.floor
         # the columns of the vectorised path give the scalar values
         cols, tc = IndependentModel([comp]).columns, ts[:, None]
-        np.testing.assert_allclose(cols.cgf(tc), [comp.cgf(t) for t in ts],
+        np.testing.assert_allclose(cols.cgf(tc), [cgf(comp, t) for t in ts],
                                    rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(cols.prime(tc)[:, 0],
-                                   [comp.cgf_prime(t) for t in ts], rtol=1e-15)
+                                   [cgf_prime(comp, t) for t in ts],
+                                   rtol=1e-15)
         np.testing.assert_allclose(cols.row("k2", tc)[:, 0],
-                                   [comp.cgf_second(t) for t in ts],
+                                   [cgf_second(comp, t) for t in ts],
                                    rtol=1e-15)
         t_inv, second = cols.row("k1_inverse", cols.prime(tc) - cols.lin)
         np.testing.assert_allclose(t_inv[:, 0], ts, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(second, cols.row("k2", t_inv), rtol=1e-12)
         if math.isfinite(sup):
             for t in (sup, sup + 0.5):
-                assert comp.cgf(t) == math.inf
                 assert cols.cgf(np.array([[t]]))[0] == math.inf
                 with pytest.raises(TiltDomainError):
-                    comp.cgf_prime(t)
-                with pytest.raises(TiltDomainError):
-                    comp.cgf_second(t)
+                    IndependentModel([comp]).cgf_grad_rows([[t]])
         # the tilted draw has mean Lambda'(t)
         n, t = 400_000, ts[-2]
         x = IndependentModel([comp]).tilted_sampler([t])(
             np.random.default_rng(3), n)[:, 0]
-        assert abs(x.mean() - comp.cgf_prime(t)) <= 4 * x.std() / math.sqrt(n)
+        assert abs(x.mean() - prime(t)) <= 4 * x.std() / math.sqrt(n)
 
 
 class TestSiegmundRoot:
@@ -250,11 +252,20 @@ class TestSiegmundRoot:
         with pytest.raises(ValueError):
             siegmund_root(ShiftedExponential(2.0, 1.0))
 
+    def test_root_stays_inside_the_domain(self):
+        # about 9e-13 below the rate: still a float inside the domain
+        z = siegmund_root(ShiftedExponential(10.0, -3.0))
+        assert 10.0 - 1e-11 < z < 10.0
+        # about 2e-21 below it: the root rounds onto the rate
+        comp = ShiftedExponential(10.0, -5.0)
+        with pytest.raises(RootError, match=re.escape(repr(comp))):
+            siegmund_root(comp)
+
     def test_root_is_cgf_zero(self):
         comp = ShiftedExponential(1.3, -1.7)
         z = siegmund_root(comp)
         assert z > 0
-        assert abs(comp.cgf(z)) <= 1e-12
+        assert abs(cgf(comp, z)) <= 1e-12
 
 
 class TestModelValidation:

@@ -27,9 +27,9 @@ from wrongexit import (
     rearrangement_min,
     solve_gamma_single,
 )
+from wrongexit.active_set import block_solve
 from wrongexit.models import TiltDomainError, siegmund_root
 from wrongexit.regions import Region
-from wrongexit.rootfind import positive_root
 from wrongexit.solvers import (
     beta_program,
     gamma_pair_program,
@@ -46,6 +46,8 @@ from si_reference import (
     _si_box_search,
     _si_dual_program,
     _symmetric_si_beta,
+    domain_sup,
+    positive_root,
     shifted_program,
     solve,
     support_value,
@@ -171,6 +173,32 @@ class TestSiegmundSolvers:
                     c + np.where(in_A, 1.0, -1.0) * mu,
                     lam0 * model.cgf_grad_rows([sol.tilt])[0], atol=1e-8)
 
+    def test_paper_scale_profile_matches_block_solves(self):
+        comp, d = ShiftedExponential(2.0, -LOG2), 400
+        model = IndependentModel([comp] * d)
+        v_plus, v_minus, r = homogeneous_profile(comp, d, 1.0, 1.0)
+        sizes = (1, 2, 200, 399, 400)
+        sols = block_solve([beta_program(range(a), RULE11, model)
+                            for a in sizes])
+        for a, sol in zip(sizes, sols):
+            tilt = np.full(d, v_minus[a] if a < d else 0.0)
+            tilt[:a] = v_plus[a]
+            assert sol.value == pytest.approx(r[a], abs=1e-9)
+            np.testing.assert_allclose(sol.tilt, tilt, atol=1e-9)
+
+    @pytest.mark.parametrize("mu, d, ell, u, match", [
+        (-0.5, 3, 1.0, -1.0, "positive and finite"),
+        (-0.5, 3, 0.0, 1.0, "positive and finite"),
+        (-0.5, 3, math.nan, 1.0, "positive and finite"),
+        (-0.5, 3, 1.0, math.inf, "positive and finite"),
+        (-0.5, 0, 1.0, 1.0, "positive integer"),
+        (-0.5, 2.5, 1.0, 1.0, "positive integer"),
+        (0.5, 3, 1.0, 1.0, "negative mean"),
+    ])
+    def test_profile_rejects_bad_input(self, mu, d, ell, u, match):
+        with pytest.raises(ValueError, match=match):
+            homogeneous_profile(Normal(mu, 1.0), d, ell, u)
+
     def test_exchangeable_active_set_matches_profile(self):
         model = exchangeable_mvnormal(7, -0.5, 0.35)
         rule = SiegmundRule(1.0, 0.7)
@@ -265,11 +293,40 @@ class TestSiegmundSolvers:
         # u large enough makes the condition hold for the exponential too:
         # (ell/u) kappa1 <= kappa0  <=>  u >= kappa1/kappa0
         z = 1.0
-        kap1, kap0 = comp.cgf_prime(z), -comp.cgf_prime(0.0)
+        kap1, kap0 = comp.lin + comp.k1(z), -comp.mean
         rule = SiegmundRule(1.0, kap1 / kap0 + 0.1)
         beta = solve(beta_program([0], rule, model))
         gam = solve_gamma_single(0, rule, model)
         np.testing.assert_allclose(beta.tilt, gam.tilt, atol=1e-12)
+
+
+SIEGMUND4 = exchangeable_mvnormal(4, -0.5, 0.2)
+GAP4 = IndependentModel([Normal(0.5, 1.0)] * 2 + [Normal(-0.5, 1.0)] * 2)
+
+
+OUT, REPEAT = "region indices out of range", "indices must be distinct"
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: beta_program([-1], RULE11, SIEGMUND4), OUT),
+    (lambda: solve_gamma_single(-1, RULE11, SIEGMUND4), OUT),
+    (lambda: gamma_pair_program(-1, 0, RULE11, SIEGMUND4), OUT),
+    (lambda: gamma_pair_program(0, 4, RULE11, SIEGMUND4), OUT),
+    (lambda: si_z_program((-1, 0), SumIntersectionRule(2), SIEGMUND4), OUT),
+    (lambda: si_s_program((-1, 0, 1), SumIntersectionRule(2), SIEGMUND4),
+     OUT),
+    (lambda: gap_pair_program(-3, 3, GapRule(2), GAP4), OUT),
+    (lambda: gap_quad_program(-4, 1, 2, 3, GapRule(2), GAP4), OUT),
+    (lambda: beta_program([1, 1], GapRule(2), GAP4), REPEAT),
+    (lambda: gamma_pair_program(1, 1, RULE11, SIEGMUND4), REPEAT),
+    (lambda: si_z_program((1, 1), SumIntersectionRule(2), SIEGMUND4), REPEAT),
+    (lambda: gap_quad_program(0, 0, 2, 3, GapRule(2), GAP4), REPEAT),
+], ids=["beta", "gamma-single", "gamma-pair", "gamma-pair-high", "si-z",
+        "si-s", "gap-pair", "gap-quad", "beta-repeat", "gamma-pair-repeat",
+        "si-z-repeat", "gap-quad-repeat"])
+def test_program_indices_are_checked(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 class TestGapSolvers:
@@ -300,7 +357,7 @@ class TestGapSolvers:
             v = np.zeros(5)
             v[l], v[lp] = -1.0, 1.0
             t = positive_root(lambda r: model.cgf(r * v),
-                              upper=comps[lp].domain_sup)
+                              upper=domain_sup(comps[lp]))
             zt = solve(gap_pair_program(l, lp, rule, model))
             assert zt.converged
             assert zt.value == pytest.approx(t, abs=1e-12)
