@@ -21,16 +21,24 @@ recurrence, one addition of row j - 1 into row j: numpy's axis-0 cumsum does
 the same additions in the same order but runs one strided loop per (path,
 coordinate) column, about 10x slower on these blocks.  A path leaves the batch
 at its first stop; the live paths' states and components are carried as
-compact arrays, and a path's stop state is written out only when it stops (a
-truncated one's once, after the last chunk).  The chunks grow with the steps
-the batch has walked (``FIRST_CHUNK``, ``FIRST_CHUNK``, then doubling), so a
-batch of short walks draws few rows past its stops.  A block holds at most
-``CHUNK_VALUES`` values, or one step of the live paths when that holds more
-(at d > 64 a full batch walks one step per chunk).  The weights of a batch's
-wrong exits come from vectorised logsumexps over blocks of at most
-``CHUNK_VALUES`` log weights.  Exit sets are tallied as packed member masks
-(bytes) over the whole run and decoded to their ``A=...``/``reference`` keys
-once at the end, one decode per distinct set.
+compact arrays.  The rule's stop record (``exits``) names only the paths that
+stop in a chunk, with their stop rows and exit sets, so only those paths'
+states, steps and exit sets are written out, and one mask narrows the live
+set (a truncated path's state is written once, after the last chunk).  The
+chunks grow with the steps the batch has walked (``FIRST_CHUNK``,
+``FIRST_CHUNK``, then doubling), so a batch of short walks draws few rows
+past its stops.  A block holds at most ``CHUNK_VALUES`` values, or one step
+of the live paths when that holds more (at d > 64 a full batch walks one
+step per chunk).  The weights of a batch's wrong exits come from
+vectorised logsumexps over blocks of at most ``CHUNK_VALUES`` log
+weights.  A batch computes its wrong-exit mask once and
+hands it on with its outcomes (``BatchResult.rare``), for the weights, the
+tally and the pilot.  Exit sets are tallied as packed member masks (bytes)
+over the whole run and decoded to their ``A=...``/``reference`` keys once at
+the end, one decode per distinct set.  Every exit that is not rare has the
+rule's one reference set, so those exits are counted under its packed bytes
+and only the rare exits' masks are packed: under plain Monte Carlo nearly
+every path exits through the reference region.
 
 Mixture weights: a proposal with two distinct groups (``beta`` candidate
 tilts and auxiliary tilts, ``MixtureProposal.groups``) runs batch 0 as a
@@ -201,6 +209,7 @@ class BatchResult(NamedTuple):
     steps: np.ndarray  # steps taken
     exit_sets: np.ndarray  # (n, d) member masks; all False when truncated
     truncated: np.ndarray  # stopped by the step cap
+    rare: np.ndarray  # wrong exits: stopped in a rare region
 
 
 def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
@@ -222,7 +231,12 @@ def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
     same order as ``np.cumsum(block, axis=0)``, so the bits are the same.
     The live paths' states ride from chunk to chunk as a compact array,
     which may be a view of the last block row because ``draw`` returns a
-    fresh block each call.
+    fresh block each call.  Each chunk's stop record ``rule.exits`` lists
+    the stopping paths only; they are written out and dropped from the
+    live set, and a chunk where none stops writes nothing.  The gathers
+    are ``take`` calls (a flat row index into the block, the kept
+    indices into its last row), several times faster than the fancy and
+    boolean indexing of the same rows on these small arrays.
     """
     n_comp, d = thetas.shape
     if weights is None:
@@ -242,16 +256,18 @@ def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
         block[0] += cur
         for j in range(1, k):
             np.add(block[j - 1], block[j], out=block[j])
-        first, sets = rule.exits(block, b)
-        done = first >= 0
-        if done.any():
-            cols = np.flatnonzero(done)
-            states[live[cols]] = block[first[cols], cols]
-            steps[live[cols]] = t + first[cols] + 1
-            exit_sets[live[cols]] = sets[cols]
-            keep = ~done
-            live, comp = live[keep], comp[keep]
-            cur = block[k - 1, keep]
+        cols, rows, sets = rule.exits(block, b)
+        if cols.size:
+            ids = live[cols]
+            states[ids] = block.reshape(-1, d).take(rows * live.size + cols,
+                                                    axis=0)
+            steps[ids] = t + rows + 1
+            exit_sets[ids] = sets
+            keep = np.ones(live.size, dtype=bool)
+            keep[cols] = False
+            kept = np.flatnonzero(keep)
+            live, comp = live[kept], comp[kept]
+            cur = block[k - 1].take(kept, axis=0)
         else:
             cur = block[k - 1]  # a view: ``draw`` returns a fresh block
         t += k
@@ -260,7 +276,8 @@ def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
     truncated[live] = True
 
     values = np.zeros(n)
-    rare = np.flatnonzero(rule.rare_mask(exit_sets) & ~truncated)
+    wrong = rule.rare_mask(exit_sets) & ~truncated
+    rare = np.flatnonzero(wrong)
     rows = max(1, CHUNK_VALUES // n_comp)
     for lo in range(0, rare.size, rows):
         idx = rare[lo:lo + rows]
@@ -269,7 +286,7 @@ def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
         if weights is not None:
             logw += np.log(n_comp * weights)
         values[idx] = _mixture_estimate(n_comp, logw)
-    return BatchResult(values, states, steps, exit_sets, truncated)
+    return BatchResult(values, states, steps, exit_sets, truncated, wrong)
 
 
 def pilot_share(logw: np.ndarray, beta: np.ndarray, aux: np.ndarray
@@ -308,16 +325,25 @@ def pilot_share(logw: np.ndarray, beta: np.ndarray, aux: np.ndarray
     return float(0.5 * (lo + hi))
 
 
-def _tally(results):
+def _tally(results, rule, d: int):
     """Values, the tally of packed exit-set masks (bytes) and the
-    truncation count of an iterable of batch results, read one at a time."""
+    truncation count of an iterable of batch results, read one at a time.
+
+    Every exit that is not rare has the rule's one reference mask, so
+    those exits are counted under its packed bytes; only the rare exits'
+    masks are packed and counted one by one."""
     values = []
     tally: Counter = Counter()
     truncated = 0
+    reference = np.packbits(rule._reference_set(d)).tobytes()
     for res in results:
         values.append(res.values)
-        truncated += int(res.truncated.sum())
-        packed = np.packbits(res.exit_sets[~res.truncated], axis=1)
+        cut = int(res.truncated.sum())
+        truncated += cut
+        ref = res.values.size - cut - int(res.rare.sum())
+        if ref:
+            tally[reference] += ref
+        packed = np.packbits(res.exit_sets[res.rare], axis=1)
         tally.update(packed.view(f"V{packed.shape[1]}").ravel().tolist())
     return np.concatenate(values), tally, truncated
 
@@ -327,10 +353,10 @@ def _simulate_batches(model, proposal, rule, b, max_steps, seed, n_paths,
     """Batches lo..hi-1 of an n_paths run, as ``_tally`` sums them."""
     draw = model.batch_sampler(proposal.thetas)
     size = batch_paths(model.dim)
-    return _tally(simulate_batch(draw, rule, b, max_steps, proposal.thetas,
-                                 proposal.lambdas, batch_rng(seed, i),
-                                 min(size, n_paths - i * size), weights)
-                  for i in range(lo, hi))
+    return _tally((simulate_batch(draw, rule, b, max_steps, proposal.thetas,
+                                  proposal.lambdas, batch_rng(seed, i),
+                                  min(size, n_paths - i * size), weights)
+                   for i in range(lo, hi)), rule, model.dim)
 
 
 def _pilot(model, proposal, rule, b, max_steps, seed, n_paths):
@@ -348,8 +374,8 @@ def _pilot(model, proposal, rule, b, max_steps, seed, n_paths):
     thetas, lambdas = proposal.thetas, proposal.lambdas
     res = simulate_batch(model.batch_sampler(thetas), rule, b, max_steps,
                          thetas, lambdas, batch_rng(seed, 0), size)
-    out = _tally([res])
-    rare = np.flatnonzero(rule.rare_mask(res.exit_sets) & ~res.truncated)
+    out = _tally([res], rule, model.dim)
+    rare = np.flatnonzero(res.rare)
     if not rare.size:
         return None, share, NO_WRONG_EXIT, out
     logw = res.states[rare] @ thetas.T - res.steps[rare, None] * lambdas

@@ -219,6 +219,13 @@ class _TiltedSampling:
         p = int(np.count_nonzero(up))
         return p if up[:p].all() else -1
 
+    def _coordinate(self, k: int) -> int:
+        """k itself when it names a coordinate, else ValueError: a
+        negative k would index from the end."""
+        if not 0 <= k < self.dim:
+            raise ValueError(f"coordinate {k} outside [0, {self.dim})")
+        return k
+
     def cgf(self, theta) -> float:
         """Lambda(theta) of one (d,) tilt; +inf outside the domain."""
         return float(self.cgf_rows(np.asarray(theta, dtype=float)[None])[0])
@@ -336,7 +343,8 @@ class MvNormalModel(_TiltedSampling):
         return exchangeable_form(self.mean, self.cov, self._form)
 
     def marginal(self, k: int) -> Normal:
-        """The law N(mean[k], cov[k, k]) of coordinate k."""
+        """The law N(mean[k], cov[k, k]) of coordinate k, 0 <= k < d."""
+        k = self._coordinate(k)
         return Normal(float(self.mean[k]), float(self.cov[k, k]))
 
     def __repr__(self):
@@ -403,8 +411,8 @@ class IndependentModel(_TiltedSampling):
         return all(c == self.components[0] for c in self.components)
 
     def marginal(self, k: int) -> ScalarFamily:
-        """The law of coordinate k."""
-        return self.components[k]
+        """The law of coordinate k, 0 <= k < d."""
+        return self.components[self._coordinate(k)]
 
     def __repr__(self):
         return f"IndependentModel(dim={self.dim})"

@@ -15,9 +15,12 @@ rules are supported:
   positive, with A the positive set.  Reference region: A empty.
 
 Each rule states its stopping test once, over states of any leading shape.
-The engine applies it to ``(k, B, d)`` blocks of B paths over k steps and
-keeps the exit sets as boolean member masks; ``first_hit`` is the
-one-path case of the same test.
+The engine applies it to ``(k, B, d)`` blocks of B paths over k steps
+through ``exits``, whose stop record lists only the paths that stop in the
+block: their columns in ascending order, the first row each stops at, and
+the boolean member masks of the regions they enter there.  The exit sets
+are formed for those paths alone.  ``first_hit`` is the one-path case of
+the same record.
 
 The stop test runs on every row of every block, and at the small d of the
 oracle problems it costs about as much as drawing the increments.  A numpy
@@ -225,22 +228,34 @@ class _StoppingRule:
     with a per-state level for the exit set, or None),
     ``_exit_set`` (the member mask of the region a stopped state lies in,
     given its level) and ``_reference_set`` (the member mask of the
-    reference region).  ``exits`` applies them to a ``(k, B, d)`` block of
-    B paths over k steps; ``first_hit`` is its one-path case.
+    reference region, the exit set of every exit that is not rare).
+    ``exits`` applies them to a ``(k, B, d)`` block of B paths over k
+    steps; ``first_hit`` is its one-path case.
     """
 
     def exits(self, states: np.ndarray, b: float):
-        """First stopping row of each path in a ``(k, B, d)`` block, or -1,
-        and the boolean ``(B, d)`` member mask of the region entered there
-        (all False for a path that does not stop in the block)."""
+        """The stop record of a ``(k, B, d)`` block of B paths: ``(cols,
+        rows, sets)``, where ``cols`` lists the paths that stop in the
+        block in ascending order, ``rows`` the first row each stops at and
+        ``sets`` the boolean ``(len(cols), d)`` member masks of the regions
+        they enter there.  Paths that do not stop have no entry, and the
+        exit sets are formed for the stopping paths only.
+
+        The stopping columns come from ``any`` along the rows, the stop
+        rows from an argmax over those columns alone, and the stopped
+        states from one ``take`` at flat positions.  In us on an (8, 1024,
+        2) block, a fifth of its paths stopping (numpy 2.4, a shared x86-64
+        core): ``hit.any(axis=0)`` 2.7 against 8.8 for ``hit[argmax,
+        arange]``, the argmax over the stopping columns 4.8 against 15.7
+        over all, the ``take`` 0.6 against 7.8 for ``states[rows, cols]``."""
         hit, level = self._stopped(states, b)
-        first = hit.argmax(axis=0)
-        at = first, np.arange(states.shape[1])
-        done = hit[at]
-        sets = self._exit_set(states[at], None if level is None
-                              else level[at], b)
-        sets &= done[:, None]
-        return np.where(done, first, -1), sets
+        cols = np.flatnonzero(hit.any(axis=0))
+        rows = hit.take(cols, axis=1).argmax(axis=0)
+        at = rows * states.shape[1] + cols  # flat (row, path) positions
+        sets = self._exit_set(
+            states.reshape(-1, states.shape[-1]).take(at, axis=0),
+            None if level is None else level.reshape(-1).take(at), b)
+        return cols, rows, sets
 
     def region(self, mask) -> Region:
         """Decode an exit-set mask into its region label."""
@@ -253,11 +268,13 @@ class _StoppingRule:
                              sets != self._reference_set(sets.shape[1]))
 
     def first_hit(self, states: np.ndarray, b: float):
-        """First stopped row in a (n, d) block of states, or (-1, None)."""
-        idx, sets = self.exits(np.asarray(states, dtype=float)[:, None], b)
-        if idx[0] < 0:
+        """First stopped row in a (n, d) block of states and the region
+        entered there, or (-1, None): the one-path stop record."""
+        _, rows, sets = self.exits(np.asarray(states, dtype=float)[:, None],
+                                   b)
+        if not rows.size:
             return -1, None
-        return int(idx[0]), self.region(sets[0])
+        return int(rows[0]), self.region(sets[0])
 
     def _reference_set(self, d: int) -> np.ndarray:
         return np.zeros(d, dtype=bool)

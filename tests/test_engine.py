@@ -31,6 +31,7 @@ from wrongexit.engine import (
     SHARE_TOL,
     RunConfig,
     _mixture_estimate,
+    _tally,
     batch_paths,
     batch_rng,
     decay_scan,
@@ -48,6 +49,7 @@ from wrongexit.proposals import (
     plain_proposal,
 )
 from wrongexit.cli import build_model, build_proposal, build_rule, load_config
+from test_regions import dense_exits
 
 LOG2 = math.log(2.0)
 RULE11 = SiegmundRule(1.0, 1.0)
@@ -118,7 +120,7 @@ def cumsum_chunk_reference(draw, rule, b, max_steps, thetas, lambdas, rng,
         block = draw(rng, comp[live], k)
         block[0] += states[live]
         np.cumsum(block, axis=0, out=block)
-        first, sets = rule.exits(block, b)
+        first, sets = dense_exits(rule, block, b)
         done = first >= 0
         cols = np.arange(live.size)
         states[live] = block[np.where(done, first, k - 1), cols]
@@ -129,10 +131,11 @@ def cumsum_chunk_reference(draw, rule, b, max_steps, thetas, lambdas, rng,
     truncated = np.zeros(n, dtype=bool)
     truncated[live] = True
     values = np.zeros(n)
-    rare = np.flatnonzero(rule.rare_mask(exit_sets) & ~truncated)
+    wrong = rule.rare_mask(exit_sets) & ~truncated
+    rare = np.flatnonzero(wrong)
     logw = states[rare] @ thetas.T - steps[rare, None] * lambdas
     values[rare] = _mixture_estimate(n_comp, logw)
-    return values, states, steps, exit_sets, truncated
+    return values, states, steps, exit_sets, truncated, wrong
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -376,30 +379,36 @@ class TestRowRecurrence:
                    for k, live in chunks)
 
 
+def tally_case(kind, d):
+    """A plain-proposal case of each rule whose tight cap truncates some
+    paths: (model, rule, b, cap, proposal)."""
+    if kind == "siegmund":
+        rule, b, cap = SiegmundRule(1.0, 1.0), 1.0, 8
+        mean = np.full(d, -0.2)
+    elif kind == "gap":
+        m = 1 if d == 3 else 3
+        rule, b, cap = GapRule(m), 1.0, 4
+        mean = np.where(np.arange(d) < m, 0.3, -0.3)
+    else:
+        # the two smallest of d |coordinates| pass b later as d grows,
+        # so the cap grows with d: 14%, 53% and 64% of the paths
+        # truncate at d = 3, 10 and 20 (three seeds, each within 3
+        # points) and the rest stop, so both counts run to tens or
+        # hundreds and neither is zero on any stream
+        rule, b = SumIntersectionRule(2), 1.5
+        cap = {3: 4, 10: 8, 20: 16}[d]
+        mean = np.full(d, 0.1)
+    model = MvNormalModel(mean, np.eye(d))
+    return model, rule, b, cap, plain_proposal(rule, d)
+
+
 class TestPackedTally:
     @pytest.mark.parametrize("d", [3, 10, 20])
     @pytest.mark.parametrize("kind", ["siegmund", "gap", "sum_intersection"])
     def test_tally_matches_per_path_decode(self, kind, d):
         # masks of 3, 10 and 20 coordinates span one to three bytes; the
         # tight cap truncates some paths, which the tally leaves out
-        if kind == "siegmund":
-            rule, b, cap = SiegmundRule(1.0, 1.0), 1.0, 8
-            mean = np.full(d, -0.2)
-        elif kind == "gap":
-            m = 1 if d == 3 else 3
-            rule, b, cap = GapRule(m), 1.0, 4
-            mean = np.where(np.arange(d) < m, 0.3, -0.3)
-        else:
-            # the two smallest of d |coordinates| pass b later as d grows,
-            # so the cap grows with d: 14%, 53% and 64% of the paths
-            # truncate at d = 3, 10 and 20 (three seeds, each within 3
-            # points) and the rest stop, so both counts run to tens or
-            # hundreds and neither is zero on any stream
-            rule, b = SumIntersectionRule(2), 1.5
-            cap = {3: 4, 10: 8, 20: 16}[d]
-            mean = np.full(d, 0.1)
-        model = MvNormalModel(mean, np.eye(d))
-        prop = plain_proposal(rule, d)
+        model, rule, b, cap, prop = tally_case(kind, d)
         n_paths, seed = 2 * BATCH + 40, 6
         run = estimate_wrong_exit(model, prop, rule,
                                   RunConfig(b=b, n_paths=n_paths, seed=seed,
@@ -421,6 +430,41 @@ class TestPackedTally:
         if kind == "gap":
             # the gap rule's reference set {0..m-1} is not empty
             assert "reference" in run.exit_tally
+
+    @pytest.mark.parametrize("d", [3, 10])
+    @pytest.mark.parametrize("kind", ["siegmund", "gap", "sum_intersection"])
+    def test_counted_reference_matches_packing_every_mask(self, kind, d):
+        """``_tally`` counts the reference exits under the reference mask's
+        packed bytes; packing every exit's mask gives the same tally, on
+        batches with reference, rare and truncated paths, in one and two
+        bytes of mask."""
+        model, rule, b, cap, prop = tally_case(kind, d)
+        if kind == "sum_intersection":
+            # one coordinate drifts up and the rest down, so that many
+            # paths stop with fewer than L = 2 positive coordinates
+            model = MvNormalModel(np.where(np.arange(d) < 1, 0.3, -0.3),
+                                  np.eye(d))
+        draw, size = model.batch_sampler(prop.thetas), batch_paths(d)
+        # the last batch truncates every path, so it adds no key at all
+        results = [simulate_batch(draw, rule, scale * b, steps, prop.thetas,
+                                  prop.lambdas, batch_rng(7, i), n)
+                   for i, (n, scale, steps) in enumerate(
+                       [(size, 1, cap), (size, 1, cap), (40, 1, cap),
+                        (40, 100, 1)])]
+        assert results[-1].truncated.all()
+        values, tally, truncated = _tally(iter(results), rule, d)
+        every = Counter()
+        for res in results:
+            packed = np.packbits(res.exit_sets[~res.truncated], axis=1)
+            every.update(packed.view(f"V{packed.shape[1]}").ravel().tolist())
+            assert np.array_equal(res.rare, rule.rare_mask(res.exit_sets)
+                                  & ~res.truncated)
+        assert dict(tally) == dict(every)
+        assert truncated == sum(int(r.truncated.sum()) for r in results) > 0
+        assert values.tobytes() == np.concatenate(
+            [r.values for r in results]).tobytes()
+        ref = tally[np.packbits(rule._reference_set(d)).tobytes()]
+        assert 0 < ref < sum(tally.values())
 
 
 class TestEstimator:

@@ -129,6 +129,13 @@ class TestCgfRows:
                     model.cgf(th), abs=1e-15)
 
     @pytest.mark.parametrize("model", models_under_test(), ids=repr)
+    def test_marginal_rejects_a_coordinate_outside_the_model(self, model):
+        # a negative k would read another coordinate's law from the end
+        for k in (-1, -model.dim, model.dim, model.dim + 1):
+            with pytest.raises(ValueError, match=f"coordinate {k} outside"):
+                model.marginal(k)
+
+    @pytest.mark.parametrize("model", models_under_test(), ids=repr)
     def test_grad_rows_match_cgf_grad(self, model):
         rng = np.random.default_rng(9)
         thetas = np.array([interior_tilt(model, rng) for _ in range(7)])

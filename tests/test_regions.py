@@ -45,6 +45,18 @@ def classify(rule, x, b):
     return rule.first_hit(np.asarray(x, dtype=float)[None], b)[1]
 
 
+def dense_exits(rule, block, b):
+    """The stop record of ``exits`` spread over every path of a (k, B, d)
+    block: the first stop row of each path, or -1, and its (B, d) member
+    masks, all False for a path that does not stop."""
+    cols, rows, sets = rule.exits(block, b)
+    first = np.full(block.shape[1], -1)
+    first[cols] = rows
+    dense = np.zeros(block.shape[1:], dtype=bool)
+    dense[cols] = sets
+    return first, dense
+
+
 class TestClassify:
     def test_siegmund_examples(self):
         rule = SiegmundRule(1.0, 1.0)
@@ -165,7 +177,7 @@ class TestExits:
     @given(blocks())
     def test_exits_match_sorting_oracle(self, case):
         rule, b, block = case
-        first, sets = rule.exits(block, b)
+        first, sets = dense_exits(rule, block, b)
         k, n, d = block.shape
         for j in range(n):
             rows = [oracle_exit(rule, list(block[i, j]), b) for i in range(k)]
@@ -181,7 +193,7 @@ class TestExits:
         block = np.zeros((3, 2, 2))
         block[:, 0] = [5.0, -5.0]  # stops on the first row, A = {0}
         block[2, 1] = [-5.0, 5.0]  # stops on the last row, A = {1}
-        first, sets = rule.exits(block, 2.0)
+        first, sets = dense_exits(rule, block, 2.0)
         assert list(first) == [0, 2]
         assert sets.tolist() == [[True, False], [False, True]]
 
@@ -266,7 +278,7 @@ class TestExitsReal:
     @given(real_blocks())
     def test_exits_match_sorting_oracle(self, case):
         rule, b, block = case
-        first, sets = rule.exits(block, b)
+        first, sets = dense_exits(rule, block, b)
         k, n, d = block.shape
         for j in range(n):
             rows = [real_oracle_exit(rule, list(block[i, j]), b)
@@ -320,8 +332,12 @@ class TestOrderStats:
 
 def per_row_exit(rule, x, b):
     """Stop test and member mask of one state by one per-row ``np.sort``
-    (gap) or ``si_low_sum`` (sum-intersection), NaN sorting last."""
+    (gap) or ``si_low_sum`` (sum-intersection), NaN sorting last; the
+    Siegmund test reads each coordinate against its barriers."""
     d = x.size
+    if isinstance(rule, SiegmundRule):
+        return (np.all((x > b * rule.u) | (x < -b * rule.ell)),
+                x > b * rule.u)
     if isinstance(rule, GapRule):
         s = np.sort(x)
         mth = s[d - rule.m]
@@ -374,7 +390,7 @@ class TestExitsPerRow:
     @staticmethod
     def check(rule, block, b):
         k, n, d = block.shape
-        first, sets = rule.exits(block, b)
+        first, sets = dense_exits(rule, block, b)
         for j in range(n):
             rows = [per_row_exit(rule, block[i, j], b) for i in range(k)]
             stops = [i for i, (stop, _) in enumerate(rows) if stop]
@@ -386,6 +402,58 @@ class TestExitsPerRow:
             assert first[j] == idx == stops[0]
             assert np.array_equal(sets[j], rows[stops[0]][1])
             assert region == rule.region(rows[stops[0]][1])
+
+
+def far_state(rule, rng, d, b):
+    """A state at +-10 b in every coordinate, which every rule stops at:
+    a gap rule's m coordinates up and the rest down, any others at
+    random."""
+    up = rng.permutation(d) < (rule.m if isinstance(rule, GapRule)
+                               else rng.integers(d + 1))
+    return np.where(up, 10.0 * b, -10.0 * b)
+
+
+class TestStopRecord:
+    """``exits`` returns the stopping paths only: ``cols`` ascending, with
+    the first stop row and the exit set of the per-row reference."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 8, 10])
+    def test_record_matches_per_row_reference(self, d):
+        rng = np.random.default_rng(300 + d)
+        b = 2.0
+        for rule in [SiegmundRule(1.0, 1.0), SiegmundRule(0.7, 1.3)] + \
+                order_rules(d):
+            # nothing stops in the zero block; in the last one every path
+            # stops, on the rows in ``at`` (the first and the last among
+            # them), after rows at the origin
+            at = [0, 4, 2, 0, 4, 1]
+            every = walk_block(rng, 5, len(at), d)
+            for j, i in enumerate(at):
+                every[:i, j] = 0.0
+                every[i, j] = far_state(rule, rng, d, b)
+            blocks = [walk_block(rng, 10, 12, d) for _ in range(10)]
+            blocks += [np.zeros((4, 5, d)), every]
+            for block in blocks:
+                self.check(rule, block, b)
+            cols, rows, _ = rule.exits(every, b)
+            assert cols.tolist() == list(range(len(at)))
+            assert rows.tolist() == at
+            assert not rule.exits(blocks[-2], b)[0].size
+
+    @staticmethod
+    def check(rule, block, b):
+        k, n, d = block.shape
+        cols, rows, sets = rule.exits(block, b)
+        assert cols.shape == rows.shape == (len(sets),)
+        assert sets.shape == (len(cols), d) and sets.dtype == bool
+        assert np.all(np.diff(cols) > 0)
+        ref = [[per_row_exit(rule, block[i, j], b) for i in range(k)]
+               for j in range(n)]
+        stops = [[i for i, (stop, _) in enumerate(r) if stop] for r in ref]
+        assert cols.tolist() == [j for j in range(n) if stops[j]]
+        for j, i, members in zip(cols, rows, sets):
+            assert i == stops[j][0]
+            assert np.array_equal(members, ref[j][i][1])
 
 
 class TestReduceCoords:
