@@ -25,9 +25,16 @@ Target k (in ``--pairs`` order) runs its pair j (from 0) on the seed
 ``--seed-base + 20 k + j + 1`` on both sides, and the side that runs first
 alternates from pair to pair, so a drift of the machine's speed falls on
 both sides alike.  With ``--held-out T`` the last pair of T is recorded as
-its held-out seed.  An unknown target, N < 1, a target named twice, a
-``--held-out`` target not in ``--pairs`` or ``--paths`` < 1 exits with
-status 2 before the export.
+its held-out seed.  After a target's last pair one verdict line on
+standard error reads ``resolved`` when the change won at least 9 in 10 of
+the pairs (all 3 of 3) on the target's timed metric (``wall_s``, or
+``seconds``), its median beats the parent's by more than the parent's
+interquartile range, every run was correct, each pair's outputs matched
+and no more operations failed than at the parent; ``regressed`` when the
+parent won at least 9 in 10 of the pairs and its median beats the
+change's by more than its interquartile range; ``unresolved`` otherwise.  An unknown target,
+N < 1, a target named twice, a ``--held-out`` target not in ``--pairs``
+or ``--paths`` < 1 exits with status 2 before the export.
 
 The JSON written to ``--out`` is rewritten after every pair of either
 kind.  Its ``workloads`` section gives, per workload, every end-to-end
@@ -189,6 +196,31 @@ def _summary(pairs: list, seeds: list, held_out: bool,
     return out
 
 
+def _verdict(target: str, entry: dict, metric: dict) -> str:
+    """The claim rule's verdict on one target's record for ``metric``."""
+    name, n = metric["name"], entry["pairs"]
+    parent, change = entry["parent"][name], entry["change"][name]
+    sign = 1 if metric["better"] == "higher" else -1
+    iqr = parent["q3"] - parent["q1"]
+    gap = sign * (change["median"] - parent["median"])  # > 0: change better
+    wins = entry["change_wins"][name]
+    losses = sum(sign * (c - p) < 0
+                 for p, c in zip(parent["runs"], change["runs"]))
+    failed = entry.get("failed", {"parent": 0, "change": 0})
+    sound = (entry.get("all_correct", True) and entry["digests_match"]
+             and failed["change"] <= failed["parent"])
+    if losses >= 0.9 * n and -gap > iqr:
+        word = "regressed"
+    elif sound and wins >= 0.9 * n and gap > iqr:
+        word = "resolved"
+    else:
+        word = "unresolved"
+    return (f"{target}: {name} {word}: the change won {wins} of {n} pairs, "
+            f"median {parent['median']:.4g} -> {change['median']:.4g}, "
+            f"parent interquartile range {iqr:.4g}"
+            + ("" if sound else ", but outputs differ or more ops failed"))
+
+
 def _plan(ap: argparse.ArgumentParser, args, workloads: list) -> list:
     """``(section, target, N)`` per ``--pairs`` item, a target being a
     workload or a shipped config with a paper-scale overlay and a run
@@ -309,6 +341,8 @@ def main(argv=None) -> int:
                 record[section][target] = entry
                 Path(args.out).write_text(json.dumps(record, indent=1)
                                           + "\n")
+            metric = next(m for m in target_metrics if m["name"] == shown)
+            print(_verdict(target, entry, metric), file=sys.stderr)
     return 0
 
 

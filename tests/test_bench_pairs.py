@@ -7,6 +7,7 @@ None of these tests starts git or a subprocess."""
 import importlib.util
 import json
 from pathlib import Path
+import statistics
 import subprocess
 
 import pytest
@@ -170,3 +171,53 @@ def test_a_changed_paper_scale_estimate_stops_with_status_1(
             "-> [1.0000000000000002e-06, 3e-12]") in err
     assert json.loads(out.read_text())["paper_scale"]["gap_normal_desk"][
         "pairs"] == 1
+
+
+def test_a_verdict_line_follows_each_target(driver, monkeypatch, capsys,
+                                            tmp_path):
+    # the workload's change is 10% faster on every pair: resolved; the
+    # paper-scale change is faster on 2 of 3 pairs only: unresolved
+    def paper(tree, config, seed, paths):
+        got = fake_paper(tree, config, seed, paths)
+        if tree != ROOT:
+            got["seconds"] *= 0.7 if seed == 622 else 1.25
+        return got
+
+    monkeypatch.setattr(driver, "_bench", fake_bench)
+    monkeypatch.setattr(driver, "_paper", paper)
+    out = tmp_path / "pairs.json"
+    assert driver.main(["--out", str(out), "--pairs", "oracle_plain=10",
+                        "si_desk=3"]) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines()
+             if "resolved" in ln]
+    assert [ln.split(", median")[0] for ln in lines] == [
+        "oracle_plain: wall_s resolved: the change won 10 of 10 pairs",
+        "si_desk: seconds unresolved: the change won 2 of 3 pairs"]
+    record = json.loads(out.read_text())
+    assert record["workloads"]["oracle_plain"]["change_wins"]["wall_s"] == 10
+    assert record["paper_scale"]["si_desk"]["change_wins"] == {"seconds": 2}
+
+
+@pytest.mark.parametrize("change, extra, verdict", [
+    ([0.8] * 9 + [1.01], {}, "resolved"),
+    ([0.8] * 8 + [1.01] * 2, {}, "unresolved"),
+    ([0.9] * 10, {}, "unresolved"),
+    ([0.8] * 10, {"digests_match": False}, "unresolved"),
+    ([0.8] * 10, {"all_correct": False}, "unresolved"),
+    ([0.8] * 10, {"failed": {"parent": 0, "change": 1}}, "unresolved"),
+    ([1.2] * 9 + [0.8], {}, "regressed"),
+    ([1.2] * 8 + [0.8] * 2, {}, "unresolved"),
+])
+def test_verdict_needs_both_the_wins_and_the_median_gap(driver, change,
+                                                         extra, verdict):
+    # parent quartiles 0.9 and 1.0: the medians must differ by more than
+    # 0.1, and a gain counts only with equal outputs and no more failures
+    entry = {"pairs": 10, "digests_match": True, "all_correct": True,
+             "failed": {"parent": 0, "change": 0},
+             "change_wins": {"wall_s": sum(c < 1.0 for c in change)},
+             "parent": {"wall_s": {"median": 1.0, "q1": 0.9, "q3": 1.0,
+                                   "runs": [1.0] * 10}},
+             "change": {"wall_s": {"median": statistics.median(change),
+                                   "runs": change}}, **extra}
+    line = driver._verdict("w", entry, {"name": "wall_s", "better": "lower"})
+    assert line.startswith(f"w: wall_s {verdict}: ")

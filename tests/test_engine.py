@@ -30,6 +30,7 @@ from wrongexit.engine import (
     SHARE_RANGE,
     SHARE_TOL,
     RunConfig,
+    _decode_tally,
     _mixture_estimate,
     _tally,
     batch_paths,
@@ -49,6 +50,7 @@ from wrongexit.proposals import (
     plain_proposal,
 )
 from wrongexit.cli import build_model, build_proposal, build_rule, load_config
+from wrongexit.regions import region_key
 from test_regions import dense_exits
 
 LOG2 = math.log(2.0)
@@ -606,6 +608,124 @@ class TestEstimator:
         with pytest.raises(ValueError):
             estimate_wrong_exit(model, prop, RULE11,
                                 RunConfig(b=1.0, n_paths=10, seed=0))
+
+
+def oracle_case(config):
+    """(model, rule, mixture proposal, oracle b) of a shipped oracle."""
+    cfg = load_config(str(CONFIGS / config))
+    model = build_model(cfg["model"])
+    rule = build_rule(cfg["problem"])
+    return model, rule, build_proposal(model, rule, cfg["proposal"])[0], \
+        cfg["oracle"]["b"]
+
+
+class TestReusedObjects:
+    """A run's outputs follow from its model, proposal, rule and config
+    alone: the plain weight written as 1 is the formula's value, and a
+    model, proposal or rule reused across runs, across each other and in
+    worker processes gives what freshly built ones give."""
+
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS)
+    def test_plain_weight_is_the_formula_value(self, config):
+        # a small b makes plain wrong exits common, and the cap of 6
+        # steps truncates some paths; a one-component proposal with a
+        # nonzero tilt must still go through the formula
+        model, rule, mix, _ = oracle_case(config)
+        b, cap = 1.5, 6
+        one = single_component(mix)
+        assert one.thetas.any()
+        for prop in (plain_proposal(rule, model.dim), one):
+            res = simulate_batch(model.batch_sampler(prop.thetas), rule, b,
+                                 cap, prop.thetas, prop.lambdas,
+                                 batch_rng(3, 0), batch_paths(model.dim))
+            wrong = np.flatnonzero(res.rare)
+            reference = ~res.rare & ~res.truncated
+            assert wrong.size and res.truncated.any() and reference.any()
+            logw = (res.states[wrong] @ prop.thetas.T
+                    - res.steps[wrong, None] * prop.lambdas)
+            expect = _mixture_estimate(len(prop), logw)
+            assert res.values[wrong].tobytes() == expect.tobytes()
+            assert (res.values[~res.rare] == 0.0).all()
+            if prop is one:
+                assert (expect != 1.0).any()
+            else:
+                assert (expect == 1.0).all()
+
+    def test_one_proposal_under_two_models(self):
+        # the models differ only in mean; model A's step cap (50 b / 1.0)
+        # would truncate many of model B's slow paths, so a drift scale
+        # kept from the wrong model would show in the outputs
+        rule = SiegmundRule(1.0, 1.0)
+        models = [IndependentModel([Normal(m, 1.0)] * 2)
+                  for m in (-1.0, -0.01)]
+        prop = plain_proposal(rule, 2)
+        cfg = RunConfig(b=10.0, n_paths=300, seed=4)
+        runs = []
+        for model in models + models:
+            got = [estimate_wrong_exit(model, prop, rule, cfg),
+                   plain_mc(model, rule, cfg)]
+            fresh_rule = SiegmundRule(1.0, 1.0)
+            fresh = estimate_wrong_exit(
+                IndependentModel(model.components),
+                plain_proposal(fresh_rule, 2), fresh_rule, cfg)
+            for run in got:
+                assert run.to_json_dict() == fresh.to_json_dict()
+            runs.append(fresh)
+        assert runs[0].truncation_count == runs[1].truncation_count == 0
+        short = RunConfig(b=10.0, n_paths=300, seed=4,
+                          max_steps=default_max_steps(models[0],
+                                                      prop.thetas, 10.0))
+        assert estimate_wrong_exit(models[1], prop, rule,
+                                   short).truncation_count > 0
+
+    @pytest.mark.parametrize("model", [
+        exchangeable_mvnormal(3, -0.5, 0.3),
+        IndependentModel([Normal(-0.5, 1.0),
+                          ShiftedExponential(2.0, -math.log(2.0)),
+                          Normal(-0.4, 0.8)]),
+    ])
+    def test_one_model_under_two_proposals(self, model):
+        rule = SiegmundRule(1.0, 1.0)
+        props = [build_siegmund(v, model, 1.0, 1.0)[0]
+                 for v in ("theta0", "theta1")]
+        cfg = RunConfig(b=3.0, n_paths=400, seed=12)
+        for prop in props + props:
+            got = estimate_wrong_exit(model, prop, rule, cfg)
+            fresh_model = (MvNormalModel(model.mean, model.cov)
+                           if isinstance(model, MvNormalModel)
+                           else IndependentModel(model.components))
+            fresh = estimate_wrong_exit(
+                fresh_model, MixtureProposal.from_manifest(
+                    prop.to_manifest()), SiegmundRule(1.0, 1.0), cfg)
+            assert got.to_json_dict() == fresh.to_json_dict()
+
+    def test_objects_run_in_process_then_in_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        model, rule, mix, b = oracle_case("oracle_gap_d4.json")
+        runs = []
+        for workers in (1, 3):
+            cfg = RunConfig(b=b, n_paths=3000, seed=8, workers=workers)
+            runs.append([estimate_wrong_exit(model, mix, rule, cfg),
+                         plain_mc(model, rule, cfg)])
+        for one, three in zip(*runs):
+            assert one.to_json_dict() == three.to_json_dict()
+            assert one.n == 3000 and one.exit_tally
+
+    @pytest.mark.parametrize("rule", [SiegmundRule(1.0, 2.0), GapRule(2),
+                                      SumIntersectionRule(2)])
+    def test_decode_tally_decodes_every_mask(self, rule):
+        # one rule at d = 3, 10, 4 and 3 again (one, two, one and one
+        # packed byte)
+        for d in (3, 10, 4, 3):
+            masks = (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1 == 1
+            packed = np.packbits(masks, axis=1)
+            tally = Counter({row.tobytes(): i + 1
+                             for i, row in enumerate(packed)})
+            expect = {region_key(bool(rule.rare_mask(m[None])[0]),
+                                 np.flatnonzero(m).tolist()): i + 1
+                      for i, m in enumerate(masks)}
+            assert len(expect) == 2 ** d
+            assert dict(_decode_tally(tally, rule, d)) == expect
 
 
 class TestNumerics:
