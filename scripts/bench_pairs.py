@@ -32,7 +32,11 @@ the pairs (all 3 of 3) on the target's timed metric (``wall_s``, or
 interquartile range, every run was correct, each pair's outputs matched
 and no more operations failed than at the parent; ``regressed`` when the
 parent won at least 9 in 10 of the pairs and its median beats the
-change's by more than its interquartile range; ``unresolved`` otherwise.  An unknown target,
+change's by more than its interquartile range; ``unresolved`` otherwise.
+Each workload pair's line, and its target's verdict line in medians, also
+print ``peak_rss_mb`` and the timed units side by side, parent -> change,
+since ``bench/worker.py`` keeps every unit's outputs and a run that fits
+more units reads as using more memory.  An unknown target,
 N < 1, a target named twice, a ``--held-out`` target not in ``--pairs``
 or ``--paths`` < 1 exits with status 2 before the export.
 
@@ -215,10 +219,25 @@ def _verdict(target: str, entry: dict, metric: dict) -> str:
         word = "resolved"
     else:
         word = "unresolved"
-    return (f"{target}: {name} {word}: the change won {wins} of {n} pairs, "
+    line = (f"{target}: {name} {word}: the change won {wins} of {n} pairs, "
             f"median {parent['median']:.4g} -> {change['median']:.4g}, "
             f"parent interquartile range {iqr:.4g}"
             + ("" if sound else ", but outputs differ or more ops failed"))
+    if "units" in entry["parent"]:  # a workload: its memory beside it
+        line += "; median " + _memory(*(
+            {key: entry[side][key]["median"] for key in ("peak_rss_mb",
+                                                         "units")}
+            for side in SIDES))
+    return line
+
+
+def _memory(parent: dict, change: dict) -> str:
+    """``peak_rss_mb`` and the kept units of a parent and a change run,
+    side by side, so a memory rise that comes from more kept units shows
+    (``bench/worker.py`` keeps every timed unit's outputs)."""
+    return (f"peak_rss_mb {parent['peak_rss_mb']:.2f} -> "
+            f"{change['peak_rss_mb']:.2f}, units {parent['units']:g} -> "
+            f"{change['units']:g}")
 
 
 def _plan(ap: argparse.ArgumentParser, args, workloads: list) -> list:
@@ -325,7 +344,9 @@ def main(argv=None) -> int:
                 got = {tree: run(tree, target, seed) for tree in sides}
                 pair = (got[base], got[ROOT])
                 print(f"{target} seed {seed}: {shown} {pair[0][shown]:.4f} "
-                      f"-> {pair[1][shown]:.4f}", file=sys.stderr)
+                      f"-> {pair[1][shown]:.4f}"
+                      + (f", {_memory(*pair)}" if "units" in pair[0] else ""),
+                      file=sys.stderr)
                 if (section == "paper_scale"
                         and pair[0]["digest"] != pair[1]["digest"]):
                     print(f"{target} seed {seed}: p_hat, second_moment "

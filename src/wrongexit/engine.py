@@ -17,27 +17,30 @@ Paths are simulated in batches of ``batch_paths(d)`` that advance in lockstep:
 The live paths' ``(B, d)`` states move forward in chunks of k steps, each
 chunk one ``(k, B, d)`` block of increments turned into running sums in place
 and checked by the rule's vectorised stop test.  The running sums are a row
-recurrence, one addition of row j - 1 into row j: numpy's axis-0 cumsum does
-the same additions in the same order but runs one strided loop per (path,
-coordinate) column, about 10x slower on these blocks.  A path leaves the batch
+recurrence, one addition of row j - 1 into row j over the block's row views:
+numpy's axis-0 cumsum does the same additions in the same order but runs one
+strided loop per (path, coordinate) column, about 10x slower on these
+blocks, and indexing each row anew cost a third more than iterating the
+block once (9.1 against 6.5 us on 6 x 256 x 10).  A path leaves the batch
 at its first stop; the live paths' states and components are carried as
 compact arrays.  The rule's stop record (``exits``) names only the paths that
-stop in a chunk, with their stop rows and exit sets, so only those paths'
-states, steps and exit sets are written out, and one mask narrows the live
-set (a truncated path's state is written once, after the last chunk).  The
-chunks grow with the steps the batch has walked (``FIRST_CHUNK``,
-``FIRST_CHUNK``, then doubling), so a batch of short walks draws few rows
-past its stops.  A block holds at most ``CHUNK_VALUES`` values, or one step
-of the live paths when that holds more (at d > 64 a full batch walks one
-step per chunk).  The weights of a batch's wrong exits come from
-vectorised logsumexps over blocks of at most ``CHUNK_VALUES`` log
-weights (plain Monte Carlo's are 1).  A batch computes its wrong-exit mask
-once and hands it on with its outcomes (``BatchResult.rare``), for the
-weights, the tally and the pilot.  Exit sets are tallied as packed member
-masks (bytes) over the whole run and decoded to their ``A=...``/``reference``
-keys once at the end, one decode per distinct set.  Every exit that is not
-rare has the rule's one reference set, so those exits are counted under its
-packed bytes and only the rare exits' masks are packed: under plain Monte
+stop in a chunk, with their stop rows, their states there and exit sets, so
+only those paths' states, steps and exit sets are written out, and the
+record's mask narrows the live set (a truncated path's state is written
+once, after the last chunk).  The chunks grow with the steps the batch has
+walked (``FIRST_CHUNK``, ``FIRST_CHUNK``, then doubling), so a batch of
+short walks draws few rows past its stops.  A block holds at most
+``CHUNK_VALUES`` values, or one step of the live paths when that holds more
+(at d > 64 a full batch walks one step per chunk).  The weights of a
+batch's wrong exits come from vectorised logsumexps over blocks of
+``CHUNK_VALUES`` log weights, or of 128 wrong exits when that holds more
+(plain Monte Carlo's are 1).  A batch computes its wrong-exit mask once and
+hands it on with its outcomes (``BatchResult.rare``), for the weights, the
+tally and the pilot.  Exit sets are tallied as packed member masks (bytes)
+over the whole run and decoded to their ``A=...``/``reference`` keys once at
+the end, every set's members from one ``np.nonzero``.  Every exit that is
+not rare has the rule's one reference set, so those exits are counted under
+its packed bytes and only the rare exits' masks are packed: under plain Monte
 Carlo nearly every path exits through the reference region.
 
 Mixture weights: a proposal with two distinct groups (``beta`` candidate
@@ -52,7 +55,8 @@ over its wrong exits (convex in s; He & Owen 2014).  The search runs over
 ``SHARE_RANGE``, widened to take in the uniform share, so every weight stays
 at least min(0.05 / K_g, 1 / |Theta|), K_g its group's size, and the
 certificates still hold (defensive mixtures, Owen & Zhou 2000).  Batches
-1..n-1 draw components with those weights and weight a wrong exit by
+1..n-1 draw components with those weights (``rng.choice``'s arithmetic
+without its checks, see ``simulate_batch``) and weight a wrong exit by
 1 / sum_j alpha_j w_j.  A proposal with one group (or all of whose
 components are in both), a one-batch run and a pilot with no wrong exit
 keep the uniform draw and its arithmetic bit for bit; each run records its
@@ -233,18 +237,29 @@ def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
     The live paths' states ride from chunk to chunk as a compact array,
     which may be a view of the last block row because ``draw`` returns a
     fresh block each call.  Each chunk's stop record ``rule.exits`` lists
-    the stopping paths only; they are written out and dropped from the
-    live set, and a chunk where none stops writes nothing.  The gathers
-    are ``take`` calls (a flat row index into the block, the kept
-    indices into its last row), several times faster than the fancy and
-    boolean indexing of the same rows on these small arrays; the scatters
-    write one ``V`` record per row, 1.3-4x faster than a row scatter.
+    the stopping paths only, with their states already gathered for the
+    exit sets and the mask of them; those states are written out as they
+    are, ``~stop`` narrows the live set, and a chunk where none stops
+    writes nothing.  The gathers are ``take`` calls, several times faster
+    than the fancy and boolean indexing of the same rows on these small
+    arrays; the scatters write one ``V`` record per row, 1.3-4x faster
+    than a row scatter.
+
+    Tuned components are drawn as ``rng.choice(n_comp, size=n,
+    p=weights)`` draws them, by a search of one uniform per path in the
+    normalised cumulative weights, without its checks of ``weights``: the
+    same indices and the same stream state after, in 7 against 17 us for
+    256 paths of 90 components.  Wrong exits are weighted in blocks of at
+    least 128 rows, so a large mixture runs one GEMM per block, not many
+    skinny ones.
     """
     n_comp, d = thetas.shape
     if weights is None:
         comp = rng.integers(n_comp, size=n)
-    else:
-        comp = rng.choice(n_comp, size=n, p=weights)
+    else:  # ``rng.choice(n_comp, size=n, p=weights)`` without its checks
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        comp = cdf.searchsorted(rng.random(n), side="right")
     states = np.zeros((n, d))
     steps = np.full(n, max_steps)
     exit_sets = np.zeros((n, d), dtype=bool)
@@ -257,20 +272,20 @@ def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
         k = min(max_steps - t, max(1, CHUNK_VALUES // (live.size * d)),
                 max(FIRST_CHUNK, t))
         block = draw(rng, comp, k)
-        block[0] += cur
-        for j in range(1, k):
-            np.add(block[j - 1], block[j], out=block[j])
-        cols, rows, sets = rule.exits(block, b)
+        walk = iter(block)  # the block's row views, summed in place
+        prev = next(walk)
+        prev += cur
+        for row in walk:
+            np.add(prev, row, row)
+            prev = row
+        stop, cols, rows, at_stop, sets = rule.exits(block, b)
         if cols.size:
-            ids = live[cols]
-            got = block.reshape(-1, d).take(rows * live.size + cols, axis=0)
-            state_rec[ids] = got.view(state_rec.dtype)[:, 0]
+            ids = live.take(cols)
+            state_rec[ids] = at_stop.view(state_rec.dtype)[:, 0]
             steps[ids] = t + rows + 1
             set_rec[ids] = sets.view(set_rec.dtype)[:, 0]
-            keep = np.ones(live.size, dtype=bool)
-            keep[cols] = False
-            kept = np.flatnonzero(keep)
-            live, comp = live[kept], comp[kept]
+            kept = np.flatnonzero(~stop)
+            live, comp = live.take(kept), comp.take(kept)
             cur = block[k - 1].take(kept, axis=0)
         else:
             cur = block[k - 1]  # a view: ``draw`` returns a fresh block
@@ -285,13 +300,14 @@ def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
         values[wrong] = 1.0  # plain Monte Carlo: every log weight is 0
         return BatchResult(values, states, steps, exit_sets, truncated, wrong)
     rare = np.flatnonzero(wrong)
-    rows = max(1, CHUNK_VALUES // n_comp)
+    rows = max(128, CHUNK_VALUES // n_comp)  # >= 128 rows: no skinny GEMM
+    log_alpha = None if weights is None else np.log(n_comp * weights)
     for lo in range(0, rare.size, rows):
         idx = rare[lo:lo + rows]
         logw = states[idx] @ thetas.T
         logw -= steps[idx, None] * lambdas
-        if weights is not None:
-            logw += np.log(n_comp * weights)
+        if log_alpha is not None:
+            logw += log_alpha
         values[idx] = _mixture_estimate(n_comp, logw)
     return BatchResult(values, states, steps, exit_sets, truncated, wrong)
 
@@ -392,15 +408,21 @@ def _pilot(model, proposal, rule, b, max_steps, seed, n_paths):
 
 def _decode_tally(tally: Counter, rule, d: int) -> Counter:
     """Tally keyed by ``A=...``/``reference`` from one keyed by packed
-    exit-set masks, decoding each distinct mask once.  The keys are
-    interned, so tallies kept from many runs share their strings."""
+    exit-set masks, decoding each distinct mask once: one ``np.nonzero``
+    over all the masks lists every member, row by row, and each key takes
+    its row's slice.  The keys are interned, so tallies kept from many
+    runs share their strings."""
     packed = np.frombuffer(b"".join(tally), dtype=np.uint8)
     masks = np.unpackbits(packed.reshape(len(tally), (d + 7) // 8), axis=1,
                           count=d).astype(bool)
+    members = np.nonzero(masks)[1].tolist()  # row by row, each ascending
+    ends = np.count_nonzero(masks, axis=1).cumsum().tolist()
     out: Counter = Counter()
-    for mask, rare, c in zip(masks, rule.rare_mask(masks), tally.values()):
-        key = region_key(rare, np.flatnonzero(mask).tolist())
-        out[sys.intern(key)] += c
+    start = 0
+    for end, rare, c in zip(ends, rule.rare_mask(masks).tolist(),
+                            tally.values()):
+        out[sys.intern(region_key(rare, members[start:end]))] += c
+        start = end
     return out
 
 

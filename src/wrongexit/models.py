@@ -325,14 +325,28 @@ class MvNormalModel(_TiltedSampling):
     def batch_sampler(self, thetas):
         """Closure drawing (k, n, d) blocks for n paths, path i under the
         tilt ``thetas[comp[i]]``: N(mean + cov theta, cov) increments, the
-        paths' means gathered by ``take`` (faster than fancy indexing)."""
+        paths' means gathered by ``take`` (faster than fancy indexing).
+
+        Standard normals Z are multiplied by the Cholesky factor's
+        transpose, unless the factor is diagonal: then Z is scaled by its
+        diagonal, or left as it is for unit variances.  Those are the same
+        bits, since every off-diagonal term of ``Z @ chol.T`` adds an exact
+        zero, and they skip a 13-14 us product per 16k-value block."""
         loc = self.mean + self._tilts(thetas) @ self.cov.T
-        chol_t = np.ascontiguousarray(np.linalg.cholesky(self.cov).T)
+        chol = np.linalg.cholesky(self.cov)
+        scale = np.diagonal(chol).copy()
+        dense = bool(np.tril(chol, -1).any())
+        unit = not dense and bool((scale == 1.0).all())
+        chol_t = np.ascontiguousarray(chol.T)
         d = self.dim
 
         def draw(rng: np.random.Generator, comp: np.ndarray,
                  k: int) -> np.ndarray:
-            out = rng.standard_normal((k * comp.size, d)) @ chol_t
+            out = rng.standard_normal((k * comp.size, d))
+            if dense:
+                out = out @ chol_t
+            elif not unit:
+                out *= scale
             out = out.reshape(k, comp.size, d)
             out += loc.take(comp, axis=0)
             return out

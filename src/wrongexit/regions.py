@@ -17,10 +17,11 @@ rules are supported:
 Each rule states its stopping test once, over states of any leading shape.
 The engine applies it to ``(k, B, d)`` blocks of B paths over k steps
 through ``exits``, whose stop record lists only the paths that stop in the
-block: their columns in ascending order, the first row each stops at, and
-the boolean member masks of the regions they enter there.  The exit sets
-are formed for those paths alone.  ``first_hit`` is the one-path case of
-the same record.
+block: the mask of them, their columns in ascending order, the first row
+each stops at, the states there and the boolean member masks of the
+regions they enter.  The stopped states are gathered once, for the exit
+sets, and the engine writes those same arrays.  ``first_hit`` is the
+one-path case of the same record.
 
 The stop test runs on every row of every block, and at the small d of the
 oracle problems it costs about as much as drawing the increments.  A numpy
@@ -149,14 +150,21 @@ def reduce_coords(ufunc, a: np.ndarray) -> np.ndarray:
     x86-64 container), in-place against coordinate-major, in us: ``all``
     109/10 at d=4, 18/10 at d=20, 12/10 at d=32, 10/11 at d=40, 6/11 at
     d=100 and 2.4/19 at d=400; ``add`` 97/23 at d=4, 21/19 at d=32 and
-    12/20 at d=100.  Bool and int reductions are exact, so both layouts
-    give the same bits.
+    12/20 at d=100.  A count of bools (``add``) adds bytes and widens the
+    result to numpy's int once, 8.7 against 16.3 us on 1,536 x 10.  Bool
+    and int reductions are exact, so every layout gives the same bits.
     """
     d = a.shape[-1]
     if d >= IN_PLACE_MIN_D:
         return ufunc.reduce(a, axis=-1)
     cols = a.reshape(-1, d).T.copy()
-    return ufunc.reduce(cols, axis=0).reshape(a.shape[:-1])
+    if ufunc is np.add and a.dtype == bool:
+        # fewer than IN_PLACE_MIN_D ones fit a byte: counting in bytes and
+        # widening once skips a cast of every bool to int64
+        got = ufunc.reduce(cols, axis=0, dtype=np.uint8).astype(np.intp)
+    else:
+        got = ufunc.reduce(cols, axis=0)
+    return got.reshape(a.shape[:-1])
 
 
 @lru_cache(maxsize=None)
@@ -234,12 +242,15 @@ class _StoppingRule:
     """
 
     def exits(self, states: np.ndarray, b: float):
-        """The stop record of a ``(k, B, d)`` block of B paths: ``(cols,
-        rows, sets)``, where ``cols`` lists the paths that stop in the
-        block in ascending order, ``rows`` the first row each stops at and
-        ``sets`` the boolean ``(len(cols), d)`` member masks of the regions
-        they enter there.  Paths that do not stop have no entry, and the
-        exit sets are formed for the stopping paths only.
+        """The stop record of a ``(k, B, d)`` block of B paths: ``(stop,
+        cols, rows, at_stop, sets)``, where ``stop`` is the ``(B,)`` mask of
+        the paths that stop in the block, ``cols`` lists them in ascending
+        order, ``rows`` gives the first row each stops at, ``at_stop`` the
+        ``(len(cols), d)`` states there and ``sets`` the boolean member
+        masks of the regions they enter.  Paths that do not stop have no
+        entry, and the exit sets are formed for the stopping paths only.
+        The engine writes ``at_stop`` out as it is and narrows its live set
+        by ``~stop``, so nothing here is gathered or tested twice.
 
         The stopping columns come from ``any`` along the rows, the stop
         rows from an argmax over those columns alone, and the stopped
@@ -249,13 +260,14 @@ class _StoppingRule:
         arange]``, the argmax over the stopping columns 4.8 against 15.7
         over all, the ``take`` 0.6 against 7.8 for ``states[rows, cols]``."""
         hit, level = self._stopped(states, b)
-        cols = np.flatnonzero(hit.any(axis=0))
+        stop = hit.any(axis=0)
+        cols = np.flatnonzero(stop)
         rows = hit.take(cols, axis=1).argmax(axis=0)
-        at = rows * states.shape[1] + cols  # flat (row, path) positions
-        sets = self._exit_set(
-            states.reshape(-1, states.shape[-1]).take(at, axis=0),
-            None if level is None else level.reshape(-1).take(at), b)
-        return cols, rows, sets
+        flat = rows * states.shape[1] + cols  # flat (row, path) positions
+        at_stop = states.reshape(-1, states.shape[-1]).take(flat, axis=0)
+        sets = self._exit_set(at_stop, None if level is None
+                              else level.reshape(-1).take(flat), b)
+        return stop, cols, rows, at_stop, sets
 
     def region(self, mask) -> Region:
         """Decode an exit-set mask into its region label."""
@@ -270,8 +282,8 @@ class _StoppingRule:
     def first_hit(self, states: np.ndarray, b: float):
         """First stopped row in a (n, d) block of states and the region
         entered there, or (-1, None): the one-path stop record."""
-        _, rows, sets = self.exits(np.asarray(states, dtype=float)[:, None],
-                                   b)
+        _, _, rows, _, sets = self.exits(
+            np.asarray(states, dtype=float)[:, None], b)
         if not rows.size:
             return -1, None
         return int(rows[0]), self.region(sets[0])

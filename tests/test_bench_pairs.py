@@ -198,6 +198,35 @@ def test_a_verdict_line_follows_each_target(driver, monkeypatch, capsys,
     assert record["paper_scale"]["si_desk"]["change_wins"] == {"seconds": 2}
 
 
+def test_workload_lines_show_units_beside_peak_rss(driver, monkeypatch,
+                                                  capsys, tmp_path):
+    # the change fits more units into a run and so reads more memory;
+    # paper-scale lines have no units and print no memory
+    def bench(tree, workload, seed, seconds):
+        got = fake_bench(tree, workload, seed, seconds)
+        more = tree == ROOT
+        return dict(got, units=200 + 50 * more + seed % 3,
+                    peak_rss_mb=41.0 + 0.5 * more + 0.01 * (seed % 3))
+
+    monkeypatch.setattr(driver, "_bench", bench)
+    monkeypatch.setattr(driver, "_paper", fake_paper)
+    out = tmp_path / "pairs.json"
+    assert driver.main(["--out", str(out), "--pairs", "si_scan=3",
+                        "si_desk=1"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [ln.split(": wall_s ")[1].split(", ", 1)[1] for ln in err
+            if ln.startswith("si_scan seed")] == [
+        "peak_rss_mb 41.01 -> 41.51, units 201 -> 251",
+        "peak_rss_mb 41.02 -> 41.52, units 202 -> 252",
+        "peak_rss_mb 41.00 -> 41.50, units 200 -> 250"]
+    verdict = next(ln for ln in err if ln.startswith("si_scan: wall_s "))
+    assert verdict.endswith("; median peak_rss_mb 41.01 -> 41.51, "
+                            "units 201 -> 251")
+    assert not any("units" in ln for ln in err if ln.startswith("si_desk"))
+    entry = json.loads(out.read_text())["workloads"]["si_scan"]
+    assert entry["change"]["units"]["runs"] == [251, 252, 250]
+
+
 @pytest.mark.parametrize("change, extra, verdict", [
     ([0.8] * 9 + [1.01], {}, "resolved"),
     ([0.8] * 8 + [1.01] * 2, {}, "unresolved"),

@@ -715,16 +715,23 @@ class TestReusedObjects:
                                       SumIntersectionRule(2)])
     def test_decode_tally_decodes_every_mask(self, rule):
         # one rule at d = 3, 10, 4 and 3 again (one, two, one and one
-        # packed byte)
-        for d in (3, 10, 4, 3):
-            masks = (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1 == 1
+        # packed byte): every mask, then at d = 10 random masks in random
+        # order, the empty and the full mask among them
+        rng = np.random.default_rng(17)
+        cases = [(d, (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1 == 1)
+                 for d in (3, 10, 4, 3)]
+        some = rng.random((300, 10)) < rng.random((300, 1))
+        some = np.unique(np.vstack([some, np.eye(2, 10) < 0, np.ones(
+            (1, 10), dtype=bool)]), axis=0)
+        cases.append((10, rng.permutation(some)))
+        for d, masks in cases:
             packed = np.packbits(masks, axis=1)
             tally = Counter({row.tobytes(): i + 1
                              for i, row in enumerate(packed)})
             expect = {region_key(bool(rule.rare_mask(m[None])[0]),
                                  np.flatnonzero(m).tolist()): i + 1
                       for i, m in enumerate(masks)}
-            assert len(expect) == 2 ** d
+            assert len(expect) == len(masks)
             assert dict(_decode_tally(tally, rule, d)) == expect
 
 
@@ -976,6 +983,51 @@ class TestWeightedMixtures:
             axis=1))]
         assert lo <= share <= hi
         assert abs(share - best) <= SHARE_TOL + (hi - lo) / 2_000
+
+    @pytest.mark.parametrize("K", [2, 3, 90, 2450])
+    def test_tuned_draw_is_rng_choice(self, K):
+        # the components ``simulate_batch`` draws under weights are those
+        # of ``rng.choice(K, size=n, p=weights)``, and the stream is left
+        # where ``choice`` leaves it: the next draws are the same
+        rng = np.random.default_rng(K)
+        thetas = rng.normal(size=(K, 2))
+        labels = [f"beta[{j}]" if j < max(1, K // 3) else f"gamma[{j}]"
+                  for j in range(K)]
+        prop = MixtureProposal(thetas, np.zeros(K), labels,
+                               {"kind": "siegmund"})
+        assert len(prop) == K
+        tilted = rng.random(K) ** 4
+        for weights in (tilted / tilted.sum(),
+                        prop.share_weights(SHARE_RANGE[0]),
+                        prop.share_weights(SHARE_RANGE[1])):
+            calls = []
+
+            def draw(r, comp, k):
+                calls.append((comp.copy(), r.random(4)))
+                return np.full((k, comp.size, 2), 1e9)  # all stop at once
+
+            res = simulate_batch(draw, RULE11, 1.0, 10, prop.thetas,
+                                 prop.lambdas, batch_rng(5, 1), 300, weights)
+            assert len(calls) == 1 and res.rare.all()
+            ref = batch_rng(5, 1)
+            want = ref.choice(K, size=300, p=weights)
+            assert calls[0][0].dtype == want.dtype
+            assert calls[0][0].tolist() == want.tolist()
+            assert calls[0][1].tolist() == ref.random(4).tolist()
+
+    def test_si_desk_scan_on_two_workers(self, monkeypatch):
+        # the shipped SI desk problem, tuned by its pilot, scans to the
+        # same bytes on one worker and on two
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = load_config(str(CONFIGS / "si_desk.json"))
+        model = build_model(cfg["model"])
+        rule = build_rule(cfg["problem"])
+        prop = build_proposal(model, rule, cfg["proposal"])[0]
+        scans = [decay_scan(model, prop, rule, [8.0, 11.0],
+                            5 * batch_paths(model.dim) + 19, 31, workers=w)
+                 for w in (1, 2)]
+        assert [r["weighting"] for r in scans[0]] == [PILOT, PILOT]
+        assert scans[0] == scans[1]
 
     def test_scan_rows_carry_second_moment_and_weighting(self):
         model, prop, rule = si_two_groups()

@@ -521,6 +521,23 @@ class TestTiltedSampling:
         x = model.tilted_sampler(np.zeros(3))(np.random.default_rng(0), 1)[0]
         assert x.shape == (3,)
 
+    @pytest.mark.parametrize("cov", [
+        np.eye(4), np.diag([0.5, 2.0, 1.0, 3.7]),
+        np.diag([0.5, 2.0, 1.0, 3.7]) + 0.3 * np.ones((4, 4))])
+    def test_mvnormal_block_is_the_cholesky_product(self, cov):
+        # a diagonal factor scales the normals, or leaves them for unit
+        # variances, and gives the bits of the product by the factor
+        model = MvNormalModel(np.full(4, -0.5), cov)
+        rng = np.random.default_rng(9)
+        thetas = rng.uniform(-0.5, 0.5, size=(3, 4))
+        comp = rng.integers(0, 3, size=7)
+        got = model.batch_sampler(thetas)(np.random.default_rng(2), comp, 5)
+        chol_t = np.ascontiguousarray(np.linalg.cholesky(cov).T)
+        z = np.random.default_rng(2).standard_normal((5 * 7, 4))
+        want = (z @ chol_t).reshape(5, 7, 4)
+        want += (model.mean + thetas @ cov.T)[comp]
+        assert got.tobytes() == want.tobytes()
+
     def test_batch_sampler_matches_per_component_reference(self):
         comps = [Normal(-0.5, 2.0), ShiftedExponential(2.0, -LOG2),
                  Normal(0.3, 0.5), ShiftedExponential(1.5, -1.0)]

@@ -49,7 +49,7 @@ def dense_exits(rule, block, b):
     """The stop record of ``exits`` spread over every path of a (k, B, d)
     block: the first stop row of each path, or -1, and its (B, d) member
     masks, all False for a path that does not stop."""
-    cols, rows, sets = rule.exits(block, b)
+    _, cols, rows, _, sets = rule.exits(block, b)
     first = np.full(block.shape[1], -1)
     first[cols] = rows
     dense = np.zeros(block.shape[1:], dtype=bool)
@@ -414,7 +414,8 @@ def far_state(rule, rng, d, b):
 
 
 class TestStopRecord:
-    """``exits`` returns the stopping paths only: ``cols`` ascending, with
+    """``exits`` returns the stopping paths only: their mask, ``cols``
+    ascending and their states at the stops, with
     the first stop row and the exit set of the per-row reference."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 7, 8, 10])
@@ -435,21 +436,28 @@ class TestStopRecord:
             blocks += [np.zeros((4, 5, d)), every]
             for block in blocks:
                 self.check(rule, block, b)
-            cols, rows, _ = rule.exits(every, b)
+            stop, cols, rows, _, _ = rule.exits(every, b)
+            assert stop.all()
             assert cols.tolist() == list(range(len(at)))
             assert rows.tolist() == at
-            assert not rule.exits(blocks[-2], b)[0].size
+            stop, cols, *_ = rule.exits(blocks[-2], b)
+            assert not stop.any() and not cols.size
 
     @staticmethod
     def check(rule, block, b):
         k, n, d = block.shape
-        cols, rows, sets = rule.exits(block, b)
+        stop, cols, rows, at_stop, sets = rule.exits(block, b)
         assert cols.shape == rows.shape == (len(sets),)
-        assert sets.shape == (len(cols), d) and sets.dtype == bool
+        assert sets.shape == at_stop.shape == (len(cols), d)
+        assert sets.dtype == bool and stop.dtype == bool
         assert np.all(np.diff(cols) > 0)
         ref = [[per_row_exit(rule, block[i, j], b) for i in range(k)]
                for j in range(n)]
-        stops = [[i for i, (stop, _) in enumerate(r) if stop] for r in ref]
+        stops = [[i for i, (hit, _) in enumerate(r) if hit] for r in ref]
+        # the mask is the reference's hit.any(axis=0), and the states are
+        # the block's rows at the stops, bit for bit
+        assert stop.tolist() == [bool(s) for s in stops]
+        assert at_stop.tobytes() == block[rows, cols].tobytes()
         assert cols.tolist() == [j for j in range(n) if stops[j]]
         for j, i, members in zip(cols, rows, sets):
             assert i == stops[j][0]
