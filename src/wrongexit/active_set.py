@@ -10,8 +10,10 @@ linear objectives, ``_si_active_set`` for the sum-intersection objective
 rearrangement_min.  Each iteration solves the subproblems of all programs
 still iterating at once (the constraint's ``subsolve``, one stack per
 count of free coordinates, and per working-set size), with per-program
-masks for pins, releases, entering functionals and backtracking.  A
-program's result is bit for bit the one it gets in a block of its own.
+masks for pins, releases, entering functionals and backtracking.  Both
+store their results through ``_solutions``, which forms each program's
+KKT certificate and ``TiltSolution``.  A program's result is bit for bit
+the one it gets in a block of its own.
 Records are drawn and stacked in slices of at most ``BLOCK_VALUES`` matrix
 entries, so the memory of a block solve is bounded whatever its number of
 programs.  ``checked_block_solve``, the one gate of the product solves,
@@ -26,7 +28,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .constraints import ACTIVE_SET_MAX_ITER, CGF_TOL, _counts, _dot, _vm
+from .constraints import (ACTIVE_SET_MAX_ITER, CGF_TOL, _counts, _dot,
+                          _scatter, _vm)
 from .regions import rearrangement_min
 
 KKT_TOL = 1e-8
@@ -176,15 +179,32 @@ def _stacked(block):
             np.array([p.support for p in block]))
 
 
-def _scatter(support, d, x, lead=None):
-    """Rows x_i placed on their supports in zero (m, d) rows, after a
-    leading column ``lead`` when given."""
-    m = len(x)
-    out = np.zeros((m, d + (lead is not None)))
-    if lead is not None:
-        out[:, 0], support = lead, support + 1
-    out[np.arange(m)[:, None], support] = x
-    return out
+def _solutions(block, out, rows, con, support, x, s, pinned, reduced, tilts,
+               values=None, viol=(), t=None, weights=None):
+    """Store in ``out`` the TiltSolutions of the programs ``rows`` of a
+    block at their optima x of ``con`` (their constraints, stacked), with
+    s = 1/lambda_0, the pinned coordinates, the reduced gradients (s
+    lambda_k where pinned) and the tilts on the supports.  ``values`` are
+    the objective values (None: rearrangement_min of the tilts), ``viol``
+    further residual terms, ``t`` the zero-sum rows' nu/lambda_0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mults = np.where(pinned & (s > 0)[:, None], reduced / s[:, None], 0.0)
+        lam0 = np.where(s == 0, math.inf, 1.0 / s)
+        stat = np.where(pinned, 0.0, np.abs(reduced / con.scale(x)))
+        nu = None if t is None else (lam0 * t).tolist()
+    resid = np.maximum(np.abs(con.value(x)), stat.max(axis=1))
+    for part in viol:
+        resid = np.maximum(resid, part)
+    tilts = _scatter(support, block[0].d, tilts)
+    full = _scatter(support, block[0].d, mults, lam0)
+    if values is None:
+        values = rearrangement_min(tilts, block[0].L)
+    for j, (i, val, res, pos) in enumerate(zip(
+            rows, values.tolist(), resid.tolist(), (s > 0).tolist())):
+        out[i] = TiltSolution(val, tilts[j], res <= KKT_TOL, res,
+                              block[i].method, full[j],
+                              nu[j] if nu is not None and pos else None,
+                              None if weights is None else weights[j])
 
 
 def _qclp_active_set(block) -> list:
@@ -200,7 +220,7 @@ def _qclp_active_set(block) -> list:
     so a subproblem without a solution is degenerate.  A pinned set met
     twice would cycle; both are SolverErrors.
     """
-    k, n, d = len(block), block[0].signs.size, block[0].d
+    k, n = len(block), block[0].signs.size
     con, signs, eq, support = _stacked(block)
     c = np.array([p.c for p in block])
     out = [None] * k
@@ -234,29 +254,13 @@ def _qclp_active_set(block) -> list:
             pinned[rows, np.where(neg[rows], reduced[rows], np.inf).argmin(
                 axis=1)] = False
         if done.any():
-            whole = done.all()
-            pick = (lambda a: a) if whole else (lambda a: a[done])
-            xd, sd, pd, rd = pick(xs), pick(s), pick(pinned), pick(reduced)
-            sub = con if whole else con.take(done)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mults = np.where(pd & (sd > 0)[:, None], rd / sd[:, None], 0.0)
-                lam0 = np.where(sd == 0, math.inf, 1.0 / sd)
-                stat = np.where(pd, 0.0, np.abs(rd / sub.scale(xd)))
-                nu = (lam0 * pick(t)).tolist()
-            resid = np.abs(sub.value(xd))
-            for part in (np.maximum(0.0, -pick(slack).min(axis=1)),
-                         0.0 if eq is None else np.abs(_dot(pick(eq), xd)),
-                         stat.max(axis=1)):
-                resid = np.maximum(resid, part)
-            tilts = _scatter(pick(support), d, xd)
-            full = _scatter(pick(support), d, mults, lam0)
-            for j, (i, val, res, pos) in enumerate(zip(
-                    live[done], _dot(pick(c), xd).tolist(), resid.tolist(),
-                    (sd > 0).tolist())):
-                out[i] = TiltSolution(val, tilts[j], res <= KKT_TOL, res,
-                                      block[i].method, full[j],
-                                      nu[j] if eq is not None and pos
-                                      else None)
+            xd = xs[done]
+            _solutions(block, out, live[done], con.take(done), support[done],
+                       xd, s[done], pinned[done], reduced[done], xd,
+                       _dot(c[done], xd),
+                       (np.maximum(0.0, -slack[done].min(axis=1)),
+                        0.0 if eq is None else np.abs(_dot(eq[done], xd))),
+                       None if eq is None else t[done])
         keep = ~(done | fail)
         if not keep.any():
             return out
@@ -400,9 +404,11 @@ def _si_active_set(block) -> list:
             end = mults[np.arange(sel.size), drop] >= -1e-10
             finished[sel[end]] = True
             if end.any():
-                _si_finish(block, out, con, signs, support, rows[end],
-                           ys[end], ss[end], reduced[end], pinned[rows[end]],
-                           w[end])
+                fin = rows[end]
+                yf = np.maximum(ys[end], 0.0)  # rounding leaves -1e-16 zeros
+                _solutions(block, out, fin, con.take(fin), support[fin], yf,
+                           ss[end], pinned[fin], reduced[end], signs[fin] * yf,
+                           weights=w[end])
             lose = ~end & (drop < r + 1)
             lr, ld = rows[lose], drop[lose]
             keep = np.arange(work.shape[1])
@@ -415,22 +421,3 @@ def _si_active_set(block) -> list:
     fail(live, f"no convergence in {ACTIVE_SET_MAX_ITER * n} iterations")
     return out
 
-
-def _si_finish(block, out, con, signs, support, rows, y, s, reduced,
-               pinned, w):
-    """The TiltSolutions of programs ``rows`` of an SI block at their
-    optima y, with multipliers s, reduced gradients and weights w."""
-    y = np.maximum(y, 0.0)  # rounding leaves free zeros at -1e-16
-    sub = con.take(rows)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu = np.where(pinned, reduced / s[:, None], 0.0)
-        stat = np.where(pinned, 0.0, np.abs(reduced / sub.scale(y)))
-        lam0 = 1.0 / s
-    resid = np.maximum(np.abs(sub.value(y)), stat.max(axis=1, initial=0.0))
-    d, L = block[0].d, block[0].L
-    tilts = _scatter(support[rows], d, signs[rows] * y)
-    full = _scatter(support[rows], d, mu, lam0)
-    for j, (i, val, res) in enumerate(zip(
-            rows, rearrangement_min(tilts, L).tolist(), resid.tolist())):
-        out[i] = TiltSolution(val, tilts[j], res <= KKT_TOL, res,
-                              block[i].method, full[j], weights=w[j])

@@ -322,7 +322,7 @@ def _read_json(path, where: str):
 def load_config(path: str, paper_scale: bool = False) -> dict:
     cfg = _read_json(path, "--config")
     if paper_scale:
-        for key, val in _section(cfg, "paper_scale").items():
+        for key, val in _section(cfg, "paper_scale", True).items():
             if isinstance(val, dict) and isinstance(cfg.get(key), dict):
                 cfg[key] = {**cfg[key], **val}
             else:

@@ -91,11 +91,7 @@ def _counts(values):
 def _free_groups(pinned, live=None):
     """For each count nf >= 1 of free coordinates, the programs (rows of
     ``pinned``, among ``live`` when given) with nf free coordinates and
-    those coordinates in increasing order, a (rows, nf) array; None for
-    the one group of every program when nothing is pinned."""
-    if (live is None or live.all()) and pinned.size and not pinned.any():
-        yield np.arange(len(pinned)), None
-        return
+    those coordinates in increasing order, a (rows, nf) array."""
     rows = np.arange(len(pinned)) if live is None else np.flatnonzero(live)
     nfree = (~pinned[rows]).sum(axis=1)
     for nf in _counts(nfree[nfree > 0]):
@@ -104,23 +100,27 @@ def _free_groups(pinned, live=None):
 
 
 def _columns(eq, rows, cols):
-    """The (r, nf) blocks eq_i[:, cols_i] of a (k, r, n) stack of rows (all
-    columns when ``cols`` is None), each in Fortran order, the order the
-    indexed blocks come out in: so a program's rows reach BLAS on one
-    layout (which sets its transposed path and rounding) whether or not its
-    stack takes the all-free shortcut."""
-    if cols is None:
-        return np.swapaxes(np.swapaxes(eq[rows], 1, 2).copy(), 1, 2)
+    """The (r, nf) blocks eq_i[:, cols_i] of a (k, r, n) stack of rows, each
+    in Fortran order, the order the indexed blocks come out in."""
     r = eq.shape[1]
     return np.swapaxes(eq[rows[:, None, None], np.arange(r), cols[:, :, None]],
                        1, 2)
 
 
+def _scatter(support, d, x, lead=None):
+    """Rows x_i placed on their supports in zero (m, d) rows, after a
+    leading column ``lead`` when given."""
+    m = len(x)
+    out = np.zeros((m, d + (lead is not None)))
+    if lead is not None:
+        out[:, 0], support = lead, support + 1
+    out[np.arange(m)[:, None], support] = x
+    return out
+
+
 def _pick(a, rows, cols):
     """a_i[cols_i] for the programs ``rows`` of a (k, n) stack, or a_i[cols_i,
-    cols_i] of a (k, n, n) stack: the stack itself when ``cols`` is None."""
-    if cols is None:
-        return a
+    cols_i] of a (k, n, n) stack."""
     ri = rows[:, None]
     if a.ndim == 2:
         return a[ri, cols]
@@ -221,10 +221,7 @@ def _subsolve(c, quad, eq, pinned):
             else:
                 xf = solve(sg[:, None] * cf - bf)
         good &= np.isfinite(xf).all(axis=1)
-        if cols is None:
-            x[:] = xf
-        else:
-            x[rows[:, None], cols] = xf
+        x[rows[:, None], cols] = xf
         s[rows], ok[rows] = sg, good
     return x, s, t, ok
 
@@ -313,11 +310,7 @@ class _Separable(_Stack, ColumnLaws, NamedTuple("_SeparableFields", [
                 bad = (z[:, 0] <= 0) | np.any(v <= floor[sel], axis=1)
                 tf, w = free.take(sel).row("k1_inverse", v)
                 xf = signs[sel] * tf
-                if cols is None:
-                    xx = xf.copy()
-                else:
-                    xx = np.zeros((sel.size, n))
-                    xx[np.arange(sel.size)[:, None], cols[sel]] = xf
+                xx = _scatter(cols[sel], n, xf)
                 res = np.concatenate([con.take(sel).value(xx)[:, None],
                                       _mv(g[sel], xf)], axis=1)
                 return [xx, xf, res, h, w, bad]

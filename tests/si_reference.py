@@ -260,21 +260,20 @@ def shifted_program(A, gamma, rule, model: MvNormalModel) -> float:
 
 
 def _ray_radius(model, direction) -> float:
-    """Largest r >= 0 with Lambda(r * direction) <= 0."""
+    """Largest r >= 0 with Lambda(r * direction) <= 0; on an independent
+    model Lambda is the sum of the scalar laws' ``cgf`` above."""
     if isinstance(model, MvNormalModel):
         drift = float(model.mean @ direction)
         curv = float(direction @ (model.cov @ direction))
         return max(0.0, -2.0 * drift / curv)
-    grad0 = float(model.cgf_grad_rows([np.zeros(model.dim)])[0] @ direction)
-    if grad0 >= 0:
+    laws = list(zip(model.components, direction.tolist()))
+    if sum(cgf_prime(c, 0.0) * u for c, u in laws) >= 0:
         return 0.0
-    caps = [
-        domain_sup(c) / direction[k]
-        for k, c in enumerate(model.components)
-        if direction[k] > 0 and math.isfinite(domain_sup(c))
-    ]
+    caps = [domain_sup(c) / u for c, u in laws
+            if u > 0 and math.isfinite(domain_sup(c))]
     upper = min(caps) if caps else math.inf
-    return positive_root(lambda rr: model.cgf(rr * direction), upper=upper)
+    return positive_root(lambda rr: sum(cgf(c, rr * u) for c, u in laws),
+                         upper=upper)
 
 
 def _symmetric_si_beta(model, A, L):

@@ -291,3 +291,54 @@ def test_nan_program_fails_alone_in_its_stack():
     x1, s1, _, ok1 = quad.take([1]).subsolve(c[1:], None, pinned[1:], None)
     assert ok.tolist() == [False, True] and ok1.tolist() == [True]
     assert x[1].tobytes() == x1[0].tobytes() and s[1] == s1[0]
+
+
+# ---------------------------------------------------------------------------
+# The linear-objective active set's failures
+# ---------------------------------------------------------------------------
+
+def quad_record(con, c, signs, label="quad"):
+    """A linear-objective record on all n coordinates of a ``_Quad``."""
+    n = signs.size
+    return Program(np.asarray(c, dtype=float), con, signs, None, None, label,
+                   np.arange(n), n)
+
+
+class Scripted(constraints._Quad):
+    """A ``_Quad`` whose subsolve answers x = -1 on every free coordinate
+    and s = 1, whatever q is: a coordinate is pinned for its sign
+    violation, then released for its negative multiplier."""
+
+    def subsolve(self, c, eq, pinned, x):
+        k = len(c)
+        return (np.where(pinned, 0.0, -1.0), np.ones(k), np.zeros(k),
+                np.ones(k, dtype=bool))
+
+
+def test_infeasible_origin_makes_every_subproblem_degenerate():
+    # q(0) = kappa > CGF_TOL, and b = 0 leaves no point with q <= 0
+    con = constraints._Quad(np.array([2 * constraints.CGF_TOL]),
+                            np.zeros((1, 2)), np.eye(2)[None])
+    with pytest.raises(SolverError,
+                       match="^degenerate active-set subproblem$"):
+        block_solve([quad_record(con, [1.0, -1.0], np.ones(2))])
+
+
+def test_pinned_set_met_twice_is_an_error():
+    # x = -1 pins the coordinate; at x = 0 its reduced gradient is
+    # b - s c = -3, so it is released, back to the empty pinned set
+    con = Scripted(np.zeros(1), np.array([[-2.0]]), np.eye(1)[None])
+    with pytest.raises(SolverError,
+                       match="^active-set iteration revisited a pinned set$"):
+        block_solve([quad_record(con, [1.0], np.ones(1))])
+
+
+def test_iteration_cap_is_an_error(monkeypatch):
+    # max x_0 - 2 x_1 over q <= 0 wants x_1 < 0: the first step pins x_1
+    con = constraints._Quad(np.zeros(1), -np.ones((1, 2)), np.eye(2)[None])
+    record = quad_record(con, [1.0, -2.0], np.ones(2))
+    assert block_solve([record])[0].converged
+    monkeypatch.setattr(active_set, "ACTIVE_SET_MAX_ITER", 1)
+    with pytest.raises(SolverError, match=(
+            "^active-set iteration did not converge in 1 steps$")):
+        block_solve([record])

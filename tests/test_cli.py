@@ -396,6 +396,23 @@ class TestCommands:
                      "--strict"]) == 1
         assert main(["run", "--config", path, "--out", str(out)]) == 0
 
+    def test_strict_solve_flags_failed_condition(self, tmp_path, capsys):
+        # H-SI fails for L = 2 on an exchangeable d = 10 normal at rho = 0.6
+        cfg = {"name": "si", "model": {"family": "mvnormal", "dim": 10,
+                                       "mean": -0.5, "rho": 0.6},
+               "problem": {"kind": "sum_intersection", "L": 2},
+               "proposal": {"variant": "si"}}
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", path, "--out", str(out),
+                     "--strict"]) == 1
+        assert ("strict: efficiency condition failed"
+                in capsys.readouterr().err)
+        man = json.loads((out / "si_proposal.json").read_text())
+        assert man["report"]["condition"] == "H-SI"
+        assert man["report"]["holds"] is False
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+
     def test_paper_scale_overrides(self, tmp_path):
         cfg = dict(TINY_SIEGMUND)
         cfg["paper_scale"] = {"run": {"n_paths": 123}}
@@ -790,6 +807,23 @@ class TestBadInputIsConfigError:
                          "--out", str(tmp_path / "o")]) == 2
             assert ("config error: proposal.variant: unknown siegmund "
                     "variant 'theta9'") in capsys.readouterr().err
+
+    def test_check_of_plain_variant(self, tmp_path, capsys):
+        cfg = {**TINY_SIEGMUND, "proposal": {"variant": "plain"}}
+        path = write_cfg(tmp_path, cfg)
+        assert main(["check", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert ("config error: proposal.variant: no condition to check for "
+                "variant 'plain'") in capsys.readouterr().err
+
+    def test_paper_scale_without_overlay(self, tmp_path, capsys):
+        # the oracle config has no paper_scale section: the flag is refused
+        # before anything runs, not ignored
+        assert main(["oracle", "--config", str(CONFIGS / "oracle_gap_d4.json"),
+                     "--paper-scale", "--out", str(tmp_path / "o")]) == 2
+        assert ("config error: config.paper_scale: missing required field"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_direct_on_non_exchangeable_model(self, tmp_path, capsys):
         # theta0 reports the direct condition; 'direct' is no variant

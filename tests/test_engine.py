@@ -481,6 +481,20 @@ class TestEstimator:
         assert a.second_moment == b.second_moment
         assert a.exit_tally == b.exit_tally
 
+    def test_one_path_has_infinite_errors(self):
+        # one value has no sample variance: both errors are inf, whether
+        # the path exits wrongly (mean > 0) or not (mean 0)
+        model = siegmund_d2()
+        prop, _ = build_siegmund("theta1", model, 1.0, 1.0)
+        means = []
+        for seed in range(4):
+            run = estimate_wrong_exit(model, prop, RULE11,
+                                      RunConfig(b=2.0, n_paths=1, seed=seed))
+            assert run.n == 1
+            assert run.std_error == run.relative_error == math.inf
+            means.append(run.mean)
+        assert min(means) == 0.0 < max(means)
+
     def test_mixture_of_one_equivalence(self):
         # the batch core agrees path by path with a one-step-at-a-time
         # reference walking the same increments, for a one-component
