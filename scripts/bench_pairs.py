@@ -27,12 +27,14 @@ alternates from pair to pair, so a drift of the machine's speed falls on
 both sides alike.  With ``--held-out T`` the last pair of T is recorded as
 its held-out seed.  After a target's last pair one verdict line on
 standard error reads ``resolved`` when the change won at least 9 in 10 of
-the pairs (all 3 of 3) on the target's timed metric (``wall_s``, or
-``seconds``), its median beats the parent's by more than the parent's
-interquartile range, every run was correct, each pair's outputs matched
-and no more operations failed than at the parent; ``regressed`` when the
-parent won at least 9 in 10 of the pairs and its median beats the
-change's by more than its interquartile range; ``unresolved`` otherwise.
+the pairs on the target's timed metric (``wall_s``, or ``seconds``), its
+median beats the parent's by more than the parent's interquartile range,
+every run was correct, each pair's outputs matched and no more operations
+failed than at the parent; ``regressed`` when the parent won at least 9 in
+10 of the pairs and its median beats the change's by more than its
+interquartile range; ``unresolved`` otherwise.  Either verdict needs at
+least 10 pairs (with 3, one side wins all of them by chance one time in
+eight): with fewer the line reads ``unresolved`` and says so.
 Each workload pair's line, and its target's verdict line in medians, also
 print ``peak_rss_mb`` and the timed units side by side, parent -> change,
 since ``bench/worker.py`` keeps every unit's outputs and a run that fits
@@ -74,6 +76,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SEED_STRIDE = 20  # seeds set aside per target
 SIDES = ("parent", "change")
+MIN_PAIRS = 10  # the fewest pairs that can resolve or regress a target
 B_INDEX = 2  # the b of each paper-scale grid that is timed
 SECONDS = [{"name": "seconds", "better": "lower"}]  # the paper-scale metric
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -213,16 +216,19 @@ def _verdict(target: str, entry: dict, metric: dict) -> str:
     failed = entry.get("failed", {"parent": 0, "change": 0})
     sound = (entry.get("all_correct", True) and entry["digests_match"]
              and failed["change"] <= failed["parent"])
-    if losses >= 0.9 * n and -gap > iqr:
+    enough = n >= MIN_PAIRS
+    if enough and losses >= 0.9 * n and -gap > iqr:
         word = "regressed"
-    elif sound and wins >= 0.9 * n and gap > iqr:
+    elif enough and sound and wins >= 0.9 * n and gap > iqr:
         word = "resolved"
     else:
         word = "unresolved"
     line = (f"{target}: {name} {word}: the change won {wins} of {n} pairs, "
             f"median {parent['median']:.4g} -> {change['median']:.4g}, "
             f"parent interquartile range {iqr:.4g}"
-            + ("" if sound else ", but outputs differ or more ops failed"))
+            + ("" if sound else ", but outputs differ or more ops failed")
+            + ("" if enough else f", but {n} pairs are fewer than the "
+               f"{MIN_PAIRS} a verdict needs"))
     if "units" in entry["parent"]:  # a workload: its memory beside it
         line += "; median " + _memory(*(
             {key: entry[side][key]["median"] for key in ("peak_rss_mb",

@@ -2,18 +2,18 @@
 blocks of programs.
 
 A program travels as a ``Program`` record: objective, CGF constraint on its
-support (``constraints``), signs, optional zero-sum row, L, method label,
-support and d; ``solvers`` builds them.  ``block_solve`` takes any number
-of records.  The programs of one kind, support size and constraint family
-advance together through one active set: ``_qclp_active_set`` for the
-linear objectives, ``_si_active_set`` for the sum-intersection objective
-rearrangement_min.  Each iteration solves the subproblems of all programs
-still iterating at once (the constraint's ``subsolve``, one stack per
-count of free coordinates, and per working-set size), with per-program
-masks for pins, releases, entering functionals and backtracking.  Both
-store their results through ``_solutions``, which forms each program's
-KKT certificate and ``TiltSolution``.  A program's result is bit for bit
-the one it gets in a block of its own.
+support (``constraints``), signs, an (r, n) block of equality rows, L,
+method label, support and d; ``solvers`` builds them.  ``block_solve``
+takes any number of records.  The programs of one kind, support size,
+constraint family and row count advance together through one active set:
+``_qclp_active_set`` for the linear objectives, ``_si_active_set`` for the
+sum-intersection objective rearrangement_min.  Each iteration solves the
+subproblems of all programs still iterating at once (the constraint's
+``subsolve``, one stack per count of free coordinates, and per working-set
+size), with per-program masks for pins, releases, entering functionals and
+backtracking.  Both store their results through ``_solutions``, which
+forms each program's KKT certificate and ``TiltSolution``.  A program's
+result is bit for bit the one it gets in a block of its own.
 Records are drawn and stacked in slices of at most ``BLOCK_VALUES`` matrix
 entries, so the memory of a block solve is bounded whatever its number of
 programs.  ``checked_block_solve``, the one gate of the product solves,
@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .constraints import (ACTIVE_SET_MAX_ITER, CGF_TOL, _counts, _dot,
+from .constraints import (ACTIVE_SET_MAX_ITER, CGF_TOL, _counts, _dot, _mv,
                           _scatter, _vm)
 from .regions import rearrangement_min
 
@@ -77,18 +77,19 @@ class Program(NamedTuple):
     """One tilt program, as a block solve takes it.
 
     With ``L`` None: max c.theta s.t. signs*theta >= 0 on ``support``,
-    theta = 0 off it, Lambda(theta) <= 0 and, with a row ``eq``, eq.theta =
-    0; ``c``, ``signs`` and ``eq`` run over the support and ``con`` is the
-    CGF there with unit signs.  With ``L`` set: max rearrangement_min(theta,
-    L) under the same sign and support constraints, in y = signs*theta_S
-    (``con`` is the CGF in y and ``c`` is None).  ``d`` is the model's
-    dimension and ``method`` the label of the solution.
+    theta = 0 off it, Lambda(theta) <= 0 and eq theta = 0 for the (r, n)
+    rows ``eq``, a row of ones if zero-sum (else r = 0); ``c``, ``signs``
+    and ``eq`` run over the support and ``con`` is the CGF there with unit
+    signs.  With ``L`` set: max rearrangement_min(theta, L) under the same
+    sign and support constraints, in y = signs*theta_S (``con`` is the CGF
+    in y, ``c`` is None and r = 0).  ``d`` is the model's dimension and
+    ``method`` the label of the solution.
     """
 
     c: Optional[np.ndarray]
     con: object
     signs: np.ndarray
-    eq: Optional[np.ndarray]
+    eq: np.ndarray
     L: Optional[int]
     method: str
     support: np.ndarray
@@ -115,7 +116,7 @@ def block_solve(programs) -> list:
     """The TiltSolutions of an iterable of ``Program`` records, in order.
 
     The programs of each slice (``_slices``) that share a kind, a support
-    size, a constraint family and the presence of a zero-sum row run in
+    size, a constraint family and a count of equality rows run in
     lockstep through one active set, ``_qclp_active_set`` or
     ``_si_active_set``.  Each result is bit for bit the one its program gets
     in a block of its own.  Raises the SolverError of the first failing
@@ -126,7 +127,7 @@ def block_solve(programs) -> list:
     for part in _slices(programs):
         sols, groups = [None] * len(part), {}
         for i, p in enumerate(part):
-            key = (p.L, type(p.con), p.signs.size, p.eq is None, p.d)
+            key = (p.L, type(p.con), p.signs.size, len(p.eq), p.d)
             groups.setdefault(key, []).append(i)
         for idx in groups.values():
             block = [part[i] for i in idx]
@@ -171,11 +172,11 @@ def checked_block_solve(name, entries) -> list:
 
 
 def _stacked(block):
-    """The block's constraint, signs, zero-sum rows (or None) and supports,
-    stacked."""
+    """The block's constraint, signs, equality rows, a (k, r, n) stack, and
+    supports, stacked."""
     con = block[0].con.concat([p.con for p in block])
-    eq = None if block[0].eq is None else np.array([p.eq for p in block])
-    return (con, np.array([p.signs for p in block]), eq,
+    return (con, np.array([p.signs for p in block]),
+            np.array([p.eq for p in block]),
             np.array([p.support for p in block]))
 
 
@@ -186,12 +187,13 @@ def _solutions(block, out, rows, con, support, x, s, pinned, reduced, tilts,
     s = 1/lambda_0, the pinned coordinates, the reduced gradients (s
     lambda_k where pinned) and the tilts on the supports.  ``values`` are
     the objective values (None: rearrangement_min of the tilts), ``viol``
-    further residual terms, ``t`` the zero-sum rows' nu/lambda_0."""
+    further residual terms, ``t`` the (k, r) equality rows' nu/lambda_0 of
+    linear programs: a zero-sum row's nu is its ``eq_multiplier``."""
     with np.errstate(divide="ignore", invalid="ignore"):
         mults = np.where(pinned & (s > 0)[:, None], reduced / s[:, None], 0.0)
         lam0 = np.where(s == 0, math.inf, 1.0 / s)
         stat = np.where(pinned, 0.0, np.abs(reduced / con.scale(x)))
-        nu = None if t is None else (lam0 * t).tolist()
+        nu = None if t is None else (lam0[:, None] * t).tolist()
     resid = np.maximum(np.abs(con.value(x)), stat.max(axis=1))
     for part in viol:
         resid = np.maximum(resid, part)
@@ -203,12 +205,12 @@ def _solutions(block, out, rows, con, support, x, s, pinned, reduced, tilts,
             rows, values.tolist(), resid.tolist(), (s > 0).tolist())):
         out[i] = TiltSolution(val, tilts[j], res <= KKT_TOL, res,
                               block[i].method, full[j],
-                              nu[j] if nu is not None and pos else None,
+                              nu[j][0] if nu and nu[j] and pos else None,
                               None if weights is None else weights[j])
 
 
 def _qclp_active_set(block) -> list:
-    """Maximize c.x s.t. g(x) <= 0 and signs*x >= 0 (and optionally eq.x = 0)
+    """Maximize c.x s.t. g(x) <= 0, signs*x >= 0 and eq x = 0
     for each program of a block of linear programs of one size, with g(0) =
     0, in lockstep; a TiltSolution or a SolverError per program.
 
@@ -242,8 +244,8 @@ def _qclp_active_set(block) -> list:
         slack = signs * xs
         viol = ~pinned & (slack < -1e-12 * scale[:, None])
         hit = viol.any(axis=1)
-        shift = 0.0 if eq is None else t[:, None] * eq
-        reduced = signs * (con.grad(xs) + shift - s[:, None] * c)  # s lambda_k
+        # s lambda_k
+        reduced = signs * (con.grad(xs) + _vm(t, eq) - s[:, None] * c)
         neg = pinned & (reduced < -1e-10 * np.maximum(1.0, s)[:, None])
         free = ~hit & neg.any(axis=1)
         done = ~(fail | hit | free)
@@ -259,15 +261,15 @@ def _qclp_active_set(block) -> list:
                        xd, s[done], pinned[done], reduced[done], xd,
                        _dot(c[done], xd),
                        (np.maximum(0.0, -slack[done].min(axis=1)),
-                        0.0 if eq is None else np.abs(_dot(eq[done], xd))),
-                       None if eq is None else t[done])
+                        np.abs(_mv(eq[done], xd)).max(axis=1, initial=0.0)),
+                       t[done])
         keep = ~(done | fail)
         if not keep.any():
             return out
         if not keep.all():
-            live, pinned, xs, c, signs, support = (
-                a[keep] for a in (live, pinned, xs, c, signs, support))
-            con, eq = con.take(keep), None if eq is None else eq[keep]
+            live, pinned, xs, c, signs, eq, support = (
+                a[keep] for a in (live, pinned, xs, c, signs, eq, support))
+            con = con.take(keep)
             seen = [old[keep] for old in seen]
         x = xs
     for i in live:
@@ -342,10 +344,9 @@ def _si_active_set(block) -> list:
         for r in _counts(size[live] - 1):
             sel = np.flatnonzero(size[live] == r + 1)
             rows = live[sel]
-            rhs = work[rows, 1:r + 1] - work[rows, :1] if r else None
-            sol[sel], s[sel], ts, ok[sel] = con.take(rows).subsolve(
-                work[rows, 0], rhs, pinned[rows], y[rows])
-            t[sel, :r] = ts[:, :r] if r else 0.0
+            sol[sel], s[sel], t[sel, :r], ok[sel] = con.take(rows).subsolve(
+                work[rows, 0], work[rows, 1:r + 1] - work[rows, :1],
+                pinned[rows], y[rows])
         fail(live[~ok], "degenerate working set")
         live, sol, s, t = live[ok], sol[ok], s[ok], t[ok]
         yl, m = y[live], live.size
@@ -395,8 +396,8 @@ def _si_active_set(block) -> list:
                 w = ts / -ss[:, None]
                 w = np.concatenate([1.0 - w.sum(axis=1)[:, None], w], axis=1)
                 reduced = con.take(rows).grad(ys) - ss[:, None] * work[rows, 0]
-                reduced = reduced + (_vm(ts, work[rows, 1:r + 1]
-                                         - work[rows, :1]) if r else 0.0)
+                reduced = reduced + _vm(ts, work[rows, 1:r + 1]
+                                        - work[rows, :1])
                 mults = np.concatenate(
                     [w, np.where(pinned[rows], reduced / ss[:, None], np.inf)],
                     axis=1)

@@ -98,11 +98,15 @@ def _section(cfg: dict, key: str, required: bool = False) -> dict:
 
 
 def _number(val, path: str, cast=float):
-    """``val`` through ``cast``; a value it rejects, a float with a
-    fractional part for ``int`` (which would truncate it), or a result
-    with a nan or infinite entry is a ConfigError."""
+    """``val`` through ``cast``; a value it rejects, a boolean anywhere in
+    it (which ``cast`` would read as 0 or 1), a float with a fractional
+    part for ``int`` (which would truncate it), or a result with a nan or
+    infinite entry is a ConfigError."""
     try:
-        if cast is int and isinstance(val, float) and not val.is_integer():
+        flat = np.asarray(val, dtype=object).flat
+        if any(isinstance(v, bool) for v in flat) or (
+                cast is int and isinstance(val, float)
+                and not val.is_integer()):
             raise ValueError
         out = cast(val)
     except (TypeError, ValueError, OverflowError):

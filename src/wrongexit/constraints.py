@@ -4,9 +4,9 @@ A constraint holds one program per row: ``_Quad`` (a normal model's
 quadratic CGF) or ``_Separable`` (independent coordinates).  Each gives
 its value, gradient, Taylor model and exact subsolve: the maximizer of a
 linear objective over the constraint with some coordinates pinned at zero
-and optional equality rows, for every program of the stack at once.  The
-programs are taken in groups of equal free counts, so every group is one
-stack of equal-size systems.
+and a block of equality rows (none, for most programs), for every program
+of the stack at once.  The programs are taken in groups of equal free
+counts, so every group is one stack of equal-size systems.
 
 Every stacked call runs on each program one BLAS or LAPACK routine on one
 memory layout, whatever the stack's size (``_dot``, ``_mv``, ``_vm``,
@@ -168,61 +168,48 @@ def _subsolve(c, quad, eq, pinned):
     """Exact maximizer of c_i.x over {q_i(x) <= 0, x_pinned = 0, eq_i x = 0}
     for each program i of a stack.
 
-    ``eq`` is None, one row per program (k, n), or (k, r, n) stacks of r
-    rows.  Returns x (k, n), s = 1/lambda_0 (k,), t = nu/lambda_0 ((k,), or
-    (k, r) for stacks of rows) and the mask of the programs solved; a
-    program fails when the pinned subspace misses the feasible set, the
-    rows are dependent on the free coordinates or the objective direction
-    degenerates.  The programs are taken in groups of equal free counts:
-    the free blocks of Sigma and the Gram matrices of stacks of rows are
-    factored with ``np.linalg.cholesky`` and solved through the inverse
-    factors (``_solver``).
+    ``eq`` is a (k, r, n) stack of r rows per program.  Returns x (k, n),
+    s = 1/lambda_0 (k,), t = nu/lambda_0 (k, r) and the mask of the
+    programs solved; a program fails when the pinned subspace misses the
+    feasible set, the rows are dependent on the free coordinates or the
+    objective direction degenerates.  The programs are taken in groups of
+    equal free counts: the free blocks of Sigma and the Gram matrices of
+    the rows are factored with ``np.linalg.cholesky`` and solved through
+    the inverse factors (``_solver``).
     """
-    k, n = c.shape
-    x, s = np.zeros((k, n)), np.zeros(k)
-    t = np.zeros(k if eq is None or eq.ndim == 2 else eq.shape[:2])
+    (k, n), r = c.shape, eq.shape[1]
+    x, s, t = np.zeros((k, n)), np.zeros(k), np.zeros((k, r))
     ok = quad.kappa <= CGF_TOL  # everything pinned: x = 0 when q(0) <= 0
     for rows, cols in _free_groups(pinned):
         inv, good = _each(_inverse_factor, _pick(quad.sigma, rows, cols))
         solve = _solver(inv)
         cf, bf, kap = _pick(c, rows, cols), _pick(quad.b, rows, cols), \
             quad.kappa[rows]
+        g = _columns(eq, rows, cols)
         with np.errstate(all="ignore"):
-            if eq is not None:
-                if eq.ndim == 2:
-                    g = _pick(eq, rows, cols)
-                    gram = _dot(g, solve(g))
-                    good &= gram > 1e-300
-                    div = lambda v: v / gram
-                    along = lambda v: v[:, None] * g
-                    gc, gb = _dot(g, solve(cf)), _dot(g, solve(bf))
-                else:
-                    g = _columns(eq, rows, cols)
-                    inv2, ok2 = _each(_inverse_factor,
-                                      g @ solve(np.swapaxes(g, 1, 2)))
-                    good &= ok2
-                    div = _solver(inv2)
-                    along = lambda v: _vm(v, g)
-                    gc, gb = _mv(g, solve(cf)), _mv(g, solve(bf))
-                chat = cf - along(div(gc))
-                bhat = bf - along(div(gb))
-            else:
-                chat, bhat = cf, bf
+            # c and b less their parts along the rows; a rowless group has
+            # no Gram matrix to factor
+            chat, bhat, gc, gb = cf, bf, cf[:, :0], bf[:, :0]
+            div = _solver(np.zeros((rows.size, 0, 0)))
+            if r:
+                inv2, ok2 = _each(_inverse_factor,
+                                  g @ solve(np.swapaxes(g, 1, 2)))
+                good &= ok2
+                div = _solver(inv2)
+                gc, gb = _mv(g, solve(cf)), _mv(g, solve(bf))
+                chat = cf - _vm(div(gc), g)
+                bhat = bf - _vm(div(gb), g)
             num = _dot(bhat, solve(bhat)) - 2.0 * kap
             den = _dot(chat, solve(chat))
             # written so that a nan fails each check
             good &= num >= -1e-12 * np.maximum(1.0, np.abs(kap))
             good &= den > 1e-300
             sg = np.sqrt(np.maximum(num, 0.0) / den)
-            if eq is not None:
-                tg = div((sg * gc.T).T - gb)
-                xf = solve(sg[:, None] * cf - along(tg) - bf)
-                t[rows] = tg
-            else:
-                xf = solve(sg[:, None] * cf - bf)
+            tg = div((sg * gc.T).T - gb)
+            xf = solve(sg[:, None] * cf - _vm(tg, g) - bf)
         good &= np.isfinite(xf).all(axis=1)
         x[rows[:, None], cols] = xf
-        s[rows], ok[rows] = sg, good
+        s[rows], t[rows], ok[rows] = sg, tg, good
     return x, s, t, ok
 
 
@@ -265,23 +252,23 @@ class _Separable(_Stack, ColumnLaws, NamedTuple("_SeparableFields", [
                      g - h * y, sigma)
 
     def subsolve(self, c, eq, pinned, y):
-        """``_subsolve`` for g: with s and t the multipliers as there,
-        stationarity Lambda_k'(signs_k x_k) = signs_k (s c - t eq)_k is
-        inverted coordinate by coordinate, leaving g(x) = 0 and eq x = 0 in
-        (s, t).  Newton on them starts from the Taylor model's subsolve at y
-        (skipped when y is None or outside the domain), else at 0, and
-        backtracks on the residual of those equations."""
+        """``_subsolve`` for g, on the same (k, r, n) stack of rows: with s
+        and t the multipliers as there, stationarity Lambda_k'(signs_k x_k)
+        = signs_k (s c - t eq)_k is inverted coordinate by coordinate,
+        leaving g(x) = 0 and eq x = 0 in (s, t).  Newton on them starts from
+        the Taylor model's subsolve at y (skipped when y is None or outside
+        the domain), else at 0, and backtracks on the residual of those
+        equations."""
         k, n = c.shape
         x, s, ok = np.zeros((k, n)), np.zeros(k), np.zeros(k, dtype=bool)
-        t = np.zeros(k if eq is None or eq.ndim == 2 else eq.shape[:2])
+        t = np.zeros(eq.shape[:2])
         for y0 in (y, np.zeros((k, n))):
             if y0 is None:
                 continue
             rows = np.flatnonzero(~ok & np.isfinite(self.value(y0)))
             if rows.size:
                 sol = self.take(rows)._newton(
-                    c[rows], None if eq is None else eq[rows], pinned[rows],
-                    y0[rows])
+                    c[rows], eq[rows], pinned[rows], y0[rows])
                 good = rows[sol[3]]
                 x[good], s[good], t[good] = (a[sol[3]] for a in sol[:3])
                 ok[good] = True
@@ -289,18 +276,15 @@ class _Separable(_Stack, ColumnLaws, NamedTuple("_SeparableFields", [
 
     def _newton(self, c, eq, pinned, y):
         k, n = c.shape
-        r = 0 if eq is None else 1 if eq.ndim == 2 else eq.shape[1]
+        r = eq.shape[1]
         _, s0, t0, ok0 = _subsolve(c, self.taylor(y), eq, pinned)
-        z0 = np.concatenate([s0[:, None], np.reshape(t0, (k, -1))[:, :r]],
-                            axis=1)
+        z0 = np.concatenate([s0[:, None], t0], axis=1)
         x, z, ok = np.zeros((k, n)), np.zeros((k, 1 + r)), np.zeros(k, bool)
         for rows, cols in _free_groups(pinned, ok0):
             free = type(self)(*(_pick(a, rows, cols) for a in self))
             lin, signs, floor = free.lin, free.signs, free.row("floor")
             cf, con = _pick(c, rows, cols), self.take(rows)
-            g = (np.zeros((rows.size, 0, cf.shape[1])) if eq is None
-                 else _pick(eq, rows, cols)[:, None, :] if eq.ndim == 2
-                 else _columns(eq, rows, cols))
+            g = _columns(eq, rows, cols)
 
             def point(z, sel):
                 """x, its free entries, the residuals, h = s c - t g, the
@@ -321,11 +305,12 @@ class _Separable(_Stack, ColumnLaws, NamedTuple("_SeparableFields", [
             # lin_k are negative.  One zero-sum row (all ones with unit
             # signs) instead lowers t, which raises every h_k, until each
             # Lambda_k' with a finite floor is at least its value at 0
+            zero_sum = r == 1 and (g == 1.0).all() and (signs == 1.0).all()
             for i in range(64):
                 pend = np.flatnonzero(cur[5])
                 if not pend.size:
                     break
-                if i == 0 and r == 1 and eq.ndim == 2:
+                if i == 0 and zero_sum:
                     low = np.where(floor[pend] > -np.inf,
                                    zg[pend, :1] * cf[pend] - lin[pend]
                                    - free.take(pend).row("k1", 0.0), np.inf)
@@ -381,5 +366,4 @@ class _Separable(_Stack, ColumnLaws, NamedTuple("_SeparableFields", [
                 np.abs(res).max(axis=1)
                 <= CGF_TOL * np.maximum(1.0, _dot(np.abs(h), np.abs(xf))))
             x[rows], z[rows], ok[rows] = xx, zg, good
-        t = z[:, 1] if r == 1 and eq.ndim == 2 else z[:, 1:]
-        return x, z[:, 0], (np.zeros(k) if eq is None else t), ok
+        return x, z[:, 0], z[:, 1:], ok

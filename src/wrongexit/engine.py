@@ -304,12 +304,18 @@ def simulate_batch(draw, rule, b: float, max_steps: int, thetas: np.ndarray,
     log_alpha = None if weights is None else np.log(n_comp * weights)
     for lo in range(0, rare.size, rows):
         idx = rare[lo:lo + rows]
-        logw = states[idx] @ thetas.T
-        logw -= steps[idx, None] * lambdas
+        logw = _log_weights(states[idx], steps[idx], thetas, lambdas)
         if log_alpha is not None:
             logw += log_alpha
         values[idx] = _mixture_estimate(n_comp, logw)
     return BatchResult(values, states, steps, exit_sets, truncated, wrong)
+
+
+def _log_weights(states, steps, thetas, lambdas) -> np.ndarray:
+    """theta_j . S_tau - tau Lambda(theta_j) per path (S_tau, tau) and j."""
+    logw = states @ thetas.T
+    logw -= steps[:, None] * lambdas
+    return logw
 
 
 def pilot_share(logw: np.ndarray, beta: np.ndarray, aux: np.ndarray
@@ -401,8 +407,8 @@ def _pilot(model, proposal, rule, b, max_steps, seed, n_paths):
     rare = np.flatnonzero(res.rare)
     if not rare.size:
         return None, share, NO_WRONG_EXIT, out
-    logw = res.states[rare] @ thetas.T - res.steps[rare, None] * lambdas
-    share = pilot_share(logw, beta, aux)
+    share = pilot_share(_log_weights(res.states[rare], res.steps[rare],
+                                     thetas, lambdas), beta, aux)
     return proposal.share_weights(share), share, PILOT, out
 
 

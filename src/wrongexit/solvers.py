@@ -226,18 +226,19 @@ def _check_region(rule, d, A) -> Tuple[int, ...]:
 def _sign_program(model, support, c, signs, zero_sum, method) -> Program:
     """The record of max c.theta s.t. signs*theta >= 0 on ``support``,
     theta = 0 off it, Lambda(theta) <= 0 and, when ``zero_sum``, sum theta
-    = 0.  ``c`` and ``signs`` run over ``support``; the constraint takes
-    unit signs and the active set keeps the sign pattern itself."""
+    = 0, a row of ones.  ``c`` and ``signs`` run over ``support``; the
+    constraint takes unit signs and the active set keeps the sign pattern
+    itself."""
     sup = np.asarray(support)
     return Program(c, _constraint(model, sup, np.ones(sup.size)), signs,
-                   np.ones(sup.size) if zero_sum else None, None, method,
-                   sup, model.dim)
+                   np.ones((int(zero_sum), sup.size)), None, method, sup,
+                   model.dim)
 
 
 def _si_program(model, S, signs, L, method) -> Program:
     S = np.asarray(S)
-    return Program(None, _constraint(model, S, signs), signs, None, L, method,
-                   S, model.dim)
+    return Program(None, _constraint(model, S, signs), signs,
+                   np.zeros((0, S.size)), L, method, S, model.dim)
 
 
 def beta_program(A, rule, model: CgfModel) -> Program:

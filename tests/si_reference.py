@@ -250,7 +250,7 @@ def shifted_program(A, gamma, rule, model: MvNormalModel) -> float:
     signs = np.where(in_A, 1.0, -1.0)
     quad = _Quad(np.array([model.cgf(-gamma)]),
                  (model.mean - model.cov @ gamma)[None], model.cov[None])
-    eq = None if siegmund else np.ones((1, d))
+    eq = np.ones((1, 0 if siegmund else 1, d))
     best = -math.inf
     for pinned in product((False, True), repeat=d):
         x, _, _, ok = _subsolve(c[None], quad, eq, np.array([pinned]))

@@ -236,17 +236,22 @@ def test_workload_lines_show_units_beside_peak_rss(driver, monkeypatch,
     ([0.8] * 10, {"failed": {"parent": 0, "change": 1}}, "unresolved"),
     ([1.2] * 9 + [0.8], {}, "regressed"),
     ([1.2] * 8 + [0.8] * 2, {}, "unresolved"),
+    ([1.2] * 3, {}, "unresolved"),
 ])
 def test_verdict_needs_both_the_wins_and_the_median_gap(driver, change,
                                                          extra, verdict):
     # parent quartiles 0.9 and 1.0: the medians must differ by more than
-    # 0.1, and a gain counts only with equal outputs and no more failures
-    entry = {"pairs": 10, "digests_match": True, "all_correct": True,
+    # 0.1, and a gain counts only with equal outputs and no more failures;
+    # fewer than 10 pairs resolve nothing, whoever wins them
+    n = len(change)
+    entry = {"pairs": n, "digests_match": True, "all_correct": True,
              "failed": {"parent": 0, "change": 0},
              "change_wins": {"wall_s": sum(c < 1.0 for c in change)},
              "parent": {"wall_s": {"median": 1.0, "q1": 0.9, "q3": 1.0,
-                                   "runs": [1.0] * 10}},
+                                   "runs": [1.0] * n}},
              "change": {"wall_s": {"median": statistics.median(change),
                                    "runs": change}}, **extra}
     line = driver._verdict("w", entry, {"name": "wall_s", "better": "lower"})
     assert line.startswith(f"w: wall_s {verdict}: ")
+    assert ("3 pairs are fewer than the 10 a verdict needs" in line) == (
+        n < 10)

@@ -175,7 +175,7 @@ def rising(mean, label):
     model = MvNormalModel(np.full(3, mean), np.eye(3))
     return Program(None, constraints._constraint(model, np.arange(3),
                                                  np.ones(3)),
-                   np.ones(3), None, 2, label, np.arange(3), 3)
+                   np.ones(3), np.zeros((0, 3)), 2, label, np.arange(3), 3)
 
 
 def test_block_raises_the_first_failure_in_input_order(monkeypatch):
@@ -287,8 +287,9 @@ def test_nan_program_fails_alone_in_its_stack():
                                                     [-0.5, -0.5]]),
                              np.stack([np.eye(2)] * 2))
     c, pinned = np.ones((2, 2)), np.zeros((2, 2), dtype=bool)
-    x, s, _, ok = quad.subsolve(c, None, pinned, None)
-    x1, s1, _, ok1 = quad.take([1]).subsolve(c[1:], None, pinned[1:], None)
+    x, s, _, ok = quad.subsolve(c, np.zeros((2, 0, 2)), pinned, None)
+    x1, s1, _, ok1 = quad.take([1]).subsolve(c[1:], np.zeros((1, 0, 2)),
+                                             pinned[1:], None)
     assert ok.tolist() == [False, True] and ok1.tolist() == [True]
     assert x[1].tobytes() == x1[0].tobytes() and s[1] == s1[0]
 
@@ -300,8 +301,8 @@ def test_nan_program_fails_alone_in_its_stack():
 def quad_record(con, c, signs, label="quad"):
     """A linear-objective record on all n coordinates of a ``_Quad``."""
     n = signs.size
-    return Program(np.asarray(c, dtype=float), con, signs, None, None, label,
-                   np.arange(n), n)
+    return Program(np.asarray(c, dtype=float), con, signs, np.zeros((0, n)),
+                   None, label, np.arange(n), n)
 
 
 class Scripted(constraints._Quad):
@@ -311,8 +312,8 @@ class Scripted(constraints._Quad):
 
     def subsolve(self, c, eq, pinned, x):
         k = len(c)
-        return (np.where(pinned, 0.0, -1.0), np.ones(k), np.zeros(k),
-                np.ones(k, dtype=bool))
+        return (np.where(pinned, 0.0, -1.0), np.ones(k),
+                np.zeros(eq.shape[:2]), np.ones(k, dtype=bool))
 
 
 def test_infeasible_origin_makes_every_subproblem_degenerate():

@@ -923,6 +923,12 @@ class TestBadInputIsConfigError:
         ("oracle", "oracle", {"seed": 2.5},
          "oracle.seed: 2.5 is not an integer"),
         ("run", "run", {"b_grid": 3.0}, "run.b_grid: 3.0 is not a list"),
+        ("run", "run", {"n_paths": True},
+         "run.n_paths: True is not an integer"),
+        ("run", "run", {"b_grid": [3.0, True]},
+         "run.b_grid[1]: True is not a number"),
+        ("run", "run", {"seed": False}, "run.seed: False is not an integer"),
+        ("oracle", "oracle", {"b": True}, "oracle.b: True is not a number"),
     ])
     def test_bad_run_and_oracle_fields(self, tmp_path, monkeypatch, capsys,
                                        command, section, change, message):
@@ -1101,6 +1107,23 @@ class TestBadInputIsConfigError:
         ("check", {"model": {"family": "mvnormal", "mean": [-0.5] * 3,
                              "sigma2": 2.0, "cov": np.eye(3).tolist()}},
          "model.sigma2: given with model.cov, which fixes the covariance"),
+        # a JSON boolean where a number belongs, nested lists included
+        ("check", {"model": {"family": "mvnormal", "dim": 2, "mean": -0.5,
+                             "rho": False}},
+         "model.rho: False is not a number"),
+        ("check", {"model": {"family": "mvnormal", "mean": [-0.5, True]}},
+         "model.mean: [-0.5, True] is not numeric"),
+        ("check", {"model": {"family": "mvnormal", "mean": [-0.5, -0.5],
+                             "cov": [[1.0, 0.0], [False, 1.0]]}},
+         "model.cov: [[1.0, 0.0], [False, 1.0]] is not numeric"),
+        ("check", {"model": {"family": "mvnormal", "dim": True,
+                             "mean": -0.5}},
+         "model.dim: True is not an integer"),
+        ("check", {"model": {"family": "independent", "components": [
+            {"type": "normal", "mu": -0.5, "sigma2": 1.0, "count": True}]}},
+         "model.components[0].count: True is not an integer"),
+        ("sweep", {"sweep": {"kind": "gap_v", "m": 4, "v_grid": [True]}},
+         "sweep.v_grid[0]: True is not a number"),
     ])
     def test_bad_model_and_sweep_fields(self, tmp_path, capsys, command,
                                         spec, message):
